@@ -100,14 +100,12 @@ explain-smoke:
 	grep -q 'conservation: .* (exact)' $$d/a.txt \
 	  || { echo "explain-smoke: span tree does not tile the root exactly:"; cat $$d/a.txt; exit 1; }
 
-# translation smoke: a recording made under the translator must replay
-# with zero divergence on BOTH engines (the .vxr format is engine-blind),
-# and the engine-ablation bench must report zero architectural
-# divergence at a double-digit wall-clock speedup
+# translation smoke: a recording must replay with zero divergence, and
+# the engine-ablation bench must report zero architectural divergence
+# from the reference stepper at a double-digit wall-clock speedup
 translate-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bin/wasprun.exe -- --example --record $$d/tr.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/tr.vxr --no-translate; \
 	dune exec bin/wasprun.exe -- --replay $$d/tr.vxr; \
 	dune exec bench/main.exe -- translate > $$d/tr.txt; \
 	grep -E 'TRANSLATE-SMOKE: divergence=0 speedup=[0-9]{2,}x' $$d/tr.txt \
@@ -130,19 +128,19 @@ vtrace-smoke:
 	       diff $$d/rec.txt $$d/rep.txt; exit 1; }
 
 # ring smoke: record one request through the ringed file server (two
-# exits: read + ring_enter doorbell), then replay the .vxr on BOTH
-# engines — the replay rebuilds the host environment (corpus + pending
-# request) from the image name and must diverge by zero cycles
+# exits: read + ring_enter doorbell), then replay the .vxr — the replay
+# rebuilds the host environment (corpus + pending request) from the
+# image name and must diverge by zero cycles
 ring-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bin/wasprun.exe -- --vhttp --record $$d/ring.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/ring.vxr --no-translate; \
 	dune exec bin/wasprun.exe -- --replay $$d/ring.vxr
 
 # fuzz smoke: a fixed-iteration campaign must be clean AND byte-identical
 # across two same-seed runs, and the differential oracle must catch both
-# planted harness canaries (a reverted shift-mask guard emulated in a
-# harness arm, and a one-cycle translator skew) within the same budget
+# planted harness canaries (a reverted shift-mask guard emulated on the
+# reference stepper, and a one-cycle translator skew) within the same
+# budget
 fuzz-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bin/fuzz_cli.exe -- --iters 25 --seed 0xF022 > $$d/a.txt; \
@@ -159,8 +157,9 @@ fuzz-smoke:
 	  || { echo "fuzz-smoke: cycle-skew canary missed:"; cat $$d/c2.txt; exit 1; }; \
 	grep -h 'FUZZ-SMOKE' $$d/c1.txt $$d/c2.txt
 
-# replay every committed reproducer on BOTH engines and require
-# byte-identical recordings (CI runs this on every PR)
+# replay every committed reproducer and require byte-identical
+# recordings, then run each image through the CPU-level engine arm
+# (translator vs reference stepper; CI runs this on every PR)
 fuzz-fixtures:
 	dune exec bin/fuzz_cli.exe -- --check-fixtures test/fixtures
 

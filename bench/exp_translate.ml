@@ -1,7 +1,9 @@
 (* Binary-translation fast path: the decode-once superblock cache must
-   run the same guest programs as the interpreter with bit-identical
-   architectural outcomes (registers, retired count, simulated cycles)
-   while spending far less host time per retired instruction.
+   run the same guest programs as the reference stepper
+   (Fuzz.Reference, one fetch-decode-execute per instruction) with
+   bit-identical architectural outcomes (registers, retired count,
+   simulated cycles) while spending far less host time per retired
+   instruction. The reference is the table's "interp" arm.
 
    The gated table holds only deterministic simulated quantities —
    retired instructions, simulated cycles per engine, the divergence
@@ -12,7 +14,7 @@
 let origin = 0x8000
 
 (* decode-dominated: a tight countdown loop whose body carries 64-bit
-   immediates — the interpreter re-fetches every immediate byte on every
+   immediates — the reference re-fetches every immediate byte on every
    iteration, the superblock decodes them exactly once *)
 let loop_src iters =
   Printf.sprintf
@@ -76,7 +78,7 @@ let exec engine src =
   Vm.Cpu.set_sp cpu 0x8000;
   let run, superblocks =
     match engine with
-    | `Interp -> ((fun () -> Vm.Cpu.run cpu), fun () -> 0)
+    | `Interp -> ((fun () -> Fuzz.Reference.run cpu), fun () -> 0)
     | `Translate ->
         let tr = Vm.Translate.create cpu in
         ( (fun () -> Vm.Translate.run tr),
@@ -114,7 +116,7 @@ let best_wall n engine src =
 
 let run () =
   Bench_util.header "Translate: decode-once superblock cache"
-    "simulator engine ablation (interpreter vs binary translation)";
+    "simulator engine ablation (reference stepper vs binary translation)";
   let workloads =
     [ ("loop 1M iters", loop_src 1_000_000); ("fib(24) recursive", fib_src 24) ]
   in

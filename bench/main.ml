@@ -26,7 +26,7 @@ let experiments =
     ("rings", "batched hypercall ring: exits/request and throughput", Exp_rings.run);
     ("chaos", "fault injection: supervised vs unsupervised availability", Exp_chaos.run);
     ("chaos_slo", "SLO burn-rate alerting through a fault storm", Exp_chaos.run_slo);
-    ("translate", "interpreter vs superblock translation cache", Exp_translate.run);
+    ("translate", "reference stepper vs superblock translation cache", Exp_translate.run);
     ("bechamel", "wall-clock microbenchmarks of the simulator", Bechamel_suite.run);
   ]
 

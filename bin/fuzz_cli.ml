@@ -4,8 +4,9 @@
    Modes:
      fuzz --iters N --seed S            deterministic campaign (CI smoke)
      fuzz --time-budget SECS            time-boxed campaign (nightly lane)
-     fuzz --check-fixtures DIR          replay committed reproducers on
-                                        both engines, fail on divergence
+     fuzz --check-fixtures DIR          replay committed reproducers and
+                                        run their images through the
+                                        engine arm, fail on divergence
      fuzz --emit-corpus-fixtures N ...  record canonical seed transcripts
 
    Exit codes: 0 = clean (or, under --expect-finding, the expected
@@ -165,7 +166,9 @@ let () =
       value
       & opt (some string) None
       & info [ "check-fixtures" ] ~docv:"DIR"
-          ~doc:"Replay every committed .vxr under $(docv) on both engines and diff")
+          ~doc:
+            "Replay every committed .vxr under $(docv) and diff, then run each image \
+             through the CPU-level engine arm (translator vs reference stepper)")
   in
   let emit_n =
     Arg.(

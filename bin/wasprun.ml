@@ -194,7 +194,7 @@ let setup_vhttp_env w =
 let is_fileserver_image name =
   String.length name >= 10 && String.sub name 0 10 = "fileserver"
 
-let run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity () =
+let run_vhttp ~record ~seed ~probe ~probe_out ?flight_capacity () =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "vhttp: %s\n" m; 1) fmt in
   match build_probes probe with
   | Error msg -> fail "bad probe spec: %s" msg
@@ -205,7 +205,7 @@ let run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity () =
       | Some vi ->
           let image = vi.Vcc.Compile.image in
           let policy = vi.Vcc.Compile.policy in
-          let w = Wasp.Runtime.create ~seed ~translate ?flight_capacity () in
+          let w = Wasp.Runtime.create ~seed ?flight_capacity () in
           Wasp.Runtime.set_probes w probes;
           let client_end, server_end = setup_vhttp_env w in
           let recorder =
@@ -254,12 +254,8 @@ let run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity () =
               1))
 
 (* Re-execute a .vxr recording under the recorded seed/policy/fuel and
-   diff the fresh transcript against it, cycle for cycle. Replaying with
-   the opposite of the recording engine (--no-translate vs the default
-   translated run, or vice versa) is the cross-engine equivalence
-   check: zero divergence means interpreter and translator agree on
-   every hypercall cycle stamp. *)
-let replay_file ~translate ~probe ~probe_out ?flight_capacity path =
+   diff the fresh transcript against it, cycle for cycle. *)
+let replay_file ~probe ~probe_out ?flight_capacity path =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "replay: %s\n" m; 1) fmt in
   match Profiler.Replay.of_string (read_file path) with
   | exception Sys_error msg -> fail "%s" msg
@@ -286,8 +282,7 @@ let replay_file ~translate ~probe ~probe_out ?flight_capacity path =
             }
           in
           let w =
-            Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) ~translate
-              ?flight_capacity ()
+            Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) ?flight_capacity ()
           in
           Wasp.Runtime.set_probes w probes;
           (* Chaos recordings carry their fault plan; re-arm an identical
@@ -372,15 +367,14 @@ let print_mem_stats hub w =
 
 let run file example example_fault vhttp mode allow all trace_json metrics mem_stats check
     profile profile_folded record replay seed chaos fault_plan_file repeat
-    explain_slowest translate probe probe_out flight_capacity =
+    explain_slowest probe probe_out flight_capacity =
   match (check, replay) with
   | _ when (match flight_capacity with Some n -> n < 1 | None -> false) ->
       prerr_endline "error: --flight-capacity must be >= 1";
       1
   | Some path, _ -> check_trace path
-  | None, Some path -> replay_file ~translate ~probe ~probe_out ?flight_capacity path
-  | None, None when vhttp ->
-      run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity ()
+  | None, Some path -> replay_file ~probe ~probe_out ?flight_capacity path
+  | None, None when vhttp -> run_vhttp ~record ~seed ~probe ~probe_out ?flight_capacity ()
   | None, None -> (
       let source =
         if example then Some example_source
@@ -433,7 +427,7 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
                   Printf.eprintf "error: bad probe spec: %s\n" msg;
                   1
               | Ok probes ->
-              let w = Wasp.Runtime.create ~seed ~translate ?flight_capacity () in
+              let w = Wasp.Runtime.create ~seed ?flight_capacity () in
               Wasp.Runtime.set_probes w probes;
               (match plan with
               | Some p -> Wasp.Runtime.set_fault_plan w (Some p)
@@ -706,24 +700,6 @@ let () =
              retries, exemplars) of the $(docv) slowest invocations. Enables request \
              tracing, seeded by $(b,--seed), so the report is identical across runs")
   in
-  let translate =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( true,
-              info [ "translate" ]
-                ~doc:
-                  "Execute the guest through the superblock translation cache (the \
-                   default). Simulated cycle counts are identical to the interpreter's" );
-            ( false,
-              info [ "no-translate" ]
-                ~doc:
-                  "Execute the guest through the step interpreter. Combined with \
-                   $(b,--replay) of a recording made under the default engine this is \
-                   the cross-engine zero-divergence check" );
-          ])
-  in
   let probe =
     Arg.(
       value
@@ -755,7 +731,7 @@ let () =
       Term.(
         const run $ file $ example $ example_fault $ vhttp $ mode $ allow $ all $ trace_json
         $ metrics $ mem_stats $ check $ profile $ profile_folded $ record $ replay $ seed
-        $ chaos $ fault_plan $ repeat $ explain_slowest $ translate $ probe $ probe_out
+        $ chaos $ fault_plan $ repeat $ explain_slowest $ probe $ probe_out
         $ flight_capacity)
   in
   exit (Cmd.eval' cmd)

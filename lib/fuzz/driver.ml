@@ -173,12 +173,12 @@ let run config : summary =
 (* Fixture replay (the CI `fixtures` step)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-execute a recorded fixture on one engine and rebuild the
-   recording; any Replay.diff divergence or byte-level mismatch against
-   the committed file is a failure. *)
-let replay_on ~translate (case : Corpus.case) (recorded : Profiler.Replay.t) =
+(* Re-execute a recorded fixture and rebuild the recording; any
+   Replay.diff divergence or byte-level mismatch against the committed
+   file is a failure. *)
+let replay (case : Corpus.case) (recorded : Profiler.Replay.t) =
   let recorder = Profiler.Replay.create () in
-  match Oracle.run_arm ~translate ~recorder case with
+  match Oracle.run_arm ~recorder case with
   | Oracle.Crash d -> Error ("crashed: " ^ d)
   | Oracle.Obs obs ->
       let rebuilt = Corpus.to_replay case in
@@ -202,15 +202,15 @@ let check_fixture path =
       match Corpus.of_replay recorded with
       | Error e -> Error (Printf.sprintf "%s: not a fuzz case: %s" path e)
       | Ok case -> (
-          match replay_on ~translate:false case recorded with
-          | Error e -> Error (Printf.sprintf "%s [interp]: %s" path e)
+          match replay case recorded with
+          | Error e -> Error (Printf.sprintf "%s [replay]: %s" path e)
           | Ok () -> (
-              match replay_on ~translate:true case recorded with
-              | Error e -> Error (Printf.sprintf "%s [translate]: %s" path e)
-              | Ok () -> Ok path)))
+              match Oracle.engine_arm case with
+              | Some (_, e) -> Error (Printf.sprintf "%s [engine]: %s" path e)
+              | None -> Ok path)))
 
-(* Replay every committed .vxr on both engines; returns the number that
-   passed or the list of divergences. *)
+(* Replay every committed .vxr and run its image through the engine
+   arm; returns the number that passed or the list of divergences. *)
 let check_fixtures ~dir ~log =
   match Sys.readdir dir with
   | exception Sys_error e -> Error [ dir ^ ": " ^ e ]

@@ -43,9 +43,10 @@ val run : config -> summary
 
 val check_fixtures :
   dir:string -> log:(string -> unit) -> (int, string list) result
-(** Replay every [.vxr] under [dir] on both engines (interpreter and
-    translator) against its recorded transcript; byte-level recording
-    equality is required. [Ok n] = all [n] fixtures passed. *)
+(** Replay every [.vxr] under [dir] against its recorded transcript
+    (byte-level recording equality is required) and run its image
+    through the CPU-level engine arm ({!Oracle.engine_arm}). [Ok n] =
+    all [n] fixtures passed. *)
 
 val emit_corpus_fixtures : dir:string -> n:int -> string list
 (** Record canonical transcripts for up to [n] built-in seed cases (one

@@ -4,8 +4,9 @@
    determinism contract says must agree, and any disagreement is a
    finding even when nothing crashes:
 
-   - interpreter vs [Vm.Translate] (bit-identical everything, cycles
-     included — the translation-cache parity contract);
+   - [Vm.Translate] vs the reference stepper ([Reference]), both on a
+     bare vCPU under one stub hypervisor (bit-identical everything,
+     cycles included — the engine contract);
    - eager [`Memcpy] vs lazy [`Cow] snapshot restore (identical
      guest-visible results; cycles legitimately differ between the two
      reset mechanisms, so timing is excluded from this comparison);
@@ -17,9 +18,9 @@
 
    Canaries are deliberately wrong harness arms — never product code —
    used by the fuzz smoke test to prove a planted bug is detected:
-   [Shift_mask] re-runs the guest raw with the reverted shift-count
-   guard emulated via a step hook; [Cycle_skew] perturbs the translated
-   arm's cycle observation. *)
+   [Shift_mask] re-runs the reference stepper with the reverted
+   shift-count guard emulated via its step hook; [Cycle_skew] perturbs
+   the translator arm's cycle observation. *)
 
 type obs = {
   o_outcome : string;
@@ -105,13 +106,12 @@ let plan_arms_provision_fail (case : Corpus.case) =
    including Injected_failure from provision_fail — is an outcome, not a
    crash; only exceptions the plan cannot explain are. [post] observes
    the runtime after the runs (coverage harvest). *)
-let run_arm ?(translate = false) ?(reset = `Memcpy) ?(runs = 1) ?snapshot_key
+let run_arm ?(reset = `Memcpy) ?(runs = 1) ?snapshot_key
     ?probes ?profiler ?(post = fun (_ : Wasp.Runtime.t) -> ()) ?recorder
     (case : Corpus.case) : arm_result =
   try
     let w =
-      Wasp.Runtime.create ~seed:case.seed ~translate ~reset ~flight_capacity:256
-        ()
+      Wasp.Runtime.create ~seed:case.seed ~reset ~flight_capacity:256 ()
     in
     (match case.plan with
     | Some text -> (
@@ -226,56 +226,45 @@ let diff_visible a b =
   else None
 
 (* ------------------------------------------------------------------ *)
-(* Canary arms (harness-only planted bugs)                             *)
+(* The CPU-level engine arm                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Raw-CPU execution with a null hypervisor (out -> r0 := 0, in -> a
-   constant), bounded resumes. [buggy_shifts] emulates the reverted
-   shift-count guard: a count at or beyond the mode width produces 0
-   (Sar of a negative value saturates to -1) instead of using the
-   masked count. The emulation is a step hook that schedules a
-   destination-register fixup applied before the next instruction. *)
-let raw_exec ?(buggy_shifts = false) (case : Corpus.case) =
+(* An engine, given a fresh vCPU, returns its resumable run function. *)
+type engine = Vm.Cpu.t -> fuel:int -> Vm.Cpu.exit_reason
+
+let translator : engine =
+ fun cpu ->
+  let tr = Vm.Translate.create cpu in
+  fun ~fuel -> Vm.Translate.run ~fuel tr
+
+let reference : engine = fun cpu ~fuel -> Reference.run ~fuel cpu
+
+(* The case's image on a bare vCPU under a stub hypervisor, bounded
+   resumes. [out] answers r0 := 0 and, when r1 names an in-range guest
+   address, also writes a seeded 8-byte value there the way a [read]
+   handler would, so host writes into already-translated pages stay
+   under the oracle; [in] deposits a constant. The observation is a
+   list of named fields; [skew] offsets the observed cycles. *)
+let cpu_exec ?(skew = 0L) (engine : engine) (case : Corpus.case) =
   let mem = Vm.Memory.create ~size:(Corpus.mem_size_for case.code) in
-  Vm.Memory.write_bytes mem ~off:Wasp.Layout.image_base
-    (Bytes.of_string case.code);
+  Vm.Memory.write_bytes mem ~off:Wasp.Layout.image_base (Bytes.of_string case.code);
   let clock = Cycles.Clock.create () in
   let cpu = Vm.Cpu.create ~mem ~mode:case.mode ~clock in
   Vm.Cpu.set_pc cpu Wasp.Layout.image_base;
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
-  let pending = ref None in
-  if buggy_shifts then
-    Vm.Cpu.set_step_hook cpu (fun ~pc:_ ~instr ~cost:_ ->
-        (match !pending with
-        | Some (rd, v) -> Vm.Cpu.set_reg cpu rd v
-        | None -> ());
-        pending := None;
-        match instr with
-        | Instr.Bin (((Instr.Shl | Instr.Shr | Instr.Sar) as op), rd, src) ->
-            let count =
-              match src with
-              | Instr.Reg r -> Vm.Cpu.get_reg cpu r
-              | Instr.Imm i -> i
-            in
-            let width = Int64.of_int (Vm.Modes.width_bits case.mode) in
-            if Int64.unsigned_compare count width >= 0 then
-              let v =
-                match op with
-                | Instr.Sar when Int64.compare (Vm.Cpu.get_reg cpu rd) 0L < 0
-                  ->
-                    -1L
-                | _ -> 0L
-              in
-              pending := Some (rd, Vm.Modes.mask case.mode v)
-        | _ -> ());
+  let run = engine cpu in
+  let rng = Cycles.Rng.create ~seed:case.seed in
   let fuel = min case.fuel 100_000 in
   let rec go budget =
     let left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in
     if left <= 0 then Vm.Cpu.Out_of_fuel
     else
-      match Vm.Cpu.run ~fuel:left cpu with
+      match run ~fuel:left with
       | Vm.Cpu.Io_out _ when budget > 0 ->
           Vm.Cpu.set_reg cpu 0 0L;
+          let dst = Vm.Cpu.get_reg cpu 1 in
+          if dst >= 0L && dst <= Int64.of_int (Vm.Memory.size mem - 8) then
+            Vm.Memory.write_u64 mem (Int64.to_int dst) (Cycles.Rng.int64 rng);
           go (budget - 1)
       | Vm.Cpu.Io_in { reg; _ } when budget > 0 ->
           Vm.Cpu.set_reg cpu reg 0x5A5AL;
@@ -283,32 +272,65 @@ let raw_exec ?(buggy_shifts = false) (case : Corpus.case) =
       | e -> e
   in
   let e = go 64 in
-  (match !pending with Some (rd, v) -> Vm.Cpu.set_reg cpu rd v | None -> ());
-  Vm.Cpu.clear_step_hook cpu;
-  ( Format.asprintf "%a" Vm.Cpu.pp_exit e,
-    Array.init Instr.num_regs (Vm.Cpu.get_reg cpu),
-    Digest.to_hex (Digest.bytes (Vm.Memory.snapshot mem)) )
+  [
+    ("exit", Format.asprintf "%a" Vm.Cpu.pp_exit e);
+    ("retired", Int64.to_string (Vm.Cpu.instructions_retired cpu));
+    ("cycles", Int64.to_string (Int64.add skew (Cycles.Clock.now clock)));
+  ]
+  @ List.init Instr.num_regs (fun r ->
+        (Printf.sprintf "r%d" r, Int64.to_string (Vm.Cpu.get_reg cpu r)))
+  @ [ ("memory", Digest.to_hex (Digest.bytes (Vm.Memory.snapshot mem))) ]
+
+(* The first field that differs. *)
+let diff_cpu a b =
+  List.find_map
+    (fun ((k, x), (_, y)) -> if x <> y then Some (Printf.sprintf "%s %s vs %s" k x y) else None)
+    (List.combine a b)
+
+(* The shift-mask canary's hook for the reference stepper: emulates the
+   reverted shift-count guard, where a count at or beyond the mode width
+   produces 0 (Sar of a negative value saturates to -1) instead of using
+   the masked count. It schedules a destination-register fixup, applied
+   at the next instruction's hook call or when the run returns. *)
+let buggy_shifts : engine =
+ fun cpu ->
+  let pending = ref None in
+  let flush () =
+    Option.iter (fun (rd, v) -> Vm.Cpu.set_reg cpu rd v) !pending;
+    pending := None
+  in
+  let mode = Vm.Cpu.mode cpu in
+  let hook ~pc:_ ~(instr : Instr.t) ~cost:_ =
+    flush ();
+    match instr with
+    | Bin (((Shl | Shr | Sar) as op), rd, src) ->
+        let count = match src with Reg r -> Vm.Cpu.get_reg cpu r | Imm i -> i in
+        if Int64.unsigned_compare count (Int64.of_int (Vm.Modes.width_bits mode)) >= 0 then
+          let negative = Int64.compare (Vm.Cpu.get_reg cpu rd) 0L < 0 in
+          pending := Some (rd, if op = Sar && negative then Vm.Modes.mask mode (-1L) else 0L)
+    | _ -> ()
+  in
+  fun ~fuel ->
+    let e = Reference.run ~fuel ~hook cpu in
+    flush ();
+    e
+
+(* The engine arm: translator vs reference, cycle-exact. The cycle-skew
+   canary pretends the translator mis-charges one cycle. *)
+let engine_arm ?canary (case : Corpus.case) =
+  let skew = if canary = Some Cycle_skew then 1L else 0L in
+  match diff_cpu (cpu_exec ~skew translator case) (cpu_exec reference case) with
+  | None -> None
+  | Some d ->
+      let cls = if skew = 0L then Engine_divergence else Canary_divergence in
+      Some (cls, "translator vs reference: " ^ d)
+  | exception e -> Some (Host_exception, "engine arm: " ^ Printexc.to_string e)
 
 let shift_mask_canary case =
-  match (raw_exec case, raw_exec ~buggy_shifts:true case) with
-  | (e1, r1, m1), (e2, r2, m2) ->
-      if e1 <> e2 then Some (Printf.sprintf "raw exit %s vs buggy %s" e1 e2)
-      else if r1 <> r2 then begin
-        let i = ref 0 in
-        Array.iteri (fun j v -> if v <> r2.(j) && !i = 0 then i := j + 1) r1;
-        let j = !i - 1 in
-        Some (Printf.sprintf "r%d %Ld vs buggy %Ld" j r1.(j) r2.(j))
-      end
-      else if m1 <> m2 then Some "raw memory digest differs under buggy shifts"
-      else None
+  match diff_cpu (cpu_exec reference case) (cpu_exec buggy_shifts case) with
+  | Some d -> Some ("reference vs buggy shifts: " ^ d)
+  | None -> None
   | exception e -> Some ("canary arm crashed: " ^ Printexc.to_string e)
-
-(* The cycle-skew canary: pretend the translated engine mis-charges one
-   cycle on long-running guests. *)
-let skew_obs obs =
-  if Int64.compare obs.o_cycles 1_000L > 0 then
-    { obs with o_cycles = Int64.add obs.o_cycles 1L }
-  else obs
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -318,58 +340,36 @@ let skew_obs obs =
    wins. *)
 let differential ?canary canonical (case : Corpus.case) =
   (* every arm gets its own recorder so transcripts are comparable *)
-  let run_arm ?translate ?reset ?runs ?snapshot_key case =
-    run_arm ?translate ?reset ?runs ?snapshot_key
-      ~recorder:(Profiler.Replay.create ()) case
+  let run_arm ?reset ?runs ?snapshot_key case =
+    run_arm ?reset ?runs ?snapshot_key ~recorder:(Profiler.Replay.create ()) case
   in
-  match run_arm ~translate:true case with
-  | Crash d -> Some (Host_exception, "translated arm: " ^ d)
-  | Obs o -> (
-      let translated =
-        match canary with Some Cycle_skew -> skew_obs o | _ -> o
-      in
-      match diff_full canonical translated with
-      | Some d ->
-          let cls =
-            match canary with
-            | Some Cycle_skew -> Canary_divergence
-            | _ -> Engine_divergence
-          in
-          Some (cls, "interpreter vs translator: " ^ d)
-      | None -> (
-          let restore reset =
-            run_arm ~translate:false ~reset ~runs:2 ~snapshot_key:"fuzz" case
-          in
-          match (restore `Memcpy, restore `Cow) with
-          | Crash d, _ -> Some (Host_exception, "memcpy-restore arm: " ^ d)
-          | _, Crash d -> Some (Host_exception, "cow-restore arm: " ^ d)
-          | Obs eager, Obs cow -> (
-              match diff_visible eager cow with
-              | Some d -> Some (Restore_divergence, "memcpy vs cow restore: " ^ d)
-              | None -> (
-                  match Corpus.of_vxr_string (Corpus.to_vxr_string case) with
-                  | Error d ->
-                      Some (Replay_divergence, "own .vxr does not reparse: " ^ d)
-                  | Ok case' -> (
-                      match run_arm ~translate:false case' with
-                      | Crash d -> Some (Host_exception, "replay arm: " ^ d)
-                      | Obs replayed -> (
-                          match diff_full canonical replayed with
-                          | Some d ->
-                              Some
-                                ( Replay_divergence,
-                                  ".vxr round-trip re-execution diverged: " ^ d
-                                )
-                          | None -> (
-                              match canary with
-                              | Some Shift_mask -> (
-                                  match shift_mask_canary case with
-                                  | Some d ->
-                                      Some
-                                        ( Canary_divergence,
-                                          "shift-mask canary: " ^ d )
-                                  | None -> None)
-                              | _ -> None)))))))
+  match engine_arm ?canary case with
+  | Some finding -> Some finding
+  | None -> (
+      let restore reset = run_arm ~reset ~runs:2 ~snapshot_key:"fuzz" case in
+      match (restore `Memcpy, restore `Cow) with
+      | Crash d, _ -> Some (Host_exception, "memcpy-restore arm: " ^ d)
+      | _, Crash d -> Some (Host_exception, "cow-restore arm: " ^ d)
+      | Obs eager, Obs cow -> (
+          match diff_visible eager cow with
+          | Some d -> Some (Restore_divergence, "memcpy vs cow restore: " ^ d)
+          | None -> (
+              match Corpus.of_vxr_string (Corpus.to_vxr_string case) with
+              | Error d -> Some (Replay_divergence, "own .vxr does not reparse: " ^ d)
+              | Ok case' -> (
+                  match run_arm case' with
+                  | Crash d -> Some (Host_exception, "replay arm: " ^ d)
+                  | Obs replayed -> (
+                      match diff_full canonical replayed with
+                      | Some d ->
+                          Some (Replay_divergence, ".vxr round-trip re-execution diverged: " ^ d)
+                      | None -> (
+                          match canary with
+                          | Some Shift_mask -> (
+                              match shift_mask_canary case with
+                              | Some d -> Some (Canary_divergence, "shift-mask canary: " ^ d)
+                              | None -> None)
+                          | _ -> None))))))
 
 let classify ?canary (case : Corpus.case) : verdict =
   let probes =
@@ -385,9 +385,10 @@ let classify ?canary (case : Corpus.case) : verdict =
       Coverage.kvm_features (Wasp.Runtime.kvm w)
       @ Coverage.flight_features (Wasp.Runtime.flight w)
   in
-  (* The canonical arm: interpreter with every coverage surface
-     attached. A crash here is a finding with no recording. *)
-  match run_arm ~translate:false ~probes ~profiler ~post ~recorder case with
+  (* The canonical arm: every coverage surface attached (the profiler
+     runs the translator's hooked flavour). A crash here is a finding
+     with no recording. *)
+  match run_arm ~probes ~profiler ~post ~recorder case with
   | Crash detail ->
       {
         features = [ "crash" ];

@@ -2,10 +2,11 @@
     the determinism contracts say must agree, and turn any disagreement
     into a finding.
 
-    Arms: interpreter vs {!Vm.Translate} (cycle-exact), [`Memcpy] vs
-    [`Cow] snapshot restore (guest-visible results; timing excluded by
-    design), a [.vxr] serialize → reparse → re-execute round trip, and
-    host exceptions anywhere. Canaries are deliberately wrong
+    Arms: {!Vm.Translate} vs {!Reference} on a bare vCPU under a stub
+    hypervisor (cycle-exact), [`Memcpy] vs [`Cow] snapshot restore
+    (guest-visible results; timing excluded by design), a [.vxr]
+    serialize → reparse → re-execute round trip, and host exceptions
+    anywhere. Canaries are deliberately wrong
     harness-side arms used by the fuzz smoke test to prove a planted bug
     is detected. *)
 
@@ -22,7 +23,7 @@ type obs = {
 
 type fclass =
   | Host_exception  (** an exception escaped the runtime *)
-  | Engine_divergence  (** interpreter vs translator *)
+  | Engine_divergence  (** translator vs reference stepper *)
   | Restore_divergence  (** memcpy vs CoW snapshot restore *)
   | Replay_divergence  (** .vxr round trip broke *)
   | Canary_divergence  (** a planted harness bug was detected *)
@@ -55,12 +56,16 @@ val classify : ?canary:canary -> Corpus.case -> verdict
 (** Run every arm. Deterministic: same case (and canary) → same
     verdict. *)
 
+val engine_arm : ?canary:canary -> Corpus.case -> (fclass * string) option
+(** The CPU-level engine arm alone: the case's image on a bare vCPU
+    under a stub hypervisor, {!Vm.Translate} vs {!Reference}, compared
+    on exit, retired count, cycles, registers and memory. *)
+
 (** {1 Exposed for tests} *)
 
 type arm_result = Obs of obs | Crash of string
 
 val run_arm :
-  ?translate:bool ->
   ?reset:Wasp.Runtime.reset_mode ->
   ?runs:int ->
   ?snapshot_key:string ->

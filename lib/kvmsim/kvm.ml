@@ -9,9 +9,6 @@ type system = {
       (* vCPU inside KVM_RUN right now: EPT violations taken from guest
          stores are stamped with its PC in the flight ring *)
   mutable plan : Cycles.Fault_plan.t option;
-  mutable translate : bool;
-      (* execute guests through the superblock translation cache; off =
-         pure interpreter. Cycle-identical either way. *)
   mutable probes : Vtrace.Engine.t option;
   mutable hc_port : int option;
       (* the hypercall port, when a runtime above us declared one:
@@ -56,7 +53,7 @@ type run_exit =
   | Fault of Vm.Cpu.fault
   | Out_of_fuel
 
-let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
+let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
   {
     clocks = Array.init cores (fun _ -> Cycles.Clock.create ?freq_ghz ());
@@ -76,15 +73,11 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
     flight = None;
     active_cpu = None;
     plan = None;
-    translate;
     probes = None;
     hc_port = None;
     block_probe = None;
     exit_reasons = Hashtbl.create 8;
   }
-
-let set_translate sys on = sys.translate <- on
-let translate_enabled sys = sys.translate
 
 let clock sys = sys.clocks.(sys.cur)
 let cores sys = Array.length sys.clocks
@@ -283,7 +276,6 @@ let create_vcpu vm ~mode =
 
 let vcpu_cpu v = v.cpu
 let vcpu_vm v = v.parent
-let vcpu_translation_stats v = Vm.Translate.stats v.trans
 
 let reset_vcpu v ~mode =
   Vm.Cpu.reset v.cpu ~mode;
@@ -323,8 +315,7 @@ let run ?fuel v =
                 Cycles.Clock.advance_int (clock sys) (spin * Cycles.Costs.alu);
                 Vm.Cpu.Out_of_fuel
               end
-              else if sys.translate then Vm.Translate.run ?fuel v.trans
-              else Vm.Cpu.run ?fuel v.cpu)
+              else Vm.Translate.run ?fuel v.trans)
         in
         charge sys Cycles.Costs.vmexit;
         exit)

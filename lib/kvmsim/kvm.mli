@@ -91,19 +91,10 @@ val plan_fires : system -> string -> bool
     applies the consequence. Exposed for sites that live above the KVM
     layer (the runtime's {!site_snapshot_corrupt}). *)
 
-val open_dev :
-  ?seed:int -> ?freq_ghz:float -> ?cores:int -> ?translate:bool -> unit -> system
+val open_dev : ?seed:int -> ?freq_ghz:float -> ?cores:int -> unit -> system
 (** [cores] (default 1) gives the system that many per-core virtual
     clocks; all charges land on the {e current} core's clock (see
-    {!set_core}). [translate] (default [true]) executes guests through
-    the {!Vm.Translate} superblock cache; either way the simulated
-    cycle counts are bit-for-bit identical, only wall-clock differs. *)
-
-val set_translate : system -> bool -> unit
-(** Toggle binary translation for subsequent {!run} calls (replay
-    tooling compares engines this way). *)
-
-val translate_enabled : system -> bool
+    {!set_core}). Guests execute through {!Vm.Translate}. *)
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)
@@ -149,9 +140,8 @@ val set_probes : system -> Vtrace.Engine.t option -> unit
     the out port matches {!set_hc_port}; [cycles] = the run's
     entry-to-exit duration), ["ept"] (CoW break; [nr] = page, [cycles] =
     charged cost), ["inject"] (fault-plan fire; [reason] = site) and
-    ["block"] (superblock entry under the translated engine — installed
-    as a {!Vm.Translate} block hook, so it does {e not} force the
-    interpreter fallback). When an ["exit"] probe fires, the flight
+    ["block"] (superblock entry, installed as a {!Vm.Translate} block
+    hook). When an ["exit"] probe fires, the flight
     ring's newest entry is annotated ["vtrace"]. Probes charge zero
     simulated cycles; detached sites cost one [None] check. *)
 
@@ -185,10 +175,6 @@ val vcpu_cpu : vcpu -> Vm.Cpu.t
     [KVM_GET/SET_REGS]. *)
 
 val vcpu_vm : vcpu -> vm
-
-val vcpu_translation_stats : vcpu -> Vm.Translate.stats
-(** Counters of the vCPU's superblock cache (blocks compiled,
-    dispatches, invalidations, interpreter fallbacks). *)
 
 val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
 (** Clear architectural state for shell reuse and drop the vCPU's

@@ -129,8 +129,11 @@ let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
   Vm.Cpu.set_pc cpu (Asm.lookup asm Vlibc.post_init_label);
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
   Cycles.Clock.advance_int clock Cycles.Costs.function_call;
+  let tr = Vm.Translate.create cpu in
   let rec loop () =
-    match Vm.Cpu.run ~fuel cpu with
+    (* [fuel] budgets the whole invocation, across every resume *)
+    let fuel_left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in
+    match if fuel_left <= 0 then Vm.Cpu.Out_of_fuel else Vm.Translate.run ~fuel:fuel_left tr with
     | Vm.Cpu.Halt -> Vm.Cpu.get_reg cpu 0
     | Vm.Cpu.Io_out { port; value } when port = Wasp.Hc.port ->
         let nr = Int64.to_int value in

@@ -63,4 +63,6 @@ val invoke_native :
   clock:Cycles.Clock.t -> compiled -> string -> int64 list -> ?fuel:int -> unit -> int64
 (** Run the same function natively (bare CPU, no virtualization). Any
     function of the program (annotated or not) can be called; cycles are
-    charged to [clock]. Raises [Compile_error] if the guest faults. *)
+    charged to [clock]. [fuel] (default 500M) bounds the instructions
+    the whole call may retire. Raises [Compile_error] if the guest faults
+    or runs out of fuel. *)

@@ -109,34 +109,6 @@ let write_mem t width addr (v : int64) =
       Memory.write_u32 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
   | Instr.W64 -> Memory.write_u64 t.memory addr v
 
-let operand_value t : Instr.operand -> int64 = function
-  | Reg r -> t.regs.(r)
-  | Imm i -> Modes.mask t.cpu_mode i
-
-(* Hardware masks shift counts to the operand width: 0..31 outside long
-   mode, 0..63 in it. A single 63 mask let real/protected guests observe
-   counts 32..63 that a 32-bit machine reduces mod 32. *)
-let shift_mask t =
-  match t.cpu_mode with Modes.Real | Modes.Protected -> 31L | Modes.Long -> 63L
-
-let eval_binop t op l r pc =
-  let open Int64 in
-  let sl = Modes.sext t.cpu_mode l and sr = Modes.sext t.cpu_mode r in
-  match (op : Instr.binop) with
-  | Add -> add l r
-  | Sub -> sub l r
-  | Mul -> mul l r
-  | Div ->
-      if sr = 0L then raise (Vm_fault (Division_by_zero { addr = pc })) else div sl sr
-  | Rem ->
-      if sr = 0L then raise (Vm_fault (Division_by_zero { addr = pc })) else rem sl sr
-  | And -> logand l r
-  | Or -> logor l r
-  | Xor -> logxor l r
-  | Shl -> shift_left l (to_int (logand r (shift_mask t)))
-  | Shr -> shift_right_logical l (to_int (logand r (shift_mask t)))
-  | Sar -> shift_right sl (to_int (logand r (shift_mask t)))
-
 let eval_cond t : Instr.cond -> bool = function
   | Eq -> t.signed_cmp = 0
   | Ne -> t.signed_cmp <> 0
@@ -172,115 +144,26 @@ let branch_target t v =
     Modes.address_limit t.cpu_mode
   else Int64.to_int v
 
-let fetch t =
+(* Decode the instruction at [pc]. Faults exactly as the guest's fetch
+   would: past the mode limit, beyond guest RAM ({!Memory.Fault}), or on
+   an invalid or truncated encoding. *)
+let fetch t pc =
   let read_byte a =
     check_range t a 1;
     Memory.read_u8 t.memory a
   in
-  try Encoding.decode read_byte t.pc with
+  try Encoding.decode read_byte pc with
   | Encoding.Decode_error { addr; msg } -> raise (Vm_fault (Invalid_opcode { addr; msg }))
 
-let step_inner t start_pc : exit_reason option =
-  let instr, size = fetch t in
-  let cost = Instr.cost instr in
-  Cycles.Clock.advance_int t.clock cost;
-  t.retired <- Int64.add t.retired 1L;
-  (match t.step_hook with Some h -> h ~pc:start_pc ~instr ~cost | None -> ());
-  let next = start_pc + size in
-  t.pc <- next;
-  match instr with
-  | Hlt -> Some Halt
-  | Nop -> None
-  | Mov (rd, src) ->
-      set_reg t rd (operand_value t src);
-      None
-  | Bin (op, rd, src) ->
-      set_reg t rd (eval_binop t op t.regs.(rd) (operand_value t src) start_pc);
-      None
-  | Neg rd ->
-      set_reg t rd (Int64.neg (Modes.sext t.cpu_mode t.regs.(rd)));
-      None
-  | Not rd ->
-      set_reg t rd (Int64.lognot t.regs.(rd));
-      None
-  | Cmp (r, src) ->
-      let l = t.regs.(r) and rv = operand_value t src in
-      t.signed_cmp <- Int64.compare (Modes.sext t.cpu_mode l) (Modes.sext t.cpu_mode rv);
-      t.unsigned_cmp <- Int64.unsigned_compare l rv;
-      None
-  | Jmp a ->
-      t.pc <- a;
-      None
-  | Jcc (c, a) ->
-      if eval_cond t c then t.pc <- a;
-      None
-  | Call a ->
-      push t (Int64.of_int next);
-      t.pc <- a;
-      None
-  | Callr r ->
-      push t (Int64.of_int next);
-      (* read the register after the push: callr through sp must see the
-         post-push stack pointer, exactly like hardware *)
-      t.pc <- branch_target t t.regs.(r);
-      None
-  | Ret ->
-      t.pc <- branch_target t (pop t);
-      None
-  | Push src ->
-      push t (operand_value t src);
-      None
-  | Pop rd ->
-      set_reg t rd (pop t);
-      None
-  | Load (w, rd, rb, d) ->
-      let addr = Int64.to_int t.regs.(rb) + d in
-      set_reg t rd (read_mem t w addr);
-      None
-  | Store (w, rb, d, src) ->
-      let addr = Int64.to_int t.regs.(rb) + d in
-      write_mem t w addr (operand_value t src);
-      None
-  | Lea (rd, rb, d) ->
-      set_reg t rd (Int64.add t.regs.(rb) (Int64.of_int d));
-      None
-  | Out (port, src) -> Some (Io_out { port; value = operand_value t src })
-  | In (rd, port) -> Some (Io_in { port; reg = rd })
-  | Rdtsc rd ->
-      set_reg t rd (Cycles.Clock.now t.clock);
-      None
-
-(* On a fault the PC is rewound to the faulting instruction so the
-   hypervisor's post-mortem (flight recorder) reports where the guest
-   died, like a real #PF pushing the faulting RIP. *)
-let step t : exit_reason option =
-  let start_pc = t.pc in
-  try step_inner t start_pc with
-  | Vm_fault _ as e ->
-      t.pc <- start_pc;
-      raise e
-  | Memory.Fault _ as e ->
-      t.pc <- start_pc;
-      raise e
-
-let run ?(fuel = 200_000_000) t =
-  let remaining = ref fuel in
-  let rec loop () =
-    if !remaining <= 0 then Out_of_fuel
-    else begin
-      decr remaining;
-      match step t with None -> loop () | Some exit -> exit
-    end
-  in
-  try loop () with Vm_fault f -> Fault f | Memory.Fault { addr; size } -> Fault (Memory_oob { addr; size })
-
 (* ------------------------------------------------------------------ *)
-(* Translator support (see translate.ml)                               *)
+(* Engine support (see translate.ml)                                   *)
 (* ------------------------------------------------------------------ *)
 
 let clock t = t.clock
 let regs t = t.regs
-let has_step_hook t = t.step_hook <> None
+let current_step_hook t = t.step_hook
+let signed_cmp t = t.signed_cmp
+let unsigned_cmp t = t.unsigned_cmp
 
 let set_cmp t ~signed ~unsigned =
   t.signed_cmp <- signed;
@@ -288,14 +171,3 @@ let set_cmp t ~signed ~unsigned =
 
 let add_retired t n = t.retired <- Int64.add t.retired (Int64.of_int n)
 
-(* Decode one instruction at [pc] without perturbing machine state:
-   faults during the fetch (out-of-range pc, truncated or invalid
-   encoding) yield [None] so the translator can end the superblock there
-   and leave the faulting fetch to the interpreter, which reports it
-   exactly as a per-step fetch would. *)
-let try_fetch t pc =
-  let saved = t.pc in
-  t.pc <- pc;
-  let r = try Some (fetch t) with Vm_fault _ | Memory.Fault _ -> None in
-  t.pc <- saved;
-  r

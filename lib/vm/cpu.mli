@@ -1,10 +1,12 @@
-(** The vx virtual CPU.
+(** The vx virtual CPU: machine state and its architectural primitives.
 
-    Executes encoded instructions fetched from guest memory, charging cycle
-    costs against the virtual clock. A CPU never touches anything outside
-    its {!Memory.t}: every fault and every [out] instruction becomes a VM
-    exit that the hypervisor layer (kvmsim/Wasp) interprets. Register
-    results are truncated to the active processor-mode width. *)
+    A CPU is registers, flags, a PC, a retired-instruction count and a
+    virtual clock over one {!Memory.t}. It holds no execution loop:
+    {!Translate} executes guests against it, charging cycle costs to the
+    clock. A CPU never touches anything outside its memory: every fault
+    and every [out] instruction becomes a VM exit that the hypervisor
+    layer (kvmsim/Wasp) interprets. Register results are truncated to the
+    active processor-mode width. *)
 
 type fault =
   | Memory_oob of { addr : int; size : int }  (** access outside guest RAM *)
@@ -47,42 +49,38 @@ val set_step_hook : t -> (pc:int -> instr:Instr.t -> cost:int -> unit) -> unit
 (** Install a per-instruction observer, called once per retired
     instruction after its cost is charged to the clock and before it
     executes (the guest profiler's attachment point). At most one hook is
-    active; installing replaces the previous one. *)
+    active; installing replaces the previous one. {!Translate.run} runs
+    its hooked block flavour while a hook is installed. *)
 
 val clear_step_hook : t -> unit
-
-val run : ?fuel:int -> t -> exit_reason
-(** Execute until an exit. [fuel] (default 200M instructions) bounds
-    runaway guests. Resumable: calling [run] again after an I/O exit
-    continues after the I/O instruction. After a [Fault] exit, {!pc}
-    reports the faulting instruction's address. *)
 
 val reset : t -> mode:Modes.t -> unit
 (** Clear registers/flags/PC and switch mode (shell reuse). Guest memory
     is cleared separately by the pool. *)
 
-(** {1 Translator support}
+(** {1 Engine support}
 
-    The surface {!module:Translate} compiles against. These expose just
-    enough of the interpreter's internals for translated code to be
-    observationally identical to {!run} — same faults, same cycle
-    charges, same register truncation. Not intended for other callers. *)
+    The surface {!module:Translate} compiles against. The register, PC
+    and flag accessors also serve reference steppers outside [vm]. *)
 
 exception Vm_fault of fault
-(** Raised by faulting primitives below; {!run} converts it to
-    [Fault _]. The translator's dispatcher must do the same. *)
+(** Raised by faulting primitives below; an execution engine converts it
+    to [Fault _]. *)
 
-val step : t -> exit_reason option
-(** Execute exactly one instruction at the current {!pc} ([None] =
-    continue). Raises {!Vm_fault} / {!Memory.Fault} with the PC rewound
-    to the faulting instruction. *)
+val fetch : t -> int -> Instr.t * int
+(** Decode the instruction (and its size) at an address, faulting
+    ({!Vm_fault} / {!Memory.Fault}) exactly as the guest's fetch would. *)
 
 val clock : t -> Cycles.Clock.t
 val regs : t -> int64 array
 (** The live register file. Values are invariantly mode-masked; writers
     must store masked values (or use {!set_reg}). *)
 
-val has_step_hook : t -> bool
+val current_step_hook : t -> (pc:int -> instr:Instr.t -> cost:int -> unit) option
+
+val signed_cmp : t -> int
+val unsigned_cmp : t -> int
+(** The comparison flags (sign of the last [cmp], signed / unsigned). *)
 
 val set_cmp : t -> signed:int -> unsigned:int -> unit
 (** Set the comparison flags ([cmp]'s architectural effect). *)
@@ -90,18 +88,12 @@ val set_cmp : t -> signed:int -> unsigned:int -> unit
 val add_retired : t -> int -> unit
 (** Credit [n] retired instructions (batched by translated blocks). *)
 
-val check_range : t -> int -> int -> unit
-(** [check_range t addr size] faults (mode-dependently) when the access
-    crosses the architectural limit. Overflow-safe. *)
-
 val read_mem : t -> Instr.width -> int -> int64
 val write_mem : t -> Instr.width -> int -> int64 -> unit
+(** Guest loads and stores, faulting past the mode limit or guest RAM. *)
+
 val push : t -> int64 -> unit
 val pop : t -> int64
-
-val eval_binop : t -> Instr.binop -> int64 -> int64 -> int -> int64
-(** [eval_binop t op l r pc]: untruncated result; the caller masks. [pc]
-    only feeds the division-by-zero fault address. *)
 
 val eval_cond : t -> Instr.cond -> bool
 
@@ -109,7 +101,3 @@ val branch_target : t -> int64 -> int
 (** Architectural target of an indirect branch: mode-masked, clamped to
     the mode limit when it exceeds the host int range (the subsequent
     fetch then faults exactly like [Jmp] out of range). *)
-
-val try_fetch : t -> int -> (Instr.t * int) option
-(** Decode the instruction at an address without touching machine state;
-    [None] when the fetch itself would fault. *)

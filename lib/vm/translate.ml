@@ -1,41 +1,34 @@
-(* Decode-once superblock translation for the vx CPU.
+(* Decode-once superblock translation: the vx execution engine.
 
-   The interpreter re-decodes byte-encoded instructions on every step;
-   at scale (bench sweeps, fleet loadgen, fuzzing) that decode dominates
-   wall-clock while contributing nothing to the simulation. This layer
-   decodes each basic block once into a *superblock*: an OCaml closure
+   Each basic block is decoded once into a *superblock*: an OCaml closure
    chain with one direct-threaded continuation per instruction, chained
-   on fallthrough and static branch targets. Blocks are keyed by
-   (pc, cpu_mode) and invalidated by the page content versions in
+   on fallthrough and static branch targets. Blocks are keyed by (pc,
+   cpu_mode, flavour) and invalidated by the page content versions in
    Memory, so self-modifying writes and Pool.release/CoW restores flush
    exactly the stale blocks.
 
-   The timing model is untouched: every translated instruction charges
-   its exact Instr.cost, bumps retired, and honors fuel. Cycle and
-   retired charges are batched in plain ints and committed to the
-   Clock/CPU at every point a host observer could look:
+   Every instruction charges its exact Instr.cost, bumps retired, and
+   honors fuel. Cycle and retired charges are batched in plain ints and
+   committed to the Clock/CPU at every point a host observer could look:
 
-     - VM exits (hlt/out/in), Rdtsc, and the interpreter fallback;
+     - VM exits (hlt/out/in) and Rdtsc;
      - before every guest memory *write* — a store can break a CoW page,
        and the EPT fault hook reads Clock.now and Cpu.pc mid-write, so
        the clock and pc must be architecturally exact there;
-     - in the dispatcher's fault handler (reads/pops fault lazily).
+     - in the dispatcher's fault handler (reads/pops fault lazily);
+     - before every step-hook call (the hooked flavour, below).
 
-   Simulated cycle counts are therefore bit-for-bit identical to the
-   interpreter's, which is what keeps the measurement methodology (and
-   .vxr replay) honest while wall-clock throughput rises an order of
-   magnitude.
-
-   When a step hook is installed (the profiler), runs fall back to the
-   interpreter: the hook's contract is one call per retired instruction
-   at an exact pc/cost, which batching would break. Documented in
-   docs/translation.md and locked by tests. *)
+   While a Cpu step hook is installed (the profiler, vtrace instr
+   probes) the dispatcher runs *hooked* blocks, which commit and call
+   the hook once per instruction, before it executes. Unhooked blocks
+   carry no per-instruction hook work. The flavour is part of the block
+   key, so the two never chain into each other. Tests and the fuzzer
+   hold all of this to a one-at-a-time reference stepper
+   (Fuzz.Reference); see docs/translation.md. *)
 
 type stats = {
   mutable blocks_translated : int;
-  mutable dispatches : int;
   mutable invalidations : int;
-  mutable hook_fallbacks : int;
 }
 
 (* A chain slot caches the resolved target block of a static edge
@@ -79,8 +72,7 @@ let create cpu =
     fuel = 0;
     cur_pc = 0;
     block_hook = None;
-    stats =
-      { blocks_translated = 0; dispatches = 0; invalidations = 0; hook_fallbacks = 0 };
+    stats = { blocks_translated = 0; invalidations = 0 };
   }
 
 let stats t = t.stats
@@ -89,7 +81,7 @@ let set_block_hook t h = t.block_hook <- h
 
 (* Commit batched charges. Idempotent; called at every observation
    point. After this, Clock.now and instructions_retired read exactly
-   what the interpreter would have accumulated. *)
+   what one-at-a-time execution would have accumulated. *)
 let commit tr =
   if tr.cyc <> 0 then begin
     Cycles.Clock.advance_int tr.clock tr.cyc;
@@ -101,7 +93,7 @@ let commit tr =
   end
 
 let mode_index = function Modes.Real -> 0 | Modes.Protected -> 1 | Modes.Long -> 2
-let key_of pc mode = (pc lsl 2) lor mode_index mode
+let key_of pc mode ~hooked = (pc lsl 3) lor (mode_index mode lsl 1) lor Bool.to_int hooked
 
 (* Superblocks stop at 128 instructions; longer straight-line runs chain
    through a synthetic fallthrough edge. *)
@@ -119,28 +111,28 @@ let pages_current mem pages vers =
 let block_valid tr b =
   b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers
 
-let rec lookup tr pc =
+let rec lookup tr ~hooked pc =
   let e = Memory.epoch tr.mem in
   if e <> tr.t_epoch then begin
     (* pool reset: every cached block decoded stale bytes *)
     Hashtbl.reset tr.table;
     tr.t_epoch <- e
   end;
-  let key = key_of pc (Cpu.mode tr.cpu) in
+  let key = key_of pc (Cpu.mode tr.cpu) ~hooked in
   match Hashtbl.find_opt tr.table key with
   | Some b when block_valid tr b -> b
   | Some _ ->
       tr.stats.invalidations <- tr.stats.invalidations + 1;
       Hashtbl.remove tr.table key;
-      let b = translate tr pc in
+      let b = translate tr ~hooked pc in
       Hashtbl.replace tr.table key b;
       b
   | None ->
-      let b = translate tr pc in
+      let b = translate tr ~hooked pc in
       Hashtbl.replace tr.table key b;
       b
 
-and translate tr pc0 =
+and translate tr ~hooked pc0 =
   let cpu = tr.cpu in
   let mem = tr.mem in
   let mode = Cpu.mode cpu in
@@ -150,9 +142,9 @@ and translate tr pc0 =
   let rec scan pc n acc =
     if n >= max_block then (List.rev acc, `Fall pc)
     else
-      match Cpu.try_fetch cpu pc with
-      | None -> (List.rev acc, `Bad pc)
-      | Some ((instr : Instr.t), size) -> (
+      match Cpu.fetch cpu pc with
+      | exception (Cpu.Vm_fault _ | Memory.Fault _) -> (List.rev acc, `Bad pc)
+      | (instr : Instr.t), size -> (
           let acc = (pc, instr, size) :: acc in
           match instr with
           | Hlt | Out _ | In _ | Jmp _ | Call _ | Callr _ | Ret ->
@@ -182,6 +174,27 @@ and translate tr pc0 =
     Cpu.set_pc cpu start;
     Some Cpu.Out_of_fuel
   in
+  (* The hooked flavour's prologue around [k], one instruction's own
+     closure: commit every charge up to and including this instruction,
+     call the hook, then leave the batch pre-paid by one instruction so
+     [k]'s own charge brings it back to zero. Unhooked blocks use [k]
+     as is. *)
+  let with_hook start instr k =
+    if not hooked then k
+    else
+      let cost = Instr.cost instr in
+      fun () ->
+        if tr.fuel > 0 then begin
+          tr.cyc <- tr.cyc + cost;
+          tr.steps <- tr.steps + 1;
+          commit tr;
+          Cpu.set_pc cpu start;
+          (match Cpu.current_step_hook cpu with Some h -> h ~pc:start ~instr ~cost | None -> ());
+          tr.cyc <- -cost;
+          tr.steps <- -1
+        end;
+        k ()
+  in
   (* Resolve a static branch edge lazily, caching the target block. *)
   let goto target =
     let slot = { s_blk = None } in
@@ -192,7 +205,7 @@ and translate tr pc0 =
       match slot.s_blk with
       | Some b when block_valid tr b -> b.b_exec ()
       | _ ->
-          let b = lookup tr target in
+          let b = lookup tr ~hooked target in
           slot.s_blk <- Some b;
           b.b_exec ()
   in
@@ -222,18 +235,20 @@ and translate tr pc0 =
     match term with
     | `Fall pc -> goto pc
     | `Bad pc ->
-        (* Undecodable bytes: hand this single step to the interpreter,
-           which charges/faults/reports exactly as a non-translated step
-           would (and re-decodes fresh, so bytes later overwritten with
-           valid code execute correctly too). *)
+        (* Undecodable bytes end the block. Fetching them again here
+           raises that fetch's own fault, at the pc where it belongs;
+           nothing is charged or retired. The bytes lie outside the
+           block's validated range, so if a write has since made them
+           decodable, drop this block and re-dispatch to translate them. *)
+        let key0 = key_of pc0 mode ~hooked in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel pc
           else begin
-            tr.fuel <- tr.fuel - 1;
-            commit tr;
             tr.cur_pc <- pc;
+            ignore (Cpu.fetch cpu pc);
+            Hashtbl.remove tr.table key0;
             Cpu.set_pc cpu pc;
-            Cpu.step cpu
+            smc_abort ()
           end
     | `Term (start, instr, size) -> (
         let cost = Instr.cost instr in
@@ -242,38 +257,26 @@ and translate tr pc0 =
           tr.cyc <- tr.cyc + cost;
           tr.steps <- tr.steps + 1
         in
+        (* hlt/out/in: a VM exit, resumable after the instruction *)
+        let vm_exit exit =
+          fun () ->
+            if tr.fuel <= 0 then out_of_fuel start
+            else begin
+              tr.fuel <- tr.fuel - 1;
+              retire ();
+              commit tr;
+              Cpu.set_pc cpu next;
+              Some (exit ())
+            end
+        in
+        with_hook start instr
+        @@
         match instr with
-        | Hlt ->
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                commit tr;
-                Cpu.set_pc cpu next;
-                Some Cpu.Halt
-              end
+        | Hlt -> vm_exit (fun () -> Cpu.Halt)
         | Out (port, src) ->
             let srcf = operand src in
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                commit tr;
-                Cpu.set_pc cpu next;
-                Some (Cpu.Io_out { port; value = srcf () })
-              end
-        | In (rd, port) ->
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                commit tr;
-                Cpu.set_pc cpu next;
-                Some (Cpu.Io_in { port; reg = rd })
-              end
+            vm_exit (fun () -> Cpu.Io_out { port; value = srcf () })
+        | In (rd, port) -> vm_exit (fun () -> Cpu.Io_in { port; reg = rd })
         | Jmp a ->
             let g = goto a in
             fun () ->
@@ -341,6 +344,8 @@ and translate tr pc0 =
       tr.cyc <- tr.cyc + cost;
       tr.steps <- tr.steps + 1
     in
+    with_hook start instr
+    @@
     match instr with
     | Instr.Nop ->
         fun () ->
@@ -378,9 +383,7 @@ and translate tr pc0 =
               end)
     | Bin (op, rd, src) -> (
         let srcf = operand src in
-        (* the common non-faulting operators get direct closures; the
-           exact [Cpu.eval_binop] semantics are mirrored (mode-masked
-           inputs in, mask applied on writeback) *)
+        (* mode-masked inputs in, mask applied on writeback *)
         let simple fop =
           fun () ->
             if tr.fuel <= 0 then out_of_fuel start
@@ -408,6 +411,8 @@ and translate tr pc0 =
             simple (fun l r ->
                 Int64.shift_right (sx l) (Int64.to_int (Int64.logand r count_c)))
         | Instr.Div | Instr.Rem ->
+            (* signed, on the sign-extended operands *)
+            let fop = if op = Instr.Div then Int64.div else Int64.rem in
             fun () ->
               if tr.fuel <= 0 then out_of_fuel start
               else begin
@@ -415,9 +420,9 @@ and translate tr pc0 =
                 tr.cyc <- tr.cyc + cost;
                 tr.steps <- tr.steps + 1;
                 tr.cur_pc <- start;
-                Array.unsafe_set regs rd
-                  (Modes.mask mode
-                     (Cpu.eval_binop cpu op (Array.unsafe_get regs rd) (srcf ()) start));
+                let r = sx (srcf ()) in
+                if r = 0L then raise (Cpu.Vm_fault (Division_by_zero { addr = start }));
+                Array.unsafe_set regs rd (mk (fop (sx (Array.unsafe_get regs rd)) r));
                 next_k ()
               end)
     | Neg rd ->
@@ -552,34 +557,23 @@ and translate tr pc0 =
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
   { b_epoch = Memory.epoch mem; b_pages = !pages_r; b_vers = !vers_r; b_exec = exec }
 
-let default_fuel = 200_000_000 (* matches Cpu.run *)
-
-let run ?(fuel = default_fuel) tr =
+let run ?(fuel = 200_000_000) tr =
   let cpu = tr.cpu in
-  if Cpu.has_step_hook cpu then begin
-    (* profiling: the step hook wants one call per retired instruction
-       with an exact pc and clock, which block batching would break.
-       Identical timing either way, so fall back to the interpreter. *)
-    tr.stats.hook_fallbacks <- tr.stats.hook_fallbacks + 1;
-    Cpu.run ~fuel cpu
-  end
-  else begin
-    tr.fuel <- fuel;
-    tr.cur_pc <- Cpu.pc cpu;
-    let rec loop () =
-      tr.stats.dispatches <- tr.stats.dispatches + 1;
-      (match tr.block_hook with None -> () | Some f -> f ~pc:(Cpu.pc cpu));
-      let b = lookup tr (Cpu.pc cpu) in
-      match b.b_exec () with Some exit -> exit | None -> loop ()
-    in
-    match loop () with
-    | exit -> exit (* every exit path committed already *)
-    | exception Cpu.Vm_fault f ->
-        commit tr;
-        Cpu.set_pc cpu tr.cur_pc;
-        Cpu.Fault f
-    | exception Memory.Fault { addr; size } ->
-        commit tr;
-        Cpu.set_pc cpu tr.cur_pc;
-        Cpu.Fault (Memory_oob { addr; size })
-  end
+  let hooked = Option.is_some (Cpu.current_step_hook cpu) in
+  tr.fuel <- fuel;
+  tr.cur_pc <- Cpu.pc cpu;
+  let rec loop () =
+    (match tr.block_hook with None -> () | Some f -> f ~pc:(Cpu.pc cpu));
+    let b = lookup tr ~hooked (Cpu.pc cpu) in
+    match b.b_exec () with Some exit -> exit | None -> loop ()
+  in
+  match loop () with
+  | exit -> exit (* every exit path committed already *)
+  | exception Cpu.Vm_fault f ->
+      commit tr;
+      Cpu.set_pc cpu tr.cur_pc;
+      Cpu.Fault f
+  | exception Memory.Fault { addr; size } ->
+      commit tr;
+      Cpu.set_pc cpu tr.cur_pc;
+      Cpu.Fault (Memory_oob { addr; size })

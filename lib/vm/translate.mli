@@ -1,17 +1,18 @@
-(** Decode-once superblock translation cache for the vx CPU.
+(** The vx execution engine: a decode-once superblock translation cache.
 
-    A drop-in fast path for {!Cpu.run}: basic blocks are decoded once
-    into closure-chain {e superblocks} (direct-threaded, chained on
-    fallthrough and static branch targets), keyed by [(pc, cpu_mode)]
-    and invalidated through {!Memory.page_version} / {!Memory.epoch} so
-    self-modifying code and pool resets flush exactly the stale blocks.
+    Basic blocks are decoded once into closure-chain {e superblocks}
+    (direct-threaded, chained on fallthrough and static branch targets),
+    keyed by [(pc, cpu_mode, flavour)] and invalidated through
+    {!Memory.page_version} / {!Memory.epoch} so self-modifying code and
+    pool resets flush exactly the stale blocks.
 
-    Observationally identical to the interpreter: same faults at the
-    same PCs, same exits, bit-for-bit identical cycle counts and retired
-    totals (exact {!Instr.cost} per instruction, batched and committed
-    at every host observation point), same fuel semantics. When a step
-    hook is installed (profiling), {!run} falls back to {!Cpu.run} so
-    the hook's one-call-per-instruction contract holds.
+    Timing is exact per instruction: each charges its {!Instr.cost} and
+    retires once, batched and committed at every host observation point,
+    so cycle counts and retired totals are those of one-at-a-time
+    execution. While a {!Cpu.set_step_hook} hook is installed, {!run}
+    executes a {e hooked} flavour of each block that calls the hook once
+    per instruction, before it executes, with the clock and retired count
+    committed up to and including it.
 
     See [docs/translation.md] for the design. *)
 
@@ -22,9 +23,10 @@ val create : Cpu.t -> t
     persist across {!run} calls until invalidated. *)
 
 val run : ?fuel:int -> t -> Cpu.exit_reason
-(** Execute until a VM exit, like {!Cpu.run} (same default fuel,
-    resumable after I/O exits, PC rewound to the faulting instruction on
-    [Fault]). *)
+(** Execute until a VM exit. [fuel] (default 200M instructions) bounds
+    runaway guests. Resumable: calling [run] again after an I/O exit
+    continues after the I/O instruction. After a [Fault] exit,
+    {!Cpu.pc} reports the faulting instruction's address. *)
 
 val flush_cache : t -> unit
 (** Drop every translated block (vcpu reset). Purely a performance
@@ -33,19 +35,15 @@ val flush_cache : t -> unit
 val set_block_hook : t -> (pc:int -> unit) option -> unit
 (** Install (or clear) a block-entry observer: called once per
     superblock entered — both dispatcher entries and chained static
-    transfers — with the block's start pc. Unlike a {!Cpu} step hook
-    this does {e not} force the interpreter fallback: the hook fires at
-    superblock boundaries, which is exactly the granularity the
-    translated engine preserves. The hook must not mutate guest state
-    or advance clocks (vtrace block probes rely on this). *)
+    transfers — with the block's start pc, in either block flavour. The
+    hook must not mutate guest state or advance clocks (vtrace block
+    probes rely on this). *)
 
 (** {1 Introspection} *)
 
 type stats = {
   mutable blocks_translated : int;  (** superblocks compiled (incl. retranslations) *)
-  mutable dispatches : int;         (** dispatcher entries (chained transfers excluded) *)
   mutable invalidations : int;      (** stale blocks dropped or aborted mid-block *)
-  mutable hook_fallbacks : int;     (** runs delegated to the interpreter *)
 }
 
 val stats : t -> stats

@@ -37,9 +37,8 @@ type t = {
 }
 
 let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
-    ?(cores = 1) ?pool_capacity ?snapshot_capacity ?(translate = true) ?flight_capacity
-    () =
-  let sys = Kvmsim.Kvm.open_dev ~seed ?freq_ghz ~cores ~translate () in
+    ?(cores = 1) ?pool_capacity ?snapshot_capacity ?flight_capacity () =
+  let sys = Kvmsim.Kvm.open_dev ~seed ?freq_ghz ~cores () in
   (* The flight recorder charges no cycles, so it stays attached for the
      runtime's whole life: every VM exit is always in the black box. *)
   Kvmsim.Kvm.set_flight sys
@@ -530,6 +529,19 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     | None -> None
   in
   let from_snapshot = snapshot_entry <> None in
+  (* Fault plan: a restore can hand back a corrupted snapshot. The page
+     under the restored PC is stomped with an invalid-opcode pattern
+     (0xFF never decodes), so the guest faults deterministically at its
+     first fetch — same plan, same fault, cycle for cycle. The stomp runs
+     inside the restore span: the CoW break it triggers is restore work. *)
+  let maybe_corrupt_restore () =
+    if Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt then begin
+      let page_size = Vm.Memory.page_size in
+      let off = Vm.Cpu.pc cpu / page_size * page_size in
+      let len = min page_size (Vm.Memory.size mem - off) in
+      if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
+    end
+  in
   (match snapshot_entry with
   | Some entry when retained_shell <> None ->
       tspan t
@@ -544,7 +556,8 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           (* reference swaps, one minor fault's worth of fixup per page —
              the copies were already paid for by the CoW breaks during the
              dirtying run *)
-          charge t (pages * Cycles.Costs.cow_page_fault))
+          charge t (pages * Cycles.Costs.cow_page_fault);
+          maybe_corrupt_restore ())
   | Some entry ->
       let kind = match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy" in
       tspan t
@@ -557,14 +570,15 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           emit t
             (Trace.Snapshot_restored
                { key = Option.value ~default:"?" snapshot_key; bytes = footprint });
-          match t.reset with
+          (match t.reset with
           | `Memcpy ->
               (* the paper's eager restore: the cost is exactly the copy *)
               charge t (Cycles.Costs.memcpy_cost footprint)
           | `Cow ->
               (* repoint the vCPU at the snapshot's pre-built EPT root:
                  O(1), independent of image size — pages fault in lazily *)
-              charge t Cycles.Costs.ept_root_swap)
+              charge t Cycles.Costs.ept_root_swap);
+          maybe_corrupt_restore ())
   | None ->
       tspan t ~args:[ ("image", image.name) ] "image_load" (fun () ->
           Vm.Memory.write_bytes mem ~off:image.origin image.code;
@@ -592,17 +606,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           emit t (Trace.Booted { mode = image.mode });
           Vm.Cpu.set_pc cpu image.entry;
           Vm.Cpu.set_sp cpu Layout.stack_top));
-  (* Fault plan: a restore can hand back a corrupted snapshot. The page
-     under the restored PC is stomped with an invalid-opcode pattern
-     (0xFF never decodes), so the guest faults deterministically at its
-     first fetch — same plan, same fault, cycle for cycle. *)
-  (match snapshot_entry with
-  | Some _ when Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt ->
-      let page_size = Vm.Memory.page_size in
-      let off = Vm.Cpu.pc cpu / page_size * page_size in
-      let len = min page_size (Vm.Memory.size mem - off) in
-      if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
-  | Some _ | None -> ());
   (* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
      loaded into the virtine's address space at address 0x0"). *)
   let input_bytes =
@@ -704,10 +707,10 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     end
   in
   let exec_start = Cycles.Clock.now (clock t) in
-  (* Instruction-level probes opt into interpretation: installing a step
-     hook makes Translate.run fall back to Cpu.run (cycle-identical).
-     Block-level probes do NOT go through here — they ride the
-     translation cache's superblock-entry hook. *)
+  (* Instruction-level probes install a step hook, so Translate.run
+     executes its hooked block flavour (cycle-identical, one hook call per
+     retired instruction). Block-level probes do NOT go through here —
+     they ride the translation cache's superblock-entry hook. *)
   let instr_probe =
     match t.probes with
     | Some e when Vtrace.Engine.wants e "instr" ->

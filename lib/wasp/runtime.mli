@@ -27,7 +27,6 @@ val create :
   ?cores:int ->
   ?pool_capacity:int ->
   ?snapshot_capacity:int ->
-  ?translate:bool ->
   ?flight_capacity:int ->
   unit ->
   t
@@ -38,9 +37,6 @@ val create :
     per-core virtual clocks and pool shards; [pool_capacity] bounds each
     shard (default 64, LRU eviction beyond it); [snapshot_capacity]
     bounds the snapshot store the same way (default 64 keys).
-    [translate] (default true) runs guests through the superblock
-    translation cache — simulated cycles are identical either way, only
-    wall-clock throughput differs (profiled runs always interpret).
     [flight_capacity] sizes the always-attached VM-exit flight ring
     (default 128 — see {!Profiler.Flight.create}). *)
 
@@ -150,9 +146,9 @@ val set_probes : t -> Vtrace.Engine.t option -> unit
     KVM layer (["exit"], ["ept"], ["inject"], ["block"] sites) and the
     shell pool (["pool_*"] sites); this layer itself fires
     ["hypercall"]/["hypercall_ret"] around every dispatch and, when an
-    ["instr"] probe is attached, installs a vCPU step hook — which
-    forces the interpreter (cycle-identical) for the execute phase, the
-    explicit opt-in the block site exists to avoid. Probes charge zero
+    ["instr"] probe is attached, installs a vCPU step hook — the
+    translator's slower hooked blocks (cycle-identical) for the execute
+    phase, the explicit opt-in the block site exists to avoid. Probes charge zero
     simulated cycles and never change guest-visible results: attached
     vs detached runs produce identical outcomes, registers and cycle
     counts at a fixed seed (see [docs/vtrace.md]). *)

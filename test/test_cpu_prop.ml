@@ -53,6 +53,9 @@ let reference mode (op : Instr.binop) a b : int64 option =
   in
   Option.map m result
 
+(* execute on the engine every production caller runs *)
+let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create cpu)
+
 let execute mode op a b =
   let mem = Vm.Memory.create ~size:4096 in
   let prog =
@@ -62,7 +65,7 @@ let execute mode op a b =
   let cpu = Vm.Cpu.create ~mem ~mode ~clock:(Cycles.Clock.create ()) in
   Vm.Cpu.set_reg cpu 0 a;
   Vm.Cpu.set_reg cpu 1 b;
-  match Vm.Cpu.run cpu with
+  match run_cpu cpu with
   | Vm.Cpu.Halt -> Some (Vm.Cpu.get_reg cpu 0)
   | Vm.Cpu.Fault (Vm.Cpu.Division_by_zero _) -> None
   | other -> failwith (Format.asprintf "unexpected exit %a" Vm.Cpu.pp_exit other)
@@ -126,7 +129,7 @@ let prop_conditions_match_reference =
       let cpu = Vm.Cpu.create ~mem ~mode ~clock:(Cycles.Clock.create ()) in
       Vm.Cpu.set_reg cpu 0 a;
       Vm.Cpu.set_reg cpu 1 b;
-      match Vm.Cpu.run cpu with
+      match run_cpu cpu with
       | Vm.Cpu.Halt ->
           let taken = Vm.Cpu.get_reg cpu 2 = 1L in
           taken = reference_cond mode c a b
@@ -155,7 +158,7 @@ let prop_store_load_roundtrip =
       let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
       Vm.Cpu.set_reg cpu 0 v;
       Vm.Cpu.set_reg cpu 1 256L;
-      match Vm.Cpu.run cpu with
+      match run_cpu cpu with
       | Vm.Cpu.Halt ->
           let expected =
             match w with
@@ -178,7 +181,7 @@ let prop_random_streams_contained =
       let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
       Vm.Cpu.set_pc cpu 0x100;
       Vm.Cpu.set_sp cpu 0x8000;
-      match Vm.Cpu.run ~fuel:10_000 cpu with
+      match run_cpu ~fuel:10_000 cpu with
       | Vm.Cpu.Halt | Vm.Cpu.Io_out _ | Vm.Cpu.Io_in _ | Vm.Cpu.Fault _ | Vm.Cpu.Out_of_fuel
         ->
           true)

@@ -233,6 +233,51 @@ let test_inject_snapshot_corrupt () =
   let r3 = R.run w snap_image ~policy:snap_policy ~snapshot_key:"chaos" ~args:[ 3L ] () in
   Alcotest.(check int64) "later restores are clean" 5003L r3.R.return_value
 
+let test_snapshot_corrupt_tiles () =
+  (* the corrupting write, and the CoW break it triggers, are restore
+     work: with snapshot_corrupt firing on every restore, each
+     invocation's depth-1 phase spans still sum exactly to its cycles *)
+  List.iter
+    (fun reset ->
+      let w = R.create ~reset () in
+      let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+      R.set_telemetry w (Some hub);
+      R.set_fault_plan w
+        (Some
+           (FP.create
+              [ (Kvmsim.Kvm.site_snapshot_corrupt, FP.Every { start = 0; interval = 1 }) ]));
+      let results =
+        List.map
+          (fun a -> R.run w snap_image ~policy:snap_policy ~snapshot_key:"tile" ~args:[ a ] ())
+          [ 1L; 2L; 3L ]
+      in
+      let spans = Telemetry.Span.spans (Telemetry.Hub.spans hub) in
+      let roots =
+        List.filter (fun (s : Telemetry.Span.span) -> s.depth = 0 && s.name = "invocation") spans
+        |> List.sort (fun (a : Telemetry.Span.span) b -> compare a.seq b.seq)
+      in
+      Alcotest.(check int) "one root per invocation" 3 (List.length roots);
+      List.iteri
+        (fun i ((root : Telemetry.Span.span), (r : R.result)) ->
+          let next =
+            match List.nth_opt roots (i + 1) with Some n -> n.seq | None -> max_int
+          in
+          let phases =
+            List.fold_left
+              (fun acc (s : Telemetry.Span.span) ->
+                if s.depth = 1 && s.seq > root.seq && s.seq < next then
+                  Int64.add acc s.duration
+                else acc)
+              0L spans
+          in
+          Alcotest.(check int64)
+            (Printf.sprintf "invocation %d: phases tile its cycles" i)
+            r.R.cycles phases)
+        (List.combine roots results);
+      Alcotest.(check int) "both restores corrupted" 2
+        (Kvmsim.Kvm.stats (R.kvm w)).Kvmsim.Kvm.injected_faults)
+    [ `Memcpy; `Cow ]
+
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -590,6 +635,8 @@ let () =
           Alcotest.test_case "spurious exit cost" `Quick
             test_inject_spurious_exit_costs_cycles;
           Alcotest.test_case "snapshot corrupt" `Quick test_inject_snapshot_corrupt;
+          Alcotest.test_case "snapshot corrupt tiles the restore" `Quick
+            test_snapshot_corrupt_tiles;
         ] );
       ( "supervisor",
         [

@@ -1,8 +1,9 @@
 (* Differential tests for the superblock translation cache: the
-   translator must be observationally identical to the interpreter —
-   same final registers and memory, same retired count, same exit
-   reason, and bit-for-bit identical simulated cycles — across random
-   programs, self-modifying code, and CoW-restored invocations. *)
+   translator must be observationally identical to the reference
+   stepper (Fuzz.Reference) — same final registers and memory, same
+   retired count, same exit reason, and bit-for-bit identical simulated
+   cycles — across random programs, self-modifying code and CoW breaks
+   mid-run, in both block flavours. *)
 
 let origin = 0x8000
 
@@ -20,22 +21,36 @@ type outcome = {
 
 let exit_str (e : Vm.Cpu.exit_reason) = Format.asprintf "%a" Vm.Cpu.pp_exit e
 
-(* Run [code] to completion under one engine, resuming deterministically
-   through a bounded number of I/O exits ([in] deposits a constant). *)
-let exec engine ~mode ~mem_size code =
+type hook = pc:int -> instr:Instr.t -> cost:int -> unit
+
+(* A fresh vCPU with [code] at [origin]; [prepare] sees the memory and
+   CPU before the first instruction (fault hooks, CoW captures). *)
+let machine ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?(prepare = fun _ _ -> ())
+    code =
   let mem = Vm.Memory.create ~size:mem_size in
   Vm.Memory.write_bytes mem ~off:origin code;
-  let clock = Cycles.Clock.create () in
-  let cpu = Vm.Cpu.create ~mem ~mode ~clock in
+  let cpu = Vm.Cpu.create ~mem ~mode ~clock:(Cycles.Clock.create ()) in
   Vm.Cpu.set_pc cpu origin;
   Vm.Cpu.set_sp cpu 0x8000;
-  let step =
-    match engine with
-    | `Interp -> fun fuel -> Vm.Cpu.run ~fuel cpu
-    | `Translate ->
-        let tr = Vm.Translate.create cpu in
-        fun fuel -> Vm.Translate.run ~fuel tr
-  in
+  prepare mem cpu;
+  (cpu, mem)
+
+(* One engine's resumable run function over [cpu]; [hook] is installed
+   the way each engine takes it (a Cpu step hook for the translator). *)
+let runner ?(hook : hook option) engine cpu =
+  match engine with
+  | `Reference -> fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
+  | `Translate ->
+      Option.iter (Vm.Cpu.set_step_hook cpu) hook;
+      let tr = Vm.Translate.create cpu in
+      fun fuel -> Vm.Translate.run ~fuel tr
+
+(* Run [code] to completion under one engine, resuming deterministically
+   through a bounded number of I/O exits ([in] deposits a constant). *)
+let exec ?hook ?prepare engine ~mode ~mem_size code =
+  let cpu, mem = machine ~mode ~mem_size ?prepare code in
+  let clock = Vm.Cpu.clock cpu in
+  let step = runner ?hook engine cpu in
   let fuel = 50_000 in
   let rec go budget =
     let left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in
@@ -71,10 +86,10 @@ let check_same name a b =
   Alcotest.(check bool) (name ^ ": memory") true (Bytes.equal a.mem b.mem)
 
 let both ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) name code =
-  let i = exec `Interp ~mode ~mem_size code in
+  let r = exec `Reference ~mode ~mem_size code in
   let t = exec `Translate ~mode ~mem_size code in
-  check_same name i t;
-  (i, t)
+  check_same name r t;
+  (r, t)
 
 (* ------------------------------------------------------------------ *)
 (* Random-program fuzz (generators mirror test_isa's)                   *)
@@ -133,14 +148,37 @@ let print_program (mode, instrs) =
   Printf.sprintf "%s: %s" (Vm.Modes.to_string mode)
     (String.concat "; " (List.map Instr.to_string instrs))
 
+let arb_program =
+  QCheck.make ~print:print_program
+    QCheck.Gen.(pair gen_mode (list_size (int_range 1 60) gen_instr))
+
 let prop_differential =
-  QCheck.Test.make ~name:"random programs agree across engines" ~count:400
-    (QCheck.make ~print:print_program
-       QCheck.Gen.(pair gen_mode (list_size (int_range 1 60) gen_instr)))
+  QCheck.Test.make ~name:"random programs agree across engines" ~count:400 arb_program
     (fun (mode, instrs) ->
       let code = Encoding.encode_program instrs in
       let mem_size = 64 * 1024 in
-      same (exec `Interp ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
+      same (exec `Reference ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
+
+(* The hooked flavour: a recording step hook must see the same
+   (pc, instr, cost, Clock.now) sequence under the translator as under
+   the reference stepper, and the run must end identically. *)
+let prop_hooked =
+  QCheck.Test.make ~name:"hooked flavour matches the reference hook sequence" ~count:400
+    arb_program (fun (mode, instrs) ->
+      let code = Encoding.encode_program instrs in
+      let mem_size = 64 * 1024 in
+      let recorded engine =
+        let log = ref [] in
+        let clock = ref None in
+        let prepare _ cpu = clock := Some (Vm.Cpu.clock cpu) in
+        let hook ~pc ~instr ~cost =
+          log := (pc, instr, cost, Cycles.Clock.now (Option.get !clock)) :: !log
+        in
+        let o = exec ~hook ~prepare engine ~mode ~mem_size code in
+        (o, List.rev !log)
+      in
+      let r, rlog = recorded `Reference and t, tlog = recorded `Translate in
+      same r t && rlog = tlog)
 
 (* ------------------------------------------------------------------ *)
 (* Directed: self-modifying code                                        *)
@@ -211,33 +249,38 @@ let test_smc_cross_block () =
 (* Directed: engine mechanics                                           *)
 (* ------------------------------------------------------------------ *)
 
-let make_cpu code =
-  let mem = Vm.Memory.create ~size:(64 * 1024) in
-  Vm.Memory.write_bytes mem ~off:origin code;
-  let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
-  Vm.Cpu.set_pc cpu origin;
-  Vm.Cpu.set_sp cpu 0x8000;
-  (cpu, mem)
-
-let test_hook_falls_back_to_interpreter () =
+let test_hooked_flavour_translates () =
   let open Instr in
   let code = Encoding.encode_program [ Mov (0, Imm 1L); Nop; Nop; Hlt ] in
-  let cpu, _ = make_cpu code in
+  let cpu, _ = machine code in
   let tr = Vm.Translate.create cpu in
+  let prof = Profiler.Profile.create () in
+  Profiler.Profile.begin_invocation prof ~symbols:[] ~clock:(Vm.Cpu.clock cpu);
   let hook_calls = ref 0 in
-  Vm.Cpu.set_step_hook cpu (fun ~pc:_ ~instr:_ ~cost:_ -> incr hook_calls);
+  Vm.Cpu.set_step_hook cpu (fun ~pc ~instr ~cost ->
+      incr hook_calls;
+      Profiler.Profile.on_step prof ~pc ~instr ~cost);
   (match Vm.Translate.run tr with
   | Vm.Cpu.Halt -> ()
   | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
   Alcotest.(check int) "hook fired once per retired instruction" 4 !hook_calls;
   Alcotest.(check int64) "retired" 4L (Vm.Cpu.instructions_retired cpu);
-  Alcotest.(check int) "counted as fallback" 1 (Vm.Translate.stats tr).hook_fallbacks;
-  Alcotest.(check int) "nothing translated" 0 (Vm.Translate.stats tr).blocks_translated
+  Alcotest.(check bool) "translated with the profiler attached" true
+    ((Vm.Translate.stats tr).blocks_translated > 0);
+  (* clearing the hook switches flavour: the unhooked block is compiled
+     separately and the hook is no longer called *)
+  Vm.Cpu.clear_step_hook cpu;
+  Vm.Cpu.set_pc cpu origin;
+  let before = (Vm.Translate.stats tr).blocks_translated in
+  ignore (Vm.Translate.run tr);
+  Alcotest.(check int) "unhooked run calls no hook" 4 !hook_calls;
+  Alcotest.(check bool) "flavours never share a block" true
+    ((Vm.Translate.stats tr).blocks_translated > before)
 
 let test_block_reuse_and_invalidation () =
   let open Instr in
   let code = Encoding.encode_program [ Mov (0, Imm 1L); Hlt ] in
-  let cpu, mem = make_cpu code in
+  let cpu, mem = machine code in
   let tr = Vm.Translate.create cpu in
   let run () =
     Vm.Cpu.set_pc cpu origin;
@@ -271,40 +314,85 @@ let test_out_resumable_across_engines () =
   let open Instr in
   let prog = [ Mov (0, Imm 9L); Out (1, Reg 0); Mov (1, Reg 0); Hlt ] in
   let code = Encoding.encode_program prog in
-  let drive run cpu =
-    (match run () with
+  let drive engine =
+    let cpu, _ = machine code in
+    let run = runner engine cpu in
+    (match run 1000 with
     | Vm.Cpu.Io_out { port = 1; value = 9L } -> ()
     | other -> Alcotest.failf "expected out exit, got %s" (exit_str other));
     Vm.Cpu.set_reg cpu 0 77L;
-    (match run () with
+    (match run 1000 with
     | Vm.Cpu.Halt -> ()
     | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
     (Vm.Cpu.get_reg cpu 1, Vm.Cpu.instructions_retired cpu, Cycles.Clock.now (Vm.Cpu.clock cpu))
   in
-  let cpu_i, _ = make_cpu code in
-  let ri = drive (fun () -> Vm.Cpu.run cpu_i) cpu_i in
-  let cpu_t, _ = make_cpu code in
-  let tr = Vm.Translate.create cpu_t in
-  let rt = drive (fun () -> Vm.Translate.run tr) cpu_t in
-  Alcotest.(check (triple int64 int64 int64)) "resume agrees" ri rt
+  Alcotest.(check (triple int64 int64 int64))
+    "resume agrees" (drive `Reference) (drive `Translate)
 
 let test_fuel_exhaustion_matches () =
   let open Instr in
   (* tight infinite loop: both engines must stop at the same retired
      count, cycles and pc *)
   let code = Encoding.encode_program [ Jmp origin ] in
-  let cpu_i, _ = make_cpu code in
-  let ei = Vm.Cpu.run ~fuel:1000 cpu_i in
-  let cpu_t, _ = make_cpu code in
-  let tr = Vm.Translate.create cpu_t in
-  let et = Vm.Translate.run ~fuel:1000 tr in
-  Alcotest.(check string) "exit" (exit_str ei) (exit_str et);
-  Alcotest.(check int64) "retired" (Vm.Cpu.instructions_retired cpu_i)
-    (Vm.Cpu.instructions_retired cpu_t);
-  Alcotest.(check int64) "cycles"
-    (Cycles.Clock.now (Vm.Cpu.clock cpu_i))
-    (Cycles.Clock.now (Vm.Cpu.clock cpu_t));
-  Alcotest.(check int) "pc" (Vm.Cpu.pc cpu_i) (Vm.Cpu.pc cpu_t)
+  let drive engine =
+    let cpu, _ = machine code in
+    let e = runner engine cpu 1000 in
+    (exit_str e, Vm.Cpu.instructions_retired cpu, Cycles.Clock.now (Vm.Cpu.clock cpu),
+     Vm.Cpu.pc cpu)
+  in
+  let (er, rr, cr, pr) = drive `Reference and (et, rt, ct, pt) = drive `Translate in
+  Alcotest.(check string) "exit" er et;
+  Alcotest.(check int64) "retired" rr rt;
+  Alcotest.(check int64) "cycles" cr ct;
+  Alcotest.(check int) "pc" pr pt
+
+let test_cow_mid_run () =
+  (* the code and data pages start CoW-shared: the guest's stores break
+     them mid-run, one of them on its own code page. The fault hook
+     charges an EPT-style cost and logs the clock and pc it observes, so
+     both engines must have committed exact state at every break. *)
+  let open Instr in
+  let prog victim =
+    [
+      Mov (1, Imm 0x1000L);
+      Store (W64, 1, 0, Imm 7L);
+      Mov (1, Imm 0x3000L);
+      Store (W64, 1, 8, Imm 9L);
+      Push (Imm 5L);
+      Mov (1, Imm (Int64.of_int victim));
+      Store (W8, 1, 0, Imm 0L);
+      Mov (0, Imm 1L);
+      Hlt;
+    ]
+  in
+  (* the store patches the [mov r0, 1] into hlt *)
+  let victim = List.nth (layout (prog 0)) 7 in
+  assert (List.nth (layout (prog victim)) 7 = victim);
+  let breaks engine =
+    let log = ref [] in
+    let prepare mem cpu =
+      Vm.Memory.write_u64 mem 0x1000 1L;
+      Vm.Memory.write_u64 mem 0x3000 2L;
+      Vm.Memory.write_u64 mem 0x7000 3L;  (* the push's stack page *)
+      ignore (Vm.Memory.capture mem);
+      Vm.Memory.set_fault_hook mem
+        (Some
+           (fun ~shared ~page ->
+             if shared then begin
+               Cycles.Clock.advance_int (Vm.Cpu.clock cpu) 1000;
+               log :=
+                 (page, Cycles.Clock.now (Vm.Cpu.clock cpu), Vm.Cpu.pc cpu) :: !log
+             end))
+    in
+    let o = exec ~prepare engine ~mode:Vm.Modes.Long ~mem_size:(64 * 1024)
+        (Encoding.encode_program (prog victim)) in
+    (o, List.rev !log)
+  in
+  let r, rlog = breaks `Reference and t, tlog = breaks `Translate in
+  check_same "cow mid-run" r t;
+  Alcotest.(check int) "every written shared page broke once" 4 (List.length rlog);
+  Alcotest.(check (list (triple int int64 int))) "breaks observed identically" rlog tlog;
+  Alcotest.(check int64) "patched mov never executed" 0L r.regs.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime level: CoW restore between invocations                       *)
@@ -334,9 +422,11 @@ let snap_policy = Wasp.Policy.of_list [ Wasp.Hc.snapshot ]
 let test_cow_restore_differential () =
   (* `Cow reset rewrites dirtied pages between invocations while the
      shell's translation cache persists: results and cycle counts must
-     match the interpreter exactly across all three invocations *)
-  let runs translate =
-    let w = Wasp.Runtime.create ~reset:`Cow ~translate () in
+     be the same with the profiler attached (hooked blocks) as without,
+     across all three invocations *)
+  let runs profiled =
+    let w = Wasp.Runtime.create ~reset:`Cow () in
+    if profiled then Wasp.Runtime.set_profiler w (Some (Profiler.Profile.create ()));
     List.map
       (fun arg ->
         let r =
@@ -346,15 +436,15 @@ let test_cow_restore_differential () =
         (r.Wasp.Runtime.return_value, r.Wasp.Runtime.cycles, r.Wasp.Runtime.from_snapshot))
       [ 1L; 2L; 3L ]
   in
-  let translated = runs true and interpreted = runs false in
+  let unhooked = runs false and hooked = runs true in
   List.iteri
-    (fun i ((rv_t, cyc_t, snap_t), (rv_i, cyc_i, snap_i)) ->
-      Alcotest.(check int64) (Printf.sprintf "run %d return value" i) rv_i rv_t;
-      Alcotest.(check int64) (Printf.sprintf "run %d cycles" i) cyc_i cyc_t;
-      Alcotest.(check bool) (Printf.sprintf "run %d from_snapshot" i) snap_i snap_t)
-    (List.combine translated interpreted);
+    (fun i ((rv_u, cyc_u, snap_u), (rv_h, cyc_h, snap_h)) ->
+      Alcotest.(check int64) (Printf.sprintf "run %d return value" i) rv_h rv_u;
+      Alcotest.(check int64) (Printf.sprintf "run %d cycles" i) cyc_h cyc_u;
+      Alcotest.(check bool) (Printf.sprintf "run %d from_snapshot" i) snap_h snap_u)
+    (List.combine unhooked hooked);
   (* sanity: the workload actually exercised the snapshot path *)
-  match translated with
+  match unhooked with
   | [ (rv1, _, s1); (rv2, _, s2); _ ] ->
       Alcotest.(check int64) "first run computed" 5001L rv1;
       Alcotest.(check int64) "second run restored" 5002L rv2;
@@ -365,16 +455,17 @@ let () =
   Alcotest.run "translate"
     [
       ( "differential",
-        QCheck_alcotest.to_alcotest prop_differential
-        :: [
-             Alcotest.test_case "smc same block" `Quick test_smc_same_block;
-             Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
-             Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
-             Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
-           ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_hooked ]
+        @ [
+            Alcotest.test_case "smc same block" `Quick test_smc_same_block;
+            Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
+            Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
+            Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
+            Alcotest.test_case "cow mid-run" `Quick test_cow_mid_run;
+          ] );
       ( "engine",
         [
-          Alcotest.test_case "hook falls back" `Quick test_hook_falls_back_to_interpreter;
+          Alcotest.test_case "hooked flavour translates" `Quick test_hooked_flavour_translates;
           Alcotest.test_case "reuse + invalidation" `Quick
             test_block_reuse_and_invalidation;
         ] );

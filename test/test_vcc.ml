@@ -621,6 +621,17 @@ let test_invoke_non_virtine_raises () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
 
+
+let test_exec_fuel_spans_resumes () =
+  (* every write() exits to the host and resumes: the budget must cover
+     the whole call, not restart at each resume *)
+  let c = compile {|int spin() { while (1) { write(1, "x", 1); } return 0; }|} in
+  match Vcc.Compile.invoke_native ~clock:(Cycles.Clock.create ()) c "spin" [] ~fuel:10_000 () with
+  | exception Vcc.Compile.Compile_error msg ->
+      Alcotest.(check bool) ("out of fuel: " ^ msg) true
+        (String.ends_with ~suffix:"ran out of fuel" msg)
+  | v -> Alcotest.failf "spin returned %Ld" v
+
 let () =
   Alcotest.run "vcc"
     [
@@ -696,6 +707,7 @@ let () =
           Alcotest.test_case "do-while" `Quick test_exec_do_while;
           Alcotest.test_case "sizeof" `Quick test_exec_sizeof;
           Alcotest.test_case "itoa" `Quick test_exec_itoa;
+          Alcotest.test_case "fuel spans resumes" `Quick test_exec_fuel_spans_resumes;
         ] );
       ( "minimal-images",
         [

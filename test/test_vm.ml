@@ -1,6 +1,9 @@
 (* Tests for guest memory, processor modes, paging/GDT construction, the
    boot sequencer, and CPU execution semantics. *)
 
+(* execute on the engine every production caller runs *)
+let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create cpu)
+
 let run_asm ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?(setup = fun _ -> ()) src =
   let p = Asm.assemble_string src in
   let mem = Vm.Memory.create ~size:mem_size in
@@ -10,7 +13,7 @@ let run_asm ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?(setup = fun _ -> (
   Vm.Cpu.set_pc cpu p.entry;
   Vm.Cpu.set_sp cpu 0x8000;
   setup cpu;
-  let exit = Vm.Cpu.run cpu in
+  let exit = run_cpu cpu in
   (exit, cpu, mem, clock)
 
 let check_halt_r0 name expected (exit, cpu, _, _) =
@@ -487,7 +490,7 @@ let test_cpu_invalid_opcode_faults () =
   Vm.Memory.write_u8 mem 0 0xEE;
   let clock = Cycles.Clock.create () in
   let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock in
-  match Vm.Cpu.run cpu with
+  match run_cpu cpu with
   | Vm.Cpu.Fault (Vm.Cpu.Invalid_opcode _) -> ()
   | other -> Alcotest.failf "expected invalid opcode, got %s" (Format.asprintf "%a" Vm.Cpu.pp_exit other)
 
@@ -499,12 +502,13 @@ let test_cpu_out_exit_resumable () =
   let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock in
   Vm.Cpu.set_pc cpu p.entry;
   Vm.Cpu.set_sp cpu 0x8000;
-  (match Vm.Cpu.run cpu with
+  let tr = Vm.Translate.create cpu in
+  (match Vm.Translate.run tr with
   | Vm.Cpu.Io_out { port = 1; value = 9L } -> ()
   | other -> Alcotest.failf "expected out exit, got %s" (Format.asprintf "%a" Vm.Cpu.pp_exit other));
   (* host writes a result and resumes *)
   Vm.Cpu.set_reg cpu 0 77L;
-  (match Vm.Cpu.run cpu with
+  (match Vm.Translate.run tr with
   | Vm.Cpu.Halt -> ()
   | _ -> Alcotest.fail "expected halt after resume");
   Alcotest.(check int64) "guest saw host value" 77L (Vm.Cpu.get_reg cpu 1)
@@ -516,7 +520,7 @@ let test_cpu_fuel () =
   Vm.Memory.write_bytes mem ~off:p.origin p.code;
   let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
   Vm.Cpu.set_pc cpu p.entry;
-  match Vm.Cpu.run ~fuel:100 cpu with
+  match run_cpu ~fuel:100 cpu with
   | Vm.Cpu.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected out of fuel"
 

@@ -462,11 +462,11 @@ let test_sites_scheduler () =
   Alcotest.(check bool) "idle cycles observed" true (total e ~probe:2 > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: attach vs detach, both engines                          *)
+(* Determinism: attach vs detach, both block flavours                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_fingerprint ~translate ~probes () =
-  let w = R.create ~seed:42 ~translate () in
+let run_fingerprint ~probes () =
+  let w = R.create ~seed:42 () in
   (match probes with
   | Some spec -> R.set_probes w (Some (engine_ok spec))
   | None -> ());
@@ -481,31 +481,26 @@ let heavy_spec =
    hypercall_ret { p(99, cycles) by (fn) }; block { count() }; pool_acquire \
    { count() by (reason) }; pool_release { count() by (reason) }"
 
-let test_attach_detach_parity_translated () =
-  Alcotest.(check (list (pair int64 (pair int64 (pair int bool)))))
-    "identical results and cycles"
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:true ~probes:None ()))
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:true ~probes:(Some heavy_spec) ()))
+let instr_spec = "instr { sum(cycles) by (reason) }"
 
-let test_attach_detach_parity_interpreter () =
+let check_parity msg base attached =
+  let flat = List.map (fun (a, b, c, d) -> (a, (b, (c, d)))) in
   Alcotest.(check (list (pair int64 (pair int64 (pair int bool)))))
-    "identical results and cycles"
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:false ~probes:None ()))
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:false ~probes:(Some heavy_spec) ()))
+    msg
+    (flat (run_fingerprint ~probes:base ()))
+    (flat (run_fingerprint ~probes:(Some attached) ()))
+
+let test_attach_detach_parity_translated () =
+  check_parity "identical results and cycles" None heavy_spec
+
+let test_attach_detach_parity_hooked () =
+  (* an instr probe keeps both runs on hooked blocks *)
+  check_parity "identical results and cycles" (Some instr_spec)
+    (instr_spec ^ "; " ^ heavy_spec)
 
 let test_instr_probe_parity () =
-  (* instruction probes opt into interpretation — still cycle-identical *)
-  Alcotest.(check (list (pair int64 (pair int64 (pair int bool)))))
-    "stepping changes nothing observable"
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:true ~probes:None ()))
-    (List.map (fun (a, b, c, d) -> (a, (b, (c, d))))
-       (run_fingerprint ~translate:true
-          ~probes:(Some "instr { sum(cycles) by (reason) }") ()))
+  (* instruction probes switch to hooked blocks — still cycle-identical *)
+  check_parity "stepping changes nothing observable" None instr_spec
 
 let test_same_spec_same_tables () =
   let tables probes =
@@ -584,8 +579,8 @@ let () =
         [
           Alcotest.test_case "attach/detach parity (translated)" `Quick
             test_attach_detach_parity_translated;
-          Alcotest.test_case "attach/detach parity (interpreter)" `Quick
-            test_attach_detach_parity_interpreter;
+          Alcotest.test_case "attach/detach parity (hooked)" `Quick
+            test_attach_detach_parity_hooked;
           Alcotest.test_case "instr probe parity" `Quick test_instr_probe_parity;
           Alcotest.test_case "same spec, same tables" `Quick
             test_same_spec_same_tables;
