@@ -18,6 +18,7 @@ all:
 check:
 	dune build
 	dune runtest
+	$(MAKE) trace-smoke
 	$(MAKE) sched-smoke
 	$(MAKE) profiler-smoke
 	$(MAKE) chaos-smoke
@@ -51,11 +52,21 @@ bench-gate:
 	dune exec bench/main.exe -- $(BENCH_GATE_FIGS) --json-out $$d > /dev/null; \
 	dune exec bin/benchdiff.exe -- --baseline bench/baselines --fresh $$d $(BENCH_GATE_FIGS)
 
-# telemetry smoke: emit a Chrome trace from an instrumented run, then
-# validate it (JSON parses, phase spans present)
+# telemetry smoke: run a chaos workload twice at the same seed with
+# every observer attached (hub spans + metrics, flight ring, a vtrace
+# probe); the Chrome traces and stdout must be byte-identical, and the
+# trace must validate (JSON parses, phase spans present). Both runs
+# write the same path, so the "trace written to" line matches too.
+TRACE_SMOKE_RUN = dune exec bin/wasprun.exe -- --example --chaos --repeat 5 \
+	--trace-json $$d/trace.json --metrics --probe 'exit { count() by (reason) }'
 trace-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --trace-json $$d/trace.json --metrics; \
+	$(TRACE_SMOKE_RUN) > $$d/a.txt; mv $$d/trace.json $$d/a.json; \
+	$(TRACE_SMOKE_RUN) > $$d/b.txt; \
+	cmp $$d/a.json $$d/trace.json \
+	  || { echo "trace-smoke: same-seed Chrome traces diverged"; exit 1; }; \
+	cmp $$d/a.txt $$d/b.txt \
+	  || { echo "trace-smoke: same-seed stdout diverged"; diff $$d/a.txt $$d/b.txt; exit 1; }; \
 	dune exec bin/wasprun.exe -- --check-trace $$d/trace.json
 
 # multi-core scheduler smoke: run the fig12 core-scaling sweep on 4

@@ -100,24 +100,28 @@ let rng sys = sys.rng
 let stats sys = sys.stats
 
 let set_telemetry sys hub = sys.telemetry <- hub
+let telemetry sys = sys.telemetry
 let set_flight sys fr = sys.flight <- fr
 let flight sys = sys.flight
 
 let set_fault_plan sys plan = sys.plan <- plan
 let fault_plan sys = sys.plan
 
-(* One injection fired: count it (stats + the plain and site-labeled
-   [wasp_faults_injected_total] series) and leave an [INJECTED] entry in
-   the black box, stamped with the active guest PC when there is one.
-   Bookkeeping charges no cycles — the *consequence* of the injection
-   (the spurious round trip, the storm, the raised failure) is what the
-   site charges. *)
-(* Trace id of the request currently on-CPU, so black-box entries are
-   greppable by trace. None when tracing is off or no span is open. *)
+(* Trace id of the request currently on-CPU, so black-box entries and
+   probe contexts are greppable by trace. None when tracing is off or no
+   span is open. *)
 let active_trace sys =
   match sys.telemetry with
   | None -> None
   | Some h -> Telemetry.Hub.current_trace h
+
+let fire sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
+  match sys.probes with
+  | None -> 0
+  | Some e ->
+      Vtrace.Engine.fire e
+        (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ?fn ?pc ?reason ?cycles
+           ?fuel ?nr site)
 
 let set_hc_port sys port = sys.hc_port <- port
 
@@ -126,43 +130,91 @@ let set_probes sys e =
   sys.block_probe <-
     (match e with
     | Some eng when Vtrace.Engine.wants eng "block" ->
-        Some
-          (fun ~pc ->
-            ignore
-              (Vtrace.Engine.fire eng
-                 (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-                    "block")))
+        Some (fun ~pc -> ignore (fire sys ~pc "block"))
     | _ -> None)
 
 let probes sys = sys.probes
 
-let note_injection sys site =
-  sys.stats.injected_faults <- sys.stats.injected_faults + 1;
+let active_pc sys = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0
+
+(* The vtrace site, reason and [nr] each KVM event fires with. *)
+let classify sys : Profiler.Flight.kind -> string * string * int64 = function
+  | Halt -> ("exit", "hlt", 0L)
+  | Io_out { port; value } -> (
+      match sys.hc_port with
+      | Some p when p = port -> ("exit", "hypercall", value)
+      | _ -> ("exit", "io_out", Int64.of_int port))
+  | Io_in { port } -> ("exit", "io_in", Int64.of_int port)
+  | Fault _ -> ("exit", "fault", 0L)
+  | Fuel -> ("exit", "fuel", 0L)
+  | Ept { page } -> ("ept", "cow_break", Int64.of_int page)
+  | Injected site -> ("inject", site, 0L)
+
+(* Every KVM-level event — a KVM_RUN return, a CoW break, a fault-plan
+   injection — fans out from here to each observer, in a fixed order:
+   the always-on [stats]/[exit_reasons] tally, the hub counters, the
+   flight ring, then the vtrace site. Observing charges no cycles. For
+   exits, [cycles] is the KVM_RUN's entry-to-exit duration; the vtrace
+   fire runs after the flight entry so a matching exit probe can stamp
+   it. *)
+let observe sys ~pc ?cycles ?fuel (kind : Profiler.Flight.kind) =
+  let site, reason, nr = classify sys kind in
+  let is_exit = String.equal site "exit" in
+  let st = sys.stats in
+  (match kind with
+  | Io_out _ | Io_in _ -> st.io_exits <- st.io_exits + 1
+  | Fault _ -> st.fault_exits <- st.fault_exits + 1
+  | Ept _ -> st.ept_violations <- st.ept_violations + 1
+  | Injected _ -> st.injected_faults <- st.injected_faults + 1
+  | Halt | Fuel -> ());
+  if is_exit then begin
+    match Hashtbl.find_opt sys.exit_reasons reason with
+    | Some r -> incr r
+    | None -> Hashtbl.replace sys.exit_reasons reason (ref 1)
+  end;
   (match sys.telemetry with
   | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      let help = "fault-plan injections fired" in
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help "wasp_faults_injected_total");
-      Telemetry.Metrics.incr
-        (Telemetry.Metrics.counter m ~help ~labels:[ ("site", site) ]
-           "wasp_faults_injected_total"));
+  | Some h -> (
+      let count ?labels ~help name =
+        Telemetry.Metrics.incr
+          (Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ?labels ~help name)
+      in
+      (* Exit-reason split of the exit counter: one series per cause, so
+         the ring refactor's exit savings show up as a shrinking
+         [hypercall] series rather than a mystery delta in the total. *)
+      let count_exit () =
+        count ~help:"KVM_RUN exits by cause" ~labels:[ ("reason", reason) ] "kvm_exits_total"
+      in
+      match kind with
+      | Io_out _ | Io_in _ ->
+          Telemetry.Hub.incr h "kvm_io_exits_total";
+          count_exit ()
+      | Fault _ ->
+          Telemetry.Hub.incr h "kvm_fault_exits_total";
+          count_exit ()
+      | Halt | Fuel -> count_exit ()
+      | Ept _ -> Telemetry.Hub.incr h "kvm_ept_violations_total"
+      | Injected site ->
+          let help = "fault-plan injections fired" in
+          count ~help "wasp_faults_injected_total";
+          count ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"));
   (match sys.flight with
   | None -> ()
   | Some fr ->
-      let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-      Profiler.Flight.record fr
-        ?trace:(active_trace sys)
+      Profiler.Flight.record fr ?trace:(active_trace sys)
         ~at:(Cycles.Clock.now (clock sys))
-        ~core:sys.cur ~pc (Profiler.Flight.Injected site));
-  match sys.probes with
-  | None -> ()
-  | Some e ->
-      let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-              ~reason:site "inject"))
+        ~core:sys.cur ~pc kind);
+  if fire sys ~pc ~reason ?cycles ?fuel ~nr site > 0 && is_exit then
+    match sys.flight with
+    | None -> ()
+    | Some fr -> Profiler.Flight.append_note fr "vtrace"
+
+(* One injection fired: counted, recorded in the black box (stamped
+   with the active guest PC when there is one) and fired at the
+   ["inject"] site. Bookkeeping charges no cycles — the *consequence* of
+   the injection (the spurious round trip, the storm, the raised
+   failure) is what the site charges. *)
+let note_injection sys site = observe sys ~pc:(active_pc sys) (Profiler.Flight.Injected site)
 
 let plan_fires sys site =
   match sys.plan with
@@ -177,21 +229,6 @@ let kspan sys name f =
 
 let kincr sys name =
   match sys.telemetry with None -> () | Some h -> Telemetry.Hub.incr h name
-
-(* Exit-reason split of the exit counter: one series per cause, so the
-   ring refactor's exit savings show up as a shrinking [hypercall]
-   series rather than a mystery delta in the total. *)
-let note_exit_reason sys reason =
-  (match Hashtbl.find_opt sys.exit_reasons reason with
-  | Some r -> incr r
-  | None -> Hashtbl.replace sys.exit_reasons reason (ref 1));
-  match sys.telemetry with
-  | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      Telemetry.Metrics.incr
-        (Telemetry.Metrics.counter m ~help:"KVM_RUN exits by cause"
-           ~labels:[ ("reason", reason) ] "kvm_exits_total")
 
 let exit_reason_counts sys =
   Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) sys.exit_reasons []
@@ -221,29 +258,11 @@ let create_vm sys =
    the paged representation. *)
 let on_page_fault sys ~shared ~page =
   if shared then begin
-    sys.stats.ept_violations <- sys.stats.ept_violations + 1;
-    kincr sys "kvm_ept_violations_total";
     let cost =
       Cycles.Costs.ept_violation + Cycles.Costs.memcpy_cost Vm.Memory.page_size
     in
     Cycles.Clock.advance_int (clock sys) cost;
-    let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-    (match sys.flight with
-    | None -> ()
-    | Some fr ->
-        Profiler.Flight.record fr
-          ?trace:(active_trace sys)
-          ~at:(Cycles.Clock.now (clock sys))
-          ~core:sys.cur ~pc
-          (Profiler.Flight.Ept { page }));
-    match sys.probes with
-    | None -> ()
-    | Some e ->
-        ignore
-          (Vtrace.Engine.fire e
-             (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-                ~reason:"cow_break" ~cycles:(Int64.of_int cost)
-                ~nr:(Int64.of_int page) "ept"))
+    observe sys ~pc:(active_pc sys) ~cycles:(Int64.of_int cost) (Profiler.Flight.Ept { page })
   end
 
 let set_user_memory_region vm ~size =
@@ -320,72 +339,27 @@ let run ?fuel v =
         charge sys Cycles.Costs.vmexit;
         exit)
   in
-  let record_exit kind =
-    match sys.flight with
-    | None -> ()
-    | Some fr ->
-        Profiler.Flight.record fr
-          ?trace:(active_trace sys)
-          ~at:(Cycles.Clock.now (clock sys))
-          ~core:sys.cur ~pc:(Vm.Cpu.pc v.cpu) kind
-  in
-  (* vtrace "exit" site: fires after the flight entry so a matching
-     probe can stamp it; charges nothing. [cycles] is this KVM_RUN's
-     entry-to-exit duration on the current core's clock. *)
-  let fire_exit reason nr =
-    match sys.probes with
-    | None -> ()
-    | Some e ->
-        let fired =
-          Vtrace.Engine.fire e
-            (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys)
-               ~pc:(Vm.Cpu.pc v.cpu) ~reason
-               ~cycles:(Int64.sub (Cycles.Clock.now (clock sys)) t0)
-               ~fuel:(Option.value fuel ~default:0)
-               ~nr "exit")
-        in
-        if fired > 0 then
-          match sys.flight with
-          | None -> ()
-          | Some fr -> Profiler.Flight.append_note fr "vtrace"
+  let observe_exit kind =
+    observe sys ~pc:(Vm.Cpu.pc v.cpu)
+      ~cycles:(Int64.sub (Cycles.Clock.now (clock sys)) t0)
+      ?fuel kind
   in
   match exit with
   | Vm.Cpu.Halt ->
-      record_exit Profiler.Flight.Halt;
-      note_exit_reason sys "hlt";
-      fire_exit "hlt" 0L;
+      observe_exit Profiler.Flight.Halt;
       Hlt
   | Vm.Cpu.Io_out { port; value } ->
-      sys.stats.io_exits <- sys.stats.io_exits + 1;
-      kincr sys "kvm_io_exits_total";
-      record_exit (Profiler.Flight.Io_out { port; value });
-      (match sys.hc_port with
-      | Some p when p = port ->
-          note_exit_reason sys "hypercall";
-          fire_exit "hypercall" value
-      | _ ->
-          note_exit_reason sys "io_out";
-          fire_exit "io_out" (Int64.of_int port));
+      observe_exit (Profiler.Flight.Io_out { port; value });
       Io_out { port; value }
   | Vm.Cpu.Io_in { port; reg } ->
-      sys.stats.io_exits <- sys.stats.io_exits + 1;
-      kincr sys "kvm_io_exits_total";
-      record_exit (Profiler.Flight.Io_in { port });
-      note_exit_reason sys "io_in";
-      fire_exit "io_in" (Int64.of_int port);
+      observe_exit (Profiler.Flight.Io_in { port });
       Io_in { port; reg }
   | Vm.Cpu.Fault f ->
-      sys.stats.fault_exits <- sys.stats.fault_exits + 1;
-      kincr sys "kvm_fault_exits_total";
-      record_exit
+      observe_exit
         (Profiler.Flight.Fault (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f)));
-      note_exit_reason sys "fault";
-      fire_exit "fault" 0L;
       Fault f
   | Vm.Cpu.Out_of_fuel ->
-      record_exit Profiler.Flight.Fuel;
-      note_exit_reason sys "fuel";
-      fire_exit "fuel" 0L;
+      observe_exit Profiler.Flight.Fuel;
       Out_of_fuel
 
 (* Background shell construction for the pool's pipelined prewarm: the

@@ -119,11 +119,27 @@ val exit_reason_counts : system -> (string * int) list
     reason. The fuzzer hashes it (with the flight ring's exit-edge
     pairs) into its coverage bitmap after each candidate. *)
 
+(** {2 Observers}
+
+    The system is the one attach point for every observer of the
+    layers above it: the telemetry hub, the flight ring and the vtrace
+    probe engine live here and nowhere else. {!Wasp.Pool} and
+    {!Wasp.Runtime} read them through the system they hold, and
+    [Wasp.Runtime.set_telemetry]/[set_probes] delegate to the setters
+    below. *)
+
 val set_telemetry : system -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub; subsequent KVM transitions
     (vm-create, memslot/EPT build, vcpu-create, [KVM_RUN]) open spans and
-    bump [kvm_*] counters on it. The hub must share this system's
-    clock. *)
+    bump [kvm_*] counters on it, and the shell pool and runtime above
+    publish their spans and [wasp_*] series to the same hub. The hub must
+    share this system's clock. *)
+
+val telemetry : system -> Telemetry.Hub.t option
+
+val active_trace : system -> int64 option
+(** Trace id of the innermost open span on the attached hub ([None] when
+    no hub is attached, tracing is off or no span is open). *)
 
 val set_flight : system -> Profiler.Flight.t option -> unit
 (** Attach (or detach) a flight recorder: every VM exit {!run} observes
@@ -134,7 +150,8 @@ val set_flight : system -> Profiler.Flight.t option -> unit
 val flight : system -> Profiler.Flight.t option
 
 val set_probes : system -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites fired by this layer:
+(** Attach (or detach) a vtrace probe engine — the one engine every
+    layer above fires through {!fire}. Sites fired by this layer:
     ["exit"] (every {!run} return — reason [hlt]/[io_out]/[io_in]/
     [fault]/[fuel], or [hypercall] with [nr] = the hypercall number when
     the out port matches {!set_hc_port}; [cycles] = the run's
@@ -146,6 +163,21 @@ val set_probes : system -> Vtrace.Engine.t option -> unit
     simulated cycles; detached sites cost one [None] check. *)
 
 val probes : system -> Vtrace.Engine.t option
+
+val fire :
+  system ->
+  ?fn:string ->
+  ?pc:int ->
+  ?reason:string ->
+  ?cycles:int64 ->
+  ?fuel:int ->
+  ?nr:int64 ->
+  string ->
+  int
+(** [fire sys site] fires [site] on the attached probe engine with a
+    context stamped with the current core and {!active_trace}; the other
+    fields default as in {!Vtrace.Ctx.make}. Returns how many probes
+    matched — 0, with no context built, when no engine is attached. *)
 
 val set_hc_port : system -> int option -> unit
 (** Declare the hypercall port (the runtime above passes its [Hc.port]):

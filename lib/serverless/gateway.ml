@@ -110,19 +110,9 @@ let tincr t name =
 
 (* vtrace "gateway" site: one fire per admission decision. *)
 let fire t ~fn ~reason ~cycles =
-  match Wasp.Runtime.probes (Vespid.runtime t.platform) with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match hub t with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make
-              ~core:(Wasp.Runtime.current_core (Vespid.runtime t.platform))
-              ?trace ~fn ~reason ~cycles "gateway"))
+  ignore
+    (Kvmsim.Kvm.fire (Wasp.Runtime.kvm (Vespid.runtime t.platform)) ~fn ~reason ~cycles
+       "gateway")
 
 let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with

@@ -28,7 +28,7 @@ type item =
       i_seq : int;
       i_core : int;
       i_args : (string * string) list;
-    }  (** a point-in-time event, e.g. a mirrored {!Wasp.Trace} entry *)
+    }  (** a point-in-time event, e.g. a pool hit or an SLO alert *)
 
 type sink
 (** Collects finished spans and instants, stamping them from one clock. *)

@@ -44,8 +44,6 @@ type t = {
   mutable policy : reclaim_policy;
   mutable prewarm : prewarm option;
   stats : stats;
-  mutable telemetry : Telemetry.Hub.t option;
-  mutable probes : Vtrace.Engine.t option;
 }
 
 let create ?(capacity = 64) sys ~clean =
@@ -77,30 +75,16 @@ let create ?(capacity = 64) sys ~clean =
         prewarmed = 0;
         prewarm_hits = 0;
       };
-    telemetry = None;
-    probes = None;
   }
 
 let stats t = t.stats
 
-let set_telemetry t hub = t.telemetry <- hub
-let set_probes t e = t.probes <- e
+(* Observers are read through the system: it is their one attach point. *)
+let hub t = Kvmsim.Kvm.telemetry t.sys
 
-(* vtrace pool sites; zero simulated cycles, one [None] check detached. *)
+(* vtrace pool sites; zero simulated cycles. [nr] is the shell footprint. *)
 let fire t site ~reason ~cycles ~nr =
-  match t.probes with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match t.telemetry with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make
-              ~core:(Kvmsim.Kvm.current_core t.sys)
-              ?trace ~reason ~cycles ~nr:(Int64.of_int nr) site))
+  ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr:(Int64.of_int nr) site)
 
 let set_reclaim_policy t policy = t.policy <- policy
 let reclaim_policy t = t.policy
@@ -114,10 +98,10 @@ let reclaim_pending t =
   Array.fold_left (fun acc s -> acc + Queue.length s.reclaim) 0 t.shards
 
 let tgauge t name v =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
+  match hub t with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
 
 let tincr t name =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.incr h name
+  match hub t with None -> () | Some h -> Telemetry.Hub.incr h name
 
 let note_size t =
   tgauge t "wasp_pool_size" (float_of_int (size t));
@@ -290,12 +274,19 @@ let take_prewarmed t ~mem_size ~mode =
       Some shell
   | Some _ | None -> None
 
+let create_shell t ~mem_size ~mode =
+  t.stats.created <- t.stats.created + 1;
+  let vm = Kvmsim.Kvm.create_vm t.sys in
+  let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
+  let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
+  { vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys }
+
 let acquire t ~mem_size ~mode =
   let shard = current_shard t in
   (* A nested span (inside the provision phase) so a traced request can
      attribute its provision cycles to hit/stall/miss specifically. *)
   let tspan f =
-    match t.telemetry with
+    match hub t with
     | None -> f ()
     | Some h ->
         Telemetry.Hub.with_span h
@@ -305,7 +296,7 @@ let acquire t ~mem_size ~mode =
   tspan @@ fun () ->
   let hit shell =
     t.stats.reused <- t.stats.reused + 1;
-    (match t.telemetry with
+    (match hub t with
     | Some h ->
         Telemetry.Hub.incr h "wasp_pool_hits_total";
         Telemetry.Hub.instant h "pool_hit"
@@ -331,7 +322,7 @@ let acquire t ~mem_size ~mode =
             t.stats.background_cycles <-
               Int64.add t.stats.background_cycles (Int64.of_int p.remaining);
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
-            (match t.telemetry with
+            (match hub t with
             | Some h ->
                 Telemetry.Hub.incr h "wasp_pool_clean_stalls_total";
                 Telemetry.Hub.instant h
@@ -349,33 +340,27 @@ let acquire t ~mem_size ~mode =
                    cycles, so the acquire pays only the handoff. *)
                 t.stats.reused <- t.stats.reused + 1;
                 fire t "pool_acquire" ~reason:"prewarm" ~cycles:0L ~nr:mem_size;
-                (match t.telemetry with
+                (match hub t with
                 | Some h ->
                     Telemetry.Hub.incr h "wasp_pool_hits_total";
                     Telemetry.Hub.instant h "pool_prewarm_hit"
                 | None -> ());
                 (shell, true)
             | None ->
-                t.stats.created <- t.stats.created + 1;
                 fire t "pool_acquire" ~reason:"miss" ~cycles:0L ~nr:mem_size;
-                (match t.telemetry with
+                (match hub t with
                 | Some h ->
                     Telemetry.Hub.incr h "wasp_pool_misses_total";
                     Telemetry.Hub.instant h "pool_miss"
                 | None -> ());
-                let vm = Kvmsim.Kvm.create_vm t.sys in
-                let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
-                let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
-                ({ vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys }, false)))
+                (create_shell t ~mem_size ~mode, false)))
   in
   note_size t;
   result
 
 let release t shell =
   t.stats.cleans <- t.stats.cleans + 1;
-  (match t.telemetry with
-  | Some h -> Telemetry.Hub.incr h "wasp_pool_cleans_total"
-  | None -> ());
+  tincr t "wasp_pool_cleans_total";
   (* Drop every page reference and start a clean dirty generation: the
      host-side work is O(pages), but the simulated cost model still
      charges the memset this stands for — the cleaning the paper's
@@ -394,7 +379,7 @@ let release t shell =
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
       t.stats.background_cycles <- Int64.add t.stats.background_cycles (Int64.of_int cost);
-      (match t.telemetry with
+      (match hub t with
       | Some h ->
           Telemetry.Hub.instant h ~args:[ ("cycles", string_of_int cost) ] "async_clean";
           Telemetry.Hub.set_gauge h "wasp_pool_background_cycles"
@@ -428,11 +413,7 @@ let drain t ~core ~budget =
     else continue_ := false
   done;
   if !spent > 0 then begin
-    (match t.telemetry with
-    | Some h ->
-        Telemetry.Hub.set_gauge h "wasp_pool_background_cycles"
-          (Int64.to_float t.stats.background_cycles)
-    | None -> ());
+    tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles);
     note_reclaim t shard
   end;
   !spent

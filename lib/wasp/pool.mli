@@ -63,20 +63,25 @@ val create : ?capacity:int -> Kvmsim.Kvm.system -> clean:clean_mode -> t
 
 val stats : t -> stats
 
-val set_telemetry : t -> Telemetry.Hub.t option -> unit
+(** {1 Observers}
 
-val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites: ["pool_acquire"]
-    (reason [hit]/[stall]/[miss]; a stall's [cycles] is what the acquire
-    paid for the in-flight clean), ["pool_release"] (reason
-    [sync]/[async]/[scheduled]; [cycles] = the clean's cost) and
-    ["pool_evict"] (reason [lru]). [nr] carries the shell footprint. *)
-(** Attach (or detach) a telemetry hub: hits/misses/cleans/evictions and
-    clean stalls become [wasp_pool_*] counters and instant events, async
-    cleaning updates the [wasp_pool_background_cycles] gauge, and cached
-    and queued shell counts are tracked by the [wasp_pool_size] and
+    The pool holds no observers of its own: it reports to the hub and
+    the probe engine attached to its {!Kvmsim.Kvm.system}
+    ({!Kvmsim.Kvm.set_telemetry}, {!Kvmsim.Kvm.set_probes}).
+
+    With a hub, hits/misses/cleans/evictions and clean stalls become
+    [wasp_pool_*] counters and instant events, async cleaning updates
+    the [wasp_pool_background_cycles] gauge, and cached and queued shell
+    counts are tracked by the [wasp_pool_size] and
     [wasp_pool_reclaim_depth] gauges (with [_core<i>] variants on
-    multi-core systems). *)
+    multi-core systems).
+
+    With a probe engine, the pool fires ["pool_acquire"] (reason
+    [hit]/[stall]/[prewarm]/[miss]; a stall's [cycles] is what the
+    acquire paid for the in-flight clean), ["pool_release"] (reason
+    [sync]/[async]/[scheduled]; [cycles] = the clean's cost),
+    ["pool_evict"] (reason [lru]) and ["pool_prewarm"] (reason
+    [build]/[take]). [nr] carries the shell footprint. *)
 
 val set_reclaim_policy : t -> reclaim_policy -> unit
 val reclaim_policy : t -> reclaim_policy
@@ -89,6 +94,13 @@ val acquire : t -> mem_size:int -> mode:Vm.Modes.t -> shell * bool
     reclaim queue, the acquire takes the oldest one and charges the
     remaining clean cost to the current core (a clean stall — still a
     pool hit). *)
+
+val create_shell : t -> mem_size:int -> mode:Vm.Modes.t -> shell
+(** Build a fresh shell on the current core through the charged KVM
+    creation path ([KVM_CREATE_VM] + memslot + [KVM_CREATE_VCPU]) and
+    count it in [stats.created]. Emits no counter, instant or probe —
+    {!acquire} does that around its miss path. Exposed for pool-disabled
+    runtimes, whose every provision is a creation. *)
 
 val release : t -> shell -> unit
 (** Clear the shell (memset of the guest region, then reset the dirty

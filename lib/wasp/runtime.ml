@@ -23,11 +23,8 @@ type t = {
   snapshot_store : Snapshot_store.t;
   hostenv : Hostenv.t;
   boot_rng : Cycles.Rng.t;
-  mutable tracer : Trace.t option;
-  mutable telemetry : Telemetry.Hub.t option;
   mutable profiler : Profiler.Profile.t option;
   mutable recorder : Profiler.Replay.t option;
-  mutable probes : Vtrace.Engine.t option;
   mutable last_flight : string option;
   reset : reset_mode;
   run_stats : run_stats;
@@ -54,11 +51,8 @@ let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `
     snapshot_store = Snapshot_store.create ?capacity:snapshot_capacity ();
     hostenv = Hostenv.create ();
     boot_rng = Cycles.Rng.split (Kvmsim.Kvm.rng sys);
-    tracer = None;
-    telemetry = None;
     profiler = None;
     recorder = None;
-    probes = None;
     last_flight = None;
     reset;
     run_stats =
@@ -90,18 +84,13 @@ let env t = t.hostenv
 let kvm t = t.sys
 let pool_stats t = Pool.stats t.pool
 let snapshots t = t.snapshot_store
-let drop_snapshot t ~key = Snapshot_store.clear t.snapshot_store ~key
 
 let stats t = t.run_stats
 
-let set_telemetry t hub =
-  t.telemetry <- hub;
-  Pool.set_telemetry t.pool hub;
-  Snapshot_store.set_telemetry t.snapshot_store hub;
-  Kvmsim.Kvm.set_telemetry t.sys hub;
-  match t.tracer with Some tr -> Trace.mirror tr hub | None -> ()
-
-let telemetry t = t.telemetry
+(* Observers live on the KVM system — the one attach point the pool
+   reads too — so attaching here reaches every layer at once. *)
+let set_telemetry t hub = Kvmsim.Kvm.set_telemetry t.sys hub
+let telemetry t = Kvmsim.Kvm.telemetry t.sys
 
 let set_profiler t p = t.profiler <- p
 let profiler t = t.profiler
@@ -109,12 +98,8 @@ let profiler t = t.profiler
 let set_recorder t r = t.recorder <- r
 let recorder t = t.recorder
 
-let set_probes t e =
-  t.probes <- e;
-  Kvmsim.Kvm.set_probes t.sys e;
-  Pool.set_probes t.pool e
-
-let probes t = t.probes
+let set_probes t e = Kvmsim.Kvm.set_probes t.sys e
+let probes t = Kvmsim.Kvm.probes t.sys
 
 let flight t = Kvmsim.Kvm.flight t.sys
 let flight_dump t = t.last_flight
@@ -125,16 +110,29 @@ let fault_plan t = Kvmsim.Kvm.fault_plan t.sys
 
 (* Telemetry shims: all no-ops when no hub is attached. *)
 let tspan t ?args name f =
-  match t.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
+  match telemetry t with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
 
 let tincr t ?by name =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.incr h ?by name
+  match telemetry t with None -> () | Some h -> Telemetry.Hub.incr h ?by name
 
 let tobserve t name v =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.observe h name v
+  match telemetry t with None -> () | Some h -> Telemetry.Hub.observe h name v
 
-let active_trace t =
-  match t.telemetry with None -> None | Some h -> Telemetry.Hub.current_trace h
+(* The store holds no observers; its series are published here, after
+   every capture and drop. *)
+let note_snapshot_store t =
+  match telemetry t with
+  | None -> ()
+  | Some h ->
+      let st = t.snapshot_store in
+      Telemetry.Hub.set_gauge h "wasp_snapshot_store_entries"
+        (float_of_int (Snapshot_store.count st));
+      Telemetry.Hub.set_gauge h "wasp_snapshot_store_bytes"
+        (float_of_int (Snapshot_store.total_bytes st))
+
+let drop_snapshot t ~key =
+  Snapshot_store.clear t.snapshot_store ~key;
+  note_snapshot_store t
 
 let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls ~denied
     ~from_snapshot =
@@ -160,17 +158,6 @@ let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls 
     tincr t "wasp_snapshot_restores_total"
   end
 
-let set_trace t tr =
-  (match tr with
-  | Some tr ->
-      Trace.attach_clock tr (clock t);
-      Trace.mirror tr t.telemetry
-  | None -> ());
-  t.tracer <- tr
-
-let trace t = t.tracer
-let emit t e = match t.tracer with Some tr -> Trace.record tr e | None -> ()
-
 type outcome = Exited of int64 | Faulted of Vm.Cpu.fault | Fuel_exhausted
 
 type result = {
@@ -188,10 +175,28 @@ type result = {
 
 let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
 
+(* The [snapshot] hypercall: capture the live shell under [key], publish
+   the store's series (the evictions counter only when this capture
+   evicted, so an eviction-free run never registers it), then write-
+   protect the footprint and build the shared EPT — per-page PTE work,
+   not a byte copy. *)
+let capture_snapshot t ~key ~mem ~cpu ~native_state =
+  tspan t ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
+      let store = t.snapshot_store in
+      let evicted = Snapshot_store.evictions store in
+      let footprint = Snapshot_store.capture store ~key ~mem ~cpu ~native_state in
+      let evicted = Snapshot_store.evictions store - evicted in
+      if evicted > 0 then tincr t ~by:evicted "wasp_snapshot_store_evictions_total";
+      note_snapshot_store t;
+      charge t
+        (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
+        * Cycles.Costs.ept_map_page);
+      0L)
+
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
    gauges charge no cycles). *)
 let note_mem_gauges t mem =
-  match t.telemetry with
+  match telemetry t with
   | None -> ()
   | Some h ->
       let st = Vm.Memory.page_stats mem in
@@ -211,14 +216,7 @@ let acquire_shell t ~mem_size ~mode =
        pre-built shell replaces the whole creation path with a handoff. *)
     match Pool.take_prewarmed t.pool ~mem_size ~mode with
     | Some shell -> (shell, false)
-    | None ->
-        let stats = Pool.stats t.pool in
-        stats.created <- stats.created + 1;
-        let vm = Kvmsim.Kvm.create_vm t.sys in
-        let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
-        let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
-        ( ({ vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys } : Pool.shell),
-          false )
+    | None -> (Pool.create_shell t.pool ~mem_size ~mode, false)
   end
 
 let release_shell t shell = if t.pool_enabled then Pool.release t.pool shell
@@ -245,19 +243,11 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
   tspan t ~args:[ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ] "hypercall"
     (fun () ->
       inv.hypercalls <- inv.hypercalls + 1;
-      emit t (Trace.Hypercall { nr; allowed });
       (* vtrace "hypercall" / "hypercall_ret" bracket the dispatch: the
-         return fire carries the handler's charged cycles and (in
-         [reason]) whether policy let it through. *)
+         return fire carries the handler's charged cycles. *)
       let fire_hc site cycles =
-        match t.probes with
-        | None -> ()
-        | Some e ->
-            ignore
-              (Vtrace.Engine.fire e
-                 (Vtrace.Ctx.make ~core:(current_core t)
-                    ?trace:(active_trace t) ~reason:(Hc.name nr) ~cycles
-                    ~nr:(Int64.of_int nr) site))
+        ignore
+          (Kvmsim.Kvm.fire t.sys ~reason:(Hc.name nr) ~cycles ~nr:(Int64.of_int nr) site)
       in
       fire_hc "hypercall" 0L;
       let hc_start = Cycles.Clock.now (clock t) in
@@ -319,13 +309,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
   tincr t "wasp_ring_enters_total";
   inv.hypercalls <- inv.hypercalls + 1;
   let fire_ring site ~reason ~cycles ~nr =
-    match t.probes with
-    | None -> ()
-    | Some e ->
-        ignore
-          (Vtrace.Engine.fire e
-             (Vtrace.Ctx.make ~core:(current_core t) ?trace:(active_trace t)
-                ~reason ~cycles ~nr site))
+    ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr site)
   in
   (* A corrupt ring header is indistinguishable from any other wild
      guest write: the whole doorbell completes as a contained guest
@@ -499,7 +483,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     ~inspect =
   (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
      the image; give the engine the name so their [fn] field resolves. *)
-  (match t.probes with Some e -> Vtrace.Engine.set_fn e image.name | None -> ());
+  (match probes t with Some e -> Vtrace.Engine.set_fn e image.name | None -> ());
   (* CoW mode retains one shell per snapshot key across invocations; a
      retained shell pins the invocation to its home core (its vCPU bills
      that core's clock), so switch before stamping [start] *)
@@ -519,7 +503,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
         | Some s -> (s, true)
         | None -> acquire_shell t ~mem_size:image.mem_size ~mode:image.mode)
   in
-  emit t (Trace.Provisioned { from_pool; mem_size = image.mem_size });
   let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
   let mem = shell.mem in
   (* Load image or restore snapshot. *)
@@ -549,10 +532,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
         "snapshot_restore"
         (fun () ->
           (* SEUSS-style reset: only the dirty pages are rewritten *)
-          let pages, bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
-          emit t
-            (Trace.Snapshot_restored
-               { key = Option.value ~default:"?" snapshot_key; bytes });
+          let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
           (* reference swaps, one minor fault's worth of fixup per page —
              the copies were already paid for by the CoW breaks during the
              dirtying run *)
@@ -567,9 +547,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           let footprint =
             Snapshot_store.restore ~eager:(t.reset = `Memcpy) entry ~mem ~cpu
           in
-          emit t
-            (Trace.Snapshot_restored
-               { key = Option.value ~default:"?" snapshot_key; bytes = footprint });
           (match t.reset with
           | `Memcpy ->
               (* the paper's eager restore: the cost is exactly the copy *)
@@ -593,7 +570,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
               if not (Profiler.Replay.image_matches rc view) then
                 invalid_arg "Runtime.run: loaded image diverges from the recorded bytes"
           | None -> ());
-          emit t (Trace.Image_loaded { name = image.name; bytes = Bytes.length image.code });
           charge t (Cycles.Costs.memcpy_cost (Bytes.length image.code)));
       tspan t ~args:[ ("mode", Vm.Modes.to_string image.mode) ] "boot" (fun () ->
           let boot_start = Cycles.Clock.now (clock t) in
@@ -603,7 +579,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           tobserve t
             ("wasp_boot_cycles_" ^ Vm.Modes.to_string image.mode)
             (Cycles.Clock.elapsed_since (clock t) boot_start);
-          emit t (Trace.Booted { mode = image.mode });
           Vm.Cpu.set_pc cpu image.entry;
           Vm.Cpu.set_sp cpu Layout.stack_top));
   (* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
@@ -632,18 +607,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
   let take_snapshot () =
     match snapshot_key with
     | None -> Hc.err_inval
-    | Some key ->
-        tspan t ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
-            let footprint =
-              Snapshot_store.capture t.snapshot_store ~key ~mem ~cpu ~native_state:None
-            in
-            emit t (Trace.Snapshot_captured { key; bytes = footprint });
-            (* write-protect the footprint and build the shared EPT:
-               per-page PTE work, not a byte copy *)
-            charge t
-              (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
-              * Cycles.Costs.ept_map_page);
-            0L)
+    | Some key -> capture_snapshot t ~key ~mem ~cpu ~native_state:None
   in
   (* The VM loop: KVM_RUN until the virtine exits, servicing hypercalls. *)
   let retired_at_start = Vm.Cpu.instructions_retired cpu in
@@ -712,16 +676,14 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
      retired instruction). Block-level probes do NOT go through here —
      they ride the translation cache's superblock-entry hook. *)
   let instr_probe =
-    match t.probes with
+    match probes t with
     | Some e when Vtrace.Engine.wants e "instr" ->
         Some
           (fun ~pc ~instr ~cost ->
             ignore
-              (Vtrace.Engine.fire e
-                 (Vtrace.Ctx.make ~core:(current_core t)
-                    ?trace:(active_trace t) ~fn:image.name ~pc
-                    ~reason:(Profiler.Profile.opcode_key instr)
-                    ~cycles:(Int64.of_int cost) "instr")))
+              (Kvmsim.Kvm.fire t.sys ~fn:image.name ~pc
+                 ~reason:(Profiler.Profile.opcode_key instr)
+                 ~cycles:(Int64.of_int cost) "instr"))
     | _ -> None
   in
   (match t.profiler with
@@ -773,9 +735,6 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           Hashtbl.replace t.retained key shell
       | (`Cow | `Memcpy), _ -> release_shell t shell);
   let cycles = Cycles.Clock.elapsed_since (clock t) start in
-  emit t
-    (Trace.Finished
-       { exited = (match outcome with Exited _ -> true | _ -> false); cycles });
   record_result t
     (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
     ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
@@ -797,7 +756,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
   let go () = run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect in
-  match t.telemetry with
+  match telemetry t with
   | None -> go ()
   | Some h -> Telemetry.Hub.with_span h ~args:[ ("image", image.name) ] "invocation" go
 
@@ -834,16 +793,8 @@ module Native_ctx = struct
     match c.snapshot_key with
     | None -> Hc.err_inval
     | Some key ->
-        tspan c.runtime ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
-            let cpu = Kvmsim.Kvm.vcpu_cpu c.shell.vcpu in
-            let footprint =
-              Snapshot_store.capture c.runtime.snapshot_store ~key ~mem:c.inv.Inv.mem ~cpu
-                ~native_state:c.snapshot_factory
-            in
-            charge c
-              (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
-              * Cycles.Costs.ept_map_page);
-            0L)
+        capture_snapshot c.runtime ~key ~mem:c.inv.Inv.mem
+          ~cpu:(Kvmsim.Kvm.vcpu_cpu c.shell.vcpu) ~native_state:c.snapshot_factory
 
   let dispatch_one c nr args =
     let full_args = Array.make 5 0L in
@@ -876,7 +827,7 @@ end
 
 let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
     ~body =
-  (match t.probes with Some e -> Vtrace.Engine.set_fn e name | None -> ());
+  (match probes t with Some e -> Vtrace.Engine.set_fn e name | None -> ());
   let retained_shell =
     match (t.reset, snapshot_key) with
     | `Cow, Some key -> Hashtbl.find_opt t.retained key
@@ -992,6 +943,6 @@ let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.L
     run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
       ~body
   in
-  match t.telemetry with
+  match telemetry t with
   | None -> go ()
   | Some h -> Telemetry.Hub.with_span h ~args:[ ("payload", name) ] "invocation" go

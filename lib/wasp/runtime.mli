@@ -100,14 +100,6 @@ val stats : t -> run_stats
 (** Aggregate counters across every invocation this runtime has run
     (images and native payloads). *)
 
-val set_trace : t -> Trace.t option -> unit
-(** Attach (or detach) an event trace; subsequent invocations record
-    provisioning, loads/restores, hypercalls and exits into it. The trace
-    is stamped from this runtime's clock, and mirrors its events into the
-    attached telemetry hub, if any. *)
-
-val trace : t -> Trace.t option
-
 val set_telemetry : t -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub — it must have been created with
     this runtime's {!clock}. Once attached, every invocation opens a root
@@ -115,9 +107,11 @@ val set_telemetry : t -> Telemetry.Hub.t option -> unit
     [image_load]/[boot] or [snapshot_restore], [marshal], [execute] with
     nested [hypercall]/[snapshot_capture] spans, [clean]) whose depth-1
     durations sum exactly to the invocation's reported [cycles]; the
-    pool, the KVM layer and an attached trace feed the same hub; and the
-    [wasp_*] metrics (invocation counters, boot/invocation cycle
-    histograms, pool gauges) are kept up to date. *)
+    pool and the KVM layer feed the same hub; and the [wasp_*] metrics
+    (invocation counters, boot/invocation cycle histograms, pool and
+    snapshot-store gauges) are kept up to date. The hub is held by the
+    KVM system ({!Kvmsim.Kvm.set_telemetry}), the one attach point every
+    layer reads. *)
 
 val telemetry : t -> Telemetry.Hub.t option
 
@@ -142,9 +136,10 @@ val set_recorder : t -> Profiler.Replay.t option -> unit
 val recorder : t -> Profiler.Replay.t option
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine, threading it through the
-    KVM layer (["exit"], ["ept"], ["inject"], ["block"] sites) and the
-    shell pool (["pool_*"] sites); this layer itself fires
+(** Attach (or detach) a vtrace probe engine on the KVM system
+    ({!Kvmsim.Kvm.set_probes}), where the KVM layer (["exit"], ["ept"],
+    ["inject"], ["block"] sites) and the shell pool (["pool_*"] sites)
+    read it; this layer itself fires
     ["hypercall"]/["hypercall_ret"] around every dispatch and, when an
     ["instr"] probe is attached, installs a vCPU step hook — the
     translator's slower hooked blocks (cycle-identical) for the execute

@@ -15,7 +15,6 @@ type t = {
   mutable tick : int;               (* monotonic LRU stamp *)
   mutable evictions : int;
   mutable total_bytes : int;        (* sum of entry footprints *)
-  mutable telemetry : Telemetry.Hub.t option;
 }
 
 let create ?(capacity = 64) () =
@@ -26,27 +25,17 @@ let create ?(capacity = 64) () =
     tick = 0;
     evictions = 0;
     total_bytes = 0;
-    telemetry = None;
   }
-
-let set_telemetry t hub = t.telemetry <- hub
 
 let count t = Hashtbl.length t.entries
 let evictions t = t.evictions
 let total_bytes t = t.total_bytes
 
-let note t =
-  match t.telemetry with
-  | None -> ()
-  | Some h ->
-      Telemetry.Hub.set_gauge h "wasp_snapshot_store_entries" (float_of_int (count t));
-      Telemetry.Hub.set_gauge h "wasp_snapshot_store_bytes" (float_of_int t.total_bytes)
-
 let touch t slot =
   t.tick <- t.tick + 1;
   slot.last_used <- t.tick
 
-let remove t ~key =
+let clear t ~key =
   match Hashtbl.find_opt t.entries key with
   | None -> ()
   | Some slot ->
@@ -66,11 +55,8 @@ let evict_lru t =
   match !victim with
   | None -> ()
   | Some (key, _) ->
-      remove t ~key;
-      t.evictions <- t.evictions + 1;
-      (match t.telemetry with
-      | Some h -> Telemetry.Hub.incr h "wasp_snapshot_store_evictions_total"
-      | None -> ())
+      clear t ~key;
+      t.evictions <- t.evictions + 1
 
 let capture t ~key ~mem ~cpu ~native_state =
   let image = Vm.Memory.capture mem in
@@ -79,13 +65,12 @@ let capture t ~key ~mem ~cpu ~native_state =
   let entry =
     { image; footprint; regs; pc = Vm.Cpu.pc cpu; mode = Vm.Cpu.mode cpu; native_state }
   in
-  remove t ~key;
+  clear t ~key;
   let slot = { entry; last_used = 0 } in
   Hashtbl.replace t.entries key slot;
   t.total_bytes <- t.total_bytes + footprint;
   touch t slot;
   if count t > t.capacity then evict_lru t;
-  note t;
   footprint
 
 let find t ~key =
@@ -111,12 +96,3 @@ let restore_cow entry ~mem ~cpu =
   restore_regs entry ~cpu;
   Vm.Memory.clear_dirty mem;
   (pages, bytes)
-
-let clear t ~key =
-  remove t ~key;
-  note t
-
-let reset t =
-  Hashtbl.reset t.entries;
-  t.total_bytes <- 0;
-  note t

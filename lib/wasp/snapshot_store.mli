@@ -12,7 +12,10 @@
     same function — the paper warns that "care must be taken in describing
     what memory is saved" — so the registry is keyed explicitly. The
     registry is LRU-bounded like the shell pool: beyond [capacity] the
-    least-recently captured/found key is evicted. *)
+    least-recently captured/found key is evicted.
+
+    The store holds no observers: its owner ({!Runtime}) publishes the
+    [wasp_snapshot_store_*] series after each capture and drop. *)
 
 type entry = {
   image : Vm.Memory.image;       (** page references, trimmed to footprint *)
@@ -29,11 +32,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity 64 entries. @raise Invalid_argument if < 1. *)
-
-val set_telemetry : t -> Telemetry.Hub.t option -> unit
-(** Attach a hub: the store maintains [wasp_snapshot_store_entries] /
-    [wasp_snapshot_store_bytes] gauges and bumps
-    [wasp_snapshot_store_evictions_total]. *)
 
 val capture :
   t ->
@@ -67,9 +65,10 @@ val restore_cow : entry -> mem:Vm.Memory.t -> cpu:Vm.Cpu.t -> int * int
     shell. *)
 
 val clear : t -> key:string -> unit
-val reset : t -> unit
 val count : t -> int
 
 val evictions : t -> int
+(** LRU evictions since creation. *)
+
 val total_bytes : t -> int
 (** Sum of resident entries' footprints. *)

@@ -116,18 +116,8 @@ let tinstant t ?args name =
 
 (* vtrace supervisor sites; [fn] carries the supervision key. *)
 let fire t site ~fn ~reason ~cycles ~nr =
-  match Runtime.probes t.rt with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match Runtime.telemetry t.rt with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core:(Runtime.current_core t.rt) ?trace ~fn ~reason
-              ~cycles ~nr:(Int64.of_int nr) site))
+  ignore
+    (Kvmsim.Kvm.fire (Runtime.kvm t.rt) ~fn ~reason ~cycles ~nr:(Int64.of_int nr) site)
 
 let streak_for t key =
   match Hashtbl.find_opt t.streaks key with

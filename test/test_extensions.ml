@@ -58,65 +58,52 @@ let test_disasm_addresses_consecutive () =
 let fib_image =
   Wasp.Image.of_asm_string ~name:"t-exit" "mov r0, 0\nmov r1, 7\nout 1, r0\nhlt"
 
-let test_trace_records_lifecycle () =
+(* An invocation's lifecycle is visible as hub spans: one attach point
+   (Runtime.set_telemetry) feeds every layer. *)
+let traced () =
   let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  (w, hub)
+
+let spans hub = Telemetry.Span.spans (Telemetry.Hub.spans hub)
+
+let hypercall_spans hub =
+  List.filter_map
+    (fun (s : Telemetry.Span.span) ->
+      if s.name = "hypercall" then
+        Some (List.assoc "nr" s.args, List.assoc "allowed" s.args = "true")
+      else None)
+    (spans hub)
+
+let test_trace_records_lifecycle () =
+  let w, hub = traced () in
   ignore (R.run w fib_image ());
-  let events = Wasp.Trace.events tr in
-  let has p = List.exists p events in
-  Alcotest.(check bool) "provisioned" true
-    (has (function Wasp.Trace.Provisioned _ -> true | _ -> false));
-  Alcotest.(check bool) "image loaded" true
-    (has (function Wasp.Trace.Image_loaded _ -> true | _ -> false));
-  Alcotest.(check bool) "booted" true
-    (has (function Wasp.Trace.Booted _ -> true | _ -> false));
-  Alcotest.(check bool) "exit hypercall" true
-    (has (function Wasp.Trace.Hypercall { nr; allowed = true } -> nr = Wasp.Hc.exit_ | _ -> false));
-  Alcotest.(check bool) "finished" true
-    (has (function Wasp.Trace.Finished { exited = true; _ } -> true | _ -> false))
+  let names = List.map (fun (s : Telemetry.Span.span) -> s.name) (spans hub) in
+  List.iter
+    (fun phase -> Alcotest.(check bool) (phase ^ " span") true (List.mem phase names))
+    [ "provision"; "image_load"; "boot"; "hypercall" ];
+  Alcotest.(check bool) "exit hypercall allowed" true
+    (List.mem (Wasp.Hc.name Wasp.Hc.exit_, true) (hypercall_spans hub))
 
 let test_trace_denied_hypercall_visible () =
-  let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
+  let w, hub = traced () in
   let img =
     Wasp.Image.of_asm_string ~name:"t-open"
       "mov r0, 3\nmov r1, 0\nout 1, r0\nmov r0, 0\nmov r1, 0\nout 1, r0"
   in
   ignore (R.run w img ());
-  let hcs = Wasp.Trace.hypercalls tr in
   Alcotest.(check bool) "open denied in trace" true
-    (List.mem (Wasp.Hc.open_, false) hcs)
+    (List.mem (Wasp.Hc.name Wasp.Hc.open_, false) (hypercall_spans hub))
 
 let test_trace_detach () =
-  let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
+  let w, hub = traced () in
   ignore (R.run w fib_image ());
-  let n = Wasp.Trace.count tr in
-  R.set_trace w None;
+  let n = Telemetry.Span.count (Telemetry.Hub.spans hub) in
+  R.set_telemetry w None;
   ignore (R.run w fib_image ());
-  Alcotest.(check int) "no new events after detach" n (Wasp.Trace.count tr)
-
-let test_trace_ring_capacity () =
-  let tr = Wasp.Trace.create ~capacity:4 () in
-  for i = 1 to 20 do
-    Wasp.Trace.record tr (Wasp.Trace.Hypercall { nr = i; allowed = true })
-  done;
-  let events = Wasp.Trace.events tr in
-  Alcotest.(check int) "capped" 4 (List.length events);
-  (* newest retained *)
-  Alcotest.(check bool) "newest kept" true
-    (List.exists (function Wasp.Trace.Hypercall { nr = 20; _ } -> true | _ -> false) events)
-
-let test_trace_pp () =
-  let s =
-    Format.asprintf "%a" Wasp.Trace.pp_event
-      (Wasp.Trace.Hypercall { nr = Wasp.Hc.read; allowed = false })
-  in
-  Alcotest.(check bool) "names the hypercall" true (contains s "read");
-  Alcotest.(check bool) "says denied" true (contains s "denied")
+  Alcotest.(check int) "no new spans after detach" n
+    (Telemetry.Span.count (Telemetry.Hub.spans hub))
 
 (* ------------------------------------------------------------------ *)
 (* Futures (async virtines)                                             *)
@@ -255,8 +242,6 @@ let () =
           Alcotest.test_case "lifecycle events" `Quick test_trace_records_lifecycle;
           Alcotest.test_case "denied hypercalls" `Quick test_trace_denied_hypercall_visible;
           Alcotest.test_case "detach" `Quick test_trace_detach;
-          Alcotest.test_case "ring capacity" `Quick test_trace_ring_capacity;
-          Alcotest.test_case "pretty printing" `Quick test_trace_pp;
         ] );
       ( "future",
         [

@@ -331,40 +331,49 @@ let test_percentile_table_renders () =
   Alcotest.(check bool) "p50 header" true (contains "p50 (us)");
   Alcotest.(check bool) "empty row dashes" true (contains "-")
 
-(* --- trace adapter (satellite 1) -------------------------------------- *)
+(* --- one attach point --------------------------------------------------- *)
 
-let test_trace_stamps_and_mirror () =
+let test_span_stamps_monotone () =
+  let _, hub, _ = instrumented_run () in
+  let starts =
+    List.map
+      (fun (s : Telemetry.Span.span) -> s.start_cycles)
+      (Telemetry.Span.spans (Telemetry.Hub.spans hub))
+  in
+  Alcotest.(check bool) "spans recorded" true (starts <> []);
+  let rec monotone = function a :: (b :: _ as rest) -> a <= b && monotone rest | _ -> true in
+  Alcotest.(check bool) "span stamps are monotone" true (monotone starts)
+
+(* One Runtime.set_telemetry reaches every layer: the pool, the snapshot
+   store (published by the runtime) and the KVM layer all feed the same
+   registry, because the hub lives only on the KVM system. *)
+let test_one_attach_point () =
   let w = Wasp.Runtime.create ~seed:0xACE () in
   let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
   Wasp.Runtime.set_telemetry w (Some hub);
-  let tr = Wasp.Trace.create () in
-  Wasp.Runtime.set_trace w (Some tr);
-  ignore (Wasp.Runtime.run w (demo_image ()) ~policy:Wasp.Policy.allow_all ());
-  let stamped = Wasp.Trace.stamped tr in
-  Alcotest.(check bool) "trace recorded events" true (stamped <> []);
-  let stamps = List.map fst stamped in
-  Alcotest.(check bool) "all events cycle-stamped" true
-    (List.for_all Option.is_some stamps);
-  let rec monotone = function
-    | Some a :: (Some b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
+  Alcotest.(check bool) "the runtime's hub is the system's" true
+    (match Kvmsim.Kvm.telemetry (Wasp.Runtime.kvm w) with
+    | Some h -> h == hub
+    | None -> false);
+  let img =
+    Wasp.Image.of_asm_string ~name:"attach-snap" "mov r0, 6\nout 1, r0\nmov r0, 0\nout 1, r0"
   in
-  Alcotest.(check bool) "stamps are monotone" true (monotone stamps);
-  (* .mli-compatible view still works *)
-  Alcotest.(check int) "events = stamped length" (List.length stamped)
-    (List.length (Wasp.Trace.events tr));
-  (* mirrored instants land in the sink with trace.* names *)
-  let instants =
-    List.filter_map
-      (function
-        | Telemetry.Span.Instant { i_name; _ } -> Some i_name
-        | Telemetry.Span.Complete _ -> None)
-      (Telemetry.Span.items (Telemetry.Hub.spans hub))
-  in
-  Alcotest.(check bool) "trace.image_loaded mirrored" true
-    (List.mem "trace.image_loaded" instants);
-  Alcotest.(check bool) "trace.finished mirrored" true
-    (List.mem "trace.finished" instants)
+  ignore (Wasp.Runtime.run w img ~policy:Wasp.Policy.allow_all ~snapshot_key:"k" ());
+  let reg = Telemetry.Hub.metrics hub in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " registered") true
+        (Telemetry.Metrics.find reg name <> None))
+    [
+      "wasp_pool_misses_total";
+      "wasp_snapshot_store_entries";
+      "wasp_snapshot_store_bytes";
+      "kvm_runs_total";
+      "kvm_vm_creations_total";
+    ];
+  Wasp.Runtime.set_telemetry w None;
+  Alcotest.(check bool) "detach reaches the system" true
+    (Kvmsim.Kvm.telemetry (Wasp.Runtime.kvm w) = None)
 
 (* --- pool + kvm metrics ----------------------------------------------- *)
 
@@ -708,8 +717,8 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "trace stamps + telemetry mirror" `Quick
-            test_trace_stamps_and_mirror;
+          Alcotest.test_case "span stamps monotone" `Quick test_span_stamps_monotone;
+          Alcotest.test_case "one attach point" `Quick test_one_attach_point;
           Alcotest.test_case "pool and kvm metrics" `Quick test_pool_and_kvm_metrics;
           Alcotest.test_case "paged-memory gauges" `Quick test_memory_gauges;
         ] );

@@ -359,7 +359,8 @@ let test_sites_pool () =
   in
   let sys = Kvmsim.Kvm.open_dev () in
   let pool = Wasp.Pool.create ~capacity:1 sys ~clean:Wasp.Pool.Sync in
-  Wasp.Pool.set_probes pool (Some e);
+  (* the pool fires through the engine attached to its system *)
+  Kvmsim.Kvm.set_probes sys (Some e);
   let s1, hit1 = Wasp.Pool.acquire pool ~mem_size:0x10000 ~mode:Vm.Modes.Long in
   let s2, hit2 = Wasp.Pool.acquire pool ~mem_size:0x20000 ~mode:Vm.Modes.Long in
   Alcotest.(check bool) "both cold" false (hit1 || hit2);

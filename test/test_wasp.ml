@@ -625,25 +625,38 @@ let test_dirty_page_past_footprint_restores_to_zeros () =
   Alcotest.(check int64) "in-footprint data intact" 0x1234L (Vm.Memory.read_u64 mem 0)
 
 let test_snapshot_store_lru_eviction () =
-  let store = Wasp.Snapshot_store.create ~capacity:2 () in
-  let hub = Telemetry.Hub.create ~clock:(Cycles.Clock.create ()) () in
-  Wasp.Snapshot_store.set_telemetry store (Some hub);
-  let capture key v =
-    let mem, cpu = mem_with_cpu () in
-    Vm.Memory.write_u64 mem 0 v;
-    ignore (Wasp.Snapshot_store.capture store ~key ~mem ~cpu ~native_state:None)
+  let w = R.create ~snapshot_capacity:2 () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  (* snapshot immediately, so the first run under a key captures it and
+     later runs restore it (refreshing its LRU stamp) *)
+  let img =
+    Wasp.Image.of_asm_string ~name:"lru-snap" "mov r0, 6\nout 1, r0\nmov r0, 0\nout 1, r0"
   in
-  capture "a" 1L;
-  capture "b" 2L;
-  (* touch "a" so "b" is the LRU victim when "c" arrives *)
-  ignore (Wasp.Snapshot_store.find store ~key:"a");
-  capture "c" 3L;
+  let run key = ignore (R.run w img ~policy:Wasp.Policy.allow_all ~snapshot_key:key ()) in
+  let prom () = Telemetry.Prometheus.to_text (Telemetry.Hub.metrics hub) in
+  let has_line text line = List.mem line (String.split_on_char '\n' text) in
+  let contains text sub =
+    let n = String.length sub and m = String.length text in
+    let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
+    go 0
+  in
+  let store = R.snapshots w in
+  run "a";
+  run "b";
+  (* restore "a" so "b" is the LRU victim when "c" arrives *)
+  run "a";
+  Alcotest.(check bool) "no evictions series before the first eviction" false
+    (contains (prom ()) "wasp_snapshot_store_evictions_total");
+  run "c";
   Alcotest.(check int) "bounded at capacity" 2 (Wasp.Snapshot_store.count store);
   Alcotest.(check bool) "LRU key evicted" true
     (Wasp.Snapshot_store.find store ~key:"b" = None);
   Alcotest.(check bool) "recently used key kept" true
     (Wasp.Snapshot_store.find store ~key:"a" <> None);
   Alcotest.(check int) "eviction counted" 1 (Wasp.Snapshot_store.evictions store);
+  Alcotest.(check bool) "evictions series at 1" true
+    (has_line (prom ()) "wasp_snapshot_store_evictions_total 1");
   let gauge name =
     match Telemetry.Metrics.find (Telemetry.Hub.metrics hub) name with
     | Some (Telemetry.Metrics.Gauge g) -> int_of_float g.Telemetry.Metrics.g_value
@@ -651,7 +664,10 @@ let test_snapshot_store_lru_eviction () =
   in
   Alcotest.(check int) "entries gauge" 2 (gauge "wasp_snapshot_store_entries");
   Alcotest.(check bool) "bytes gauge tracks footprints" true
-    (gauge "wasp_snapshot_store_bytes" > 0)
+    (gauge "wasp_snapshot_store_bytes" > 0);
+  R.drop_snapshot w ~key:"a";
+  Alcotest.(check int) "drop republishes the entries gauge" 1
+    (gauge "wasp_snapshot_store_entries")
 
 (* a guest that snapshots immediately, then dirties exactly [k] pages *)
 let dirty_k_image ~k ~size =
