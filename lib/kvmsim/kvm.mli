@@ -137,10 +137,6 @@ val set_telemetry : system -> Telemetry.Hub.t option -> unit
 
 val telemetry : system -> Telemetry.Hub.t option
 
-val active_trace : system -> int64 option
-(** Trace id of the innermost open span on the attached hub ([None] when
-    no hub is attached, tracing is off or no span is open). *)
-
 val set_flight : system -> Profiler.Flight.t option -> unit
 (** Attach (or detach) a flight recorder: every VM exit {!run} observes
     (halt, I/O, fault, fuel) is recorded with its cycle stamp, core id
@@ -175,9 +171,10 @@ val fire :
   string ->
   int
 (** [fire sys site] fires [site] on the attached probe engine with a
-    context stamped with the current core and {!active_trace}; the other
-    fields default as in {!Vtrace.Ctx.make}. Returns how many probes
-    matched — 0, with no context built, when no engine is attached. *)
+    context stamped with the current core and the trace id of the
+    innermost open span on the attached hub; the other fields default as
+    in {!Vtrace.Ctx.make}. Returns how many probes matched — 0, with no
+    context built, when no engine is attached. *)
 
 val set_hc_port : system -> int option -> unit
 (** Declare the hypercall port (the runtime above passes its [Hc.port]):

@@ -87,7 +87,6 @@ let fire t site ~reason ~cycles ~nr =
   ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr:(Int64.of_int nr) site)
 
 let set_reclaim_policy t policy = t.policy <- policy
-let reclaim_policy t = t.policy
 
 let shard_size s = s.cached_count
 let size t = Array.fold_left (fun acc s -> acc + s.cached_count) 0 t.shards
@@ -204,10 +203,6 @@ let set_prewarm t cfg =
       if pw_mem_size < 1 then invalid_arg "Pool.set_prewarm: mem_size must be >= 1"
   | None -> ());
   t.prewarm <- cfg
-
-let prewarm t = t.prewarm
-
-let prewarm_depth t ~core = Queue.length t.shards.(core).prewarmed
 
 let note_prewarm t =
   tgauge t "wasp_pool_prewarm_depth"

@@ -84,7 +84,6 @@ val stats : t -> stats
     [build]/[take]). [nr] carries the shell footprint. *)
 
 val set_reclaim_policy : t -> reclaim_policy -> unit
-val reclaim_policy : t -> reclaim_policy
 
 val acquire : t -> mem_size:int -> mode:Vm.Modes.t -> shell * bool
 (** Returns a clean shell and whether it came from the pool, searching
@@ -128,14 +127,12 @@ val set_prewarm : t -> prewarm option -> unit
 (** Arm (or disarm) pipelined pre-boot. Raises [Invalid_argument] on a
     non-positive target or mem_size. *)
 
-val prewarm : t -> prewarm option
-
 val prewarm_step : t -> core:int -> budget:int -> int
 (** Pre-build shells for [core]'s shard until its prewarm queue reaches
-    the configured target or [budget] cycles are used ({!shell_cost}
-    each, booked as background work). Returns the cycles spent; as with
-    {!drain}, the caller advances the core's clock. No-op when prewarm
-    is unconfigured. *)
+    the configured target or [budget] cycles are used (the jitter-free
+    KVM creation cost per shell, booked as background work). Returns the
+    cycles spent; as with {!drain}, the caller advances the core's
+    clock. No-op when prewarm is unconfigured. *)
 
 val take_prewarmed : t -> mem_size:int -> mode:Vm.Modes.t -> shell option
 (** Adopt a pre-built shell from the current core's shard, if the head
@@ -147,13 +144,6 @@ val take_prewarmed : t -> mem_size:int -> mode:Vm.Modes.t -> shell option
     {!prewarm_step} calls. Used by {!acquire} on what would otherwise
     be a miss; exposed for pool-disabled runtimes. *)
 
-val prewarm_depth : t -> core:int -> int
-(** Pre-built shells waiting on [core]'s shard. *)
-
-val shell_cost : int
-(** Deterministic cycles to build one shell from scratch
-    (KVM_CREATE_VM + memslot + KVM_CREATE_VCPU, jitter-free). *)
-
 val size : t -> int
 (** Shells currently cached (all shards; excludes the reclaim queues). *)
 
@@ -162,6 +152,3 @@ val shard_sizes : t -> int array
 
 val reclaim_depth : t -> core:int -> int
 (** Shells awaiting cleaning on [core]'s reclaim queue. *)
-
-val reclaim_pending : t -> int
-(** Total queued shells across all cores. *)

@@ -29,7 +29,7 @@ type t = {
   reset : reset_mode;
   run_stats : run_stats;
   retained : (string, Pool.shell) Hashtbl.t;
-      (* CoW mode: one shell per snapshot key, kept dirty between
+      (* CoW mode: one idle shell per snapshot key, kept dirty between
          invocations; the next restore rewrites only the dirty pages *)
 }
 
@@ -72,13 +72,11 @@ let clock t = Kvmsim.Kvm.clock t.sys
 let core_clock t core = Kvmsim.Kvm.core_clock t.sys core
 let cores t = Kvmsim.Kvm.cores t.sys
 let on_core t core = Kvmsim.Kvm.set_core t.sys core
-let current_core t = Kvmsim.Kvm.current_core t.sys
 let set_reclaim_policy t policy = Pool.set_reclaim_policy t.pool policy
 let drain_reclaim t ~core ~budget = Pool.drain t.pool ~core ~budget
 let reclaim_depth t ~core = Pool.reclaim_depth t.pool ~core
 let set_prewarm t cfg = Pool.set_prewarm t.pool cfg
 let prewarm_step t ~core ~budget = Pool.prewarm_step t.pool ~core ~budget
-let prewarm_depth t ~core = Pool.prewarm_depth t.pool ~core
 let rng t = Kvmsim.Kvm.rng t.sys
 let env t = t.hostenv
 let kvm t = t.sys
@@ -93,20 +91,15 @@ let set_telemetry t hub = Kvmsim.Kvm.set_telemetry t.sys hub
 let telemetry t = Kvmsim.Kvm.telemetry t.sys
 
 let set_profiler t p = t.profiler <- p
-let profiler t = t.profiler
-
 let set_recorder t r = t.recorder <- r
-let recorder t = t.recorder
 
 let set_probes t e = Kvmsim.Kvm.set_probes t.sys e
 let probes t = Kvmsim.Kvm.probes t.sys
 
 let flight t = Kvmsim.Kvm.flight t.sys
 let flight_dump t = t.last_flight
-let clear_flight_dump t = t.last_flight <- None
 
 let set_fault_plan t plan = Kvmsim.Kvm.set_fault_plan t.sys plan
-let fault_plan t = Kvmsim.Kvm.fault_plan t.sys
 
 (* Telemetry shims: all no-ops when no hub is attached. *)
 let tspan t ?args name f =
@@ -221,6 +214,24 @@ let acquire_shell t ~mem_size ~mode =
 
 let release_shell t shell = if t.pool_enabled then Pool.release t.pool shell
 
+(* The one transcript emitter for exit-carried hypercalls (an [out] exit,
+   each ring op, the ring doorbell): the replay event, then the flight
+   note, appended so probe-engine stamps on the exit survive, then the
+   black-box dump if policy denied the call. *)
+let note_hypercall t ~at ~nr ~args ~ret ?note ~denied () =
+  (match t.recorder with
+  | Some rec_ -> Profiler.Replay.add_event rec_ ~at ~nr ~args ~ret
+  | None -> ());
+  match Kvmsim.Kvm.flight t.sys with
+  | Some fr ->
+      Option.iter (Profiler.Flight.append_note fr) note;
+      if denied then
+        t.last_flight <-
+          Some
+            (Profiler.Flight.dump fr
+               ~reason:(Printf.sprintf "policy violation: hypercall %s denied" (Hc.name nr)))
+  | None -> ()
+
 (* Dispatch one hypercall: policy check, then client override or canned
    handler. Returns the value for r0 and whether execution should stop.
    Numbers outside [0, Hc.count) are rejected up front with [err_inval]
@@ -333,16 +344,14 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
     else begin
       fire_ring "ring_enter" ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int pending);
       (* Replay transcript: the doorbell first (head/tail window, ret =
-         pending), then one event per SQE in drain order. Replays re-run
-         the drain for real, so the per-op events self-verify. *)
-      (match t.recorder with
-      | Some rec_ ->
-          Profiler.Replay.add_event rec_
-            ~at:(Cycles.Clock.now (clock t))
-            ~nr:Hc.ring_enter
-            ~args:[| head0; tail; 0L; 0L; 0L |]
-            ~ret:(Int64.of_int pending)
-      | None -> ());
+         pending; no flight note), then one event per SQE in drain order.
+         Replays re-run the drain for real, so the per-op events
+         self-verify. *)
+      note_hypercall t
+        ~at:(Cycles.Clock.now (clock t))
+        ~nr:Hc.ring_enter
+        ~args:[| head0; tail; 0L; 0L; 0L |]
+        ~ret:(Int64.of_int pending) ~denied:false ();
       let completed = ref 0 in
       let halted = ref false in
       let i = ref head0 in
@@ -352,6 +361,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
            if fuel_left () < ring_op_fuel then raise Fuel_stop;
            Vm.Cpu.add_retired cpu ring_op_fuel;
            let at = Cycles.Clock.now (clock t) in
+           let denied_before = inv.denied in
            let sqe = Ring.read_sqe mem ~index:!i in
            let dispatch_args = ref sqe.Ring.args in
            let result =
@@ -446,16 +456,9 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
              end
            in
            Ring.write_cqe mem ~index:!i ~nr:sqe.Ring.nr ~result;
-           (match t.recorder with
-           | Some rec_ ->
-               Profiler.Replay.add_event rec_ ~at ~nr:sqe.Ring.nr ~args:!dispatch_args
-                 ~ret:result
-           | None -> ());
-           (match Kvmsim.Kvm.flight t.sys with
-           | Some fr ->
-               Profiler.Flight.append_note fr
-                 (Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
-           | None -> ());
+           note_hypercall t ~at ~nr:sqe.Ring.nr ~args:!dispatch_args ~ret:result
+             ~note:(Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
+             ~denied:(inv.denied > denied_before) ();
            fire_ring "ring_op" ~reason:(Hc.name sqe.Ring.nr)
              ~cycles:(Cycles.Clock.elapsed_since (clock t) at)
              ~nr:(Int64.of_int sqe.Ring.nr);
@@ -474,88 +477,151 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
       Drain_done (Int64.of_int !completed)
     end
 
-(* The invocation body. Every charged cycle between [start] and the end
-   of the [clean] phase falls inside exactly one phase span (provision,
-   image_load/boot or snapshot_restore, marshal, execute, clean) and the
-   virtual clock only moves when charged, so the depth-1 phase durations
-   tile the invocation: they sum exactly to the reported [cycles]. *)
-let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
-    ~inspect =
+(* ------------------------------------------------------------------ *)
+(* The invocation lifecycle                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Both entry points share one lifecycle: [provision], then [restore] or
+   [boot], their own marshal/execute steps, then [finish]. Every charged
+   cycle between [start] and the end of the [clean] phase falls inside
+   exactly one phase span (provision, image_load/boot or
+   snapshot_restore, marshal, execute, clean) and the virtual clock only
+   moves when charged, so the depth-1 phase durations tile the
+   invocation: they sum exactly to the reported [cycles]. *)
+
+type provisioned = {
+  shell : Pool.shell;
+  from_pool : bool;
+  retained : bool;  (* [shell] is the key's retained CoW shell *)
+  snapshot : (string * Snapshot_store.entry) option;
+  start : int64;
+}
+
+let provision t ~name ~mem_size ~mode ~snapshot_key =
   (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
-     the image; give the engine the name so their [fn] field resolves. *)
-  (match probes t with Some e -> Vtrace.Engine.set_fn e image.name | None -> ());
-  (* CoW mode retains one shell per snapshot key across invocations; a
-     retained shell pins the invocation to its home core (its vCPU bills
-     that core's clock), so switch before stamping [start] *)
-  let retained_shell =
-    match (t.reset, snapshot_key) with
-    | `Cow, Some key -> Hashtbl.find_opt t.retained key
-    | (`Cow | `Memcpy), _ -> None
+     the payload; give the engine the name so their [fn] field resolves. *)
+  (match probes t with Some e -> Vtrace.Engine.set_fn e name | None -> ());
+  let snapshot =
+    match snapshot_key with
+    | Some key -> Option.map (fun e -> (key, e)) (Snapshot_store.find t.snapshot_store ~key)
+    | None -> None
   in
-  (match retained_shell with
+  (* CoW mode keeps one idle shell per snapshot key between invocations.
+     The invocation takes it out of [retained] ([finish] puts it back),
+     so a shell that goes back to the pool is never still reachable by
+     key. It is reused only while the key's snapshot exists: without one
+     the invocation boots, and booting onto a dirty shell would leak its
+     pages, so a stale shell is zeroed back into the pool instead. *)
+  let retained, stale =
+    match (t.reset, snapshot_key) with
+    | `Cow, Some key ->
+        let found = Hashtbl.find_opt t.retained key in
+        Hashtbl.remove t.retained key;
+        if Option.is_none snapshot then (None, found) else (found, None)
+    | (`Cow | `Memcpy), _ -> (None, None)
+  in
+  (* a retained shell pins the invocation to its home core (its vCPU
+     bills that core's clock), so switch before stamping [start] *)
+  (match retained with
   | Some s when s.Pool.home <> Kvmsim.Kvm.current_core t.sys ->
       Kvmsim.Kvm.set_core t.sys s.Pool.home
   | Some _ | None -> ());
   let start = Cycles.Clock.now (clock t) in
   let shell, from_pool =
     tspan t "provision" (fun () ->
-        match retained_shell with
+        match retained with
         | Some s -> (s, true)
-        | None -> acquire_shell t ~mem_size:image.mem_size ~mode:image.mode)
+        | None ->
+            Option.iter (release_shell t) stale;
+            acquire_shell t ~mem_size ~mode)
   in
-  let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
-  let mem = shell.mem in
-  (* Load image or restore snapshot. *)
-  let snapshot_entry =
-    match snapshot_key with
-    | Some key -> Snapshot_store.find t.snapshot_store ~key
-    | None -> None
+  { shell; from_pool; retained = Option.is_some retained; snapshot; start }
+
+(* Restore [snapshot] into the provisioned shell, then run the caller's
+   own restore work [k] inside the same span and return its value. *)
+let restore t (prov : provisioned) (key, entry) k =
+  let mem = prov.shell.mem and cpu = Kvmsim.Kvm.vcpu_cpu prov.shell.vcpu in
+  let kind =
+    if prov.retained then "cow" else match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy"
   in
-  let from_snapshot = snapshot_entry <> None in
-  (* Fault plan: a restore can hand back a corrupted snapshot. The page
-     under the restored PC is stomped with an invalid-opcode pattern
-     (0xFF never decodes), so the guest faults deterministically at its
-     first fetch — same plan, same fault, cycle for cycle. The stomp runs
-     inside the restore span: the CoW break it triggers is restore work. *)
-  let maybe_corrupt_restore () =
-    if Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt then begin
-      let page_size = Vm.Memory.page_size in
-      let off = Vm.Cpu.pc cpu / page_size * page_size in
-      let len = min page_size (Vm.Memory.size mem - off) in
-      if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
-    end
+  tspan t ~args:[ ("key", key); ("kind", kind) ] "snapshot_restore" (fun () ->
+      (if prov.retained then begin
+         (* SEUSS-style reset: only the dirty pages are rewritten *)
+         let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
+         (* reference swaps, one minor fault's worth of fixup per page —
+            the copies were already paid for by the CoW breaks during the
+            dirtying run *)
+         charge t (pages * Cycles.Costs.cow_page_fault)
+       end
+       else
+         let footprint = Snapshot_store.restore ~eager:(t.reset = `Memcpy) entry ~mem ~cpu in
+         match t.reset with
+         | `Memcpy ->
+             (* the paper's eager restore: the cost is exactly the copy *)
+             charge t (Cycles.Costs.memcpy_cost footprint)
+         | `Cow ->
+             (* repoint the vCPU at the snapshot's pre-built EPT root:
+                O(1), independent of image size — pages fault in lazily *)
+             charge t Cycles.Costs.ept_root_swap);
+      k ())
+
+let boot t ~mem ~mode =
+  let mode_name = Vm.Modes.to_string mode in
+  tspan t ~args:[ ("mode", mode_name) ] "boot" (fun () ->
+      let boot_start = Cycles.Clock.now (clock t) in
+      let _components = Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode in
+      tobserve t ("wasp_boot_cycles_" ^ mode_name)
+        (Cycles.Clock.elapsed_since (clock t) boot_start))
+
+let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_value =
+  tspan t "clean" (fun () ->
+      note_mem_gauges t prov.shell.mem;
+      match (t.reset, snapshot_key) with
+      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
+          (* keep the dirty shell for the next CoW reset; no cleaning *)
+          Hashtbl.replace t.retained key prov.shell
+      | (`Cow | `Memcpy), _ -> release_shell t prov.shell);
+  let cycles = Cycles.Clock.elapsed_since (clock t) prov.start in
+  let from_snapshot = Option.is_some prov.snapshot in
+  record_result t
+    (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
+    ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
+  tobserve t "wasp_invocation_cycles" cycles;
+  {
+    outcome;
+    return_value;
+    output = inv.output;
+    console = Buffer.contents inv.console;
+    cycles;
+    hypercalls = inv.hypercalls;
+    denied = inv.denied;
+    pointer_violations = inv.pointer_violations;
+    from_snapshot;
+    from_pool = prov.from_pool;
+  }
+
+let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
+    ~inspect =
+  let prov =
+    provision t ~name:image.name ~mem_size:image.mem_size ~mode:image.mode ~snapshot_key
   in
-  (match snapshot_entry with
-  | Some entry when retained_shell <> None ->
-      tspan t
-        ~args:[ ("key", Option.value ~default:"?" snapshot_key); ("kind", "cow") ]
-        "snapshot_restore"
-        (fun () ->
-          (* SEUSS-style reset: only the dirty pages are rewritten *)
-          let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
-          (* reference swaps, one minor fault's worth of fixup per page —
-             the copies were already paid for by the CoW breaks during the
-             dirtying run *)
-          charge t (pages * Cycles.Costs.cow_page_fault);
-          maybe_corrupt_restore ())
-  | Some entry ->
-      let kind = match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy" in
-      tspan t
-        ~args:[ ("key", Option.value ~default:"?" snapshot_key); ("kind", kind) ]
-        "snapshot_restore"
-        (fun () ->
-          let footprint =
-            Snapshot_store.restore ~eager:(t.reset = `Memcpy) entry ~mem ~cpu
-          in
-          (match t.reset with
-          | `Memcpy ->
-              (* the paper's eager restore: the cost is exactly the copy *)
-              charge t (Cycles.Costs.memcpy_cost footprint)
-          | `Cow ->
-              (* repoint the vCPU at the snapshot's pre-built EPT root:
-                 O(1), independent of image size — pages fault in lazily *)
-              charge t Cycles.Costs.ept_root_swap);
-          maybe_corrupt_restore ())
+  let cpu = Kvmsim.Kvm.vcpu_cpu prov.shell.vcpu in
+  let mem = prov.shell.mem in
+  (match prov.snapshot with
+  | Some snapshot ->
+      (* Fault plan: a restore can hand back a corrupted snapshot. The
+         page under the restored PC is stomped with an invalid-opcode
+         pattern (0xFF never decodes), so the guest faults
+         deterministically at its first fetch — same plan, same fault,
+         cycle for cycle. The stomp runs inside the restore span: the CoW
+         break it triggers is restore work. *)
+      restore t prov snapshot (fun () ->
+          if Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt then begin
+            let page_size = Vm.Memory.page_size in
+            let off = Vm.Cpu.pc cpu / page_size * page_size in
+            let len = min page_size (Vm.Memory.size mem - off) in
+            if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
+          end)
   | None ->
       tspan t ~args:[ ("image", image.name) ] "image_load" (fun () ->
           Vm.Memory.write_bytes mem ~off:image.origin image.code;
@@ -571,16 +637,9 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
                 invalid_arg "Runtime.run: loaded image diverges from the recorded bytes"
           | None -> ());
           charge t (Cycles.Costs.memcpy_cost (Bytes.length image.code)));
-      tspan t ~args:[ ("mode", Vm.Modes.to_string image.mode) ] "boot" (fun () ->
-          let boot_start = Cycles.Clock.now (clock t) in
-          let _components =
-            Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:image.mode
-          in
-          tobserve t
-            ("wasp_boot_cycles_" ^ Vm.Modes.to_string image.mode)
-            (Cycles.Clock.elapsed_since (clock t) boot_start);
-          Vm.Cpu.set_pc cpu image.entry;
-          Vm.Cpu.set_sp cpu Layout.stack_top));
+      boot t ~mem ~mode:image.mode;
+      Vm.Cpu.set_pc cpu image.entry;
+      Vm.Cpu.set_sp cpu Layout.stack_top);
   (* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
      loaded into the virtine's address space at address 0x0"). *)
   let input_bytes =
@@ -619,7 +678,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     if fuel_left () <= 0 then Fuel_exhausted
     else begin
       incr exits;
-      match Kvmsim.Kvm.run ~fuel:(fuel_left ()) shell.vcpu with
+      match Kvmsim.Kvm.run ~fuel:(fuel_left ()) prov.shell.vcpu with
       | Kvmsim.Kvm.Hlt -> Exited (Vm.Cpu.get_reg cpu 0)
       | Kvmsim.Kvm.Io_out { port; value } when
           port = Hc.port && Int64.to_int value = Hc.ring_enter -> (
@@ -637,25 +696,12 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
             let denied_before = inv.denied in
             let r0 = dispatch t ~policy ~handlers ~inv ~take_snapshot nr args in
             Vm.Cpu.set_reg cpu 0 r0;
-            (match t.recorder with
-            | Some rec_ -> Profiler.Replay.add_event rec_ ~at ~nr ~args ~ret:r0
-            | None -> ());
-            (match Kvmsim.Kvm.flight t.sys with
-            | Some fr ->
-                (* Append so probe-engine stamps on this exit survive. *)
-                Profiler.Flight.append_note fr
-                  (Printf.sprintf "%s(%s) -> %Ld" (Hc.name nr)
-                     (String.concat ", "
-                        (List.map Int64.to_string (Array.to_list args)))
-                     r0);
-                if inv.denied > denied_before then
-                  t.last_flight <-
-                    Some
-                      (Profiler.Flight.dump fr
-                         ~reason:
-                           (Printf.sprintf "policy violation: hypercall %s denied"
-                              (Hc.name nr)))
-            | None -> ());
+            note_hypercall t ~at ~nr ~args ~ret:r0
+              ~note:
+                (Printf.sprintf "%s(%s) -> %Ld" (Hc.name nr)
+                   (String.concat ", " (List.map Int64.to_string (Array.to_list args)))
+                   r0)
+              ~denied:(inv.denied > denied_before) ();
             match inv.exit_code with Some code -> Exited code | None -> loop ()
           end
           else begin
@@ -727,38 +773,14 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
   let return_value =
     match outcome with Exited v -> v | Faulted _ | Fuel_exhausted -> Vm.Cpu.get_reg cpu 0
   in
-  tspan t "clean" (fun () ->
-      note_mem_gauges t mem;
-      match (t.reset, snapshot_key) with
-      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
-          (* keep the dirty shell for the next CoW reset; no cleaning *)
-          Hashtbl.replace t.retained key shell
-      | (`Cow | `Memcpy), _ -> release_shell t shell);
-  let cycles = Cycles.Clock.elapsed_since (clock t) start in
-  record_result t
-    (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
-    ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
-  tobserve t "wasp_invocation_cycles" cycles;
+  let result = finish t prov ~snapshot_key ~inv outcome ~return_value in
   tobserve t "kvm_exits_per_invocation" (Int64.of_int !exits);
-  {
-    outcome;
-    return_value;
-    output = inv.output;
-    console = Buffer.contents inv.console;
-    cycles;
-    hypercalls = inv.hypercalls;
-    denied = inv.denied;
-    pointer_violations = inv.pointer_violations;
-    from_snapshot;
-    from_pool;
-  }
+  result
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
-  let go () = run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect in
-  match telemetry t with
-  | None -> go ()
-  | Some h -> Telemetry.Hub.with_span h ~args:[ ("image", image.name) ] "invocation" go
+  tspan t ~args:[ ("image", image.name) ] "invocation" (fun () ->
+      run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect)
 
 (* ------------------------------------------------------------------ *)
 (* Native payloads                                                     *)
@@ -827,65 +849,22 @@ end
 
 let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
     ~body =
-  (match probes t with Some e -> Vtrace.Engine.set_fn e name | None -> ());
-  let retained_shell =
-    match (t.reset, snapshot_key) with
-    | `Cow, Some key -> Hashtbl.find_opt t.retained key
-    | (`Cow | `Memcpy), _ -> None
-  in
-  (match retained_shell with
-  | Some s when s.Pool.home <> Kvmsim.Kvm.current_core t.sys ->
-      Kvmsim.Kvm.set_core t.sys s.Pool.home
-  | Some _ | None -> ());
-  let start = Cycles.Clock.now (clock t) in
-  let shell, from_pool =
-    tspan t "provision" (fun () ->
-        match retained_shell with
-        | Some s -> (s, true)
-        | None -> acquire_shell t ~mem_size ~mode)
-  in
-  let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
-  let mem = shell.mem in
-  let snapshot_entry =
-    match snapshot_key with
-    | Some key -> Snapshot_store.find t.snapshot_store ~key
-    | None -> None
-  in
-  let from_snapshot = snapshot_entry <> None in
-  let restored =
-    match snapshot_entry with
-    | Some entry ->
-        tspan t
-          ~args:[ ("key", Option.value ~default:"?" snapshot_key) ]
-          "snapshot_restore"
-          (fun () ->
-            (match retained_shell with
-            | Some _ ->
-                let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
-                charge t (pages * Cycles.Costs.cow_page_fault)
-            | None -> (
-                let eager = t.reset = `Memcpy in
-                let footprint = Snapshot_store.restore ~eager entry ~mem ~cpu in
-                match t.reset with
-                | `Memcpy -> charge t (Cycles.Costs.memcpy_cost footprint)
-                | `Cow -> charge t Cycles.Costs.ept_root_swap));
-            match entry.Snapshot_store.native_state with
-            | Some f -> Some (f ())
-            | None -> None)
+  let prov = provision t ~name ~mem_size ~mode ~snapshot_key in
+  let mem = prov.shell.mem in
+  let restored, heap_brk =
+    match prov.snapshot with
+    | Some ((_, entry) as snapshot) ->
+        ( restore t prov snapshot (fun () ->
+              Option.map (fun f -> f ()) entry.Snapshot_store.native_state),
+          (* past the snapshot's footprint, so fresh allocations do not
+             clobber restored state *)
+          max Layout.image_base entry.Snapshot_store.footprint )
     | None ->
-        tspan t ~args:[ ("mode", Vm.Modes.to_string mode) ] "boot" (fun () ->
-            let boot_start = Cycles.Clock.now (clock t) in
-            let _components =
-              Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode
-            in
-            tobserve t
-              ("wasp_boot_cycles_" ^ Vm.Modes.to_string mode)
-              (Cycles.Clock.elapsed_since (clock t) boot_start);
-            None)
+        boot t ~mem ~mode;
+        (None, Layout.image_base)
   in
   let inv =
-    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn ~input
-      ~heap_brk:Layout.image_base ()
+    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn ~input ~heap_brk ()
   in
   let ctx =
     {
@@ -894,15 +873,10 @@ let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
       policy;
       handlers;
       snapshot_key;
-      shell;
+      shell = prov.shell;
       snapshot_factory = None;
     }
   in
-  (* Restore the heap break past the snapshot's footprint so fresh
-     allocations do not clobber restored state. *)
-  (match snapshot_entry with
-  | Some entry -> inv.Inv.heap_brk <- max inv.Inv.heap_brk entry.Snapshot_store.footprint
-  | None -> ());
   let outcome =
     tspan t "execute" (fun () ->
         match body ctx ~restored with
@@ -911,38 +885,12 @@ let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
         | exception Vm.Memory.Fault { addr; size } ->
             Faulted (Vm.Cpu.Memory_oob { addr; size }))
   in
-  tspan t "clean" (fun () ->
-      note_mem_gauges t mem;
-      match (t.reset, snapshot_key) with
-      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
-          Hashtbl.replace t.retained key shell
-      | (`Cow | `Memcpy), _ -> release_shell t shell);
   let return_value = match outcome with Exited v -> v | _ -> 0L in
-  record_result t
-    (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
-    ~hypercalls:inv.Inv.hypercalls ~denied:inv.Inv.denied ~from_snapshot;
-  let cycles = Cycles.Clock.elapsed_since (clock t) start in
-  tobserve t "wasp_invocation_cycles" cycles;
-  {
-    outcome;
-    return_value;
-    output = inv.Inv.output;
-    console = Buffer.contents inv.Inv.console;
-    cycles;
-    hypercalls = inv.Inv.hypercalls;
-    denied = inv.Inv.denied;
-    pointer_violations = inv.Inv.pointer_violations;
-    from_snapshot;
-    from_pool;
-  }
+  finish t prov ~snapshot_key ~inv outcome ~return_value
 
 let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
-  let go () =
-    run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-      ~body
-  in
-  match telemetry t with
-  | None -> go ()
-  | Some h -> Telemetry.Hub.with_span h ~args:[ ("payload", name) ] "invocation" go
+  tspan t ~args:[ ("payload", name) ] "invocation" (fun () ->
+      run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
+        ~body)

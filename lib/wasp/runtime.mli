@@ -16,7 +16,10 @@ type reset_mode = [ `Memcpy | `Cow ]
     copies the whole footprint (the paper's implementation); [`Cow]
     retains a shell per snapshot key and restores only the pages the
     previous invocation dirtied — the SEUSS-style copy-on-write reset the
-    paper anticipates in §7.2. *)
+    paper anticipates in §7.2. A retained shell is used only while its
+    key's snapshot exists: once the snapshot is dropped or evicted, the
+    key's next invocation zeroes the shell back into the pool and
+    provisions as usual. Both {!run} and {!run_native} reset this way. *)
 
 val create :
   ?seed:int ->
@@ -52,8 +55,6 @@ val on_core : t -> int -> unit
     its pool shard. The multi-core scheduler ({!Dessim.Cores}) calls this
     before each task; single-core users never need it. *)
 
-val current_core : t -> int
-
 val set_reclaim_policy : t -> Pool.reclaim_policy -> unit
 (** Select how [`Async] cleaning is realized (see {!Pool.reclaim_policy}).
     The scheduler switches the pool to [Scheduled] so cleans consume idle
@@ -76,8 +77,6 @@ val prewarm_step : t -> core:int -> budget:int -> int
 (** Spend up to [budget] idle cycles pre-building shells for [core];
     returns cycles spent. See {!Pool.prewarm_step}. *)
 
-val prewarm_depth : t -> core:int -> int
-val rng : t -> Cycles.Rng.t
 val env : t -> Hostenv.t
 val kvm : t -> Kvmsim.Kvm.system
 val pool_stats : t -> Pool.stats
@@ -125,15 +124,12 @@ val set_profiler : t -> Profiler.Profile.t option -> unit
     handler work — is booked to the [\[vmm\]] pseudo-function, so the
     per-function totals sum exactly to the execute span's duration. *)
 
-val profiler : t -> Profiler.Profile.t option
-
 val set_recorder : t -> Profiler.Replay.t option -> unit
-(** Attach a replay recorder: each hypercall the runtime dispatches is
-    appended as a cycle-stamped transcript event. The caller seeds the
-    recording ({!Profiler.Replay.set_image}/[set_env]) and finalizes it
-    ([finish]) around the invocation. *)
-
-val recorder : t -> Profiler.Replay.t option
+(** Attach a replay recorder: each exit-carried hypercall of {!run} (an
+    [out] exit, each ring op and the ring doorbell) is appended as a
+    cycle-stamped transcript event. The caller seeds the recording
+    ({!Profiler.Replay.set_image}/[set_env]) and finalizes it ([finish])
+    around the invocation. *)
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
 (** Attach (or detach) a vtrace probe engine on the KVM system
@@ -154,25 +150,22 @@ val flight : t -> Profiler.Flight.t option
 (** The VM-exit flight recorder (always attached by {!create}). *)
 
 val flight_dump : t -> string option
-(** The most recent black-box report, produced when a guest faulted or a
-    hypercall was denied by policy: the last ring of VM exits, annotated,
-    ending at the faulting PC / violating hypercall. *)
-
-val clear_flight_dump : t -> unit
+(** The most recent black-box report, produced when a guest faulted or
+    policy denied an exit-carried hypercall (per exit or as a ring op):
+    the last ring of VM exits, annotated, ending at the faulting PC /
+    violating hypercall. *)
 
 val set_fault_plan : t -> Cycles.Fault_plan.t option -> unit
 (** Arm (or disarm) a deterministic fault plan on the underlying KVM
     system (see {!Kvmsim.Kvm.set_fault_plan} for the sites, and
     {!Supervisor} for running invocations under one with retries and
     quarantine). The runtime consumes two extra sites itself:
-    [snapshot_corrupt] — one opportunity per snapshot restore; a fire
-    stomps the restored page under the guest PC with an invalid-opcode
-    pattern, so the guest faults at its first fetch — and
+    [snapshot_corrupt] — one opportunity per {!run} snapshot restore; a
+    fire stomps the restored page under the guest PC with an
+    invalid-opcode pattern, so the guest faults at its first fetch — and
     [ring_corrupt] — one opportunity per {!Hc.ring_enter} doorbell; a
     fire makes the drain treat the ring header as corrupt, completing
     the whole batch as a contained (retryable) guest fault. *)
-
-val fault_plan : t -> Cycles.Fault_plan.t option
 
 (** {1 Invocation} *)
 
@@ -271,6 +264,11 @@ val run_native :
   body:(Native_ctx.ctx -> restored:Univ.t option -> int64) ->
   unit ->
   result
-(** Provision a shell, boot (or restore the snapshot, in which case
-    [restored] carries the materialized state), run [body], and recycle
-    the shell. *)
+(** Run [body] through the same invocation lifecycle as {!run}:
+    provision a shell, boot (or restore the snapshot under the runtime's
+    {!reset_mode}, in which case [restored] carries the materialized
+    state), run [body], then clean or retain the shell. With a hub
+    attached the phase spans tile the invocation exactly as for {!run}.
+    [body]'s hypercalls go through policy and handlers but are not
+    written to a replay recorder, and a restore never takes the
+    [snapshot_corrupt] fault-plan stomp. *)

@@ -83,11 +83,9 @@ let create ?(config = default_config) rt =
   }
 
 let runtime t = t.rt
-let config t = t.config
 let stats t = t.stats
 
 let set_slo t slo = t.slo <- slo
-let slo t = t.slo
 
 (* Quarantine rejections count as bad availability: from the caller's
    side a rejected request failed, however cheap the rejection was. *)

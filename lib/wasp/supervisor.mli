@@ -76,7 +76,6 @@ type t
 val create : ?config:config -> Runtime.t -> t
 
 val runtime : t -> Runtime.t
-val config : t -> config
 val stats : t -> stats
 
 val set_slo : t -> Telemetry.Slo.t option -> unit
@@ -84,8 +83,6 @@ val set_slo : t -> Telemetry.Slo.t option -> unit
     records one event — good on success, bad on an exhausted/terminal
     failure or a quarantine rejection — re-evaluating the burn-rate
     rules on the spot. *)
-
-val slo : t -> Telemetry.Slo.t option
 
 val run :
   t ->

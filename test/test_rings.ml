@@ -79,6 +79,23 @@ let test_ring_basic_batch () =
       Alcotest.(check bool) "clock CQE has a timestamp" true (clock_res >= 0L);
       Alcotest.(check int64) "sq_head consumed both ops" 2L head
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The ring changes costs, never authority: a ring op denied by policy
+   leaves the same black-box dump a per-exit denial does. *)
+let test_denied_ring_op_dumps () =
+  let w = R.create () in
+  let r = R.run w ring_basic_image ~policy:Wasp.Policy.deny_all () in
+  Alcotest.(check int) "clock denied" 1 r.R.denied;
+  match R.flight_dump w with
+  | None -> Alcotest.fail "a denied ring op left no black-box dump"
+  | Some dump ->
+      Alcotest.(check bool) "dump names the denied call" true
+        (contains dump "hypercall clock denied")
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial descriptors: each bad op fails alone, the batch goes on  *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +331,7 @@ let () =
         [
           Alcotest.test_case "out-of-range hc -> EINVAL" `Quick test_out_of_range_einval;
           Alcotest.test_case "basic batch" `Quick test_ring_basic_batch;
+          Alcotest.test_case "denied ring op dumps" `Quick test_denied_ring_op_dumps;
         ] );
       ( "adversarial",
         [

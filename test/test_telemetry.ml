@@ -83,6 +83,68 @@ let test_snapshot_spans () =
   in
   Alcotest.(check int) "one root span per invocation" 2 (List.length roots)
 
+type Wasp.Univ.t += Native_state
+
+(* run_native shares run's lifecycle: its phases tile each invocation
+   too, and its snapshot_restore span names the restore kind. *)
+let test_native_tiles_and_restore_kind () =
+  List.iter
+    (fun (reset, label, kind) ->
+      let w = Wasp.Runtime.create ~seed:0xACE ~reset () in
+      let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
+      Wasp.Runtime.set_telemetry w (Some hub);
+      let run () =
+        Wasp.Runtime.run_native w ~name:"telemetry-native"
+          ~policy:(Wasp.Policy.of_list [ Wasp.Hc.snapshot ])
+          ~snapshot_key:"tele-native"
+          ~body:(fun ctx ~restored ->
+            let module N = Wasp.Runtime.Native_ctx in
+            match restored with
+            | Some _ -> 1L
+            | None ->
+                N.charge ctx 10_000;
+                Vm.Memory.write_u64 (N.mem ctx) (N.alloc ctx 4096) 1L;
+                N.offer_snapshot_state ctx (fun () -> Native_state);
+                ignore (N.hypercall ctx Wasp.Hc.snapshot [||]);
+                0L)
+          ()
+      in
+      let r1 = run () in
+      let r2 = run () in
+      Alcotest.(check bool) (label ^ ": second run restored") true
+        r2.Wasp.Runtime.from_snapshot;
+      (* spans come back in opening order, so each root's subtree runs up
+         to the next root *)
+      let spans = Telemetry.Span.spans (Telemetry.Hub.spans hub) in
+      let subtrees =
+        List.fold_left
+          (fun acc (s : Telemetry.Span.span) ->
+            match acc with
+            | _ when s.depth = 0 -> [ s ] :: acc
+            | tree :: rest -> (s :: tree) :: rest
+            | [] -> acc)
+          [] spans
+        |> List.rev
+      in
+      let phase_sum tree =
+        List.fold_left
+          (fun acc (s : Telemetry.Span.span) ->
+            if s.depth = 1 then Int64.add acc s.duration else acc)
+          0L tree
+      in
+      Alcotest.(check (list int64))
+        (label ^ ": depth-1 spans sum to each invocation's cycles")
+        [ r1.Wasp.Runtime.cycles; r2.Wasp.Runtime.cycles ]
+        (List.map phase_sum subtrees);
+      match
+        List.filter (fun (s : Telemetry.Span.span) -> s.name = "snapshot_restore") spans
+      with
+      | [ s ] ->
+          Alcotest.(check (option string)) (label ^ ": restore kind") (Some kind)
+            (List.assoc_opt "kind" s.Telemetry.Span.args)
+      | l -> Alcotest.failf "%s: expected one snapshot_restore, got %d" label (List.length l))
+    [ (`Memcpy, "memcpy reset", "memcpy"); (`Cow, "cow reset", "cow") ]
+
 let test_with_span_exception_safe () =
   let clk = Cycles.Clock.create () in
   let hub = Telemetry.Hub.create ~clock:clk () in
@@ -687,6 +749,8 @@ let () =
           Alcotest.test_case "phase spans tile the invocation" `Quick
             test_phase_spans_tile_invocation;
           Alcotest.test_case "snapshot capture/restore spans" `Quick test_snapshot_spans;
+          Alcotest.test_case "native invocations tile and report restore kind" `Quick
+            test_native_tiles_and_restore_kind;
           Alcotest.test_case "with_span is exception-safe" `Quick
             test_with_span_exception_safe;
           Alcotest.test_case "sink capacity drops excess" `Quick test_sink_capacity_drops;

@@ -545,6 +545,62 @@ let test_cow_no_leak_between_invocations () =
   in
   Alcotest.(check (list int64)) "no accumulation" [ 5007L; 5007L; 5007L ] rs
 
+(* A retained shell must not outlive its key's snapshot: after the
+   snapshot is dropped (between invocations, or while the key's shell is
+   running), [writer] dirties 0xC000 on a pooled shell, and [reader]'s
+   next run under k must still see a zeroed page, as under memcpy reset. *)
+let test_cow_dropped_snapshot_no_leak () =
+  let reader =
+    Wasp.Image.of_asm_string ~name:"reader"
+      {|
+  mov r0, 6        ; snapshot
+  out 1, r0
+  mov r1, 0xC000
+  ld64 r1, [r1]
+  mov r0, 0        ; exit(r1)
+  out 1, r0
+|}
+  and writer =
+    Wasp.Image.of_asm_string ~name:"writer"
+      {|
+  mov r1, 0xC000
+  st64 [r1], 0x5EC12E7
+  mov r0, 6        ; snapshot
+  out 1, r0
+  mov r0, 0
+  mov r1, 0
+  out 1, r0
+|}
+  in
+  let read ?(policy = snap_policy) ?inspect w =
+    (R.run w reader ~policy ~snapshot_key:"k" ?inspect ()).R.return_value
+  in
+  let write w = ignore (R.run w writer ~policy:snap_policy ~snapshot_key:"x" ()) in
+  let between w =
+    ignore (read w);
+    R.drop_snapshot w ~key:"k";
+    (* boots under k without capturing a new snapshot *)
+    ignore (read ~policy:Wasp.Policy.deny_all w);
+    write w
+  and mid_run w =
+    ignore (read w);
+    ignore (read ~inspect:(fun _ _ -> R.drop_snapshot w ~key:"k") w);
+    write w;
+    ignore (read w);
+    write w
+  in
+  List.iter
+    (fun (reset, mode) ->
+      List.iter
+        (fun (steps, dropped) ->
+          let w = R.create ~reset () in
+          steps w;
+          Alcotest.(check int64)
+            (Printf.sprintf "%s, dropped %s: reader sees a zeroed page" mode dropped)
+            0L (read w))
+        [ (between, "between runs"); (mid_run, "mid-run") ])
+    [ (`Memcpy, "memcpy"); (`Cow, "cow") ]
+
 let test_cow_via_compiler () =
   (* the full vcc path under both reset modes must agree *)
   let src = "virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }" in
@@ -868,6 +924,8 @@ let () =
           Alcotest.test_case "no leak between invocations" `Quick
             test_cow_no_leak_between_invocations;
           Alcotest.test_case "retains shell" `Quick test_cow_retains_shell;
+          Alcotest.test_case "dropped snapshot does not leak a retained shell" `Quick
+            test_cow_dropped_snapshot_no_leak;
           Alcotest.test_case "cow via compiler" `Quick test_cow_via_compiler;
           Alcotest.test_case "cow native payload" `Quick test_cow_native_payload;
         ] );
