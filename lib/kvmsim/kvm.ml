@@ -298,8 +298,9 @@ let vcpu_vm v = v.parent
 
 let reset_vcpu v ~mode =
   Vm.Cpu.reset v.cpu ~mode;
-  (* shell reuse: the pool's reset_zero already epoch-invalidates every
-     block; dropping them too keeps the table from accreting garbage *)
+  (* shell reuse: the pool's reset_zero already bumps the version of
+     every page holding code, so no stale block survives validation;
+     dropping them too keeps the table from accreting garbage *)
   Vm.Translate.flush_cache v.trans
 
 let run ?fuel v =

@@ -108,7 +108,8 @@ type t = {
   stamps : int array;       (* page p is dirty iff stamps.(p) = gen *)
   mutable gen : int;
   vers : int array;         (* monotonic per-page content version (see below) *)
-  mutable epoch : int;      (* bulk content version: bumped by reset_zero *)
+  code_lo : int array;      (* [code_lo.(p), code_hi.(p)): bytes of page p *)
+  code_hi : int array;      (* holding translated code; empty when lo >= hi *)
   mutable cow_faults : int;
   mutable zero_fills : int;
   mutable fault_hook : (shared:bool -> page:int -> unit) option;
@@ -123,7 +124,8 @@ let create ~size =
     stamps = Array.make npages 0;
     gen = 1;
     vers = Array.make npages 0;
-    epoch = 0;
+    code_lo = Array.make npages max_int;
+    code_hi = Array.make npages 0;
     cow_faults = 0;
     zero_fills = 0;
     fault_hook = None;
@@ -141,14 +143,18 @@ let check t addr n =
   if addr < 0 || n < 0 || addr > t.size - n then raise (Fault { addr; size = n })
 
 let mark t addr n =
-  let first = addr lsr page_shift and last = (addr + n - 1) lsr page_shift in
+  let stop = addr + n in
+  let first = addr lsr page_shift and last = (stop - 1) lsr page_shift in
   for p = first to last do
     Array.unsafe_set t.stamps p t.gen;
     (* content version: consumed by the translation cache to invalidate
-       superblocks decoded from these pages. Unlike the dirty stamps it
-       must survive [clear_dirty] — cleaning the dirty set does not
-       change page contents, rewriting them does. *)
-    Array.unsafe_set t.vers p (Array.unsafe_get t.vers p + 1)
+       superblocks decoded from this page, so it moves only when the
+       write overlaps the page's translated bytes — data stored beside
+       code keeps its blocks. Unlike the dirty stamps it survives
+       [clear_dirty]: cleaning the dirty set does not change contents.
+       An empty extent (max_int, 0) fails both compares. *)
+    if addr < Array.unsafe_get t.code_hi p && Array.unsafe_get t.code_lo p < stop then
+      Array.unsafe_set t.vers p (Array.unsafe_get t.vers p + 1)
   done
 
 let dirty_pages t =
@@ -169,8 +175,17 @@ let dirty_count t =
    every stamp at once, O(1). *)
 let clear_dirty t = t.gen <- t.gen + 1
 
-let epoch t = t.epoch
 let page_version t p = Array.unsafe_get t.vers p
+
+let note_code t ~off ~len =
+  check t off len;
+  if len > 0 then
+    let stop = off + len in
+    for p = off lsr page_shift to (stop - 1) lsr page_shift do
+      let base = p lsl page_shift in
+      t.code_lo.(p) <- min t.code_lo.(p) (max off base);
+      t.code_hi.(p) <- max t.code_hi.(p) (min stop (base + page_size))
+    done
 
 let page_ro t p =
   match Array.unsafe_get t.pages p with
@@ -332,11 +347,17 @@ let fill_zero t =
 
 (* Pool cleaning: drop every reference and start a fresh generation —
    the simulated cost model still charges the memset this stands for.
-   Bumping the epoch (rather than every page version) keeps the release
-   path O(1) while still invalidating every translated superblock. *)
+   Only pages holding translated code need a version bump, and then
+   hold none: their extents empty. *)
 let reset_zero t =
   Array.fill t.pages 0 t.npages Zero;
-  t.epoch <- t.epoch + 1;
+  for p = 0 to t.npages - 1 do
+    if t.code_lo.(p) < t.code_hi.(p) then begin
+      t.vers.(p) <- t.vers.(p) + 1;
+      t.code_lo.(p) <- max_int;
+      t.code_hi.(p) <- 0
+    end
+  done;
   clear_dirty t
 
 (* Publish page [p]: normalize all-zero Owned pages back to Zero, intern

@@ -57,7 +57,8 @@ val fill_zero : t -> unit
 val reset_zero : t -> unit
 (** Pool cleaning: drop every page reference {e and} start a fresh dirty
     generation — equivalent to {!fill_zero} + {!clear_dirty} without
-    touching a byte. The caller still charges the simulated memset. *)
+    touching a byte. The caller still charges the simulated memset. It
+    also forgets every code extent (see {e Content versions}). *)
 
 val copy_to : src:t -> dst:t -> unit
 (** Share [src]'s pages into [dst]; sizes must match. [src]'s private
@@ -126,16 +127,23 @@ val clear_dirty : t -> unit
 (** {1 Content versions}
 
     Independent of the dirty stamps, every page carries a monotonic
-    {e content version} bumped whenever its bytes may change (stores,
-    image restores); {!reset_zero} instead bumps a memory-wide {e epoch}
-    in O(1). The translation cache ({!module:Translate}) records the
-    epoch and the versions of the pages a superblock was decoded from
-    and re-validates them before reuse, so self-modifying code and pool
-    resets invalidate exactly the stale blocks. {!clear_dirty} changes
-    neither — cleaning the dirty set does not alter contents. *)
+    {e content version} and a {e code extent}: the half-open byte range
+    of the page that translated code was decoded from ({!note_code}). A
+    write bumps a page's version only when it overlaps that extent, so
+    data stored beside code (a heap sharing the code's page) leaves it
+    alone. Whole-memory rewrites ({!restore},
+    {!restore_image}, {!copy_to}, {!fill_zero}) bump every page with an
+    extent; {!restore_image_cow} bumps every page it rewrites;
+    {!reset_zero} bumps every page with an extent and then clears all
+    extents. The translation cache ({!module:Translate}) records the
+    versions of the pages a superblock was decoded from and re-validates
+    them before reuse, so a write into any translated byte of a page
+    drops every block on that page. {!clear_dirty} changes neither —
+    cleaning the dirty set does not alter contents. *)
 
-val epoch : t -> int
-(** Memory-wide content epoch; bumped by {!reset_zero}. *)
+val note_code : t -> off:int -> len:int -> unit
+(** Widen the code extent of each page the [len] bytes at [off] span so
+    it covers them. Raises {!Fault} outside the memory. *)
 
 val page_version : t -> int -> int
 (** Content version of page [p] (not bounds-checked; callers pass pages

@@ -4,8 +4,12 @@
    chain with one direct-threaded continuation per instruction, chained
    on fallthrough and static branch targets. Blocks are keyed by (pc,
    cpu_mode, flavour) and invalidated by the page content versions in
-   Memory, so self-modifying writes and Pool.release/CoW restores flush
-   exactly the stale blocks.
+   Memory, the one invalidation signal. Translating a block records its
+   bytes in its pages' code extents, and a page's version moves only
+   when a write overlaps its extent: a self-modifying store, a pool
+   reset or a CoW restore drops every block on the pages it rewrites,
+   while data stored beside code (a heap sharing the code's page) keeps
+   them.
 
    Every instruction charges its exact Instr.cost, bumps retired, and
    honors fuel. Cycle and retired charges are batched in plain ints and
@@ -37,7 +41,6 @@ type stats = {
 type slot = { mutable s_blk : block option }
 
 and block = {
-  b_epoch : int;          (* Memory.epoch at translation time *)
   b_pages : int array;    (* pages the block's code bytes span *)
   b_vers : int array;     (* their content versions at translation time *)
   b_exec : unit -> Cpu.exit_reason option;
@@ -51,7 +54,6 @@ type t = {
   mem : Memory.t;
   clock : Cycles.Clock.t;
   table : (int, block) Hashtbl.t;
-  mutable t_epoch : int;  (* epoch the table's entries belong to *)
   mutable cyc : int;      (* cycles charged but not yet committed *)
   mutable steps : int;    (* instructions retired but not yet committed *)
   mutable fuel : int;
@@ -66,7 +68,6 @@ let create cpu =
     mem = Cpu.mem cpu;
     clock = Cpu.clock cpu;
     table = Hashtbl.create 64;
-    t_epoch = Memory.epoch (Cpu.mem cpu);
     cyc = 0;
     steps = 0;
     fuel = 0;
@@ -108,16 +109,9 @@ let pages_current mem pages vers =
   in
   go 0
 
-let block_valid tr b =
-  b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers
+let block_valid tr b = pages_current tr.mem b.b_pages b.b_vers
 
 let rec lookup tr ~hooked pc =
-  let e = Memory.epoch tr.mem in
-  if e <> tr.t_epoch then begin
-    (* pool reset: every cached block decoded stale bytes *)
-    Hashtbl.reset tr.table;
-    tr.t_epoch <- e
-  end;
   let key = key_of pc (Cpu.mode tr.cpu) ~hooked in
   match Hashtbl.find_opt tr.table key with
   | Some b when block_valid tr b -> b
@@ -549,13 +543,16 @@ and translate tr ~hooked pc0 =
     match term with `Term (pc, _, size) -> pc + size | `Fall pc | `Bad pc -> pc
   in
   (if end_pc > pc0 then begin
+     (* extents first, so any later write into these bytes moves the
+        versions recorded below *)
+     Memory.note_code mem ~off:pc0 ~len:(end_pc - pc0);
      let first = pc0 / Memory.page_size and last = (end_pc - 1) / Memory.page_size in
      let n = last - first + 1 in
      pages_r := Array.init n (fun i -> first + i);
      vers_r := Array.init n (fun i -> Memory.page_version mem (first + i))
    end);
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
-  { b_epoch = Memory.epoch mem; b_pages = !pages_r; b_vers = !vers_r; b_exec = exec }
+  { b_pages = !pages_r; b_vers = !vers_r; b_exec = exec }
 
 let run ?(fuel = 200_000_000) tr =
   let cpu = tr.cpu in

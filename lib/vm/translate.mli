@@ -3,8 +3,11 @@
     Basic blocks are decoded once into closure-chain {e superblocks}
     (direct-threaded, chained on fallthrough and static branch targets),
     keyed by [(pc, cpu_mode, flavour)] and invalidated through
-    {!Memory.page_version} / {!Memory.epoch} so self-modifying code and
-    pool resets flush exactly the stale blocks.
+    {!Memory.page_version} alone. Each translation widens its pages'
+    code extents ({!Memory.note_code}), so a write that overlaps
+    translated bytes — self-modifying code, a pool reset, a snapshot
+    restore — drops every block on the page, while data stored beside
+    code keeps them.
 
     Timing is exact per instruction: each charges its {!Instr.cost} and
     retires once, batched and committed at every host observation point,

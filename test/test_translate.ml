@@ -152,33 +152,88 @@ let arb_program =
   QCheck.make ~print:print_program
     QCheck.Gen.(pair gen_mode (list_size (int_range 1 60) gen_instr))
 
-let prop_differential =
-  QCheck.Test.make ~name:"random programs agree across engines" ~count:400 arb_program
-    (fun (mode, instrs) ->
-      let code = Encoding.encode_program instrs in
-      let mem_size = 64 * 1024 in
-      same (exec `Reference ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
+let agrees (mode, instrs) =
+  let code = Encoding.encode_program instrs in
+  let mem_size = 64 * 1024 in
+  same (exec `Reference ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code)
 
 (* The hooked flavour: a recording step hook must see the same
    (pc, instr, cost, Clock.now) sequence under the translator as under
    the reference stepper, and the run must end identically. *)
+let agrees_hooked (mode, instrs) =
+  let code = Encoding.encode_program instrs in
+  let mem_size = 64 * 1024 in
+  let recorded engine =
+    let log = ref [] in
+    let clock = ref None in
+    let prepare _ cpu = clock := Some (Vm.Cpu.clock cpu) in
+    let hook ~pc ~instr ~cost =
+      log := (pc, instr, cost, Cycles.Clock.now (Option.get !clock)) :: !log
+    in
+    let o = exec ~hook ~prepare engine ~mode ~mem_size code in
+    (o, List.rev !log)
+  in
+  let r, rlog = recorded `Reference and t, tlog = recorded `Translate in
+  same r t && rlog = tlog
+
+let prop_differential =
+  QCheck.Test.make ~name:"random programs agree across engines" ~count:400 arb_program
+    agrees
+
 let prop_hooked =
   QCheck.Test.make ~name:"hooked flavour matches the reference hook sequence" ~count:400
-    arb_program (fun (mode, instrs) ->
-      let code = Encoding.encode_program instrs in
-      let mem_size = 64 * 1024 in
-      let recorded engine =
-        let log = ref [] in
-        let clock = ref None in
-        let prepare _ cpu = clock := Some (Vm.Cpu.clock cpu) in
-        let hook ~pc ~instr ~cost =
-          log := (pc, instr, cost, Cycles.Clock.now (Option.get !clock)) :: !log
-        in
-        let o = exec ~hook ~prepare engine ~mode ~mem_size code in
-        (o, List.rev !log)
-      in
-      let r, rlog = recorded `Reference and t, tlog = recorded `Translate in
-      same r t && rlog = tlog)
+    arb_program agrees_hooked
+
+(* The corpus above almost never stores into its own code page:
+   registers start at 0 and displacements stay within 4 KB of them.
+   Here each program first points a base register at [origin], no
+   other instruction writes it, and every store is relative to it with
+   a displacement from 64 bytes before the code to 64 bytes past its
+   end. Stores land on code bytes, on the bytes just past the code and
+   on the page below, so the code extents decide every outcome. *)
+let sparing base (i : Instr.t) : Instr.t =
+  let r rd = if rd = base then (base + 1) mod Instr.num_regs else rd in
+  match i with
+  | Mov (rd, o) -> Mov (r rd, o)
+  | Bin (op, rd, o) -> Bin (op, r rd, o)
+  | Neg rd -> Neg (r rd)
+  | Not rd -> Not (r rd)
+  | Pop rd -> Pop (r rd)
+  | Load (w, rd, rb, d) -> Load (w, r rd, rb, d)
+  | Lea (rd, rb, d) -> Lea (r rd, rb, d)
+  | In (rd, p) -> In (r rd, p)
+  | Rdtsc rd -> Rdtsc (r rd)
+  | Hlt | Nop | Ret | Cmp _ | Jmp _ | Jcc _ | Call _ | Callr _ | Push _ | Store _ | Out _ ->
+      i
+
+let arb_code_page_program =
+  let open QCheck.Gen in
+  let gen =
+    let* mode = gen_mode in
+    let* base = oneofl (List.filter (( <> ) Instr.sp) (List.init Instr.num_regs Fun.id)) in
+    let item =
+      frequency
+        [
+          (3, map (fun i -> `Instr (sparing base i)) gen_instr);
+          (2, map2 (fun w o -> `Store (w, o)) gen_width gen_operand);
+        ]
+    in
+    let* items = list_size (int_range 1 60) item in
+    let point = Instr.Mov (base, Imm (Int64.of_int origin)) in
+    let at d = function `Instr i -> i | `Store (w, o) -> Instr.Store (w, base, d, o) in
+    (* a displacement never changes an encoded size *)
+    let len =
+      List.fold_left (fun n it -> n + Encoding.encoded_size (at 0 it))
+        (Encoding.encoded_size point) items
+    in
+    let+ disps = list_repeat (List.length items) (int_range (-64) (len + 64)) in
+    (mode, point :: List.map2 at disps items)
+  in
+  QCheck.make ~print:print_program gen
+
+let prop_code_page =
+  QCheck.Test.make ~name:"stores aimed at the code page agree in both flavours" ~count:300
+    arb_code_page_program (fun p -> agrees p && agrees_hooked p)
 
 (* ------------------------------------------------------------------ *)
 (* Directed: self-modifying code                                        *)
@@ -245,9 +300,82 @@ let test_smc_cross_block () =
   Alcotest.(check int64) "pass-1 victim ran" 7L i.regs.(0);
   ignore t
 
+let test_straddling_store_into_code () =
+  (* a 16-bit store whose low byte patches the next instruction (a
+     one-byte ret, into hlt) and whose high byte lands past the block's
+     last byte: the partial overlap must still invalidate *)
+  let open Instr in
+  let shape victim = [ Mov (1, Imm (Int64.of_int victim)); Store (W16, 1, 0, Imm 0L); Ret ] in
+  let victim = List.nth (layout (shape 0)) 2 in
+  let i, _ = both "straddling store" (Encoding.encode_program (shape victim)) in
+  Alcotest.(check string) "halts" "halt" i.exit;
+  Alcotest.(check int64) "the patched ret never executed" 3L i.retired
+
 (* ------------------------------------------------------------------ *)
 (* Directed: engine mechanics                                           *)
 (* ------------------------------------------------------------------ *)
+
+let test_store_beside_code () =
+  (* a loop storing to the byte just past its own last instruction, on
+     its own page (the vcc crt0 heap does this): the blocks must
+     survive, so nothing is re-translated after the first iteration *)
+  let open Instr in
+  let shape ~data ~loop =
+    [
+      Mov (1, Imm (Int64.of_int data));
+      Mov (2, Imm 0L);
+      (* loop: *)
+      Store (W8, 1, 0, Reg 2);
+      Bin (Add, 2, Imm 1L);
+      Cmp (2, Imm 64L);
+      Jcc (Lt, loop);
+      Hlt;
+    ]
+  in
+  let loop = List.nth (layout (shape ~data:0 ~loop:0)) 2 in
+  let data = origin + Bytes.length (Encoding.encode_program (shape ~data:0 ~loop)) in
+  assert (data / Vm.Memory.page_size = origin / Vm.Memory.page_size);
+  let code = Encoding.encode_program (shape ~data ~loop) in
+  let i, _ = both "store beside code" code in
+  Alcotest.(check string) "halts" "halt" i.exit;
+  let cpu, _ = machine code in
+  let tr = Vm.Translate.create cpu in
+  let s = Vm.Translate.stats tr in
+  (* two movs and one iteration, up to entering the loop's block *)
+  (match Vm.Translate.run ~fuel:6 tr with
+  | Vm.Cpu.Out_of_fuel -> ()
+  | other -> Alcotest.failf "expected out of fuel, got %s" (exit_str other));
+  let after_one = s.blocks_translated in
+  (match Vm.Translate.run tr with
+  | Vm.Cpu.Halt -> ()
+  | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
+  Alcotest.(check int) "no block translated after the first iteration" after_one
+    s.blocks_translated;
+  Alcotest.(check int) "no invalidation" 0 s.invalidations
+
+let test_crt0_keeps_blocks () =
+  (* every vcc guest's crt0 zeroes a heap that starts on the code's last
+     page; before the first exit the file server's image must not
+     re-translate the blocks doing it *)
+  let vi =
+    Option.get
+      (Vcc.Compile.find_virtine (Vhttp.Fileserver.compile ~snapshot:false) "handle")
+  in
+  let image = vi.Vcc.Compile.image in
+  let mem = Vm.Memory.create ~size:image.Wasp.Image.mem_size in
+  let clock = Cycles.Clock.create () in
+  Vm.Memory.write_bytes mem ~off:image.origin image.code;
+  ignore
+    (Vm.Boot.perform ~mem ~clock ~rng:(Cycles.Rng.create ~seed:1) ~target:image.mode);
+  let cpu = Vm.Cpu.create ~mem ~mode:image.mode ~clock in
+  Vm.Cpu.set_pc cpu image.entry;
+  Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
+  let tr = Vm.Translate.create cpu in
+  (match Vm.Translate.run tr with
+  | Vm.Cpu.Io_out _ -> ()
+  | other -> Alcotest.failf "expected a hypercall exit, got %s" (exit_str other));
+  let n = (Vm.Translate.stats tr).blocks_translated in
+  if n > 8 then Alcotest.failf "crt0 translated %d blocks before the first exit (at most 8)" n
 
 let test_hooked_flavour_translates () =
   let open Instr in
@@ -301,13 +429,13 @@ let test_block_reuse_and_invalidation () =
   Alcotest.(check bool) "write to code page forces retranslation" true
     (s.blocks_translated > after_first);
   Alcotest.(check bool) "invalidation counted" true (s.invalidations > 0);
-  (* pool-style reset: epoch bump flushes everything *)
+  (* pool-style reset: reset_zero bumps every code page's version *)
   let snap = Vm.Memory.read_bytes mem ~off:origin ~len:(Bytes.length code) in
   let before_reset = s.blocks_translated in
   Vm.Memory.reset_zero mem;
   Vm.Memory.write_bytes mem ~off:origin snap;
   run ();
-  Alcotest.(check bool) "epoch bump forces retranslation" true
+  Alcotest.(check bool) "reset_zero forces retranslation" true
     (s.blocks_translated > before_reset)
 
 let test_out_resumable_across_engines () =
@@ -455,10 +583,12 @@ let () =
   Alcotest.run "translate"
     [
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_hooked ]
+        List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_hooked; prop_code_page ]
         @ [
             Alcotest.test_case "smc same block" `Quick test_smc_same_block;
             Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
+            Alcotest.test_case "straddling store into code invalidates" `Quick
+              test_straddling_store_into_code;
             Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
             Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
             Alcotest.test_case "cow mid-run" `Quick test_cow_mid_run;
@@ -468,6 +598,9 @@ let () =
           Alcotest.test_case "hooked flavour translates" `Quick test_hooked_flavour_translates;
           Alcotest.test_case "reuse + invalidation" `Quick
             test_block_reuse_and_invalidation;
+          Alcotest.test_case "store beside code keeps the block" `Quick
+            test_store_beside_code;
+          Alcotest.test_case "vcc crt0 keeps its blocks" `Quick test_crt0_keeps_blocks;
         ] );
       ( "runtime",
         [

@@ -628,21 +628,31 @@ let test_cpu_callr_oob_faults_at_limit () =
 (* ------------------------------------------------------------------ *)
 
 let test_mem_page_versions () =
+  (* a page's version moves only when a write overlaps its code extent:
+     the bytes translated code was decoded from *)
   let m = Vm.Memory.create ~size:(4 * 4096) in
-  let v0 = Vm.Memory.page_version m 0 in
-  Vm.Memory.write_u8 m 0 1;
-  Alcotest.(check bool) "write bumps the page version" true
-    (Vm.Memory.page_version m 0 > v0);
-  let v0 = Vm.Memory.page_version m 0 and v1 = Vm.Memory.page_version m 1 in
+  let v = Vm.Memory.page_version m in
+  Vm.Memory.note_code m ~off:0x100 ~len:0x40;
+  let v0 = v 0 in
+  Vm.Memory.write_u64 m 0xF8 1L;
+  Vm.Memory.write_u8 m 0x140 1;
+  Vm.Memory.write_u32 m 0x800 1;
+  Alcotest.(check int) "store beside code keeps the version" v0 (v 0);
+  Vm.Memory.write_u8 m 0x13F 1;
+  Alcotest.(check bool) "store into code bumps the version" true (v 0 > v0);
+  Vm.Memory.note_code m ~off:0xFF8 ~len:0x10;
+  let v0 = v 0 and v1 = v 1 in
   Vm.Memory.clear_dirty m;
-  Alcotest.(check int) "clear_dirty leaves versions alone" v0
-    (Vm.Memory.page_version m 0);
-  Vm.Memory.write_u16 m 4095 7;
-  Alcotest.(check bool) "straddling write bumps both pages" true
-    (Vm.Memory.page_version m 0 > v0 && Vm.Memory.page_version m 1 > v1);
-  let e0 = Vm.Memory.epoch m in
+  Alcotest.(check (pair int int)) "clear_dirty keeps versions" (v0, v1) (v 0, v 1);
+  Vm.Memory.write_u16 m 0xFFF 7;
+  Alcotest.(check bool) "straddling store bumps both pages" true (v 0 > v0 && v 1 > v1);
+  let v0 = v 0 and v1 = v 1 and v2 = v 2 in
   Vm.Memory.reset_zero m;
-  Alcotest.(check bool) "reset_zero bumps the epoch" true (Vm.Memory.epoch m > e0)
+  Alcotest.(check bool) "reset_zero bumps pages with code" true (v 0 > v0 && v 1 > v1);
+  Alcotest.(check int) "reset_zero leaves code-free pages alone" v2 (v 2);
+  let v0 = v 0 in
+  Vm.Memory.write_u8 m 0x100 1;
+  Alcotest.(check int) "reset_zero forgets the old extent" v0 (v 0)
 
 let test_mem_restore_cow_bumps_versions () =
   let m = Vm.Memory.create ~size:(4 * 4096) in
