@@ -17,7 +17,7 @@ val advance : t -> int64 -> unit
 (** [advance t c] moves time forward by [c] cycles. [c] must be >= 0. *)
 
 val advance_int : t -> int -> unit
-(** Convenience wrapper over {!advance}. *)
+(** {!advance} by an [int] count, without boxing it. [c] must be >= 0. *)
 
 val freq_ghz : t -> float
 

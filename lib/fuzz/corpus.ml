@@ -291,6 +291,29 @@ let seed_ring_blob () =
 
 let default_fuel = 200_000
 
+(* Compiler-shaped code, which random images rarely reach: vcc's frame
+   pointer, push/pop chains and ld64/st64 through r13 (a plain recursive
+   fib behind a zero-argument virtine), and a crt0 that zeroes a heap
+   on the code's last page (the file server's [handle]). *)
+let vcc_fib_source =
+  {|
+int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+virtine int fib10() { return fib(10); }
+|}
+
+let vcc_case compiled fn =
+  let vi = Option.get (Vcc.Compile.find_virtine compiled fn) in
+  let image = vi.Vcc.Compile.image in
+  {
+    plane = Image_bytes;
+    mode = image.Wasp.Image.mode;
+    code = Bytes.to_string image.Wasp.Image.code;
+    seed = 0xACE;
+    policy = vi.Vcc.Compile.policy;
+    fuel = default_fuel;
+    plan = None;
+  }
+
 let seeds () =
   let img src ~seed ~policy ~plan =
     let program = Asm.assemble_string ~origin:Wasp.Layout.image_base src in
@@ -317,4 +340,6 @@ let seeds () =
       with
       plane = Plan;
     };
+    vcc_case (Vcc.Compile.compile ~snapshot:false ~name:"fuzzfib" vcc_fib_source) "fib10";
+    vcc_case (Vhttp.Fileserver.compile ~snapshot:false) "handle";
   ]

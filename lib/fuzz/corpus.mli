@@ -87,5 +87,6 @@ val default_fuel : int
     cheap, and tiny budgets are themselves an interesting plane). *)
 
 val seeds : unit -> case list
-(** Built-in seed corpus: one case per plane plus a shift/width/memory
-    toucher. *)
+(** Built-in seed corpus: one case per plane, a shift/width/memory
+    toucher, and two vcc-compiled images (a recursive fib and the
+    {!Vhttp.Fileserver} handler). *)

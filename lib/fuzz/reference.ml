@@ -4,7 +4,7 @@
    the translator's tests and engine ablation compare against. To be a
    real second opinion it shares as little as possible with
    [Vm.Translate]: only the decoder ([Encoding.decode]), guest memory
-   ([Vm.Memory]) and [Vm.Cpu]'s register, pc and flag accessors.
+   ([Vm.Memory]) and [Vm.Cpu]'s register file, pc and flags.
    Operators, conditions, shift masks, mode masking, address limits and
    branch targets are all derived here again, from the ISA description.
    Nothing here is fast: every step fetches and decodes afresh. *)
@@ -21,8 +21,9 @@ let fault f = raise (Cpu.Vm_fault f)
 let width cpu = match Cpu.mode cpu with Vm.Modes.Real -> 16 | Protected -> 32 | Long -> 64
 let mask cpu v = if width cpu = 64 then v else Int64.(logand v (pred (shift_left 1L (width cpu))))
 let sext cpu v = let s = 64 - width cpu in Int64.(shift_right (shift_left v s) s)
-let set cpu r v = (Cpu.regs cpu).(r) <- mask cpu v
-let operand cpu : Instr.operand -> int64 = function Reg r -> Cpu.get_reg cpu r | Imm i -> mask cpu i
+let reg cpu r = Bigarray.Array1.get (Cpu.regs cpu) r
+let set cpu r v = Bigarray.Array1.set (Cpu.regs cpu) r (mask cpu v)
+let operand cpu : Instr.operand -> int64 = function Reg r -> reg cpu r | Imm i -> mask cpu i
 
 (* Accesses past the mode limit (1 MB real, 4 GB protected, 1 GB mapped
    in long mode) fault like hardware: a page fault in long mode, a
@@ -55,12 +56,12 @@ let store cpu (w : Instr.width) addr v =
   | W64 -> Memory.write_u64 m addr v
 
 let push cpu v =
-  let sp = Int64.to_int (Cpu.get_reg cpu Instr.sp) - 8 in
+  let sp = Int64.to_int (reg cpu Instr.sp) - 8 in
   store cpu W64 sp v;
   set cpu Instr.sp (Int64.of_int sp)
 
 let pop cpu =
-  let sp = Int64.to_int (Cpu.get_reg cpu Instr.sp) in
+  let sp = Int64.to_int (reg cpu Instr.sp) in
   let v = load cpu W64 sp in
   set cpu Instr.sp (Int64.of_int (sp + 8));
   v
@@ -84,7 +85,7 @@ let binop cpu (op : Instr.binop) l r ~pc =
   | Sar -> Int64.shift_right sl count
 
 let cond cpu (c : Instr.cond) =
-  let s = Cpu.signed_cmp cpu and u = Cpu.unsigned_cmp cpu in
+  let { Cpu.signed_cmp = s; unsigned_cmp = u } = Cpu.flags cpu in
   match c with
   | Eq -> s = 0 | Ne -> s <> 0 | Lt -> s < 0 | Le -> s <= 0 | Gt -> s > 0 | Ge -> s >= 0
   | Ult -> u < 0 | Ule -> u <= 0 | Ugt -> u > 0 | Uge -> u >= 0
@@ -110,21 +111,20 @@ let step ?hook cpu : Cpu.exit_reason option =
   (match hook with Some h -> h ~pc ~instr ~cost | None -> ());
   let next = pc + size in
   Cpu.set_pc cpu next;
-  let reg = Cpu.get_reg cpu and jump = Cpu.set_pc cpu in
+  let jump = Cpu.set_pc cpu in
   match instr with
   | Hlt -> Some Halt
   | Out (port, src) -> Some (Io_out { port; value = operand cpu src })
   | In (rd, port) -> Some (Io_in { port; reg = rd })
   | Nop -> None
   | Mov (rd, src) -> set cpu rd (operand cpu src); None
-  | Bin (op, rd, src) -> set cpu rd (binop cpu op (reg rd) (operand cpu src) ~pc); None
-  | Neg rd -> set cpu rd (Int64.neg (sext cpu (reg rd))); None
-  | Not rd -> set cpu rd (Int64.lognot (reg rd)); None
+  | Bin (op, rd, src) -> set cpu rd (binop cpu op (reg cpu rd) (operand cpu src) ~pc); None
+  | Neg rd -> set cpu rd (Int64.neg (sext cpu (reg cpu rd))); None
+  | Not rd -> set cpu rd (Int64.lognot (reg cpu rd)); None
   | Cmp (r, src) ->
-      let l = reg r and rv = operand cpu src in
-      Cpu.set_cmp cpu
-        ~signed:(Int64.compare (sext cpu l) (sext cpu rv))
-        ~unsigned:(Int64.unsigned_compare l rv);
+      let l = reg cpu r and rv = operand cpu src and flags = Cpu.flags cpu in
+      flags.signed_cmp <- Int64.compare (sext cpu l) (sext cpu rv);
+      flags.unsigned_cmp <- Int64.unsigned_compare l rv;
       None
   | Jmp a -> jump a; None
   | Jcc (c, a) -> if cond cpu c then jump a; None
@@ -132,14 +132,14 @@ let step ?hook cpu : Cpu.exit_reason option =
   | Callr r ->
       push cpu (Int64.of_int next);
       (* read after the push: callr through sp sees the new sp *)
-      jump (target cpu (reg r));
+      jump (target cpu (reg cpu r));
       None
   | Ret -> jump (target cpu (pop cpu)); None
   | Push src -> push cpu (operand cpu src); None
   | Pop rd -> set cpu rd (pop cpu); None
-  | Load (w, rd, rb, d) -> set cpu rd (load cpu w (Int64.to_int (reg rb) + d)); None
-  | Store (w, rb, d, src) -> store cpu w (Int64.to_int (reg rb) + d) (operand cpu src); None
-  | Lea (rd, rb, d) -> set cpu rd (Int64.add (reg rb) (Int64.of_int d)); None
+  | Load (w, rd, rb, d) -> set cpu rd (load cpu w (Int64.to_int (reg cpu rb) + d)); None
+  | Store (w, rb, d, src) -> store cpu w (Int64.to_int (reg cpu rb) + d) (operand cpu src); None
+  | Lea (rd, rb, d) -> set cpu rd (Int64.add (reg cpu rb) (Int64.of_int d)); None
   | Rdtsc rd -> set cpu rd (Cycles.Clock.now (Cpu.clock cpu)); None
 
 let run ?(fuel = 200_000_000) ?hook cpu : Cpu.exit_reason =

@@ -2,7 +2,7 @@
     instruction at a time, charging each its cost. The fuzzer's second
     engine arm and the baseline {!Vm.Translate} is tested against; it
     shares with it only the decoder, {!Vm.Memory} and {!Vm.Cpu}'s
-    register, pc and flag accessors. *)
+    register file, pc and flags. *)
 
 type hook = pc:int -> instr:Instr.t -> cost:int -> unit
 (** Called once per retired instruction, after its cost is charged to

@@ -1,7 +1,8 @@
-(** The vx virtual CPU: machine state and its architectural primitives.
+(** The vx virtual CPU: machine state.
 
     A CPU is registers, flags, a PC, a retired-instruction count and a
-    virtual clock over one {!Memory.t}. It holds no execution loop:
+    virtual clock over one {!Memory.t}. It holds no execution loop and no
+    guest memory access:
     {!Translate} executes guests against it, charging cycle costs to the
     clock. A CPU never touches anything outside its memory: every fault
     and every [out] instruction becomes a VM exit that the hypervisor
@@ -64,40 +65,37 @@ val reset : t -> mode:Modes.t -> unit
     and flag accessors also serve reference steppers outside [vm]. *)
 
 exception Vm_fault of fault
-(** Raised by faulting primitives below; an execution engine converts it
-    to [Fault _]. *)
+(** Raised by {!fetch}, and by an execution engine's own primitives; the
+    engine converts it to [Fault _]. *)
 
 val fetch : t -> int -> Instr.t * int
 (** Decode the instruction (and its size) at an address, faulting
     ({!Vm_fault} / {!Memory.Fault}) exactly as the guest's fetch would. *)
 
+val limit_fault : Modes.t -> int -> int -> fault
+(** [limit_fault mode addr size]: the fault an access of [size] bytes at
+    [addr] past [mode]'s {!Modes.address_limit} takes — a page fault in
+    long mode, a bounds fault below it. *)
+
 val clock : t -> Cycles.Clock.t
-val regs : t -> int64 array
-(** The live register file. Values are invariantly mode-masked; writers
-    must store masked values (or use {!set_reg}). *)
+
+type regfile = Memory.words
+(** Unboxed 64-bit words. The concrete type lets a caller's accesses
+    compile to plain loads and stores, with no [int64] boxed between. *)
+
+val regs : t -> regfile
+(** The live register file, indexed by {!Instr.reg}. Values are
+    invariantly mode-masked; writers must store masked values (or use
+    {!set_reg}). *)
+
+type flags = { mutable signed_cmp : int; mutable unsigned_cmp : int }
+(** The comparison flags: the sign of the last [cmp], signed and
+    unsigned ([cmp] writes them, conditional branches read them). *)
+
+val flags : t -> flags
+(** The live flags. *)
 
 val current_step_hook : t -> (pc:int -> instr:Instr.t -> cost:int -> unit) option
 
-val signed_cmp : t -> int
-val unsigned_cmp : t -> int
-(** The comparison flags (sign of the last [cmp], signed / unsigned). *)
-
-val set_cmp : t -> signed:int -> unsigned:int -> unit
-(** Set the comparison flags ([cmp]'s architectural effect). *)
-
 val add_retired : t -> int -> unit
 (** Credit [n] retired instructions (batched by translated blocks). *)
-
-val read_mem : t -> Instr.width -> int -> int64
-val write_mem : t -> Instr.width -> int -> int64 -> unit
-(** Guest loads and stores, faulting past the mode limit or guest RAM. *)
-
-val push : t -> int64 -> unit
-val pop : t -> int64
-
-val eval_cond : t -> Instr.cond -> bool
-
-val branch_target : t -> int64 -> int
-(** Architectural target of an indirect branch: mode-masked, clamped to
-    the mode limit when it exceeds the host int range (the subsequent
-    fetch then faults exactly like [Jmp] out of range). *)

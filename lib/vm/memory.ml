@@ -240,17 +240,22 @@ let read_u32 t addr =
     b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
   end
 
-let read_u64 t addr =
+(* Inlined into [read_u64] and [load64_into], so the word reaches a
+   register file unboxed. *)
+let[@inline] read64 t addr =
   check t addr 8;
   let off = addr land page_mask in
   if off <= page_size - 8 then Bytes.get_int64_le (page_ro t (addr lsr page_shift)) off
-  else begin
-    let acc = ref 0L in
-    for i = 7 downto 0 do
-      acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (read_u8 t (addr + i)))
-    done;
-    !acc
-  end
+  else
+    Int64.logor
+      (Int64.of_int (read_u32 t addr))
+      (Int64.shift_left (Int64.of_int (read_u32 t (addr + 4))) 32)
+
+let read_u64 t addr = read64 t addr
+
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let load64_into t addr (dst : words) i = Bigarray.Array1.set dst i (read64 t addr)
 
 let write_u8 t addr v =
   check t addr 1;
@@ -287,7 +292,7 @@ let write_u32 t addr v =
       write_u8 t (addr + i) ((v lsr (8 * i)) land 0xFF)
     done
 
-let write_u64 t addr v =
+let[@inline] write64 t addr v =
   check t addr 8;
   mark t addr 8;
   let off = addr land page_mask in
@@ -297,6 +302,10 @@ let write_u64 t addr v =
       write_u8 t (addr + i)
         (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
     done
+
+let write_u64 t addr v = write64 t addr v
+
+let store64_from t addr (src : words) i = write64 t addr (Bigarray.Array1.get src i)
 
 let read_bytes t ~off ~len =
   check t off len;

@@ -39,6 +39,27 @@ val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 val write_u64 : t -> int -> int64 -> unit
 
+(** {2 Register moves}
+
+    An [int64] passed to or returned from {!read_u64} / {!write_u64} is
+    boxed: with [-opaque] (dune's dev profile) no cross-module call is
+    inlined, so every such value is a fresh heap block. These two move a
+    64-bit word between guest RAM and a slot of an unboxed word array —
+    the CPU's register file ({!Cpu.regfile}) — with only [int]s crossing
+    the call. Bounds, dirty marking, content versions, CoW breaks and the
+    fault hook behave exactly as for {!read_u64} / {!write_u64}. *)
+
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val load64_into : t -> int -> words -> int -> unit
+(** [load64_into t addr dst i] reads the little-endian word at [addr]
+    into [dst.{i}]. [dst] is untouched when the read faults. *)
+
+val store64_from : t -> int -> words -> int -> unit
+(** [store64_from t addr src i] writes [src.{i}] little-endian at [addr].
+    The word is read before the store, so a fault hook that runs during
+    it cannot change what is written. *)
+
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
 (** [write_bytes] skips all-zero chunks aimed at zero pages, so loading a

@@ -22,6 +22,17 @@
      - in the dispatcher's fault handler (reads/pops fault lazily);
      - before every step-hook call (the hooked flavour, below).
 
+   The hot path allocates nothing. Every library module is compiled
+   -opaque in dune's dev profile, so no call from here into Cpu, Memory
+   or Clock is inlined and any int64 crossing one is a fresh box.
+   Registers therefore live in Cpu's unboxed register file, read and
+   written here through compiler primitives; the batch, the clock and
+   the retired count are ints; 64-bit guest words move between RAM and
+   the register file through Memory.load64_into/store64_from; and each
+   instruction's closure is specialised at translate time by opcode,
+   operand kind, width and condition, with the mode's mask and
+   sign-extension shift as captured constants.
+
    While a Cpu step hook is installed (the profiler, vtrace instr
    probes) the dispatcher runs *hooked* blocks, which commit and call
    the hook once per instruction, before it executes. Unhooked blocks
@@ -45,14 +56,20 @@ and block = {
   b_vers : int array;     (* their content versions at translation time *)
   b_exec : unit -> Cpu.exit_reason option;
       (* [Some exit] = VM exit; [None] = control left the chain
-         (indirect branch, invalidation, undecodable pc): re-dispatch at
+         (indirect call, invalidation, undecodable pc): re-dispatch at
          the CPU's pc. *)
+  mutable b_live : bool;
+      (* the table's entry for its key: a return cache may reuse a
+         block only while the dispatcher would have found it *)
 }
 
 type t = {
   cpu : Cpu.t;
   mem : Memory.t;
   clock : Cycles.Clock.t;
+  regs : Cpu.regfile;
+  flags : Cpu.flags;
+  scratch : Cpu.regfile;  (* one word: a popped return address *)
   table : (int, block) Hashtbl.t;
   mutable cyc : int;      (* cycles charged but not yet committed *)
   mutable steps : int;    (* instructions retired but not yet committed *)
@@ -67,6 +84,9 @@ let create cpu =
     cpu;
     mem = Cpu.mem cpu;
     clock = Cpu.clock cpu;
+    regs = Cpu.regs cpu;
+    flags = Cpu.flags cpu;
+    scratch = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
     table = Hashtbl.create 64;
     cyc = 0;
     steps = 0;
@@ -77,8 +97,17 @@ let create cpu =
   }
 
 let stats t = t.stats
-let flush_cache t = Hashtbl.reset t.table
+
+let flush_cache t =
+  Hashtbl.iter (fun _ b -> b.b_live <- false) t.table;
+  Hashtbl.reset t.table
+
 let set_block_hook t h = t.block_hook <- h
+
+(* Register-file access: with the concrete [Cpu.regfile] type these
+   compile to plain loads and stores of unboxed words. *)
+external get : Cpu.regfile -> int -> int64 = "%caml_ba_unsafe_ref_1"
+external set : Cpu.regfile -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 
 (* Commit batched charges. Idempotent; called at every observation
    point. After this, Clock.now and instructions_retired read exactly
@@ -93,6 +122,56 @@ let commit tr =
     tr.steps <- 0
   end
 
+(* Charge one instruction to the batch; [false], charging nothing, once
+   fuel is exhausted. *)
+let[@inline] charge tr cost =
+  tr.fuel > 0
+  && begin
+       tr.fuel <- tr.fuel - 1;
+       tr.cyc <- tr.cyc + cost;
+       tr.steps <- tr.steps + 1;
+       true
+     end
+
+(* Sign-extend a mode-width value: [s] is 64 minus the mode width. *)
+let[@inline] sext s v = Int64.shift_right (Int64.shift_left v s) s
+
+(* An access of [size] bytes at [addr] past the mode's [limit] faults.
+   Overflow-safe like [Memory.check]: [addr + size] wraps negative for a
+   base register near [max_int]; [limit - size] cannot. *)
+let[@inline] check_limit mode limit addr size =
+  if addr < 0 || addr > limit - size then
+    raise (Cpu.Vm_fault (Cpu.limit_fault mode addr size))
+
+let max_int64 = Int64.of_int max_int
+
+(* Architectural target of an indirect branch through word [i] of [a]:
+   truncated to the mode width like every register write, so a 32-bit
+   guest with a stale high half lands at the masked address. A
+   long-mode value beyond the host int range clamps to the mode limit,
+   where the next fetch faults — the fault [Jmp] out of range takes. *)
+let[@inline] branch_target mode limit (a : Cpu.regfile) i =
+  let v = get a i in
+  match mode with
+  | Modes.Real -> Int64.to_int v land 0xFFFF
+  | Modes.Protected -> Int64.to_int v land 0xFFFFFFFF
+  | Modes.Long -> if v < 0L || v > max_int64 then limit else Int64.to_int v
+
+(* Conditions resolved at translate time: which flag, and the set of its
+   signs that take the branch (bit 0 negative, bit 1 zero, bit 2
+   positive). *)
+let cond_signs : Instr.cond -> bool * int = function
+  | Eq -> (false, 0b010)
+  | Ne -> (false, 0b101)
+  | Lt -> (false, 0b001)
+  | Le -> (false, 0b011)
+  | Gt -> (false, 0b100)
+  | Ge -> (false, 0b110)
+  | Ult -> (true, 0b001)
+  | Ule -> (true, 0b011)
+  | Ugt -> (true, 0b100)
+  | Uge -> (true, 0b110)
+
 let mode_index = function Modes.Real -> 0 | Modes.Protected -> 1 | Modes.Long -> 2
 let key_of pc mode ~hooked = (pc lsl 3) lor (mode_index mode lsl 1) lor Bool.to_int hooked
 
@@ -100,23 +179,26 @@ let key_of pc mode ~hooked = (pc lsl 3) lor (mode_index mode lsl 1) lor Bool.to_
    through a synthetic fallthrough edge. *)
 let max_block = 128
 
-let pages_current mem pages vers =
-  let n = Array.length pages in
-  let rec go i =
-    i >= n
-    || (Memory.page_version mem (Array.unsafe_get pages i) = Array.unsafe_get vers i
-       && go (i + 1))
-  in
-  go 0
+(* Return targets one [ret] remembers: fib's alternates between two. *)
+let ret_ways = 4
 
-let block_valid tr b = pages_current tr.mem b.b_pages b.b_vers
+let no_block = { b_pages = [||]; b_vers = [||]; b_exec = (fun () -> None); b_live = false }
+
+(* Top-level and closure-free: it runs on every chained transfer. *)
+let rec pages_current mem pages vers i =
+  i >= Array.length pages
+  || (Memory.page_version mem (Array.unsafe_get pages i) = Array.unsafe_get vers i
+     && pages_current mem pages vers (i + 1))
+
+let block_valid tr b = pages_current tr.mem b.b_pages b.b_vers 0
 
 let rec lookup tr ~hooked pc =
   let key = key_of pc (Cpu.mode tr.cpu) ~hooked in
   match Hashtbl.find_opt tr.table key with
   | Some b when block_valid tr b -> b
-  | Some _ ->
+  | Some b ->
       tr.stats.invalidations <- tr.stats.invalidations + 1;
+      b.b_live <- false;
       Hashtbl.remove tr.table key;
       let b = translate tr ~hooked pc in
       Hashtbl.replace tr.table key b;
@@ -129,8 +211,9 @@ let rec lookup tr ~hooked pc =
 and translate tr ~hooked pc0 =
   let cpu = tr.cpu in
   let mem = tr.mem in
+  let regs = tr.regs in
+  let fl = tr.flags in
   let mode = Cpu.mode cpu in
-  let regs = Cpu.regs cpu in
   (* Pass 1: decode the block once. Stops at control flow, VM exits, an
      undecodable pc, or the length cap. *)
   let rec scan pc n acc =
@@ -158,7 +241,7 @@ and translate tr ~hooked pc0 =
      write (self-modifying code) and on every block entry. Filled in
      after compilation — the closures capture the refs. *)
   let pages_r = ref [||] and vers_r = ref [||] in
-  let smc_ok () = pages_current mem !pages_r !vers_r in
+  let smc_ok () = pages_current mem !pages_r !vers_r 0 in
   let smc_abort () =
     tr.stats.invalidations <- tr.stats.invalidations + 1;
     None
@@ -203,26 +286,34 @@ and translate tr ~hooked pc0 =
           slot.s_blk <- Some b;
           b.b_exec ()
   in
-  let operand : Instr.operand -> unit -> int64 = function
-    | Reg r -> fun () -> Array.unsafe_get regs r
-    | Imm i ->
-        let v = Modes.mask mode i in
-        fun () -> v
-  in
-  (* Branch-free per-mode constants so the per-instruction closures skip
-     the [Modes.mask]/[Modes.sext] mode dispatch: and-with-(-1) and
-     shift-by-0 are identities in long mode. *)
-  let mask_c =
+  (* Per-mode constants, so no closure dispatches on the mode: the
+     register mask ([m] as int64, [mi] as int; all ones in long mode),
+     the sign-extension shift [s] (0 in long mode), the shift-count mask
+     and the address limit. Registers hold masked values, so only ops
+     that can set bits above the width re-mask. *)
+  let m, mi =
     match mode with
-    | Modes.Real -> 0xFFFFL
-    | Modes.Protected -> 0xFFFFFFFFL
-    | Modes.Long -> -1L
+    | Modes.Real -> (0xFFFFL, 0xFFFF)
+    | Modes.Protected -> (0xFFFFFFFFL, 0xFFFFFFFF)
+    | Modes.Long -> (-1L, -1)
   in
-  let sext_s = 64 - Modes.width_bits mode in
-  let mk v = Int64.logand v mask_c in
-  let sx v = Int64.shift_right (Int64.shift_left v sext_s) sext_s in
-  let count_c =
-    match mode with Modes.Real | Modes.Protected -> 31L | Modes.Long -> 63L
+  let masked = mode <> Modes.Long in
+  let s = 64 - Modes.width_bits mode in
+  let cnt = match mode with Modes.Real | Modes.Protected -> 31 | Modes.Long -> 63 in
+  let limit = Modes.address_limit mode in
+  let imm i = Int64.logand i m in
+  let set_sp sp = set regs Instr.sp (Int64.of_int (sp land mi)) in
+  (* The address a write of [size] bytes at [base] + [d] by the
+     instruction at [start] targets, checked against the limit (a push
+     writes 8 bytes at sp - 8). Commits first: the write may CoW-fault,
+     and the fault hook observes the clock and the pc, already [next]. *)
+  let write_addr start next base d size =
+    tr.cur_pc <- start;
+    commit tr;
+    Cpu.set_pc cpu next;
+    let addr = Int64.to_int (get regs base) + d in
+    check_limit mode limit addr size;
+    addr
   in
   (* Block terminator continuation. *)
   let tail_k : unit -> Cpu.exit_reason option =
@@ -240,6 +331,7 @@ and translate tr ~hooked pc0 =
           else begin
             tr.cur_pc <- pc;
             ignore (Cpu.fetch cpu pc);
+            Option.iter (fun b -> b.b_live <- false) (Hashtbl.find_opt tr.table key0);
             Hashtbl.remove tr.table key0;
             Cpu.set_pc cpu pc;
             smc_abort ()
@@ -247,294 +339,411 @@ and translate tr ~hooked pc0 =
     | `Term (start, instr, size) -> (
         let cost = Instr.cost instr in
         let next = start + size in
-        let retire () =
-          tr.cyc <- tr.cyc + cost;
-          tr.steps <- tr.steps + 1
-        in
         (* hlt/out/in: a VM exit, resumable after the instruction *)
         let vm_exit exit =
           fun () ->
-            if tr.fuel <= 0 then out_of_fuel start
-            else begin
-              tr.fuel <- tr.fuel - 1;
-              retire ();
+            if charge tr cost then begin
               commit tr;
               Cpu.set_pc cpu next;
               Some (exit ())
             end
+            else out_of_fuel start
+        in
+        let retv = Int64.of_int next in
+        let push_return () =
+          let sp = write_addr start next Instr.sp (-8) 8 in
+          Memory.write_u64 mem sp retv;
+          set_sp sp
         in
         with_hook start instr
         @@
         match instr with
         | Hlt -> vm_exit (fun () -> Cpu.Halt)
-        | Out (port, src) ->
-            let srcf = operand src in
-            vm_exit (fun () -> Cpu.Io_out { port; value = srcf () })
+        | Out (port, Reg rs) -> vm_exit (fun () -> Cpu.Io_out { port; value = get regs rs })
+        | Out (port, Imm i) ->
+            let e = Cpu.Io_out { port; value = imm i } in
+            vm_exit (fun () -> e)
         | In (rd, port) -> vm_exit (fun () -> Cpu.Io_in { port; reg = rd })
         | Jmp a ->
             let g = goto a in
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                g ()
-              end
+            fun () -> if charge tr cost then g () else out_of_fuel start
         | Call a ->
             let g = goto a in
-            let retv = Int64.of_int next in
             fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                tr.cur_pc <- start;
-                (* the push may CoW-fault: hook observes clock + pc *)
-                commit tr;
-                Cpu.set_pc cpu next;
-                Cpu.push cpu retv;
+              if charge tr cost then begin
+                push_return ();
                 if smc_ok () then g ()
                 else begin
                   Cpu.set_pc cpu a;
                   smc_abort ()
                 end
               end
+              else out_of_fuel start
         | Callr r ->
-            let retv = Int64.of_int next in
             fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                tr.cur_pc <- start;
-                commit tr;
-                Cpu.set_pc cpu next;
-                Cpu.push cpu retv;
+              if charge tr cost then begin
+                push_return ();
                 (* register read after the push (callr through sp) *)
-                Cpu.set_pc cpu (Cpu.branch_target cpu (Array.unsafe_get regs r));
+                Cpu.set_pc cpu (branch_target mode limit regs r);
                 None
               end
+              else out_of_fuel start
         | Ret ->
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                retire ();
-                tr.cur_pc <- start;
-                Cpu.set_pc cpu (Cpu.branch_target cpu (Cpu.pop cpu));
-                None
+            (* A small table of this ret's targets and their blocks, so
+               returns chain like static edges: filled from [lookup] on
+               a miss, revalidated on every hit, round-robin replaced. *)
+            let pcs = Array.make ret_ways (-1) and blks = Array.make ret_ways no_block in
+            let victim = ref 0 in
+            let resolve target =
+              let i = ref 0 in
+              while !i < ret_ways && Array.unsafe_get pcs !i <> target do incr i done;
+              if !i = ret_ways then begin
+                let b = lookup tr ~hooked target in
+                pcs.(!victim) <- target;
+                blks.(!victim) <- b;
+                victim := (!victim + 1) mod ret_ways;
+                b
               end
+              else
+                let b = Array.unsafe_get blks !i in
+                if b.b_live && block_valid tr b then b
+                else begin
+                  let b = lookup tr ~hooked target in
+                  blks.(!i) <- b;
+                  b
+                end
+            in
+            fun () ->
+              if charge tr cost then begin
+                tr.cur_pc <- start;
+                let sp = Int64.to_int (get regs Instr.sp) in
+                check_limit mode limit sp 8;
+                Memory.load64_into mem sp tr.scratch 0;
+                set_sp (sp + 8);
+                let target = branch_target mode limit tr.scratch 0 in
+                (* the transfer the dispatcher would make, and its
+                   observer, without leaving the chain *)
+                (match tr.block_hook with None -> () | Some f -> f ~pc:target);
+                (resolve target).b_exec ()
+              end
+              else out_of_fuel start
         | _ -> assert false (* only VM exits and branches terminate *))
   in
   (* Pass 2: compile body instructions back-to-front, each closure
-     continuing into the next. *)
+     continuing into the next. Every closure is specialised here by
+     opcode, operand kind and width, so none calls an operand reader or
+     an operator passed as a value. *)
   let compile (start, (instr : Instr.t), size) next_k =
     let cost = Instr.cost instr in
     let next = start + size in
-    (* register-only ops inline the batched cycles/retired bookkeeping to
-       avoid a call per retired instruction; the memory-touching ops
-       (which pay a guest memory access anyway) share it via [retire] *)
-    let retire () =
-      tr.cyc <- tr.cyc + cost;
-      tr.steps <- tr.steps + 1
-    in
     with_hook start instr
     @@
     match instr with
-    | Instr.Nop ->
+    | Instr.Nop -> fun () -> if charge tr cost then next_k () else out_of_fuel start
+    | Mov (rd, Reg rs) ->
+        (* registers are invariantly masked: no re-mask *)
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            next_k ()
-          end
-    | Mov (rd, src) -> (
-        (* operands are invariantly mode-masked, so reg-to-reg moves
-           need no re-mask *)
-        match src with
-        | Instr.Reg rs ->
+          if charge tr cost then (set regs rd (get regs rs); next_k ())
+          else out_of_fuel start
+    | Mov (rd, Imm i) ->
+        let v = imm i in
+        fun () -> if charge tr cost then (set regs rd v; next_k ()) else out_of_fuel start
+    | Bin (op, rd, Reg rs) -> (
+        match op with
+        | Add ->
             fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
-                Array.unsafe_set regs rd (Array.unsafe_get regs rs);
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.add (get regs rd) (get regs rs)) m);
+                next_k ())
+              else out_of_fuel start
+        | Sub ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.sub (get regs rd) (get regs rs)) m);
+                next_k ())
+              else out_of_fuel start
+        | Mul ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.mul (get regs rd) (get regs rs)) m);
+                next_k ())
+              else out_of_fuel start
+        (* and/or/xor/shr of masked values stay masked *)
+        | And ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (get regs rd) (get regs rs));
+                next_k ())
+              else out_of_fuel start
+        | Or ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logor (get regs rd) (get regs rs));
+                next_k ())
+              else out_of_fuel start
+        | Xor ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logxor (get regs rd) (get regs rs));
+                next_k ())
+              else out_of_fuel start
+        | Shl ->
+            fun () ->
+              if charge tr cost then (
+                let c = Int64.to_int (get regs rs) land cnt in
+                set regs rd (Int64.logand (Int64.shift_left (get regs rd) c) m);
+                next_k ())
+              else out_of_fuel start
+        | Shr ->
+            fun () ->
+              if charge tr cost then (
+                let c = Int64.to_int (get regs rs) land cnt in
+                set regs rd (Int64.shift_right_logical (get regs rd) c);
+                next_k ())
+              else out_of_fuel start
+        | Sar ->
+            fun () ->
+              if charge tr cost then (
+                let c = Int64.to_int (get regs rs) land cnt in
+                set regs rd (Int64.logand (Int64.shift_right (sext s (get regs rd)) c) m);
+                next_k ())
+              else out_of_fuel start
+        | Div | Rem ->
+            (* signed, on the sign-extended operands *)
+            let div = op = Div in
+            fun () ->
+              if charge tr cost then begin
+                tr.cur_pc <- start;
+                let r = sext s (get regs rs) in
+                if r = 0L then raise (Cpu.Vm_fault (Division_by_zero { addr = start }));
+                let l = sext s (get regs rd) in
+                set regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
                 next_k ()
               end
-        | Instr.Imm i ->
-            let v = Modes.mask mode i in
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
-                Array.unsafe_set regs rd v;
-                next_k ()
-              end)
-    | Bin (op, rd, src) -> (
-        let srcf = operand src in
-        (* mode-masked inputs in, mask applied on writeback *)
-        let simple fop =
-          fun () ->
-            if tr.fuel <= 0 then out_of_fuel start
-            else begin
-              tr.fuel <- tr.fuel - 1;
-              tr.cyc <- tr.cyc + cost;
-              tr.steps <- tr.steps + 1;
-              Array.unsafe_set regs rd (mk (fop (Array.unsafe_get regs rd) (srcf ())));
-              next_k ()
-            end
-        in
+              else out_of_fuel start)
+    | Bin (op, rd, Imm i) -> (
+        let v = imm i in
+        let c = Int64.to_int v land cnt in
         match op with
-        | Instr.Add -> simple Int64.add
-        | Instr.Sub -> simple Int64.sub
-        | Instr.Mul -> simple Int64.mul
-        | Instr.And -> simple Int64.logand
-        | Instr.Or -> simple Int64.logor
-        | Instr.Xor -> simple Int64.logxor
-        | Instr.Shl ->
-            simple (fun l r -> Int64.shift_left l (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Shr ->
-            simple (fun l r ->
-                Int64.shift_right_logical l (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Sar ->
-            simple (fun l r ->
-                Int64.shift_right (sx l) (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Div | Instr.Rem ->
-            (* signed, on the sign-extended operands *)
-            let fop = if op = Instr.Div then Int64.div else Int64.rem in
+        | Add ->
             fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.add (get regs rd) v) m);
+                next_k ())
+              else out_of_fuel start
+        | Sub ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.sub (get regs rd) v) m);
+                next_k ())
+              else out_of_fuel start
+        | Mul ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.mul (get regs rd) v) m);
+                next_k ())
+              else out_of_fuel start
+        | And ->
+            fun () ->
+              if charge tr cost then (set regs rd (Int64.logand (get regs rd) v); next_k ())
+              else out_of_fuel start
+        | Or ->
+            fun () ->
+              if charge tr cost then (set regs rd (Int64.logor (get regs rd) v); next_k ())
+              else out_of_fuel start
+        | Xor ->
+            fun () ->
+              if charge tr cost then (set regs rd (Int64.logxor (get regs rd) v); next_k ())
+              else out_of_fuel start
+        | Shl ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.shift_left (get regs rd) c) m);
+                next_k ())
+              else out_of_fuel start
+        | Shr ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.shift_right_logical (get regs rd) c);
+                next_k ())
+              else out_of_fuel start
+        | Sar ->
+            fun () ->
+              if charge tr cost then (
+                set regs rd (Int64.logand (Int64.shift_right (sext s (get regs rd)) c) m);
+                next_k ())
+              else out_of_fuel start
+        | Div | Rem ->
+            let div = op = Div and r = sext s v in
+            fun () ->
+              if charge tr cost then begin
                 tr.cur_pc <- start;
-                let r = sx (srcf ()) in
                 if r = 0L then raise (Cpu.Vm_fault (Division_by_zero { addr = start }));
-                Array.unsafe_set regs rd (mk (fop (sx (Array.unsafe_get regs rd)) r));
+                let l = sext s (get regs rd) in
+                set regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
                 next_k ()
-              end)
+              end
+              else out_of_fuel start)
     | Neg rd ->
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.neg (sx (Array.unsafe_get regs rd))));
-            next_k ()
-          end
+          if charge tr cost then (
+            set regs rd (Int64.logand (Int64.neg (sext s (get regs rd))) m);
+            next_k ())
+          else out_of_fuel start
     | Not rd ->
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.lognot (Array.unsafe_get regs rd)));
-            next_k ()
-          end
-    | Cmp (r, src) ->
-        let srcf = operand src in
+          if charge tr cost then (
+            set regs rd (Int64.logand (Int64.lognot (get regs rd)) m);
+            next_k ())
+          else out_of_fuel start
+    | Cmp (r, Reg rs) ->
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            let l = Array.unsafe_get regs r and rv = srcf () in
-            Cpu.set_cmp cpu
-              ~signed:(Int64.compare (sx l) (sx rv))
-              ~unsigned:(Int64.unsigned_compare l rv);
+          if charge tr cost then begin
+            let l = get regs r and rv = get regs rs in
+            fl.signed_cmp <- Int64.compare (sext s l) (sext s rv);
+            fl.unsigned_cmp <- Int64.unsigned_compare l rv;
             next_k ()
           end
+          else out_of_fuel start
+    | Cmp (r, Imm i) ->
+        let rv = imm i in
+        let srv = sext s rv in
+        fun () ->
+          if charge tr cost then begin
+            let l = get regs r in
+            fl.signed_cmp <- Int64.compare (sext s l) srv;
+            fl.unsigned_cmp <- Int64.unsigned_compare l rv;
+            next_k ()
+          end
+          else out_of_fuel start
     | Jcc (c, a) ->
         let g = goto a in
+        let unsigned, signs = cond_signs c in
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            if Cpu.eval_cond cpu c then g () else next_k ()
+          if charge tr cost then begin
+            let f = if unsigned then fl.unsigned_cmp else fl.signed_cmp in
+            if (signs lsr (compare f 0 + 1)) land 1 = 1 then g () else next_k ()
           end
-    | Push src ->
-        let srcf = operand src in
+          else out_of_fuel start
+    | Push (Reg rs) ->
+        (* [push sp] stores sp's value from before the push *)
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            retire ();
-            tr.cur_pc <- start;
-            commit tr;
-            Cpu.set_pc cpu next;
-            Cpu.push cpu (srcf ());
+          if charge tr cost then begin
+            let sp = write_addr start next Instr.sp (-8) 8 in
+            Memory.store64_from mem sp regs rs;
+            set_sp sp;
             if smc_ok () then next_k () else smc_abort ()
           end
+          else out_of_fuel start
+    | Push (Imm i) ->
+        let v = imm i in
+        fun () ->
+          if charge tr cost then begin
+            let sp = write_addr start next Instr.sp (-8) 8 in
+            Memory.write_u64 mem sp v;
+            set_sp sp;
+            if smc_ok () then next_k () else smc_abort ()
+          end
+          else out_of_fuel start
     | Pop rd ->
+        (* [pop sp] keeps the loaded word, not the incremented sp *)
+        let to_sp = rd = Instr.sp in
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            retire ();
+          if charge tr cost then begin
             tr.cur_pc <- start;
-            Cpu.set_reg cpu rd (Cpu.pop cpu);
+            let sp = Int64.to_int (get regs Instr.sp) in
+            check_limit mode limit sp 8;
+            Memory.load64_into mem sp regs rd;
+            if not to_sp then set_sp (sp + 8);
+            if masked then set regs rd (Int64.logand (get regs rd) m);
             next_k ()
           end
+          else out_of_fuel start
+    | Load (W64, rd, rb, d) ->
+        fun () ->
+          if charge tr cost then begin
+            tr.cur_pc <- start;
+            let addr = Int64.to_int (get regs rb) + d in
+            check_limit mode limit addr 8;
+            Memory.load64_into mem addr regs rd;
+            if masked then set regs rd (Int64.logand (get regs rd) m);
+            next_k ()
+          end
+          else out_of_fuel start
     | Load (w, rd, rb, d) ->
+        let size = Instr.bytes_of_width w in
+        let read =
+          match w with
+          | W8 -> Memory.read_u8
+          | W16 -> Memory.read_u16
+          | W32 | W64 (* W64 is matched above *) -> Memory.read_u32
+        in
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            retire ();
+          if charge tr cost then begin
             tr.cur_pc <- start;
-            let addr = Int64.to_int (Array.unsafe_get regs rb) + d in
-            Array.unsafe_set regs rd (mk (Cpu.read_mem cpu w addr));
+            let addr = Int64.to_int (get regs rb) + d in
+            check_limit mode limit addr size;
+            set regs rd (Int64.of_int (read mem addr land mi));
             next_k ()
           end
-    | Store (w, rb, d, src) ->
-        let srcf = operand src in
-        fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            retire ();
-            tr.cur_pc <- start;
-            commit tr;
-            Cpu.set_pc cpu next;
-            let addr = Int64.to_int (Array.unsafe_get regs rb) + d in
-            Cpu.write_mem cpu w addr (srcf ());
-            (* the store may have rewritten this very block *)
-            if smc_ok () then next_k () else smc_abort ()
-          end
+          else out_of_fuel start
+    | Store (w, rb, d, src) -> (
+        let size = Instr.bytes_of_width w in
+        let write, wmask =
+          match w with
+          | W8 -> (Memory.write_u8, 0xFF)
+          | W16 -> (Memory.write_u16, 0xFFFF)
+          | W32 | W64 -> (Memory.write_u32, 0xFFFFFFFF)
+        in
+        (* the store may have rewritten this very block *)
+        match (w, src) with
+        | W64, Reg rs ->
+            fun () ->
+              if charge tr cost then begin
+                Memory.store64_from mem (write_addr start next rb d 8) regs rs;
+                if smc_ok () then next_k () else smc_abort ()
+              end
+              else out_of_fuel start
+        | W64, Imm i ->
+            let v = imm i in
+            fun () ->
+              if charge tr cost then begin
+                Memory.write_u64 mem (write_addr start next rb d 8) v;
+                if smc_ok () then next_k () else smc_abort ()
+              end
+              else out_of_fuel start
+        | _, Reg rs ->
+            fun () ->
+              if charge tr cost then begin
+                let addr = write_addr start next rb d size in
+                write mem addr (Int64.to_int (get regs rs) land wmask);
+                if smc_ok () then next_k () else smc_abort ()
+              end
+              else out_of_fuel start
+        | _, Imm i ->
+            let v = Int64.to_int (imm i) land wmask in
+            fun () ->
+              if charge tr cost then begin
+                write mem (write_addr start next rb d size) v;
+                if smc_ok () then next_k () else smc_abort ()
+              end
+              else out_of_fuel start)
     | Lea (rd, rb, d) ->
         let dv = Int64.of_int d in
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            tr.cyc <- tr.cyc + cost;
-            tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.add (Array.unsafe_get regs rb) dv));
-            next_k ()
-          end
+          if charge tr cost then (
+            set regs rd (Int64.logand (Int64.add (get regs rb) dv) m);
+            next_k ())
+          else out_of_fuel start
     | Rdtsc rd ->
         fun () ->
-          if tr.fuel <= 0 then out_of_fuel start
-          else begin
-            tr.fuel <- tr.fuel - 1;
-            retire ();
+          if charge tr cost then begin
             (* rdtsc observes the clock including its own cost *)
             commit tr;
-            Array.unsafe_set regs rd
-              (Modes.mask mode (Cycles.Clock.now tr.clock));
+            set regs rd (Int64.logand (Cycles.Clock.now tr.clock) m);
             next_k ()
           end
+          else out_of_fuel start
     | Hlt | Jmp _ | Call _ | Callr _ | Ret | Out _ | In _ ->
         assert false (* terminators, never in the body *)
   in
@@ -552,7 +761,7 @@ and translate tr ~hooked pc0 =
      vers_r := Array.init n (fun i -> Memory.page_version mem (first + i))
    end);
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
-  { b_pages = !pages_r; b_vers = !vers_r; b_exec = exec }
+  { b_pages = !pages_r; b_vers = !vers_r; b_exec = exec; b_live = true }
 
 let run ?(fuel = 200_000_000) tr =
   let cpu = tr.cpu in

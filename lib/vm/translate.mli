@@ -37,8 +37,9 @@ val flush_cache : t -> unit
 
 val set_block_hook : t -> (pc:int -> unit) option -> unit
 (** Install (or clear) a block-entry observer: called once per
-    superblock entered — both dispatcher entries and chained static
-    transfers — with the block's start pc, in either block flavour. The
+    superblock entered — dispatcher entries, chained static transfers
+    and returns through a [ret]'s cache alike — with the block's start
+    pc, in either block flavour. The
     hook must not mutate guest state or advance clocks (vtrace block
     probes rely on this). *)
 

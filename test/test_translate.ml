@@ -17,6 +17,7 @@ type outcome = {
   mem : bytes;
   retired : int64;
   cycles : int64;
+  pc : int;
 }
 
 let exit_str (e : Vm.Cpu.exit_reason) = Format.asprintf "%a" Vm.Cpu.pp_exit e
@@ -36,21 +37,23 @@ let machine ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?(prepare = fun _ _ 
   (cpu, mem)
 
 (* One engine's resumable run function over [cpu]; [hook] is installed
-   the way each engine takes it (a Cpu step hook for the translator). *)
-let runner ?(hook : hook option) engine cpu =
+   the way each engine takes it (a Cpu step hook for the translator).
+   [block_hook] observes the translator's block entries. *)
+let runner ?(hook : hook option) ?block_hook engine cpu =
   match engine with
   | `Reference -> fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
   | `Translate ->
       Option.iter (Vm.Cpu.set_step_hook cpu) hook;
       let tr = Vm.Translate.create cpu in
+      Vm.Translate.set_block_hook tr block_hook;
       fun fuel -> Vm.Translate.run ~fuel tr
 
 (* Run [code] to completion under one engine, resuming deterministically
    through a bounded number of I/O exits ([in] deposits a constant). *)
-let exec ?hook ?prepare engine ~mode ~mem_size code =
+let exec ?hook ?block_hook ?prepare engine ~mode ~mem_size code =
   let cpu, mem = machine ~mode ~mem_size ?prepare code in
   let clock = Vm.Cpu.clock cpu in
-  let step = runner ?hook engine cpu in
+  let step = runner ?hook ?block_hook engine cpu in
   let fuel = 50_000 in
   let rec go budget =
     let left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in
@@ -70,6 +73,7 @@ let exec ?hook ?prepare engine ~mode ~mem_size code =
     mem = Vm.Memory.snapshot mem;
     retired = Vm.Cpu.instructions_retired cpu;
     cycles = Cycles.Clock.now clock;
+    pc = Vm.Cpu.pc cpu;
   }
 
 let same a b =
@@ -235,6 +239,147 @@ let prop_code_page =
   QCheck.Test.make ~name:"stores aimed at the code page agree in both flavours" ~count:300
     arb_code_page_program (fun p -> agrees p && agrees_hooked p)
 
+(* The translator's specialised paths: the stack, 64-bit accesses that
+   straddle a page, and returns. Every program points r12 at
+   [data_base], places its stack, then runs its main items [passes]
+   times; the items call two stack-neutral subroutines from several
+   sites, so each ret alternates between two or more return sites
+   (more than the return cache holds, sometimes). Items write only
+   r0-r5 and sp; [push sp] and [pop sp] come both alone and paired. The
+   stack either ends just past the code, so pushes land on the code's
+   own tail, in the block doing the push; or starts half a word into a
+   page, so every push straddles it; or sits in a data page. The
+   memory is captured before the run, so the first push or store to
+   any page with data or code breaks it copy-on-write. *)
+let data_base = 0xB000
+
+let gen_stack_program =
+  let open QCheck.Gen in
+  let open Asm in
+  let small = int_range 0 5 in
+  let src = oneof [ map (fun r -> OReg r) small; map (fun i -> OImm (Int64.of_int i)) int ] in
+  let straddle = int_range (-12) 4 in
+  let one i = [ Insn i ] in
+  (* stack-neutral, so a subroutine still returns to its call site *)
+  let neutral =
+    frequency
+      [
+        (2, map2 (fun a b -> [ Insn (SPush (OReg a)); Insn (SPop b) ]) small small);
+        (2, return [ Insn (SPush (OReg Instr.sp)); Insn (SPop Instr.sp) ]);
+        (1, map2 (fun o b -> [ Insn (SPush o); Insn (SPop b) ]) src small);
+        (3, map2 (fun d o -> one (SStore (Instr.W64, 12, d, o))) straddle src);
+        (3, map2 (fun r d -> one (SLoad (Instr.W64, r, 12, d))) small straddle);
+        (1, map2 (fun d o -> one (SStore (Instr.W64, Instr.sp, d, o))) (int_range (-16) (-8)) src);
+        (2, map3 (fun op r o -> one (SBin (op, r, o))) (oneofl Instr.[ Add; Sub; Xor ]) small src);
+        (1, map2 (fun r o -> one (SMov (r, o))) small src);
+      ]
+  in
+  let main_item =
+    frequency
+      [
+        (4, neutral);
+        (4, map (fun f -> one (SCall (Lbl f))) (oneofl [ "f0"; "f1" ]));
+        (1, map (fun r -> one (SPush (OReg r))) small);
+        (1, return (one (SPush (OReg Instr.sp))));
+        (1, map (fun r -> one (SPop r)) small);
+        (1, return (one (SPop Instr.sp)));
+        (* a stack switch: [pop sp] keeps the popped word *)
+        (1, map (fun a -> [ Insn (SPush (OImm a)); Insn (SPop Instr.sp) ]) (oneofl [ 0x7000L; 0xA004L ]));
+      ]
+  in
+  let* mode = gen_mode in
+  let* stack = oneof [ map (fun k -> `Past_code k) (int_range 0 16); return `Straddle; return `Data ] in
+  let* passes = int_range 1 4 in
+  let* main = list_size (int_range 4 24) main_item in
+  let* f0 = list_size (int_range 0 4) neutral and* f1 = list_size (int_range 0 4) neutral in
+  let set_sp =
+    match stack with
+    | `Past_code k -> [ Insn (SMov (Instr.sp, OLbl "end")); Insn (SLea (Instr.sp, Instr.sp, k)) ]
+    | `Straddle -> [ Insn (SMov (Instr.sp, OImm 0xA004L)) ]
+    | `Data -> [ Insn (SMov (Instr.sp, OImm 0x7000L)) ]
+  in
+  let items =
+    [ Insn (SMov (12, OImm (Int64.of_int data_base))) ]
+    @ set_sp
+    @ [ Insn (SMov (9, OImm (Int64.of_int passes))); Label "loop" ]
+    @ List.concat main
+    @ [ Insn (SBin (Instr.Sub, 9, OImm 1L)); Insn (SCmp (9, OImm 0L));
+        Insn (SJcc (Instr.Ne, Lbl "loop")); Insn SHlt; Label "f0" ]
+    @ List.concat f0 @ [ Insn SRet; Label "f1" ] @ List.concat f1 @ [ Insn SRet; Label "end" ]
+  in
+  return (mode, (Asm.assemble ~origin items).Asm.code)
+
+let arb_stack_program =
+  QCheck.make
+    ~print:(fun (mode, code) ->
+      Printf.sprintf "%s:\n%s" (Vm.Modes.to_string mode) (Disasm.render (Disasm.disassemble ~origin code)))
+    gen_stack_program
+
+(* Data on every page the programs write, then a capture, so first
+   writes break shared pages; the fault hook charges an EPT-style cost
+   and logs the page, clock and pc it observes (as in "cow mid-run"). *)
+let cow_prepare log mem cpu =
+  List.iter (fun a -> Vm.Memory.write_u64 mem a 0x1111L) [ 0x6FF0; 0x9FF0; 0xA008; data_base - 16; data_base ];
+  ignore (Vm.Memory.capture mem);
+  Vm.Memory.set_fault_hook mem
+    (Some
+       (fun ~shared ~page ->
+         if shared then begin
+           Cycles.Clock.advance_int (Vm.Cpu.clock cpu) 1000;
+           log := (page, Cycles.Clock.now (Vm.Cpu.clock cpu), Vm.Cpu.pc cpu) :: !log
+         end))
+
+(* [xs] occurs in [ys] in order, not necessarily contiguously. *)
+let rec subsequence xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' -> if x = y then subsequence xs' ys' else subsequence xs ys'
+
+(* Run [code] under one engine with the CoW capture and a block hook
+   recording pcs; the reference always records its executed pcs, the
+   translator runs its hooked flavour when [hooked]. *)
+let traced ~hooked engine (mode, code) =
+  let breaks = ref [] and steps = ref [] and blocks = ref [] in
+  let clock = ref None in
+  let prepare mem cpu =
+    clock := Some (Vm.Cpu.clock cpu);
+    cow_prepare breaks mem cpu
+  in
+  let hook ~pc ~instr ~cost = steps := (pc, instr, cost, Cycles.Clock.now (Option.get !clock)) :: !steps in
+  let hook = if hooked || engine = `Reference then Some hook else None in
+  let block_hook ~pc = blocks := pc :: !blocks in
+  let o = exec ?hook ~block_hook ~prepare engine ~mode ~mem_size:(64 * 1024) code in
+  (o, List.rev !breaks, List.rev !steps, List.rev !blocks)
+
+(* Block entries are executed pcs, in order; and every pc the reference
+   reached through a call, jmp or ret is a block entry — a return the
+   cache resolves fires the block hook as a dispatched one does. *)
+let stack_paths_agree p =
+  let r, rbreaks, rsteps, _ = traced ~hooked:false `Reference p in
+  (* the pcs the reference executed, then the one it stopped at *)
+  let pcs = List.map (fun (pc, _, _, _) -> pc) rsteps in
+  let executed = pcs @ [ r.pc ] in
+  let rec transferred = function
+    | (_, (i : Instr.t), _, _) :: ((pc, _, _, _) :: _ as rest) -> (
+        match i with
+        | Call _ | Callr _ | Jmp _ | Ret -> pc :: transferred rest
+        | _ -> transferred rest)
+    | _ -> []
+  in
+  List.for_all
+    (fun hooked ->
+      let t, tbreaks, tsteps, tblocks = traced ~hooked `Translate p in
+      same r t && r.pc = t.pc && rbreaks = tbreaks
+      && ((not hooked) || rsteps = tsteps)
+      && subsequence tblocks executed
+      && subsequence (transferred rsteps) tblocks)
+    [ false; true ]
+
+let prop_stack_paths =
+  QCheck.Test.make ~name:"stack, straddles and returns agree in both flavours" ~count:300
+    arb_stack_program stack_paths_agree
+
 (* ------------------------------------------------------------------ *)
 (* Directed: self-modifying code                                        *)
 (* ------------------------------------------------------------------ *)
@@ -376,6 +521,116 @@ let test_crt0_keeps_blocks () =
   | other -> Alcotest.failf "expected a hypercall exit, got %s" (exit_str other));
   let n = (Vm.Translate.stats tr).blocks_translated in
   if n > 8 then Alcotest.failf "crt0 translated %d blocks before the first exit (at most 8)" n
+
+let test_ret_into_rewritten_block () =
+  (* the ret in [f] (on its own page) fills its return cache with the
+     block at [ra]; a store then rewrites that block's first immediate
+     (add r0, 1 -> add r0, 16) without touching [f]'s page. The second
+     return must run the new bytes: r0 = 1 + 16. *)
+  let open Asm in
+  let f = origin + Vm.Memory.page_size in
+  let add n = Instr.Bin (Instr.Add, 0, Imm n) in
+  let before = Encoding.encode_program [ add 1L ] and after = Encoding.encode_program [ add 16L ] in
+  let k =
+    Option.get
+      (List.find_opt (fun i -> Bytes.get before i <> Bytes.get after i)
+         (List.init (Bytes.length before) Fun.id))
+  in
+  let items =
+    [
+      Insn (SMov (1, OLbl "ra"));
+      Insn (SMov (2, OImm 0L));
+      Label "loop";
+      Insn (SCall (Abs f));
+      Label "ra";
+      Insn (SBin (Instr.Add, 0, OImm 1L));
+      Insn (SBin (Instr.Add, 2, OImm 1L));
+      Insn (SCmp (2, OImm 2L));
+      Insn (SJcc (Instr.Lt, Lbl "patch"));
+      Insn SHlt;
+      Label "patch";
+      Insn (SStore (Instr.W8, 1, k, OImm (Int64.of_int (Char.code (Bytes.get after k)))));
+      Insn (SJmp (Lbl "loop"));
+    ]
+  in
+  let len = Bytes.length (Asm.assemble ~origin items).Asm.code in
+  let code = (Asm.assemble ~origin (items @ [ Zero (f - origin - len); Insn SRet ])).Asm.code in
+  let r, _ = both "ret into a rewritten block" code in
+  Alcotest.(check string) "halts" "halt" r.exit;
+  Alcotest.(check int64) "the second return ran the rewritten add" 17L r.regs.(0)
+
+let test_ret_cache_drops_removed_block () =
+  (* the return target X ends at an undecodable byte. Pass 1 leaves X
+     early and patches that byte (outside X's bytes, so X stays valid);
+     pass 2 runs X to its end, where the now-decodable byte drops X from
+     the block table; pass 3 returns to X again. A dispatched return
+     would find X gone and translate it afresh, so the return cache must
+     not reuse it: 8 blocks, 1 invalidation, the counts of dispatch. *)
+  let open Asm in
+  let f = origin + Vm.Memory.page_size and patch = origin + (2 * Vm.Memory.page_size) in
+  let nop = Char.code (Bytes.get (Encoding.encode_program [ Instr.Nop ]) 0) in
+  (match Encoding.decode (fun _ -> 0xFF) 0 with
+  | exception Encoding.Decode_error _ -> ()
+  | _ -> Alcotest.fail "0xFF must not decode");
+  let patch_items = [ Insn (SStore (Instr.W8, 1, 0, OImm (Int64.of_int nop))); Insn (SJmp (Lbl "loop")) ] in
+  (* the hlt after the patch block *)
+  let fin =
+    patch
+    + Bytes.length
+        (Encoding.encode_program [ Instr.Store (W8, 1, 0, Imm (Int64.of_int nop)); Instr.Jmp 0 ])
+  in
+  let main =
+    [
+      Insn (SMov (1, OLbl "bad"));
+      Insn (SMov (2, OImm 0L));
+      Label "loop";
+      Insn (SCall (Abs f));
+      (* X, the return site *)
+      Insn (SBin (Instr.Add, 2, OImm 1L));
+      Insn (SCmp (2, OImm 1L));
+      Insn (SJcc (Instr.Eq, Abs patch));
+      Insn (SCmp (2, OImm 3L));
+      Insn (SJcc (Instr.Eq, Abs fin));
+      Label "bad";
+      Byte [ 0xFF ];
+      Insn (SJmp (Lbl "loop"));
+    ]
+  in
+  let len = Bytes.length (Asm.assemble ~origin main).Asm.code in
+  let items =
+    main
+    @ [ Zero (f - origin - len); Insn SRet; Zero (patch - f - 1) ]
+    @ patch_items @ [ Insn SHlt ]
+  in
+  let code = (Asm.assemble ~origin items).Asm.code in
+  let r, _ = both "ret cache drops a removed block" code in
+  Alcotest.(check string) "halts" "halt" r.exit;
+  let cpu, _ = machine code in
+  let tr = Vm.Translate.create cpu in
+  ignore (Vm.Translate.run tr);
+  let s = Vm.Translate.stats tr in
+  Alcotest.(check (pair int int)) "blocks translated, invalidations" (8, 1)
+    (s.blocks_translated, s.invalidations)
+
+let test_allocation_budget () =
+  (* the engine's hot path allocates nothing: registers, the clock and
+     the retired count are unboxed, and a return chains without the
+     dispatcher. A deterministic count, not a timing: fib(20) retires
+     ~2M simulated cycles, and a per-instruction box shows as >= 1 word
+     per cycle. *)
+  let fib = "virtine int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }" in
+  let c = Vcc.Compile.compile ~snapshot:false ~name:"fibbudget" fib in
+  let clock = Cycles.Clock.create () in
+  let fib20 () = Vcc.Compile.invoke_native ~clock c "fib" [ 20L ] () in
+  ignore (fib20 ());
+  let c0 = Cycles.Clock.now clock and w0 = Gc.minor_words () in
+  let v = fib20 () in
+  let words = Gc.minor_words () -. w0 in
+  let cycles = Int64.to_float (Int64.sub (Cycles.Clock.now clock) c0) in
+  Alcotest.(check int64) "fib(20)" 6765L v;
+  if words /. cycles > 0.5 then
+    Alcotest.failf "%.0f minor words over %.0f cycles: %.3f per cycle (budget 0.5)" words cycles
+      (words /. cycles)
 
 let test_hooked_flavour_translates () =
   let open Instr in
@@ -583,7 +838,8 @@ let () =
   Alcotest.run "translate"
     [
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_hooked; prop_code_page ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_differential; prop_hooked; prop_code_page; prop_stack_paths ]
         @ [
             Alcotest.test_case "smc same block" `Quick test_smc_same_block;
             Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
@@ -592,6 +848,8 @@ let () =
             Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
             Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
             Alcotest.test_case "cow mid-run" `Quick test_cow_mid_run;
+            Alcotest.test_case "ret into a block rewritten after the cache filled" `Quick
+              test_ret_into_rewritten_block;
           ] );
       ( "engine",
         [
@@ -601,6 +859,9 @@ let () =
           Alcotest.test_case "store beside code keeps the block" `Quick
             test_store_beside_code;
           Alcotest.test_case "vcc crt0 keeps its blocks" `Quick test_crt0_keeps_blocks;
+          Alcotest.test_case "ret cache drops a block the table dropped" `Quick
+            test_ret_cache_drops_removed_block;
+          Alcotest.test_case "allocation budget: fib(20) natively" `Quick test_allocation_budget;
         ] );
       ( "runtime",
         [
