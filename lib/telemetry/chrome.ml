@@ -1,23 +1,81 @@
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Every event is written straight into one buffer, sized up front from
+   the item count: no per-event string is built, and the common cases of
+   escaping and number formatting bypass Printf. *)
 
-let args_json args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) args)
-  ^ "}"
+let needs_escape s =
+  let rec go i =
+    i < String.length s
+    &&
+    let c = String.unsafe_get s i in
+    c = '"' || c = '\\' || Char.code c < 0x20 || go (i + 1)
+  in
+  go 0
+
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_escaped buf s =
+  if not (needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+            Buffer.add_char buf (hex_digit (Char.code c land 15))
+        | c -> Buffer.add_char buf c)
+      s
+
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n = if n < 0 then Buffer.add_string buf (string_of_int n) else add_nat buf n
+
+let add_int64 buf v =
+  let n = Int64.to_int v in
+  if Int64.equal (Int64.of_int n) v then add_int buf n
+  else Buffer.add_string buf (Int64.to_string v)
+
+(* [y] is [1000x] rounded once, so it is within 2^-52 y of the exact
+   product; outside 2^-50 y of a half it rounds to the same integer as
+   the exact product, which is what [%.3f] prints. Nearer a tie, and for
+   negative, huge or non-finite values, Printf decides. *)
+let add_fixed3 buf x =
+  let y = x *. 1000.0 in
+  let printf () = Buffer.add_string buf (Printf.sprintf "%.3f" x) in
+  if Float.sign_bit y || not (y < 0x1p49) then printf ()
+  else begin
+    let n = Float.to_int y in
+    let frac = y -. Float.of_int n in
+    if Float.abs (frac -. 0.5) <= y *. 0x1p-50 then printf ()
+    else begin
+      let n = if frac > 0.5 then n + 1 else n in
+      let m = n mod 1000 in
+      add_nat buf (n / 1000);
+      Buffer.add_char buf '.';
+      Buffer.add_char buf (Char.unsafe_chr (48 + (m / 100)));
+      Buffer.add_char buf (Char.unsafe_chr (48 + (m / 10 mod 10)));
+      Buffer.add_char buf (Char.unsafe_chr (48 + (m mod 10)))
+    end
+  end
+
+(* ["k":"v"] pairs, each after a comma when [comma] or when not first *)
+let rec add_args buf ~comma = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      if comma then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      add_escaped buf k;
+      Buffer.add_string buf "\":\"";
+      add_escaped buf v;
+      Buffer.add_char buf '"';
+      add_args buf ~comma:true rest
 
 (* Each simulated core becomes its own thread track: tid = core + 1
    (Chrome treats tid 0 oddly, so core 0 maps to tid 1). *)
@@ -52,58 +110,76 @@ let flows items =
 
 let to_json ?(process = "wasp") hub =
   let clk = Hub.clock hub in
-  let us c = Cycles.Clock.to_us clk c in
   let items = Span.items (Hub.spans hub) in
   let cores =
-    List.sort_uniq compare
-      (List.map
-         (function Span.Complete s -> s.Span.core | Span.Instant i -> i.i_core)
-         items)
+    List.fold_left
+      (fun acc item ->
+        let c = match item with Span.Complete s -> s.Span.core | Span.Instant i -> i.i_core in
+        if List.mem c acc then acc else c :: acc)
+      [] items
+    |> List.sort compare
   in
   let cores = if cores = [] then [ 0 ] else cores in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"%s\"}}"
-       (escape process));
+  let buf = Buffer.create (256 * (List.length items + List.length cores + 1)) in
+  let add = Buffer.add_string buf in
+  let add_us c = add_fixed3 buf (Cycles.Clock.to_us clk c) in
+  let add_tid core = add_int buf (tid_of_core core) in
+  add "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"";
+  add_escaped buf process;
+  add "\"}}";
   List.iter
     (fun core ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"core %d\"}}"
-           (tid_of_core core) core))
+      add ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+      add_tid core;
+      add ",\"args\":{\"name\":\"core ";
+      add_int buf core;
+      add "\"}}")
     cores;
   List.iter
-    (fun item ->
-      Buffer.add_char buf ',';
-      match item with
+    (function
       | Span.Complete s ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"wasp\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":%s}"
-               (escape s.Span.name) (us s.Span.start_cycles) (us s.Span.duration)
-               (tid_of_core s.Span.core)
-               (args_json (("cycles", Int64.to_string s.Span.duration) :: s.Span.args)))
+          add ",{\"name\":\"";
+          add_escaped buf s.Span.name;
+          add "\",\"cat\":\"wasp\",\"ph\":\"X\",\"ts\":";
+          add_us s.Span.start_cycles;
+          add ",\"dur\":";
+          add_us s.Span.duration;
+          add ",\"pid\":1,\"tid\":";
+          add_tid s.Span.core;
+          add ",\"args\":{\"cycles\":\"";
+          add_int64 buf s.Span.duration;
+          Buffer.add_char buf '"';
+          add_args buf ~comma:true s.Span.args;
+          add "}}"
       | Span.Instant i ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"wasp\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,\"tid\":%d,\"args\":%s}"
-               (escape i.i_name) (us i.i_at) (tid_of_core i.i_core) (args_json i.i_args)))
+          add ",{\"name\":\"";
+          add_escaped buf i.i_name;
+          add "\",\"cat\":\"wasp\",\"ph\":\"i\",\"ts\":";
+          add_us i.i_at;
+          add ",\"s\":\"t\",\"pid\":1,\"tid\":";
+          add_tid i.i_core;
+          add ",\"args\":{";
+          add_args buf ~comma:false i.i_args;
+          add "}}")
     items;
+  (* flows only ever join spans on different cores *)
+  let flows = match cores with [ _ ] -> [] | _ -> flows items in
   List.iter
     (fun (p, s, sid) ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"s\",\"id\":\"0x%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-           (escape sid) (us p.Span.start_cycles) (tid_of_core p.Span.core));
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"0x%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-           (escape sid) (us s.Span.start_cycles) (tid_of_core s.Span.core)))
-    (flows items);
-  Buffer.add_string buf "]}";
+      add ",{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"s\",\"id\":\"0x";
+      add_escaped buf sid;
+      add "\",\"ts\":";
+      add_us p.Span.start_cycles;
+      add ",\"pid\":1,\"tid\":";
+      add_tid p.Span.core;
+      add "},{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"0x";
+      add_escaped buf sid;
+      add "\",\"ts\":";
+      add_us s.Span.start_cycles;
+      add ",\"pid\":1,\"tid\":";
+      add_tid s.Span.core;
+      add "}")
+    flows;
+  add "]}";
   Buffer.contents buf

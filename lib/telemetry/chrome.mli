@@ -9,3 +9,8 @@
 
 val to_json : ?process:string -> Hub.t -> string
 (** [process] (default ["wasp"]) names the trace's process row. *)
+
+val add_fixed3 : Buffer.t -> float -> unit
+(** [add_fixed3 buf x] appends exactly [Printf.sprintf "%.3f" x], the
+    form of every [ts] and [dur], calling Printf only when [x] is within
+    a few ulps of a rounding tie or is negative, huge or not finite. *)

@@ -16,7 +16,16 @@
     counters in the hub's registry, and emits a [slo_alert] instant span
     on each firing/cleared transition — so alert timelines live in the
     same trace as the requests that caused them, and replay
-    deterministically. *)
+    deterministically. Each series registers when it is first updated,
+    so the exposition lists them in first-use order.
+
+    Windows are exact, not bucketed. Each distinct window keeps running
+    good/bad counts over one stamp-sorted event buffer and slides
+    forward as the newest stamp advances, so [record] costs amortised
+    O(1) however many events the windows hold. Per-core clocks (see {!Hub.set_clock})
+    can stamp an event behind the newest one; it is inserted in stamp
+    order, at a cost proportional to the events stamped after it, and
+    the counts stay exactly those of the events inside each window. *)
 
 type rule = {
   rule_name : string;
@@ -53,8 +62,9 @@ val create :
 
 val record : t -> good:bool -> unit
 (** Feed one event stamped at the hub clock's current cycle, then
-    re-evaluate every rule (pruning events older than the longest
-    window). *)
+    re-evaluate every rule. A stamp later than any before it slides
+    every window forward; events that leave the longest window are
+    dropped. *)
 
 val record_latency : t -> int64 -> unit
 (** Feed one latency observation against a {!Latency_under} objective.

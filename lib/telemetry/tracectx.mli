@@ -33,7 +33,9 @@ val id_to_string : int64 -> string
     Prometheus exemplars and flight-ring entries. *)
 
 val id_of_string : string -> int64 option
-(** Inverse of {!id_to_string}; [None] on malformed input. *)
+(** Inverse of {!id_to_string}: exactly 16 hex digits, of either case.
+    [None] on anything else, including a sign, a [0x] prefix or a [_]
+    separator. *)
 
 val args_of_ids : ids -> (string * string) list
 (** [("trace_id", ..); ("span_id", ..)] plus [("parent_id", ..)] when

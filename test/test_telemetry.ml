@@ -646,6 +646,81 @@ let test_chrome_flow_events () =
   Alcotest.(check bool) "flow finish event" true (contains json "\"ph\":\"f\"");
   Alcotest.(check bool) "flow category" true (contains json "\"cat\":\"wasp.flow\"")
 
+let test_id_of_string_strict () =
+  List.iter
+    (fun s ->
+      Alcotest.(check (option int64)) (Printf.sprintf "%S rejected" s) None
+        (Telemetry.Tracectx.id_of_string s))
+    [
+      "0000000000000_01";
+      "_000000000000001";
+      "+000000000000001";
+      "-000000000000001";
+      "0x00000000000001";
+      "0X00000000000001";
+      "0o00000000000001";
+      " 000000000000001";
+      "000000000000001 ";
+      "000000000000000g";
+      "000000000000001";
+      "00000000000000001";
+      "";
+    ];
+  Alcotest.(check (option int64)) "either case of hex digit" (Some 0xABCDEF0123456789L)
+    (Telemetry.Tracectx.id_of_string "AbCdEf0123456789")
+
+let gen_id =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0xFFFFFFFFL; 0x100000000L ];
+        map2
+          (fun hi lo -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+          (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF);
+      ])
+
+let prop_id_round_trip =
+  QCheck.Test.make ~name:"id_to_string is %016Lx and id_of_string inverts it" ~count:1000
+    (QCheck.make ~print:Int64.to_string gen_id) (fun x ->
+      let s = Telemetry.Tracectx.id_to_string x in
+      String.equal s (Printf.sprintf "%016Lx" x)
+      && Telemetry.Tracectx.id_of_string s = Some x)
+
+let fixed3 x =
+  let b = Buffer.create 16 in
+  Telemetry.Chrome.add_fixed3 b x;
+  Buffer.contents b
+
+let prop_fixed3_cycles =
+  QCheck.Test.make ~name:"ts/dur of random cycle counts print as %.3f" ~count:3000
+    (QCheck.make
+       ~print:(fun (f, c) -> Printf.sprintf "%g GHz, %d cycles" f c)
+       QCheck.Gen.(
+         pair
+           (oneof [ oneofl [ 2.69; 1.0; 3.0; 2.4; 0.8 ]; float_range 0.1 6.0 ])
+           (oneof [ int_bound 10_000; int_bound 100_000_000; int_bound max_int ])))
+    (fun (freq_ghz, c) ->
+      let x = Cycles.Clock.to_us (Cycles.Clock.create ~freq_ghz ()) (Int64.of_int c) in
+      String.equal (fixed3 x) (Printf.sprintf "%.3f" x))
+
+let test_fixed3_edges () =
+  let check x =
+    Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%.3f" x) (fixed3 x)
+  in
+  (* within one ulp of (k+0.5)/1000, and exact binary ties m/16 with m odd *)
+  List.iter
+    (fun k ->
+      let t = (float_of_int k +. 0.5) /. 1000.0 in
+      List.iter check [ Float.pred t; t; Float.succ t ])
+    [ 0; 1; 62; 187; 999; 1_000; 123_456; 2_147_483_647; 1 lsl 40; (1 lsl 49) - 1 ];
+  List.iter (fun m -> check (float_of_int m /. 16.0)) [ 1; 3; 5; 12_345; (1 lsl 40) + 1 ];
+  (* past the fast path's range, and values it hands to Printf *)
+  List.iter check
+    [
+      0.0; -0.0; 1e-300; Float.min_float; 0.0005; 5.6e11; 5.7e11; 1e12; 1e15; 1e20;
+      Float.max_float; Float.infinity; Float.neg_infinity; Float.nan; -1.5; -1234.0625;
+    ]
+
 (* --- SLO burn-rate engine --------------------------------------------- *)
 
 let test_slo_fire_and_clear () =
@@ -724,6 +799,285 @@ let test_slo_latency_objective () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* --- exporter bytes, pinned -------------------------------------------- *)
+
+(* One deterministic traced scenario that reaches every formatting path
+   of both exporters: two cores on their own clocks (cross-core children
+   draw flow events, and SLO stamps arrive out of order), instants whose
+   names and args need escaping, an SLO storm that fires and clears, and
+   a labelled histogram with exemplars. Its output is committed under
+   test/fixtures/ and compared byte for byte, which also pins the order
+   in which the SLO registers its series. *)
+let export_scenario () =
+  let c0 = Cycles.Clock.create () and c1 = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:c0 () in
+  let on core clk =
+    Telemetry.Hub.set_clock hub clk;
+    Telemetry.Hub.set_core hub core
+  in
+  Telemetry.Hub.with_span hub ~args:[ ("phase", "untraced") ] "setup" (fun () ->
+      Cycles.Clock.advance_int c0 12_345);
+  Telemetry.Hub.enable_tracing hub ~seed:17;
+  let slo = Telemetry.Slo.create ~hub ~name:"export" ~target:0.9 ~period:400_000L () in
+  let work =
+    Telemetry.Metrics.histogram (Telemetry.Hub.metrics hub) ~help:"work \"cycles\"\nper request"
+      ~labels:[ ("fn", "a\\b\"c\nd") ]
+      "export_work_cycles"
+  in
+  for i = 0 to 79 do
+    let storm = i >= 30 && i < 45 in
+    on 0 c0;
+    Telemetry.Hub.enter hub ~args:[ ("req", string_of_int i) ] "request";
+    Cycles.Clock.advance_int c0 (1_000 + (37 * i));
+    on 1 c1;
+    Telemetry.Hub.with_span hub "work" (fun () ->
+        let v = 250 + (i * 7919 mod 4000) in
+        Cycles.Clock.advance_int c1 v;
+        if i mod 10 = 3 then
+          Telemetry.Hub.instant hub
+            ~args:[ ("note", "quote\" back\\ nl\n ctl\001 tab\t cr\r"); ("i\"k", "v") ]
+            "odd\"mark";
+        let exemplar =
+          Option.map Telemetry.Tracectx.id_to_string (Telemetry.Hub.current_trace hub)
+        in
+        Telemetry.Metrics.observe ?exemplar work (Int64.of_int v);
+        Telemetry.Hub.observe hub "export_request_cycles" (Int64.of_int (v * 3));
+        Telemetry.Slo.record slo ~good:(not (storm && i mod 3 <> 0)));
+    on 0 c0;
+    (* the last bad event leaves nonzero burn gauges without firing *)
+    Telemetry.Slo.record slo ~good:(not (storm || i = 76));
+    Telemetry.Hub.leave hub ()
+  done;
+  (hub, slo)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* On a mismatch the produced bytes land beside the test binary as
+   [<fixture>.actual], so a deliberate format change can be reviewed and
+   committed with cp. *)
+let check_fixture name actual =
+  let expected = read_file (Filename.concat "fixtures" name) in
+  if not (String.equal expected actual) then begin
+    let out = name ^ ".actual" in
+    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
+    let n = min (String.length expected) (String.length actual) in
+    let rec first i = if i < n && expected.[i] = actual.[i] then first (i + 1) else i in
+    Alcotest.failf "%s: bytes differ from offset %d (expected %d bytes, got %d); wrote %s" name
+      (first 0) (String.length expected) (String.length actual) out
+  end
+
+let test_exporter_bytes_pinned () =
+  let hub, slo = export_scenario () in
+  Alcotest.(check bool) "the storm fired an alert" true (Telemetry.Slo.alerts_fired slo > 0);
+  Alcotest.(check bool) "and it cleared" false (Telemetry.Slo.alerting slo);
+  check_fixture "telemetry-export.json"
+    (Telemetry.Chrome.to_json ~process:"wasp \"fixture\"" hub);
+  check_fixture "telemetry-export.prom"
+    (Telemetry.Prometheus.to_text (Telemetry.Hub.metrics hub))
+
+(* A reference model of [Slo] as a plain list: every event is kept until
+   it leaves the longest window, and each burn rate rescans the list.
+   Simple enough to trust, so it is the oracle for the sliding windows. *)
+module Slo_model = struct
+  type rule_state = {
+    rule : Telemetry.Slo.rule;
+    mutable active : bool;
+    mutable peak : float;
+  }
+
+  type t = {
+    target : float;
+    rules : rule_state list;
+    horizon : int64;
+    mutable events : (int64 * bool) list;
+    mutable newest : int64;
+    mutable good_n : int;
+    mutable bad_n : int;
+    mutable fired : int;
+    mutable cleared : int;
+  }
+
+  let create ~target rules =
+    {
+      target;
+      rules = List.map (fun rule -> { rule; active = false; peak = 0.0 }) rules;
+      horizon =
+        List.fold_left
+          (fun acc (r : Telemetry.Slo.rule) ->
+            if Int64.compare r.long_window acc > 0 then r.long_window else acc)
+          1L rules;
+      events = [];
+      newest = 0L;
+      good_n = 0;
+      bad_n = 0;
+      fired = 0;
+      cleared = 0;
+    }
+
+  let burn_over t w =
+    let total = ref 0 and bad = ref 0 in
+    List.iter
+      (fun (stamp, good) ->
+        if Int64.compare stamp (Int64.sub t.newest w) >= 0 then begin
+          incr total;
+          if not good then incr bad
+        end)
+      t.events;
+    if !total = 0 then 0.0 else float_of_int !bad /. float_of_int !total /. (1.0 -. t.target)
+
+  let evaluate t =
+    List.iter
+      (fun rs ->
+        let bl = burn_over t rs.rule.long_window and bs = burn_over t rs.rule.short_window in
+        if bl > rs.peak then rs.peak <- bl;
+        let firing = bl >= rs.rule.burn_threshold && bs >= rs.rule.burn_threshold in
+        if firing && not rs.active then begin
+          rs.active <- true;
+          t.fired <- t.fired + 1
+        end
+        else if (not firing) && rs.active then begin
+          rs.active <- false;
+          t.cleared <- t.cleared + 1
+        end)
+      t.rules
+
+  let record t stamp ~good =
+    if Int64.compare stamp t.newest > 0 then t.newest <- stamp;
+    t.events <- (stamp, good) :: t.events;
+    if good then t.good_n <- t.good_n + 1 else t.bad_n <- t.bad_n + 1;
+    let cutoff = Int64.sub t.newest t.horizon in
+    t.events <- List.filter (fun (s, _) -> Int64.compare s cutoff >= 0) t.events;
+    evaluate t
+end
+
+type slo_op = Advance of int * int | Record of int * bool | Evaluate
+
+let gen_slo_case =
+  QCheck.Gen.(
+    let window small =
+      oneof [ return 1L; map Int64.of_int (int_range 1 small); return Int64.max_int ]
+    in
+    let rule i =
+      let* long = window 5_000 in
+      let* short =
+        oneof [ return long; return 1L; map (fun s -> Int64.min s long) (window 500) ]
+      in
+      let* burn_threshold = oneofl [ 0.5; 1.0; 2.0; 5.0; 10.0 ] in
+      return
+        {
+          Telemetry.Slo.rule_name = "r" ^ string_of_int i;
+          long_window = long;
+          short_window = short;
+          burn_threshold;
+        }
+    in
+    let* clocks = int_range 1 3 in
+    let* target = oneofl [ 0.5; 0.9; 0.99; 0.999 ] in
+    let* period = int_range 1 200_000 in
+    let* rules =
+      oneof
+        [ return None; (let* n = int_range 1 3 in map Option.some (flatten_l (List.init n rule))) ]
+    in
+    let* bad_weight = int_range 0 4 in
+    let core = int_range 0 (clocks - 1) in
+    let op =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun c d -> Advance (c, d))
+              core
+              (oneof [ int_bound 3; int_bound 300; int_bound 5_000 ]) );
+          ( 6,
+            map2
+              (fun c good -> Record (c, good))
+              core
+              (frequency [ (4, return true); (bad_weight, return false) ]) );
+          (1, return Evaluate);
+        ]
+    in
+    let* ops = list_size (int_range 0 300) op in
+    return (clocks, target, period, rules, ops))
+
+let print_slo_case (clocks, target, period, rules, ops) =
+  let rule (r : Telemetry.Slo.rule) =
+    Printf.sprintf "%s(%Ld,%Ld,%g)" r.rule_name r.long_window r.short_window r.burn_threshold
+  in
+  let op = function
+    | Advance (c, d) -> Printf.sprintf "+%d@%d" d c
+    | Record (c, g) -> Printf.sprintf "%s@%d" (if g then "ok" else "BAD") c
+    | Evaluate -> "eval"
+  in
+  Printf.sprintf "clocks=%d target=%g period=%d rules=%s ops=[%s]" clocks target period
+    (match rules with None -> "default" | Some l -> String.concat ";" (List.map rule l))
+    (String.concat " " (List.map op ops))
+
+(* Sliding windows are exact: after every event or bare [evaluate], on
+   up to three per-core clocks whose stamps interleave out of order,
+   every observable agrees with the list model. *)
+let slo_agrees (clocks, target, period, rules, ops) =
+  let clks = Array.init clocks (fun _ -> Cycles.Clock.create ()) in
+  let hub = Telemetry.Hub.create ~clock:clks.(0) () in
+  let period = Int64.of_int period in
+  let slo = Telemetry.Slo.create ~hub ~name:"diff" ~target ?rules ~period () in
+  let rules = match rules with Some r -> r | None -> Telemetry.Slo.default_rules ~period in
+  let m = Slo_model.create ~target rules in
+  let same () =
+    List.for_all
+      (fun (rs : Slo_model.rule_state) ->
+        let rule = rs.rule.rule_name in
+        Telemetry.Slo.burn_rate slo ~rule
+        = (Slo_model.burn_over m rs.rule.long_window, Slo_model.burn_over m rs.rule.short_window)
+        && Telemetry.Slo.rule_alerting slo ~rule = rs.active)
+      m.rules
+    && Telemetry.Slo.alerts_fired slo = m.fired
+    && Telemetry.Slo.alerts_cleared slo = m.cleared
+    && Telemetry.Slo.peak_burn slo
+       = List.fold_left (fun acc (rs : Slo_model.rule_state) -> Float.max acc rs.peak) 0.0 m.rules
+    && Telemetry.Slo.good_count slo = m.good_n
+    && Telemetry.Slo.bad_count slo = m.bad_n
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Advance (c, d) -> Cycles.Clock.advance_int clks.(c) d
+      | Record (c, good) ->
+          Telemetry.Hub.set_clock hub clks.(c);
+          Telemetry.Slo.record slo ~good;
+          Slo_model.record m (Cycles.Clock.now clks.(c)) ~good
+      | Evaluate ->
+          Telemetry.Slo.evaluate slo;
+          Slo_model.evaluate m);
+      same ())
+    ops
+
+let prop_slo_matches_model =
+  QCheck.Test.make ~name:"sliding windows match the list model" ~count:500
+    (QCheck.make ~print:print_slo_case gen_slo_case)
+    slo_agrees
+
+let test_slo_record_allocation () =
+  (* A deterministic count, not a timing. The slow rule's long window is
+     period/20 = 10,000 cycles, so at one event per 10 cycles it holds
+     ~1,000 events; a rescan or a copy of the window would show as
+     thousands of words per event. *)
+  let clk = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:clk () in
+  let slo = Telemetry.Slo.create ~hub ~name:"budget" ~target:0.99 ~period:200_000L () in
+  let feed n =
+    for i = 1 to n do
+      Cycles.Clock.advance_int clk 10;
+      Telemetry.Slo.record slo ~good:(i mod 200 <> 0)
+    done
+  in
+  feed 5_000;
+  let w0 = Gc.minor_words () in
+  feed 2_000;
+  let per_event = (Gc.minor_words () -. w0) /. 2_000.0 in
+  Alcotest.(check int) "no alert fired" 0 (Telemetry.Slo.alerts_fired slo);
+  if per_event > 200.0 then
+    Alcotest.failf "%.0f minor words per Slo.record (budget 200)" per_event
+
 let test_percentile_table_slo_verdict () =
   let out =
     Stats.Report.percentile_table ~unit_label:"us"
@@ -778,6 +1132,10 @@ let () =
           Alcotest.test_case "summary renders phases" `Quick test_summary_renders;
           Alcotest.test_case "percentile table renders" `Quick
             test_percentile_table_renders;
+          Alcotest.test_case "bytes pinned by fixtures" `Quick test_exporter_bytes_pinned;
+          Alcotest.test_case "%.3f fast path at ties and past its range" `Quick
+            test_fixed3_edges;
+          QCheck_alcotest.to_alcotest prop_fixed3_cycles;
         ] );
       ( "integration",
         [
@@ -799,12 +1157,17 @@ let () =
           Alcotest.test_case "registry order stable" `Quick test_registry_order_stable;
           Alcotest.test_case "chrome cross-core flow events" `Quick
             test_chrome_flow_events;
+          Alcotest.test_case "id_of_string takes exactly 16 hex digits" `Quick
+            test_id_of_string_strict;
+          QCheck_alcotest.to_alcotest prop_id_round_trip;
         ] );
       ( "slo",
         [
           Alcotest.test_case "burn-rate alert fires and clears" `Quick
             test_slo_fire_and_clear;
           Alcotest.test_case "latency objective" `Quick test_slo_latency_objective;
+          QCheck_alcotest.to_alcotest prop_slo_matches_model;
+          Alcotest.test_case "allocation budget: record" `Quick test_slo_record_allocation;
           Alcotest.test_case "percentile table slo verdict" `Quick
             test_percentile_table_slo_verdict;
         ] );
