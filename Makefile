@@ -4,7 +4,7 @@
 # so they are safe to run in parallel (make -j) and leave nothing behind.
 
 BENCH_JSON_DIR ?= /tmp/wasp-bench-json
-BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings fig14 udf aes
+BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings fig14 udf aes fig15
 
 .PHONY: all check test bench bench-json bench-baselines bench-gate \
 	trace-smoke sched-smoke profiler-smoke chaos-smoke slo-smoke \

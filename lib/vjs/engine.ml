@@ -1,13 +1,8 @@
 open Jsvalue
 
-type t = {
-  charge_cell : (int -> unit) ref;
-  globals : env;
-  interp : Jsinterp.interp;
-  console : Buffer.t;
-}
+type t = { interp : Jsinterp.interp; console : Buffer.t }
 
-let charge_of t c = !(t.charge_cell) c
+let define t name v = Jsinterp.define t.interp name v
 
 (* Calibrated so the baseline in Figure 14 lands near the paper's 419 us
    total: ~150 us alloc, ~12 us bindings, ~137 us parse+exec of the
@@ -39,14 +34,14 @@ let install_builtins t =
          | a :: b :: _ -> Num (Float.pow (to_number a) (to_number b))
          | _ -> Num Float.nan));
   Hashtbl.replace math "PI" (Num Float.pi);
-  env_define t.globals "Math" (Obj math);
+  define t "Math" (Obj math);
   let string_obj = Hashtbl.create 4 in
   Hashtbl.replace string_obj "fromCharCode"
     (Native ("fromCharCode", fun args ->
          Str (String.concat ""
                 (List.map (fun v -> String.make 1 (Char.chr (int_of_float (to_number v) land 0xFF))) args))));
-  env_define t.globals "String" (Obj string_obj);
-  env_define t.globals "parseInt"
+  define t "String" (Obj string_obj);
+  define t "parseInt"
     (Native ("parseInt", fun args ->
          match args with
          | v :: _ -> (
@@ -74,80 +69,75 @@ let install_builtins t =
          match args with
          | v :: _ -> Json.parse (to_string v)
          | [] -> raise (Js_error "JSON.parse: missing argument")));
-  env_define t.globals "JSON" (Obj json);
+  define t "JSON" (Obj json);
   let print_fn =
     Native ("print", fun args ->
         Buffer.add_string t.console (String.concat " " (List.map to_string args));
         Buffer.add_char t.console '\n';
         Undefined)
   in
-  env_define t.globals "print" print_fn;
-  env_define t.globals "console_log" print_fn
+  define t "print" print_fn;
+  define t "console_log" print_fn
 
-let create ?(charge = fun _ -> ()) () =
-  let cell = ref charge in
-  let t =
-    {
-      charge_cell = cell;
-      globals = env_create None;
-      interp = Jsinterp.create ~charge:(fun c -> !cell c) ~max_steps:5_000_000 ();
-      console = Buffer.create 64;
-    }
-  in
+let create ?(charge = fun _ -> ()) ?(max_steps = 5_000_000) () =
+  let t = { interp = Jsinterp.create ~charge ~max_steps (); console = Buffer.create 64 } in
   charge context_alloc_cycles;
   install_builtins t;
   charge binding_cycles;
   t
 
-let register t name f = env_define t.globals name (Native (name, f))
+let register t name f = define t name (Native (name, f))
 
-let eval t src =
-  Jsinterp.reset_steps t.interp;
+(* A script tokenised, parsed and compiled; a syntax error is kept, to
+   surface (and, after lexing, charge) when the program runs. *)
+type program =
+  | Unlexable of string
+  | Parsed of { tokens : int; code : (Jsinterp.program, string) result }
+
+let syntax_error line msg = Printf.sprintf "SyntaxError (line %d): %s" line msg
+
+let compile src =
   match Jslex.tokenize src with
-  | exception Jslex.Error { line; msg } -> Error (Printf.sprintf "SyntaxError (line %d): %s" line msg)
-  | toks -> (
-      charge_of t (List.length toks * parse_cycles_per_token);
-      match Jsparse.parse src with
-      | exception Jsparse.Error { line; msg } ->
-          Error (Printf.sprintf "SyntaxError (line %d): %s" line msg)
-      | prog -> (
-          (* value of the last expression statement, REPL-style *)
-          let result = ref Undefined in
-          let run () =
-            List.iter
-              (fun s ->
-                match s with
-                | Jsast.Sfundecl (name, params, body) ->
-                    env_define t.globals name
-                      (Fun { params; body; env = t.globals; fname = name })
-                | _ -> ())
-              prog;
-            List.iter
-              (fun s ->
-                match s with
-                | Jsast.Sfundecl _ -> ()
-                | Jsast.Sexpr e -> result := Jsinterp.eval_expr t.interp t.globals e
-                | s -> Jsinterp.exec_stmt t.interp t.globals s)
-              prog
-          in
-          match run () with
-          | () -> Ok !result
+  | exception Jslex.Error { line; msg } -> Unlexable (syntax_error line msg)
+  | toks ->
+      let code =
+        match Jsparse.parse toks with
+        | exception Jsparse.Error { line; msg } -> Error (syntax_error line msg)
+        | prog -> Ok (Jsinterp.compile prog)
+      in
+      Parsed { tokens = List.length toks; code }
+
+let run t program =
+  Jsinterp.reset_steps t.interp;
+  match program with
+  | Unlexable msg -> Error msg
+  | Parsed { tokens; code } -> (
+      Jsinterp.charge t.interp (tokens * parse_cycles_per_token);
+      match code with
+      | Error msg -> Error msg
+      | Ok code -> (
+          match Jsinterp.run t.interp code with
+          | v -> Ok v
           | exception Js_error msg -> Error msg
           | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v)
           | exception Jsinterp.Return_exc _ -> Error "return outside function"))
 
+let eval t src = run t (compile src)
+
 let call t name args =
   Jsinterp.reset_steps t.interp;
-  match env_lookup t.globals name with
+  match Jsinterp.lookup t.interp name with
   | None -> Error (Printf.sprintf "ReferenceError: %s is not defined" name)
   | Some fv -> (
-      match Jsinterp.call t.interp !fv args with
+      match Jsinterp.call fv args with
       | v -> Ok v
       | exception Js_error msg -> Error msg
       | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v))
 
-let destroy t = charge_of t teardown_cycles
+let destroy t = Jsinterp.charge t.interp teardown_cycles
 
 let console_output t = Buffer.contents t.console
 
-let set_charge t charge = t.charge_cell := charge
+let set_charge t charge = Jsinterp.set_charge t.interp charge
+
+let steps t = Jsinterp.steps t.interp

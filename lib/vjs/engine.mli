@@ -6,7 +6,16 @@
     stage charges its calibrated cost through the engine's charge hook so
     the same engine can run on the host (baseline) or inside a virtine
     (costs accrue as guest cycles), and so snapshot / no-teardown
-    optimizations skip exactly the right work. *)
+    optimizations skip exactly the right work.
+
+    The cost contract: running a script charges [parse_cycles_per_token]
+    per token (end of input included), then [eval_cycles_per_node] per
+    AST node evaluated — see {!Jsinterp}. A script is tokenised, parsed
+    and compiled once into a {!program}, which any number of engines can
+    run; each run charges the parse cost again, because that is what a
+    fresh context would pay. A snapshot restore does not: it loads the
+    compiled program into an uncharged engine, and the restore memcpy
+    carries the cost. *)
 
 type t
 
@@ -23,17 +32,30 @@ val teardown_cycles : int
 val parse_cycles_per_token : int
 val eval_cycles_per_node : int
 
-val create : ?charge:(int -> unit) -> unit -> t
+val create : ?charge:(int -> unit) -> ?max_steps:int -> unit -> t
 (** Allocate a context and populate default bindings (Math, String,
-    parseInt, ...); charges [context_alloc_cycles + binding_cycles]. *)
+    parseInt, ...); charges [context_alloc_cycles + binding_cycles].
+    [max_steps] (default 5M) bounds the nodes one {!run}, {!eval} or
+    {!call} may evaluate. *)
 
 val register : t -> string -> (Jsvalue.t list -> Jsvalue.t) -> unit
 (** Bind a native function into the global object (duk_push_c_function). *)
 
+type program
+(** A compiled script. It holds no engine, so engines share it. *)
+
+val compile : string -> program
+(** Tokenise, parse and compile. Charges nothing: a syntax error is kept
+    in the program and surfaces when it runs. *)
+
+val run : t -> program -> (Jsvalue.t, string) result
+(** Execute a compiled script in the global scope, function
+    declarations first; charges the parse cost (unless lexing failed)
+    and per-node evaluation costs. The result is the value of the last
+    top-level expression statement, or [Undefined]. *)
+
 val eval : t -> string -> (Jsvalue.t, string) result
-(** Parse and execute a script in the global scope; charges parse and
-    per-node evaluation costs. The result is the value of a trailing
-    expression statement, or [Undefined]. *)
+(** [run t (compile src)]. *)
 
 val call : t -> string -> Jsvalue.t list -> (Jsvalue.t, string) result
 (** Call a global function by name. *)
@@ -49,3 +71,7 @@ val set_charge : t -> (int -> unit) -> unit
 
 val console_output : t -> string
 (** Text printed via [print]/[console_log]. *)
+
+val steps : t -> int
+(** Nodes evaluated by the latest {!run}, {!eval} or {!call}, counting
+    any that exceeded the budget. *)

@@ -3,6 +3,7 @@ type t = {
   isolate_key : string;
   isolate_source : string;
   isolate_entry : string;
+  program : Engine.program Lazy.t;  (** compiled at the first build *)
 }
 
 type Wasp.Univ.t += Isolate_engine of Engine.t
@@ -13,11 +14,30 @@ let policy =
   Wasp.Policy.of_list [ Wasp.Hc.snapshot; Wasp.Hc.get_data; Wasp.Hc.return_data ]
 
 let create wasp ~key ~source ~entry =
-  { wasp; isolate_key = key; isolate_source = source; isolate_entry = entry }
+  {
+    wasp;
+    isolate_key = key;
+    isolate_source = source;
+    isolate_entry = entry;
+    program = lazy (Engine.compile source);
+  }
 
 let key t = t.isolate_key
 let source t = t.isolate_source
 let entry t = t.isolate_entry
+
+(* A context with the isolate's program loaded. *)
+let build t ~charge =
+  let e = Engine.create ~charge () in
+  match Engine.run e (Lazy.force t.program) with Ok _ -> Ok e | Error msg -> Error msg
+
+(* What a restore yields: the memory image is the engine as the cold path
+   built it, so the rebuild charges nothing (the restore memcpy carries
+   the cost). It captures no invocation. *)
+let restored_engine t () =
+  match build t ~charge:(fun _ -> ()) with
+  | Ok e -> Isolate_engine e
+  | Error msg -> failwith msg
 
 (* Run one invocation. [decode] turns the guest-side input bytes into the
    engine-call arguments (charging guest cycles for the decode); [encode]
@@ -30,12 +50,6 @@ let run t ~input ~decode ~encode =
       ~mem_size:(128 * 1024) ~policy ~input ~snapshot_key:t.isolate_key
       ~body:(fun ctx ~restored ->
         let charge c = N.charge ctx c in
-        let build ~charged =
-          let e = Engine.create ~charge:(if charged then charge else fun _ -> ()) () in
-          match Engine.eval e t.isolate_source with
-          | Ok _ -> Ok e
-          | Error msg -> Error msg
-        in
         (* On the cold path the snapshot capture and the input fetch ride
            one crossing (the native analogue of the guest hypercall ring);
            warm invocations only ever need the [get_data]. *)
@@ -51,13 +65,10 @@ let run t ~input ~decode ~encode =
               for i = 0 to (arena_bytes / 256) - 1 do
                 Vm.Memory.write_u8 mem (arena + (i * 256)) 0x15
               done;
-              match build ~charged:true with
+              match build t ~charge with
               | Error msg -> Error msg
               | Ok e ->
-                  N.offer_snapshot_state ctx (fun () ->
-                      match build ~charged:false with
-                      | Ok fresh -> Isolate_engine fresh
-                      | Error msg -> failwith msg);
+                  N.offer_snapshot_state ctx (restored_engine t);
                   snapshot_pending := true;
                   Ok e)
         in

@@ -3,7 +3,10 @@
 
     Each isolate owns a snapshot key: the first invocation boots a shell,
     builds the engine inside guest memory, loads the source and snapshots;
-    later invocations restore and run. The policy admits only [snapshot],
+    later invocations restore and run. The source is compiled once, at
+    the first invocation (a syntax error surfaces there, as an error
+    result); a restore loads that compiled program into an uncharged
+    engine instead of parsing the source again. The policy admits only [snapshot],
     [get_data] and [return_data] — the §6.5 minimal attack surface. *)
 
 type t

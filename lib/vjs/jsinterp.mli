@@ -1,37 +1,62 @@
-(** The tree-walking evaluator.
+(** The vjs evaluator: a compiler from the AST to OCaml closures.
 
-    Every evaluated node charges {!cost_per_node} cycles through the
-    interpreter's charge hook, so the same engine runs with identical
-    semantics on the host (baseline) and inside a virtine (guest-charged)
-    — only where the cycles land differs. A step budget bounds hostile
-    scripts (each top-level entry resets it). *)
+    A program is compiled once, with identifiers resolved to frame slots
+    and operators to specialised closures; compiled code holds no engine,
+    so every engine that runs a program shares it. The cost contract is
+    the tree-walking evaluator's: {!cost_per_node} cycles are charged
+    through the interpreter's charge hook at the start of every AST node
+    evaluated, in evaluation order. An assignment charges its own node
+    but not its target's (whose receiver and index it evaluates after
+    the value), [typeof name] does not charge the name, and top-level
+    expression statements charge no statement node. So the same engine
+    runs with identical semantics and charges on the host (baseline) and
+    inside a virtine (guest-charged) — only where the cycles land
+    differs. A step budget bounds hostile scripts (each top-level entry
+    resets it): the node that exceeds it raises before it is charged. *)
 
 type interp
 
 val cost_per_node : int
 
 val create : ?charge:(int -> unit) -> ?max_steps:int -> unit -> interp
-(** [max_steps] defaults to 50M per entry. *)
+(** An interpreter with empty globals. [max_steps] defaults to 50M per
+    entry. *)
+
+val charge : interp -> int -> unit
+(** Charge cycles through the hook. *)
+
+val set_charge : interp -> (int -> unit) -> unit
 
 val reset_steps : interp -> unit
 (** The budget bounds a single top-level entry, not the engine lifetime;
-    {!Engine.eval} and {!Engine.call} reset it. *)
+    {!Engine.run} and {!Engine.call} reset it. *)
+
+val steps : interp -> int
+(** Nodes evaluated since the last {!reset_steps}. *)
+
+val define : interp -> string -> Jsvalue.t -> unit
+(** Bind a global. *)
+
+val lookup : interp -> string -> Jsvalue.t option
 
 exception Return_exc of Jsvalue.t
-exception Break_exc
-exception Continue_exc
+(** A [return] outside any function. *)
+
 exception Throw_exc of Jsvalue.t
 (** A guest [throw]; caught by guest [try] or surfaced by the engine. *)
 
-val eval_expr : interp -> Jsvalue.env -> Jsast.expr -> Jsvalue.t
-(** @raise Jsvalue.Js_error on runtime errors. *)
+type program
 
-val exec_stmt : interp -> Jsvalue.env -> Jsast.stmt -> unit
-val exec_stmts : interp -> Jsvalue.env -> Jsast.stmt list -> unit
+val compile : Jsast.program -> program
+(** @raise Invalid_argument on [break] or [continue] outside a loop of
+    the same function, which {!Jsparse.parse} rejects. *)
 
-val exec_program : interp -> Jsvalue.env -> Jsast.program -> unit
-(** Hoists function declarations first, as JS does. *)
+val run : interp -> program -> Jsvalue.t
+(** Bind the top-level function declarations, then run the other
+    top-level statements in order. Returns the value of the last
+    top-level expression statement, or [Undefined].
+    @raise Jsvalue.Js_error on runtime errors. *)
 
-val call : interp -> Jsvalue.t -> Jsvalue.t list -> Jsvalue.t
+val call : Jsvalue.t -> Jsvalue.t list -> Jsvalue.t
 (** Apply a [Fun] or [Native] value.
     @raise Jsvalue.Js_error if the value is not callable. *)

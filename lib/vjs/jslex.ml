@@ -10,36 +10,51 @@ let token_name = function
 
 exception Error of { line : int; msg : string }
 
-let keywords =
-  [
-    "var"; "let"; "const"; "function"; "return"; "if"; "else"; "while"; "for";
-    "true"; "false"; "null"; "undefined"; "break"; "continue"; "new"; "typeof";
-    "try"; "catch"; "finally"; "throw";
-  ]
-
-(* longest match first *)
-let puncts =
-  [
-    "==="; "!=="; "<<="; ">>=";
-    "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "+="; "-="; "*="; "/="; "%=";
-    "++"; "--";
-    "+"; "-"; "*"; "/"; "%"; "<"; ">"; "="; "("; ")"; "{"; "}"; "["; "]"; ";"; ",";
-    "."; "?"; ":"; "!"; "&"; "|"; "^"; "~";
-  ]
+let is_keyword = function
+  | "var" | "let" | "const" | "function" | "return" | "if" | "else" | "while" | "for" | "true"
+  | "false" | "null" | "undefined" | "break" | "continue" | "new" | "typeof" | "try" | "catch"
+  | "finally" | "throw" ->
+      true
+  | _ -> false
 
 let is_digit c = c >= '0' && c <= '9'
+let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 let is_ident c = is_ident_start c || is_digit c
+
+(* The punctuator starting with [c], longest match first: [next k] is
+   the character [k] places after [c] ('\000' past the end). *)
+let punct c next =
+  match c with
+  | '=' -> if next 1 = '=' then if next 2 = '=' then "===" else "==" else "="
+  | '!' -> if next 1 = '=' then if next 2 = '=' then "!==" else "!=" else "!"
+  | '<' -> (
+      match next 1 with '<' -> if next 2 = '=' then "<<=" else "<<" | '=' -> "<=" | _ -> "<")
+  | '>' -> (
+      match next 1 with '>' -> if next 2 = '=' then ">>=" else ">>" | '=' -> ">=" | _ -> ">")
+  | '&' -> if next 1 = '&' then "&&" else "&"
+  | '|' -> if next 1 = '|' then "||" else "|"
+  | '+' -> ( match next 1 with '=' -> "+=" | '+' -> "++" | _ -> "+")
+  | '-' -> ( match next 1 with '=' -> "-=" | '-' -> "--" | _ -> "-")
+  | '*' -> if next 1 = '=' then "*=" else "*"
+  | '/' -> if next 1 = '=' then "/=" else "/"
+  | '%' -> if next 1 = '=' then "%=" else "%"
+  | '(' -> "(" | ')' -> ")" | '{' -> "{" | '}' -> "}" | '[' -> "[" | ']' -> "]"
+  | ';' -> ";" | ',' -> "," | '.' -> "." | '?' -> "?" | ':' -> ":" | '^' -> "^"
+  | '~' -> "~"
+  | _ -> ""
 
 let tokenize src =
   let n = String.length src in
   let pos = ref 0 and line = ref 1 in
   let out = ref [] in
   let fail msg = raise (Error { line = !line; msg }) in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
-  let starts_with s =
-    let l = String.length s in
-    !pos + l <= n && String.sub src !pos l = s
+  (* the character [k] places ahead, '\000' past the end *)
+  let next k = if !pos + k < n then String.unsafe_get src (!pos + k) else '\000' in
+  let skip_while p =
+    while !pos < n && p (String.unsafe_get src !pos) do
+      incr pos
+    done
   in
   while !pos < n do
     let c = src.[!pos] in
@@ -48,16 +63,13 @@ let tokenize src =
       incr pos
     end
     else if c = ' ' || c = '\t' || c = '\r' then incr pos
-    else if starts_with "//" then
-      while !pos < n && src.[!pos] <> '\n' do
-        incr pos
-      done
-    else if starts_with "/*" then begin
+    else if c = '/' && next 1 = '/' then skip_while (fun c -> c <> '\n')
+    else if c = '/' && next 1 = '*' then begin
       pos := !pos + 2;
       let closed = ref false in
       while (not !closed) && !pos < n do
         if src.[!pos] = '\n' then incr line;
-        if starts_with "*/" then begin
+        if src.[!pos] = '*' && next 1 = '/' then begin
           closed := true;
           pos := !pos + 2
         end
@@ -67,30 +79,19 @@ let tokenize src =
     end
     else if is_digit c then begin
       let start = !pos in
-      if starts_with "0x" || starts_with "0X" then begin
+      if c = '0' && (next 1 = 'x' || next 1 = 'X') then begin
         pos := !pos + 2;
-        while (match peek 0 with
-               | Some c ->
-                   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-               | None -> false)
-        do
-          incr pos
-        done;
+        skip_while is_hex;
         let text = String.sub src start (!pos - start) in
         match Int64.of_string_opt text with
         | Some v -> out := (NUM (Int64.to_float v), !line) :: !out
         | None -> fail (Printf.sprintf "bad number %s" text)
       end
       else begin
-        while (match peek 0 with Some c -> is_digit c | None -> false) do
-          incr pos
-        done;
-        if peek 0 = Some '.' && (match peek 1 with Some c -> is_digit c | None -> false)
-        then begin
+        skip_while is_digit;
+        if next 0 = '.' && is_digit (next 1) then begin
           incr pos;
-          while (match peek 0 with Some c -> is_digit c | None -> false) do
-            incr pos
-          done
+          skip_while is_digit
         end;
         let text = String.sub src start (!pos - start) in
         match float_of_string_opt text with
@@ -100,11 +101,9 @@ let tokenize src =
     end
     else if is_ident_start c then begin
       let start = !pos in
-      while (match peek 0 with Some c -> is_ident c | None -> false) do
-        incr pos
-      done;
+      skip_while is_ident;
       let text = String.sub src start (!pos - start) in
-      if List.mem text keywords then out := (KW text, !line) :: !out
+      if is_keyword text then out := (KW text, !line) :: !out
       else out := (IDENT text, !line) :: !out
     end
     else if c = '"' || c = '\'' then begin
@@ -140,11 +139,11 @@ let tokenize src =
       out := (STR (Buffer.contents buf), !line) :: !out
     end
     else begin
-      match List.find_opt starts_with puncts with
-      | Some p ->
+      match punct c next with
+      | "" -> fail (Printf.sprintf "unexpected character %C" c)
+      | p ->
           pos := !pos + String.length p;
           out := (PUNCT p, !line) :: !out
-      | None -> fail (Printf.sprintf "unexpected character %C" c)
     end
   done;
   List.rev ((EOF, !line) :: !out)

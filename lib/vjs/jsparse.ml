@@ -1,6 +1,8 @@
 exception Error of { line : int; msg : string }
 
-type state = { toks : (Jslex.token * int) array; mutable cur : int }
+(* [loops] counts the loops around the current statement within the
+   current function: [break] and [continue] are legal only inside one. *)
+type state = { toks : (Jslex.token * int) array; mutable cur : int; mutable loops : int }
 
 let peek st = fst st.toks.(st.cur)
 let line st = snd st.toks.(st.cur)
@@ -184,7 +186,7 @@ and parse_primary st =
       expect_punct st "(";
       let params = parse_params st in
       expect_punct st "{";
-      let body = parse_block st in
+      let body = parse_function_body st in
       Jsast.Efun (params, body)
   | Jslex.IDENT name ->
       advance st;
@@ -244,6 +246,20 @@ and parse_params st =
   expect_punct st ")";
   List.rev !params
 
+(* a function body starts outside every loop *)
+and parse_function_body st =
+  let loops = st.loops in
+  st.loops <- 0;
+  let body = parse_block st in
+  st.loops <- loops;
+  body
+
+and parse_loop_body st =
+  st.loops <- st.loops + 1;
+  let body = parse_body st in
+  st.loops <- st.loops - 1;
+  body
+
 and parse_block st =
   let stmts = ref [] in
   while not (is_punct st "}") do
@@ -279,7 +295,7 @@ and parse_stmt st : Jsast.stmt =
       expect_punct st "(";
       let params = parse_params st in
       expect_punct st "{";
-      let body = parse_block st in
+      let body = parse_function_body st in
       Jsast.Sfundecl (name, params, body)
   | Jslex.KW "if" ->
       advance st;
@@ -300,7 +316,7 @@ and parse_stmt st : Jsast.stmt =
       expect_punct st "(";
       let c = parse_expr st in
       expect_punct st ")";
-      Jsast.Swhile (c, parse_body st)
+      Jsast.Swhile (c, parse_loop_body st)
   | Jslex.KW "for" ->
       advance st;
       expect_punct st "(";
@@ -325,7 +341,7 @@ and parse_stmt st : Jsast.stmt =
       expect_punct st ";";
       let step = if is_punct st ")" then None else Some (parse_expr st) in
       expect_punct st ")";
-      Jsast.Sfor (init, cond, step, parse_body st)
+      Jsast.Sfor (init, cond, step, parse_loop_body st)
   | Jslex.KW "throw" ->
       advance st;
       let e = parse_expr st in
@@ -367,14 +383,11 @@ and parse_stmt st : Jsast.stmt =
       let e = if is_punct st ";" || is_punct st "}" then None else Some (parse_expr st) in
       semi st;
       Jsast.Sreturn e
-  | Jslex.KW "break" ->
+  | Jslex.KW ("break" | "continue" as kw) ->
+      if st.loops = 0 then fail st (Printf.sprintf "illegal %s statement outside a loop" kw);
       advance st;
       semi st;
-      Jsast.Sbreak
-  | Jslex.KW "continue" ->
-      advance st;
-      semi st;
-      Jsast.Scontinue
+      if kw = "break" then Jsast.Sbreak else Jsast.Scontinue
   | _ ->
       let e = parse_expr st in
       semi st;
@@ -393,9 +406,8 @@ and semi st =
   else if is_punct st "}" || peek st = Jslex.EOF then ()
   else fail st (Printf.sprintf "expected ';', found %s" (Jslex.token_name (peek st)))
 
-let parse src =
-  let toks = Array.of_list (Jslex.tokenize src) in
-  let st = { toks; cur = 0 } in
+let parse tokens =
+  let st = { toks = Array.of_list tokens; cur = 0; loops = 0 } in
   let stmts = ref [] in
   while peek st <> Jslex.EOF do
     stmts := parse_stmt st :: !stmts

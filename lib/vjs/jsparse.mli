@@ -2,5 +2,8 @@
 
 exception Error of { line : int; msg : string }
 
-val parse : string -> Jsast.program
-(** @raise Error (or {!Jslex.Error}) on malformed input. *)
+val parse : (Jslex.token * int) list -> Jsast.program
+(** Parse the output of {!Jslex.tokenize}. [break] and [continue]
+    outside a loop of the same function are syntax errors, as in
+    JavaScript.
+    @raise Error on malformed input. *)

@@ -1,5 +1,5 @@
 (* Runtime values. Arrays are growable vectors; objects are string-keyed
-   hash tables; functions capture their defining environment. *)
+   hash tables; a guest function is a closure over its defining scope. *)
 
 type t =
   | Undefined
@@ -14,9 +14,7 @@ type t =
 
 and vec = { mutable items : t array; mutable len : int }
 
-and fn = { params : string list; body : Jsast.stmt list; env : env; fname : string }
-
-and env = { tbl : (string, t ref) Hashtbl.t; parent : env option }
+and fn = { fname : string; call : t list -> t }
 
 exception Js_error of string
 
@@ -126,13 +124,3 @@ let loose_equal a b =
   | Bool _, _ -> to_number a = to_number b
   | _, Bool _ -> to_number a = to_number b
   | _ -> strict_equal a b
-
-(* environments *)
-let env_create parent = { tbl = Hashtbl.create 8; parent }
-
-let env_define env name v = Hashtbl.replace env.tbl name (ref v)
-
-let rec env_lookup env name =
-  match Hashtbl.find_opt env.tbl name with
-  | Some r -> Some r
-  | None -> ( match env.parent with Some p -> env_lookup p name | None -> None)

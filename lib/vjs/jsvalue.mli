@@ -1,9 +1,9 @@
 (** Runtime values of the vjs JavaScript engine.
 
     Numbers are IEEE doubles, arrays are growable vectors, objects are
-    string-keyed hash tables, and functions capture their defining
-    environment (closures). [Native] embeds host functions (the
-    [duk_push_c_function] analogue). *)
+    string-keyed hash tables, and a guest function ([Fun]) applies its
+    compiled body in the scope it was defined in (a closure). [Native]
+    embeds host functions (the [duk_push_c_function] analogue). *)
 
 type t =
   | Undefined
@@ -18,9 +18,11 @@ type t =
 
 and vec = { mutable items : t array; mutable len : int }
 
-and fn = { params : string list; body : Jsast.stmt list; env : env; fname : string }
-
-and env = { tbl : (string, t ref) Hashtbl.t; parent : env option }
+and fn = { fname : string; call : t list -> t }
+(** [call] runs the function on its arguments, charging the engine that
+    created it; a missing argument is [Undefined]. Every evaluation of a
+    function expression or declaration makes a new [fn], and [===]
+    compares them physically. *)
 
 exception Js_error of string
 (** Runtime errors (reference errors, type errors, step-budget
@@ -55,10 +57,3 @@ val to_int32 : t -> int32
 
 val strict_equal : t -> t -> bool   (** [===]: no coercion, reference equality for objects. *)
 val loose_equal : t -> t -> bool    (** [==]: number/string/bool coercion. *)
-
-(** {1 Environments} *)
-
-val env_create : env option -> env
-val env_define : env -> string -> t -> unit
-val env_lookup : env -> string -> t ref option
-(** Walks the scope chain. *)

@@ -44,6 +44,58 @@ let test_vespid_isolates_functions () =
   | Ok out -> Alcotest.(check string) "healthy" (Vjs.Workload.reference_encode input) out
   | Error e -> Alcotest.fail e
 
+(* ------------------------------------------------------------------ *)
+(* Exact simulated cycles of the JavaScript engine                      *)
+(* ------------------------------------------------------------------ *)
+
+(* (entry, source, [(payload bytes, (cold cycles, warm cycles))]):
+   [Isolate.invoke] on a fresh runtime, first and second call. Recorded
+   from the tree-walking evaluator; the benchmark figures round to 1 us,
+   so a handful of missing 22-cycle node charges would pass them, but
+   not these. *)
+let pinned_invoke_cycles =
+  [
+    ( "encode",
+      js_b64,
+      [ (16, (802224L, 64474L)); (256, (933187L, 195413L)); (1024, (1352266L, 614418L)) ] );
+    ( "checksum",
+      Js_sources.checksum,
+      [ (16, (790308L, 62817L)); (256, (901771L, 174275L)); (1024, (1258455L, 530941L)) ] );
+    ( "range",
+      Js_sources.range,
+      [ (16, (795516L, 66360L)); (256, (949483L, 220322L)); (1024, (1441335L, 712156L)) ] );
+  ]
+
+let pinned_baseline_cycles_300 = 877858L
+
+let test_invoke_cycles_pinned () =
+  List.iter
+    (fun (entry, source, pinned) ->
+      let measured =
+        List.map
+          (fun (size, _) ->
+            let w = Wasp.Runtime.create ~seed:1 ~clean:`Async () in
+            let iso = Vjs.Isolate.create w ~key:entry ~source ~entry in
+            let input = Vjs.Workload.make_input ~size in
+            let invoke () =
+              match Vjs.Isolate.invoke iso ~input with
+              | Ok _, cycles -> cycles
+              | Error e, _ -> Alcotest.failf "%s: %s" entry e
+            in
+            let cold = invoke () in
+            (size, (cold, invoke ())))
+          pinned
+      in
+      Alcotest.(check (list (pair int (pair int64 int64))))
+        (entry ^ ": (bytes, (cold, warm))") pinned measured)
+    pinned_invoke_cycles
+
+let test_baseline_cycles_pinned () =
+  let clock = Cycles.Clock.create () in
+  let o = Vjs.Workload.run_baseline ~clock ~input:(Vjs.Workload.make_input ~size:300) in
+  Alcotest.(check int64) "run_baseline, 300 bytes" pinned_baseline_cycles_300
+    o.Vjs.Workload.latency_cycles
+
 let test_vespid_registered () =
   let w = Wasp.Runtime.create () in
   let v = Serverless.Vespid.create w in
@@ -252,6 +304,18 @@ let test_breaker_closes_on_successful_probe () =
   Alcotest.(check int) "requests flow again" 200
     (status_of (Serverless.Gateway.handle g (post "/invoke/fn" "z")))
 
+let test_stray_break_is_a_failed_invoke () =
+  (* the parser rejects [break] outside a loop; the error surfaces at the
+     first invoke, as a failure of that function alone *)
+  let _, g = hardened_gateway () in
+  Alcotest.(check int) "registration accepts the source" 201
+    (status_of (Serverless.Gateway.handle g (post "/register/bad?entry=f" "function f(d) { break; }")));
+  ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
+  Alcotest.(check int) "invoke fails" 500
+    (status_of (Serverless.Gateway.handle g (post "/invoke/bad" "x")));
+  Alcotest.(check int) "a healthy function still serves" 200
+    (status_of (Serverless.Gateway.handle g (post "/invoke/ok" "hi")))
+
 let test_shed_accounting () =
   let shed = { Serverless.Gateway.burst = 3; refill_per_s = 2.0 } in
   let w, g = hardened_gateway ~shed () in
@@ -384,6 +448,8 @@ let () =
           Alcotest.test_case "warm faster" `Quick test_vespid_warm_faster_than_cold;
           Alcotest.test_case "isolates functions" `Quick test_vespid_isolates_functions;
           Alcotest.test_case "registered list" `Quick test_vespid_registered;
+          Alcotest.test_case "invoke cycles pinned" `Quick test_invoke_cycles_pinned;
+          Alcotest.test_case "baseline cycles pinned" `Quick test_baseline_cycles_pinned;
         ] );
       ( "openwhisk",
         [
@@ -409,6 +475,8 @@ let () =
           Alcotest.test_case "half-open probe" `Quick test_breaker_half_open_probe;
           Alcotest.test_case "successful probe closes" `Quick
             test_breaker_closes_on_successful_probe;
+          Alcotest.test_case "stray break fails the invoke" `Quick
+            test_stray_break_is_a_failed_invoke;
           Alcotest.test_case "shed accounting" `Quick test_shed_accounting;
           Alcotest.test_case "shed off by default" `Quick test_shed_off_by_default;
         ] );

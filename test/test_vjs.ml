@@ -2,23 +2,88 @@
 
 module V = Vjs.Jsvalue
 
+(* ------------------------------------------------------------------ *)
+(* Differential equivalence against the tree walker (Jsref)             *)
+(* ------------------------------------------------------------------ *)
+
+(* What one engine observed running a script and then calling its
+   functions: per entry the result or error and the step count, then
+   the console, the number of charge calls and their total. *)
+type observed = {
+  entries : (string * int) list;
+  console : string;
+  charges : int;
+  charged : int;
+}
+
+let show = function
+  | Ok v -> Printf.sprintf "ok %s %s %s" (V.type_name v) (V.to_string v) (Vjs.Json.stringify v)
+  | Error msg -> "error " ^ msg
+
+let observe ~create ~eval ~call ~steps ~console src calls =
+  let charges = ref 0 and charged = ref 0 in
+  let e =
+    create (fun c ->
+        incr charges;
+        charged := !charged + c)
+  in
+  let entry r = (show r, steps e) in
+  let first = entry (eval e src) in
+  let rest = List.map (fun (name, args) -> entry (call e name (args ()))) calls in
+  { entries = first :: rest; console = console e; charges = !charges; charged = !charged }
+
+let compiled ?max_steps =
+  observe
+    ~create:(fun charge -> Vjs.Engine.create ~charge ?max_steps ())
+    ~eval:Vjs.Engine.eval ~call:Vjs.Engine.call ~steps:Vjs.Engine.steps
+    ~console:Vjs.Engine.console_output
+
+let reference ?max_steps =
+  observe
+    ~create:(fun charge -> Jsref.create ~charge ?max_steps ())
+    ~eval:Jsref.eval ~call:Jsref.call ~steps:Jsref.steps ~console:Jsref.console_output
+
+(* [calls] are (global function, arguments); each engine gets its own
+   arguments, since a call may mutate them *)
+let mismatch ?max_steps ?(calls = []) src =
+  let c = compiled ?max_steps src calls and r = reference ?max_steps src calls in
+  if c = r then None
+  else
+    let side o =
+      Printf.sprintf "entries [%s]; console %S; %d charges, %d cycles"
+        (String.concat "; "
+           (List.map (fun (res, st) -> Printf.sprintf "%s (%d steps)" res st) o.entries))
+        o.console o.charges o.charged
+    in
+    Some
+      (Printf.sprintf "%s\n(max_steps %s)\n compiled:  %s\n reference: %s" src
+         (match max_steps with Some n -> string_of_int n | None -> "default")
+         (side c) (side r))
+
+let check_equivalent ?max_steps ?calls src =
+  match mismatch ?max_steps ?calls src with
+  | None -> ()
+  | Some report -> Alcotest.failf "compiled engine differs from the tree walker on\n%s" report
+
+(* every snippet the language tests evaluate also runs on both engines *)
+let eval_checked src =
+  check_equivalent src;
+  Vjs.Engine.eval (Vjs.Engine.create ()) src
+
 let eval_num src =
-  let e = Vjs.Engine.create () in
-  match Vjs.Engine.eval e src with
+  match eval_checked src with
   | Ok (V.Num n) -> n
   | Ok v -> Alcotest.failf "expected number, got %s" (V.to_string v)
   | Error msg -> Alcotest.failf "js error: %s" msg
 
 let eval_str src =
-  let e = Vjs.Engine.create () in
-  match Vjs.Engine.eval e src with
+  match eval_checked src with
   | Ok (V.Str s) -> s
   | Ok v -> Alcotest.failf "expected string, got %s" (V.to_string v)
   | Error msg -> Alcotest.failf "js error: %s" msg
 
 let eval_value src =
-  let e = Vjs.Engine.create () in
-  match Vjs.Engine.eval e src with
+  match eval_checked src with
   | Ok v -> v
   | Error msg -> Alcotest.failf "js error: %s" msg
 
@@ -226,6 +291,317 @@ let test_engine_charges () =
   Vjs.Engine.destroy e;
   Alcotest.(check int) "teardown charged" (before + Vjs.Engine.teardown_cycles) !total
 
+let test_stray_break_continue () =
+  (* outside a loop of the same function, as in JavaScript *)
+  List.iter
+    (fun (src, want) ->
+      let e = Vjs.Engine.create () in
+      (match Vjs.Engine.eval e src with
+      | Error msg -> Alcotest.(check string) src want msg
+      | Ok v -> Alcotest.failf "%s: evaluated to %s" src (V.to_string v));
+      (match Vjs.Engine.call e "f" [ V.Num 1.0 ] with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%s: f returned %s" src (V.to_string v));
+      check_equivalent ~calls:[ ("f", fun () -> [ V.Num 1.0 ]) ] src)
+    [
+      ("break;", "SyntaxError (line 1): illegal break statement outside a loop");
+      ( "function f(d) {\n  if (d) { continue; }\n}",
+        "SyntaxError (line 2): illegal continue statement outside a loop" );
+      ( "function f(d) { while (d) { var g = function() { break; }; } }",
+        "SyntaxError (line 1): illegal break statement outside a loop" );
+    ];
+  (* inside a loop, nested blocks and try are fine *)
+  fnum "nested" 4.0
+    (eval_num
+       "var n = 0; for (var i = 0; i < 9; i++) { try { if (i === 3) { break; } } finally { n++; } } n")
+
+let test_program_shared_by_engines () =
+  (* one compiled program, two engines: state and charges stay apart *)
+  let p = Vjs.Engine.compile "var n = 0; function bump() { n = n + 1; return n; }" in
+  let engine () =
+    let cycles = ref 0 in
+    let e = Vjs.Engine.create ~charge:(fun c -> cycles := !cycles + c) () in
+    (match Vjs.Engine.run e p with Ok _ -> () | Error m -> Alcotest.fail m);
+    (e, cycles)
+  in
+  let a, a_cycles = engine () and b, b_cycles = engine () in
+  let bump e = match Vjs.Engine.call e "bump" [] with Ok (V.Num n) -> n | _ -> nan in
+  ignore (bump a);
+  let b_before = !b_cycles and a_before = !a_cycles in
+  fnum "a's second bump" 2.0 (bump a);
+  Alcotest.(check int) "a's call charges only a" b_before !b_cycles;
+  Alcotest.(check bool) "a was charged" true (!a_cycles > a_before);
+  fnum "b's first bump" 1.0 (bump b)
+
+(* snippets the engine tests above evaluate directly, plus edge cases of
+   the evaluator's scoping and cost rules *)
+let engine_snippets =
+  [
+    "undefined_variable_xyz";
+    "var x = (";
+    "var s = \"unterminated";
+    "1 + 1";
+    "throw 5;";
+    "print(\"hello\", 42)";
+    {|JSON.parse("{bad json")|};
+    "return 4;";
+    "try { return 1; } finally { print(2); }";
+    (* var is local to an if branch, block or loop iteration *)
+    "if (true) { var x = 1; } typeof x";
+    "var x = 1; { var x = 2; } x";
+    "var fs = []; for (var i = 0; i < 3; i++) { var j = i * 10; fs.push(function() { return j; }); } fs[0]() + fs[2]()";
+    "for (var i = 0; i < 2; i++) { } typeof i";
+    (* a later declaration in the same block resolves outward until it runs *)
+    "var x = 1; function f() { var y = x; var x = 2; return y + x; } f()";
+    "var x = 1; function f() { var g = function() { return x; }; var a = g(); var x = 5; return a + g(); } f()";
+    (* var x; rebinds to undefined *)
+    "var x = 3; var x; typeof x";
+    "function f(a) { var a; return typeof a; } f(1)";
+    "function f(a, a) { return a; } f(1, 2)";
+    (* implicit globals and typeof of undeclared names *)
+    "function f() { z = 7; } f(); z";
+    "typeof nope + typeof 1 + typeof print + typeof null + typeof {}";
+    "function f() { return inner(); function inner() { return 1; } } f()";
+    "var r = sq(3); function sq(x) { return x * x; } function sq(x) { return -x; } r";
+    "function f() {} var a = f; a === f";
+    "function mk() { return function() {}; } mk() === mk()";
+    "var o = { a: 1 }; o.b = o.a + 1; o[\"c\"] = 3; JSON.stringify(o)";
+    "var a = [1, 2]; a[5] = 3; a.length + \":\" + a";
+    "var s = \"abc\"; s.x";
+    "var n = 5; n.foo()";
+    "var n = 5; n[0] = 1";
+    "({}).nope()";
+    "\"abc\".nope()";
+    "[].nope()";
+    "var a = [3, 1]; a.reduce(function(x, y) { return x - y; })";
+    "[].reduce(function(x, y) { return x; })";
+    "var a = [1, 2, 3]; a.map(function(x) { a.push(x); return x; }).length + a.length";
+    "var i = 0; var t = 0; while (i < 10) { i++; if (i % 2) { continue; } if (i > 7) { break; } t += i; } t";
+    "var k = 0; for (;;) { k++; if (k > 4) { break; } } k";
+    "var t = \"\"; for (var i = 0; i < 3; i++) { try { if (i == 1) { continue; } t += i; } finally { t += \"f\"; } } t";
+    "function f() { try { throw 1; } catch (e) { return e + 1; } finally { print(\"fin\"); } } f()";
+    "function f() { try { return 1; } finally { return 2; } } f()";
+    "var r = 0; try { try { throw 1; } finally { r = 5; } } catch (e) { r += e; } r";
+    "try { nope(); } catch (e) { e }";
+    "try { throw 1; } catch { print(typeof __caught); }";
+    "1 < \"2\" && \"b\" > \"a\" && !(NaN < 1) && 0 == \"\" && null == undefined";
+    "~5 + (7 >> 1) + (1 << 33) + (-7 % 3) + (5 ^ 3) + (6 | 1) + (6 & 3)";
+    "var a = [1, 2]; a[0] += 5; a[0]++; a[0]";
+    (* an assignment evaluates the value, then the target's receiver and
+       index; x += e evaluates the target's subexpressions twice *)
+    "var log = \"\"; function k(s) { log += s; return 0; } var a = [1]; var o = {}; a[k(\"i\")] = k(\"v\"); o[k(\"j\")] = k(\"w\"); a[k(\"x\")] += k(\"y\"); log";
+    "var log = \"\"; var o = {}; function r() { log += \"r\"; return o; } r().p = (log += \"v\"); log";
+    "\"abcdef\".slice(-3) + \"abcdef\".substring(4, 1) + \"a,b\".split(\",\").length + \"ab\".split(\"\")";
+    "[1, 2, 3].slice(1).concat(4).join(\"-\") + [1, 2].indexOf(2) + [3, 1].reverse()";
+    "parseInt(\" -42x\") + Math.min(3, 1) + Math.sqrt(16) + Math.ceil(0.5) + Math.PI";
+    "x = ;";
+    "var 1x;";
+    "0x1F + 0xff";
+    "/* unterminated";
+    "var a = 1 // comment\n; a";
+  ]
+
+let test_engine_snippets () = List.iter (fun src -> check_equivalent src) engine_snippets
+
+let byte_array size () =
+  let input = Vjs.Workload.make_input ~size in
+  [ V.Arr (V.vec_of_list (List.init size (fun i -> V.Num (float_of_int (Char.code (Bytes.get input i)))))) ]
+
+(* a row of the udf figure's table *)
+let row i =
+  let tbl = Hashtbl.create 2 in
+  Hashtbl.replace tbl "id" (V.Num (float_of_int i));
+  Hashtbl.replace tbl "v" (V.Num (float_of_int (i * 7)));
+  V.Obj tbl
+
+let payloads = [ 0; 1; 2; 3; 16; 256; 1024 ]
+
+let test_workload_sources () =
+  List.iter
+    (fun (src, entry) ->
+      List.iter (fun size -> check_equivalent ~calls:[ (entry, byte_array size) ] src) payloads)
+    [
+      (Vjs.Workload.base64_js_source, "encode");
+      (Js_sources.checksum, "checksum");
+      (Js_sources.range, "range");
+    ];
+  List.iter
+    (fun n ->
+      check_equivalent
+        ~calls:
+          [
+            ("__vdb_batch", fun () -> [ V.Arr (V.vec_of_list (List.init n row)) ]);
+            ("pred", fun () -> [ row n ]);
+          ]
+        Js_sources.udf)
+    payloads
+
+(* every node kind, with the budget error caught and rethrown through
+   catch and finally *)
+let kitchen_sink =
+  {|var log = [];
+function f(a, b) { var t = typeof a; if (a > b) { return [a, b, t]; } else { return { k: a - b }; } }
+var g = function(x) { return x ? -x : ~x; };
+for (var i = 0; i < 3; i++) {
+  var r = f(i, 1);
+  try { log.push(g(i) + r.length); if (i == 1) { continue; } throw i; }
+  catch (e) { log.push(e + "!"); }
+  finally { log.push(typeof missing); }
+}
+var w = 0;
+while (true) { w++; if (w >= 2) { break; } }
+var s = "xy".charAt(1) + [1, 2].join("") + log.length;
+{ var o = { a: 1 }; o.b = o["a"] + w; }
+try { print(s, o.b, !w, null, undefined); } catch (e) { print("caught " + e); }
+log[0] = s;
+log|}
+
+let test_step_budget_sweep () =
+  for max_steps = 1 to 300 do
+    check_equivalent ~max_steps kitchen_sink;
+    check_equivalent ~max_steps ~calls:[ ("checksum", byte_array 16) ] Js_sources.checksum
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Random programs: the compiled engine against the tree walker         *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs over a fixed identifier pool, so scopes collide: per-iteration
+   var, closures made in loops, implicit globals ([z] is declared
+   nowhere), typeof of undeclared names, shadowed parameters, and
+   try/catch/finally around return, break, continue and throw. Arrays
+   only ever hold numbers, so printing a value terminates. *)
+module Gen_js = struct
+  open QCheck.Gen
+
+  let ident = frequency [ (12, oneofl [ "a"; "b"; "c"; "i"; "f"; "g" ]); (1, return "z") ]
+  let any_ident = oneof [ ident; oneofl [ "u"; "z"; "print" ] ]
+
+  let rec expr d =
+    let leaf =
+      frequency
+        [
+          (3, map string_of_int (int_range (-2) 9));
+          (1, return {|"s"|});
+          (1, oneofl [ "true"; "false"; "null"; "undefined" ]);
+          (4, ident);
+        ]
+    in
+    if d <= 0 then leaf
+    else
+      let sub = expr (d - 1) in
+      frequency
+        [
+          (3, leaf);
+          ( 4,
+            map3
+              (fun a op b -> Printf.sprintf "(%s %s %s)" a op b)
+              sub
+              (oneofl [ "+"; "-"; "*"; "%"; "<"; "==="; "=="; "!="; "&&"; "||"; "&"; "<<" ])
+              sub );
+          (2, map2 (Printf.sprintf "(%s = %s)") (oneof [ ident; return "z" ]) sub);
+          (1, map2 (Printf.sprintf "(%s += %s)") ident sub);
+          (1, map (Printf.sprintf "(%s++)") ident);
+          (2, map (Printf.sprintf "typeof %s") any_ident);
+          (2, map2 (Printf.sprintf "%s(%s)") ident sub);
+          (1, map3 (Printf.sprintf "(%s ? %s : %s)") sub sub sub);
+          (1, map2 (Printf.sprintf "[+%s, +%s]") sub sub);
+          (1, map2 (Printf.sprintf "%s[%s]") ident sub);
+          (1, map3 (Printf.sprintf "(%s[%s] = +%s)") ident sub sub);
+          (1, map (Printf.sprintf "%s.length") ident);
+          (1, map2 (Printf.sprintf "%s.push(+%s)") ident sub);
+          (1, map (Printf.sprintf "(!%s)") sub);
+          (1, map (Printf.sprintf "(function(a) { %s })") (block ~loop:false ~fn:true (d - 1)));
+        ]
+
+  and stmt ~loop ~fn d =
+    let e = expr (min d 2) in
+    let body ~loop = block ~loop ~fn (d - 1) in
+    let simple =
+      [
+        (3, map2 (Printf.sprintf "var %s = %s;") ident e);
+        (1, map (Printf.sprintf "var %s;") ident);
+        (3, map (Printf.sprintf "%s;") e);
+        (1, map (Printf.sprintf "print(%s);") e);
+        (1, map (Printf.sprintf "throw %s;") e);
+      ]
+      @ (if fn then [ (2, map (Printf.sprintf "return %s;") e) ] else [])
+      @ if loop then [ (1, return "break;"); (1, return "continue;") ] else []
+    in
+    if d <= 0 then frequency simple
+    else
+      frequency
+        (simple
+        @ [
+            (2, map3 (Printf.sprintf "if (%s) { %s } else { %s }") e (body ~loop) (body ~loop));
+            ( 2,
+              map2
+                (Printf.sprintf "for (var i = 0; i < %d; i++) { %s }")
+                (int_range 0 3) (body ~loop:true) );
+            ( 1,
+              map2
+                (fun n b -> Printf.sprintf "var c = %d; while (c > 0) { c--; %s }" n b)
+                (int_range 0 3) (body ~loop:true) );
+            ( 1,
+              map
+                (Printf.sprintf "for (var i = 0; i < 3; i++) { var b = i; g = function() { return b; }; %s }")
+                (body ~loop:true) );
+            ( 2,
+              map3
+                (fun name params b -> Printf.sprintf "function %s(%s) { %s }" name params b)
+                (oneofl [ "f"; "g" ])
+                (oneofl [ ""; "a"; "a, b"; "i, a"; "a, a" ])
+                (block ~loop:false ~fn:true (d - 1)) );
+            ( 2,
+              map3
+                (Printf.sprintf "try { %s } catch (a) { %s }%s")
+                (body ~loop) (body ~loop)
+                (oneof [ return ""; map (Printf.sprintf " finally { %s }") (body ~loop) ]) );
+            (1, map (Printf.sprintf "try { %s } finally { print(9); }") (body ~loop));
+            (1, map (Printf.sprintf "{ %s }") (body ~loop));
+          ])
+
+  and block ~loop ~fn d =
+    map (String.concat " ") (list_size (int_range 1 3) (stmt ~loop ~fn d))
+
+  let program =
+    map
+      (fun b ->
+        "var a = 1; var b = 2; var c = [3]; var i = 0; function f(a, b) { return a; } function g() \
+         { return i; } "
+        ^ b ^ " print(typeof a, typeof b, typeof c, typeof i, typeof z); [+a, +b, +c]")
+      (block ~loop:false ~fn:false 3)
+end
+
+(* the in-place lexer against the reference's, on strings built from
+   pieces of punctuators, comments, numbers, quotes and escapes *)
+let prop_lexer =
+  let lex tokenize src =
+    match tokenize src with
+    | toks -> Ok toks
+    | exception Vjs.Jslex.Error { line; msg } -> Error (line, msg)
+  in
+  let pieces =
+    [ "<"; "<<"; ">"; ">>"; "="; "=="; "!"; "&"; "|"; "+"; "-"; "*"; "/"; "%"; "("; "]"; ";"; ".";
+      "?"; "~"; "#"; "//"; "/*"; "*/"; "0"; "0x"; "X"; "1f"; "7."; "x"; "_a1"; "var"; "typeof";
+      "\""; "'"; "\\"; "\\n"; " "; "\n" ]
+  in
+  QCheck.Test.make ~name:"lexer = reference lexer" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(map (String.concat "") (list_size (int_range 0 12) (oneofl pieces))))
+    (fun src -> lex Vjs.Jslex.tokenize src = lex Jsref.tokenize src)
+
+let prop_random_programs =
+  QCheck.Test.make ~name:"random programs: compiled = tree walker" ~count:1000
+    (QCheck.make ~print:Fun.id Gen_js.program) (fun src ->
+      let calls = [ ("f", fun () -> [ V.Num 2.0; V.Num 3.0 ]); ("g", fun () -> [ V.Num 1.0 ]) ] in
+      List.for_all
+        (fun max_steps ->
+          match mismatch ~max_steps ~calls src with
+          | None -> true
+          | Some report -> QCheck.Test.fail_report report)
+        [ 5_000; 37; 150 ])
+
 (* ------------------------------------------------------------------ *)
 (* The base64 workload (§6.5)                                           *)
 (* ------------------------------------------------------------------ *)
@@ -317,6 +693,16 @@ let () =
           Alcotest.test_case "native bindings" `Quick test_native_bindings;
           Alcotest.test_case "print/console" `Quick test_print_console;
           Alcotest.test_case "cost charging" `Quick test_engine_charges;
+          Alcotest.test_case "stray break/continue" `Quick test_stray_break_continue;
+          Alcotest.test_case "program shared by engines" `Quick test_program_shared_by_engines;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "engine snippets" `Quick test_engine_snippets;
+          Alcotest.test_case "workload sources" `Quick test_workload_sources;
+          Alcotest.test_case "step budget sweep" `Quick test_step_budget_sweep;
+          QCheck_alcotest.to_alcotest prop_lexer;
+          QCheck_alcotest.to_alcotest prop_random_programs;
         ] );
       ( "workload",
         [
