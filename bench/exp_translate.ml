@@ -80,8 +80,8 @@ let exec engine src =
     match engine with
     | `Interp -> ((fun () -> Fuzz.Reference.run cpu), fun () -> 0)
     | `Translate ->
-        let tr = Vm.Translate.create cpu in
-        ( (fun () -> Vm.Translate.run tr),
+        let tr = Vm.Translate.create () in
+        ( (fun () -> Vm.Translate.run tr cpu),
           fun () -> (Vm.Translate.stats tr).Vm.Translate.blocks_translated )
   in
   let t0 = Unix.gettimeofday () in

@@ -64,14 +64,14 @@ let finding_key cls detail =
 let mkdir_p dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let write_fixture config (shrunk : Corpus.case) =
+let write_fixture config ~cache (shrunk : Corpus.case) =
   match config.fixtures_out with
   | None -> None
   | Some dir -> (
       mkdir_p dir;
       (* the fixture carries the canonical transcript of the shrunk
          case so CI can diff replays against it *)
-      match (Oracle.classify ?canary:config.canary shrunk).Oracle.recording with
+      match (Oracle.classify ?canary:config.canary ~cache shrunk).Oracle.recording with
       | None -> None
       | Some rc ->
           let path = Filename.concat dir (Corpus.name shrunk ^ ".vxr") in
@@ -80,6 +80,8 @@ let write_fixture config (shrunk : Corpus.case) =
 
 let run config : summary =
   let rng = Cycles.Rng.create ~seed:config.seed in
+  (* one translation cache for every case the campaign runs *)
+  let cache = Vm.Translate.create () in
   let cov = Coverage.create () in
   let corpus = ref [||] in
   let seen = Hashtbl.create 256 in
@@ -102,12 +104,12 @@ let run config : summary =
         (Printf.sprintf "finding [%s] %s (case %s, shrinking...)"
            (Oracle.fclass_name cls) detail (Corpus.name case));
       let check c =
-        match (Oracle.classify ?canary:config.canary c).Oracle.finding with
+        match (Oracle.classify ?canary:config.canary ~cache c).Oracle.finding with
         | Some (cls', _) -> cls' = cls
         | None -> false
       in
       let shrunk = Shrink.shrink ~check ~budget:config.shrink_budget case in
-      let path = write_fixture config shrunk in
+      let path = write_fixture config ~cache shrunk in
       config.log
         (Printf.sprintf "  shrunk %s: %d -> %d bytes%s" (Corpus.name shrunk)
            (Shrink.size case) (Shrink.size shrunk)
@@ -124,7 +126,7 @@ let run config : summary =
     | true -> ()
     | false ->
         Hashtbl.replace seen (Corpus.digest case) ();
-        let v = Oracle.classify ?canary:config.canary case in
+        let v = Oracle.classify ?canary:config.canary ~cache case in
         let fresh = Coverage.observe cov v.Oracle.features in
         if fresh > 0 || always_keep then add_to_corpus case;
         (match v.Oracle.finding with
@@ -195,7 +197,7 @@ let replay (case : Corpus.case) (recorded : Profiler.Replay.t) =
       then Error "recording text differs byte-for-byte"
       else Ok ()
 
-let check_fixture path =
+let check_fixture ~cache path =
   match Profiler.Replay.of_file path with
   | Error e -> Error (Printf.sprintf "%s: unparseable: %s" path e)
   | Ok recorded -> (
@@ -205,7 +207,7 @@ let check_fixture path =
           match replay case recorded with
           | Error e -> Error (Printf.sprintf "%s [replay]: %s" path e)
           | Ok () -> (
-              match Oracle.engine_arm case with
+              match Oracle.engine_arm ~cache case with
               | Some (_, e) -> Error (Printf.sprintf "%s [engine]: %s" path e)
               | None -> Ok path)))
 
@@ -216,11 +218,12 @@ let check_fixtures ~dir ~log =
   | exception Sys_error e -> Error [ dir ^ ": " ^ e ]
   | files ->
       Array.sort compare files;
+      let cache = Vm.Translate.create () in
       let ok = ref 0 and errs = ref [] in
       Array.iter
         (fun f ->
           if Filename.check_suffix f ".vxr" then
-            match check_fixture (Filename.concat dir f) with
+            match check_fixture ~cache (Filename.concat dir f) with
             | Ok path ->
                 incr ok;
                 log (Printf.sprintf "fixture ok: %s" path)
@@ -243,9 +246,10 @@ let emit_corpus_fixtures ~dir ~n =
   in
   let rest = List.filter (fun c -> not (List.memq c by_plane)) all in
   let picks = List.filteri (fun i _ -> i < n) (by_plane @ rest) in
+  let cache = Vm.Translate.create () in
   List.filter_map
     (fun case ->
-      match (Oracle.classify case).Oracle.recording with
+      match (Oracle.classify ~cache case).Oracle.recording with
       | None -> None
       | Some rc ->
           let path = Filename.concat dir (Corpus.name case ^ ".vxr") in

@@ -232,10 +232,11 @@ let diff_visible a b =
 (* An engine, given a fresh vCPU, returns its resumable run function. *)
 type engine = Vm.Cpu.t -> fuel:int -> Vm.Cpu.exit_reason
 
-let translator : engine =
- fun cpu ->
-  let tr = Vm.Translate.create cpu in
-  fun ~fuel -> Vm.Translate.run ~fuel tr
+(* The translator on a warm cache: each case's image lands at
+   [image_base] over the blocks earlier cases left at the same pcs, in
+   a new memory, so tag, byte and bounds revalidation all meet the
+   reference stepper. *)
+let translator cache : engine = fun cpu ~fuel -> Vm.Translate.run ~fuel cache cpu
 
 let reference : engine = fun cpu ~fuel -> Reference.run ~fuel cpu
 
@@ -317,9 +318,9 @@ let buggy_shifts : engine =
 
 (* The engine arm: translator vs reference, cycle-exact. The cycle-skew
    canary pretends the translator mis-charges one cycle. *)
-let engine_arm ?canary (case : Corpus.case) =
+let engine_arm ?canary ?(cache = Vm.Translate.create ()) (case : Corpus.case) =
   let skew = if canary = Some Cycle_skew then 1L else 0L in
-  match diff_cpu (cpu_exec ~skew translator case) (cpu_exec reference case) with
+  match diff_cpu (cpu_exec ~skew (translator cache) case) (cpu_exec reference case) with
   | None -> None
   | Some d ->
       let cls = if skew = 0L then Engine_divergence else Canary_divergence in
@@ -338,12 +339,12 @@ let shift_mask_canary case =
 
 (* The differential ladder below the canonical arm; first divergence
    wins. *)
-let differential ?canary canonical (case : Corpus.case) =
+let differential ?canary ?cache canonical (case : Corpus.case) =
   (* every arm gets its own recorder so transcripts are comparable *)
   let run_arm ?reset ?runs ?snapshot_key case =
     run_arm ?reset ?runs ?snapshot_key ~recorder:(Profiler.Replay.create ()) case
   in
-  match engine_arm ?canary case with
+  match engine_arm ?canary ?cache case with
   | Some finding -> Some finding
   | None -> (
       let restore reset = run_arm ~reset ~runs:2 ~snapshot_key:"fuzz" case in
@@ -371,7 +372,7 @@ let differential ?canary canonical (case : Corpus.case) =
                               | None -> None)
                           | _ -> None))))))
 
-let classify ?canary (case : Corpus.case) : verdict =
+let classify ?canary ?cache (case : Corpus.case) : verdict =
   let probes =
     match Vtrace.Engine.of_string coverage_spec with
     | Ok e -> e
@@ -404,7 +405,7 @@ let classify ?canary (case : Corpus.case) : verdict =
         @ Coverage.vtrace_features probes
         @ Coverage.opcode_features profiler
       in
-      let finding = differential ?canary canonical case in
+      let finding = differential ?canary ?cache canonical case in
       (* The .vxr a fixture carries: the case environment plus the
          canonical transcript — exactly what a recorded [wasprun] run
          would have produced. *)

@@ -52,14 +52,17 @@ val coarse_outcome : string -> string
 (** Collapse a detailed outcome to the ["exited"]/["faulted"]/["fuel"]
     form [.vxr] recordings carry. *)
 
-val classify : ?canary:canary -> Corpus.case -> verdict
+val classify : ?canary:canary -> ?cache:Vm.Translate.t -> Corpus.case -> verdict
 (** Run every arm. Deterministic: same case (and canary) → same
-    verdict. *)
+    verdict, whatever [cache] holds. *)
 
-val engine_arm : ?canary:canary -> Corpus.case -> (fclass * string) option
+val engine_arm :
+  ?canary:canary -> ?cache:Vm.Translate.t -> Corpus.case -> (fclass * string) option
 (** The CPU-level engine arm alone: the case's image on a bare vCPU
     under a stub hypervisor, {!Vm.Translate} vs {!Reference}, compared
-    on exit, retired count, cycles, registers and memory. *)
+    on exit, retired count, cycles, registers and memory. The translator
+    runs on [cache] (default: a fresh one); a campaign passes one cache
+    to every case, so each runs over the blocks of the cases before it. *)
 
 (** {1 Exposed for tests} *)
 

@@ -13,10 +13,9 @@ type system = {
   mutable hc_port : int option;
       (* the hypercall port, when a runtime above us declared one:
          Io_out exits on it fire vtrace "exit" probes as "hypercall" *)
-  mutable block_probe : (pc:int -> unit) option;
-      (* prebuilt superblock-entry observer, installed on each vCPU's
-         translation cache while running; None unless a block probe is
-         attached *)
+  trans : Vm.Translate.t;
+      (* the one translation cache every vCPU runs on: a recycled or
+         prewarmed shell finds the blocks other shells translated *)
   exit_reasons : (string, int ref) Hashtbl.t;
       (* always-on per-reason exit tally (the kvm_exits_total{reason}
          series without needing a telemetry hub) — the fuzzer's
@@ -44,7 +43,7 @@ let site_ring_corrupt = "ring_corrupt"
 
 type vm = { sys : system; mutable memory : Vm.Memory.t option }
 
-type vcpu = { parent : vm; cpu : Vm.Cpu.t; trans : Vm.Translate.t }
+type vcpu = { parent : vm; cpu : Vm.Cpu.t }
 
 type run_exit =
   | Hlt
@@ -75,7 +74,7 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
     plan = None;
     probes = None;
     hc_port = None;
-    block_probe = None;
+    trans = Vm.Translate.create ();
     exit_reasons = Hashtbl.create 8;
   }
 
@@ -127,7 +126,7 @@ let set_hc_port sys port = sys.hc_port <- port
 
 let set_probes sys e =
   sys.probes <- e;
-  sys.block_probe <-
+  Vm.Translate.set_block_hook sys.trans
     (match e with
     | Some eng when Vtrace.Engine.wants eng "block" ->
         Some (fun ~pc -> ignore (fire sys ~pc "block"))
@@ -291,24 +290,25 @@ let create_vcpu vm ~mode =
          stay in their owning core's pool shard, so guest execution is
          always billed to that core *)
       let cpu = Vm.Cpu.create ~mem:(vm_memory vm) ~mode ~clock:(clock vm.sys) in
-      { parent = vm; cpu; trans = Vm.Translate.create cpu })
+      { parent = vm; cpu })
 
 let vcpu_cpu v = v.cpu
 let vcpu_vm v = v.parent
 
-let reset_vcpu v ~mode =
-  Vm.Cpu.reset v.cpu ~mode;
-  (* shell reuse: the pool's reset_zero already bumps the version of
-     every page holding code, so no stale block survives validation;
-     dropping them too keeps the table from accreting garbage *)
-  Vm.Translate.flush_cache v.trans
+let reset_vcpu v ~mode = Vm.Cpu.reset v.cpu ~mode
+
+(* a copy, so a reader cannot disturb the cache's own counters *)
+let translation_stats sys =
+  let s = Vm.Translate.stats sys.trans in
+  { s with Vm.Translate.blocks_translated = s.Vm.Translate.blocks_translated }
+
+let translation_words sys = Vm.Translate.retained_words sys.trans
 
 let run ?fuel v =
   let sys = v.parent.sys in
   sys.stats.runs <- sys.stats.runs + 1;
   kincr sys "kvm_runs_total";
   let t0 = Cycles.Clock.now (clock sys) in
-  Vm.Translate.set_block_hook v.trans sys.block_probe;
   let exit =
     kspan sys "vcpu_run" (fun () ->
         charge sys (Cycles.Costs.ioctl_syscall + Cycles.Costs.kvm_run_checks + Cycles.Costs.vmentry);
@@ -335,7 +335,7 @@ let run ?fuel v =
                 Cycles.Clock.advance_int (clock sys) (spin * Cycles.Costs.alu);
                 Vm.Cpu.Out_of_fuel
               end
-              else Vm.Translate.run ?fuel v.trans)
+              else Vm.Translate.run ?fuel sys.trans v.cpu)
         in
         charge sys Cycles.Costs.vmexit;
         exit)
@@ -381,4 +381,4 @@ let build_shell sys ~core ~size ~mode =
     (Some (fun ~shared ~page -> on_page_fault sys ~shared ~page));
   vm.memory <- Some mem;
   let cpu = Vm.Cpu.create ~mem ~mode ~clock:sys.clocks.(core) in
-  { parent = vm; cpu; trans = Vm.Translate.create cpu }
+  { parent = vm; cpu }

@@ -94,7 +94,8 @@ val plan_fires : system -> string -> bool
 val open_dev : ?seed:int -> ?freq_ghz:float -> ?cores:int -> unit -> system
 (** [cores] (default 1) gives the system that many per-core virtual
     clocks; all charges land on the {e current} core's clock (see
-    {!set_core}). Guests execute through {!Vm.Translate}. *)
+    {!set_core}). Guests execute through one {!Vm.Translate} cache per
+    system, shared by all its vCPUs. *)
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)
@@ -206,8 +207,9 @@ val vcpu_cpu : vcpu -> Vm.Cpu.t
 val vcpu_vm : vcpu -> vm
 
 val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
-(** Clear architectural state for shell reuse and drop the vCPU's
-    translated blocks; memory is untouched. *)
+(** Clear architectural state for shell reuse; memory is untouched. The
+    system's translated blocks stay: a block is revalidated against the
+    memory it next runs on (see {!Vm.Translate}). *)
 
 val run : ?fuel:int -> vcpu -> run_exit
 (** The [KVM_RUN] ioctl: charges syscall entry, in-kernel checks and VM
@@ -215,6 +217,14 @@ val run : ?fuel:int -> vcpu -> run_exit
     return to user space. Resumable after I/O exits. Each return also
     bumps the [kvm_exits_total{reason}] counter
     ([hlt]/[hypercall]/[io_out]/[io_in]/[fault]/[fuel]). *)
+
+val translation_stats : system -> Vm.Translate.stats
+(** A copy of the counters of the system's translation cache, which all
+    its vCPUs share. *)
+
+val translation_words : system -> int
+(** {!Vm.Translate.retained_words} of the system's translation cache:
+    the heap its blocks retain between runs. *)
 
 val build_shell : system -> core:int -> size:int -> mode:Vm.Modes.t -> vcpu
 (** Background shell assembly for pipelined pool refill: the same

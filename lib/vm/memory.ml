@@ -101,6 +101,9 @@ end
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh block per memory and per [reset_zero]: compared with [==]. *)
+type tag = unit ref
+
 type t = {
   size : int;
   npages : int;
@@ -110,6 +113,9 @@ type t = {
   vers : int array;         (* monotonic per-page content version (see below) *)
   code_lo : int array;      (* [code_lo.(p), code_hi.(p)): bytes of page p *)
   code_hi : int array;      (* holding translated code; empty when lo >= hi *)
+  mutable tag : tag;
+  mutable spare : bytes list;  (* buffers [reset_zero] dropped, not yet zeroed *)
+  mutable n_spare : int;
   mutable cow_faults : int;
   mutable zero_fills : int;
   mutable fault_hook : (shared:bool -> page:int -> unit) option;
@@ -126,12 +132,16 @@ let create ~size =
     vers = Array.make npages 0;
     code_lo = Array.make npages max_int;
     code_hi = Array.make npages 0;
+    tag = ref ();
+    spare = [];
+    n_spare = 0;
     cow_faults = 0;
     zero_fills = 0;
     fault_hook = None;
   }
 
 let size t = t.size
+let tag t = t.tag
 
 let set_fault_hook t h = t.fault_hook <- h
 
@@ -201,7 +211,15 @@ let page_rw t p =
   match Array.unsafe_get t.pages p with
   | Owned b -> b
   | Zero ->
-      let b = Bytes.make page_size '\000' in
+      let b =
+        match t.spare with
+        | b :: rest ->
+            t.spare <- rest;
+            t.n_spare <- t.n_spare - 1;
+            Bytes.unsafe_fill b 0 page_size '\000';
+            b
+        | [] -> Bytes.make page_size '\000'
+      in
       t.pages.(p) <- Owned b;
       t.zero_fills <- t.zero_fills + 1;
       (match t.fault_hook with Some h -> h ~shared:false ~page:p | None -> ());
@@ -340,6 +358,23 @@ let write_bytes t ~off b =
     done
   end
 
+(* Compares in place, page by page: no buffer is allocated. *)
+let equal_bytes t ~off b =
+  let len = Bytes.length b in
+  check t off len;
+  let i = ref 0 and same = ref true in
+  while !same && !i < len do
+    let addr = off + !i in
+    let pg = page_ro t (addr lsr page_shift) in
+    (* byte [j] of [b] sits at [shift + j] of this page *)
+    let shift = (addr land page_mask) - !i in
+    let stop = min len (!i + page_size - (addr land page_mask)) in
+    while !same && !i < stop do
+      if Bytes.unsafe_get pg (shift + !i) = Bytes.unsafe_get b !i then incr i else same := false
+    done
+  done;
+  !same
+
 let read_cstring t ~off ~max =
   check t off 0;
   let rec find i =
@@ -356,17 +391,25 @@ let fill_zero t =
 
 (* Pool cleaning: drop every reference and start a fresh generation —
    the simulated cost model still charges the memset this stands for.
+   Private buffers are kept, up to one per page, for later zero fills.
    Only pages holding translated code need a version bump, and then
-   hold none: their extents empty. *)
+   hold none: their extents empty. The new tag tells a version reader
+   that the memory it validated against is gone. *)
 let reset_zero t =
-  Array.fill t.pages 0 t.npages Zero;
   for p = 0 to t.npages - 1 do
+    (match Array.unsafe_get t.pages p with
+    | Owned b when t.n_spare < t.npages ->
+        t.spare <- b :: t.spare;
+        t.n_spare <- t.n_spare + 1
+    | Owned _ | Shared _ | Zero -> ());
     if t.code_lo.(p) < t.code_hi.(p) then begin
       t.vers.(p) <- t.vers.(p) + 1;
       t.code_lo.(p) <- max_int;
       t.code_hi.(p) <- 0
     end
   done;
+  Array.fill t.pages 0 t.npages Zero;
+  t.tag <- ref ();
   clear_dirty t
 
 (* Publish page [p]: normalize all-zero Owned pages back to Zero, intern

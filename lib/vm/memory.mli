@@ -66,6 +66,11 @@ val write_bytes : t -> off:int -> bytes -> unit
     zero-padded image materializes only its nonzero pages. The written
     range is marked dirty either way. *)
 
+val equal_bytes : t -> off:int -> bytes -> bool
+(** [equal_bytes t ~off b]: the [Bytes.length b] bytes at [off] equal
+    [b]. Compares in place and allocates nothing. Raises {!Fault}
+    outside the memory. *)
+
 val read_cstring : t -> off:int -> max:int -> string
 (** Read a NUL-terminated string of at most [max] bytes; raises {!Fault}
     if no terminator is found within bounds (hypercall handlers use this to
@@ -79,7 +84,11 @@ val reset_zero : t -> unit
 (** Pool cleaning: drop every page reference {e and} start a fresh dirty
     generation — equivalent to {!fill_zero} + {!clear_dirty} without
     touching a byte. The caller still charges the simulated memset. It
-    also forgets every code extent (see {e Content versions}). *)
+    also forgets every code extent and renews the {!tag} (see
+    {e Content versions}). The private page buffers it drops, up to the
+    memory's page count, are kept for the next demand-zero fills, which
+    zero one before reuse instead of allocating: contents, page stats
+    and fault-hook calls are those of fresh pages. *)
 
 val copy_to : src:t -> dst:t -> unit
 (** Share [src]'s pages into [dst]; sizes must match. [src]'s private
@@ -169,6 +178,15 @@ val note_code : t -> off:int -> len:int -> unit
 val page_version : t -> int -> int
 (** Content version of page [p] (not bounds-checked; callers pass pages
     obtained from successful accesses). *)
+
+type tag
+
+val tag : t -> tag
+(** The memory's identity for version checks, compared with [==]: a
+    fresh tag per memory, renewed by {!reset_zero}. Versions are per
+    memory, so two memories can show equal versions over different
+    bytes; a reader compares versions only under the tag it read them
+    with. A tag holds none of the memory's state. *)
 
 (** {1 Fault accounting} *)
 

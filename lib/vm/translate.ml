@@ -3,13 +3,19 @@
    Each basic block is decoded once into a *superblock*: an OCaml closure
    chain with one direct-threaded continuation per instruction, chained
    on fallthrough and static branch targets. Blocks are keyed by (pc,
-   cpu_mode, flavour) and invalidated by the page content versions in
-   Memory, the one invalidation signal. Translating a block records its
-   bytes in its pages' code extents, and a page's version moves only
-   when a write overlaps its extent: a self-modifying store, a pool
-   reset or a CoW restore drops every block on the pages it rewrites,
-   while data stored beside code (a heap sharing the code's page) keeps
-   them.
+   cpu_mode, flavour). One cache serves every vCPU of a system: a run
+   binds its CPU, memory and clock, and the closures read them from the
+   cache, so a recycled or restored shell finds the blocks it ran before.
+
+   A block is valid while it was last validated against the bound memory
+   (its tag) and its pages' content versions have not moved — the fast
+   path. Translating a block records its bytes in its pages' code
+   extents, and a page's version moves only when a write overlaps its
+   extent: a self-modifying store, a pool reset or a CoW restore stales
+   every block on the pages it rewrites, while data stored beside code
+   (a heap sharing the code's page) keeps them. A stale block is
+   compared byte for byte with the memory — the slow path — and reused
+   when they match, so only changed bytes are translated again.
 
    Every instruction charges its exact Instr.cost, bumps retired, and
    honors fuel. Cycle and retired charges are batched in plain ints and
@@ -44,6 +50,7 @@
 type stats = {
   mutable blocks_translated : int;
   mutable invalidations : int;
+  mutable revalidations : int;
 }
 
 (* A chain slot caches the resolved target block of a static edge
@@ -52,8 +59,14 @@ type stats = {
 type slot = { mutable s_blk : block option }
 
 and block = {
+  b_pc : int;
+  b_code : bytes;
+      (* the bytes it was decoded from, at [b_pc]; empty when it ends at
+         an undecodable pc: where it ends then depends on bytes past its
+         own, so it is never revalidated *)
   b_pages : int array;    (* pages the block's code bytes span *)
-  b_vers : int array;     (* their content versions at translation time *)
+  b_vers : int array;     (* their content versions when last validated *)
+  mutable b_tag : Memory.tag;  (* of the memory those versions belong to *)
   b_exec : unit -> Cpu.exit_reason option;
       (* [Some exit] = VM exit; [None] = control left the chain
          (indirect call, invalidation, undecodable pc): re-dispatch at
@@ -63,12 +76,17 @@ and block = {
          block only while the dispatcher would have found it *)
 }
 
+(* The machine a run binds: every closure reads these fields, so blocks
+   serve any vCPU. Between runs the cache binds [idle], a CPU over an
+   empty memory, and keeps no guest's state alive. *)
 type t = {
-  cpu : Cpu.t;
-  mem : Memory.t;
-  clock : Cycles.Clock.t;
-  regs : Cpu.regfile;
-  flags : Cpu.flags;
+  idle : Cpu.t;
+  mutable cpu : Cpu.t;
+  mutable mem : Memory.t;
+  mutable tag : Memory.tag;
+  mutable clock : Cycles.Clock.t;
+  mutable regs : Cpu.regfile;
+  mutable flags : Cpu.flags;
   scratch : Cpu.regfile;  (* one word: a popped return address *)
   table : (int, block) Hashtbl.t;
   mutable cyc : int;      (* cycles charged but not yet committed *)
@@ -79,13 +97,28 @@ type t = {
   stats : stats;
 }
 
-let create cpu =
+let bind tr cpu =
+  let mem = Cpu.mem cpu in
+  tr.cpu <- cpu;
+  tr.mem <- mem;
+  tr.tag <- Memory.tag mem;
+  tr.clock <- Cpu.clock cpu;
+  tr.regs <- Cpu.regs cpu;
+  tr.flags <- Cpu.flags cpu
+
+let create () =
+  let idle =
+    Cpu.create ~mem:(Memory.create ~size:0) ~mode:Modes.Real ~clock:(Cycles.Clock.create ())
+  in
+  let mem = Cpu.mem idle in
   {
-    cpu;
-    mem = Cpu.mem cpu;
-    clock = Cpu.clock cpu;
-    regs = Cpu.regs cpu;
-    flags = Cpu.flags cpu;
+    idle;
+    cpu = idle;
+    mem;
+    tag = Memory.tag mem;
+    clock = Cpu.clock idle;
+    regs = Cpu.regs idle;
+    flags = Cpu.flags idle;
     scratch = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
     table = Hashtbl.create 64;
     cyc = 0;
@@ -93,14 +126,17 @@ let create cpu =
     fuel = 0;
     cur_pc = 0;
     block_hook = None;
-    stats = { blocks_translated = 0; invalidations = 0 };
+    stats = { blocks_translated = 0; invalidations = 0; revalidations = 0 };
   }
 
 let stats t = t.stats
 
-let flush_cache t =
-  Hashtbl.iter (fun _ b -> b.b_live <- false) t.table;
-  Hashtbl.reset t.table
+let retained_words t =
+  let hook = t.block_hook in
+  t.block_hook <- None;
+  let words = Obj.reachable_words (Obj.repr t) in
+  t.block_hook <- hook;
+  words
 
 let set_block_hook t h = t.block_hook <- h
 
@@ -182,7 +218,17 @@ let max_block = 128
 (* Return targets one [ret] remembers: fib's alternates between two. *)
 let ret_ways = 4
 
-let no_block = { b_pages = [||]; b_vers = [||]; b_exec = (fun () -> None); b_live = false }
+(* An empty return-cache way: never live, under a tag no memory has. *)
+let no_block =
+  {
+    b_pc = -1;
+    b_code = Bytes.empty;
+    b_pages = [||];
+    b_vers = [||];
+    b_tag = Memory.tag (Memory.create ~size:0);
+    b_exec = (fun () -> None);
+    b_live = false;
+  }
 
 (* Top-level and closure-free: it runs on every chained transfer. *)
 let rec pages_current mem pages vers i =
@@ -190,12 +236,34 @@ let rec pages_current mem pages vers i =
   || (Memory.page_version mem (Array.unsafe_get pages i) = Array.unsafe_get vers i
      && pages_current mem pages vers (i + 1))
 
-let block_valid tr b = pages_current tr.mem b.b_pages b.b_vers 0
+(* The fast path: validated against this memory, and none of its pages
+   rewritten since. The tag comes first, as versions are per memory. *)
+let block_valid tr b = b.b_tag == tr.tag && pages_current tr.mem b.b_pages b.b_vers 0
+
+(* The slow path: a stale block whose bytes are still in place is the
+   block a fresh translation would build, as its extent and every
+   closure depend only on its bytes and the mode, which is in its key.
+   Bounds come first: the memory may be smaller than the one it was
+   decoded from. Then it takes this memory's extents and versions. *)
+let revalidate tr b =
+  let len = Bytes.length b.b_code in
+  len > 0
+  && b.b_pc <= Memory.size tr.mem - len
+  && Memory.equal_bytes tr.mem ~off:b.b_pc b.b_code
+  && begin
+       Memory.note_code tr.mem ~off:b.b_pc ~len;
+       for i = 0 to Array.length b.b_pages - 1 do
+         b.b_vers.(i) <- Memory.page_version tr.mem b.b_pages.(i)
+       done;
+       b.b_tag <- tr.tag;
+       tr.stats.revalidations <- tr.stats.revalidations + 1;
+       true
+     end
 
 let rec lookup tr ~hooked pc =
   let key = key_of pc (Cpu.mode tr.cpu) ~hooked in
   match Hashtbl.find_opt tr.table key with
-  | Some b when block_valid tr b -> b
+  | Some b when block_valid tr b || revalidate tr b -> b
   | Some b ->
       tr.stats.invalidations <- tr.stats.invalidations + 1;
       b.b_live <- false;
@@ -209,17 +277,13 @@ let rec lookup tr ~hooked pc =
       b
 
 and translate tr ~hooked pc0 =
-  let cpu = tr.cpu in
-  let mem = tr.mem in
-  let regs = tr.regs in
-  let fl = tr.flags in
-  let mode = Cpu.mode cpu in
+  let mode = Cpu.mode tr.cpu in
   (* Pass 1: decode the block once. Stops at control flow, VM exits, an
      undecodable pc, or the length cap. *)
   let rec scan pc n acc =
     if n >= max_block then (List.rev acc, `Fall pc)
     else
-      match Cpu.fetch cpu pc with
+      match Cpu.fetch tr.cpu pc with
       | exception (Cpu.Vm_fault _ | Memory.Fault _) -> (List.rev acc, `Bad pc)
       | (instr : Instr.t), size -> (
           let acc = (pc, instr, size) :: acc in
@@ -241,14 +305,14 @@ and translate tr ~hooked pc0 =
      write (self-modifying code) and on every block entry. Filled in
      after compilation — the closures capture the refs. *)
   let pages_r = ref [||] and vers_r = ref [||] in
-  let smc_ok () = pages_current mem !pages_r !vers_r 0 in
+  let smc_ok () = pages_current tr.mem !pages_r !vers_r 0 in
   let smc_abort () =
     tr.stats.invalidations <- tr.stats.invalidations + 1;
     None
   in
   let out_of_fuel start =
     commit tr;
-    Cpu.set_pc cpu start;
+    Cpu.set_pc tr.cpu start;
     Some Cpu.Out_of_fuel
   in
   (* The hooked flavour's prologue around [k], one instruction's own
@@ -265,8 +329,8 @@ and translate tr ~hooked pc0 =
           tr.cyc <- tr.cyc + cost;
           tr.steps <- tr.steps + 1;
           commit tr;
-          Cpu.set_pc cpu start;
-          (match Cpu.current_step_hook cpu with Some h -> h ~pc:start ~instr ~cost | None -> ());
+          Cpu.set_pc tr.cpu start;
+          (match Cpu.current_step_hook tr.cpu with Some h -> h ~pc:start ~instr ~cost | None -> ());
           tr.cyc <- -cost;
           tr.steps <- -1
         end;
@@ -281,9 +345,9 @@ and translate tr ~hooked pc0 =
       (match tr.block_hook with None -> () | Some f -> f ~pc:target);
       match slot.s_blk with
       | Some b when block_valid tr b -> b.b_exec ()
-      | _ ->
+      | cached ->
           let b = lookup tr ~hooked target in
-          slot.s_blk <- Some b;
+          (match cached with Some c when c == b -> () | _ -> slot.s_blk <- Some b);
           b.b_exec ()
   in
   (* Per-mode constants, so no closure dispatches on the mode: the
@@ -302,7 +366,7 @@ and translate tr ~hooked pc0 =
   let cnt = match mode with Modes.Real | Modes.Protected -> 31 | Modes.Long -> 63 in
   let limit = Modes.address_limit mode in
   let imm i = Int64.logand i m in
-  let set_sp sp = set regs Instr.sp (Int64.of_int (sp land mi)) in
+  let set_sp sp = set tr.regs Instr.sp (Int64.of_int (sp land mi)) in
   (* The address a write of [size] bytes at [base] + [d] by the
      instruction at [start] targets, checked against the limit (a push
      writes 8 bytes at sp - 8). Commits first: the write may CoW-fault,
@@ -310,8 +374,8 @@ and translate tr ~hooked pc0 =
   let write_addr start next base d size =
     tr.cur_pc <- start;
     commit tr;
-    Cpu.set_pc cpu next;
-    let addr = Int64.to_int (get regs base) + d in
+    Cpu.set_pc tr.cpu next;
+    let addr = Int64.to_int (get tr.regs base) + d in
     check_limit mode limit addr size;
     addr
   in
@@ -330,10 +394,10 @@ and translate tr ~hooked pc0 =
           if tr.fuel <= 0 then out_of_fuel pc
           else begin
             tr.cur_pc <- pc;
-            ignore (Cpu.fetch cpu pc);
+            ignore (Cpu.fetch tr.cpu pc);
             Option.iter (fun b -> b.b_live <- false) (Hashtbl.find_opt tr.table key0);
             Hashtbl.remove tr.table key0;
-            Cpu.set_pc cpu pc;
+            Cpu.set_pc tr.cpu pc;
             smc_abort ()
           end
     | `Term (start, instr, size) -> (
@@ -344,7 +408,7 @@ and translate tr ~hooked pc0 =
           fun () ->
             if charge tr cost then begin
               commit tr;
-              Cpu.set_pc cpu next;
+              Cpu.set_pc tr.cpu next;
               Some (exit ())
             end
             else out_of_fuel start
@@ -352,14 +416,14 @@ and translate tr ~hooked pc0 =
         let retv = Int64.of_int next in
         let push_return () =
           let sp = write_addr start next Instr.sp (-8) 8 in
-          Memory.write_u64 mem sp retv;
+          Memory.write_u64 tr.mem sp retv;
           set_sp sp
         in
         with_hook start instr
         @@
         match instr with
         | Hlt -> vm_exit (fun () -> Cpu.Halt)
-        | Out (port, Reg rs) -> vm_exit (fun () -> Cpu.Io_out { port; value = get regs rs })
+        | Out (port, Reg rs) -> vm_exit (fun () -> Cpu.Io_out { port; value = get tr.regs rs })
         | Out (port, Imm i) ->
             let e = Cpu.Io_out { port; value = imm i } in
             vm_exit (fun () -> e)
@@ -374,7 +438,7 @@ and translate tr ~hooked pc0 =
                 push_return ();
                 if smc_ok () then g ()
                 else begin
-                  Cpu.set_pc cpu a;
+                  Cpu.set_pc tr.cpu a;
                   smc_abort ()
                 end
               end
@@ -384,7 +448,7 @@ and translate tr ~hooked pc0 =
               if charge tr cost then begin
                 push_return ();
                 (* register read after the push (callr through sp) *)
-                Cpu.set_pc cpu (branch_target mode limit regs r);
+                Cpu.set_pc tr.cpu (branch_target mode limit tr.regs r);
                 None
               end
               else out_of_fuel start
@@ -416,9 +480,9 @@ and translate tr ~hooked pc0 =
             fun () ->
               if charge tr cost then begin
                 tr.cur_pc <- start;
-                let sp = Int64.to_int (get regs Instr.sp) in
+                let sp = Int64.to_int (get tr.regs Instr.sp) in
                 check_limit mode limit sp 8;
-                Memory.load64_into mem sp tr.scratch 0;
+                Memory.load64_into tr.mem sp tr.scratch 0;
                 set_sp (sp + 8);
                 let target = branch_target mode limit tr.scratch 0 in
                 (* the transfer the dispatcher would make, and its
@@ -443,69 +507,69 @@ and translate tr ~hooked pc0 =
     | Mov (rd, Reg rs) ->
         (* registers are invariantly masked: no re-mask *)
         fun () ->
-          if charge tr cost then (set regs rd (get regs rs); next_k ())
+          if charge tr cost then (set tr.regs rd (get tr.regs rs); next_k ())
           else out_of_fuel start
     | Mov (rd, Imm i) ->
         let v = imm i in
-        fun () -> if charge tr cost then (set regs rd v; next_k ()) else out_of_fuel start
+        fun () -> if charge tr cost then (set tr.regs rd v; next_k ()) else out_of_fuel start
     | Bin (op, rd, Reg rs) -> (
         match op with
         | Add ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.add (get regs rd) (get regs rs)) m);
+                set tr.regs rd (Int64.logand (Int64.add (get tr.regs rd) (get tr.regs rs)) m);
                 next_k ())
               else out_of_fuel start
         | Sub ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.sub (get regs rd) (get regs rs)) m);
+                set tr.regs rd (Int64.logand (Int64.sub (get tr.regs rd) (get tr.regs rs)) m);
                 next_k ())
               else out_of_fuel start
         | Mul ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.mul (get regs rd) (get regs rs)) m);
+                set tr.regs rd (Int64.logand (Int64.mul (get tr.regs rd) (get tr.regs rs)) m);
                 next_k ())
               else out_of_fuel start
         (* and/or/xor/shr of masked values stay masked *)
         | And ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (get regs rd) (get regs rs));
+                set tr.regs rd (Int64.logand (get tr.regs rd) (get tr.regs rs));
                 next_k ())
               else out_of_fuel start
         | Or ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logor (get regs rd) (get regs rs));
+                set tr.regs rd (Int64.logor (get tr.regs rd) (get tr.regs rs));
                 next_k ())
               else out_of_fuel start
         | Xor ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logxor (get regs rd) (get regs rs));
+                set tr.regs rd (Int64.logxor (get tr.regs rd) (get tr.regs rs));
                 next_k ())
               else out_of_fuel start
         | Shl ->
             fun () ->
               if charge tr cost then (
-                let c = Int64.to_int (get regs rs) land cnt in
-                set regs rd (Int64.logand (Int64.shift_left (get regs rd) c) m);
+                let c = Int64.to_int (get tr.regs rs) land cnt in
+                set tr.regs rd (Int64.logand (Int64.shift_left (get tr.regs rd) c) m);
                 next_k ())
               else out_of_fuel start
         | Shr ->
             fun () ->
               if charge tr cost then (
-                let c = Int64.to_int (get regs rs) land cnt in
-                set regs rd (Int64.shift_right_logical (get regs rd) c);
+                let c = Int64.to_int (get tr.regs rs) land cnt in
+                set tr.regs rd (Int64.shift_right_logical (get tr.regs rd) c);
                 next_k ())
               else out_of_fuel start
         | Sar ->
             fun () ->
               if charge tr cost then (
-                let c = Int64.to_int (get regs rs) land cnt in
-                set regs rd (Int64.logand (Int64.shift_right (sext s (get regs rd)) c) m);
+                let c = Int64.to_int (get tr.regs rs) land cnt in
+                set tr.regs rd (Int64.logand (Int64.shift_right (sext s (get tr.regs rd)) c) m);
                 next_k ())
               else out_of_fuel start
         | Div | Rem ->
@@ -514,10 +578,10 @@ and translate tr ~hooked pc0 =
             fun () ->
               if charge tr cost then begin
                 tr.cur_pc <- start;
-                let r = sext s (get regs rs) in
+                let r = sext s (get tr.regs rs) in
                 if r = 0L then raise (Cpu.Vm_fault (Division_by_zero { addr = start }));
-                let l = sext s (get regs rd) in
-                set regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
+                let l = sext s (get tr.regs rd) in
+                set tr.regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
                 next_k ()
               end
               else out_of_fuel start)
@@ -528,49 +592,49 @@ and translate tr ~hooked pc0 =
         | Add ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.add (get regs rd) v) m);
+                set tr.regs rd (Int64.logand (Int64.add (get tr.regs rd) v) m);
                 next_k ())
               else out_of_fuel start
         | Sub ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.sub (get regs rd) v) m);
+                set tr.regs rd (Int64.logand (Int64.sub (get tr.regs rd) v) m);
                 next_k ())
               else out_of_fuel start
         | Mul ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.mul (get regs rd) v) m);
+                set tr.regs rd (Int64.logand (Int64.mul (get tr.regs rd) v) m);
                 next_k ())
               else out_of_fuel start
         | And ->
             fun () ->
-              if charge tr cost then (set regs rd (Int64.logand (get regs rd) v); next_k ())
+              if charge tr cost then (set tr.regs rd (Int64.logand (get tr.regs rd) v); next_k ())
               else out_of_fuel start
         | Or ->
             fun () ->
-              if charge tr cost then (set regs rd (Int64.logor (get regs rd) v); next_k ())
+              if charge tr cost then (set tr.regs rd (Int64.logor (get tr.regs rd) v); next_k ())
               else out_of_fuel start
         | Xor ->
             fun () ->
-              if charge tr cost then (set regs rd (Int64.logxor (get regs rd) v); next_k ())
+              if charge tr cost then (set tr.regs rd (Int64.logxor (get tr.regs rd) v); next_k ())
               else out_of_fuel start
         | Shl ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.shift_left (get regs rd) c) m);
+                set tr.regs rd (Int64.logand (Int64.shift_left (get tr.regs rd) c) m);
                 next_k ())
               else out_of_fuel start
         | Shr ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.shift_right_logical (get regs rd) c);
+                set tr.regs rd (Int64.shift_right_logical (get tr.regs rd) c);
                 next_k ())
               else out_of_fuel start
         | Sar ->
             fun () ->
               if charge tr cost then (
-                set regs rd (Int64.logand (Int64.shift_right (sext s (get regs rd)) c) m);
+                set tr.regs rd (Int64.logand (Int64.shift_right (sext s (get tr.regs rd)) c) m);
                 next_k ())
               else out_of_fuel start
         | Div | Rem ->
@@ -579,29 +643,29 @@ and translate tr ~hooked pc0 =
               if charge tr cost then begin
                 tr.cur_pc <- start;
                 if r = 0L then raise (Cpu.Vm_fault (Division_by_zero { addr = start }));
-                let l = sext s (get regs rd) in
-                set regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
+                let l = sext s (get tr.regs rd) in
+                set tr.regs rd (Int64.logand (if div then Int64.div l r else Int64.rem l r) m);
                 next_k ()
               end
               else out_of_fuel start)
     | Neg rd ->
         fun () ->
           if charge tr cost then (
-            set regs rd (Int64.logand (Int64.neg (sext s (get regs rd))) m);
+            set tr.regs rd (Int64.logand (Int64.neg (sext s (get tr.regs rd))) m);
             next_k ())
           else out_of_fuel start
     | Not rd ->
         fun () ->
           if charge tr cost then (
-            set regs rd (Int64.logand (Int64.lognot (get regs rd)) m);
+            set tr.regs rd (Int64.logand (Int64.lognot (get tr.regs rd)) m);
             next_k ())
           else out_of_fuel start
     | Cmp (r, Reg rs) ->
         fun () ->
           if charge tr cost then begin
-            let l = get regs r and rv = get regs rs in
-            fl.signed_cmp <- Int64.compare (sext s l) (sext s rv);
-            fl.unsigned_cmp <- Int64.unsigned_compare l rv;
+            let l = get tr.regs r and rv = get tr.regs rs in
+            tr.flags.signed_cmp <- Int64.compare (sext s l) (sext s rv);
+            tr.flags.unsigned_cmp <- Int64.unsigned_compare l rv;
             next_k ()
           end
           else out_of_fuel start
@@ -610,9 +674,9 @@ and translate tr ~hooked pc0 =
         let srv = sext s rv in
         fun () ->
           if charge tr cost then begin
-            let l = get regs r in
-            fl.signed_cmp <- Int64.compare (sext s l) srv;
-            fl.unsigned_cmp <- Int64.unsigned_compare l rv;
+            let l = get tr.regs r in
+            tr.flags.signed_cmp <- Int64.compare (sext s l) srv;
+            tr.flags.unsigned_cmp <- Int64.unsigned_compare l rv;
             next_k ()
           end
           else out_of_fuel start
@@ -621,7 +685,7 @@ and translate tr ~hooked pc0 =
         let unsigned, signs = cond_signs c in
         fun () ->
           if charge tr cost then begin
-            let f = if unsigned then fl.unsigned_cmp else fl.signed_cmp in
+            let f = if unsigned then tr.flags.unsigned_cmp else tr.flags.signed_cmp in
             if (signs lsr (compare f 0 + 1)) land 1 = 1 then g () else next_k ()
           end
           else out_of_fuel start
@@ -630,7 +694,7 @@ and translate tr ~hooked pc0 =
         fun () ->
           if charge tr cost then begin
             let sp = write_addr start next Instr.sp (-8) 8 in
-            Memory.store64_from mem sp regs rs;
+            Memory.store64_from tr.mem sp tr.regs rs;
             set_sp sp;
             if smc_ok () then next_k () else smc_abort ()
           end
@@ -640,7 +704,7 @@ and translate tr ~hooked pc0 =
         fun () ->
           if charge tr cost then begin
             let sp = write_addr start next Instr.sp (-8) 8 in
-            Memory.write_u64 mem sp v;
+            Memory.write_u64 tr.mem sp v;
             set_sp sp;
             if smc_ok () then next_k () else smc_abort ()
           end
@@ -651,11 +715,11 @@ and translate tr ~hooked pc0 =
         fun () ->
           if charge tr cost then begin
             tr.cur_pc <- start;
-            let sp = Int64.to_int (get regs Instr.sp) in
+            let sp = Int64.to_int (get tr.regs Instr.sp) in
             check_limit mode limit sp 8;
-            Memory.load64_into mem sp regs rd;
+            Memory.load64_into tr.mem sp tr.regs rd;
             if not to_sp then set_sp (sp + 8);
-            if masked then set regs rd (Int64.logand (get regs rd) m);
+            if masked then set tr.regs rd (Int64.logand (get tr.regs rd) m);
             next_k ()
           end
           else out_of_fuel start
@@ -663,10 +727,10 @@ and translate tr ~hooked pc0 =
         fun () ->
           if charge tr cost then begin
             tr.cur_pc <- start;
-            let addr = Int64.to_int (get regs rb) + d in
+            let addr = Int64.to_int (get tr.regs rb) + d in
             check_limit mode limit addr 8;
-            Memory.load64_into mem addr regs rd;
-            if masked then set regs rd (Int64.logand (get regs rd) m);
+            Memory.load64_into tr.mem addr tr.regs rd;
+            if masked then set tr.regs rd (Int64.logand (get tr.regs rd) m);
             next_k ()
           end
           else out_of_fuel start
@@ -681,9 +745,9 @@ and translate tr ~hooked pc0 =
         fun () ->
           if charge tr cost then begin
             tr.cur_pc <- start;
-            let addr = Int64.to_int (get regs rb) + d in
+            let addr = Int64.to_int (get tr.regs rb) + d in
             check_limit mode limit addr size;
-            set regs rd (Int64.of_int (read mem addr land mi));
+            set tr.regs rd (Int64.of_int (read tr.mem addr land mi));
             next_k ()
           end
           else out_of_fuel start
@@ -700,7 +764,7 @@ and translate tr ~hooked pc0 =
         | W64, Reg rs ->
             fun () ->
               if charge tr cost then begin
-                Memory.store64_from mem (write_addr start next rb d 8) regs rs;
+                Memory.store64_from tr.mem (write_addr start next rb d 8) tr.regs rs;
                 if smc_ok () then next_k () else smc_abort ()
               end
               else out_of_fuel start
@@ -708,7 +772,7 @@ and translate tr ~hooked pc0 =
             let v = imm i in
             fun () ->
               if charge tr cost then begin
-                Memory.write_u64 mem (write_addr start next rb d 8) v;
+                Memory.write_u64 tr.mem (write_addr start next rb d 8) v;
                 if smc_ok () then next_k () else smc_abort ()
               end
               else out_of_fuel start
@@ -716,7 +780,7 @@ and translate tr ~hooked pc0 =
             fun () ->
               if charge tr cost then begin
                 let addr = write_addr start next rb d size in
-                write mem addr (Int64.to_int (get regs rs) land wmask);
+                write tr.mem addr (Int64.to_int (get tr.regs rs) land wmask);
                 if smc_ok () then next_k () else smc_abort ()
               end
               else out_of_fuel start
@@ -724,7 +788,7 @@ and translate tr ~hooked pc0 =
             let v = Int64.to_int (imm i) land wmask in
             fun () ->
               if charge tr cost then begin
-                write mem (write_addr start next rb d size) v;
+                write tr.mem (write_addr start next rb d size) v;
                 if smc_ok () then next_k () else smc_abort ()
               end
               else out_of_fuel start)
@@ -732,7 +796,7 @@ and translate tr ~hooked pc0 =
         let dv = Int64.of_int d in
         fun () ->
           if charge tr cost then (
-            set regs rd (Int64.logand (Int64.add (get regs rb) dv) m);
+            set tr.regs rd (Int64.logand (Int64.add (get tr.regs rb) dv) m);
             next_k ())
           else out_of_fuel start
     | Rdtsc rd ->
@@ -740,7 +804,7 @@ and translate tr ~hooked pc0 =
           if charge tr cost then begin
             (* rdtsc observes the clock including its own cost *)
             commit tr;
-            set regs rd (Int64.logand (Cycles.Clock.now tr.clock) m);
+            set tr.regs rd (Int64.logand (Cycles.Clock.now tr.clock) m);
             next_k ()
           end
           else out_of_fuel start
@@ -751,20 +815,33 @@ and translate tr ~hooked pc0 =
   let end_pc =
     match term with `Term (pc, _, size) -> pc + size | `Fall pc | `Bad pc -> pc
   in
+  let code =
+    match term with
+    | `Bad _ -> Bytes.empty
+    | `Term _ | `Fall _ -> Memory.read_bytes tr.mem ~off:pc0 ~len:(end_pc - pc0)
+  in
   (if end_pc > pc0 then begin
      (* extents first, so any later write into these bytes moves the
         versions recorded below *)
-     Memory.note_code mem ~off:pc0 ~len:(end_pc - pc0);
+     Memory.note_code tr.mem ~off:pc0 ~len:(end_pc - pc0);
      let first = pc0 / Memory.page_size and last = (end_pc - 1) / Memory.page_size in
      let n = last - first + 1 in
      pages_r := Array.init n (fun i -> first + i);
-     vers_r := Array.init n (fun i -> Memory.page_version mem (first + i))
+     vers_r := Array.init n (fun i -> Memory.page_version tr.mem (first + i))
    end);
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
-  { b_pages = !pages_r; b_vers = !vers_r; b_exec = exec; b_live = true }
+  {
+    b_pc = pc0;
+    b_code = code;
+    b_pages = !pages_r;
+    b_vers = !vers_r;
+    b_tag = tr.tag;
+    b_exec = exec;
+    b_live = true;
+  }
 
-let run ?(fuel = 200_000_000) tr =
-  let cpu = tr.cpu in
+let run ?(fuel = 200_000_000) tr cpu =
+  bind tr cpu;
   let hooked = Option.is_some (Cpu.current_step_hook cpu) in
   tr.fuel <- fuel;
   tr.cur_pc <- Cpu.pc cpu;
@@ -773,13 +850,23 @@ let run ?(fuel = 200_000_000) tr =
     let b = lookup tr ~hooked (Cpu.pc cpu) in
     match b.b_exec () with Some exit -> exit | None -> loop ()
   in
-  match loop () with
-  | exit -> exit (* every exit path committed already *)
-  | exception Cpu.Vm_fault f ->
-      commit tr;
-      Cpu.set_pc cpu tr.cur_pc;
-      Cpu.Fault f
-  | exception Memory.Fault { addr; size } ->
-      commit tr;
-      Cpu.set_pc cpu tr.cur_pc;
-      Cpu.Fault (Memory_oob { addr; size })
+  let exit =
+    match loop () with
+    | exit -> exit (* every exit path committed already *)
+    | exception Cpu.Vm_fault f ->
+        commit tr;
+        Cpu.set_pc cpu tr.cur_pc;
+        Cpu.Fault f
+    | exception Memory.Fault { addr; size } ->
+        commit tr;
+        Cpu.set_pc cpu tr.cur_pc;
+        Cpu.Fault (Memory_oob { addr; size })
+    | exception e ->
+        (* a host exception out of a hook: the batch belongs to [cpu] *)
+        let bt = Printexc.get_raw_backtrace () in
+        commit tr;
+        bind tr tr.idle;
+        Printexc.raise_with_backtrace e bt
+  in
+  bind tr tr.idle;
+  exit

@@ -2,12 +2,21 @@
 
     Basic blocks are decoded once into closure-chain {e superblocks}
     (direct-threaded, chained on fallthrough and static branch targets),
-    keyed by [(pc, cpu_mode, flavour)] and invalidated through
-    {!Memory.page_version} alone. Each translation widens its pages'
-    code extents ({!Memory.note_code}), so a write that overlaps
+    keyed by [(pc, cpu_mode, flavour)]. One cache serves any number of
+    CPUs and memories: {!run} binds the CPU it is given, and its memory
+    and clock, for the duration of the run. Each translation widens its
+    pages' code extents ({!Memory.note_code}), so a write that overlaps
     translated bytes — self-modifying code, a pool reset, a snapshot
-    restore — drops every block on the page, while data stored beside
-    code keeps them.
+    restore — moves the page's {!Memory.page_version}, while data stored
+    beside code does not.
+
+    A block is reused as is while the bound memory is the one it was
+    last validated against ({!Memory.tag}) and its pages' versions have
+    not moved. Otherwise its bytes are compared with the memory's
+    ({!Memory.equal_bytes}): on a match it takes the memory's extents and
+    versions and is reused, and only a block whose bytes changed is
+    translated again. A block is a function of its bytes and the mode, so
+    reuse changes no simulated cycle, exit or hook call.
 
     Timing is exact per instruction: each charges its {!Instr.cost} and
     retires once, batched and committed at every host observation point,
@@ -21,19 +30,16 @@
 
 type t
 
-val create : Cpu.t -> t
-(** A translation cache bound to one CPU (and its memory). Blocks
-    persist across {!run} calls until invalidated. *)
+val create : unit -> t
+(** An empty translation cache. Blocks persist across {!run} calls and
+    across the CPUs it runs. *)
 
-val run : ?fuel:int -> t -> Cpu.exit_reason
-(** Execute until a VM exit. [fuel] (default 200M instructions) bounds
-    runaway guests. Resumable: calling [run] again after an I/O exit
-    continues after the I/O instruction. After a [Fault] exit,
-    {!Cpu.pc} reports the faulting instruction's address. *)
-
-val flush_cache : t -> unit
-(** Drop every translated block (vcpu reset). Purely a performance
-    event — stale blocks are also caught by validation. *)
+val run : ?fuel:int -> t -> Cpu.t -> Cpu.exit_reason
+(** [run tr cpu] executes [cpu] until a VM exit. [fuel] (default 200M
+    instructions) bounds runaway guests. Resumable: calling [run] again
+    after an I/O exit continues after the I/O instruction. After a
+    [Fault] exit, {!Cpu.pc} reports the faulting instruction's address.
+    The cache holds [cpu] only while it runs. *)
 
 val set_block_hook : t -> (pc:int -> unit) option -> unit
 (** Install (or clear) a block-entry observer: called once per
@@ -48,6 +54,12 @@ val set_block_hook : t -> (pc:int -> unit) option -> unit
 type stats = {
   mutable blocks_translated : int;  (** superblocks compiled (incl. retranslations) *)
   mutable invalidations : int;      (** stale blocks dropped or aborted mid-block *)
+  mutable revalidations : int;      (** stale blocks reused after a byte compare *)
 }
 
 val stats : t -> stats
+
+val retained_words : t -> int
+(** Heap words reachable from the cache between runs, its blocks and
+    bookkeeping included: no vCPU or guest memory is bound then. The
+    block hook is left out. *)

@@ -54,7 +54,7 @@ let reference mode (op : Instr.binop) a b : int64 option =
   Option.map m result
 
 (* execute on the engine every production caller runs *)
-let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create cpu)
+let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create ()) cpu
 
 let execute mode op a b =
   let mem = Vm.Memory.create ~size:4096 in

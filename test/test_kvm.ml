@@ -105,6 +105,56 @@ let test_deterministic_given_seed () =
   in
   Alcotest.(check int64) "bit identical across runs" (run_once ()) (run_once ())
 
+(* The file servers on a 2-core runtime: both cores' shells recycle
+   through pool cleaning and run on the system's one translation cache.
+   [serve core c] runs one request on [core]'s shard. *)
+let file_servers () =
+  let classic = Vhttp.Fileserver.compile ~snapshot:false in
+  let ring = Vhttp.Fileserver.compile_ring ~snapshot:false in
+  let w = Wasp.Runtime.create ~seed:1 ~cores:2 () in
+  let path = Vhttp.Fileserver.add_default_files (Wasp.Runtime.env w) in
+  let serve core c =
+    Wasp.Runtime.on_core w core;
+    let s = Vhttp.Fileserver.serve_virtine w c ~path in
+    Alcotest.(check int) "served" 200 s.Vhttp.Fileserver.status
+  in
+  (Wasp.Runtime.kvm w, serve, classic, ring)
+
+let test_recycled_shell_keeps_blocks () =
+  (* the two handlers differ in a few blocks at the same pcs, so
+     alternating them translates those again; a recycled shell that
+     runs the same image again translates nothing *)
+  let sys, serve, classic, ring = file_servers () in
+  List.iter (fun (core, c) -> serve core c) [ (0, classic); (1, ring); (0, ring); (1, classic) ];
+  List.iter
+    (fun (core, c) ->
+      serve core c;
+      let before = Kvmsim.Kvm.translation_stats sys in
+      let shells = (Kvmsim.Kvm.stats sys).Kvmsim.Kvm.vm_creations in
+      serve core c;
+      let after = Kvmsim.Kvm.translation_stats sys in
+      Alcotest.(check int) "the same shell" shells (Kvmsim.Kvm.stats sys).Kvmsim.Kvm.vm_creations;
+      Alcotest.(check int) "no block translated" before.Vm.Translate.blocks_translated
+        after.Vm.Translate.blocks_translated;
+      Alcotest.(check bool) "its blocks revalidated" true
+        (after.Vm.Translate.revalidations > before.Vm.Translate.revalidations))
+    [ (0, classic); (1, ring); (1, classic); (0, ring) ]
+
+(* A budget for what the shared cache retains: the heap reachable from
+   the file servers' blocks between runs, when no vCPU or memory is
+   bound. Measured at 19,596 words (OCaml 5.1) after the 40 requests
+   below, alternating handlers and cores; the budget is that +25%. *)
+let retention_budget = 24_495
+
+let test_translation_retention () =
+  let sys, serve, classic, ring = file_servers () in
+  for i = 0 to 39 do
+    serve (i mod 2) (if i / 2 mod 2 = 0 then classic else ring)
+  done;
+  let words = Kvmsim.Kvm.translation_words sys in
+  if words > retention_budget then
+    Alcotest.failf "the translation cache retains %d words (budget %d)" words retention_budget
+
 let () =
   Alcotest.run "kvmsim"
     [
@@ -120,5 +170,9 @@ let () =
           Alcotest.test_case "vcpu reset" `Quick test_reset_vcpu_clears_state;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel_exit;
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
+          Alcotest.test_case "a recycled shell keeps its blocks" `Quick
+            test_recycled_shell_keeps_blocks;
+          Alcotest.test_case "retention budget of the translation cache" `Quick
+            test_translation_retention;
         ] );
     ]

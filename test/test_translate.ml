@@ -44,15 +44,24 @@ let runner ?(hook : hook option) ?block_hook engine cpu =
   | `Reference -> fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
   | `Translate ->
       Option.iter (Vm.Cpu.set_step_hook cpu) hook;
-      let tr = Vm.Translate.create cpu in
+      let tr = Vm.Translate.create () in
       Vm.Translate.set_block_hook tr block_hook;
-      fun fuel -> Vm.Translate.run ~fuel tr
+      fun fuel -> Vm.Translate.run ~fuel tr cpu
+
+let outcome cpu mem e =
+  {
+    exit = exit_str e;
+    regs = Array.init Instr.num_regs (Vm.Cpu.get_reg cpu);
+    mem = Vm.Memory.snapshot mem;
+    retired = Vm.Cpu.instructions_retired cpu;
+    cycles = Cycles.Clock.now (Vm.Cpu.clock cpu);
+    pc = Vm.Cpu.pc cpu;
+  }
 
 (* Run [code] to completion under one engine, resuming deterministically
    through a bounded number of I/O exits ([in] deposits a constant). *)
 let exec ?hook ?block_hook ?prepare engine ~mode ~mem_size code =
   let cpu, mem = machine ~mode ~mem_size ?prepare code in
-  let clock = Vm.Cpu.clock cpu in
   let step = runner ?hook ?block_hook engine cpu in
   let fuel = 50_000 in
   let rec go budget =
@@ -67,14 +76,7 @@ let exec ?hook ?block_hook ?prepare engine ~mode ~mem_size code =
       | e -> e
   in
   let e = go 32 in
-  {
-    exit = exit_str e;
-    regs = Array.init Instr.num_regs (Vm.Cpu.get_reg cpu);
-    mem = Vm.Memory.snapshot mem;
-    retired = Vm.Cpu.instructions_retired cpu;
-    cycles = Cycles.Clock.now clock;
-    pc = Vm.Cpu.pc cpu;
-  }
+  outcome cpu mem e
 
 let same a b =
   a.exit = b.exit && a.retired = b.retired && a.cycles = b.cycles && a.regs = b.regs
@@ -380,6 +382,90 @@ let prop_stack_paths =
   QCheck.Test.make ~name:"stack, straddles and returns agree in both flavours" ~count:300
     arb_stack_program stack_paths_agree
 
+(* One cache, many memories: 2-3 machines, each with its own memory and
+   program, run in turns — one run, up to an exit, each per turn — and
+   under the translator every run goes through one cache, as a system's
+   vCPUs do. The programs share a prefix and differ in their tails, and
+   the memories differ in size, so each machine meets blocks another
+   memory validated at the same pcs: equal bytes are revalidated,
+   changed ones translated again, and a block past a smaller memory's
+   end is bounds-checked. Each machine must end as the reference
+   stepper, run alone, ends it; [hooked] records the step-hook stream
+   too. *)
+let exec_turns ~hooked engine ~mode progs =
+  let tr = Vm.Translate.create () in
+  let fuel = 50_000 in
+  let machines =
+    List.map
+      (fun (mem_size, code) ->
+        let cpu, mem = machine ~mode ~mem_size code in
+        let log = ref [] in
+        let hook ~pc ~instr ~cost =
+          log := (pc, instr, cost, Cycles.Clock.now (Vm.Cpu.clock cpu)) :: !log
+        in
+        let step =
+          match engine with
+          | `Reference ->
+              let hook = if hooked then Some hook else None in
+              fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
+          | `Translate ->
+              if hooked then Vm.Cpu.set_step_hook cpu hook;
+              fun fuel -> Vm.Translate.run ~fuel tr cpu
+        in
+        (cpu, mem, step, log, ref 32, ref None))
+      progs
+  in
+  (* [exec]'s resume rule, one run per turn *)
+  let turn (cpu, _, step, _, budget, result) =
+    if Option.is_none !result then
+      let left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in
+      match if left <= 0 then Vm.Cpu.Out_of_fuel else step left with
+      | Vm.Cpu.Io_out _ when !budget > 0 -> decr budget
+      | Vm.Cpu.Io_in { reg; _ } when !budget > 0 ->
+          Vm.Cpu.set_reg cpu reg 0x5A5AL;
+          decr budget
+      | e -> result := Some e
+  in
+  while List.exists (fun (_, _, _, _, _, r) -> Option.is_none !r) machines do
+    List.iter turn machines
+  done;
+  List.map
+    (fun (cpu, mem, _, log, _, r) -> (outcome cpu mem (Option.get !r), List.rev !log))
+    machines
+
+let arb_family =
+  let open QCheck.Gen in
+  let gen =
+    let* mode = gen_mode in
+    let* prefix = list_size (int_range 0 30) gen_instr in
+    let* n = int_range 2 3 in
+    let* tails = list_repeat n (list_size (int_range 1 30) gen_instr) in
+    let+ sizes = list_repeat n (oneofl [ 36 * 1024; 48 * 1024; 64 * 1024 ]) in
+    (mode, prefix, List.combine sizes tails)
+  in
+  QCheck.make
+    ~print:(fun (mode, prefix, members) ->
+      String.concat "\n"
+        (("prefix " ^ print_program (mode, prefix))
+        :: List.map
+             (fun (size, tail) -> Printf.sprintf "%d bytes, tail %s" size (print_program (mode, tail)))
+             members))
+    gen
+
+let family_agrees (mode, prefix, members) =
+  let progs = List.map (fun (size, tail) -> (size, Encoding.encode_program (prefix @ tail))) members in
+  List.for_all
+    (fun hooked ->
+      List.for_all2
+        (fun (r, rlog) (t, tlog) -> same r t && r.pc = t.pc && rlog = tlog)
+        (exec_turns ~hooked `Reference ~mode progs)
+        (exec_turns ~hooked `Translate ~mode progs))
+    [ false; true ]
+
+let prop_family =
+  QCheck.Test.make ~name:"one cache runs several memories in turn, in both flavours" ~count:200
+    arb_family family_agrees
+
 (* ------------------------------------------------------------------ *)
 (* Directed: self-modifying code                                        *)
 (* ------------------------------------------------------------------ *)
@@ -484,14 +570,14 @@ let test_store_beside_code () =
   let i, _ = both "store beside code" code in
   Alcotest.(check string) "halts" "halt" i.exit;
   let cpu, _ = machine code in
-  let tr = Vm.Translate.create cpu in
+  let tr = Vm.Translate.create () in
   let s = Vm.Translate.stats tr in
   (* two movs and one iteration, up to entering the loop's block *)
-  (match Vm.Translate.run ~fuel:6 tr with
+  (match Vm.Translate.run ~fuel:6 tr cpu with
   | Vm.Cpu.Out_of_fuel -> ()
   | other -> Alcotest.failf "expected out of fuel, got %s" (exit_str other));
   let after_one = s.blocks_translated in
-  (match Vm.Translate.run tr with
+  (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Halt -> ()
   | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
   Alcotest.(check int) "no block translated after the first iteration" after_one
@@ -515,8 +601,8 @@ let test_crt0_keeps_blocks () =
   let cpu = Vm.Cpu.create ~mem ~mode:image.mode ~clock in
   Vm.Cpu.set_pc cpu image.entry;
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
-  let tr = Vm.Translate.create cpu in
-  (match Vm.Translate.run tr with
+  let tr = Vm.Translate.create () in
+  (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Io_out _ -> ()
   | other -> Alcotest.failf "expected a hypercall exit, got %s" (exit_str other));
   let n = (Vm.Translate.stats tr).blocks_translated in
@@ -606,8 +692,8 @@ let test_ret_cache_drops_removed_block () =
   let r, _ = both "ret cache drops a removed block" code in
   Alcotest.(check string) "halts" "halt" r.exit;
   let cpu, _ = machine code in
-  let tr = Vm.Translate.create cpu in
-  ignore (Vm.Translate.run tr);
+  let tr = Vm.Translate.create () in
+  ignore (Vm.Translate.run tr cpu);
   let s = Vm.Translate.stats tr in
   Alcotest.(check (pair int int)) "blocks translated, invalidations" (8, 1)
     (s.blocks_translated, s.invalidations)
@@ -636,14 +722,14 @@ let test_hooked_flavour_translates () =
   let open Instr in
   let code = Encoding.encode_program [ Mov (0, Imm 1L); Nop; Nop; Hlt ] in
   let cpu, _ = machine code in
-  let tr = Vm.Translate.create cpu in
+  let tr = Vm.Translate.create () in
   let prof = Profiler.Profile.create () in
   Profiler.Profile.begin_invocation prof ~symbols:[] ~clock:(Vm.Cpu.clock cpu);
   let hook_calls = ref 0 in
   Vm.Cpu.set_step_hook cpu (fun ~pc ~instr ~cost ->
       incr hook_calls;
       Profiler.Profile.on_step prof ~pc ~instr ~cost);
-  (match Vm.Translate.run tr with
+  (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Halt -> ()
   | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
   Alcotest.(check int) "hook fired once per retired instruction" 4 !hook_calls;
@@ -655,19 +741,19 @@ let test_hooked_flavour_translates () =
   Vm.Cpu.clear_step_hook cpu;
   Vm.Cpu.set_pc cpu origin;
   let before = (Vm.Translate.stats tr).blocks_translated in
-  ignore (Vm.Translate.run tr);
+  ignore (Vm.Translate.run tr cpu);
   Alcotest.(check int) "unhooked run calls no hook" 4 !hook_calls;
   Alcotest.(check bool) "flavours never share a block" true
     ((Vm.Translate.stats tr).blocks_translated > before)
 
-let test_block_reuse_and_invalidation () =
+let test_block_reuse_and_revalidation () =
   let open Instr in
   let code = Encoding.encode_program [ Mov (0, Imm 1L); Hlt ] in
   let cpu, mem = machine code in
-  let tr = Vm.Translate.create cpu in
+  let tr = Vm.Translate.create () in
   let run () =
     Vm.Cpu.set_pc cpu origin;
-    match Vm.Translate.run tr with
+    match Vm.Translate.run tr cpu with
     | Vm.Cpu.Halt -> ()
     | other -> Alcotest.failf "expected halt, got %s" (exit_str other)
   in
@@ -678,20 +764,164 @@ let test_block_reuse_and_invalidation () =
   run ();
   Alcotest.(check int) "second run reuses the cached block" after_first
     s.blocks_translated;
-  (* rewriting a code byte (same value, new version) must invalidate *)
+  Alcotest.(check int) "a valid block needs no byte compare" 0 s.revalidations;
+  (* rewriting a code byte with its own value moves the page version;
+     the bytes still match, so the block is revalidated, not translated *)
   Vm.Memory.write_u8 mem origin (Vm.Memory.read_u8 mem origin);
   run ();
-  Alcotest.(check bool) "write to code page forces retranslation" true
-    (s.blocks_translated > after_first);
-  Alcotest.(check bool) "invalidation counted" true (s.invalidations > 0);
-  (* pool-style reset: reset_zero bumps every code page's version *)
+  Alcotest.(check int) "same bytes: no retranslation" after_first s.blocks_translated;
+  Alcotest.(check int) "same bytes: revalidated" 1 s.revalidations;
+  (* pool-style reset: reset_zero renews the memory's tag and zeroes
+     it; reloading the same bytes revalidates the block *)
   let snap = Vm.Memory.read_bytes mem ~off:origin ~len:(Bytes.length code) in
-  let before_reset = s.blocks_translated in
   Vm.Memory.reset_zero mem;
   Vm.Memory.write_bytes mem ~off:origin snap;
   run ();
-  Alcotest.(check bool) "reset_zero forces retranslation" true
-    (s.blocks_translated > before_reset)
+  Alcotest.(check int) "reset_zero + same bytes: no retranslation" after_first
+    s.blocks_translated;
+  Alcotest.(check int) "reset_zero + same bytes: revalidated" 2 s.revalidations;
+  Alcotest.(check int64) "the block ran" 1L (Vm.Cpu.get_reg cpu 0);
+  (* a changed byte is translated again, and its new bytes run *)
+  let code' = Encoding.encode_program [ Mov (0, Imm 2L); Hlt ] in
+  assert (Bytes.length code' = Bytes.length code);
+  Vm.Memory.write_bytes mem ~off:origin code';
+  run ();
+  Alcotest.(check bool) "changed bytes are translated again" true
+    (s.blocks_translated > after_first);
+  Alcotest.(check bool) "invalidation counted" true (s.invalidations > 0);
+  Alcotest.(check int64) "the new bytes ran" 2L (Vm.Cpu.get_reg cpu 0)
+
+let run_to_exit tr cpu =
+  Vm.Cpu.set_pc cpu origin;
+  exit_str (Vm.Translate.run tr cpu)
+
+let test_tag_before_versions () =
+  (* two fresh memories: every page at version 0 in both, but different
+     bytes at the same pc. Version counters are per memory, so only the
+     tag tells the first memory's block from the second's code *)
+  let open Instr in
+  let prog v = Encoding.encode_program [ Mov (0, Imm v); Hlt ] in
+  let cpu_a, _ = machine (prog 1L) and cpu_b, _ = machine (prog 2L) in
+  let tr = Vm.Translate.create () in
+  List.iter
+    (fun (cpu, want) ->
+      Alcotest.(check string) "halts" "halt" (run_to_exit tr cpu);
+      Alcotest.(check int64) "each memory runs its own code" want (Vm.Cpu.get_reg cpu 0))
+    [ (cpu_a, 1L); (cpu_b, 2L); (cpu_a, 1L) ];
+  let s = Vm.Translate.stats tr in
+  Alcotest.(check (pair int int)) "blocks translated, revalidated" (3, 0)
+    (s.blocks_translated, s.revalidations)
+
+let test_cow_restores_keep_blocks () =
+  (* a loop storing into a data word on its own code page, as
+     tiny_chaos's guest does: every run dirties the page, and each CoW
+     restore rewrites it and moves its version. The bytes come back
+     unchanged, so 100 restores translate nothing after the first run *)
+  let open Asm in
+  let p =
+    Asm.assemble ~origin
+      [
+        Insn (SMov (1, OLbl "data"));
+        Insn (SMov (2, OImm 0L));
+        Label "loop";
+        Insn (SStore (Instr.W64, 1, 0, OReg 2));
+        Insn (SBin (Instr.Add, 2, OImm 1L));
+        Insn (SCmp (2, OImm 8L));
+        Insn (SJcc (Instr.Lt, Lbl "loop"));
+        Insn SHlt;
+        Label "data";
+        Zero 8;
+      ]
+  in
+  let code = p.Asm.code and data = Asm.lookup p "data" in
+  assert (data / Vm.Memory.page_size = origin / Vm.Memory.page_size);
+  let cpu, mem = machine code in
+  Vm.Memory.write_u64 mem data 0x5555L;
+  let img = Vm.Memory.capture mem in
+  Vm.Memory.clear_dirty mem;
+  let tr = Vm.Translate.create () in
+  let s = Vm.Translate.stats tr in
+  let run () =
+    Alcotest.(check string) "halts" "halt" (run_to_exit tr cpu);
+    Alcotest.(check int64) "the loop ran" 8L (Vm.Cpu.get_reg cpu 2)
+  in
+  run ();
+  let first = s.blocks_translated in
+  for _ = 1 to 100 do
+    let pages, _ = Vm.Memory.restore_image_cow mem img in
+    Alcotest.(check int) "the code page was dirty and restored" 1 pages;
+    Vm.Memory.clear_dirty mem;
+    Alcotest.(check int64) "restored data" 0x5555L (Vm.Memory.read_u64 mem data);
+    run ()
+  done;
+  Alcotest.(check int) "no block translated after the first run" first s.blocks_translated;
+  Alcotest.(check bool) "every restore revalidated" true (s.revalidations >= 100)
+
+let test_undecodable_tail_translated_again () =
+  (* a block ending at an undecodable byte depends on that byte, which
+     lies past its own bytes. On another memory, or on the same one
+     after a pool reset, it is translated again rather than revalidated,
+     so the block entries are those of a fresh cache: one, where a
+     reused block would re-dispatch at the formerly bad byte. With no
+     instruction before the bad byte the block is empty, has no page to
+     version, and only the reset's new tag stales it *)
+  let entries tr cpu =
+    let log = ref [] in
+    Vm.Translate.set_block_hook tr (Some (fun ~pc -> log := pc :: !log));
+    let e = run_to_exit tr cpu in
+    Vm.Translate.set_block_hook tr None;
+    (e, List.rev !log)
+  in
+  let outcome = Alcotest.(pair string (list int)) in
+  List.iter
+    (fun lead ->
+      let bad = Bytes.cat lead (Bytes.of_string "\xFF") in
+      let good = Bytes.cat lead (Encoding.encode_program [ Instr.Hlt ]) in
+      let fresh = entries (Vm.Translate.create ()) (fst (machine good)) in
+      Alcotest.(check outcome) "a fresh cache" ("halt", [ origin ]) fresh;
+      let tr = Vm.Translate.create () in
+      let cpu, mem = machine bad in
+      let faults () =
+        Alcotest.(check bool) "the bad byte faults" true
+          (String.starts_with ~prefix:"fault" (fst (entries tr cpu)))
+      in
+      faults ();
+      Alcotest.(check outcome) "on another memory" fresh (entries tr (fst (machine good)));
+      faults ();
+      Vm.Memory.reset_zero mem;
+      Vm.Memory.write_bytes mem ~off:origin good;
+      Alcotest.(check outcome) "after a pool reset" fresh (entries tr cpu))
+    [ Encoding.encode_program [ Instr.Nop; Instr.Nop ]; Bytes.empty ]
+
+let test_block_past_smaller_memory () =
+  (* a block translated on a 64 KB memory spans the end of a 36 KB one
+     holding the same leading bytes: revalidation must check bounds
+     first, and the smaller memory faults where the reference does *)
+  let open Instr in
+  let small = 36 * 1024 in
+  let pc0 = small - 2 in
+  let code = Encoding.encode_program [ Nop; Nop; Mov (0, Imm 0x1234L); Hlt ] in
+  assert (Bytes.length code > 4);
+  let at_pc0 mem_size bytes =
+    let mem = Vm.Memory.create ~size:mem_size in
+    Vm.Memory.write_bytes mem ~off:pc0 bytes;
+    let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
+    Vm.Cpu.set_pc cpu pc0;
+    Vm.Cpu.set_sp cpu 0x8000;
+    (cpu, mem)
+  in
+  let tr = Vm.Translate.create () in
+  let big, _ = at_pc0 (64 * 1024) code in
+  Alcotest.(check string) "the larger memory halts" "halt" (exit_str (Vm.Translate.run tr big));
+  let run engine =
+    let cpu, mem = at_pc0 small (Bytes.sub code 0 2) in
+    let e = match engine with `Reference -> Fuzz.Reference.run cpu | `Translate -> Vm.Translate.run tr cpu in
+    outcome cpu mem e
+  in
+  let r = run `Reference and t = run `Translate in
+  check_same "past a smaller memory" r t;
+  Alcotest.(check int) "faults at the same pc" r.pc t.pc;
+  Alcotest.(check int) "at the first byte past the memory" small t.pc
 
 let test_out_resumable_across_engines () =
   let open Instr in
@@ -839,7 +1069,7 @@ let () =
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_differential; prop_hooked; prop_code_page; prop_stack_paths ]
+          [ prop_differential; prop_hooked; prop_code_page; prop_stack_paths; prop_family ]
         @ [
             Alcotest.test_case "smc same block" `Quick test_smc_same_block;
             Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
@@ -855,7 +1085,15 @@ let () =
         [
           Alcotest.test_case "hooked flavour translates" `Quick test_hooked_flavour_translates;
           Alcotest.test_case "reuse + invalidation" `Quick
-            test_block_reuse_and_invalidation;
+            test_block_reuse_and_revalidation;
+          Alcotest.test_case "the memory's tag is checked before its versions" `Quick
+            test_tag_before_versions;
+          Alcotest.test_case "CoW restores of a shared code page keep its blocks" `Quick
+            test_cow_restores_keep_blocks;
+          Alcotest.test_case "a block past a smaller memory's end" `Quick
+            test_block_past_smaller_memory;
+          Alcotest.test_case "an undecodable tail is translated again" `Quick
+            test_undecodable_tail_translated_again;
           Alcotest.test_case "store beside code keeps the block" `Quick
             test_store_beside_code;
           Alcotest.test_case "vcc crt0 keeps its blocks" `Quick test_crt0_keeps_blocks;

@@ -2,7 +2,7 @@
    boot sequencer, and CPU execution semantics. *)
 
 (* execute on the engine every production caller runs *)
-let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create cpu)
+let run_cpu ?fuel cpu = Vm.Translate.run ?fuel (Vm.Translate.create ()) cpu
 
 let run_asm ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?(setup = fun _ -> ()) src =
   let p = Asm.assemble_string src in
@@ -217,6 +217,61 @@ let test_mem_reset_zero_drops_residency () =
     (Vm.Memory.page_stats m).Vm.Memory.resident_pages;
   Alcotest.(check int) "dirty set clear" 0 (Vm.Memory.dirty_count m);
   Alcotest.(check int64) "reads zero" 0L (Vm.Memory.read_u64 m 30000)
+
+let test_mem_recycled_pages_are_fresh () =
+  (* pool cleaning keeps the private buffers it drops for the next
+     demand-zero fills: over several cycles of writes and resets, the
+     recycled memory must read, count and fault exactly as a fresh one
+     running the same writes *)
+  let npages = 8 and page = Vm.Memory.page_size in
+  let size = npages * page in
+  let watched m =
+    let log = ref [] in
+    Vm.Memory.set_fault_hook m (Some (fun ~shared ~page -> log := (shared, page) :: !log));
+    log
+  in
+  let counts m ~since:(b : Vm.Memory.page_stats) =
+    let s = Vm.Memory.page_stats m in
+    [ s.total_pages; s.resident_pages; s.shared_pages; s.zero_pages;
+      s.cow_faults - b.cow_faults; s.zero_fills - b.zero_fills ]
+  in
+  (* touch one byte per page and read zeros everywhere else; then fill
+     some pages, publish them and CoW-break a few *)
+  let writes cycle m =
+    let want = Bytes.make size '\000' in
+    for p = 0 to npages - 1 do
+      let off = (p * page) + (((cycle * 97) + (p * 13)) mod page) in
+      Vm.Memory.write_u8 m off (cycle + p + 1);
+      Bytes.set want off (Char.chr (cycle + p + 1))
+    done;
+    Alcotest.(check bool) (Printf.sprintf "cycle %d: zero but the touched bytes" cycle) true
+      (Bytes.equal want (Vm.Memory.snapshot m));
+    for p = 0 to npages - 1 do
+      if (p + cycle) mod 3 <> 0 then
+        Vm.Memory.write_bytes m ~off:(p * page) (Bytes.make page (Char.chr (0xA0 + p)))
+    done;
+    ignore (Vm.Memory.capture m);
+    for p = 0 to npages - 1 do
+      if (p + cycle) mod 2 = 0 then Vm.Memory.write_u8 m ((p * page) + 5) 0x5A
+    done;
+    Vm.Memory.snapshot m
+  in
+  let recycled = Vm.Memory.create ~size in
+  let rlog = watched recycled in
+  let empty = Vm.Memory.page_stats (Vm.Memory.create ~size) in
+  for cycle = 1 to 5 do
+    let fresh = Vm.Memory.create ~size in
+    let flog = watched fresh in
+    let before = Vm.Memory.page_stats recycled in
+    rlog := [];
+    let r = writes cycle recycled and f = writes cycle fresh in
+    Alcotest.(check bool) (Printf.sprintf "cycle %d: contents" cycle) true (Bytes.equal f r);
+    Alcotest.(check (list int)) (Printf.sprintf "cycle %d: page stats" cycle)
+      (counts fresh ~since:empty) (counts recycled ~since:before);
+    Alcotest.(check (list (pair bool int))) (Printf.sprintf "cycle %d: fault hook calls" cycle)
+      (List.rev !flog) (List.rev !rlog);
+    Vm.Memory.reset_zero recycled
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Modes                                                                *)
@@ -502,13 +557,13 @@ let test_cpu_out_exit_resumable () =
   let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock in
   Vm.Cpu.set_pc cpu p.entry;
   Vm.Cpu.set_sp cpu 0x8000;
-  let tr = Vm.Translate.create cpu in
-  (match Vm.Translate.run tr with
+  let tr = Vm.Translate.create () in
+  (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Io_out { port = 1; value = 9L } -> ()
   | other -> Alcotest.failf "expected out exit, got %s" (Format.asprintf "%a" Vm.Cpu.pp_exit other));
   (* host writes a result and resumes *)
   Vm.Cpu.set_reg cpu 0 77L;
-  (match Vm.Translate.run tr with
+  (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Halt -> ()
   | _ -> Alcotest.fail "expected halt after resume");
   Alcotest.(check int64) "guest saw host value" 77L (Vm.Cpu.get_reg cpu 1)
@@ -694,6 +749,8 @@ let () =
             test_mem_eager_and_lazy_restore_identical;
           Alcotest.test_case "reset_zero drops residency" `Quick
             test_mem_reset_zero_drops_residency;
+          Alcotest.test_case "a recycled page buffer reads as a fresh one" `Quick
+            test_mem_recycled_pages_are_fresh;
         ] );
       ( "modes",
         [
