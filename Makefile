@@ -9,7 +9,7 @@ BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings fig14 udf aes fig15
 .PHONY: all check test bench bench-json bench-baselines bench-gate \
 	trace-smoke sched-smoke profiler-smoke chaos-smoke slo-smoke \
 	explain-smoke translate-smoke vtrace-smoke ring-smoke \
-	fuzz-smoke fuzz-fixtures fuzz-nightly fmt clean
+	fuzz-smoke fuzz-fixtures fuzz-nightly lib-delta fmt clean
 
 all:
 	dune build
@@ -184,6 +184,17 @@ fuzz-nightly:
 	  --corpus $(FUZZ_CORPUS) --fixtures-out fuzz-out/reproducers -v \
 	  > fuzz-out/nightly.log 2>&1; status=$$?; \
 	cat fuzz-out/nightly.log; exit $$status
+
+# lines added, removed and net under lib/ between BASE (default HEAD)
+# and the working tree, untracked files included: the figure each
+# CHANGES.md entry records
+BASE ?= HEAD
+lib-delta:
+	@{ git diff --numstat $(BASE) -- lib; \
+	  git ls-files --others --exclude-standard -- lib | while read -r f; do \
+	    printf '%s\t0\t%s\n' "$$(wc -l < "$$f")" "$$f"; done; } \
+	| awk '$$1 != "-" { a += $$1; r += $$2 } \
+	  END { printf "lib/ delta vs $(BASE): +%d -%d net %+d\n", a, r, a - r }'
 
 # formatting gate; skipped gracefully where ocamlformat is not installed
 # (CI always runs it)

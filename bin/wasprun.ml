@@ -84,15 +84,17 @@ hammer:
   hlt
 |}
 
-let hc_by_name =
-  [
-    ("read", Wasp.Hc.read); ("write", Wasp.Hc.write); ("open", Wasp.Hc.open_);
-    ("close", Wasp.Hc.close); ("stat", Wasp.Hc.stat); ("snapshot", Wasp.Hc.snapshot);
-    ("get_data", Wasp.Hc.get_data); ("return_data", Wasp.Hc.return_data);
-    ("send", Wasp.Hc.send); ("recv", Wasp.Hc.recv); ("brk", Wasp.Hc.brk);
-    ("clock", Wasp.Hc.clock); ("getrandom", Wasp.Hc.getrandom);
-    ("ring_enter", Wasp.Hc.ring_enter);
-  ]
+(* The --allow list by hypercall name; the first unknown name is the
+   error. [exit] is always permitted, so naming it adds nothing. *)
+let policy_of_allow names =
+  List.fold_left
+    (fun acc n ->
+      match (acc, Wasp.Hc.of_name n) with
+      | Error _, _ -> acc
+      | Ok nrs, Some nr -> Ok (if nr = Wasp.Hc.exit_ then nrs else nr :: nrs)
+      | Ok _, None -> Error n)
+    (Ok []) names
+  |> Result.map Wasp.Policy.of_list
 
 let policy_to_string p =
   match Wasp.Policy.to_string p with
@@ -392,12 +394,12 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
               1
           | program -> (
               let image = Wasp.Image.of_program ~name:"wasprun" ~mode program in
-              let policy =
-                if all then Wasp.Policy.allow_all
-                else
-                  Wasp.Policy.of_list
-                    (List.filter_map (fun n -> List.assoc_opt n hc_by_name) allow)
-              in
+              match policy_of_allow allow with
+              | Error name ->
+                  Printf.eprintf "error: --allow: unknown hypercall %S\n" name;
+                  1
+              | Ok allowed ->
+              let policy = if all then Wasp.Policy.allow_all else allowed in
               let plan_result =
                 match (fault_plan_file, chaos) with
                 | Some path, _ -> (
@@ -596,7 +598,8 @@ let () =
     Arg.(
       value
       & opt (list string) []
-      & info [ "allow" ] ~docv:"HC,..." ~doc:"Hypercalls to permit (default deny)")
+      & info [ "allow" ] ~docv:"HC,..."
+          ~doc:"Hypercalls to permit, by name (default deny); an unknown name is an error")
   in
   let all = Arg.(value & flag & info [ "permissive" ] ~doc:"Allow all hypercalls") in
   let trace_json =

@@ -1,8 +1,23 @@
+(* One counted series: its lifetime total, and the attached hub's
+   counter once this series has been bumped under that hub. *)
+type series = {
+  s_name : string;
+  s_help : string;
+  s_labels : (string * string) list;
+  mutable total : int;
+  mutable in_hub : Telemetry.Metrics.counter option;
+}
+
 type system = {
   clocks : Cycles.Clock.t array;  (* one virtual clock per simulated core *)
   mutable cur : int;              (* core charged by subsequent operations *)
   rng : Cycles.Rng.t;
-  stats : stats;
+  series : (string, series) Hashtbl.t;  (* by Metrics.series_key *)
+  exits : (string, series) Hashtbl.t;
+      (* the kvm_exits_total{reason} entries of [series], by reason, so
+         the per-exit bump builds no key *)
+  mutable vms_built : int;
+  mutable vcpus_built : int;
   mutable telemetry : Telemetry.Hub.t option;
   mutable flight : Profiler.Flight.t option;
   mutable active_cpu : Vm.Cpu.t option;
@@ -16,20 +31,16 @@ type system = {
   trans : Vm.Translate.t;
       (* the one translation cache every vCPU runs on: a recycled or
          prewarmed shell finds the blocks other shells translated *)
-  exit_reasons : (string, int ref) Hashtbl.t;
-      (* always-on per-reason exit tally (the kvm_exits_total{reason}
-         series without needing a telemetry hub) — the fuzzer's
-         exit-edge coverage signal reads it after every candidate *)
 }
 
-and stats = {
-  mutable vm_creations : int;
-  mutable vcpu_creations : int;
-  mutable runs : int;
-  mutable io_exits : int;
-  mutable fault_exits : int;
-  mutable ept_violations : int;
-  mutable injected_faults : int;
+type stats = {
+  vm_creations : int;
+  vcpu_creations : int;
+  runs : int;
+  io_exits : int;
+  fault_exits : int;
+  ept_violations : int;
+  injected_faults : int;
 }
 
 exception Injected_failure of string
@@ -58,16 +69,10 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
     clocks = Array.init cores (fun _ -> Cycles.Clock.create ?freq_ghz ());
     cur = 0;
     rng = Cycles.Rng.create ~seed;
-    stats =
-      {
-        vm_creations = 0;
-        vcpu_creations = 0;
-        runs = 0;
-        io_exits = 0;
-        fault_exits = 0;
-        ept_violations = 0;
-        injected_faults = 0;
-      };
+    series = Hashtbl.create 32;
+    exits = Hashtbl.create 8;
+    vms_built = 0;
+    vcpus_built = 0;
     telemetry = None;
     flight = None;
     active_cpu = None;
@@ -75,7 +80,6 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
     probes = None;
     hc_port = None;
     trans = Vm.Translate.create ();
-    exit_reasons = Hashtbl.create 8;
   }
 
 let clock sys = sys.clocks.(sys.cur)
@@ -96,10 +100,83 @@ let set_core sys core =
   | None -> ()
 
 let rng sys = sys.rng
-let stats sys = sys.stats
 
-let set_telemetry sys hub = sys.telemetry <- hub
+(* A series registers in a newly attached hub at its first bump under
+   it, so the hub's registration order and values start from the
+   attach. *)
+let set_telemetry sys hub =
+  sys.telemetry <- hub;
+  Hashtbl.iter (fun _ s -> s.in_hub <- None) sys.series
+
 let telemetry sys = sys.telemetry
+
+(* [Hashtbl.find], not [find_opt]: the lookup allocates no option. *)
+let series sys ?(labels = []) ?(help = "") name =
+  let key = Telemetry.Metrics.series_key name labels in
+  match Hashtbl.find sys.series key with
+  | s -> s
+  | exception Not_found ->
+      let s = { s_name = name; s_help = help; s_labels = labels; total = 0; in_hub = None } in
+      Hashtbl.add sys.series key s;
+      s
+
+(* Counters are monotone: a negative [by] leaves the total alone and is
+   a bad sample on the hub. *)
+let bump sys ?(by = 1) s =
+  if by > 0 then s.total <- s.total + by;
+  match sys.telemetry with
+  | None -> ()
+  | Some h ->
+      let c =
+        match s.in_hub with
+        | Some c -> c
+        | None ->
+            let c =
+              Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ~help:s.s_help
+                ~labels:s.s_labels s.s_name
+            in
+            s.in_hub <- Some c;
+            c
+      in
+      Telemetry.Metrics.incr ~by c
+
+let count sys ?by ?labels ?help name = bump sys ?by (series sys ?labels ?help name)
+
+let tally sys ?(labels = []) name =
+  match Hashtbl.find_opt sys.series (Telemetry.Metrics.series_key name labels) with
+  | Some s -> s.total
+  | None -> 0
+
+let stats sys =
+  let n name = tally sys name in
+  {
+    vm_creations = sys.vms_built;
+    vcpu_creations = sys.vcpus_built;
+    runs = n "kvm_runs_total";
+    io_exits = n "kvm_io_exits_total";
+    fault_exits = n "kvm_fault_exits_total";
+    ept_violations = n "kvm_ept_violations_total";
+    injected_faults = n "wasp_faults_injected_total";
+  }
+
+(* Exit-reason split of the exit counter: one series per cause, so the
+   ring refactor's exit savings show up as a shrinking [hypercall]
+   series rather than a mystery delta in the total. *)
+let exit_series sys reason =
+  match Hashtbl.find sys.exits reason with
+  | s -> s
+  | exception Not_found ->
+      let s =
+        series sys ~help:"KVM_RUN exits by cause" ~labels:[ ("reason", reason) ]
+          "kvm_exits_total"
+      in
+      Hashtbl.add sys.exits reason s;
+      s
+
+let exit_reason_counts sys =
+  Hashtbl.fold (fun reason s acc -> (reason, s.total) :: acc) sys.exits []
+  |> List.sort compare
+
 let set_flight sys fr = sys.flight <- fr
 let flight sys = sys.flight
 
@@ -151,52 +228,23 @@ let classify sys : Profiler.Flight.kind -> string * string * int64 = function
 
 (* Every KVM-level event — a KVM_RUN return, a CoW break, a fault-plan
    injection — fans out from here to each observer, in a fixed order:
-   the always-on [stats]/[exit_reasons] tally, the hub counters, the
-   flight ring, then the vtrace site. Observing charges no cycles. For
-   exits, [cycles] is the KVM_RUN's entry-to-exit duration; the vtrace
-   fire runs after the flight entry so a matching exit probe can stamp
-   it. *)
+   the counters, the flight ring, then the vtrace site. Observing
+   charges no cycles. For exits, [cycles] is the KVM_RUN's entry-to-exit
+   duration; the vtrace fire runs after the flight entry so a matching
+   exit probe can stamp it. *)
 let observe sys ~pc ?cycles ?fuel (kind : Profiler.Flight.kind) =
   let site, reason, nr = classify sys kind in
   let is_exit = String.equal site "exit" in
-  let st = sys.stats in
   (match kind with
-  | Io_out _ | Io_in _ -> st.io_exits <- st.io_exits + 1
-  | Fault _ -> st.fault_exits <- st.fault_exits + 1
-  | Ept _ -> st.ept_violations <- st.ept_violations + 1
-  | Injected _ -> st.injected_faults <- st.injected_faults + 1
+  | Io_out _ | Io_in _ -> count sys "kvm_io_exits_total"
+  | Fault _ -> count sys "kvm_fault_exits_total"
+  | Ept _ -> count sys "kvm_ept_violations_total"
+  | Injected site ->
+      let help = "fault-plan injections fired" in
+      count sys ~help "wasp_faults_injected_total";
+      count sys ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"
   | Halt | Fuel -> ());
-  if is_exit then begin
-    match Hashtbl.find_opt sys.exit_reasons reason with
-    | Some r -> incr r
-    | None -> Hashtbl.replace sys.exit_reasons reason (ref 1)
-  end;
-  (match sys.telemetry with
-  | None -> ()
-  | Some h -> (
-      let count ?labels ~help name =
-        Telemetry.Metrics.incr
-          (Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ?labels ~help name)
-      in
-      (* Exit-reason split of the exit counter: one series per cause, so
-         the ring refactor's exit savings show up as a shrinking
-         [hypercall] series rather than a mystery delta in the total. *)
-      let count_exit () =
-        count ~help:"KVM_RUN exits by cause" ~labels:[ ("reason", reason) ] "kvm_exits_total"
-      in
-      match kind with
-      | Io_out _ | Io_in _ ->
-          Telemetry.Hub.incr h "kvm_io_exits_total";
-          count_exit ()
-      | Fault _ ->
-          Telemetry.Hub.incr h "kvm_fault_exits_total";
-          count_exit ()
-      | Halt | Fuel -> count_exit ()
-      | Ept _ -> Telemetry.Hub.incr h "kvm_ept_violations_total"
-      | Injected site ->
-          let help = "fault-plan injections fired" in
-          count ~help "wasp_faults_injected_total";
-          count ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"));
+  if is_exit then bump sys (exit_series sys reason);
   (match sys.flight with
   | None -> ()
   | Some fr ->
@@ -226,17 +274,10 @@ let plan_fires sys site =
 let kspan sys name f =
   match sys.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h name f
 
-let kincr sys name =
-  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.incr h name
-
-let exit_reason_counts sys =
-  Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) sys.exit_reasons []
-  |> List.sort compare
-
 let charge sys cycles = Cycles.Clock.advance_int (clock sys) (Cycles.Costs.jitter sys.rng ~pct:0.05 cycles)
 
 let create_vm sys =
-  kincr sys "kvm_vm_creations_total";
+  count sys "kvm_vm_creations_total";
   kspan sys "kvm_create_vm" (fun () ->
       (* fault plan: KVM_CREATE_VM can fail (the kernel's VMCS/VMCB
          allocation returning ENOMEM). The failed ioctl still pays its
@@ -246,7 +287,7 @@ let create_vm sys =
         raise (Injected_failure site_provision_fail)
       end;
       charge sys Cycles.Costs.kvm_create_vm;
-      sys.stats.vm_creations <- sys.stats.vm_creations + 1;
+      sys.vms_built <- sys.vms_built + 1;
       { sys; memory = None })
 
 (* A CoW break of a shared guest page: the simulated EPT write-protection
@@ -282,10 +323,10 @@ let vm_memory vm =
 let vm_system vm = vm.sys
 
 let create_vcpu vm ~mode =
-  kincr vm.sys "kvm_vcpu_creations_total";
+  count vm.sys "kvm_vcpu_creations_total";
   kspan vm.sys "kvm_create_vcpu" (fun () ->
       charge vm.sys Cycles.Costs.kvm_create_vcpu;
-      vm.sys.stats.vcpu_creations <- vm.sys.stats.vcpu_creations + 1;
+      vm.sys.vcpus_built <- vm.sys.vcpus_built + 1;
       (* the vCPU charges the clock of the core that created it: shells
          stay in their owning core's pool shard, so guest execution is
          always billed to that core *)
@@ -306,8 +347,7 @@ let translation_words sys = Vm.Translate.retained_words sys.trans
 
 let run ?fuel v =
   let sys = v.parent.sys in
-  sys.stats.runs <- sys.stats.runs + 1;
-  kincr sys "kvm_runs_total";
+  count sys "kvm_runs_total";
   let t0 = Cycles.Clock.now (clock sys) in
   let exit =
     kspan sys "vcpu_run" (fun () ->
@@ -373,8 +413,8 @@ let run ?fuel v =
 let build_shell sys ~core ~size ~mode =
   if core < 0 || core >= Array.length sys.clocks then
     invalid_arg "Kvm.build_shell: no such core";
-  sys.stats.vm_creations <- sys.stats.vm_creations + 1;
-  sys.stats.vcpu_creations <- sys.stats.vcpu_creations + 1;
+  sys.vms_built <- sys.vms_built + 1;
+  sys.vcpus_built <- sys.vcpus_built + 1;
   let vm = { sys; memory = None } in
   let mem = Vm.Memory.create ~size in
   Vm.Memory.set_fault_hook mem

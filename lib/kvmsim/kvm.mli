@@ -22,18 +22,24 @@ type run_exit =
   | Out_of_fuel
 
 type stats = {
-  mutable vm_creations : int;
-  mutable vcpu_creations : int;
-  mutable runs : int;
-  mutable io_exits : int;
-  mutable fault_exits : int;
-  mutable ept_violations : int;
-      (** CoW breaks of shared guest pages (simulated EPT
-          write-protection violations); each charged
+  vm_creations : int;
+      (** VMs built, by {!create_vm} (not one failed by
+          {!site_provision_fail}) and by {!build_shell}. *)
+  vcpu_creations : int;  (** vCPUs built, by {!create_vcpu} and {!build_shell}. *)
+  runs : int;  (** [kvm_runs_total] *)
+  io_exits : int;  (** [kvm_io_exits_total] *)
+  fault_exits : int;  (** [kvm_fault_exits_total] *)
+  ept_violations : int;
+      (** [kvm_ept_violations_total]: CoW breaks of shared guest pages
+          (simulated EPT write-protection violations); each charged
           [Costs.ept_violation + memcpy_cost page_size]. *)
-  mutable injected_faults : int;
-      (** Fault-plan injections fired through this system (all sites). *)
+  injected_faults : int;
+      (** [wasp_faults_injected_total]: fault-plan injections fired
+          through this system (all sites). *)
 }
+(** A view, built by each {!stats} call: the counted fields are the
+    lifetime {!tally} of the series named beside them. The two creation
+    counts are plain fields, as no series counts what they count. *)
 
 exception Injected_failure of string
 (** Raised by operations the armed fault plan makes fail outright
@@ -65,10 +71,9 @@ exception Injected_failure of string
       a guest fault (retryable under supervision) without dispatching.
 
     Injected costs are charged {e without} jitter, so a chaos run under
-    the same plan and seed replays cycle-for-cycle. Each fire bumps
-    [stats.injected_faults], the [wasp_faults_injected_total] counter
-    (plain and [site]-labeled) and leaves an [INJECTED] entry in the
-    attached flight ring. *)
+    the same plan and seed replays cycle-for-cycle. Each fire counts
+    [wasp_faults_injected_total] (plain and [site]-labeled) and leaves
+    an [INJECTED] entry in the attached flight ring. *)
 
 val site_spurious_exit : string
 val site_ept_storm : string
@@ -87,7 +92,7 @@ val fault_plan : system -> Cycles.Fault_plan.t option
 val plan_fires : system -> string -> bool
 (** Consume one opportunity at the named site against the armed plan
     (false when none is armed). A fire does the injection bookkeeping —
-    stats, counters, flight entry — but charges no cycles; the caller
+    counters, flight entry — but charges no cycles; the caller
     applies the consequence. Exposed for sites that live above the KVM
     layer (the runtime's {!site_snapshot_corrupt}). *)
 
@@ -111,14 +116,39 @@ val set_core : system -> int -> unit
     multi-core scheduler calls this before running each task. *)
 
 val rng : system -> Cycles.Rng.t
+
+(** {2 Counters}
+
+    Every counted event of the layers above (this one, {!Wasp} and
+    {!Serverless}) is bumped once, through {!count}. The system keeps
+    each series' lifetime total, which {!tally} reads whether or not a
+    hub was ever attached. While a hub is attached, the same bump
+    increments that hub's counter of the same name, help and labels,
+    registered at the series' first bump under that hub: a hub counts
+    from its attach, and a freshly attached one starts from zero. The
+    typed records ({!stats}, [Wasp.Runtime.stats], [Wasp.Pool.stats],
+    [Wasp.Supervisor.stats], [Serverless.Gateway]'s counts) are views of
+    these totals. *)
+
+val count :
+  system -> ?by:int -> ?labels:(string * string) list -> ?help:string -> string -> unit
+(** [count sys name] adds [by] (default 1) to the series ([name],
+    [labels]) — the system's total and, when a hub is attached, its
+    counter, registered with [help] if this is the first bump under it
+    (a [~by:0] bump registers it too). A series keeps the [help] of its
+    first {!count}. Counters are monotone: a negative [by] leaves the
+    total alone and is a bad sample on the hub. *)
+
+val tally : system -> ?labels:(string * string) list -> string -> int
+(** Lifetime total of a series; 0 if it was never counted. *)
+
 val stats : system -> stats
 
 val exit_reason_counts : system -> (string * int) list
-(** Always-on per-reason tally of every {!run} return — the
-    [kvm_exits_total{reason}] series ([hlt]/[hypercall]/[io_out]/
-    [io_in]/[fault]/[fuel]) readable without a telemetry hub, sorted by
-    reason. The fuzzer hashes it (with the flight ring's exit-edge
-    pairs) into its coverage bitmap after each candidate. *)
+(** The [kvm_exits_total{reason}] totals ([hlt]/[hypercall]/[io_out]/
+    [io_in]/[fault]/[fuel]) of every {!run} return, sorted by reason.
+    The fuzzer hashes them (with the flight ring's exit-edge pairs) into
+    its coverage bitmap after each candidate. *)
 
 (** {2 Observers}
 
@@ -133,8 +163,8 @@ val set_telemetry : system -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub; subsequent KVM transitions
     (vm-create, memslot/EPT build, vcpu-create, [KVM_RUN]) open spans and
     bump [kvm_*] counters on it, and the shell pool and runtime above
-    publish their spans and [wasp_*] series to the same hub. The hub must
-    share this system's clock. *)
+    publish their spans and [wasp_*] series to the same hub (see
+    {!count}). The hub must share this system's clock. *)
 
 val telemetry : system -> Telemetry.Hub.t option
 
@@ -234,4 +264,5 @@ val build_shell : system -> core:int -> size:int -> mode:Vm.Modes.t -> vcpu
     the caller accounts the deterministic construction cost against an
     idle-cycle budget (see {!Wasp.Pool}). The vCPU is bound to [core]'s
     clock so a prewarmed shell later executes on its owning shard's
-    clock. Creation stats are still bumped. *)
+    clock. The [vm_creations]/[vcpu_creations] stats still count it;
+    the creation counters do not. *)

@@ -36,8 +36,6 @@ type t = {
   breakers : (string, breaker) Hashtbl.t;
   shed : shed_config option;
   bucket : bucket;
-  mutable shed_count : int;
-  mutable breaker_rejections : int;
   mutable slos : (Telemetry.Slo.t * Telemetry.Slo.t) option;
       (* (availability, latency), when enabled *)
 }
@@ -60,17 +58,16 @@ let create ?(breaker = default_breaker_config) ?shed platform =
         tokens = (match shed with Some s -> float_of_int s.burst | None -> 0.0);
         last_refill = 0L;
       };
-    shed_count = 0;
-    breaker_rejections = 0;
     slos = None;
   }
 
+let kvm t = Wasp.Runtime.kvm (Vespid.runtime t.platform)
 let hub t = Wasp.Runtime.telemetry (Vespid.runtime t.platform)
 let clock t = Wasp.Runtime.clock (Vespid.runtime t.platform)
 let now t = Cycles.Clock.now (clock t)
 
-let shed_count t = t.shed_count
-let breaker_rejections t = t.breaker_rejections
+let shed_count t = Kvmsim.Kvm.tally (kvm t) "gateway_shed_total"
+let breaker_rejections t = Kvmsim.Kvm.tally (kvm t) "gateway_breaker_rejections_total"
 
 let enable_slos t ?(config = default_slo_config) () =
   match hub t with
@@ -105,14 +102,8 @@ let slo_latency t cycles =
   | Some (_, lat) -> Telemetry.Slo.record_latency lat cycles
   | None -> ()
 
-let tincr t name =
-  match hub t with Some h -> Telemetry.Hub.incr h name | None -> ()
-
 (* vtrace "gateway" site: one fire per admission decision. *)
-let fire t ~fn ~reason ~cycles =
-  ignore
-    (Kvmsim.Kvm.fire (Wasp.Runtime.kvm (Vespid.runtime t.platform)) ~fn ~reason ~cycles
-       "gateway")
+let fire t ~fn ~reason ~cycles = ignore (Kvmsim.Kvm.fire (kvm t) ~fn ~reason ~cycles "gateway")
 
 let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with
@@ -215,8 +206,7 @@ let parse_register_target seg =
 
 let invoke t name body =
   if not (try_take_token t) then begin
-    t.shed_count <- t.shed_count + 1;
-    tincr t "gateway_shed_total";
+    Kvmsim.Kvm.count (kvm t) "gateway_shed_total";
     fire t ~fn:name ~reason:"shed" ~cycles:0L;
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
@@ -234,8 +224,7 @@ let invoke t name body =
     | Open | Half_open | Closed -> ());
     match b.state with
     | Open ->
-        t.breaker_rejections <- t.breaker_rejections + 1;
-        tincr t "gateway_breaker_rejections_total";
+        Kvmsim.Kvm.count (kvm t) "gateway_breaker_rejections_total";
         fire t ~fn:name ~reason:"breaker" ~cycles:0L;
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
@@ -280,14 +269,10 @@ let route t (req : Vhttp.Http.request) =
   | _, _ -> respond ~status:405 "method not allowed\n"
 
 let handle t raw =
-  (match hub t with
-  | Some h -> Telemetry.Hub.incr h "gateway_requests_total"
-  | None -> ());
+  Kvmsim.Kvm.count (kvm t) "gateway_requests_total";
   match Vhttp.Http.parse_request raw with
   | Error e ->
-      (match hub t with
-      | Some h -> Telemetry.Hub.incr h "gateway_bad_requests_total"
-      | None -> ());
+      Kvmsim.Kvm.count (kvm t) "gateway_bad_requests_total";
       respond ~status:400 (Printf.sprintf "bad request: %s\n" e)
   | Ok req -> (
       match hub t with

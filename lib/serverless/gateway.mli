@@ -92,7 +92,10 @@ val breaker_state : t -> name:string -> breaker_state
     report [Closed]. *)
 
 val shed_count : t -> int
-(** Requests refused with 429 by load shedding. *)
+(** Requests refused with 429 by load shedding: a view of the lifetime
+    {!Kvmsim.Kvm.tally} of [gateway_shed_total] on the platform
+    runtime's KVM system, so it counts every gateway of that runtime. *)
 
 val breaker_rejections : t -> int
-(** Invokes refused with 503 by an open breaker. *)
+(** Invokes refused with 503 by an open breaker: a view, as
+    {!shed_count} is, of [gateway_breaker_rejections_total]. *)

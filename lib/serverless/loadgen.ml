@@ -87,22 +87,25 @@ let run ?(freq_ghz = 2.69) ?(workers = 8) ?(think_time_s = 0.05) ~service ~profi
   Dessim.Sim.run sim;
   bucketize ~cps ~total_end !samples
 
-let export_core_stats hub sched =
-  let stats = Dessim.Cores.core_stats sched in
-  Array.iteri
-    (fun i (s : Dessim.Cores.core_stats) ->
-      Telemetry.Hub.set_gauge hub
-        (Printf.sprintf "sched_core%d_utilization" i)
-        (Dessim.Cores.utilization sched ~core:i);
-      Telemetry.Hub.set_gauge hub
-        (Printf.sprintf "sched_core%d_busy_cycles" i)
-        (Int64.to_float s.Dessim.Cores.busy_cycles);
-      Telemetry.Hub.set_gauge hub
-        (Printf.sprintf "sched_core%d_reclaim_cycles" i)
-        (Int64.to_float s.Dessim.Cores.reclaim_cycles))
-    stats;
-  Telemetry.Hub.incr hub ~by:(Dessim.Cores.steals sched) "sched_steals_total";
-  Telemetry.Hub.incr hub ~by:(Dessim.Cores.executed sched) "sched_tasks_total"
+let export_core_stats runtime sched =
+  (match Wasp.Runtime.telemetry runtime with
+  | Some hub ->
+      Array.iteri
+        (fun i (s : Dessim.Cores.core_stats) ->
+          Telemetry.Hub.set_gauge hub
+            (Printf.sprintf "sched_core%d_utilization" i)
+            (Dessim.Cores.utilization sched ~core:i);
+          Telemetry.Hub.set_gauge hub
+            (Printf.sprintf "sched_core%d_busy_cycles" i)
+            (Int64.to_float s.Dessim.Cores.busy_cycles);
+          Telemetry.Hub.set_gauge hub
+            (Printf.sprintf "sched_core%d_reclaim_cycles" i)
+            (Int64.to_float s.Dessim.Cores.reclaim_cycles))
+        (Dessim.Cores.core_stats sched)
+  | None -> ());
+  let sys = Wasp.Runtime.kvm runtime in
+  Kvmsim.Kvm.count sys ~by:(Dessim.Cores.steals sched) "sched_steals_total";
+  Kvmsim.Kvm.count sys ~by:(Dessim.Cores.executed sched) "sched_tasks_total"
 
 (* Multi-core closed loop: clients fire against the scheduler instead of
    a FIFO server, so requests run as real work on per-core clocks (with
@@ -162,9 +165,7 @@ let run_cores ?(freq_ghz = 2.69) ?(think_time_s = 0.05) ?(steal = true) ?on_comp
       done)
     phase_windows;
   Dessim.Cores.run sched;
-  (match Wasp.Runtime.telemetry runtime with
-  | Some hub -> export_core_stats hub sched
-  | None -> ());
+  export_core_stats runtime sched;
   let actual_end =
     List.fold_left (fun acc s -> max acc s.at) total_end !samples
   in

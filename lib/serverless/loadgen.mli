@@ -55,7 +55,8 @@ val run_cores :
     service latency, on the completing core's clock — the hook for
     feeding a {!Telemetry.Slo} from a load run. *)
 
-val export_core_stats : Telemetry.Hub.t -> Dessim.Cores.t -> unit
+val export_core_stats : Wasp.Runtime.t -> Dessim.Cores.t -> unit
 (** Publish a scheduler's per-core gauges ([sched_core<i>_utilization],
-    [_busy_cycles], [_reclaim_cycles]) and the [sched_steals_total] /
-    [sched_tasks_total] counters to [hub]. *)
+    [_busy_cycles], [_reclaim_cycles]) to the runtime's hub, when one is
+    attached, and count its steals and tasks as [sched_steals_total] /
+    [sched_tasks_total] (see {!Kvmsim.Kvm.count}). *)

@@ -17,9 +17,10 @@ let invoke_timed t ~name ~input =
   | Some isolate -> (
       let go () =
         let outcome, cycles = Vjs.Isolate.invoke isolate ~input in
+        let sys = Wasp.Runtime.kvm t.wasp in
+        Kvmsim.Kvm.count sys "vespid_invocations_total";
         (match Wasp.Runtime.telemetry t.wasp with
         | Some hub ->
-            Telemetry.Hub.incr hub "vespid_invocations_total";
             Telemetry.Hub.observe hub "vespid_invoke_cycles" cycles;
             (* the per-function series shares the family and carries the
                same exemplar, so a tail bucket names both the function
@@ -33,11 +34,11 @@ let invoke_timed t ~name ~input =
               (Telemetry.Metrics.histogram
                  (Telemetry.Hub.metrics hub)
                  ~labels:[ ("fn", name) ] "vespid_invoke_cycles")
-              cycles;
-            (match outcome with
-            | Error _ -> Telemetry.Hub.incr hub "vespid_errors_total"
-            | Ok _ -> ())
+              cycles
         | None -> ());
+        (match outcome with
+        | Error _ -> Kvmsim.Kvm.count sys "vespid_errors_total"
+        | Ok _ -> ());
         (outcome, cycles)
       in
       match Wasp.Runtime.telemetry t.wasp with
@@ -50,5 +51,3 @@ let invoke t ~name ~input = fst (invoke_timed t ~name ~input)
 let invoke_timed_on t ~core ~name ~input =
   Wasp.Runtime.on_core t.wasp core;
   invoke_timed t ~name ~input
-
-let invoke_on t ~core ~name ~input = fst (invoke_timed_on t ~core ~name ~input)

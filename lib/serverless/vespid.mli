@@ -36,10 +36,6 @@ val invoke_timed : t -> name:string -> input:bytes -> (string, string) result * 
     twice — the plain family and an [fn]-labeled series — both stamped
     with the active trace id as an exemplar when tracing is on. *)
 
-val invoke_on : t -> core:int -> name:string -> input:bytes -> (string, string) result
-(** {!invoke} pinned to a simulated core of the underlying runtime: the
-    invocation charges that core's clock and uses its pool shard. *)
-
 val invoke_timed_on :
   t -> core:int -> name:string -> input:bytes -> (string, string) result * int64
 (** {!invoke_timed} pinned to a core — the latency is measured on that

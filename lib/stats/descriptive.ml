@@ -82,7 +82,3 @@ let summarize ?(tukey = true) xs =
     p50 = median xs;
     p99 = percentile xs 99.0;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f p99=%.1f max=%.1f" s.n s.mean
-    s.stddev s.min s.p50 s.p99 s.max

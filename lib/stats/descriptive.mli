@@ -43,5 +43,3 @@ type summary = {
 
 val summarize : ?tukey:bool -> float array -> summary
 (** Summary statistics, optionally after Tukey filtering (default true). *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -15,7 +15,6 @@ let spans t = t.sink
 let metrics t = t.registry
 
 let enable_tracing t ~seed = Span.set_tracer t.sink (Some (Tracectx.create ~seed))
-let tracing_enabled t = Span.tracer t.sink <> None
 let current_ids t = Span.current_ids t.sink
 let current_trace t = Span.current_trace t.sink
 
@@ -23,8 +22,6 @@ let enter t ?args name = Span.enter t.sink ?args name
 let leave t ?args () = Span.leave t.sink ?args ()
 let with_span t ?args name f = Span.with_span t.sink ?args name f
 let instant t ?args name = Span.instant t.sink ?args name
-
-let incr t ?by name = Metrics.incr ?by (Metrics.counter t.registry name)
 
 let observe t name v =
   let exemplar =

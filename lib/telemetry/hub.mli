@@ -38,7 +38,6 @@ val enable_tracing : t -> seed:int -> unit
     Same seed, byte-identical ids. {!observe} starts stamping histogram
     exemplars with the active trace id. *)
 
-val tracing_enabled : t -> bool
 val current_ids : t -> Tracectx.ids option
 val current_trace : t -> int64 option
 (** Trace id of the innermost open span ([None] when tracing is off or
@@ -52,8 +51,6 @@ val with_span : t -> ?args:(string * string) list -> string -> (unit -> 'a) -> '
 val instant : t -> ?args:(string * string) list -> string -> unit
 
 (** {1 Metric conveniences (find-or-register by name)} *)
-
-val incr : t -> ?by:int -> string -> unit
 
 val observe : t -> string -> int64 -> unit
 (** Record into the named histogram; when tracing is on and a span is

@@ -49,6 +49,10 @@ type t
 
 val create : unit -> t
 
+val series_key : string -> (string * string) list -> string
+(** The find-or-register identity of a (name, labels) pair: the bare
+    name when [labels] is empty, else [name{k=v,...}]. *)
+
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 (** Find-or-register. Each distinct (name, labels) pair is its own
     series: [counter t ~labels:["fn", "main"] "cycles"] and

@@ -448,14 +448,6 @@ let gen_function_with prog strings (f : Ast.func) : Asm.item list =
   emit em SRet;
   List.rev em.items
 
-let gen_function prog f =
-  let strings = { pool = [] } in
-  let items = gen_function_with prog strings f in
-  let data =
-    List.concat_map (fun (l, s) -> [ Asm.Label l; Asm.Str s ]) (List.rev strings.pool)
-  in
-  items @ data
-
 let global_items (g : Ast.global) : Asm.item list =
   let size = Ast.sizeof g.Ast.gty in
   let data =

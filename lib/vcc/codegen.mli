@@ -8,9 +8,6 @@
 
 exception Codegen_error of string
 
-val gen_function : Ast.program -> Ast.func -> Asm.item list
-(** Code for one function, labelled [fn_<name>]. *)
-
 val gen_image_items :
   Ast.program -> root:Ast.func -> snapshot:bool -> Callgraph.reachable -> Asm.item list
 (** The complete item list for a virtine image: crt0 (with optional

@@ -52,9 +52,6 @@ let lookup name = List.assoc_opt name table
 
 let is_builtin name = lookup name <> None
 
-let library_names =
-  List.filter_map (fun (n, s) -> if s.kind = Library then Some n else None) table
-
 let entry_label = "__entry"
 let post_init_label = "__start_main"
 let heap_ptr_label = "__heap_ptr"
@@ -461,8 +458,6 @@ let items_for requested =
     (fun (name, items) -> if Hashtbl.mem wanted name then items else [])
     routines
   @ heap_items
-
-let library_items = items_for (List.map fst routines)
 
 (* crt0: initialize the heap and walk the newlib init path (impure data,
    stdio tables); this is exactly the work a snapshot skips. *)

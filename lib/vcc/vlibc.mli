@@ -19,21 +19,14 @@ val lookup : string -> signature option
 
 val is_builtin : string -> bool
 
-val library_names : string list
-(** Names whose implementations {!library_items} provides. *)
-
-val library_items : Asm.item list
-(** vx implementations of every [Library] builtin plus the malloc heap
-    state. Labels are [__vl_<name>]. Uses registers r0-r5 and r11/r12 as
-    scratch; follows the same calling convention as compiled code (args in
-    r0-r5, result in r0). *)
-
 val items_for : string list -> Asm.item list
 (** Selective linking: only the requested routines (and their internal
     dependencies, e.g. [puts] pulls in [strlen]) plus the heap state the
     crt0 always initializes. This is how "a virtine image contains only
     the software that a function needs" (§2). Unknown names are
-    ignored. *)
+    ignored. Routines are labelled [__vl_<name>], use r0-r5 and r11/r12
+    as scratch, and follow compiled code's calling convention (args in
+    r0-r5, result in r0). *)
 
 val init_items : snapshot:bool -> Asm.item list
 (** The crt0-style entry prologue: initialize the heap and libc state

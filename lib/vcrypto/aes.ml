@@ -217,9 +217,4 @@ let pkcs7_unpad b =
     end
   end
 
-(* A software table-free AES runs ~20 cycles/byte on a superscalar core;
-   the OpenSSL-with-virtines experiment charges this as the guest-side
-   work per block. *)
-let work_cycles ~blocks = blocks * 16 * 20
-
 let key_expansion_cycles = 1_100

@@ -6,8 +6,7 @@
     and CBC because the paper benchmarks [aes-128-cbc].
 
     The implementation is the straightforward byte-oriented cipher
-    (S-box, ShiftRows, MixColumns over GF(2^8)); [work_cycles] gives the
-    guest-side cost model used when the cipher runs in virtine context. *)
+    (S-box, ShiftRows, MixColumns over GF(2^8)). *)
 
 type key_schedule
 
@@ -35,10 +34,5 @@ val pkcs7_pad : bytes -> bytes
 
 val pkcs7_unpad : bytes -> bytes option
 (** [None] if the padding is malformed. *)
-
-val work_cycles : blocks:int -> int
-(** Guest-cycle cost of encrypting [blocks] 16-byte blocks: ~20 cycles/
-    byte for a table-free software AES, matching the instruction mix the
-    compiled cipher would execute. *)
 
 val key_expansion_cycles : int

@@ -76,5 +76,3 @@ let decode s =
     done;
     if !ok then Some (Buffer.contents out) else None
   end
-
-let encode_cycles n = n * 6

@@ -1,11 +1,7 @@
 (** Base64 (RFC 4648) — the workload of the JavaScript virtine study
     (§6.5): the reference implementation the JS engine's output is
-    checked against, plus the cost model for the encode loop. *)
+    checked against. *)
 
 val encode : string -> string
 val decode : string -> string option
 (** [None] on invalid input (bad characters or padding). *)
-
-val encode_cycles : int -> int
-(** Guest-cycle cost of encoding [n] input bytes (~6 cycles/byte: table
-    lookups and shifts). *)

@@ -83,6 +83,3 @@ let encrypt t ~iv data =
       let padded = Aes.pkcs7_pad data in
       Aes.encrypt_cbc t.ks ~iv padded
   | Virtine w -> encrypt_virtine t w ~iv data
-
-let clock_of t =
-  match t.backend with Native -> None | Virtine w -> Some (Wasp.Runtime.clock w)

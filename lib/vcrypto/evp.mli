@@ -31,8 +31,5 @@ val aes_ni_cycles_per_byte : float
 val image_size : int
 (** The virtine cipher image footprint (the paper's was ~21 KB). *)
 
-val clock_of : t -> Cycles.Clock.t option
-(** The clock charged by this context (virtine mode only). *)
-
 val native_cycles : len:int -> int
 (** Cycles a native encryption of [len] bytes charges. *)

@@ -11,7 +11,6 @@ let context_alloc_cycles = 400_000
 let binding_cycles = 32_000
 let teardown_cycles = 270_000
 let parse_cycles_per_token = 45
-let eval_cycles_per_node = Jsinterp.cost_per_node
 
 let num_method name f = Native (name, fun args ->
     match args with

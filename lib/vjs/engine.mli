@@ -9,8 +9,8 @@
     optimizations skip exactly the right work.
 
     The cost contract: running a script charges [parse_cycles_per_token]
-    per token (end of input included), then [eval_cycles_per_node] per
-    AST node evaluated — see {!Jsinterp}. A script is tokenised, parsed
+    per token (end of input included), then {!Jsinterp.cost_per_node}
+    per AST node evaluated. A script is tokenised, parsed
     and compiled once into a {!program}, which any number of engines can
     run; each run charges the parse cost again, because that is what a
     fresh context would pay. A snapshot restore does not: it loads the
@@ -30,7 +30,6 @@ val teardown_cycles : int
 (** Freeing the context (walks and frees the heap). *)
 
 val parse_cycles_per_token : int
-val eval_cycles_per_node : int
 
 val create : ?charge:(int -> unit) -> ?max_steps:int -> unit -> t
 (** Allocate a context and populate default bindings (Math, String,

@@ -45,15 +45,11 @@ module Page_cache = struct
 
   let table : (string, shared) Hashtbl.t = Hashtbl.create 512
   let order : string Queue.t = Queue.create ()
-  let capacity = ref 8192
+  let capacity = 8192
   let n_entries = ref 0
   let n_hits = ref 0
   let n_misses = ref 0
   let n_evictions = ref 0
-
-  let set_capacity n =
-    if n < 1 then invalid_arg "Memory.Page_cache.set_capacity: must be >= 1";
-    capacity := n
 
   let entries () = !n_entries
   let bytes () = !n_entries * page_size
@@ -83,7 +79,7 @@ module Page_cache = struct
     | None ->
         incr n_misses;
         let sh = { s_data = b; s_key = key } in
-        if !n_entries >= !capacity then begin
+        if !n_entries >= capacity then begin
           match Queue.take_opt order with
           | Some victim when Hashtbl.mem table victim ->
               Hashtbl.remove table victim;
@@ -423,13 +419,6 @@ let share_page t p =
       let pg = if is_zero_page b then Zero else Shared (Page_cache.intern b) in
       t.pages.(p) <- pg;
       pg
-
-let copy_to ~src ~dst =
-  if src.size <> dst.size then invalid_arg "Memory.copy_to: size mismatch";
-  if dst.size > 0 then mark dst 0 dst.size;
-  for p = 0 to src.npages - 1 do
-    dst.pages.(p) <- share_page src p
-  done
 
 let snapshot t =
   let out = Bytes.create t.size in

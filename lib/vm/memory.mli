@@ -90,10 +90,6 @@ val reset_zero : t -> unit
     zero one before reuse instead of allocating: contents, page stats
     and fault-hook calls are those of fresh pages. *)
 
-val copy_to : src:t -> dst:t -> unit
-(** Share [src]'s pages into [dst]; sizes must match. [src]'s private
-    pages are published (deduped) in the process; both sides then CoW. *)
-
 val snapshot : t -> bytes
 (** Copy out the full contents as a flat byte string. *)
 
@@ -162,7 +158,7 @@ val clear_dirty : t -> unit
     write bumps a page's version only when it overlaps that extent, so
     data stored beside code (a heap sharing the code's page) leaves it
     alone. Whole-memory rewrites ({!restore},
-    {!restore_image}, {!copy_to}, {!fill_zero}) bump every page with an
+    {!restore_image}, {!fill_zero}) bump every page with an
     extent; {!restore_image_cow} bumps every page it rewrites;
     {!reset_zero} bumps every page with an extent and then clears all
     extents. The translation cache ({!module:Translate}) records the
@@ -212,14 +208,11 @@ val resident_bytes : t -> int
 
 (** {1 Content-addressed page cache}
 
-    Process-wide dedup table keyed by page-content digest. Bounded FIFO:
-    eviction only loses future dedup (live references keep their buffers
+    Process-wide dedup table keyed by page-content digest. Bounded FIFO
+    of 8192 pages (32 MB): eviction only loses future dedup (live references keep their buffers
     alive), never correctness. *)
 
 module Page_cache : sig
-  val set_capacity : int -> unit
-  (** Default 8192 pages (32 MB). *)
-
   val entries : unit -> int
   val bytes : unit -> int
   val hits : unit -> int

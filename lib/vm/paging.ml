@@ -8,8 +8,6 @@ let flag_large_page = 0x80L
 
 let entry ~phys ~flags = Int64.logor (Int64.of_int phys) flags
 
-let mapped_bytes = 512 * (2 lsl 20)
-
 let build_identity_map mem =
   let stores = ref 0 in
   let put addr v =

@@ -17,9 +17,6 @@ val flag_large_page : int64   (** PS bit (bit 7) in a PD entry. *)
 
 val entry : phys:int -> flags:int64 -> int64
 
-val mapped_bytes : int
-(** 1 GB: 512 entries x 2 MB. *)
-
 val build_identity_map : Memory.t -> int
 (** Write the three table levels into guest memory; returns the number of
     64-bit stores performed (the caller charges cycles per store). *)

@@ -165,8 +165,6 @@ let fire t ctx =
 
 let fires t = t.total_fires
 let drops t = t.budget_drops + t.key_drops
-let probe_stats t =
-  Array.to_list (Array.map (fun p -> (p.cspec, p.fired, p.dropped)) t.probes)
 
 let values t ~probe =
   let p = t.probes.(probe) in

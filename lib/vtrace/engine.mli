@@ -53,9 +53,6 @@ val fires : t -> int
 val drops : t -> int
 (** Total drops (budget + key-capacity). *)
 
-val probe_stats : t -> (Lang.probe * int * int) list
-(** Per probe, in spec order: (probe, fires, drops). *)
-
 val values : t -> probe:int -> (string list * float) list
 (** Probe [probe]'s aggregate per key, insertion order — for tests. *)
 

@@ -36,6 +36,10 @@ let name = function
   | 14 -> "ring_enter"
   | n -> Printf.sprintf "hc%d" n
 
+let of_name s =
+  let rec find n = if n >= count then None else if name n = s then Some n else find (n + 1) in
+  find 0
+
 let err_denied = -1L
 let err_fault = -14L
 let err_badf = -9L

@@ -44,6 +44,10 @@ val count : int
 val name : int -> string
 (** Human-readable name, "hc<N>" if unknown. *)
 
+val of_name : string -> int option
+(** The inverse of {!name} for the numbers below {!count}; [None] for
+    any other string, ["hc<N>"] included. *)
+
 val err_denied : int64   (** -1: policy refused the hypercall. *)
 val err_fault : int64    (** -14: a guest pointer failed validation. *)
 val err_badf : int64     (** -9: unknown descriptor. *)

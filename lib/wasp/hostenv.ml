@@ -4,15 +4,12 @@ type t = {
   files : (string, string) Hashtbl.t;
   fds : (int, open_file) Hashtbl.t;
   mutable next_fd : int;
-  mutable next_endpoint : int;
 }
 
 let create () =
-  { files = Hashtbl.create 16; fds = Hashtbl.create 16; next_fd = 3; next_endpoint = 0 }
+  { files = Hashtbl.create 16; fds = Hashtbl.create 16; next_fd = 3 }
 
 let add_file t ~path contents = Hashtbl.replace t.files path contents
-
-let remove_file t ~path = Hashtbl.remove t.files path
 
 let file_size t ~path =
   match Hashtbl.find_opt t.files path with Some c -> Some (String.length c) | None -> None
@@ -46,14 +43,11 @@ let close_fd t ~fd =
   end
   else false
 
-type endpoint = { id : int; incoming : Buffer.t; peer_incoming : Buffer.t }
+type endpoint = { incoming : Buffer.t; peer_incoming : Buffer.t }
 
-let socket_pair t =
+let socket_pair (_ : t) =
   let a_buf = Buffer.create 256 and b_buf = Buffer.create 256 in
-  let a = { id = t.next_endpoint; incoming = a_buf; peer_incoming = b_buf } in
-  let b = { id = t.next_endpoint + 1; incoming = b_buf; peer_incoming = a_buf } in
-  t.next_endpoint <- t.next_endpoint + 2;
-  (a, b)
+  ({ incoming = a_buf; peer_incoming = b_buf }, { incoming = b_buf; peer_incoming = a_buf })
 
 let send ep b =
   Buffer.add_bytes ep.peer_incoming b;
@@ -69,5 +63,3 @@ let recv ep ~max =
   out
 
 let pending ep = Buffer.length ep.incoming
-
-let endpoint_id ep = ep.id

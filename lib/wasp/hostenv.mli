@@ -13,7 +13,6 @@ val create : unit -> t
 (** {1 Files} *)
 
 val add_file : t -> path:string -> string -> unit
-val remove_file : t -> path:string -> unit
 val file_size : t -> path:string -> int option
 
 val open_file : t -> path:string -> int option
@@ -44,4 +43,3 @@ val recv : endpoint -> max:int -> bytes
 val pending : endpoint -> int
 (** Bytes available to [recv]. *)
 
-val endpoint_id : endpoint -> int

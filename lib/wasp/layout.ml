@@ -1,7 +1,6 @@
 let arg_area = 0x0
 let arg_area_size = 0x500
 let stack_top = 0x8000
-let stack_bottom = 0x4000
 let image_base = 0x8000
 let default_mem_size = 64 * 1024
 

@@ -23,7 +23,6 @@
 val arg_area : int         (** 0x0 *)
 val arg_area_size : int
 val stack_top : int        (** initial SP: 0x8000 *)
-val stack_bottom : int     (** 0x4000; SP below this means overflow *)
 val image_base : int       (** 0x8000 — where Wasp loads images (§5.1) *)
 val default_mem_size : int (** 64 KB default guest region *)
 

@@ -11,15 +11,15 @@ type clean_mode = Sync | Async
 type reclaim_policy = Eager | Scheduled
 
 type stats = {
-  mutable created : int;
-  mutable reused : int;
-  mutable cleans : int;
-  mutable background_cycles : int64;
-  mutable evicted : int;
-  mutable clean_stalls : int;
-  mutable stall_cycles : int64;
-  mutable prewarmed : int;
-  mutable prewarm_hits : int;
+  created : int;
+  reused : int;
+  cleans : int;
+  background_cycles : int64;
+  evicted : int;
+  clean_stalls : int;
+  stall_cycles : int64;
+  prewarmed : int;
+  prewarm_hits : int;
 }
 
 type prewarm = { pw_mem_size : int; pw_mode : Vm.Modes.t; pw_target : int }
@@ -43,7 +43,9 @@ type t = {
   capacity : int;
   mutable policy : reclaim_policy;
   mutable prewarm : prewarm option;
-  stats : stats;
+  mutable built : int;  (* shells built from scratch *)
+  mutable background : int64;  (* async cleaning + prewarm work *)
+  mutable stalled : int64;  (* cycles acquires waited on a clean *)
 }
 
 let create ?(capacity = 64) sys ~clean =
@@ -63,21 +65,24 @@ let create ?(capacity = 64) sys ~clean =
     capacity;
     policy = Eager;
     prewarm = None;
-    stats =
-      {
-        created = 0;
-        reused = 0;
-        cleans = 0;
-        background_cycles = 0L;
-        evicted = 0;
-        clean_stalls = 0;
-        stall_cycles = 0L;
-        prewarmed = 0;
-        prewarm_hits = 0;
-      };
+    built = 0;
+    background = 0L;
+    stalled = 0L;
   }
 
-let stats t = t.stats
+let stats t =
+  let n name = Kvmsim.Kvm.tally t.sys name in
+  {
+    created = t.built;
+    reused = n "wasp_pool_hits_total";
+    cleans = n "wasp_pool_cleans_total";
+    background_cycles = t.background;
+    evicted = n "wasp_pool_evictions_total";
+    clean_stalls = n "wasp_pool_clean_stalls_total";
+    stall_cycles = t.stalled;
+    prewarmed = n "wasp_pool_prewarmed_total";
+    prewarm_hits = n "wasp_pool_prewarm_hits_total";
+  }
 
 (* Observers are read through the system: it is their one attach point. *)
 let hub t = Kvmsim.Kvm.telemetry t.sys
@@ -98,9 +103,6 @@ let reclaim_pending t =
 
 let tgauge t name v =
   match hub t with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
-
-let tincr t name =
-  match hub t with None -> () | Some h -> Telemetry.Hub.incr h name
 
 let note_size t =
   tgauge t "wasp_pool_size" (float_of_int (size t));
@@ -149,8 +151,7 @@ let evict_lru t shard =
       | _oldest :: rest_rev ->
           l := List.rev rest_rev;
           shard.cached_count <- shard.cached_count - 1;
-          t.stats.evicted <- t.stats.evicted + 1;
-          tincr t "wasp_pool_evictions_total";
+          Kvmsim.Kvm.count t.sys "wasp_pool_evictions_total";
           fire t "pool_evict" ~reason:"lru" ~cycles:0L ~nr:mem_size)
 
 (* Return a cleaned shell to its shard's cache, evicting the LRU entry
@@ -208,7 +209,7 @@ let note_prewarm t =
   tgauge t "wasp_pool_prewarm_depth"
     (float_of_int
        (Array.fold_left (fun acc s -> acc + Queue.length s.prewarmed) 0 t.shards));
-  tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles)
+  tgauge t "wasp_pool_background_cycles" (Int64.to_float t.background)
 
 (* Book one background shell build against [core]'s shard without
    touching any clock: Kvm.build_shell charges nothing, the construction
@@ -220,10 +221,8 @@ let build_prewarmed t ~core ~mem_size ~mode =
     { vm; vcpu; mem = Kvmsim.Kvm.vm_memory vm; mem_size; home = core }
   in
   Queue.push shell t.shards.(core).prewarmed;
-  t.stats.prewarmed <- t.stats.prewarmed + 1;
-  t.stats.background_cycles <-
-    Int64.add t.stats.background_cycles (Int64.of_int shell_cost);
-  tincr t "wasp_pool_prewarmed_total";
+  t.background <- Int64.add t.background (Int64.of_int shell_cost);
+  Kvmsim.Kvm.count t.sys "wasp_pool_prewarmed_total";
   fire t "pool_prewarm" ~reason:"build" ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
 
 let prewarm_step t ~core ~budget =
@@ -246,8 +245,7 @@ let take_prewarmed t ~mem_size ~mode =
   match Queue.peek_opt shard.prewarmed with
   | Some shell when shell.mem_size = mem_size ->
       ignore (Queue.pop shard.prewarmed);
-      t.stats.prewarm_hits <- t.stats.prewarm_hits + 1;
-      tincr t "wasp_pool_prewarm_hits_total";
+      Kvmsim.Kvm.count t.sys "wasp_pool_prewarm_hits_total";
       (* The handoff is one ioctl to adopt the prepared context, plus a
          vCPU reset into the requested mode — never the creation path. *)
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) Cycles.Costs.ioctl_syscall;
@@ -270,7 +268,7 @@ let take_prewarmed t ~mem_size ~mode =
   | Some _ | None -> None
 
 let create_shell t ~mem_size ~mode =
-  t.stats.created <- t.stats.created + 1;
+  t.built <- t.built + 1;
   let vm = Kvmsim.Kvm.create_vm t.sys in
   let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
   let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
@@ -290,12 +288,8 @@ let acquire t ~mem_size ~mode =
   in
   tspan @@ fun () ->
   let hit shell =
-    t.stats.reused <- t.stats.reused + 1;
-    (match hub t with
-    | Some h ->
-        Telemetry.Hub.incr h "wasp_pool_hits_total";
-        Telemetry.Hub.instant h "pool_hit"
-    | None -> ());
+    Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
+    (match hub t with Some h -> Telemetry.Hub.instant h "pool_hit" | None -> ());
     Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
     (shell, true)
   in
@@ -311,15 +305,12 @@ let acquire t ~mem_size ~mode =
                the acquire blocks on the in-flight clean and pays the
                remaining cycles — this is where deferred cleaning becomes
                visible in tail latency. *)
-            t.stats.clean_stalls <- t.stats.clean_stalls + 1;
-            t.stats.stall_cycles <-
-              Int64.add t.stats.stall_cycles (Int64.of_int p.remaining);
-            t.stats.background_cycles <-
-              Int64.add t.stats.background_cycles (Int64.of_int p.remaining);
+            t.stalled <- Int64.add t.stalled (Int64.of_int p.remaining);
+            t.background <- Int64.add t.background (Int64.of_int p.remaining);
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
+            Kvmsim.Kvm.count t.sys "wasp_pool_clean_stalls_total";
             (match hub t with
             | Some h ->
-                Telemetry.Hub.incr h "wasp_pool_clean_stalls_total";
                 Telemetry.Hub.instant h
                   ~args:[ ("cycles", string_of_int p.remaining) ]
                   "clean_stall"
@@ -333,29 +324,23 @@ let acquire t ~mem_size ~mode =
             | Some shell ->
                 (* Pipelined pre-boot hit: the shell was built on idle
                    cycles, so the acquire pays only the handoff. *)
-                t.stats.reused <- t.stats.reused + 1;
                 fire t "pool_acquire" ~reason:"prewarm" ~cycles:0L ~nr:mem_size;
+                Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
                 (match hub t with
-                | Some h ->
-                    Telemetry.Hub.incr h "wasp_pool_hits_total";
-                    Telemetry.Hub.instant h "pool_prewarm_hit"
+                | Some h -> Telemetry.Hub.instant h "pool_prewarm_hit"
                 | None -> ());
                 (shell, true)
             | None ->
                 fire t "pool_acquire" ~reason:"miss" ~cycles:0L ~nr:mem_size;
-                (match hub t with
-                | Some h ->
-                    Telemetry.Hub.incr h "wasp_pool_misses_total";
-                    Telemetry.Hub.instant h "pool_miss"
-                | None -> ());
+                Kvmsim.Kvm.count t.sys "wasp_pool_misses_total";
+                (match hub t with Some h -> Telemetry.Hub.instant h "pool_miss" | None -> ());
                 (create_shell t ~mem_size ~mode, false)))
   in
   note_size t;
   result
 
 let release t shell =
-  t.stats.cleans <- t.stats.cleans + 1;
-  tincr t "wasp_pool_cleans_total";
+  Kvmsim.Kvm.count t.sys "wasp_pool_cleans_total";
   (* Drop every page reference and start a clean dirty generation: the
      host-side work is O(pages), but the simulated cost model still
      charges the memset this stands for — the cleaning the paper's
@@ -373,12 +358,11 @@ let release t shell =
         ~nr:shell.mem_size;
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
-      t.stats.background_cycles <- Int64.add t.stats.background_cycles (Int64.of_int cost);
+      t.background <- Int64.add t.background (Int64.of_int cost);
       (match hub t with
       | Some h ->
           Telemetry.Hub.instant h ~args:[ ("cycles", string_of_int cost) ] "async_clean";
-          Telemetry.Hub.set_gauge h "wasp_pool_background_cycles"
-            (Int64.to_float t.stats.background_cycles)
+          Telemetry.Hub.set_gauge h "wasp_pool_background_cycles" (Int64.to_float t.background)
       | None -> ());
       cache t shell
   | Async, Scheduled ->
@@ -400,7 +384,7 @@ let drain t ~core ~budget =
     let step = min p.remaining (budget - !spent) in
     p.remaining <- p.remaining - step;
     spent := !spent + step;
-    t.stats.background_cycles <- Int64.add t.stats.background_cycles (Int64.of_int step);
+    t.background <- Int64.add t.background (Int64.of_int step);
     if p.remaining = 0 then begin
       ignore (Queue.pop shard.reclaim);
       cache t p.p_shell
@@ -408,7 +392,7 @@ let drain t ~core ~budget =
     else continue_ := false
   done;
   if !spent > 0 then begin
-    tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles);
+    tgauge t "wasp_pool_background_cycles" (Int64.to_float t.background);
     note_reclaim t shard
   end;
   !spent

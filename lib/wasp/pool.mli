@@ -38,16 +38,25 @@ type reclaim_policy =
   | Scheduled  (** async clean deferred to the per-core reclaim queue *)
 
 type stats = {
-  mutable created : int;     (** shells built from scratch *)
-  mutable reused : int;      (** pool hits (including stalled and prewarm hits) *)
-  mutable cleans : int;
-  mutable background_cycles : int64;  (** async cleaning + prewarm work *)
-  mutable evicted : int;     (** shells dropped by LRU eviction *)
-  mutable clean_stalls : int;         (** acquires that waited on a clean *)
-  mutable stall_cycles : int64;       (** cycles spent in those waits *)
-  mutable prewarmed : int;            (** shells pre-built on idle cycles *)
-  mutable prewarm_hits : int;         (** acquires served from the prewarm queue *)
+  created : int;  (** shells built from scratch, by a miss or {!create_shell} *)
+  reused : int;
+      (** [wasp_pool_hits_total]: pool hits (including stalled and
+          prewarm hits) *)
+  cleans : int;  (** [wasp_pool_cleans_total] *)
+  background_cycles : int64;  (** async cleaning + prewarm work *)
+  evicted : int;  (** [wasp_pool_evictions_total]: shells dropped by LRU eviction *)
+  clean_stalls : int;
+      (** [wasp_pool_clean_stalls_total]: acquires that waited on a clean *)
+  stall_cycles : int64;  (** cycles spent in those waits *)
+  prewarmed : int;  (** [wasp_pool_prewarmed_total]: shells pre-built on idle cycles *)
+  prewarm_hits : int;
+      (** [wasp_pool_prewarm_hits_total]: acquires served from the
+          prewarm queue *)
 }
+(** A view, built by each {!stats} call: a field named beside a series
+    is that series' lifetime {!Kvmsim.Kvm.tally} on the pool's system;
+    [created] and the two cycle sums are plain fields, as no series
+    counts them. *)
 
 type prewarm = {
   pw_mem_size : int;   (** guest region size to pre-build *)

@@ -21,8 +21,6 @@ let sq_tail mem = Vm.Memory.read_u64 mem Layout.ring_sq_tail
 let cq_head mem = Vm.Memory.read_u64 mem Layout.ring_cq_head
 let cq_tail mem = Vm.Memory.read_u64 mem Layout.ring_cq_tail
 let set_sq_head mem v = Vm.Memory.write_u64 mem Layout.ring_sq_head v
-let set_sq_tail mem v = Vm.Memory.write_u64 mem Layout.ring_sq_tail v
-let set_cq_head mem v = Vm.Memory.write_u64 mem Layout.ring_cq_head v
 let set_cq_tail mem v = Vm.Memory.write_u64 mem Layout.ring_cq_tail v
 
 let read_sqe mem ~index =
@@ -35,25 +33,15 @@ let read_sqe mem ~index =
     link = f 7;
   }
 
-let write_sqe mem ~index (s : sqe) =
-  let base = sqe_addr index in
-  let f i v = Vm.Memory.write_u64 mem (base + (8 * i)) v in
-  f 0 (Int64.of_int s.nr);
-  f 1 s.flags;
-  Array.iteri (fun i v -> f (2 + i) v) s.args;
-  f 7 s.link
-
 let write_cqe mem ~index ~nr ~result =
   let base = cqe_addr index in
   Vm.Memory.write_u64 mem base result;
   Vm.Memory.write_u64 mem (base + 8) (Int64.of_int nr)
 
 let cqe_result mem ~index = Vm.Memory.read_u64 mem (cqe_addr index)
-let cqe_nr mem ~index = Int64.to_int (Vm.Memory.read_u64 mem (cqe_addr index + 8))
 
 let link_delta link = Int64.to_int (Int64.logand link 0xffL)
 let link_pos link = Int64.to_int (Int64.logand (Int64.shift_right_logical link 8) 0xffL)
-let make_link ~pos ~delta = Int64.of_int ((pos lsl 8) lor (delta land 0xff))
 
 type iov = { iov_ptr : int64; iov_len : int64 }
 

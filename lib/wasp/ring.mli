@@ -52,17 +52,13 @@ val sq_tail : Vm.Memory.t -> int64
 val cq_head : Vm.Memory.t -> int64
 val cq_tail : Vm.Memory.t -> int64
 val set_sq_head : Vm.Memory.t -> int64 -> unit
-val set_sq_tail : Vm.Memory.t -> int64 -> unit
-val set_cq_head : Vm.Memory.t -> int64 -> unit
 val set_cq_tail : Vm.Memory.t -> int64 -> unit
 
 (** {1 Descriptors} *)
 
 val read_sqe : Vm.Memory.t -> index:int64 -> sqe
-val write_sqe : Vm.Memory.t -> index:int64 -> sqe -> unit
 val write_cqe : Vm.Memory.t -> index:int64 -> nr:int -> result:int64 -> unit
 val cqe_result : Vm.Memory.t -> index:int64 -> int64
-val cqe_nr : Vm.Memory.t -> index:int64 -> int
 
 (** {1 Links}
 
@@ -72,7 +68,6 @@ val cqe_nr : Vm.Memory.t -> index:int64 -> int
 
 val link_delta : int64 -> int
 val link_pos : int64 -> int
-val make_link : pos:int -> delta:int -> int64
 
 (** {1 Vectored buffers} *)
 

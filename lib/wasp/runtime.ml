@@ -7,13 +7,13 @@ type clean_mode = [ `Sync | `Async ]
 type reset_mode = [ `Memcpy | `Cow ]
 
 type run_stats = {
-  mutable invocations : int;
-  mutable exited : int;
-  mutable faulted : int;
-  mutable fuel_exhausted : int;
-  mutable hypercalls : int;
-  mutable denied : int;
-  mutable snapshot_restores : int;
+  invocations : int;
+  exited : int;
+  faulted : int;
+  fuel_exhausted : int;
+  hypercalls : int;
+  denied : int;
+  snapshot_restores : int;
 }
 
 type t = {
@@ -27,7 +27,6 @@ type t = {
   mutable recorder : Profiler.Replay.t option;
   mutable last_flight : string option;
   reset : reset_mode;
-  run_stats : run_stats;
   retained : (string, Pool.shell) Hashtbl.t;
       (* CoW mode: one idle shell per snapshot key, kept dirty between
          invocations; the next restore rewrites only the dirty pages *)
@@ -55,16 +54,6 @@ let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `
     recorder = None;
     last_flight = None;
     reset;
-    run_stats =
-      {
-        invocations = 0;
-        exited = 0;
-        faulted = 0;
-        fuel_exhausted = 0;
-        hypercalls = 0;
-        denied = 0;
-        snapshot_restores = 0;
-      };
     retained = Hashtbl.create 8;
   }
 
@@ -83,7 +72,17 @@ let kvm t = t.sys
 let pool_stats t = Pool.stats t.pool
 let snapshots t = t.snapshot_store
 
-let stats t = t.run_stats
+let stats t =
+  let n name = Kvmsim.Kvm.tally t.sys name in
+  {
+    invocations = n "wasp_invocations_total";
+    exited = n "wasp_exited_total";
+    faulted = n "wasp_faulted_total";
+    fuel_exhausted = n "wasp_fuel_exhausted_total";
+    hypercalls = n "wasp_hypercalls_total";
+    denied = n "wasp_denied_hypercalls_total";
+    snapshot_restores = n "wasp_snapshot_restores_total";
+  }
 
 (* Observers live on the KVM system — the one attach point the pool
    reads too — so attaching here reaches every layer at once. *)
@@ -104,9 +103,6 @@ let set_fault_plan t plan = Kvmsim.Kvm.set_fault_plan t.sys plan
 (* Telemetry shims: all no-ops when no hub is attached. *)
 let tspan t ?args name f =
   match telemetry t with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
-
-let tincr t ?by name =
-  match telemetry t with None -> () | Some h -> Telemetry.Hub.incr h ?by name
 
 let tobserve t name v =
   match telemetry t with None -> () | Some h -> Telemetry.Hub.observe h name v
@@ -129,27 +125,15 @@ let drop_snapshot t ~key =
 
 let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls ~denied
     ~from_snapshot =
-  let s = t.run_stats in
-  s.invocations <- s.invocations + 1;
-  tincr t "wasp_invocations_total";
-  (match outcome_kind with
-  | `Exited ->
-      s.exited <- s.exited + 1;
-      tincr t "wasp_exited_total"
-  | `Faulted ->
-      s.faulted <- s.faulted + 1;
-      tincr t "wasp_faulted_total"
-  | `Fuel ->
-      s.fuel_exhausted <- s.fuel_exhausted + 1;
-      tincr t "wasp_fuel_exhausted_total");
-  s.hypercalls <- s.hypercalls + hypercalls;
-  s.denied <- s.denied + denied;
-  tincr t ~by:hypercalls "wasp_hypercalls_total";
-  tincr t ~by:denied "wasp_denied_hypercalls_total";
-  if from_snapshot then begin
-    s.snapshot_restores <- s.snapshot_restores + 1;
-    tincr t "wasp_snapshot_restores_total"
-  end
+  Kvmsim.Kvm.count t.sys "wasp_invocations_total";
+  Kvmsim.Kvm.count t.sys
+    (match outcome_kind with
+    | `Exited -> "wasp_exited_total"
+    | `Faulted -> "wasp_faulted_total"
+    | `Fuel -> "wasp_fuel_exhausted_total");
+  Kvmsim.Kvm.count t.sys ~by:hypercalls "wasp_hypercalls_total";
+  Kvmsim.Kvm.count t.sys ~by:denied "wasp_denied_hypercalls_total";
+  if from_snapshot then Kvmsim.Kvm.count t.sys "wasp_snapshot_restores_total"
 
 type outcome = Exited of int64 | Faulted of Vm.Cpu.fault | Fuel_exhausted
 
@@ -179,7 +163,8 @@ let capture_snapshot t ~key ~mem ~cpu ~native_state =
       let evicted = Snapshot_store.evictions store in
       let footprint = Snapshot_store.capture store ~key ~mem ~cpu ~native_state in
       let evicted = Snapshot_store.evictions store - evicted in
-      if evicted > 0 then tincr t ~by:evicted "wasp_snapshot_store_evictions_total";
+      if evicted > 0 then
+        Kvmsim.Kvm.count t.sys ~by:evicted "wasp_snapshot_store_evictions_total";
       note_snapshot_store t;
       charge t
         (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
@@ -317,7 +302,7 @@ type drain_outcome = Drain_done of int64 | Drain_fault of Vm.Cpu.fault
    of a full exit/entry round trip: that difference is the entire point
    of the ring. See docs/hypercalls.md for the ABI. *)
 let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel_left =
-  tincr t "wasp_ring_enters_total";
+  Kvmsim.Kvm.count t.sys "wasp_ring_enters_total";
   inv.hypercalls <- inv.hypercalls + 1;
   let fire_ring site ~reason ~cycles ~nr =
     ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr site)
@@ -326,7 +311,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
      guest write: the whole doorbell completes as a contained guest
      fault (retryable under supervision), with a black-box dump. *)
   let corrupt reason =
-    tincr t "wasp_ring_corrupt_total";
+    Kvmsim.Kvm.count t.sys "wasp_ring_corrupt_total";
     (match Kvmsim.Kvm.flight t.sys with
     | Some fr -> t.last_flight <- Some (Profiler.Flight.dump fr ~reason)
     | None -> ());
@@ -472,7 +457,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
            Ring.set_cq_tail mem !i
          done
        with Fuel_stop -> ());
-      tincr t ~by:!completed "wasp_ring_ops_total";
+      Kvmsim.Kvm.count t.sys ~by:!completed "wasp_ring_ops_total";
       tobserve t "wasp_ring_batch_size" (Int64.of_int !completed);
       Drain_done (Int64.of_int !completed)
     end

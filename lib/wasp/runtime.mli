@@ -86,18 +86,19 @@ val drop_snapshot : t -> key:string -> unit
 (** Forget a captured snapshot (e.g. the image changed). *)
 
 type run_stats = {
-  mutable invocations : int;
-  mutable exited : int;          (** clean exits *)
-  mutable faulted : int;         (** contained guest faults *)
-  mutable fuel_exhausted : int;  (** runaway guests killed *)
-  mutable hypercalls : int;      (** across all invocations *)
-  mutable denied : int;
-  mutable snapshot_restores : int;
+  invocations : int;        (** [wasp_invocations_total] *)
+  exited : int;             (** [wasp_exited_total]: clean exits *)
+  faulted : int;            (** [wasp_faulted_total]: contained guest faults *)
+  fuel_exhausted : int;     (** [wasp_fuel_exhausted_total]: runaway guests killed *)
+  hypercalls : int;         (** [wasp_hypercalls_total], across all invocations *)
+  denied : int;             (** [wasp_denied_hypercalls_total] *)
+  snapshot_restores : int;  (** [wasp_snapshot_restores_total] *)
 }
 
 val stats : t -> run_stats
 (** Aggregate counters across every invocation this runtime has run
-    (images and native payloads). *)
+    (images and native payloads): a view, built by each call, of the
+    lifetime {!Kvmsim.Kvm.tally} of the series named beside each field. *)
 
 val set_telemetry : t -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub — it must have been created with

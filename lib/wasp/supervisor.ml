@@ -33,12 +33,12 @@ let default_config =
   }
 
 type stats = {
-  mutable supervised : int;
-  mutable succeeded : int;
-  mutable failed : int;
-  mutable retries : int;
-  mutable backoff_cycles : int64;
-  mutable quarantine_rejections : int;
+  supervised : int;
+  succeeded : int;
+  failed : int;
+  retries : int;
+  backoff_cycles : int64;
+  quarantine_rejections : int;
 }
 
 type outcome = {
@@ -54,7 +54,8 @@ type streak = { mutable failures : int; mutable until : int64 }
 type t = {
   rt : Runtime.t;
   config : config;
-  stats : stats;
+  mutable successes : int;
+  mutable backoff : int64;
   streaks : (string, streak) Hashtbl.t;
   mutable slo : Telemetry.Slo.t option;
 }
@@ -69,21 +70,24 @@ let create ?(config = default_config) rt =
   {
     rt;
     config;
-    stats =
-      {
-        supervised = 0;
-        succeeded = 0;
-        failed = 0;
-        retries = 0;
-        backoff_cycles = 0L;
-        quarantine_rejections = 0;
-      };
+    successes = 0;
+    backoff = 0L;
     streaks = Hashtbl.create 8;
     slo = None;
   }
 
 let runtime t = t.rt
-let stats t = t.stats
+
+let stats t =
+  let n name = Kvmsim.Kvm.tally (Runtime.kvm t.rt) name in
+  {
+    supervised = n "wasp_supervised_total";
+    succeeded = t.successes;
+    failed = n "wasp_supervised_failures_total";
+    retries = n "wasp_retries_total";
+    backoff_cycles = t.backoff;
+    quarantine_rejections = n "wasp_quarantine_rejections_total";
+  }
 
 let set_slo t slo = t.slo <- slo
 
@@ -93,19 +97,6 @@ let slo_record t ~good =
   match t.slo with None -> () | Some s -> Telemetry.Slo.record s ~good
 
 let now t = Cycles.Clock.now (Runtime.clock t.rt)
-
-let tincr t ?by name =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h -> Telemetry.Hub.incr h ?by name
-
-let tincr_labeled t name ~help ~label =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help name);
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help ~labels:[ label ] name)
 
 let tinstant t ?args name =
   match Runtime.telemetry t.rt with
@@ -154,9 +145,11 @@ let release_quarantine t ~key =
    class). Grow the image's failure streak; past the threshold the image
    is quarantined until the cooldown elapses on the virtual clock. *)
 let note_failure t key class_ =
-  t.stats.failed <- t.stats.failed + 1;
-  tincr_labeled t "wasp_supervised_failures_total" ~help:"supervised invocations failed"
-    ~label:("class", error_class_to_string class_);
+  let sys = Runtime.kvm t.rt and help = "supervised invocations failed" in
+  Kvmsim.Kvm.count sys ~help "wasp_supervised_failures_total";
+  Kvmsim.Kvm.count sys ~help
+    ~labels:[ ("class", error_class_to_string class_) ]
+    "wasp_supervised_failures_total";
   let s = streak_for t key in
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
@@ -169,7 +162,7 @@ let note_failure t key class_ =
   note_quarantine_gauge t
 
 let note_success t key =
-  t.stats.succeeded <- t.stats.succeeded + 1;
+  t.successes <- t.successes + 1;
   let s = streak_for t key in
   s.failures <- 0;
   s.until <- 0L;
@@ -201,8 +194,7 @@ let backoff_for t ~retry =
 
 let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   let key = match key with Some k -> k | None -> image.Image.name in
-  t.stats.supervised <- t.stats.supervised + 1;
-  tincr t "wasp_supervised_total";
+  Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_supervised_total";
   let tspan ?(sargs = []) name f =
     match Runtime.telemetry t.rt with
     | None -> f ()
@@ -214,8 +206,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   tspan ~sargs:[ ("key", key) ] "supervised" @@ fun () ->
   let start = now t in
   if quarantined t ~key then begin
-    t.stats.quarantine_rejections <- t.stats.quarantine_rejections + 1;
-    tincr t "wasp_quarantine_rejections_total";
+    Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_quarantine_rejections_total";
     fire t "sup_quarantine" ~fn:key ~reason:"reject" ~cycles:0L ~nr:0;
     slo_record t ~good:false;
     {
@@ -248,9 +239,8 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
           let d = backoff_for t ~retry:(k - 1) in
           Cycles.Clock.advance_int (Runtime.clock t.rt) d;
           backoff_total := !backoff_total + d;
-          t.stats.retries <- t.stats.retries + 1;
-          t.stats.backoff_cycles <- Int64.add t.stats.backoff_cycles (Int64.of_int d);
-          tincr t "wasp_retries_total";
+          t.backoff <- Int64.add t.backoff (Int64.of_int d);
+          Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_retries_total";
           tinstant t
             ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
             "supervisor_retry";

@@ -52,13 +52,20 @@ type config = {
 val default_config : config
 
 type stats = {
-  mutable supervised : int;  (** supervised invocations started *)
-  mutable succeeded : int;
-  mutable failed : int;  (** invocations that exhausted their attempts *)
-  mutable retries : int;  (** attempts beyond the first, in total *)
-  mutable backoff_cycles : int64;  (** virtual cycles spent backing off *)
-  mutable quarantine_rejections : int;
+  supervised : int;  (** [wasp_supervised_total]: supervised invocations started *)
+  succeeded : int;
+  failed : int;
+      (** [wasp_supervised_failures_total]: invocations that exhausted
+          their attempts or failed terminally *)
+  retries : int;  (** [wasp_retries_total]: attempts beyond the first, in total *)
+  backoff_cycles : int64;  (** virtual cycles spent backing off *)
+  quarantine_rejections : int;  (** [wasp_quarantine_rejections_total] *)
 }
+(** A view, built by each {!stats} call. A field named beside a series
+    is that series' lifetime {!Kvmsim.Kvm.tally} on the runtime's KVM
+    system, so it counts every supervisor of that runtime;
+    [succeeded] and [backoff_cycles] are this supervisor's plain fields,
+    as no series counts them. *)
 
 type outcome = {
   result : (Runtime.result, error_class * string) Stdlib.result;

@@ -437,6 +437,223 @@ let test_one_attach_point () =
   Alcotest.(check bool) "detach reaches the system" true
     (Kvmsim.Kvm.telemetry (Wasp.Runtime.kvm w) = None)
 
+(* --- one set of counters --------------------------------------------- *)
+
+(* A scenario on one runtime that bumps every series a typed view reads:
+   two injection sites, supervisor retries, a failure and a quarantine
+   rejection, a denied hypercall, a fault, fuel exhaustion, CoW snapshot
+   restores, pool hits, a clean stall, an eviction, a prewarm hit, and
+   gateway shed and breaker rejections. [midway] runs between its two
+   halves. Returns the supervisor and gateway the views are read from. *)
+let counter_scenario ?(midway = fun _ _ -> ()) w =
+  let module R = Wasp.Runtime in
+  let module S = Wasp.Supervisor in
+  let plan =
+    Cycles.Fault_plan.create
+      [
+        (Kvmsim.Kvm.site_provision_fail, Cycles.Fault_plan.Every { start = 0; interval = 0 });
+        (Kvmsim.Kvm.site_spurious_exit, Cycles.Fault_plan.Every { start = 0; interval = 4 });
+      ]
+  in
+  R.set_fault_plan w (Some plan);
+  let sup =
+    S.create
+      ~config:{ S.default_config with S.max_retries = 1; quarantine_threshold = 1 }
+      w
+  in
+  let platform = Serverless.Vespid.create w in
+  Serverless.Vespid.register platform ~name:"boom"
+    ~source:"function boom(d) { return nothing_here(); }" ~entry:"boom";
+  let g =
+    Serverless.Gateway.create
+      ~breaker:{ Serverless.Gateway.failure_threshold = 1; cooldown = Int64.max_int }
+      ~shed:{ Serverless.Gateway.burst = 2; refill_per_s = 1e-9 }
+      platform
+  in
+  let asm ?mem_size name src = Wasp.Image.of_asm_string ?mem_size ~name src in
+  let hlt ?mem_size () = asm ?mem_size "hlt" "hlt" in
+  (* the failed provision is retried *)
+  ignore (S.run sup (hlt ()) ~key:"ok" ());
+  (* one allowed and one denied hypercall *)
+  ignore
+    (R.run w
+       (asm "denied" "mov r0, 12\nout 1, r0\nmov r0, 0\nout 1, r0\nhlt")
+       ~policy:(Wasp.Policy.of_list [ Wasp.Hc.exit_ ])
+       ());
+  (* a fault on every attempt fails the key, which is then quarantined *)
+  let wild = asm "wild" "mov r1, 0x7ffffff0\nld64 r0, [r1]\nhlt" in
+  ignore (S.run sup wild ~key:"bad" ());
+  ignore (S.run sup wild ~key:"bad" ());
+  ignore (R.run w (asm "spin" "spin:\n  jmp spin") ~fuel:1_000 ());
+  midway sup g;
+  let snap =
+    asm "snap"
+      "mov r0, 6\nout 1, r0\nmov r1, 0x1000\nmov r2, 7\nst64 [r1], r2\nmov r0, 0\nout 1, r0"
+  in
+  let snap_policy = Wasp.Policy.of_list [ Wasp.Hc.snapshot ] in
+  for _ = 1 to 3 do
+    ignore (R.run w snap ~policy:snap_policy ~snapshot_key:"snap" ())
+  done;
+  R.set_reclaim_policy w Wasp.Pool.Scheduled;
+  ignore (R.run w (hlt ()) ());
+  (* the shell is still on the reclaim queue: this acquire stalls *)
+  ignore (R.run w (hlt ()) ());
+  ignore (R.run w (hlt ~mem_size:0x20000 ()) ());
+  (* two drained shells, one slot per shard: one is evicted *)
+  ignore (R.drain_reclaim w ~core:0 ~budget:max_int);
+  R.set_prewarm w
+    (Some { Wasp.Pool.pw_mem_size = 0x30000; pw_mode = Vm.Modes.Long; pw_target = 1 });
+  ignore (R.prewarm_step w ~core:0 ~budget:max_int);
+  ignore (R.run w (hlt ~mem_size:0x30000 ()) ());
+  (* a failure opens the breaker, which refuses the next request; the
+     bucket is then empty, so the third is shed *)
+  for _ = 1 to 3 do
+    ignore
+      (Serverless.Gateway.handle g
+         (Vhttp.Http.request_to_string
+            (Vhttp.Http.make_request ~body:"x" "POST" "/invoke/boom")))
+  done;
+  (sup, g)
+
+(* Each typed view field beside the hub counter it counts. *)
+let counter_views w sup g =
+  let k = Kvmsim.Kvm.stats (Wasp.Runtime.kvm w) in
+  let r = Wasp.Runtime.stats w in
+  let p = Wasp.Runtime.pool_stats w in
+  let s = Wasp.Supervisor.stats sup in
+  [
+    ("runs", k.Kvmsim.Kvm.runs, "kvm_runs_total");
+    ("io_exits", k.io_exits, "kvm_io_exits_total");
+    ("fault_exits", k.fault_exits, "kvm_fault_exits_total");
+    ("ept_violations", k.ept_violations, "kvm_ept_violations_total");
+    ("injected_faults", k.injected_faults, "wasp_faults_injected_total");
+    ("invocations", r.Wasp.Runtime.invocations, "wasp_invocations_total");
+    ("exited", r.exited, "wasp_exited_total");
+    ("faulted", r.faulted, "wasp_faulted_total");
+    ("fuel_exhausted", r.fuel_exhausted, "wasp_fuel_exhausted_total");
+    ("hypercalls", r.hypercalls, "wasp_hypercalls_total");
+    ("denied", r.denied, "wasp_denied_hypercalls_total");
+    ("snapshot_restores", r.snapshot_restores, "wasp_snapshot_restores_total");
+    ("reused", p.Wasp.Pool.reused, "wasp_pool_hits_total");
+    ("cleans", p.cleans, "wasp_pool_cleans_total");
+    ("evicted", p.evicted, "wasp_pool_evictions_total");
+    ("clean_stalls", p.clean_stalls, "wasp_pool_clean_stalls_total");
+    ("prewarmed", p.prewarmed, "wasp_pool_prewarmed_total");
+    ("prewarm_hits", p.prewarm_hits, "wasp_pool_prewarm_hits_total");
+    ("supervised", s.Wasp.Supervisor.supervised, "wasp_supervised_total");
+    ("failed", s.failed, "wasp_supervised_failures_total");
+    ("retries", s.retries, "wasp_retries_total");
+    ("quarantine_rejections", s.quarantine_rejections, "wasp_quarantine_rejections_total");
+    ("shed_count", Serverless.Gateway.shed_count g, "gateway_shed_total");
+    ( "breaker_rejections",
+      Serverless.Gateway.breaker_rejections g,
+      "gateway_breaker_rejections_total" );
+  ]
+
+(* The counter series of [name] in [hub], by label set. *)
+let counter_series hub name =
+  List.filter_map
+    (function
+      | Telemetry.Metrics.Counter c when String.equal c.Telemetry.Metrics.c_name name ->
+          Some (c.c_labels, c.c_value)
+      | _ -> None)
+    (Telemetry.Metrics.to_list (Telemetry.Hub.metrics hub))
+
+let counter_total hub name =
+  Option.value ~default:0 (List.assoc_opt [] (counter_series hub name))
+
+let exit_series hub =
+  List.map
+    (fun (labels, v) -> (List.assoc "reason" labels, v))
+    (counter_series hub "kvm_exits_total")
+  |> List.sort compare
+
+let with_hub w =
+  let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
+  Wasp.Runtime.set_telemetry w (Some hub);
+  hub
+
+let counter_runtime () =
+  Wasp.Runtime.create ~seed:0xC0C0 ~clean:`Async ~reset:`Cow ~pool_capacity:1 ()
+
+(* The typed stats records and the hub's counters are one set of counts:
+   with a hub attached from the start they agree field for field; a hub
+   attached later counts only what follows it, while the views keep
+   lifetime totals; a fresh hub after a detach starts from zero. *)
+let test_counter_contract () =
+  let w = counter_runtime () in
+  let hub = with_hub w in
+  let sup, g = counter_scenario w in
+  let views = counter_views w sup g in
+  List.iter
+    (fun (field, v, series) ->
+      Alcotest.(check bool) (field ^ " is exercised") true (v > 0);
+      Alcotest.(check int) (field ^ " = " ^ series) v (counter_total hub series))
+    views;
+  Alcotest.(check (list string)) "injections at two sites"
+    [ Kvmsim.Kvm.site_provision_fail; Kvmsim.Kvm.site_spurious_exit ]
+    (List.filter_map
+       (fun (labels, _) -> List.assoc_opt "site" labels)
+       (counter_series hub "wasp_faults_injected_total"));
+  let reasons = Kvmsim.Kvm.exit_reason_counts (Wasp.Runtime.kvm w) in
+  Alcotest.(check (list (pair string int)))
+    "exit_reason_counts = kvm_exits_total{reason}" (exit_series hub) reasons;
+  List.iter
+    (fun reason ->
+      Alcotest.(check bool) (reason ^ " exits counted") true (List.mem_assoc reason reasons))
+    [ "hlt"; "hypercall"; "fault"; "fuel" ];
+  (* the same scenario, observed only from its midpoint *)
+  let w2 = counter_runtime () in
+  let sys2 = Wasp.Runtime.kvm w2 in
+  let late = ref None and at_attach = ref [] and exits_at_attach = ref [] in
+  let sup2, g2 =
+    counter_scenario w2 ~midway:(fun sup g ->
+        at_attach := counter_views w2 sup g;
+        exits_at_attach := Kvmsim.Kvm.exit_reason_counts sys2;
+        late := Some (with_hub w2))
+  in
+  let late = Option.get !late in
+  let views2 = counter_views w2 sup2 g2 in
+  let invocations views = List.assoc "invocations" (List.map (fun (f, v, _) -> (f, v)) views) in
+  Alcotest.(check bool) "invocations on both sides of the attach" true
+    (invocations !at_attach > 0 && invocations views2 > invocations !at_attach);
+  List.iter2
+    (fun (field, v, series) ((_, v2, _), (_, v0, _)) ->
+      Alcotest.(check int) (field ^ " keeps its lifetime total") v v2;
+      Alcotest.(check int) (series ^ " counts from the attach") (v2 - v0)
+        (counter_total late series))
+    views
+    (List.combine views2 !at_attach);
+  let exits_since =
+    List.filter_map
+      (fun (reason, n) ->
+        let d = n - Option.value ~default:0 (List.assoc_opt reason !exits_at_attach) in
+        if d > 0 then Some (reason, d) else None)
+      (Kvmsim.Kvm.exit_reason_counts sys2)
+  in
+  Alcotest.(check (list (pair string int)))
+    "kvm_exits_total{reason} counts from the attach" exits_since (exit_series late);
+  (* detached, nothing reaches the late hub; a fresh one starts at zero *)
+  Wasp.Runtime.set_telemetry w2 None;
+  let hlt = Wasp.Image.of_asm_string ~name:"hlt" "hlt" in
+  ignore (Wasp.Runtime.run w2 hlt ());
+  let late_invocations = counter_total late "wasp_invocations_total" in
+  let before_fresh = counter_views w2 sup2 g2 in
+  let fresh = with_hub w2 in
+  Alcotest.(check int) "a fresh hub holds no counter" 0
+    (List.length
+       (List.filter
+          (function Telemetry.Metrics.Counter _ -> true | _ -> false)
+          (Telemetry.Metrics.to_list (Telemetry.Hub.metrics fresh))));
+  ignore (Wasp.Runtime.run w2 hlt ());
+  List.iter2
+    (fun (_, v1, series) (_, v0, _) ->
+      Alcotest.(check int) (series ^ " starts at zero in a fresh hub") (v1 - v0)
+        (counter_total fresh series))
+    (counter_views w2 sup2 g2) before_fresh;
+  Alcotest.(check int) "the detached hub saw nothing more" late_invocations
+    (counter_total late "wasp_invocations_total")
+
 (* --- pool + kvm metrics ----------------------------------------------- *)
 
 let test_pool_and_kvm_metrics () =
@@ -1141,6 +1358,7 @@ let () =
         [
           Alcotest.test_case "span stamps monotone" `Quick test_span_stamps_monotone;
           Alcotest.test_case "one attach point" `Quick test_one_attach_point;
+          Alcotest.test_case "one set of counters" `Quick test_counter_contract;
           Alcotest.test_case "pool and kvm metrics" `Quick test_pool_and_kvm_metrics;
           Alcotest.test_case "paged-memory gauges" `Quick test_memory_gauges;
         ] );

@@ -159,6 +159,14 @@ let test_mask_policy () =
   Alcotest.(check bool) "open denied" false (allows p Wasp.Hc.open_);
   Alcotest.(check bool) "exit always" true (allows p Wasp.Hc.exit_)
 
+let test_hc_of_name () =
+  for n = 0 to Wasp.Hc.count - 1 do
+    Alcotest.(check (option int)) (Wasp.Hc.name n) (Some n) (Wasp.Hc.of_name (Wasp.Hc.name n))
+  done;
+  List.iter
+    (fun s -> Alcotest.(check (option int)) s None (Wasp.Hc.of_name s))
+    [ "raed"; ""; "READ"; Wasp.Hc.name Wasp.Hc.count ]
+
 let test_custom_policy_predicate () =
   let p = Wasp.Policy.Custom (fun nr -> nr = Wasp.Hc.stat) in
   Alcotest.(check bool) "stat" true (Wasp.Policy.allows p Wasp.Hc.stat);
@@ -883,6 +891,7 @@ let () =
           Alcotest.test_case "exit always allowed" `Quick test_exit_always_allowed;
           Alcotest.test_case "allow all" `Quick test_allow_all_policy;
           Alcotest.test_case "mask" `Quick test_mask_policy;
+          Alcotest.test_case "hypercall names round-trip" `Quick test_hc_of_name;
           Alcotest.test_case "custom predicate" `Quick test_custom_policy_predicate;
           Alcotest.test_case "custom handler" `Quick test_custom_handler_overrides;
           Alcotest.test_case "denials counted" `Quick test_denied_hypercalls_counted_separately;
