@@ -9,7 +9,7 @@ BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings fig14 udf aes fig15
 .PHONY: all check test bench bench-json bench-baselines bench-gate \
 	trace-smoke sched-smoke profiler-smoke chaos-smoke slo-smoke \
 	explain-smoke translate-smoke vtrace-smoke ring-smoke \
-	fuzz-smoke fuzz-fixtures fuzz-nightly lib-delta fmt clean
+	fuzz-smoke fuzz-fixtures fuzz-nightly lib-delta golden fmt clean
 
 all:
 	dune build
@@ -195,6 +195,13 @@ lib-delta:
 	    printf '%s\t0\t%s\n' "$$(wc -l < "$$f")" "$$f"; done; } \
 	| awk '$$1 != "-" { a += $$1; r += $$2 } \
 	  END { printf "lib/ delta vs $(BASE): +%d -%d net %+d\n", a, r, a - r }'
+
+# byte identity against BASE (default HEAD), for refactors: BASE is
+# extracted with git archive and built beside the working tree, and the
+# trace/explain/profile/chaos/ring smoke runs, the fig12 trace, all 19
+# figures' BENCH_*.json and a 25-iteration fuzz campaign must match
+golden:
+	sh bench/golden.sh $(BASE)
 
 # formatting gate; skipped gracefully where ocamlformat is not installed
 # (CI always runs it)

@@ -539,7 +539,7 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
                   print_newline ();
                   print_string
                     (Profiler.Explain.slowest ~n:explain_slowest ~hub:h
-                       ?flight:(Wasp.Runtime.flight w) ())
+                       ~flight:(Wasp.Runtime.flight w) ())
               | _ -> ());
               (match plan with
               | Some p ->

@@ -71,17 +71,16 @@ let flight_kind_name (k : Profiler.Flight.kind) =
 (* Exit-kind edges: consecutive flight-ring entries as (from, to)
    pairs — the control-flow-sensitive half of the exit signal. *)
 let flight_features flight =
-  match flight with
-  | None -> []
-  | Some fl ->
-      let kinds = List.map (fun e -> flight_kind_name e.Profiler.Flight.kind) (Profiler.Flight.entries fl) in
-      let rec edges acc = function
-        | a :: (b :: _ as rest) -> edges (("edge:" ^ a ^ ">" ^ b) :: acc) rest
-        | _ -> acc
-      in
-      (* edges as presence features (no counts): the ring is bounded,
-         so counting would make coverage depend on ring capacity *)
-      List.sort_uniq compare (edges [] kinds)
+  let kinds =
+    List.map (fun e -> flight_kind_name e.Profiler.Flight.kind) (Profiler.Flight.entries flight)
+  in
+  let rec edges acc = function
+    | a :: (b :: _ as rest) -> edges (("edge:" ^ a ^ ">" ^ b) :: acc) rest
+    | _ -> acc
+  in
+  (* edges as presence features (no counts): the ring is bounded,
+     so counting would make coverage depend on ring capacity *)
+  List.sort_uniq compare (edges [] kinds)
 
 let kvm_features sys =
   List.map (fun (reason, n) -> feature ("exit:" ^ reason) n) (Kvmsim.Kvm.exit_reason_counts sys)

@@ -23,7 +23,7 @@ val feature : string -> int -> string
 
 val log2_bucket : int -> int
 
-val flight_features : Profiler.Flight.t option -> string list
+val flight_features : Profiler.Flight.t -> string list
 (** Exit-kind edge pairs from the flight ring, deduplicated (presence,
     not counts: the ring is bounded). *)
 

@@ -19,7 +19,7 @@ type system = {
   mutable vms_built : int;
   mutable vcpus_built : int;
   mutable telemetry : Telemetry.Hub.t option;
-  mutable flight : Profiler.Flight.t option;
+  flight : Profiler.Flight.t;  (* every VM exit, always: recording charges no cycles *)
   mutable active_cpu : Vm.Cpu.t option;
       (* vCPU inside KVM_RUN right now: EPT violations taken from guest
          stores are stamped with its PC in the flight ring *)
@@ -63,8 +63,9 @@ type run_exit =
   | Fault of Vm.Cpu.fault
   | Out_of_fuel
 
-let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
+let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?flight_capacity () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
+  let flight = Profiler.Flight.create ?capacity:flight_capacity () in
   {
     clocks = Array.init cores (fun _ -> Cycles.Clock.create ?freq_ghz ());
     cur = 0;
@@ -74,7 +75,7 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) () =
     vms_built = 0;
     vcpus_built = 0;
     telemetry = None;
-    flight = None;
+    flight;
     active_cpu = None;
     plan = None;
     probes = None;
@@ -90,14 +91,18 @@ let core_clock sys core =
   if core < 0 || core >= Array.length sys.clocks then invalid_arg "Kvm.core_clock: no such core";
   sys.clocks.(core)
 
+(* The attached hub stamps with the current core's clock and id. *)
+let retarget_hub sys =
+  match sys.telemetry with
+  | Some h ->
+      Telemetry.Hub.set_clock h sys.clocks.(sys.cur);
+      Telemetry.Hub.set_core h sys.cur
+  | None -> ()
+
 let set_core sys core =
   if core < 0 || core >= Array.length sys.clocks then invalid_arg "Kvm.set_core: no such core";
   sys.cur <- core;
-  match sys.telemetry with
-  | Some h ->
-      Telemetry.Hub.set_clock h sys.clocks.(core);
-      Telemetry.Hub.set_core h core
-  | None -> ()
+  retarget_hub sys
 
 let rng sys = sys.rng
 
@@ -106,6 +111,7 @@ let rng sys = sys.rng
    attach. *)
 let set_telemetry sys hub =
   sys.telemetry <- hub;
+  retarget_hub sys;
   Hashtbl.iter (fun _ s -> s.in_hub <- None) sys.series
 
 let telemetry sys = sys.telemetry
@@ -177,11 +183,9 @@ let exit_reason_counts sys =
   Hashtbl.fold (fun reason s acc -> (reason, s.total) :: acc) sys.exits []
   |> List.sort compare
 
-let set_flight sys fr = sys.flight <- fr
 let flight sys = sys.flight
 
 let set_fault_plan sys plan = sys.plan <- plan
-let fault_plan sys = sys.plan
 
 (* Trace id of the request currently on-CPU, so black-box entries and
    probe contexts are greppable by trace. None when tracing is off or no
@@ -191,13 +195,32 @@ let active_trace sys =
   | None -> None
   | Some h -> Telemetry.Hub.current_trace h
 
-let fire sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
+(* Spans, instants, gauges and histogram samples: each reaches the
+   attached hub, if any, from here and from nowhere else. *)
+let span sys ?args name f =
+  match sys.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
+
+let instant sys ?args name =
+  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.instant h ?args name
+
+let gauge sys ?help ?labels name v =
+  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.set_gauge h ?help ?labels name v
+
+let sample sys ?labels name v =
+  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.observe h ?labels name v
+
+(* How many probes matched; 0, with no context built, when no engine is
+   attached. *)
+let matches sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
   match sys.probes with
   | None -> 0
   | Some e ->
       Vtrace.Engine.fire e
         (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ?fn ?pc ?reason ?cycles
            ?fuel ?nr site)
+
+let fire sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
+  ignore (matches sys ?fn ?pc ?reason ?cycles ?fuel ?nr site)
 
 let set_hc_port sys port = sys.hc_port <- port
 
@@ -206,7 +229,7 @@ let set_probes sys e =
   Vm.Translate.set_block_hook sys.trans
     (match e with
     | Some eng when Vtrace.Engine.wants eng "block" ->
-        Some (fun ~pc -> ignore (fire sys ~pc "block"))
+        Some (fun ~pc -> fire sys ~pc "block")
     | _ -> None)
 
 let probes sys = sys.probes
@@ -245,16 +268,11 @@ let observe sys ~pc ?cycles ?fuel (kind : Profiler.Flight.kind) =
       count sys ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"
   | Halt | Fuel -> ());
   if is_exit then bump sys (exit_series sys reason);
-  (match sys.flight with
-  | None -> ()
-  | Some fr ->
-      Profiler.Flight.record fr ?trace:(active_trace sys)
-        ~at:(Cycles.Clock.now (clock sys))
-        ~core:sys.cur ~pc kind);
-  if fire sys ~pc ~reason ?cycles ?fuel ~nr site > 0 && is_exit then
-    match sys.flight with
-    | None -> ()
-    | Some fr -> Profiler.Flight.append_note fr "vtrace"
+  Profiler.Flight.record sys.flight ?trace:(active_trace sys)
+    ~at:(Cycles.Clock.now (clock sys))
+    ~core:sys.cur ~pc kind;
+  if matches sys ~pc ~reason ?cycles ?fuel ~nr site > 0 && is_exit then
+    Profiler.Flight.append_note sys.flight "vtrace"
 
 (* One injection fired: counted, recorded in the black box (stamped
    with the active guest PC when there is one) and fired at the
@@ -271,14 +289,11 @@ let plan_fires sys site =
       if fire then note_injection sys site;
       fire
 
-let kspan sys name f =
-  match sys.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h name f
-
 let charge sys cycles = Cycles.Clock.advance_int (clock sys) (Cycles.Costs.jitter sys.rng ~pct:0.05 cycles)
 
 let create_vm sys =
   count sys "kvm_vm_creations_total";
-  kspan sys "kvm_create_vm" (fun () ->
+  span sys "kvm_create_vm" (fun () ->
       (* fault plan: KVM_CREATE_VM can fail (the kernel's VMCS/VMCB
          allocation returning ENOMEM). The failed ioctl still pays its
          syscall round trip; the in-kernel allocation is never reached. *)
@@ -307,7 +322,7 @@ let on_page_fault sys ~shared ~page =
 
 let set_user_memory_region vm ~size =
   (* the EPT/memslot build transition *)
-  kspan vm.sys "kvm_memory_region" (fun () ->
+  span vm.sys "kvm_memory_region" (fun () ->
       charge vm.sys Cycles.Costs.kvm_memory_region;
       let mem = Vm.Memory.create ~size in
       Vm.Memory.set_fault_hook mem
@@ -324,7 +339,7 @@ let vm_system vm = vm.sys
 
 let create_vcpu vm ~mode =
   count vm.sys "kvm_vcpu_creations_total";
-  kspan vm.sys "kvm_create_vcpu" (fun () ->
+  span vm.sys "kvm_create_vcpu" (fun () ->
       charge vm.sys Cycles.Costs.kvm_create_vcpu;
       vm.sys.vcpus_built <- vm.sys.vcpus_built + 1;
       (* the vCPU charges the clock of the core that created it: shells
@@ -350,7 +365,7 @@ let run ?fuel v =
   count sys "kvm_runs_total";
   let t0 = Cycles.Clock.now (clock sys) in
   let exit =
-    kspan sys "vcpu_run" (fun () ->
+    span sys "vcpu_run" (fun () ->
         charge sys (Cycles.Costs.ioctl_syscall + Cycles.Costs.kvm_run_checks + Cycles.Costs.vmentry);
         sys.active_cpu <- Some v.cpu;
         let exit =

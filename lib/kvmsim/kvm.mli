@@ -73,7 +73,7 @@ exception Injected_failure of string
     Injected costs are charged {e without} jitter, so a chaos run under
     the same plan and seed replays cycle-for-cycle. Each fire counts
     [wasp_faults_injected_total] (plain and [site]-labeled) and leaves
-    an [INJECTED] entry in the attached flight ring. *)
+    an [INJECTED] entry in the system's {!flight} ring. *)
 
 val site_spurious_exit : string
 val site_ept_storm : string
@@ -87,8 +87,6 @@ val set_fault_plan : system -> Cycles.Fault_plan.t option -> unit
     opportunities are consumed; use {!Cycles.Fault_plan.copy} to arm an
     identical fresh plan elsewhere. *)
 
-val fault_plan : system -> Cycles.Fault_plan.t option
-
 val plan_fires : system -> string -> bool
 (** Consume one opportunity at the named site against the armed plan
     (false when none is armed). A fire does the injection bookkeeping —
@@ -96,11 +94,13 @@ val plan_fires : system -> string -> bool
     applies the consequence. Exposed for sites that live above the KVM
     layer (the runtime's {!site_snapshot_corrupt}). *)
 
-val open_dev : ?seed:int -> ?freq_ghz:float -> ?cores:int -> unit -> system
+val open_dev :
+  ?seed:int -> ?freq_ghz:float -> ?cores:int -> ?flight_capacity:int -> unit -> system
 (** [cores] (default 1) gives the system that many per-core virtual
     clocks; all charges land on the {e current} core's clock (see
     {!set_core}). Guests execute through one {!Vm.Translate} cache per
-    system, shared by all its vCPUs. *)
+    system, shared by all its vCPUs. [flight_capacity] sizes the
+    system's {!flight} ring (default 128, see {!Profiler.Flight.create}). *)
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)
@@ -152,29 +152,53 @@ val exit_reason_counts : system -> (string * int) list
 
 (** {2 Observers}
 
-    The system is the one attach point for every observer of the
-    layers above it: the telemetry hub, the flight ring and the vtrace
-    probe engine live here and nowhere else. {!Wasp.Pool} and
-    {!Wasp.Runtime} read them through the system they hold, and
+    The system is where the telemetry hub and the vtrace probe engine
+    attach for every layer above it ({!Wasp.Runtime}, {!Wasp.Pool},
+    [Wasp.Supervisor] and [Serverless]), and it owns the flight ring.
     [Wasp.Runtime.set_telemetry]/[set_probes] delegate to the setters
-    below. *)
+    below. Two observers live elsewhere: the guest profiler and the
+    replay recorder attach to the runtime, and [Dessim.Cores] keeps its
+    own reference to the probe engine, set by
+    [Serverless.Loadgen.run_cores].
+
+    Every write the layers above make to a hub goes through this
+    module: {!count}, {!span}, {!instant}, {!gauge} and {!sample}. Each
+    is a no-op while no hub is attached, and one of them decides how an
+    observation reaches the hub. *)
 
 val set_telemetry : system -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub; subsequent KVM transitions
     (vm-create, memslot/EPT build, vcpu-create, [KVM_RUN]) open spans and
     bump [kvm_*] counters on it, and the shell pool and runtime above
     publish their spans and [wasp_*] series to the same hub (see
-    {!count}). The hub must share this system's clock. *)
+    {!count}). The hub must share this system's clock: at attach it is
+    retargeted to the current core's clock and id, as {!set_core} does. *)
 
 val telemetry : system -> Telemetry.Hub.t option
 
-val set_flight : system -> Profiler.Flight.t option -> unit
-(** Attach (or detach) a flight recorder: every VM exit {!run} observes
-    (halt, I/O, fault, fuel) is recorded with its cycle stamp, core id
-    and guest PC. The runtime dumps the ring as a black-box report when
-    a guest faults or violates hypercall policy. *)
+val span :
+  system -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [span sys name f] runs [f] inside a span [name] on the attached hub
+    (closed on return or exception), or just runs it when none is. *)
 
-val flight : system -> Profiler.Flight.t option
+val instant : system -> ?args:(string * string) list -> string -> unit
+(** A point event on the attached hub. *)
+
+val gauge :
+  system -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit
+(** Set a gauge series on the attached hub (see
+    {!Telemetry.Hub.set_gauge}). *)
+
+val sample : system -> ?labels:(string * string) list -> string -> int64 -> unit
+(** One histogram sample on the attached hub, stamped with the active
+    trace id as its exemplar (see {!Telemetry.Hub.observe}). *)
+
+val flight : system -> Profiler.Flight.t
+(** The system's flight recorder: every VM exit {!run} observes (halt,
+    I/O, fault, fuel), every CoW break and every injection is recorded
+    with its cycle stamp, core id and guest PC. Recording charges no
+    cycles, so the ring is always there. The runtime dumps it as a
+    black-box report when a guest faults or violates hypercall policy. *)
 
 val set_probes : system -> Vtrace.Engine.t option -> unit
 (** Attach (or detach) a vtrace probe engine — the one engine every
@@ -200,12 +224,12 @@ val fire :
   ?fuel:int ->
   ?nr:int64 ->
   string ->
-  int
+  unit
 (** [fire sys site] fires [site] on the attached probe engine with a
     context stamped with the current core and the trace id of the
     innermost open span on the attached hub; the other fields default as
-    in {!Vtrace.Ctx.make}. Returns how many probes matched — 0, with no
-    context built, when no engine is attached. *)
+    in {!Vtrace.Ctx.make}. No context is built when no engine is
+    attached. *)
 
 val set_hc_port : system -> int option -> unit
 (** Declare the hypercall port (the runtime above passes its [Hc.port]):

@@ -63,12 +63,6 @@ let entries t =
       | Some e -> e
       | None -> assert false)
 
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.total <- 0;
-  t.last <- None
-
 let kind_to_string = function
   | Halt -> "hlt"
   | Io_out { port; value } -> Printf.sprintf "io_out port=0x%x value=%Ld" port value

@@ -64,8 +64,6 @@ val append_note : t -> string -> unit
 val entries : t -> entry list
 (** Retained entries, oldest first. *)
 
-val clear : t -> unit
-
 val pp_entry : Format.formatter -> entry -> unit
 
 val dump : t -> reason:string -> string

@@ -62,7 +62,6 @@ let create ?(breaker = default_breaker_config) ?shed platform =
   }
 
 let kvm t = Wasp.Runtime.kvm (Vespid.runtime t.platform)
-let hub t = Wasp.Runtime.telemetry (Vespid.runtime t.platform)
 let clock t = Wasp.Runtime.clock (Vespid.runtime t.platform)
 let now t = Cycles.Clock.now (clock t)
 
@@ -70,7 +69,7 @@ let shed_count t = Kvmsim.Kvm.tally (kvm t) "gateway_shed_total"
 let breaker_rejections t = Kvmsim.Kvm.tally (kvm t) "gateway_breaker_rejections_total"
 
 let enable_slos t ?(config = default_slo_config) () =
-  match hub t with
+  match Wasp.Runtime.telemetry (Vespid.runtime t.platform) with
   | None -> invalid_arg "Gateway.enable_slos: platform runtime has no telemetry hub"
   | Some h ->
       let avail =
@@ -102,9 +101,6 @@ let slo_latency t cycles =
   | Some (_, lat) -> Telemetry.Slo.record_latency lat cycles
   | None -> ()
 
-(* vtrace "gateway" site: one fire per admission decision. *)
-let fire t ~fn ~reason ~cycles = ignore (Kvmsim.Kvm.fire (kvm t) ~fn ~reason ~cycles "gateway")
-
 let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with
   | Some b -> b
@@ -125,17 +121,10 @@ let breaker_state t ~name =
   | s -> s
 
 let note_breaker_gauge t name (b : breaker) =
-  match hub t with
-  | None -> ()
-  | Some h ->
-      let v =
-        match b.state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0
-      in
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge (Telemetry.Hub.metrics h)
-           ~help:"per-function circuit breaker (0 closed, 0.5 half-open, 1 open)"
-           ~labels:[ ("fn", name) ] "wasp_breaker_state")
-        v
+  Kvmsim.Kvm.gauge (kvm t)
+    ~help:"per-function circuit breaker (0 closed, 0.5 half-open, 1 open)"
+    ~labels:[ ("fn", name) ] "wasp_breaker_state"
+    (match b.state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0)
 
 let note_success t name (b : breaker) =
   b.failures <- 0;
@@ -204,10 +193,13 @@ let parse_register_target seg =
       in
       (name, Option.value ~default:"main" entry)
 
+(* [handle] has already made [t.next_core] current; the vtrace
+   "gateway" site fires once per admission decision. *)
 let invoke t name body =
+  let sys = kvm t in
   if not (try_take_token t) then begin
-    Kvmsim.Kvm.count (kvm t) "gateway_shed_total";
-    fire t ~fn:name ~reason:"shed" ~cycles:0L;
+    Kvmsim.Kvm.count sys "gateway_shed_total";
+    Kvmsim.Kvm.fire sys ~fn:name ~reason:"shed" ~cycles:0L "gateway";
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
   end
@@ -224,36 +216,33 @@ let invoke t name body =
     | Open | Half_open | Closed -> ());
     match b.state with
     | Open ->
-        Kvmsim.Kvm.count (kvm t) "gateway_breaker_rejections_total";
-        fire t ~fn:name ~reason:"breaker" ~cycles:0L;
+        Kvmsim.Kvm.count sys "gateway_breaker_rejections_total";
+        Kvmsim.Kvm.fire sys ~fn:name ~reason:"breaker" ~cycles:0L "gateway";
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
     | Closed | Half_open -> (
-        (* spread requests round-robin over the simulated cores *)
-        let core = t.next_core in
-        t.next_core <- (core + 1) mod Wasp.Runtime.cores (Vespid.runtime t.platform);
-        match
-          Vespid.invoke_timed_on t.platform ~core ~name ~input:(Bytes.of_string body)
-        with
+        (* admitted: the next request goes to the next core *)
+        t.next_core <- (t.next_core + 1) mod Wasp.Runtime.cores (Vespid.runtime t.platform);
+        match Vespid.invoke_timed t.platform ~name ~input:(Bytes.of_string body) with
         | Ok out, cycles ->
             note_success t name b;
-            fire t ~fn:name ~reason:"ok" ~cycles;
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"ok" ~cycles "gateway";
             slo_availability t ~good:true;
             slo_latency t cycles;
             respond ~status:200 out
         | Error e, cycles ->
             note_failure t name b;
-            fire t ~fn:name ~reason:"error" ~cycles;
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"error" ~cycles "gateway";
             slo_availability t ~good:false;
             respond ~status:500 (Printf.sprintf "function error: %s\n" e)
         | exception Vespid.Unknown_function _ ->
             (* a bad name says nothing about the function's health *)
-            fire t ~fn:name ~reason:"not_found" ~cycles:0L;
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"not_found" ~cycles:0L "gateway";
             respond ~status:404 (Printf.sprintf "no such function: %s\n" name))
   end
 
-let route t (req : Vhttp.Http.request) =
-  match (req.Vhttp.Http.meth, split_path req.Vhttp.Http.path) with
+let route t (req : Vhttp.Http.request) segments =
+  match (req.Vhttp.Http.meth, segments) with
   | "GET", [ "functions" ] ->
       respond ~status:200 (String.concat "\n" (Vespid.registered t.platform) ^ "\n")
   | "POST", [ "register"; target ] ->
@@ -274,11 +263,15 @@ let handle t raw =
   | Error e ->
       Kvmsim.Kvm.count (kvm t) "gateway_bad_requests_total";
       respond ~status:400 (Printf.sprintf "bad request: %s\n" e)
-  | Ok req -> (
-      match hub t with
-      | None -> route t req
-      | Some h ->
-          Telemetry.Hub.with_span h
-            ~args:[ ("method", req.Vhttp.Http.meth); ("path", req.Vhttp.Http.path) ]
-            "route"
-            (fun () -> route t req))
+  | Ok req ->
+      let segments = split_path req.Vhttp.Http.path in
+      (* Requests are spread round-robin over the simulated cores. An
+         invocation's core is made current before [route] opens, so the
+         span opens and closes on the clock of the core that serves it. *)
+      (match (req.Vhttp.Http.meth, segments) with
+      | "POST", [ "invoke"; _ ] -> Wasp.Runtime.on_core (Vespid.runtime t.platform) t.next_core
+      | _ -> ());
+      Kvmsim.Kvm.span (kvm t)
+        ~args:[ ("method", req.Vhttp.Http.meth); ("path", req.Vhttp.Http.path) ]
+        "route"
+        (fun () -> route t req segments)

@@ -81,8 +81,12 @@ val parse_register_target : string -> string * string
 
 val handle : t -> string -> string
 (** [handle t raw_request] routes one HTTP request and returns the raw
-    HTTP response. Never raises on malformed input (400). Counters on the
-    runtime's hub: [gateway_requests_total], [gateway_shed_total],
+    HTTP response. Never raises on malformed input (400). A
+    [POST /invoke/NAME] is served on the next core in round-robin order,
+    made current before the request's [route] span opens, so its
+    admission decisions (shedding, breaker cooldown) read that core's
+    clock; the order advances only when a request is admitted. Counters
+    on the runtime's hub: [gateway_requests_total], [gateway_shed_total],
     [gateway_breaker_rejections_total], and the [fn]-labeled
     [wasp_breaker_state] gauge (0 closed, 0.5 half-open, 1 open). *)
 

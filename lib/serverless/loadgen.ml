@@ -88,22 +88,19 @@ let run ?(freq_ghz = 2.69) ?(workers = 8) ?(think_time_s = 0.05) ~service ~profi
   bucketize ~cps ~total_end !samples
 
 let export_core_stats runtime sched =
-  (match Wasp.Runtime.telemetry runtime with
-  | Some hub ->
-      Array.iteri
-        (fun i (s : Dessim.Cores.core_stats) ->
-          Telemetry.Hub.set_gauge hub
-            (Printf.sprintf "sched_core%d_utilization" i)
-            (Dessim.Cores.utilization sched ~core:i);
-          Telemetry.Hub.set_gauge hub
-            (Printf.sprintf "sched_core%d_busy_cycles" i)
-            (Int64.to_float s.Dessim.Cores.busy_cycles);
-          Telemetry.Hub.set_gauge hub
-            (Printf.sprintf "sched_core%d_reclaim_cycles" i)
-            (Int64.to_float s.Dessim.Cores.reclaim_cycles))
-        (Dessim.Cores.core_stats sched)
-  | None -> ());
   let sys = Wasp.Runtime.kvm runtime in
+  Array.iteri
+    (fun i (s : Dessim.Cores.core_stats) ->
+      Kvmsim.Kvm.gauge sys
+        (Printf.sprintf "sched_core%d_utilization" i)
+        (Dessim.Cores.utilization sched ~core:i);
+      Kvmsim.Kvm.gauge sys
+        (Printf.sprintf "sched_core%d_busy_cycles" i)
+        (Int64.to_float s.Dessim.Cores.busy_cycles);
+      Kvmsim.Kvm.gauge sys
+        (Printf.sprintf "sched_core%d_reclaim_cycles" i)
+        (Int64.to_float s.Dessim.Cores.reclaim_cycles))
+    (Dessim.Cores.core_stats sched);
   Kvmsim.Kvm.count sys ~by:(Dessim.Cores.steals sched) "sched_steals_total";
   Kvmsim.Kvm.count sys ~by:(Dessim.Cores.executed sched) "sched_tasks_total"
 

@@ -35,9 +35,3 @@ val invoke_timed : t -> name:string -> input:bytes -> (string, string) result * 
     With a hub attached, the latency lands in [vespid_invoke_cycles]
     twice — the plain family and an [fn]-labeled series — both stamped
     with the active trace id as an exemplar when tracing is on. *)
-
-val invoke_timed_on :
-  t -> core:int -> name:string -> input:bytes -> (string, string) result * int64
-(** {!invoke_timed} pinned to a core — the latency is measured on that
-    core's clock, so callers on another core (the gateway) get a
-    consistent per-invocation figure. *)

@@ -15,7 +15,6 @@ let spans t = t.sink
 let metrics t = t.registry
 
 let enable_tracing t ~seed = Span.set_tracer t.sink (Some (Tracectx.create ~seed))
-let current_ids t = Span.current_ids t.sink
 let current_trace t = Span.current_trace t.sink
 
 let enter t ?args name = Span.enter t.sink ?args name
@@ -23,14 +22,14 @@ let leave t ?args () = Span.leave t.sink ?args ()
 let with_span t ?args name f = Span.with_span t.sink ?args name f
 let instant t ?args name = Span.instant t.sink ?args name
 
-let observe t name v =
+let observe t ?labels name v =
   let exemplar =
     match current_trace t with
     | Some id -> Some (Tracectx.id_to_string id)
     | None -> None
   in
-  Metrics.observe ?exemplar (Metrics.histogram t.registry name) v
+  Metrics.observe ?exemplar (Metrics.histogram t.registry ?labels name) v
 
-let set_gauge t name v = Metrics.set (Metrics.gauge t.registry name) v
+let set_gauge t ?help ?labels name v = Metrics.set (Metrics.gauge t.registry ?help ?labels name) v
 
 let clear_spans t = Span.clear t.sink

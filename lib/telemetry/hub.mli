@@ -38,7 +38,6 @@ val enable_tracing : t -> seed:int -> unit
     Same seed, byte-identical ids. {!observe} starts stamping histogram
     exemplars with the active trace id. *)
 
-val current_ids : t -> Tracectx.ids option
 val current_trace : t -> int64 option
 (** Trace id of the innermost open span ([None] when tracing is off or
     no span is open). *)
@@ -52,11 +51,15 @@ val instant : t -> ?args:(string * string) list -> string -> unit
 
 (** {1 Metric conveniences (find-or-register by name)} *)
 
-val observe : t -> string -> int64 -> unit
-(** Record into the named histogram; when tracing is on and a span is
-    open, the sample carries the active trace id as an exemplar. *)
+val observe : t -> ?labels:(string * string) list -> string -> int64 -> unit
+(** Record into the histogram series ([name], [labels]); when tracing is
+    on and a span is open, the sample carries the active trace id as an
+    exemplar. *)
 
-val set_gauge : t -> string -> float -> unit
+val set_gauge :
+  t -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit
+(** Set the gauge series ([name], [labels]), registered with [help] when
+    this is its first use (see {!Metrics.gauge}). *)
 
 val clear_spans : t -> unit
 (** Drop retained spans (e.g. between benchmark arms); metrics persist. *)

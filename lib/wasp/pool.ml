@@ -84,13 +84,6 @@ let stats t =
     prewarm_hits = n "wasp_pool_prewarm_hits_total";
   }
 
-(* Observers are read through the system: it is their one attach point. *)
-let hub t = Kvmsim.Kvm.telemetry t.sys
-
-(* vtrace pool sites; zero simulated cycles. [nr] is the shell footprint. *)
-let fire t site ~reason ~cycles ~nr =
-  ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr:(Int64.of_int nr) site)
-
 let set_reclaim_policy t policy = t.policy <- policy
 
 let shard_size s = s.cached_count
@@ -101,21 +94,22 @@ let reclaim_depth t ~core = Queue.length t.shards.(core).reclaim
 let reclaim_pending t =
   Array.fold_left (fun acc s -> acc + Queue.length s.reclaim) 0 t.shards
 
-let tgauge t name v =
-  match hub t with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
-
+(* Every pool observation goes through the KVM system. The vtrace pool
+   sites fire with [nr] = the shell footprint; none charges cycles. *)
 let note_size t =
-  tgauge t "wasp_pool_size" (float_of_int (size t));
+  Kvmsim.Kvm.gauge t.sys "wasp_pool_size" (float_of_int (size t));
   if Array.length t.shards > 1 then
     Array.iter
       (fun s ->
-        tgauge t (Printf.sprintf "wasp_pool_size_core%d" s.id) (float_of_int s.cached_count))
+        Kvmsim.Kvm.gauge t.sys
+          (Printf.sprintf "wasp_pool_size_core%d" s.id)
+          (float_of_int s.cached_count))
       t.shards
 
 let note_reclaim t shard =
-  tgauge t "wasp_pool_reclaim_depth" (float_of_int (reclaim_pending t));
+  Kvmsim.Kvm.gauge t.sys "wasp_pool_reclaim_depth" (float_of_int (reclaim_pending t));
   if Array.length t.shards > 1 then
-    tgauge t
+    Kvmsim.Kvm.gauge t.sys
       (Printf.sprintf "wasp_pool_reclaim_depth_core%d" shard.id)
       (float_of_int (Queue.length shard.reclaim))
 
@@ -152,7 +146,8 @@ let evict_lru t shard =
           l := List.rev rest_rev;
           shard.cached_count <- shard.cached_count - 1;
           Kvmsim.Kvm.count t.sys "wasp_pool_evictions_total";
-          fire t "pool_evict" ~reason:"lru" ~cycles:0L ~nr:mem_size)
+          Kvmsim.Kvm.fire t.sys ~reason:"lru" ~cycles:0L ~nr:(Int64.of_int mem_size)
+            "pool_evict")
 
 (* Return a cleaned shell to its shard's cache, evicting the LRU entry
    when the shard is over capacity. *)
@@ -206,10 +201,10 @@ let set_prewarm t cfg =
   t.prewarm <- cfg
 
 let note_prewarm t =
-  tgauge t "wasp_pool_prewarm_depth"
+  Kvmsim.Kvm.gauge t.sys "wasp_pool_prewarm_depth"
     (float_of_int
        (Array.fold_left (fun acc s -> acc + Queue.length s.prewarmed) 0 t.shards));
-  tgauge t "wasp_pool_background_cycles" (Int64.to_float t.background)
+  Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background)
 
 (* Book one background shell build against [core]'s shard without
    touching any clock: Kvm.build_shell charges nothing, the construction
@@ -223,7 +218,8 @@ let build_prewarmed t ~core ~mem_size ~mode =
   Queue.push shell t.shards.(core).prewarmed;
   t.background <- Int64.add t.background (Int64.of_int shell_cost);
   Kvmsim.Kvm.count t.sys "wasp_pool_prewarmed_total";
-  fire t "pool_prewarm" ~reason:"build" ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
+  Kvmsim.Kvm.fire t.sys ~reason:"build" ~cycles:(Int64.of_int shell_cost)
+    ~nr:(Int64.of_int mem_size) "pool_prewarm"
 
 let prewarm_step t ~core ~budget =
   match t.prewarm with
@@ -250,8 +246,8 @@ let take_prewarmed t ~mem_size ~mode =
          vCPU reset into the requested mode — never the creation path. *)
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) Cycles.Costs.ioctl_syscall;
       Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
-      fire t "pool_prewarm" ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
-        ~nr:mem_size;
+      Kvmsim.Kvm.fire t.sys ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
+        ~nr:(Int64.of_int mem_size) "pool_prewarm";
       (* Standalone (Eager) mode assumes the background builder keeps
          up, mirroring Async+Eager cleaning: refill immediately as
          background work. Scheduled mode waits for idle-cycle
@@ -276,27 +272,21 @@ let create_shell t ~mem_size ~mode =
 
 let acquire t ~mem_size ~mode =
   let shard = current_shard t in
+  let nr = Int64.of_int mem_size in
   (* A nested span (inside the provision phase) so a traced request can
      attribute its provision cycles to hit/stall/miss specifically. *)
-  let tspan f =
-    match hub t with
-    | None -> f ()
-    | Some h ->
-        Telemetry.Hub.with_span h
-          ~args:[ ("mem_size", string_of_int mem_size) ]
-          "pool_acquire" f
-  in
-  tspan @@ fun () ->
+  Kvmsim.Kvm.span t.sys ~args:[ ("mem_size", string_of_int mem_size) ] "pool_acquire"
+  @@ fun () ->
   let hit shell =
     Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
-    (match hub t with Some h -> Telemetry.Hub.instant h "pool_hit" | None -> ());
+    Kvmsim.Kvm.instant t.sys "pool_hit";
     Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
     (shell, true)
   in
   let result =
     match pop_cached shard mem_size with
     | Some shell ->
-        fire t "pool_acquire" ~reason:"hit" ~cycles:0L ~nr:mem_size;
+        Kvmsim.Kvm.fire t.sys ~reason:"hit" ~cycles:0L ~nr "pool_acquire";
         hit shell
     | None -> (
         match take_pending shard mem_size with
@@ -309,31 +299,24 @@ let acquire t ~mem_size ~mode =
             t.background <- Int64.add t.background (Int64.of_int p.remaining);
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
             Kvmsim.Kvm.count t.sys "wasp_pool_clean_stalls_total";
-            (match hub t with
-            | Some h ->
-                Telemetry.Hub.instant h
-                  ~args:[ ("cycles", string_of_int p.remaining) ]
-                  "clean_stall"
-            | None -> ());
+            Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int p.remaining) ] "clean_stall";
             note_reclaim t shard;
-            fire t "pool_acquire" ~reason:"stall"
-              ~cycles:(Int64.of_int p.remaining) ~nr:mem_size;
+            Kvmsim.Kvm.fire t.sys ~reason:"stall" ~cycles:(Int64.of_int p.remaining) ~nr
+              "pool_acquire";
             hit p.p_shell
         | None -> (
             match take_prewarmed t ~mem_size ~mode with
             | Some shell ->
                 (* Pipelined pre-boot hit: the shell was built on idle
                    cycles, so the acquire pays only the handoff. *)
-                fire t "pool_acquire" ~reason:"prewarm" ~cycles:0L ~nr:mem_size;
+                Kvmsim.Kvm.fire t.sys ~reason:"prewarm" ~cycles:0L ~nr "pool_acquire";
                 Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
-                (match hub t with
-                | Some h -> Telemetry.Hub.instant h "pool_prewarm_hit"
-                | None -> ());
+                Kvmsim.Kvm.instant t.sys "pool_prewarm_hit";
                 (shell, true)
             | None ->
-                fire t "pool_acquire" ~reason:"miss" ~cycles:0L ~nr:mem_size;
+                Kvmsim.Kvm.fire t.sys ~reason:"miss" ~cycles:0L ~nr "pool_acquire";
                 Kvmsim.Kvm.count t.sys "wasp_pool_misses_total";
-                (match hub t with Some h -> Telemetry.Hub.instant h "pool_miss" | None -> ());
+                Kvmsim.Kvm.instant t.sys "pool_miss";
                 (create_shell t ~mem_size ~mode, false)))
   in
   note_size t;
@@ -347,29 +330,27 @@ let release t shell =
      dedicated cleaner thread performs (Figure 8's Wasp+CA). *)
   Vm.Memory.reset_zero shell.mem;
   let cost = Cycles.Costs.memset_cost shell.mem_size in
+  Kvmsim.Kvm.fire t.sys
+    ~reason:
+      (match (t.clean, t.policy) with
+      | Sync, _ -> "sync"
+      | Async, Eager -> "async"
+      | Async, Scheduled -> "scheduled")
+    ~cycles:(Int64.of_int cost) ~nr:(Int64.of_int shell.mem_size) "pool_release";
   match (t.clean, t.policy) with
   | Sync, _ ->
-      fire t "pool_release" ~reason:"sync" ~cycles:(Int64.of_int cost)
-        ~nr:shell.mem_size;
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) cost;
       cache t shell
   | Async, Eager ->
-      fire t "pool_release" ~reason:"async" ~cycles:(Int64.of_int cost)
-        ~nr:shell.mem_size;
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
       t.background <- Int64.add t.background (Int64.of_int cost);
-      (match hub t with
-      | Some h ->
-          Telemetry.Hub.instant h ~args:[ ("cycles", string_of_int cost) ] "async_clean";
-          Telemetry.Hub.set_gauge h "wasp_pool_background_cycles" (Int64.to_float t.background)
-      | None -> ());
+      Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int cost) ] "async_clean";
+      Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background);
       cache t shell
   | Async, Scheduled ->
       (* scheduler mode: the shell is unavailable until a cleaner core
          drains it (or an acquire stalls on it) *)
-      fire t "pool_release" ~reason:"scheduled" ~cycles:(Int64.of_int cost)
-        ~nr:shell.mem_size;
       let shard = t.shards.(shell.home) in
       Queue.push { p_shell = shell; remaining = cost } shard.reclaim;
       note_reclaim t shard;
@@ -392,7 +373,7 @@ let drain t ~core ~budget =
     else continue_ := false
   done;
   if !spent > 0 then begin
-    tgauge t "wasp_pool_background_cycles" (Int64.to_float t.background);
+    Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background);
     note_reclaim t shard
   end;
   !spent

@@ -34,11 +34,7 @@ type t = {
 
 let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
     ?(cores = 1) ?pool_capacity ?snapshot_capacity ?flight_capacity () =
-  let sys = Kvmsim.Kvm.open_dev ~seed ?freq_ghz ~cores () in
-  (* The flight recorder charges no cycles, so it stays attached for the
-     runtime's whole life: every VM exit is always in the black box. *)
-  Kvmsim.Kvm.set_flight sys
-    (Some (Profiler.Flight.create ?capacity:flight_capacity ()));
+  let sys = Kvmsim.Kvm.open_dev ~seed ?freq_ghz ~cores ?flight_capacity () in
   (* Name the hypercall port so exit-level observers (vtrace) can tell
      hypercall exits from plain I/O. *)
   Kvmsim.Kvm.set_hc_port sys (Some Hc.port);
@@ -100,24 +96,13 @@ let flight_dump t = t.last_flight
 
 let set_fault_plan t plan = Kvmsim.Kvm.set_fault_plan t.sys plan
 
-(* Telemetry shims: all no-ops when no hub is attached. *)
-let tspan t ?args name f =
-  match telemetry t with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
-
-let tobserve t name v =
-  match telemetry t with None -> () | Some h -> Telemetry.Hub.observe h name v
-
 (* The store holds no observers; its series are published here, after
    every capture and drop. *)
 let note_snapshot_store t =
-  match telemetry t with
-  | None -> ()
-  | Some h ->
-      let st = t.snapshot_store in
-      Telemetry.Hub.set_gauge h "wasp_snapshot_store_entries"
-        (float_of_int (Snapshot_store.count st));
-      Telemetry.Hub.set_gauge h "wasp_snapshot_store_bytes"
-        (float_of_int (Snapshot_store.total_bytes st))
+  let st = t.snapshot_store in
+  Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_entries" (float_of_int (Snapshot_store.count st));
+  Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_bytes"
+    (float_of_int (Snapshot_store.total_bytes st))
 
 let drop_snapshot t ~key =
   Snapshot_store.clear t.snapshot_store ~key;
@@ -158,7 +143,7 @@ let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
    protect the footprint and build the shared EPT — per-page PTE work,
    not a byte copy. *)
 let capture_snapshot t ~key ~mem ~cpu ~native_state =
-  tspan t ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
       let store = t.snapshot_store in
       let evicted = Snapshot_store.evictions store in
       let footprint = Snapshot_store.capture store ~key ~mem ~cpu ~native_state in
@@ -174,18 +159,13 @@ let capture_snapshot t ~key ~mem ~cpu ~native_state =
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
    gauges charge no cycles). *)
 let note_mem_gauges t mem =
-  match telemetry t with
-  | None -> ()
-  | Some h ->
-      let st = Vm.Memory.page_stats mem in
-      Telemetry.Hub.set_gauge h "wasp_mem_resident_pages" (float_of_int st.Vm.Memory.resident_pages);
-      Telemetry.Hub.set_gauge h "wasp_mem_shared_pages" (float_of_int st.Vm.Memory.shared_pages);
-      Telemetry.Hub.set_gauge h "wasp_mem_resident_bytes"
-        (float_of_int (Vm.Memory.resident_bytes mem));
-      Telemetry.Hub.set_gauge h "vm_page_cache_entries"
-        (float_of_int (Vm.Memory.Page_cache.entries ()));
-      Telemetry.Hub.set_gauge h "vm_page_cache_bytes"
-        (float_of_int (Vm.Memory.Page_cache.bytes ()))
+  let gauge name v = Kvmsim.Kvm.gauge t.sys name (float_of_int v) in
+  let st = Vm.Memory.page_stats mem in
+  gauge "wasp_mem_resident_pages" st.Vm.Memory.resident_pages;
+  gauge "wasp_mem_shared_pages" st.Vm.Memory.shared_pages;
+  gauge "wasp_mem_resident_bytes" (st.Vm.Memory.resident_pages * Vm.Memory.page_size);
+  gauge "vm_page_cache_entries" (Vm.Memory.Page_cache.entries ());
+  gauge "vm_page_cache_bytes" (Vm.Memory.Page_cache.bytes ())
 
 let acquire_shell t ~mem_size ~mode =
   if t.pool_enabled then Pool.acquire t.pool ~mem_size ~mode
@@ -207,15 +187,13 @@ let note_hypercall t ~at ~nr ~args ~ret ?note ~denied () =
   (match t.recorder with
   | Some rec_ -> Profiler.Replay.add_event rec_ ~at ~nr ~args ~ret
   | None -> ());
-  match Kvmsim.Kvm.flight t.sys with
-  | Some fr ->
-      Option.iter (Profiler.Flight.append_note fr) note;
-      if denied then
-        t.last_flight <-
-          Some
-            (Profiler.Flight.dump fr
-               ~reason:(Printf.sprintf "policy violation: hypercall %s denied" (Hc.name nr)))
-  | None -> ()
+  let fr = flight t in
+  Option.iter (Profiler.Flight.append_note fr) note;
+  if denied then
+    t.last_flight <-
+      Some
+        (Profiler.Flight.dump fr
+           ~reason:(Printf.sprintf "policy violation: hypercall %s denied" (Hc.name nr)))
 
 (* Dispatch one hypercall: policy check, then client override or canned
    handler. Returns the value for r0 and whether execution should stop.
@@ -227,25 +205,19 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
   if nr < 0 || nr >= Hc.count then begin
     inv.hypercalls <- inv.hypercalls + 1;
     Log.debug (fun m -> m "hypercall number %d out of range" nr);
-    (match Kvmsim.Kvm.flight t.sys with
-    | Some fr ->
-        Profiler.Flight.append_note fr
-          (Printf.sprintf "hypercall out of range: %d -> EINVAL" nr)
-    | None -> ());
+    Profiler.Flight.append_note (flight t)
+      (Printf.sprintf "hypercall out of range: %d -> EINVAL" nr);
     Hc.err_inval
   end
   else
   let allowed = Policy.allows policy nr in
-  tspan t ~args:[ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ] "hypercall"
-    (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:[ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ]
+    "hypercall" (fun () ->
       inv.hypercalls <- inv.hypercalls + 1;
       (* vtrace "hypercall" / "hypercall_ret" bracket the dispatch: the
          return fire carries the handler's charged cycles. *)
-      let fire_hc site cycles =
-        ignore
-          (Kvmsim.Kvm.fire t.sys ~reason:(Hc.name nr) ~cycles ~nr:(Int64.of_int nr) site)
-      in
-      fire_hc "hypercall" 0L;
+      let reason = Hc.name nr and hc_nr = Int64.of_int nr in
+      Kvmsim.Kvm.fire t.sys ~reason ~cycles:0L ~nr:hc_nr "hypercall";
       let hc_start = Cycles.Clock.now (clock t) in
       let r0 =
         if not allowed then begin
@@ -275,7 +247,9 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
                   Hc.err_inval)
         end
       in
-      fire_hc "hypercall_ret" (Cycles.Clock.elapsed_since (clock t) hc_start);
+      Kvmsim.Kvm.fire t.sys ~reason
+        ~cycles:(Cycles.Clock.elapsed_since (clock t) hc_start)
+        ~nr:hc_nr "hypercall_ret";
       r0)
 
 let no_overrides (_ : int) : Inv.handler option = None
@@ -304,17 +278,12 @@ type drain_outcome = Drain_done of int64 | Drain_fault of Vm.Cpu.fault
 let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel_left =
   Kvmsim.Kvm.count t.sys "wasp_ring_enters_total";
   inv.hypercalls <- inv.hypercalls + 1;
-  let fire_ring site ~reason ~cycles ~nr =
-    ignore (Kvmsim.Kvm.fire t.sys ~reason ~cycles ~nr site)
-  in
   (* A corrupt ring header is indistinguishable from any other wild
      guest write: the whole doorbell completes as a contained guest
      fault (retryable under supervision), with a black-box dump. *)
   let corrupt reason =
     Kvmsim.Kvm.count t.sys "wasp_ring_corrupt_total";
-    (match Kvmsim.Kvm.flight t.sys with
-    | Some fr -> t.last_flight <- Some (Profiler.Flight.dump fr ~reason)
-    | None -> ());
+    t.last_flight <- Some (Profiler.Flight.dump (flight t) ~reason);
     Drain_fault (Vm.Cpu.Memory_oob { addr = Layout.ring_base; size = Layout.ring_size })
   in
   if Vm.Memory.size mem < Layout.ring_end then
@@ -327,7 +296,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
     else if pending < 0 || pending > Layout.ring_entries then
       corrupt (Printf.sprintf "ring corrupt: sq_head=%Ld sq_tail=%Ld" head0 tail)
     else begin
-      fire_ring "ring_enter" ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int pending);
+      Kvmsim.Kvm.fire t.sys ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int pending) "ring_enter";
       (* Replay transcript: the doorbell first (head/tail window, ret =
          pending; no flight note), then one event per SQE in drain order.
          Replays re-run the drain for real, so the per-op events
@@ -444,9 +413,9 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
            note_hypercall t ~at ~nr:sqe.Ring.nr ~args:!dispatch_args ~ret:result
              ~note:(Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
              ~denied:(inv.denied > denied_before) ();
-           fire_ring "ring_op" ~reason:(Hc.name sqe.Ring.nr)
+           Kvmsim.Kvm.fire t.sys ~reason:(Hc.name sqe.Ring.nr)
              ~cycles:(Cycles.Clock.elapsed_since (clock t) at)
-             ~nr:(Int64.of_int sqe.Ring.nr);
+             ~nr:(Int64.of_int sqe.Ring.nr) "ring_op";
            if Ring.has sqe.Ring.flags Ring.flag_halt && Int64.compare result 0L < 0 then
              halted := true;
            incr completed;
@@ -458,7 +427,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
          done
        with Fuel_stop -> ());
       Kvmsim.Kvm.count t.sys ~by:!completed "wasp_ring_ops_total";
-      tobserve t "wasp_ring_batch_size" (Int64.of_int !completed);
+      Kvmsim.Kvm.sample t.sys "wasp_ring_batch_size" (Int64.of_int !completed);
       Drain_done (Int64.of_int !completed)
     end
 
@@ -474,6 +443,12 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
    moves when charged, so the depth-1 phase durations tile the
    invocation: they sum exactly to the reported [cycles]. *)
 
+type claim = {
+  snapshot : (string * Snapshot_store.entry) option;
+  retained_shell : Pool.shell option;  (* the key's retained CoW shell *)
+  stale : Pool.shell option;  (* a retained shell whose snapshot is gone *)
+}
+
 type provisioned = {
   shell : Pool.shell;
   from_pool : bool;
@@ -482,7 +457,11 @@ type provisioned = {
   start : int64;
 }
 
-let provision t ~name ~mem_size ~mode ~snapshot_key =
+(* What an invocation starts from, decided before its [invocation] span
+   opens: a retained shell pins the invocation to its home core (its
+   vCPU bills that core's clock), so the switch comes first and the
+   whole root span is stamped on that core's clock. *)
+let claim t ~name ~snapshot_key =
   (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
      the payload; give the engine the name so their [fn] field resolves. *)
   (match probes t with Some e -> Vtrace.Engine.set_fn e name | None -> ());
@@ -505,22 +484,29 @@ let provision t ~name ~mem_size ~mode ~snapshot_key =
         if Option.is_none snapshot then (None, found) else (found, None)
     | (`Cow | `Memcpy), _ -> (None, None)
   in
-  (* a retained shell pins the invocation to its home core (its vCPU
-     bills that core's clock), so switch before stamping [start] *)
   (match retained with
   | Some s when s.Pool.home <> Kvmsim.Kvm.current_core t.sys ->
       Kvmsim.Kvm.set_core t.sys s.Pool.home
   | Some _ | None -> ());
+  { snapshot; retained_shell = retained; stale }
+
+let provision t (c : claim) ~mem_size ~mode =
   let start = Cycles.Clock.now (clock t) in
   let shell, from_pool =
-    tspan t "provision" (fun () ->
-        match retained with
+    Kvmsim.Kvm.span t.sys "provision" (fun () ->
+        match c.retained_shell with
         | Some s -> (s, true)
         | None ->
-            Option.iter (release_shell t) stale;
+            Option.iter (release_shell t) c.stale;
             acquire_shell t ~mem_size ~mode)
   in
-  { shell; from_pool; retained = Option.is_some retained; snapshot; start }
+  {
+    shell;
+    from_pool;
+    retained = Option.is_some c.retained_shell;
+    snapshot = c.snapshot;
+    start;
+  }
 
 (* Restore [snapshot] into the provisioned shell, then run the caller's
    own restore work [k] inside the same span and return its value. *)
@@ -529,7 +515,7 @@ let restore t (prov : provisioned) (key, entry) k =
   let kind =
     if prov.retained then "cow" else match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy"
   in
-  tspan t ~args:[ ("key", key); ("kind", kind) ] "snapshot_restore" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:[ ("key", key); ("kind", kind) ] "snapshot_restore" (fun () ->
       (if prov.retained then begin
          (* SEUSS-style reset: only the dirty pages are rewritten *)
          let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
@@ -552,14 +538,14 @@ let restore t (prov : provisioned) (key, entry) k =
 
 let boot t ~mem ~mode =
   let mode_name = Vm.Modes.to_string mode in
-  tspan t ~args:[ ("mode", mode_name) ] "boot" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:[ ("mode", mode_name) ] "boot" (fun () ->
       let boot_start = Cycles.Clock.now (clock t) in
       let _components = Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode in
-      tobserve t ("wasp_boot_cycles_" ^ mode_name)
+      Kvmsim.Kvm.sample t.sys ("wasp_boot_cycles_" ^ mode_name)
         (Cycles.Clock.elapsed_since (clock t) boot_start))
 
 let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_value =
-  tspan t "clean" (fun () ->
+  Kvmsim.Kvm.span t.sys "clean" (fun () ->
       note_mem_gauges t prov.shell.mem;
       match (t.reset, snapshot_key) with
       | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
@@ -571,7 +557,7 @@ let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_v
   record_result t
     (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
     ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
-  tobserve t "wasp_invocation_cycles" cycles;
+  Kvmsim.Kvm.sample t.sys "wasp_invocation_cycles" cycles;
   {
     outcome;
     return_value;
@@ -585,11 +571,9 @@ let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_v
     from_pool = prov.from_pool;
   }
 
-let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
-    ~inspect =
-  let prov =
-    provision t ~name:image.name ~mem_size:image.mem_size ~mode:image.mode ~snapshot_key
-  in
+let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key
+    ~fuel ~inspect =
+  let prov = provision t claim ~mem_size:image.mem_size ~mode:image.mode in
   let cpu = Kvmsim.Kvm.vcpu_cpu prov.shell.vcpu in
   let mem = prov.shell.mem in
   (match prov.snapshot with
@@ -608,7 +592,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
             if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
           end)
   | None ->
-      tspan t ~args:[ ("image", image.name) ] "image_load" (fun () ->
+      Kvmsim.Kvm.span t.sys ~args:[ ("image", image.name) ] "image_load" (fun () ->
           Vm.Memory.write_bytes mem ~off:image.origin image.code;
           (* Recording: verify the image through the guest's logical page
              view, so the .vxr MD5 guards what the guest will actually
@@ -638,7 +622,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     | Some _, _ :: _ -> invalid_arg "Runtime.run: pass either ~input or ~args, not both"
   in
   let inv =
-    tspan t "marshal" (fun () ->
+    Kvmsim.Kvm.span t.sys "marshal" (fun () ->
         if Bytes.length input_bytes > 0 then begin
           if Bytes.length input_bytes > Layout.arg_area_size then
             invalid_arg "Runtime.run: input exceeds the argument area";
@@ -711,10 +695,9 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     | Some e when Vtrace.Engine.wants e "instr" ->
         Some
           (fun ~pc ~instr ~cost ->
-            ignore
-              (Kvmsim.Kvm.fire t.sys ~fn:image.name ~pc
-                 ~reason:(Profiler.Profile.opcode_key instr)
-                 ~cycles:(Int64.of_int cost) "instr"))
+            Kvmsim.Kvm.fire t.sys ~fn:image.name ~pc
+              ~reason:(Profiler.Profile.opcode_key instr)
+              ~cycles:(Int64.of_int cost) "instr")
     | _ -> None
   in
   (match t.profiler with
@@ -737,7 +720,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     Fun.protect
       ~finally:(fun () ->
         if Option.is_some step_hook then Vm.Cpu.clear_step_hook cpu)
-      (fun () -> tspan t "execute" loop)
+      (fun () -> Kvmsim.Kvm.span t.sys "execute" loop)
   in
   (match t.profiler with
   | Some p ->
@@ -745,27 +728,26 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
         ~execute_cycles:(Cycles.Clock.elapsed_since (clock t) exec_start)
   | None -> ());
   (match outcome with
-  | Faulted _ -> (
-      match Kvmsim.Kvm.flight t.sys with
-      | Some fr ->
-          t.last_flight <-
-            Some
-              (Profiler.Flight.dump fr
-                 ~reason:(Printf.sprintf "guest fault at pc=0x%x" (Vm.Cpu.pc cpu)))
-      | None -> ())
+  | Faulted _ ->
+      t.last_flight <-
+        Some
+          (Profiler.Flight.dump (flight t)
+             ~reason:(Printf.sprintf "guest fault at pc=0x%x" (Vm.Cpu.pc cpu)))
   | Exited _ | Fuel_exhausted -> ());
   (match inspect with Some f -> f mem cpu | None -> ());
   let return_value =
     match outcome with Exited v -> v | Faulted _ | Fuel_exhausted -> Vm.Cpu.get_reg cpu 0
   in
   let result = finish t prov ~snapshot_key ~inv outcome ~return_value in
-  tobserve t "kvm_exits_per_invocation" (Int64.of_int !exits);
+  Kvmsim.Kvm.sample t.sys "kvm_exits_per_invocation" (Int64.of_int !exits);
   result
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
-  tspan t ~args:[ ("image", image.name) ] "invocation" (fun () ->
-      run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect)
+  let claim = claim t ~name:image.name ~snapshot_key in
+  Kvmsim.Kvm.span t.sys ~args:[ ("image", image.name) ] "invocation" (fun () ->
+      run_inner t claim image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
+        ~inspect)
 
 (* ------------------------------------------------------------------ *)
 (* Native payloads                                                     *)
@@ -832,9 +814,9 @@ module Native_ctx = struct
              rest
 end
 
-let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
+let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
     ~body =
-  let prov = provision t ~name ~mem_size ~mode ~snapshot_key in
+  let prov = provision t claim ~mem_size ~mode in
   let mem = prov.shell.mem in
   let restored, heap_brk =
     match prov.snapshot with
@@ -863,7 +845,7 @@ let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
     }
   in
   let outcome =
-    tspan t "execute" (fun () ->
+    Kvmsim.Kvm.span t.sys "execute" (fun () ->
         match body ctx ~restored with
         | rv -> (
             match inv.Inv.exit_code with Some code -> Exited code | None -> Exited rv)
@@ -876,6 +858,7 @@ let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
 let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
-  tspan t ~args:[ ("payload", name) ] "invocation" (fun () ->
-      run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-        ~body)
+  let claim = claim t ~name ~snapshot_key in
+  Kvmsim.Kvm.span t.sys ~args:[ ("payload", name) ] "invocation" (fun () ->
+      run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn
+        ~snapshot_key ~body)

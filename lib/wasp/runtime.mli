@@ -19,7 +19,9 @@ type reset_mode = [ `Memcpy | `Cow ]
     paper anticipates in §7.2. A retained shell is used only while its
     key's snapshot exists: once the snapshot is dropped or evicted, the
     key's next invocation zeroes the shell back into the pool and
-    provisions as usual. Both {!run} and {!run_native} reset this way. *)
+    provisions as usual. Both {!run} and {!run_native} reset this way.
+    A retained shell runs on its home core: the invocation makes that
+    core current before its root [invocation] span opens. *)
 
 val create :
   ?seed:int ->
@@ -147,8 +149,8 @@ val set_probes : t -> Vtrace.Engine.t option -> unit
 
 val probes : t -> Vtrace.Engine.t option
 
-val flight : t -> Profiler.Flight.t option
-(** The VM-exit flight recorder (always attached by {!create}). *)
+val flight : t -> Profiler.Flight.t
+(** The VM-exit flight recorder ({!Kvmsim.Kvm.flight} of {!kvm}). *)
 
 val flight_dump : t -> string option
 (** The most recent black-box report, produced when a guest faulted or

@@ -98,16 +98,6 @@ let slo_record t ~good =
 
 let now t = Cycles.Clock.now (Runtime.clock t.rt)
 
-let tinstant t ?args name =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h -> Telemetry.Hub.instant h ?args name
-
-(* vtrace supervisor sites; [fn] carries the supervision key. *)
-let fire t site ~fn ~reason ~cycles ~nr =
-  ignore
-    (Kvmsim.Kvm.fire (Runtime.kvm t.rt) ~fn ~reason ~cycles ~nr:(Int64.of_int nr) site)
-
 let streak_for t key =
   match Hashtbl.find_opt t.streaks key with
   | Some s -> s
@@ -122,11 +112,8 @@ let quarantined_count t =
     t.streaks 0
 
 let note_quarantine_gauge t =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h ->
-      Telemetry.Hub.set_gauge h "wasp_quarantined_images"
-        (float_of_int (quarantined_count t))
+  Kvmsim.Kvm.gauge (Runtime.kvm t.rt) "wasp_quarantined_images"
+    (float_of_int (quarantined_count t))
 
 let quarantined t ~key =
   match Hashtbl.find_opt t.streaks key with
@@ -154,10 +141,12 @@ let note_failure t key class_ =
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
     s.until <- Int64.add (now t) t.config.quarantine_cooldown;
-    tinstant t
+    Kvmsim.Kvm.instant sys
       ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
       "supervisor_quarantine";
-    fire t "sup_quarantine" ~fn:key ~reason:"enter" ~cycles:0L ~nr:s.failures
+    (* vtrace supervisor sites carry the supervision key as [fn] *)
+    Kvmsim.Kvm.fire sys ~fn:key ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int s.failures)
+      "sup_quarantine"
   end;
   note_quarantine_gauge t
 
@@ -194,20 +183,16 @@ let backoff_for t ~retry =
 
 let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   let key = match key with Some k -> k | None -> image.Image.name in
-  Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_supervised_total";
-  let tspan ?(sargs = []) name f =
-    match Runtime.telemetry t.rt with
-    | None -> f ()
-    | Some h -> Telemetry.Hub.with_span h ~args:sargs name f
-  in
+  let sys = Runtime.kvm t.rt in
+  Kvmsim.Kvm.count sys "wasp_supervised_total";
   (* The whole supervised invocation is one span; each attempt (backoff
      included, so attempts tile the parent exactly) is a sibling child
      span — a retried request reads as a fan of attempts in the trace. *)
-  tspan ~sargs:[ ("key", key) ] "supervised" @@ fun () ->
+  Kvmsim.Kvm.span sys ~args:[ ("key", key) ] "supervised" @@ fun () ->
   let start = now t in
   if quarantined t ~key then begin
-    Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_quarantine_rejections_total";
-    fire t "sup_quarantine" ~fn:key ~reason:"reject" ~cycles:0L ~nr:0;
+    Kvmsim.Kvm.count sys "wasp_quarantine_rejections_total";
+    Kvmsim.Kvm.fire sys ~fn:key ~reason:"reject" ~cycles:0L ~nr:0L "sup_quarantine";
     slo_record t ~good:false;
     {
       result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
@@ -234,18 +219,18 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
          its sibling, not its child *)
       let attempt_start = now t in
       let verdict =
-        tspan ~sargs:[ ("attempt", string_of_int k) ] "attempt" @@ fun () ->
+        Kvmsim.Kvm.span sys ~args:[ ("attempt", string_of_int k) ] "attempt" @@ fun () ->
         if k > 1 then begin
           let d = backoff_for t ~retry:(k - 1) in
           Cycles.Clock.advance_int (Runtime.clock t.rt) d;
           backoff_total := !backoff_total + d;
           t.backoff <- Int64.add t.backoff (Int64.of_int d);
-          Kvmsim.Kvm.count (Runtime.kvm t.rt) "wasp_retries_total";
-          tinstant t
+          Kvmsim.Kvm.count sys "wasp_retries_total";
+          Kvmsim.Kvm.instant sys
             ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
             "supervisor_retry";
-          fire t "sup_backoff" ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d)
-            ~nr:k
+          Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d)
+            ~nr:(Int64.of_int k) "sup_backoff"
         end;
         match
           Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
@@ -255,13 +240,13 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
         | exception Kvmsim.Kvm.Injected_failure site ->
             Retryable (Fault, Printf.sprintf "injected failure at %s" site, None)
       in
-      fire t "sup_attempt" ~fn:key
+      Kvmsim.Kvm.fire sys ~fn:key
         ~reason:
           (match verdict with
           | Succeeded _ -> "ok"
           | Retryable (c, _, _) | Terminal (c, _, _) -> error_class_to_string c)
         ~cycles:(Int64.sub (now t) attempt_start)
-        ~nr:k;
+        ~nr:(Int64.of_int k) "sup_attempt";
       match verdict with
       | Succeeded r ->
           note_success t key;

@@ -444,7 +444,8 @@ let test_one_attach_point () =
    rejection, a denied hypercall, a fault, fuel exhaustion, CoW snapshot
    restores, pool hits, a clean stall, an eviction, a prewarm hit, and
    gateway shed and breaker rejections. [midway] runs between its two
-   halves. Returns the supervisor and gateway the views are read from. *)
+   halves; every layer writes to the hub in the second half. Returns the
+   supervisor and gateway the views are read from. *)
 let counter_scenario ?(midway = fun _ _ -> ()) w =
   let module R = Wasp.Runtime in
   let module S = Wasp.Supervisor in
@@ -486,6 +487,8 @@ let counter_scenario ?(midway = fun _ _ -> ()) w =
   ignore (S.run sup wild ~key:"bad" ());
   ignore (R.run w (asm "spin" "spin:\n  jmp spin") ~fuel:1_000 ());
   midway sup g;
+  (* the supervisor writes on this side too: a retry, then a quarantine *)
+  ignore (S.run sup wild ~key:"late" ());
   let snap =
     asm "snap"
       "mov r0, 6\nout 1, r0\nmov r1, 0x1000\nmov r2, 7\nst64 [r1], r2\nmov r0, 0\nout 1, r0"
@@ -653,6 +656,159 @@ let test_counter_contract () =
     (counter_views w2 sup2 g2) before_fresh;
   Alcotest.(check int) "the detached hub saw nothing more" late_invocations
     (counter_total late "wasp_invocations_total")
+
+(* --- one write path ---------------------------------------------------- *)
+
+(* Everything a hub holds, rendered: spans and instants (Chrome JSON)
+   and every metric series (Prometheus text). *)
+let hub_contents hub =
+  Telemetry.Chrome.to_json hub ^ Telemetry.Prometheus.to_text (Telemetry.Hub.metrics hub)
+
+(* Every layer writes its spans, instants, gauges and histograms through
+   the KVM system: a hub detached at [midway] hears nothing more from
+   any of them, and the hub attached in its place hears all of them. *)
+let test_one_write_path () =
+  let w = counter_runtime () in
+  let first = with_hub w in
+  let frozen = ref "" and second = ref None in
+  ignore
+    (counter_scenario w ~midway:(fun _ _ ->
+         Wasp.Runtime.set_telemetry w None;
+         frozen := hub_contents first;
+         second := Some (with_hub w)));
+  Alcotest.(check bool) "the first hub heard the first half" true
+    (Telemetry.Span.count (Telemetry.Hub.spans first) > 0);
+  Alcotest.(check string) "the detached hub hears nothing more" !frozen (hub_contents first);
+  let second = Option.get !second in
+  let items = Telemetry.Span.items (Telemetry.Hub.spans second) in
+  let metrics = Telemetry.Metrics.to_list (Telemetry.Hub.metrics second) in
+  let heard (layer, kind, name) =
+    let found =
+      match kind with
+      | `Span ->
+          List.exists
+            (function Telemetry.Span.Complete s -> s.name = name | Instant _ -> false)
+            items
+      | `Instant ->
+          List.exists
+            (function Telemetry.Span.Instant i -> i.i_name = name | Complete _ -> false)
+            items
+      | `Gauge ->
+          List.exists
+            (function Telemetry.Metrics.Gauge g -> g.g_name = name | _ -> false)
+            metrics
+      | `Histogram ->
+          List.exists
+            (function Telemetry.Metrics.Histogram h -> h.h_name = name | _ -> false)
+            metrics
+    in
+    Alcotest.(check bool) (layer ^ " reaches the new hub: " ^ name) true found
+  in
+  List.iter heard
+    [
+      ("Kvm", `Span, "vcpu_run");
+      ("Runtime", `Span, "provision");
+      ("Runtime", `Gauge, "wasp_mem_resident_pages");
+      ("Runtime", `Gauge, "wasp_snapshot_store_entries");
+      ("Runtime", `Histogram, "wasp_invocation_cycles");
+      ("Pool", `Span, "pool_acquire");
+      ("Pool", `Instant, "pool_hit");
+      ("Pool", `Instant, "clean_stall");
+      ("Pool", `Instant, "pool_prewarm_hit");
+      ("Pool", `Gauge, "wasp_pool_size");
+      ("Supervisor", `Span, "attempt");
+      ("Supervisor", `Instant, "supervisor_retry");
+      ("Supervisor", `Instant, "supervisor_quarantine");
+      ("Supervisor", `Gauge, "wasp_quarantined_images");
+      ("Vespid", `Span, "invoke");
+      ("Vespid", `Histogram, "vespid_invoke_cycles");
+      ("Gateway", `Span, "route");
+      ("Gateway", `Gauge, "wasp_breaker_state");
+    ]
+
+(* --- spans on multi-core runtimes ------------------------------------ *)
+
+let root_span hub =
+  List.find
+    (fun (s : Telemetry.Span.span) -> s.name = "invocation" && s.depth = 0)
+    (Telemetry.Span.spans (Telemetry.Hub.spans hub))
+
+(* A retained CoW shell pins its invocation to the shell's home core.
+   The switch happens before the root span opens, so the span is
+   stamped on that core and still equals the reported cycles when the
+   caller stood on a core whose clock is far behind. *)
+let test_cow_root_span_on_home_core () =
+  let w = Wasp.Runtime.create ~seed:0xACE ~cores:2 ~reset:`Cow () in
+  let hub = with_hub w in
+  let img =
+    Wasp.Image.of_asm_string ~name:"home"
+      "mov r0, 6\nout 1, r0\nmov r1, 0x1000\nmov r2, 7\nst64 [r1], r2\nmov r0, 0\nout 1, r0"
+  in
+  let run () =
+    Wasp.Runtime.run w img ~policy:(Wasp.Policy.of_list [ Wasp.Hc.snapshot ])
+      ~snapshot_key:"home" ()
+  in
+  Wasp.Runtime.on_core w 0;
+  ignore (run ());
+  Cycles.Clock.advance_int (Wasp.Runtime.core_clock w 0) 5_000_000;
+  Wasp.Runtime.on_core w 1;
+  Telemetry.Hub.clear_spans hub;
+  let r = run () in
+  Alcotest.(check bool) "restored on the retained shell" true r.Wasp.Runtime.from_snapshot;
+  let root = root_span hub in
+  Alcotest.(check int64) "root span = invocation cycles" r.Wasp.Runtime.cycles
+    root.Telemetry.Span.duration;
+  Alcotest.(check int) "root span on the shell's home core" 0 root.Telemetry.Span.core
+
+(* A gateway on two cores serves invocations round-robin. The serving
+   core is current before [route] opens, so each route span is its
+   invoke child's time on that child's core. *)
+let test_gateway_route_on_serving_core () =
+  let w = Wasp.Runtime.create ~seed:0xACE ~cores:2 () in
+  let hub = with_hub w in
+  let platform = Serverless.Vespid.create w in
+  Serverless.Vespid.register platform ~name:"f"
+    ~source:"function f(d) { return 'n=' + d.length; }" ~entry:"f";
+  let g = Serverless.Gateway.create platform in
+  for _ = 1 to 4 do
+    ignore
+      (Serverless.Gateway.handle g
+         (Vhttp.Http.request_to_string (Vhttp.Http.make_request ~body:"x" "POST" "/invoke/f")))
+  done;
+  let spans = Telemetry.Span.spans (Telemetry.Hub.spans hub) in
+  let routes = List.filter (fun (s : Telemetry.Span.span) -> s.name = "route") spans in
+  Alcotest.(check int) "four route spans" 4 (List.length routes);
+  List.iter
+    (fun (route : Telemetry.Span.span) ->
+      let invoke =
+        List.find
+          (fun (s : Telemetry.Span.span) -> s.name = "invoke" && s.seq > route.seq)
+          spans
+      in
+      Alcotest.(check bool) "route span >= 0" true (Int64.compare route.duration 0L >= 0);
+      Alcotest.(check int64) "route span = its invoke child" invoke.duration route.duration;
+      Alcotest.(check int) "route span on its child's core" invoke.core route.core)
+    routes;
+  Alcotest.(check (list int)) "round-robin over both cores" [ 0; 1; 0; 1 ]
+    (List.map (fun (s : Telemetry.Span.span) -> s.core) routes)
+
+(* A hub attached while a non-zero core is current stamps that core and
+   times spans on its clock from the first span on. *)
+let test_attach_on_current_core () =
+  let w = Wasp.Runtime.create ~seed:0xACE ~cores:3 () in
+  Wasp.Runtime.on_core w 2;
+  let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.core_clock w 0) () in
+  Wasp.Runtime.set_telemetry w (Some hub);
+  Alcotest.(check bool) "the hub reads core 2's clock" true
+    (Telemetry.Hub.clock hub == Wasp.Runtime.core_clock w 2);
+  let r = Wasp.Runtime.run w (demo_image ()) ~policy:Wasp.Policy.allow_all () in
+  let spans = Telemetry.Span.spans (Telemetry.Hub.spans hub) in
+  Alcotest.(check bool) "spans recorded" true (spans <> []);
+  List.iter
+    (fun (s : Telemetry.Span.span) -> Alcotest.(check int) (s.name ^ " on core 2") 2 s.core)
+    spans;
+  Alcotest.(check int64) "root span = invocation cycles" r.Wasp.Runtime.cycles
+    (root_span hub).Telemetry.Span.duration
 
 (* --- pool + kvm metrics ----------------------------------------------- *)
 
@@ -1359,6 +1515,13 @@ let () =
           Alcotest.test_case "span stamps monotone" `Quick test_span_stamps_monotone;
           Alcotest.test_case "one attach point" `Quick test_one_attach_point;
           Alcotest.test_case "one set of counters" `Quick test_counter_contract;
+          Alcotest.test_case "one write path" `Quick test_one_write_path;
+          Alcotest.test_case "CoW root span on the shell's home core" `Quick
+            test_cow_root_span_on_home_core;
+          Alcotest.test_case "gateway route spans on the serving core" `Quick
+            test_gateway_route_on_serving_core;
+          Alcotest.test_case "a hub attaches on the current core" `Quick
+            test_attach_on_current_core;
           Alcotest.test_case "pool and kvm metrics" `Quick test_pool_and_kvm_metrics;
           Alcotest.test_case "paged-memory gauges" `Quick test_memory_gauges;
         ] );

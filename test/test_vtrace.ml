@@ -521,15 +521,12 @@ let test_exit_probe_stamps_flight_ring () =
   let w = R.create ~seed:7 () in
   R.set_probes w (Some e);
   ignore (R.run w fib_image ());
-  match R.flight w with
-  | None -> Alcotest.fail "flight recorder always attached"
-  | Some fr ->
-      let stamped =
-        List.filter
-          (fun en -> contains_sub en.Profiler.Flight.note "vtrace")
-          (Profiler.Flight.entries fr)
-      in
-      Alcotest.(check bool) "matched exits annotated" true (stamped <> [])
+  let stamped =
+    List.filter
+      (fun en -> contains_sub en.Profiler.Flight.note "vtrace")
+      (Profiler.Flight.entries (R.flight w))
+  in
+  Alcotest.(check bool) "matched exits annotated" true (stamped <> [])
 
 let () =
   Alcotest.run "vtrace"
