@@ -118,7 +118,7 @@ translate-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bin/wasprun.exe -- --example --record $$d/tr.vxr; \
 	dune exec bin/wasprun.exe -- --replay $$d/tr.vxr; \
-	dune exec bench/main.exe -- translate > $$d/tr.txt; \
+	dune exec bench/main.exe -- translate > $$d/tr.txt 2>&1; \
 	grep -E 'TRANSLATE-SMOKE: divergence=0 speedup=[0-9]{2,}x' $$d/tr.txt \
 	  || { echo "translate-smoke: engines diverged or speedup below 10x:"; cat $$d/tr.txt; exit 1; }
 

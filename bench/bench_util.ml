@@ -1,6 +1,6 @@
 (* Shared helpers for the experiment harness. *)
 
-let freq_ghz = 2.69
+let freq_ghz = Cycles.Clock.default_freq_ghz
 
 let us_of_cycles c = Int64.to_float c /. freq_ghz /. 1e3
 let ms_of_cycles c = us_of_cycles c /. 1e3

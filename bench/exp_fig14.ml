@@ -22,16 +22,21 @@ let run () =
      destroy the context each time, like the paper's unoptimized runs. *)
   let arm name ~snapshot ~teardown seed =
     let w = Wasp.Runtime.create ~seed ~pool:(not teardown) ~clean:`Async () in
-    let key = "fig14:" ^ name in
+    let iso =
+      Vjs.Isolate.create ~snapshot ~teardown w ~key:("fig14:" ^ name)
+        ~source:Vjs.Workload.base64_js_source ~entry:"encode"
+    in
     (* include the first (boot + snapshot-taking) run in the distribution,
        as the paper does ("the bars include the overhead for taking the
        initial snapshot") *)
     let mean =
       Stats.Descriptive.mean
         (Bench_util.trials trials (fun () ->
-             let o = Vjs.Workload.run_virtine w ~input ~snapshot ~teardown ~key in
-             assert (o.Vjs.Workload.output = expected);
-             o.Vjs.Workload.latency_cycles))
+             match Vjs.Workload.run_virtine iso ~input with
+             | Ok output, cycles ->
+                 assert (output = expected);
+                 cycles
+             | Error e, _ -> failwith ("fig14 " ^ name ^ ": " ^ e)))
     in
     (name, mean)
   in

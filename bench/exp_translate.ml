@@ -8,8 +8,9 @@
    The gated table holds only deterministic simulated quantities —
    retired instructions, simulated cycles per engine, the divergence
    count, translated superblock counts. Wall-clock speedup depends on
-   the host machine, so it is printed as an ungated note plus the
-   TRANSLATE-SMOKE marker line that `make translate-smoke` greps. *)
+   the host machine, so it goes to stderr, keeping stdout deterministic:
+   a line per workload plus the TRANSLATE-SMOKE marker line that
+   `make translate-smoke` greps. *)
 
 let origin = 0x8000
 
@@ -155,13 +156,13 @@ let run () =
     rows;
   List.iter
     (fun (name, i, t, _) ->
-      Bench_util.note "%s: interp %.3fs, translated %.3fs (%.1fx wall-clock)" name
-        i.wall t.wall (i.wall /. t.wall))
+      Printf.eprintf "  %s: interp %.3fs, translated %.3fs (%.1fx wall-clock)\n%!" name i.wall
+        t.wall (i.wall /. t.wall))
     measured;
   let total_div = List.fold_left (fun acc (_, _, _, d) -> acc + d) 0 measured in
   (* marker speedup: the decode-dominated loop, the workload the cache
      is built for; floor to an integer so the grep is unambiguous *)
   let _, li, lt, _ = List.hd measured in
-  Printf.printf "  TRANSLATE-SMOKE: divergence=%d speedup=%dx\n" total_div
+  Printf.eprintf "  TRANSLATE-SMOKE: divergence=%d speedup=%dx\n%!" total_div
     (int_of_float (li.wall /. lt.wall));
   Bench_util.print_blank ()

@@ -47,9 +47,9 @@ run() {
   "$w" --replay chaos.vxr --probe "$probe" --probe-out replay-probe.txt > replay.txt
   "$w" --vhttp --record ring.vxr > vhttp.txt
   "$b" fig12 --cores 4 --telemetry --trace-json sched.json > fig12.txt
-  # the tables' stdout carries host wall-clock notes; the JSON does not
+  # host wall-clock notes (translate's speedups) go to stderr
   # shellcheck disable=SC2086
-  "$b" $figures --json-out json > /dev/null
+  "$b" $figures --json-out json > figures.txt
   "$f" --iters 25 --seed 0xF022 > fuzz.txt
   cd "$root"
 }

@@ -3,7 +3,9 @@
    without allocating. [now] boxes on the way out. *)
 type t = { mutable cycles : int; freq_ghz : float }
 
-let create ?(freq_ghz = 2.69) () = { cycles = 0; freq_ghz }
+let default_freq_ghz = 2.69
+
+let create ?(freq_ghz = default_freq_ghz) () = { cycles = 0; freq_ghz }
 
 let now t = Int64.of_int t.cycles
 

@@ -7,8 +7,11 @@
 
 type t
 
+val default_freq_ghz : float
+(** 2.69: the testbed's clock, which every runtime's clocks run at. *)
+
 val create : ?freq_ghz:float -> unit -> t
-(** Fresh clock at cycle 0. [freq_ghz] defaults to 2.69. *)
+(** Fresh clock at cycle 0. [freq_ghz] defaults to {!default_freq_ghz}. *)
 
 val now : t -> int64
 (** Current cycle count. *)

@@ -63,11 +63,11 @@ type run_exit =
   | Fault of Vm.Cpu.fault
   | Out_of_fuel
 
-let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?flight_capacity () =
+let open_dev ?(seed = 0x5eed) ?(cores = 1) ?flight_capacity () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
   let flight = Profiler.Flight.create ?capacity:flight_capacity () in
   {
-    clocks = Array.init cores (fun _ -> Cycles.Clock.create ?freq_ghz ());
+    clocks = Array.init cores (fun _ -> Cycles.Clock.create ());
     cur = 0;
     rng = Cycles.Rng.create ~seed;
     series = Hashtbl.create 32;

@@ -94,13 +94,13 @@ val plan_fires : system -> string -> bool
     applies the consequence. Exposed for sites that live above the KVM
     layer (the runtime's {!site_snapshot_corrupt}). *)
 
-val open_dev :
-  ?seed:int -> ?freq_ghz:float -> ?cores:int -> ?flight_capacity:int -> unit -> system
+val open_dev : ?seed:int -> ?cores:int -> ?flight_capacity:int -> unit -> system
 (** [cores] (default 1) gives the system that many per-core virtual
-    clocks; all charges land on the {e current} core's clock (see
-    {!set_core}). Guests execute through one {!Vm.Translate} cache per
-    system, shared by all its vCPUs. [flight_capacity] sizes the
-    system's {!flight} ring (default 128, see {!Profiler.Flight.create}). *)
+    clocks, at {!Cycles.Clock.default_freq_ghz}; all charges land on
+    the {e current} core's clock (see {!set_core}). Guests execute
+    through one {!Vm.Translate} cache per system, shared by all its
+    vCPUs. [flight_capacity] sizes the system's {!flight} ring (default
+    128, see {!Profiler.Flight.create}). *)
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)

@@ -51,26 +51,29 @@ let bucketize ~cps ~total_end samples =
          end)
        buckets)
 
-let run ?(freq_ghz = 2.69) ?(workers = 8) ?(think_time_s = 0.05) ~service ~profile () =
-  let cps = freq_ghz *. 1e9 in
-  let cycles_of_s s = Int64.of_float (s *. cps) in
-  let sim = Dessim.Sim.create () in
-  let server = Dessim.Sim.Server.create ~workers sim ~service in
-  let samples = ref [] in
-  let think = cycles_of_s think_time_s in
-  (* phase boundaries *)
-  let phase_windows =
-    let t = ref 0.0 in
+let cycles_of_s ~cps s = Int64.of_float (s *. cps)
+
+(* The profile's phases as (start, end, clients) cycle windows, and the
+   end of the last one. *)
+let phase_windows ~cps profile =
+  let t = ref 0.0 in
+  let windows =
     List.map
       (fun p ->
         let start = !t in
         t := !t +. p.duration_s;
-        (cycles_of_s start, cycles_of_s !t, p.clients))
+        (cycles_of_s ~cps start, cycles_of_s ~cps !t, p.clients))
       profile
   in
-  let total_end =
-    List.fold_left (fun acc (_, e, _) -> max acc e) 0L phase_windows
-  in
+  (windows, List.fold_left (fun acc (_, e, _) -> max acc e) 0L windows)
+
+let run ?(workers = 8) ?(think_time_s = 0.05) ~service ~profile () =
+  let cps = Cycles.Clock.default_freq_ghz *. 1e9 in
+  let sim = Dessim.Sim.create () in
+  let server = Dessim.Sim.Server.create ~workers sim ~service in
+  let samples = ref [] in
+  let think = cycles_of_s ~cps think_time_s in
+  let phase_windows, total_end = phase_windows ~cps profile in
   List.iter
     (fun (start, phase_end, clients) ->
       for _ = 1 to clients do
@@ -107,10 +110,9 @@ let export_core_stats runtime sched =
 (* Multi-core closed loop: clients fire against the scheduler instead of
    a FIFO server, so requests run as real work on per-core clocks (with
    work stealing, and idle cycles feeding the pool's reclaim drain). *)
-let run_cores ?(freq_ghz = 2.69) ?(think_time_s = 0.05) ?(steal = true) ?on_complete
-    ~runtime ~request ~profile () =
-  let cps = freq_ghz *. 1e9 in
-  let cycles_of_s s = Int64.of_float (s *. cps) in
+let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~request ~profile
+    () =
+  let cps = Cycles.Clock.freq_ghz (Wasp.Runtime.clock runtime) *. 1e9 in
   let n = Wasp.Runtime.cores runtime in
   let clocks = Array.init n (Wasp.Runtime.core_clock runtime) in
   (* deferred cleaning becomes real under the scheduler: released shells
@@ -131,19 +133,8 @@ let run_cores ?(freq_ghz = 2.69) ?(think_time_s = 0.05) ?(steal = true) ?on_comp
   in
   Dessim.Cores.set_probes sched (Wasp.Runtime.probes runtime);
   let samples = ref [] in
-  let think = Int64.of_float (think_time_s *. cps) in
-  let phase_windows =
-    let t = ref 0.0 in
-    List.map
-      (fun p ->
-        let start = !t in
-        t := !t +. p.duration_s;
-        (cycles_of_s start, cycles_of_s !t, p.clients))
-      profile
-  in
-  let total_end =
-    List.fold_left (fun acc (_, e, _) -> max acc e) 0L phase_windows
-  in
+  let think = cycles_of_s ~cps think_time_s in
+  let phase_windows, total_end = phase_windows ~cps profile in
   List.iter
     (fun (start, phase_end, clients) ->
       for _ = 1 to clients do

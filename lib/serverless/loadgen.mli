@@ -21,7 +21,6 @@ type bucket = {
 }
 
 val run :
-  ?freq_ghz:float ->
   ?workers:int ->
   ?think_time_s:float ->
   service:(now:int64 -> int64) ->
@@ -31,10 +30,10 @@ val run :
 (** Simulate the profile against a [workers]-wide FIFO server whose
     per-request duration comes from [service ~now] (cycles; [now] is the
     sim time the request starts service, for keep-alive decisions).
-    Returns one-second buckets covering the whole run. *)
+    Returns one-second buckets covering the whole run, in seconds at
+    {!Cycles.Clock.default_freq_ghz}. *)
 
 val run_cores :
-  ?freq_ghz:float ->
   ?think_time_s:float ->
   ?steal:bool ->
   ?on_complete:(latency:int64 -> unit) ->
@@ -44,7 +43,8 @@ val run_cores :
   unit ->
   bucket list * Dessim.Cores.t
 (** Multi-core variant: closed-loop clients submit to a
-    {!Dessim.Cores} scheduler over [runtime]'s per-core clocks. Each
+    {!Dessim.Cores} scheduler over [runtime]'s per-core clocks, whose
+    frequency sets the buckets' seconds. Each
     request is real work — [request ()] must perform one invocation on
     the current core, charging its clock. The pool's reclaim policy is
     switched to [Scheduled], so async cleaning consumes idle windows and

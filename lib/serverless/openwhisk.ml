@@ -45,12 +45,6 @@ let create ~clock ?(seed = 0x515) ?(max_containers = 32) () =
 
 let register t ~name ~source ~entry = Hashtbl.replace t.functions name { source; entry }
 
-let data_value input =
-  Vjs.Jsvalue.Arr
-    (Vjs.Jsvalue.vec_of_list
-       (List.init (Bytes.length input) (fun i ->
-            Vjs.Jsvalue.Num (float_of_int (Char.code (Bytes.get input i))))))
-
 let charge t ~pct c = Cycles.Clock.advance_int t.clock (Cycles.Costs.jitter t.rng ~pct c)
 
 let pool t name =
@@ -108,7 +102,7 @@ let invoke t ~now ~name ~input =
   | Error msg -> (Error msg, Cycles.Clock.elapsed_since t.clock start)
   | Ok c ->
       let result =
-        match Vjs.Engine.call c.engine reg.entry [ data_value input ] with
+        match Vjs.Engine.call c.engine reg.entry [ Vjs.Jsvalue.of_bytes input ] with
         | Ok v -> Ok (Vjs.Jsvalue.to_string v)
         | Error msg -> Error msg
       in

@@ -1,30 +1,23 @@
 type t = {
   wasp : Wasp.Runtime.t;
-  isolate_key : string;
-  isolate_source : string;
-  isolate_entry : string;
+  key : string;
+  entry : string;
+  snapshot : bool;
+  teardown : bool;
   program : Engine.program Lazy.t;  (** compiled at the first build *)
 }
 
 type Wasp.Univ.t += Isolate_engine of Engine.t
 
+(* engine heap arena: Duktape keeps its context in ~48 KB of heap, which
+   is what the snapshot must capture and restore *)
 let arena_bytes = 48 * 1024
 
 let policy =
   Wasp.Policy.of_list [ Wasp.Hc.snapshot; Wasp.Hc.get_data; Wasp.Hc.return_data ]
 
-let create wasp ~key ~source ~entry =
-  {
-    wasp;
-    isolate_key = key;
-    isolate_source = source;
-    isolate_entry = entry;
-    program = lazy (Engine.compile source);
-  }
-
-let key t = t.isolate_key
-let source t = t.isolate_source
-let entry t = t.isolate_entry
+let create ?(snapshot = true) ?(teardown = false) wasp ~key ~source ~entry =
+  { wasp; key; entry; snapshot; teardown; program = lazy (Engine.compile source) }
 
 (* A context with the isolate's program loaded. *)
 let build t ~charge =
@@ -39,15 +32,17 @@ let restored_engine t () =
   | Ok e -> Isolate_engine e
   | Error msg -> failwith msg
 
-(* Run one invocation. [decode] turns the guest-side input bytes into the
-   engine-call arguments (charging guest cycles for the decode); [encode]
-   turns the result value into output bytes. *)
 let run t ~input ~decode ~encode =
   let module N = Wasp.Runtime.Native_ctx in
   let error = ref None in
+  let fail msg =
+    error := Some msg;
+    -1L
+  in
   let result =
-    Wasp.Runtime.run_native t.wasp ~name:("isolate:" ^ t.isolate_key)
-      ~mem_size:(128 * 1024) ~policy ~input ~snapshot_key:t.isolate_key
+    Wasp.Runtime.run_native t.wasp ~name:("isolate:" ^ t.key) ~mem_size:(128 * 1024) ~policy
+      ~input
+      ?snapshot_key:(if t.snapshot then Some t.key else None)
       ~body:(fun ctx ~restored ->
         let charge c = N.charge ctx c in
         (* On the cold path the snapshot capture and the input fetch ride
@@ -60,6 +55,8 @@ let run t ~input ~decode ~encode =
               Engine.set_charge e charge;
               Ok e
           | Some _ | None -> (
+              (* boot path: the engine context lives in guest memory;
+                 touch the arena so the snapshot captures its footprint *)
               let arena = N.alloc ctx arena_bytes in
               let mem = N.mem ctx in
               for i = 0 to (arena_bytes / 256) - 1 do
@@ -68,20 +65,18 @@ let run t ~input ~decode ~encode =
               match build t ~charge with
               | Error msg -> Error msg
               | Ok e ->
-                  N.offer_snapshot_state ctx (restored_engine t);
-                  snapshot_pending := true;
+                  if t.snapshot then begin
+                    N.offer_snapshot_state ctx (restored_engine t);
+                    snapshot_pending := true
+                  end;
                   Ok e)
         in
         match engine with
-        | Error msg ->
-            error := Some msg;
-            -1L
-        | Ok engine -> (
+        | Error msg -> fail msg
+        | Ok engine ->
             (* pull the input through the data channel *)
             let buf = N.alloc ctx (max 8 (Bytes.length input)) in
-            let get_args =
-              [| Int64.of_int buf; Int64.of_int (Bytes.length input) |]
-            in
+            let get_args = [| Int64.of_int buf; Int64.of_int (Bytes.length input) |] in
             let n =
               if !snapshot_pending then
                 match
@@ -94,21 +89,21 @@ let run t ~input ~decode ~encode =
             in
             let mem = N.mem ctx in
             let data = Vm.Memory.read_bytes mem ~off:buf ~len:(Int64.to_int n) in
-            match decode ~charge data with
-            | Error msg ->
-                error := Some msg;
-                -1L
-            | Ok args -> (
-                match Engine.call engine t.isolate_entry args with
-                | Error msg ->
-                    error := Some msg;
-                    -1L
-                | Ok v ->
-                    let out = encode v in
-                    let out_addr = N.alloc ctx (max 8 (String.length out)) in
-                    Vm.Memory.write_bytes mem ~off:out_addr (Bytes.of_string out);
-                    N.hypercall ctx Wasp.Hc.return_data
-                      [| Int64.of_int out_addr; Int64.of_int (String.length out) |])))
+            let rv =
+              match decode ~charge data with
+              | Error msg -> fail msg
+              | Ok args -> (
+                  match Engine.call engine t.entry args with
+                  | Error msg -> fail msg
+                  | Ok v ->
+                      let out = encode v in
+                      let out_addr = N.alloc ctx (max 8 (String.length out)) in
+                      Vm.Memory.write_bytes mem ~off:out_addr (Bytes.of_string out);
+                      N.hypercall ctx Wasp.Hc.return_data
+                        [| Int64.of_int out_addr; Int64.of_int (String.length out) |])
+            in
+            if t.teardown then Engine.destroy engine;
+            rv)
       ()
   in
   let outcome =
@@ -124,16 +119,9 @@ let run t ~input ~decode ~encode =
 let invoke t ~input =
   let decode ~charge data =
     charge (Bytes.length data * 2);
-    Ok
-      [
-        Jsvalue.Arr
-          (Jsvalue.vec_of_list
-             (List.init (Bytes.length data) (fun i ->
-                  Jsvalue.Num (float_of_int (Char.code (Bytes.get data i))))));
-      ]
+    Ok [ Jsvalue.of_bytes data ]
   in
-  let encode v = Jsvalue.to_string v in
-  run t ~input ~decode ~encode
+  run t ~input ~decode ~encode:Jsvalue.to_string
 
 let call_json t args =
   let payload = Json.stringify (Jsvalue.Arr (Jsvalue.vec_of_list args)) in

@@ -53,6 +53,9 @@ let vec_pop v =
 
 let vec_to_list v = List.init v.len (fun i -> v.items.(i))
 
+let of_bytes b =
+  Arr (vec_of_list (List.init (Bytes.length b) (fun i -> Num (float_of_int (Bytes.get_uint8 b i)))))
+
 let type_name = function
   | Undefined -> "undefined"
   | Null -> "object"

@@ -43,6 +43,10 @@ val vec_push : vec -> t -> unit
 val vec_pop : vec -> t
 val vec_to_list : vec -> t list
 
+val of_bytes : bytes -> t
+(** The bytes as an array of their values (0-255): how a byte payload
+    reaches a JavaScript function. *)
+
 (** {1 Coercions (ECMA-flavoured)} *)
 
 val type_name : t -> string

@@ -1,12 +1,8 @@
-(** The §6.5 JavaScript-virtine workload: base64-encode a buffer inside
-    the engine, either on the host (baseline) or in virtine context with
-    the snapshot / no-teardown optimizations of Figure 14.
-
-    The virtine embedding follows the paper exactly: the engine runs with
-    only three hypercalls available — [snapshot], [get_data] and
-    [return_data] — and [get_data]/[snapshot] are once-only, so "if an
-    attacker were to gain remote code execution capabilities, the only
-    permitted hypercall would terminate the virtine". *)
+(** The §6.5 JavaScript workload: a base64 UDF over a buffer, run either
+    on the host (the paper's Duktape baseline) or in a virtine through
+    {!Isolate}, the one embedding. Figure 14's arms are isolates of
+    {!base64_js_source} with entry ["encode"] that differ in [snapshot]
+    and [teardown]. *)
 
 val base64_js_source : string
 (** The untrusted UDF: [encode(data)] over an array of byte values. *)
@@ -23,8 +19,7 @@ val run_baseline : clock:Cycles.Clock.t -> input:bytes -> outcome
 (** Allocate a Duktape-style context, bind natives, evaluate the UDF,
     encode, tear down — all on the host (the paper's 419 us baseline). *)
 
-val run_virtine :
-  Wasp.Runtime.t -> input:bytes -> snapshot:bool -> teardown:bool -> key:string -> outcome
-(** One virtine invocation of the UDF. [snapshot] enables the post-init
-    snapshot (reused across calls under [key]); [teardown] controls
-    whether the engine free cost is paid (NT arms skip it). *)
+val run_virtine : Isolate.t -> input:bytes -> (string, string) result * int64
+(** One invocation of the isolate's entry on the input as an array of
+    byte values, like {!Isolate.invoke} but with an uncharged decode:
+    Figure 14 measures the engine, not the argument marshalling. *)

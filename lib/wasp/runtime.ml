@@ -32,9 +32,9 @@ type t = {
          invocations; the next restore rewrites only the dirty pages *)
 }
 
-let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
+let create ?(seed = 0xACE) ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
     ?(cores = 1) ?pool_capacity ?snapshot_capacity ?flight_capacity () =
-  let sys = Kvmsim.Kvm.open_dev ~seed ?freq_ghz ~cores ?flight_capacity () in
+  let sys = Kvmsim.Kvm.open_dev ~seed ~cores ?flight_capacity () in
   (* Name the hypercall port so exit-level observers (vtrace) can tell
      hypercall exits from plain I/O. *)
   Kvmsim.Kvm.set_hc_port sys (Some Hc.port);
@@ -62,7 +62,6 @@ let drain_reclaim t ~core ~budget = Pool.drain t.pool ~core ~budget
 let reclaim_depth t ~core = Pool.reclaim_depth t.pool ~core
 let set_prewarm t cfg = Pool.set_prewarm t.pool cfg
 let prewarm_step t ~core ~budget = Pool.prewarm_step t.pool ~core ~budget
-let rng t = Kvmsim.Kvm.rng t.sys
 let env t = t.hostenv
 let kvm t = t.sys
 let pool_stats t = Pool.stats t.pool
@@ -629,7 +628,7 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
           Vm.Memory.write_bytes mem ~off:Layout.arg_area input_bytes;
           charge t (Cycles.Costs.memcpy_cost (Bytes.length input_bytes))
         end;
-        Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn
+        Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(Kvmsim.Kvm.rng t.sys) ?conn
           ~input:input_bytes ~heap_brk:(Image.footprint image) ())
   in
   let take_snapshot () =
@@ -765,7 +764,6 @@ module Native_ctx = struct
   }
 
   let mem c = c.inv.Inv.mem
-  let rng c = c.inv.Inv.rng
   let charge c cycles = Cycles.Clock.advance_int c.inv.Inv.clock cycles
 
   let alloc c size =
@@ -831,7 +829,7 @@ let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
         (None, Layout.image_base)
   in
   let inv =
-    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn ~input ~heap_brk ()
+    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(Kvmsim.Kvm.rng t.sys) ?conn ~input ~heap_brk ()
   in
   let ctx =
     {

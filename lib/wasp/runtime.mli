@@ -25,7 +25,6 @@ type reset_mode = [ `Memcpy | `Cow ]
 
 val create :
   ?seed:int ->
-  ?freq_ghz:float ->
   ?pool:bool ->
   ?clean:clean_mode ->
   ?reset:reset_mode ->
@@ -229,7 +228,6 @@ module Native_ctx : sig
   type ctx
 
   val mem : ctx -> Vm.Memory.t
-  val rng : ctx -> Cycles.Rng.t
 
   val charge : ctx -> int -> unit
   (** Account guest-side computation. *)

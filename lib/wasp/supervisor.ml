@@ -49,7 +49,10 @@ type outcome = {
   cycles : int64;
 }
 
-type streak = { mutable failures : int; mutable until : int64 }
+(* [opened_at] stamps the quarantine's start; it ends once the cooldown
+   has elapsed since then. Stamping the end instead would overflow for a
+   cooldown near [Int64.max_int]. *)
+type streak = { mutable failures : int; mutable opened_at : int64 option }
 
 type t = {
   rt : Runtime.t;
@@ -102,14 +105,17 @@ let streak_for t key =
   match Hashtbl.find_opt t.streaks key with
   | Some s -> s
   | None ->
-      let s = { failures = 0; until = 0L } in
+      let s = { failures = 0; opened_at = None } in
       Hashtbl.replace t.streaks key s;
       s
 
+let in_quarantine t s =
+  match s.opened_at with
+  | Some at -> Int64.compare (Int64.sub (now t) at) t.config.quarantine_cooldown < 0
+  | None -> false
+
 let quarantined_count t =
-  let n = now t in
-  Hashtbl.fold (fun _ s acc -> if Int64.compare s.until n > 0 then acc + 1 else acc)
-    t.streaks 0
+  Hashtbl.fold (fun _ s acc -> if in_quarantine t s then acc + 1 else acc) t.streaks 0
 
 let note_quarantine_gauge t =
   Kvmsim.Kvm.gauge (Runtime.kvm t.rt) "wasp_quarantined_images"
@@ -118,13 +124,13 @@ let note_quarantine_gauge t =
 let quarantined t ~key =
   match Hashtbl.find_opt t.streaks key with
   | None -> false
-  | Some s -> Int64.compare s.until (now t) > 0
+  | Some s -> in_quarantine t s
 
 let release_quarantine t ~key =
   (match Hashtbl.find_opt t.streaks key with
   | Some s ->
       s.failures <- 0;
-      s.until <- 0L
+      s.opened_at <- None
   | None -> ());
   note_quarantine_gauge t
 
@@ -140,7 +146,7 @@ let note_failure t key class_ =
   let s = streak_for t key in
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
-    s.until <- Int64.add (now t) t.config.quarantine_cooldown;
+    s.opened_at <- Some (now t);
     Kvmsim.Kvm.instant sys
       ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
       "supervisor_quarantine";
@@ -154,7 +160,7 @@ let note_success t key =
   t.successes <- t.successes + 1;
   let s = streak_for t key in
   s.failures <- 0;
-  s.until <- 0L;
+  s.opened_at <- None;
   note_quarantine_gauge t
 
 (* What went wrong with one attempt, if anything. *)
@@ -207,8 +213,8 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
        one short of the threshold, so the first failure re-quarantines
        while a success clears it. *)
     let s = streak_for t key in
-    if Int64.compare s.until 0L > 0 then begin
-      s.until <- 0L;
+    if Option.is_some s.opened_at then begin
+      s.opened_at <- None;
       s.failures <- max 0 (t.config.quarantine_threshold - 1);
       note_quarantine_gauge t
     end;

@@ -170,23 +170,26 @@ let test_c8_js_slowdown () =
       (fun () -> (Vjs.Workload.run_baseline ~clock ~input).Vjs.Workload.latency_cycles)
       10
   in
-  let w_plain = Wasp.Runtime.create ~seed:8 ~pool:false ~clean:`Async () in
-  let plain =
-    mean_of
-      (fun () ->
-        (Vjs.Workload.run_virtine w_plain ~input ~snapshot:false ~teardown:true ~key:"c8")
-          .Vjs.Workload.latency_cycles)
-      10
+  let isolate ~snapshot ~teardown w ~key =
+    Vjs.Isolate.create ~snapshot ~teardown w ~key ~source:Vjs.Workload.base64_js_source
+      ~entry:"encode"
   in
-  let w_snap = Wasp.Runtime.create ~seed:8 ~clean:`Async () in
-  ignore (Vjs.Workload.run_virtine w_snap ~input ~snapshot:true ~teardown:false ~key:"c8s");
-  let snap_nt =
-    mean_of
-      (fun () ->
-        (Vjs.Workload.run_virtine w_snap ~input ~snapshot:true ~teardown:false ~key:"c8s")
-          .Vjs.Workload.latency_cycles)
-      10
+  let cycles iso =
+    match Vjs.Workload.run_virtine iso ~input with
+    | Ok _, c -> c
+    | Error e, _ -> Alcotest.fail e
   in
+  let plain_iso =
+    isolate ~snapshot:false ~teardown:true
+      (Wasp.Runtime.create ~seed:8 ~pool:false ~clean:`Async ())
+      ~key:"c8"
+  in
+  let plain = mean_of (fun () -> cycles plain_iso) 10 in
+  let snap_iso =
+    isolate ~snapshot:true ~teardown:false (Wasp.Runtime.create ~seed:8 ~clean:`Async ()) ~key:"c8s"
+  in
+  ignore (cycles snap_iso);
+  let snap_nt = mean_of (fun () -> cycles snap_iso) 10 in
   Alcotest.(check bool)
     (Printf.sprintf "plain virtine %.2fx < 2x" (plain /. baseline))
     true

@@ -425,6 +425,26 @@ let test_supervisor_quarantine_lifecycle () =
   fail_once ();
   Alcotest.(check bool) "streak reset by release" false (S.quarantined sup ~key:"crash")
 
+let test_supervisor_quarantine_forever () =
+  (* a cooldown of [Int64.max_int] quarantines for good: the end of the
+     window is past the clock's range, so it is never stamped *)
+  let w = R.create () in
+  let config =
+    {
+      S.default_config with
+      S.max_retries = 0;
+      quarantine_threshold = 1;
+      quarantine_cooldown = Int64.max_int;
+    }
+  in
+  let sup = S.create ~config w in
+  let img = crash_image () in
+  ignore (S.run sup img ());
+  Alcotest.(check bool) "quarantined" true (S.quarantined sup ~key:"crash");
+  Cycles.Clock.advance_int (R.clock w) 1_000_000_000;
+  let o = S.run sup img () in
+  Alcotest.(check int) "still rejected without running" 0 o.S.attempts
+
 let test_supervisor_success_resets_streak () =
   let w = R.create () in
   let config =
@@ -649,6 +669,7 @@ let () =
           Alcotest.test_case "policy terminal" `Quick test_supervisor_policy_is_terminal;
           Alcotest.test_case "quarantine lifecycle" `Quick
             test_supervisor_quarantine_lifecycle;
+          Alcotest.test_case "quarantine forever" `Quick test_supervisor_quarantine_forever;
           Alcotest.test_case "success resets streak" `Quick
             test_supervisor_success_resets_streak;
           Alcotest.test_case "retry determinism" `Quick
