@@ -21,65 +21,31 @@ let header name paper_ref =
   Printf.printf "(reproduces %s)\n\n%!" paper_ref
 
 (* Machine-readable results: `--json-out DIR` mirrors every table an
-   experiment prints into DIR/BENCH_<fig>.json, one file per figure,
-   each table as {title?, header, rows}. *)
+   experiment prints into DIR/BENCH_<fig>.json, one file per figure
+   (the format is Bench_json's). *)
 
 let json_out : string option ref = ref None
 
-(* (fig, title option, header, rows), in print order *)
-let json_tables : (string * string option * string list * string list list) list ref =
-  ref []
+(* (fig, table), in print order *)
+let json_tables : (string * Bench_json.table) list ref = ref []
 
 let table ~fig ?title ~header rows =
   print_string (Stats.Report.table ?title ~header rows);
-  if !json_out <> None then json_tables := (fig, title, header, rows) :: !json_tables
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l) ^ "]"
+  if !json_out <> None then
+    json_tables := (fig, { Bench_json.title; header; rows }) :: !json_tables
 
 let dump_json () =
   match !json_out with
   | None -> ()
   | Some dir ->
       let tables = List.rev !json_tables in
-      let figs = List.sort_uniq compare (List.map (fun (f, _, _, _) -> f) tables) in
       List.iter
         (fun fig ->
-          let mine = List.filter (fun (f, _, _, _) -> f = fig) tables in
-          let buf = Buffer.create 1024 in
-          Buffer.add_string buf
-            (Printf.sprintf "{\"fig\":\"%s\",\"tables\":[" (json_escape fig));
-          List.iteri
-            (fun i (_, title, header, rows) ->
-              if i > 0 then Buffer.add_char buf ',';
-              Buffer.add_char buf '{';
-              (match title with
-              | Some t -> Buffer.add_string buf (Printf.sprintf "\"title\":\"%s\"," (json_escape t))
-              | None -> ());
-              Buffer.add_string buf ("\"header\":" ^ json_string_list header);
-              Buffer.add_string buf
-                (",\"rows\":[" ^ String.concat "," (List.map json_string_list rows) ^ "]}"))
-            mine;
-          Buffer.add_string buf "]}\n";
-          let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" fig) in
-          let oc = open_out_bin path in
-          Buffer.output_buffer oc buf;
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path)
-        figs
+          let mine =
+            List.filter_map (fun (f, t) -> if f = fig then Some t else None) tables
+          in
+          Printf.printf "wrote %s\n%!" (Bench_json.write ~dir ~fig mine))
+        (List.sort_uniq compare (List.map fst tables))
 
 (* Telemetry: opt-in with `bench/main.exe -- --telemetry ...`. Spans are
    capacity-bounded, so attaching a hub to a many-thousand-trial

@@ -8,7 +8,7 @@
    kvm_create_vm/memory_region/create_vcpu sequence in the request path,
    while a pre-built shell costs only the handoff.
 
-   Gated: bench/baselines/BENCH_rings.json (benchdiff, ±15%). All
+   Gated: bench/baselines/BENCH_rings.json (benchdiff, exact). All
    figures are deterministic simulated cycles at fixed seeds. *)
 
 type arm = { name : string; serve : unit -> Vhttp.Fileserver.served }

@@ -28,8 +28,9 @@ for tree in "$tmp/src" "$root"; do
 done
 
 probe='exit { count() by (reason) }'
-figures="table1 fig2 fig3 fig4 fig8 table2 fig11 fig12 fig13 fig14 fig15 aes udf
-ablations memshare rings chaos chaos_slo translate"
+# every figure: the Makefile's BENCH_GATE_FIGS line is the one list
+figures=$(sed -n 's/^BENCH_GATE_FIGS ?= //p' "$root/Makefile")
+test -n "$figures"
 
 # run TREE OUTDIR: every command, from OUTDIR, with TREE's executables
 run() {

@@ -1,294 +1,91 @@
-(* benchdiff: the CI bench-regression gate.
+(* benchdiff: the CI bench gate.
 
      benchdiff --baseline bench/baselines --fresh /tmp/bench-out fig12 memshare
 
    Compares freshly generated BENCH_<fig>.json files (bench/main.exe
-   --json-out) against committed baselines, cell by cell. Numeric cells
-   must agree within a relative tolerance (default 15%); non-numeric
-   cells must match exactly. A structural mismatch (missing figure,
-   fewer tables than the baseline, different header) fails loudly with a
-   hint to regenerate the baselines — except a *new* figure (fresh
-   parses, no baseline committed yet) or extra fresh tables, which are
-   reported as informational so the PR introducing a figure isn't
-   blocked by its own gate. Exit 0 = within tolerance, 1 = regression,
-   2 = structural/usage error. *)
+   --json-out) against the committed baselines, cell for cell and with
+   no tolerance: every figure is simulated on the virtual clock, so the
+   same code prints the same cells. Each differing cell is named
+   (figure, table, row, column, baseline and fresh values). Exit 0 =
+   identical, 1 = some cell differs, 2 = a missing or malformed file, a
+   changed shape (table count, title, header or row count), or a usage
+   error. An intended change lands by regenerating the baselines
+   with `make bench-baselines`. *)
 
 open Cmdliner
 
-type table = { title : string option; header : string list; rows : string list list }
+exception Shape of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let str_field tbl key =
-  match Hashtbl.find_opt tbl key with Some (Vjs.Jsvalue.Str s) -> Some s | _ -> None
-
-let string_list = function
-  | Vjs.Jsvalue.Arr v ->
-      Some
-        (List.filter_map
-           (function Vjs.Jsvalue.Str s -> Some s | _ -> None)
-           (Vjs.Jsvalue.vec_to_list v))
-  | _ -> None
-
-let parse_bench path =
-  match Vjs.Json.parse (read_file path) with
-  | exception Sys_error msg -> Error msg
-  | exception Vjs.Jsvalue.Js_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Vjs.Jsvalue.Obj top -> (
-      match Hashtbl.find_opt top "tables" with
-      | Some (Vjs.Jsvalue.Arr v) -> (
-          let tables =
-            List.filter_map
-              (function
-                | Vjs.Jsvalue.Obj o ->
-                    let header =
-                      Option.bind (Hashtbl.find_opt o "header") string_list
-                    in
-                    let rows =
-                      match Hashtbl.find_opt o "rows" with
-                      | Some (Vjs.Jsvalue.Arr rv) ->
-                          Some
-                            (List.filter_map string_list (Vjs.Jsvalue.vec_to_list rv))
-                      | _ -> None
-                    in
-                    (match (header, rows) with
-                    | Some header, Some rows ->
-                        Some { title = str_field o "title"; header; rows }
-                    | _ -> None)
-                | _ -> None)
-              (Vjs.Jsvalue.vec_to_list v)
-          in
-          match tables with
-          | [] -> Error (Printf.sprintf "%s: no tables" path)
-          | ts -> Ok ts)
-      | _ -> Error (Printf.sprintf "%s: no tables array" path))
-  | _ -> Error (Printf.sprintf "%s: top level is not an object" path)
-
-(* A cell is numeric if it starts with a float ("394.8", "98.75%",
-   "16 MB"). Compare the leading number within tolerance and require the
-   rest (the unit text) to match exactly. *)
-let split_numeric cell =
-  let n = String.length cell in
-  let is_num_char c = (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '+' in
-  let rec last i = if i < n && is_num_char cell.[i] then last (i + 1) else i in
-  let stop = last 0 in
-  if stop = 0 then None
-  else
-    match float_of_string_opt (String.sub cell 0 stop) with
-    | Some f -> Some (f, String.sub cell stop (n - stop))
-    | None -> None
-
-(* (relative drift if both cells are numeric with matching units, verdict) *)
-let cell_verdict ~tolerance a b =
-  match (split_numeric a, split_numeric b) with
-  | Some (x, ua), Some (y, ub) when ua = ub ->
-      let scale = Float.max (Float.abs x) (Float.abs y) in
-      let drift = if scale = 0.0 then 0.0 else Float.abs (x -. y) /. scale in
-      (Some drift, drift <= tolerance)
-  | _ -> (None, String.equal a b)
-
-(* One compared cell, kept for --summary-json. *)
-type cell = {
-  cl_table : string;
-  cl_row : int;
-  cl_col : string;
-  cl_baseline : string;
-  cl_fresh : string;
-  cl_drift : float option;
-  cl_ok : bool;
-}
-
-let structural_hint =
-  "baseline shape differs from fresh output -- regenerate with `make bench-baselines` \
-   and commit the result"
-
-let compare_fig ~tolerance ~fig baseline fresh =
-  let failures = ref [] in
-  let structural = ref [] in
-  let notices = ref [] in
-  let cells = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let misshapen fmt = Printf.ksprintf (fun m -> structural := m :: !structural) fmt in
-  let notice fmt = Printf.ksprintf (fun m -> notices := m :: !notices) fmt in
-  (* An experiment growing a new table is additive — compare the common
-     prefix and mention the extras. A table *disappearing* is structural:
-     the baseline promises coverage the fresh run no longer delivers. *)
+(* The differing cells' descriptions, in table order; raises [Shape] on
+   a changed shape. Every row is as wide as its header (Bench_json.read
+   checks it), so equal headers and row counts mean equal shapes. *)
+let compare_fig fig baseline fresh =
+  let shape fmt = Printf.ksprintf (fun m -> raise (Shape m)) fmt in
   let nb = List.length baseline and nf = List.length fresh in
-  let baseline, fresh =
-    if nf > nb then begin
-      notice "%s: %d new table(s) in fresh output with no baseline yet (informational)"
-        fig (nf - nb);
-      (baseline, List.filteri (fun i _ -> i < nb) fresh)
-    end
-    else (baseline, fresh)
-  in
-  if List.length baseline <> List.length fresh then
-    misshapen "%s: %d tables in baseline vs %d fresh" fig nb nf
-  else
-    List.iteri
-      (fun ti (b, f) ->
-        let where =
-          match b.title with
-          | Some t -> Printf.sprintf "%s table %d (%s)" fig ti t
-          | None -> Printf.sprintf "%s table %d" fig ti
-        in
-        if b.header <> f.header then misshapen "%s: header changed" where
-        else if List.length b.rows <> List.length f.rows then
-          misshapen "%s: %d rows in baseline vs %d fresh" where (List.length b.rows)
-            (List.length f.rows)
-        else
-          List.iteri
-            (fun ri (br, fr) ->
-              if List.length br <> List.length fr then
-                misshapen "%s row %d: column count changed" where ri
-              else
-                List.iteri
-                  (fun ci (bc, fc) ->
-                    let drift, ok = cell_verdict ~tolerance bc fc in
-                    cells :=
-                      {
-                        cl_table = where;
-                        cl_row = ri;
-                        cl_col = List.nth b.header ci;
-                        cl_baseline = bc;
-                        cl_fresh = fc;
-                        cl_drift = drift;
-                        cl_ok = ok;
-                      }
-                      :: !cells;
-                    if not ok then
-                      fail "%s row %d [%s]: %S vs fresh %S (tolerance %.0f%%)" where ri
-                        (List.nth b.header ci) bc fc (tolerance *. 100.0))
-                  (List.combine br fr))
-            (List.combine b.rows f.rows))
-      (List.combine baseline fresh);
-  (List.rev !structural, List.rev !failures, List.rev !notices, List.rev !cells)
+  if nb <> nf then shape "%s: %d tables in baseline, %d fresh" fig nb nf;
+  let diffs = ref [] in
+  List.iteri
+    (fun ti ((b : Bench_json.table), (f : Bench_json.table)) ->
+      let where =
+        match b.title with
+        | Some t -> Printf.sprintf "%s table %d (%s)" fig ti t
+        | None -> Printf.sprintf "%s table %d" fig ti
+      in
+      if b.title <> f.title then shape "%s: title changed" where;
+      if b.header <> f.header then shape "%s: header changed" where;
+      let rb = List.length b.rows and rf = List.length f.rows in
+      if rb <> rf then shape "%s: %d rows in baseline, %d fresh" where rb rf;
+      List.iteri
+        (fun ri (br, fr) ->
+          List.iter2
+            (fun (col, bc) fc ->
+              if bc <> fc then
+                diffs :=
+                  Printf.sprintf "%s, row %d (%s), column %S: baseline %S, fresh %S" where
+                    ri (List.hd br) col bc fc
+                  :: !diffs)
+            (List.combine b.header br) fr)
+        (List.combine b.rows f.rows))
+    (List.combine baseline fresh);
+  List.rev !diffs
 
-(* --summary-json: a machine-readable verdict per compared cell, for the
-   CI artifact. Hand-rolled writer — the cell grammar is tiny and flat. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* 0 identical, 1 differing cells, 2 unreadable file or changed shape *)
+let check_fig baseline_dir fresh_dir fig =
+  let read dir = Bench_json.read (Filename.concat dir (Bench_json.file fig)) in
+  match (read baseline_dir, read fresh_dir) with
+  | Error m, _ ->
+      Printf.eprintf "UNREADABLE baseline %s\n" m;
+      2
+  | _, Error m ->
+      Printf.eprintf "UNREADABLE fresh %s\n" m;
+      2
+  | Ok b, Ok f -> (
+      match compare_fig fig b f with
+      | [] ->
+          Printf.printf "%s: identical to baseline\n" fig;
+          0
+      | diffs ->
+          List.iter (Printf.eprintf "DIFF %s\n") diffs;
+          1
+      | exception Shape m ->
+          Printf.eprintf "SHAPE %s\n" m;
+          2)
 
-let cell_json c =
-  Printf.sprintf
-    "{\"table\":\"%s\",\"row\":%d,\"col\":\"%s\",\"baseline\":\"%s\",\"fresh\":\"%s\",\"drift\":%s,\"ok\":%b}"
-    (json_escape c.cl_table) c.cl_row (json_escape c.cl_col)
-    (json_escape c.cl_baseline) (json_escape c.cl_fresh)
-    (match c.cl_drift with Some d -> Printf.sprintf "%.6f" d | None -> "null")
-    c.cl_ok
-
-let write_summary path ~tolerance ~figures ~structural_total ~regression_total =
-  let worst =
-    List.fold_left
-      (fun acc (_, _, cells) ->
-        List.fold_left
-          (fun acc c ->
-            match (c.cl_drift, acc) with
-            | None, _ -> acc
-            | Some d, Some w when d <= (match w.cl_drift with Some wd -> wd | None -> 0.0)
-              ->
-                acc
-            | Some _, _ -> Some c)
-          acc cells)
-      None figures
-  in
-  let fig_json (fig, status, cells) =
-    Printf.sprintf "{\"figure\":\"%s\",\"status\":\"%s\",\"cells\":[%s]}"
-      (json_escape fig) status
-      (String.concat "," (List.map cell_json cells))
-  in
-  let doc =
-    Printf.sprintf
-      "{\"tolerance\":%.6f,\"structural\":%d,\"regressions\":%d,\"worst_drift\":%s,\"figures\":[%s]}\n"
-      tolerance structural_total regression_total
-      (match worst with Some c -> cell_json c | None -> "null")
-      (String.concat "," (List.map fig_json figures))
-  in
-  let oc = open_out path in
-  output_string oc doc;
-  close_out oc
-
-let run baseline_dir fresh_dir tolerance summary_json figs =
+let run baseline_dir fresh_dir figs =
   if figs = [] then begin
     prerr_endline "benchdiff: name at least one figure (e.g. fig12 memshare)";
     2
   end
-  else begin
-    let structural_total = ref 0 and regression_total = ref 0 in
-    let figures = ref [] in
-    List.iter
-      (fun fig ->
-        let file = Printf.sprintf "BENCH_%s.json" fig in
-        let bpath = Filename.concat baseline_dir file in
-        let fpath = Filename.concat fresh_dir file in
-        match (parse_bench bpath, parse_bench fpath) with
-        | Error _, Ok _ when not (Sys.file_exists bpath) ->
-            (* a brand-new figure: fresh output parses but nothing is
-               committed yet. Informational, not a gate failure — the
-               gate would otherwise block the very PR that introduces
-               the figure. *)
-            Printf.printf
-              "NEW %s: no committed baseline (%s); fresh output parses -- commit it \
-               with `make bench-baselines` to start gating\n"
-              fig bpath;
-            figures := (fig, "new", []) :: !figures
-        | Error m, _ ->
-            Printf.eprintf "benchdiff: baseline %s\n" m;
-            incr structural_total;
-            figures := (fig, "structural", []) :: !figures
-        | _, Error m ->
-            Printf.eprintf "benchdiff: fresh %s\n" m;
-            incr structural_total;
-            figures := (fig, "structural", []) :: !figures
-        | Ok b, Ok f ->
-            let structural, failures, notices, cells = compare_fig ~tolerance ~fig b f in
-            List.iter (fun m -> Printf.printf "NOTICE %s\n" m) notices;
-            List.iter (fun m -> Printf.eprintf "STRUCTURE %s\n" m) structural;
-            List.iter (fun m -> Printf.eprintf "REGRESSION %s\n" m) failures;
-            structural_total := !structural_total + List.length structural;
-            regression_total := !regression_total + List.length failures;
-            let status =
-              if structural <> [] then "structural"
-              else if failures <> [] then "regression"
-              else "ok"
-            in
-            figures := (fig, status, cells) :: !figures;
-            if structural = [] && failures = [] then
-              Printf.printf "%s: ok (within %.0f%% of baseline)\n" fig
-                (tolerance *. 100.0))
-      figs;
-    (match summary_json with
-    | Some path ->
-        write_summary path ~tolerance ~figures:(List.rev !figures)
-          ~structural_total:!structural_total ~regression_total:!regression_total
-    | None -> ());
-    if !structural_total > 0 then begin
-      Printf.eprintf "benchdiff: %s\n" structural_hint;
-      2
-    end
-    else if !regression_total > 0 then begin
-      Printf.eprintf "benchdiff: %d cell(s) out of tolerance\n" !regression_total;
-      1
-    end
-    else 0
-  end
+  else
+    match
+      List.fold_left max 0 (List.map (check_fig baseline_dir fresh_dir) figs)
+    with
+    | 0 -> 0
+    | status ->
+        prerr_endline
+          "benchdiff: fresh output differs from the baselines -- if the change is \
+           intended, regenerate them with `make bench-baselines` and commit the diff";
+        status
 
 let () =
   let baseline =
@@ -303,25 +100,10 @@ let () =
       & opt (some string) None
       & info [ "fresh" ] ~docv:"DIR" ~doc:"Directory of freshly generated BENCH_*.json")
   in
-  let tolerance =
-    Arg.(
-      value & opt float 0.15
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Allowed relative drift for numeric cells (default 0.15)")
-  in
-  let summary_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "summary-json" ] ~docv:"PATH"
-          ~doc:
-            "Write a machine-readable summary (per-cell verdicts, worst relative \
-             drift) to $(docv) for the CI artifact")
-  in
   let figs = Arg.(value & pos_all string [] & info [] ~docv:"FIG") in
   let cmd =
     Cmd.v
       (Cmd.info "benchdiff" ~doc:"compare bench JSON outputs against committed baselines")
-      Term.(const run $ baseline $ fresh $ tolerance $ summary_json $ figs)
+      Term.(const run $ baseline $ fresh $ figs)
   in
   exit (Cmd.eval' cmd)

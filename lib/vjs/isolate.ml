@@ -110,9 +110,10 @@ let run t ~input ~decode ~encode =
     match !error with
     | Some msg -> Error msg
     | None -> (
-        match result.Wasp.Runtime.output with
-        | Some b -> Ok (Bytes.to_string b)
-        | None -> Error "no output")
+        match (result.Wasp.Runtime.outcome, result.Wasp.Runtime.output) with
+        | Wasp.Runtime.Faulted f, _ -> Error (Format.asprintf "%a" Vm.Cpu.pp_exit (Fault f))
+        | _, Some b -> Ok (Bytes.to_string b)
+        | _, None -> Error "no output")
   in
   (outcome, result.Wasp.Runtime.cycles)
 

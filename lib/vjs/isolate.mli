@@ -42,7 +42,9 @@ val run :
     [get_data] fetched into [entry]'s arguments, charging through
     [charge] whatever guest cycles the decode costs; [encode] turns the
     result into the bytes [return_data] publishes. Returns (the
-    published output or the error, invocation cycles). *)
+    published output or the error, invocation cycles); a guest fault,
+    such as a heap allocation past guest memory, is an error that names
+    it. *)
 
 val invoke : t -> input:bytes -> (string, string) result * int64
 (** {!run} with the input as an array of byte values

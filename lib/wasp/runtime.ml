@@ -770,7 +770,8 @@ module Native_ctx = struct
     let inv = c.inv in
     let aligned = (size + 7) land lnot 7 in
     let addr = inv.Inv.heap_brk in
-    if addr + aligned > Vm.Memory.size inv.Inv.mem then raise Out_of_memory;
+    if addr + aligned > Vm.Memory.size inv.Inv.mem then
+      raise (Vm.Memory.Fault { addr; size = aligned });
     inv.Inv.heap_brk <- addr + aligned;
     addr
 

@@ -234,7 +234,9 @@ module Native_ctx : sig
 
   val alloc : ctx -> int -> int
   (** Bump-allocate guest heap memory; returns a guest address.
-      Raises [Out_of_memory] if the region is exhausted. *)
+      Past the end of guest memory it raises {!Vm.Memory.Fault}, which
+      ends the invocation as [Faulted (Memory_oob _)] and cleans its
+      shell, as any guest access out of bounds does. *)
 
   val hypercall : ctx -> int -> int64 array -> int64
   (** Cross into the client: charges the full exit/entry round trip, then

@@ -316,6 +316,34 @@ let test_stray_break_is_a_failed_invoke () =
   Alcotest.(check int) "a healthy function still serves" 200
     (status_of (Serverless.Gateway.handle g (post "/invoke/ok" "hi")))
 
+let test_heap_exhaustion_is_a_failed_invoke () =
+  (* a 128 KB result, or a 100,000-byte input, does not fit the
+     isolate's guest heap: each is that invoke's 500, and the faulted
+     shell goes back to the pool like any other *)
+  let w, g = hardened_gateway () in
+  let huge_src =
+    "function huge(d) { var s = \"x\"; for (var i = 0; i < 17; i++) { s = s + s; } \
+     return s; }"
+  in
+  ignore (Serverless.Gateway.handle g (post "/register/huge?entry=huge" huge_src));
+  ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
+  let status path body = status_of (Serverless.Gateway.handle g (post path body)) in
+  Alcotest.(check int) "healthy invoke" 200 (status "/invoke/ok" "hi");
+  (match Vhttp.Http.parse_response (Serverless.Gateway.handle g (post "/invoke/huge" "x")) with
+  | Ok r ->
+      Alcotest.(check int) "result past guest memory" 500 r.Vhttp.Http.status;
+      Alcotest.(check bool)
+        (Printf.sprintf "the error names the fault: %S" r.Vhttp.Http.resp_body)
+        true
+        (String.starts_with ~prefix:"function error: fault: memory fault"
+           r.Vhttp.Http.resp_body)
+  | Error e -> Alcotest.failf "bad response: %s" e);
+  Alcotest.(check int) "input past guest memory" 500
+    (status "/invoke/ok" (String.make 100_000 'a'));
+  Alcotest.(check int) "still serving" 200 (status "/invoke/ok" "hi");
+  Alcotest.(check int) "no shell leaked" 1
+    (Kvmsim.Kvm.stats (Wasp.Runtime.kvm w)).Kvmsim.Kvm.vm_creations
+
 let test_shed_accounting () =
   let shed = { Serverless.Gateway.burst = 3; refill_per_s = 2.0 } in
   let w, g = hardened_gateway ~shed () in
@@ -477,6 +505,8 @@ let () =
             test_breaker_closes_on_successful_probe;
           Alcotest.test_case "stray break fails the invoke" `Quick
             test_stray_break_is_a_failed_invoke;
+          Alcotest.test_case "heap exhaustion fails the invoke" `Quick
+            test_heap_exhaustion_is_a_failed_invoke;
           Alcotest.test_case "shed accounting" `Quick test_shed_accounting;
           Alcotest.test_case "shed off by default" `Quick test_shed_off_by_default;
         ] );

@@ -680,8 +680,9 @@ let test_workload_js_error_is_a_result () =
 
 (* Exact cycles of the first three invocations of Figure 14's four arms
    (as the figure runs them: 512 bytes, seeds 0x141-0x144) and of
-   Figure 15's Vespid b64 function (256 bytes). The bench gate's 15%
-   tolerance would not notice Figure 14 paying Vespid's 2-cycle-per-byte
+   Figure 15's Vespid b64 function (256 bytes). The bench gate compares
+   the printed cells exactly, but Figure 14 prints whole microseconds:
+   it would not notice Figure 14 paying Vespid's 2-cycle-per-byte
    decode charge (~0.1%); these would. *)
 let pinned_fig14_cycles =
   [
