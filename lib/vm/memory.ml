@@ -110,7 +110,7 @@ type t = {
   code_lo : int array;      (* [code_lo.(p), code_hi.(p)): bytes of page p *)
   code_hi : int array;      (* holding translated code; empty when lo >= hi *)
   mutable tag : tag;
-  mutable spare : bytes list;  (* buffers [reset_zero] dropped, not yet zeroed *)
+  mutable spare : bytes list;  (* dropped Owned buffers, stale, for reuse *)
   mutable n_spare : int;
   mutable cow_faults : int;
   mutable zero_fills : int;
@@ -199,6 +199,30 @@ let page_ro t p =
   | Shared s -> s.s_data
   | Owned b -> b
 
+(* The spare list is the one source and sink of private page buffers. A
+   4 KB buffer is too big for the minor heap, so each fresh one is a
+   direct major-heap allocation that paces major GC. [take] hands out a
+   kept buffer, or a fresh one only when none is kept; its bytes are
+   stale and the caller overwrites all of them. [set] installs a page
+   and keeps the Owned buffer it replaces. A buffer is in at most one
+   slot or on the list, and a fresh one is made only with the list
+   empty, so resident + spare <= npages. *)
+let take t =
+  match t.spare with
+  | b :: rest ->
+      t.spare <- rest;
+      t.n_spare <- t.n_spare - 1;
+      b
+  | [] -> Bytes.create page_size
+
+let set t p pg =
+  (match Array.unsafe_get t.pages p with
+  | Owned b ->
+      t.spare <- b :: t.spare;
+      t.n_spare <- t.n_spare + 1
+  | Zero | Shared _ -> ());
+  Array.unsafe_set t.pages p pg
+
 (* First store to a non-Owned page: demand-zero fill or CoW break. The
    fault hook (installed by the simulated KVM) charges the EPT-violation
    cost for shared pages; zero fills are free so cold-path timings are
@@ -207,21 +231,15 @@ let page_rw t p =
   match Array.unsafe_get t.pages p with
   | Owned b -> b
   | Zero ->
-      let b =
-        match t.spare with
-        | b :: rest ->
-            t.spare <- rest;
-            t.n_spare <- t.n_spare - 1;
-            Bytes.unsafe_fill b 0 page_size '\000';
-            b
-        | [] -> Bytes.make page_size '\000'
-      in
+      let b = take t in
+      Bytes.unsafe_fill b 0 page_size '\000';
       t.pages.(p) <- Owned b;
       t.zero_fills <- t.zero_fills + 1;
       (match t.fault_hook with Some h -> h ~shared:false ~page:p | None -> ());
       b
   | Shared s ->
-      let b = Bytes.copy s.s_data in
+      let b = take t in
+      Bytes.blit s.s_data 0 b 0 page_size;
       t.pages.(p) <- Owned b;
       t.cow_faults <- t.cow_faults + 1;
       (match t.fault_hook with Some h -> h ~shared:true ~page:p | None -> ());
@@ -381,43 +399,37 @@ let read_cstring t ~off ~max =
   let len = find 0 in
   Bytes.to_string (read_bytes t ~off ~len)
 
-let fill_zero t =
-  if t.size > 0 then mark t 0 t.size;
-  Array.fill t.pages 0 t.npages Zero
-
 (* Pool cleaning: drop every reference and start a fresh generation —
    the simulated cost model still charges the memset this stands for.
-   Private buffers are kept, up to one per page, for later zero fills.
-   Only pages holding translated code need a version bump, and then
-   hold none: their extents empty. The new tag tells a version reader
-   that the memory it validated against is gone. *)
+   Private buffers are kept for later fills and breaks. Only pages
+   holding translated code need a version bump, and then hold none:
+   their extents empty. The new tag tells a version reader that the
+   memory it validated against is gone. *)
 let reset_zero t =
   for p = 0 to t.npages - 1 do
-    (match Array.unsafe_get t.pages p with
-    | Owned b when t.n_spare < t.npages ->
-        t.spare <- b :: t.spare;
-        t.n_spare <- t.n_spare + 1
-    | Owned _ | Shared _ | Zero -> ());
+    set t p Zero;
     if t.code_lo.(p) < t.code_hi.(p) then begin
       t.vers.(p) <- t.vers.(p) + 1;
       t.code_lo.(p) <- max_int;
       t.code_hi.(p) <- 0
     end
   done;
-  Array.fill t.pages 0 t.npages Zero;
   t.tag <- ref ();
   clear_dirty t
 
 (* Publish page [p]: normalize all-zero Owned pages back to Zero, intern
    the rest. After this the slot is read-only until the next write
-   faults it private again. *)
+   faults it private again. The cache takes the buffer only when it
+   interns it; after a zero page or a dedup hit it is kept. *)
 let share_page t p =
   match t.pages.(p) with
   | Zero -> Zero
   | Shared _ as pg -> pg
   | Owned b ->
       let pg = if is_zero_page b then Zero else Shared (Page_cache.intern b) in
-      t.pages.(p) <- pg;
+      (match pg with
+      | Shared s when s.s_data == b -> t.pages.(p) <- pg
+      | Shared _ | Zero | Owned _ -> set t p pg);
       pg
 
 let snapshot t =
@@ -427,20 +439,6 @@ let snapshot t =
     Bytes.blit (page_ro t p) 0 out off (min page_size (t.size - off))
   done;
   out
-
-let restore t b =
-  if Bytes.length b <> t.size then invalid_arg "Memory.restore: size mismatch";
-  if t.size > 0 then mark t 0 t.size;
-  for p = 0 to t.npages - 1 do
-    let off = p * page_size in
-    let n = min page_size (t.size - off) in
-    if bytes_all_zero b off n then t.pages.(p) <- Zero
-    else begin
-      let pg = Bytes.make page_size '\000' in
-      Bytes.blit b off pg 0 n;
-      t.pages.(p) <- Owned pg
-    end
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Page images (snapshot capture/restore)                              *)
@@ -481,22 +479,21 @@ let image_resident_pages img =
   Array.fold_left (fun n pg -> if page_is_zero_ref pg then n else n + 1) 0 img.i_pages
 
 (* [eager] materializes private copies up front (the paper's memcpy
-   restore: later stores never fault); the default installs shared
-   references and lets stores CoW lazily. *)
+   restore: later stores never fault), into the slot's own buffer when
+   it has one; the default installs shared references and lets stores
+   CoW lazily. *)
 let restore_image ?(eager = false) t img =
   let keep = Array.length img.i_pages in
   if keep > t.npages || img.i_footprint > t.size then
     invalid_arg "Memory.restore_image: image exceeds memory";
-  if eager then
-    for p = 0 to keep - 1 do
-      t.pages.(p) <-
-        (match img.i_pages.(p) with
-        | Zero -> Zero
-        | Shared s -> Owned (Bytes.copy s.s_data)
-        | Owned b -> Owned (Bytes.copy b))
-    done
-  else Array.blit img.i_pages 0 t.pages 0 keep;
-  if t.npages > keep then Array.fill t.pages keep (t.npages - keep) Zero;
+  for p = 0 to t.npages - 1 do
+    match if p < keep then img.i_pages.(p) else Zero with
+    | (Shared { s_data = src; _ } | Owned src) when eager ->
+        let b = match t.pages.(p) with Owned b -> b | Zero | Shared _ -> take t in
+        Bytes.blit src 0 b 0 page_size;
+        t.pages.(p) <- Owned b
+    | pg -> set t p pg
+  done;
   if t.size > 0 then mark t 0 t.size;
   img.i_footprint
 
@@ -507,7 +504,7 @@ let restore_image_cow t img =
   let pages = ref 0 and bytes = ref 0 in
   for p = 0 to t.npages - 1 do
     if Array.unsafe_get t.stamps p = t.gen then begin
-      t.pages.(p) <- (if p < keep then img.i_pages.(p) else Zero);
+      set t p (if p < keep then img.i_pages.(p) else Zero);
       (* this path replaces page contents without going through [mark];
          bump the content version so stale superblocks are dropped *)
       Array.unsafe_set t.vers p (Array.unsafe_get t.vers p + 1);
@@ -526,6 +523,7 @@ type page_stats = {
   resident_pages : int;
   shared_pages : int;
   zero_pages : int;
+  spare_pages : int;
   cow_faults : int;
   zero_fills : int;
 }
@@ -543,15 +541,7 @@ let page_stats t =
     resident_pages = !resident;
     shared_pages = !shared;
     zero_pages = !zero;
+    spare_pages = t.n_spare;
     cow_faults = t.cow_faults;
     zero_fills = t.zero_fills;
   }
-
-let resident_bytes t =
-  let resident = ref 0 in
-  for p = 0 to t.npages - 1 do
-    match Array.unsafe_get t.pages p with
-    | Owned _ -> incr resident
-    | Zero | Shared _ -> ()
-  done;
-  !resident * page_size

@@ -14,7 +14,18 @@
     breaks it private — the simulated analogue of an EPT demand-zero fill
     or CoW violation (see {!set_fault_hook}). Snapshot capture publishes
     pages into the process-wide {!Page_cache} and restore is a
-    page-table swap, so warm-path work is O(dirty pages), not O(image). *)
+    page-table swap, so warm-path work is O(dirty pages), not O(image).
+
+    Private page buffers are recycled. Every path that drops an owned
+    page ({!reset_zero}, {!restore_image}, {!restore_image_cow}, and
+    {!capture} when a page is all zero or already cached) keeps its
+    buffer, and every path that needs one (a demand-zero fill, a CoW
+    break, an eager {!restore_image}) takes a kept buffer before it
+    allocates, zeroing or overwriting all of it. A memory therefore
+    holds at most one buffer per page, resident or spare
+    ({!page_stats}), and its contents, page stats and fault-hook calls
+    are those of fresh pages. Only the host's allocation changes: a 4 KB
+    buffer is a direct major-heap allocation. *)
 
 exception Fault of { addr : int; size : int }
 (** Raised on any access outside [0, size). *)
@@ -76,25 +87,15 @@ val read_cstring : t -> off:int -> max:int -> string
     if no terminator is found within bounds (hypercall handlers use this to
     validate guest-supplied paths without trusting guest lengths). *)
 
-val fill_zero : t -> unit
-(** Zero the whole region by dropping every page reference; marks
-    everything dirty. *)
-
 val reset_zero : t -> unit
 (** Pool cleaning: drop every page reference {e and} start a fresh dirty
-    generation — equivalent to {!fill_zero} + {!clear_dirty} without
-    touching a byte. The caller still charges the simulated memset. It
+    generation without touching a byte: the memory reads as zero and
+    nothing is dirty. The caller still charges the simulated memset. It
     also forgets every code extent and renews the {!tag} (see
-    {e Content versions}). The private page buffers it drops, up to the
-    memory's page count, are kept for the next demand-zero fills, which
-    zero one before reuse instead of allocating: contents, page stats
-    and fault-hook calls are those of fresh pages. *)
+    {e Content versions}). *)
 
 val snapshot : t -> bytes
 (** Copy out the full contents as a flat byte string. *)
-
-val restore : t -> bytes -> unit
-(** Overwrite contents from a flat snapshot of equal size. *)
 
 (** {1 Page images}
 
@@ -157,9 +158,8 @@ val clear_dirty : t -> unit
     of the page that translated code was decoded from ({!note_code}). A
     write bumps a page's version only when it overlaps that extent, so
     data stored beside code (a heap sharing the code's page) leaves it
-    alone. Whole-memory rewrites ({!restore},
-    {!restore_image}, {!fill_zero}) bump every page with an
-    extent; {!restore_image_cow} bumps every page it rewrites;
+    alone. {!restore_image} rewrites the whole memory and bumps every
+    page with an extent; {!restore_image_cow} bumps every page it rewrites;
     {!reset_zero} bumps every page with an extent and then clears all
     extents. The translation cache ({!module:Translate}) records the
     versions of the pages a superblock was decoded from and re-validates
@@ -197,14 +197,14 @@ type page_stats = {
   resident_pages : int;   (** privately materialized (owned) pages *)
   shared_pages : int;     (** references into the content-addressed cache *)
   zero_pages : int;
+  spare_pages : int;      (** dropped private buffers kept for reuse;
+                              [resident_pages + spare_pages <= total_pages] *)
   cow_faults : int;       (** shared pages broken private over [t]'s life *)
   zero_fills : int;       (** demand-zero materializations *)
 }
 
 val page_stats : t -> page_stats
-
-val resident_bytes : t -> int
-(** Owned pages × {!page_size}: host memory this guest uniquely holds. *)
+(** One scan of the page table. *)
 
 (** {1 Content-addressed page cache}
 

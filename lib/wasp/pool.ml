@@ -274,9 +274,14 @@ let acquire t ~mem_size ~mode =
   let shard = current_shard t in
   let nr = Int64.of_int mem_size in
   (* A nested span (inside the provision phase) so a traced request can
-     attribute its provision cycles to hit/stall/miss specifically. *)
-  Kvmsim.Kvm.span t.sys ~args:[ ("mem_size", string_of_int mem_size) ] "pool_acquire"
-  @@ fun () ->
+     attribute its provision cycles to hit/stall/miss specifically. Its
+     arg is built only for a hub to receive. *)
+  let args =
+    match Kvmsim.Kvm.telemetry t.sys with
+    | None -> []
+    | Some _ -> [ ("mem_size", string_of_int mem_size) ]
+  in
+  Kvmsim.Kvm.span t.sys ~args "pool_acquire" @@ fun () ->
   let hit shell =
     Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
     Kvmsim.Kvm.instant t.sys "pool_hit";

@@ -156,15 +156,19 @@ let capture_snapshot t ~key ~mem ~cpu ~native_state =
       0L)
 
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
-   gauges charge no cycles). *)
+   gauges charge no cycles). With no hub attached nothing would receive
+   them, so the page-table scan is skipped. *)
 let note_mem_gauges t mem =
-  let gauge name v = Kvmsim.Kvm.gauge t.sys name (float_of_int v) in
-  let st = Vm.Memory.page_stats mem in
-  gauge "wasp_mem_resident_pages" st.Vm.Memory.resident_pages;
-  gauge "wasp_mem_shared_pages" st.Vm.Memory.shared_pages;
-  gauge "wasp_mem_resident_bytes" (st.Vm.Memory.resident_pages * Vm.Memory.page_size);
-  gauge "vm_page_cache_entries" (Vm.Memory.Page_cache.entries ());
-  gauge "vm_page_cache_bytes" (Vm.Memory.Page_cache.bytes ())
+  match Kvmsim.Kvm.telemetry t.sys with
+  | None -> ()
+  | Some _ ->
+      let gauge name v = Kvmsim.Kvm.gauge t.sys name (float_of_int v) in
+      let st = Vm.Memory.page_stats mem in
+      gauge "wasp_mem_resident_pages" st.Vm.Memory.resident_pages;
+      gauge "wasp_mem_shared_pages" st.Vm.Memory.shared_pages;
+      gauge "wasp_mem_resident_bytes" (st.Vm.Memory.resident_pages * Vm.Memory.page_size);
+      gauge "vm_page_cache_entries" (Vm.Memory.Page_cache.entries ());
+      gauge "vm_page_cache_bytes" (Vm.Memory.Page_cache.bytes ())
 
 let acquire_shell t ~mem_size ~mode =
   if t.pool_enabled then Pool.acquire t.pool ~mem_size ~mode

@@ -1059,10 +1059,7 @@ let prop_id_round_trip =
       String.equal s (Printf.sprintf "%016Lx" x)
       && Telemetry.Tracectx.id_of_string s = Some x)
 
-let fixed3 x =
-  let b = Buffer.create 16 in
-  Telemetry.Chrome.add_fixed3 b x;
-  Buffer.contents b
+let fixed3 = Telemetry.Chrome.fixed3
 
 let prop_fixed3_cycles =
   QCheck.Test.make ~name:"ts/dur of random cycle counts print as %.3f" ~count:3000
@@ -1247,6 +1244,165 @@ let test_exporter_bytes_pinned () =
     (Telemetry.Chrome.to_json ~process:"wasp \"fixture\"" hub);
   check_fixture "telemetry-export.prom"
     (Telemetry.Prometheus.to_text (Telemetry.Hub.metrics hub))
+
+(* --- the exporter against its reference model ---------------------------- *)
+
+(* A random hub as a script: spans opened and closed on 1-4 cores, each
+   with its own clock, so cross-core children draw flows and a span
+   closed on another core's clock can get a negative duration; instants;
+   names and args with quotes, backslashes, control and non-ASCII bytes;
+   clock steps that land [ts] and [dur] near a [%.3f] tie (odd cycle
+   counts at 0.5-4 GHz) or past the fast path's range (>= 2^49 ns). *)
+type hub_op =
+  | Enter of string * (string * string) list
+  | Leave
+  | Mark of string * (string * string) list
+  | Tick of int
+  | On of int
+
+type hub_script = {
+  freq : float;
+  cores : int;
+  traced : bool;
+  process : string option;
+  ops : hub_op list;
+}
+
+let gen_text =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ "invocation"; "execute"; "k"; "span_id"; "parent_id"; "" ];
+        (* the bytes that need escaping, their neighbours, and the same
+           with the top bit set, in strings long enough for the
+           exporter's eight-byte scan *)
+        string_size
+          ~gen:
+            (oneofl
+               [ 'a'; 'Z'; ' '; '!'; '#'; '"'; '\\'; '['; ']'; '\n'; '\r'; '\t'; '\000'; '\031';
+                 '\127'; '\x80'; '\x9f'; '\xa0'; '\xa2'; '\xdc'; '\xc3'; '\xa9'; '\xff' ])
+          (int_bound 24);
+      ])
+
+let gen_hub_script =
+  QCheck.Gen.(
+    let* cores = int_range 1 4 in
+    let args = list_size (int_bound 3) (pair gen_text gen_text) in
+    let op =
+      frequency
+        [
+          (4, map2 (fun n a -> Enter (n, a)) gen_text args);
+          (4, return Leave);
+          (2, map2 (fun n a -> Mark (n, a)) gen_text args);
+          (4, map (fun c -> Tick c) (oneof [ int_bound 20; int_bound 1_000_000 ]));
+          (1, map (fun c -> Tick c) (int_range (1 lsl 50) (1 lsl 52)));
+          (3, map (fun c -> On c) (int_bound (cores - 1)));
+        ]
+    in
+    let* freq = oneofl [ 2.69; 2.0; 1.0; 0.5; 4.0; 3.0 ] in
+    let* traced = frequency [ (4, return true); (1, return false) ] in
+    let* process = option gen_text in
+    let* ops = list_size (int_bound 60) op in
+    return { freq; cores; traced; process; ops })
+
+let print_hub_script s =
+  let args a = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) a) in
+  Printf.sprintf "%g GHz, %d cores, traced %b, process %s: %s" s.freq s.cores s.traced
+    (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") s.process)
+    (String.concat "; "
+       (List.map
+          (function
+            | Enter (n, a) -> Printf.sprintf "enter %S [%s]" n (args a)
+            | Leave -> "leave"
+            | Mark (n, a) -> Printf.sprintf "instant %S [%s]" n (args a)
+            | Tick c -> Printf.sprintf "tick %d" c
+            | On c -> Printf.sprintf "core %d" c)
+          s.ops))
+
+let hub_of_script s =
+  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ~freq_ghz:s.freq ()) in
+  let hub = Telemetry.Hub.create ~clock:clocks.(0) () in
+  if s.traced then Telemetry.Hub.enable_tracing hub ~seed:7;
+  let core = ref 0 in
+  List.iter
+    (function
+      | Enter (n, args) -> Telemetry.Hub.enter hub ~args n
+      | Leave -> Telemetry.Hub.leave hub ()
+      | Mark (n, args) -> Telemetry.Hub.instant hub ~args n
+      | Tick c -> Cycles.Clock.advance_int clocks.(!core) c
+      | On c ->
+          core := c;
+          Telemetry.Hub.set_clock hub clocks.(c);
+          Telemetry.Hub.set_core hub c)
+    s.ops;
+  hub
+
+let prop_chrome_matches_reference =
+  QCheck.Test.make ~name:"chrome JSON equals the reference exporter's" ~count:500
+    (QCheck.make ~print:print_hub_script gen_hub_script) (fun s ->
+      let hub = hub_of_script s in
+      String.equal
+        (Telemetry.Chrome.to_json ?process:s.process hub)
+        (Chromeref.to_json ?process:s.process hub))
+
+(* The scripts reach the paths the property is for. *)
+let test_reference_scripts_cover () =
+  let rand = Random.State.make [| 11 |] in
+  let jsons =
+    List.init 200 (fun _ ->
+        Chromeref.to_json (hub_of_script (QCheck.Gen.generate1 ~rand gen_hub_script)))
+  in
+  (* a [ts] of 12 or more integer digits is at least 2^49 ns *)
+  let huge_ts j =
+    let rec from i =
+      match String.index_from_opt j i '"' with
+      | None -> false
+      | Some i ->
+          (i + 17 <= String.length j
+          && String.sub j i 5 = "\"ts\":"
+          && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub j (i + 5) 12))
+          || from (i + 1)
+    in
+    from 0
+  in
+  List.iter
+    (fun (what, ok) -> Alcotest.(check bool) what true (List.exists ok jsons))
+    [
+      ("a flow", fun j -> contains j "\"ph\":\"s\"");
+      ("an escaped quote", fun j -> contains j "\\\"");
+      ("a \\u escape", fun j -> contains j "\\u001f");
+      ("a negative duration", fun j -> contains j "\"dur\":-");
+      ("a timestamp past 2^49 ns", huge_ts);
+    ]
+
+(* Counted after a minor collection: OCaml 5 adds a direct major
+   allocation to [major_words] only at the next one. *)
+let direct_major_words f =
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let v = f () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  (v, s1.major_words -. s0.major_words -. (s1.promoted_words -. s0.promoted_words))
+
+let test_chrome_allocation_budget () =
+  (* the export is written once at its exact length: the only direct
+     major-heap block is the output itself *)
+  let clk = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:clk () in
+  Telemetry.Hub.enable_tracing hub ~seed:3;
+  for i = 0 to 4_999 do
+    Telemetry.Hub.with_span hub ~args:[ ("key", "fn-" ^ string_of_int (i mod 17)) ] "invocation"
+      (fun () ->
+        Cycles.Clock.advance_int clk (1_000 + (i * 37 mod 5_000));
+        Telemetry.Hub.instant hub "pool_hit")
+  done;
+  let json, words = direct_major_words (fun () -> Telemetry.Chrome.to_json hub) in
+  Alcotest.(check int) "10K items" 10_000 (Telemetry.Span.count (Telemetry.Hub.spans hub));
+  let out_words = float_of_int ((String.length json / 8) + 1) in
+  if words > out_words +. 64.0 then
+    Alcotest.failf "%.0f direct major words for a %d-byte export (budget %.0f + 64)" words
+      (String.length json) out_words
 
 (* A reference model of [Slo] as a plain list: every event is kept until
    it leaves the longest window, and each burn rate rescans the list.
@@ -1509,6 +1665,11 @@ let () =
           Alcotest.test_case "%.3f fast path at ties and past its range" `Quick
             test_fixed3_edges;
           QCheck_alcotest.to_alcotest prop_fixed3_cycles;
+          QCheck_alcotest.to_alcotest prop_chrome_matches_reference;
+          Alcotest.test_case "reference scripts reach every path" `Quick
+            test_reference_scripts_cover;
+          Alcotest.test_case "allocation budget: chrome export" `Quick
+            test_chrome_allocation_budget;
         ] );
       ( "integration",
         [

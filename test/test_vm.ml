@@ -84,16 +84,21 @@ let test_mem_cstring_unterminated () =
 let test_mem_fill_zero () =
   let m = Vm.Memory.create ~size:64 in
   Vm.Memory.write_u64 m 8 0x1234L;
-  Vm.Memory.fill_zero m;
-  Alcotest.(check int64) "zeroed" 0L (Vm.Memory.read_u64 m 8)
+  Vm.Memory.reset_zero m;
+  Alcotest.(check int64) "zeroed" 0L (Vm.Memory.read_u64 m 8);
+  Alcotest.(check bool) "every byte zero" true
+    (Bytes.equal (Bytes.make 64 '\000') (Vm.Memory.snapshot m))
 
 let test_mem_snapshot_restore () =
   let m = Vm.Memory.create ~size:64 in
   Vm.Memory.write_u64 m 0 42L;
+  let img = Vm.Memory.capture m in
   let snap = Vm.Memory.snapshot m in
   Vm.Memory.write_u64 m 0 7L;
-  Vm.Memory.restore m snap;
-  Alcotest.(check int64) "restored" 42L (Vm.Memory.read_u64 m 0)
+  ignore (Vm.Memory.restore_image m img);
+  Alcotest.(check int64) "restored" 42L (Vm.Memory.read_u64 m 0);
+  Alcotest.(check bool) "restored bytes identical" true
+    (Bytes.equal snap (Vm.Memory.snapshot m))
 
 (* ------------------------------------------------------------------ *)
 (* Paged store: residency, CoW, page cache                              *)
@@ -113,7 +118,7 @@ let test_mem_lazy_residency () =
   Alcotest.(check int) "counted as zero fill" 1 s.Vm.Memory.zero_fills;
   Alcotest.(check int) "not a CoW fault" 0 s.Vm.Memory.cow_faults;
   Alcotest.(check int) "resident bytes = one page" Vm.Memory.page_size
-    (Vm.Memory.resident_bytes m)
+    (s.Vm.Memory.resident_pages * Vm.Memory.page_size)
 
 let test_mem_cow_fault_and_hook () =
   let m = Vm.Memory.create ~size:(64 * 1024) in
@@ -158,11 +163,14 @@ let test_mem_page_cache_dedup () =
   let entries_after_first = Vm.Memory.Page_cache.entries () in
   (* both 0x42 pages have identical content: one cache entry *)
   Alcotest.(check int) "identical pages intern once" 1 entries_after_first;
+  (* the cache took one buffer; the duplicate's is kept for reuse *)
+  Alcotest.(check int) "duplicate buffer kept" 1 (Vm.Memory.page_stats a).spare_pages;
   let b = Vm.Memory.create ~size:(64 * 1024) in
   fill b;
   ignore (Vm.Memory.capture b);
   Alcotest.(check int) "second memory adds nothing" entries_after_first
     (Vm.Memory.Page_cache.entries ());
+  Alcotest.(check int) "both its buffers kept" 2 (Vm.Memory.page_stats b).spare_pages;
   Alcotest.(check bool) "dedup hits recorded" true (Vm.Memory.Page_cache.hits () > 0)
 
 let test_mem_restore_cow_byte_identical () =
@@ -219,58 +227,103 @@ let test_mem_reset_zero_drops_residency () =
   Alcotest.(check int64) "reads zero" 0L (Vm.Memory.read_u64 m 30000)
 
 let test_mem_recycled_pages_are_fresh () =
-  (* pool cleaning keeps the private buffers it drops for the next
-     demand-zero fills: over several cycles of writes and resets, the
-     recycled memory must read, count and fault exactly as a fresh one
-     running the same writes *)
+  (* every path that drops a private buffer keeps it, and every path
+     that needs one takes a kept one first: over several cycles of
+     demand-zero fills, captures, CoW breaks, eager, lazy and CoW
+     restores and pool resets, the recycled memory must read as the
+     model of its contents, count and fault exactly as a fresh memory
+     running the same steps, and never hold more buffers than pages *)
   let npages = 8 and page = Vm.Memory.page_size in
   let size = npages * page in
-  let watched m =
-    let log = ref [] in
-    Vm.Memory.set_fault_hook m (Some (fun ~shared ~page -> log := (shared, page) :: !log));
-    log
-  in
   let counts m ~since:(b : Vm.Memory.page_stats) =
     let s = Vm.Memory.page_stats m in
     [ s.total_pages; s.resident_pages; s.shared_pages; s.zero_pages;
       s.cow_faults - b.cow_faults; s.zero_fills - b.zero_fills ]
   in
-  (* touch one byte per page and read zeros everywhere else; then fill
-     some pages, publish them and CoW-break a few *)
-  let writes cycle m =
+  (* one cycle's steps on [m]; per step: its name, page counts and the
+     fault-hook calls it made *)
+  let steps cycle m =
+    let log = ref [] in
+    Vm.Memory.set_fault_hook m (Some (fun ~shared ~page -> log := (shared, page) :: !log));
+    let base = Vm.Memory.page_stats m in
     let want = Bytes.make size '\000' in
-    for p = 0 to npages - 1 do
-      let off = (p * page) + (((cycle * 97) + (p * 13)) mod page) in
-      Vm.Memory.write_u8 m off (cycle + p + 1);
-      Bytes.set want off (Char.chr (cycle + p + 1))
-    done;
-    Alcotest.(check bool) (Printf.sprintf "cycle %d: zero but the touched bytes" cycle) true
-      (Bytes.equal want (Vm.Memory.snapshot m));
-    for p = 0 to npages - 1 do
-      if (p + cycle) mod 3 <> 0 then
-        Vm.Memory.write_bytes m ~off:(p * page) (Bytes.make page (Char.chr (0xA0 + p)))
-    done;
-    ignore (Vm.Memory.capture m);
-    for p = 0 to npages - 1 do
-      if (p + cycle) mod 2 = 0 then Vm.Memory.write_u8 m ((p * page) + 5) 0x5A
-    done;
-    Vm.Memory.snapshot m
+    let seen = ref [] in
+    let step name f =
+      log := [];
+      f ();
+      let what = Printf.sprintf "cycle %d, %s" cycle name in
+      let s = Vm.Memory.page_stats m in
+      if s.resident_pages + s.spare_pages > s.total_pages then
+        Alcotest.failf "%s: %d resident + %d spare buffers > %d pages" what s.resident_pages
+          s.spare_pages s.total_pages;
+      Alcotest.(check bool) (what ^ ": contents") true (Bytes.equal want (Vm.Memory.snapshot m));
+      seen := (name, counts m ~since:base, List.rev !log) :: !seen
+    in
+    let write_u8 off v =
+      Vm.Memory.write_u8 m off v;
+      Bytes.set want off (Char.chr v)
+    in
+    (* one page stays zero through the capture; in the last cycle it is
+       the last page, so the image is trimmed before it *)
+    let blank = cycle * 3 mod npages in
+    let written p = p <> blank in
+    step "zero fills" (fun () ->
+        for p = 0 to npages - 1 do
+          if written p then write_u8 ((p * page) + ((cycle * 97) + (p * 13)) mod page) (cycle + p + 1)
+        done);
+    step "whole pages" (fun () ->
+        for p = 0 to npages - 1 do
+          if written p && (p + cycle) mod 3 <> 0 then begin
+            let c = Char.chr (0xA0 + (cycle * 8) + p) in
+            Vm.Memory.write_bytes m ~off:(p * page) (Bytes.make page c);
+            Bytes.fill want (p * page) page c
+          end
+        done);
+    let img = ref None and saved = ref want in
+    step "capture" (fun () ->
+        img := Some (Vm.Memory.capture m);
+        saved := Bytes.copy want);
+    let img = Option.get !img and saved = !saved in
+    (* CoW breaks of shared pages and a demand-zero fill of the blank one *)
+    let breaks salt =
+      for p = 0 to npages - 1 do
+        if (p + cycle + salt) mod 2 = 0 || p = blank then
+          write_u8 ((p * page) + 5 + (salt * 31)) (0x50 + salt)
+      done
+    in
+    let restored () = Bytes.blit saved 0 want 0 size in
+    let restore name f =
+      step name (fun () ->
+          f ();
+          Vm.Memory.clear_dirty m;
+          restored ())
+    in
+    step "CoW breaks" (fun () -> breaks 0);
+    restore "eager restore" (fun () -> ignore (Vm.Memory.restore_image ~eager:true m img));
+    step "stores after eager" (fun () -> breaks 1);
+    restore "eager restore over eager" (fun () ->
+        ignore (Vm.Memory.restore_image ~eager:true m img));
+    restore "lazy restore" (fun () -> ignore (Vm.Memory.restore_image m img));
+    step "CoW breaks after lazy" (fun () -> breaks 2);
+    restore "CoW restore" (fun () -> ignore (Vm.Memory.restore_image_cow m img));
+    step "CoW breaks after CoW restore" (fun () -> breaks 3);
+    restore "CoW restore again" (fun () -> ignore (Vm.Memory.restore_image_cow m img));
+    step "pool reset" (fun () ->
+        Vm.Memory.reset_zero m;
+        Bytes.fill want 0 size '\000');
+    List.rev !seen
   in
   let recycled = Vm.Memory.create ~size in
-  let rlog = watched recycled in
-  let empty = Vm.Memory.page_stats (Vm.Memory.create ~size) in
   for cycle = 1 to 5 do
-    let fresh = Vm.Memory.create ~size in
-    let flog = watched fresh in
-    let before = Vm.Memory.page_stats recycled in
-    rlog := [];
-    let r = writes cycle recycled and f = writes cycle fresh in
-    Alcotest.(check bool) (Printf.sprintf "cycle %d: contents" cycle) true (Bytes.equal f r);
-    Alcotest.(check (list int)) (Printf.sprintf "cycle %d: page stats" cycle)
-      (counts fresh ~since:empty) (counts recycled ~since:before);
-    Alcotest.(check (list (pair bool int))) (Printf.sprintf "cycle %d: fault hook calls" cycle)
-      (List.rev !flog) (List.rev !rlog);
-    Vm.Memory.reset_zero recycled
+    let r = steps cycle recycled and f = steps cycle (Vm.Memory.create ~size) in
+    List.iter2
+      (fun (name, rc, rh) (_, fc, fh) ->
+        let what = Printf.sprintf "cycle %d, %s" cycle name in
+        Alcotest.(check (list int)) (what ^ ": page stats") fc rc;
+        Alcotest.(check (list (pair bool int))) (what ^ ": fault hook calls") fh rh)
+      r f;
+    Alcotest.(check bool) (Printf.sprintf "cycle %d: buffers kept for reuse" cycle) true
+      ((Vm.Memory.page_stats recycled).spare_pages > 0)
   done
 
 (* ------------------------------------------------------------------ *)
