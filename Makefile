@@ -167,9 +167,14 @@ fuzz-smoke:
 
 # replay every committed reproducer and require byte-identical
 # recordings, then run each image through the CPU-level engine arm
-# (translator vs reference stepper; CI runs this on every PR)
+# (translator vs reference stepper; CI runs this on every PR); then
+# replay each one through wasprun too, which must give the same verdict
 fuzz-fixtures:
 	dune exec bin/fuzz_cli.exe -- --check-fixtures test/fixtures
+	@set -eu; for f in test/fixtures/*.vxr; do \
+	  dune exec bin/wasprun.exe -- --replay "$$f" \
+	    || { echo "fuzz-fixtures: wasprun --replay rejected $$f"; exit 1; }; \
+	done
 
 # the nightly lane: a time-boxed campaign with a persistent corpus
 # (FUZZ_BUDGET CPU-seconds, FUZZ_CORPUS carried across nights by CI)

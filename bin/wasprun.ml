@@ -6,7 +6,8 @@
      wasprun --example --profile
                                # per-function / per-opcode cycle tables
      wasprun --example --record out.vxr
-     wasprun --replay out.vxr  # re-execute and diff cycle-for-cycle
+     wasprun --replay out.vxr  # re-execute; any divergence or byte
+                               # difference from out.vxr fails
      wasprun --example-fault   # seeded guest fault: flight-recorder dump
      wasprun --example --chaos # run under the default fault plan
      wasprun --example --fault-plan plan.txt
@@ -96,24 +97,24 @@ let policy_of_allow names =
     (Ok []) names
   |> Result.map Wasp.Policy.of_list
 
-let policy_to_string p =
-  match Wasp.Policy.to_string p with
-  | Some s -> s
-  | None -> invalid_arg "cannot record a Custom policy"
-
-let policy_of_string = Wasp.Policy.of_string
-
-let mode_of_string s =
-  match Vm.Modes.of_string s with
-  | Some m -> Ok m
-  | None -> Error (Printf.sprintf "unknown mode %S" s)
-
-let outcome_string = function
-  | Wasp.Runtime.Exited _ -> "exited"
-  | Wasp.Runtime.Faulted _ -> "faulted"
-  | Wasp.Runtime.Fuel_exhausted -> "fuel"
-
 let default_fuel = 50_000_000
+
+(* --record PATH: attach a recording before the run (the runtime seeds it
+   and finishes it); [save_recording] writes it afterwards. *)
+let start_recording w record ?fault_plan image policy =
+  match record with
+  | None -> Ok None
+  | Some path ->
+      Result.map
+        (fun rc -> Some (path, rc))
+        (Wasp.Runtime.record w ?fault_plan image policy ~fuel:default_fuel)
+
+let save_recording = function
+  | None -> ()
+  | Some (path, rc) ->
+      Profiler.Replay.to_file rc path;
+      Printf.printf "recording written to %s (%d hypercall events)\n" path
+        (Profiler.Replay.event_count rc)
 
 (* --chaos: non-fatal turbulence (spurious exits and EPT storms perturb
    the timeline without killing the guest), so a recorded chaos run still
@@ -183,7 +184,7 @@ let emit_probes probes probe_out =
    the batched hypercall ring; see docs/hypercalls.md). The host
    environment is rebuilt deterministically — the static corpus plus a
    socket pair already carrying "GET /index.html" — so a recorded run
-   replays byte-identically: [replay_file] recreates the same
+   replays byte-identically: [replay_file]'s hook recreates the same
    environment whenever the recorded image is a fileserver. *)
 let setup_vhttp_env w =
   let path = Vhttp.Fileserver.add_default_files (Wasp.Runtime.env w) in
@@ -210,33 +211,13 @@ let run_vhttp ~record ~seed ~probe ~probe_out ?flight_capacity () =
           let w = Wasp.Runtime.create ~seed ?flight_capacity () in
           Wasp.Runtime.set_probes w probes;
           let client_end, server_end = setup_vhttp_env w in
-          let recorder =
-            match record with
-            | None -> None
-            | Some _ ->
-                let rc = Profiler.Replay.create () in
-                Profiler.Replay.set_image rc ~name:image.Wasp.Image.name
-                  ~mode:(Vm.Modes.to_string image.Wasp.Image.mode)
-                  ~origin:image.Wasp.Image.origin ~entry:image.Wasp.Image.entry
-                  ~mem_size:image.Wasp.Image.mem_size
-                  ~code:(Bytes.to_string image.Wasp.Image.code);
-                Profiler.Replay.set_env rc ~seed ~policy:(policy_to_string policy)
-                  ~fuel:default_fuel ();
-                Wasp.Runtime.set_recorder w (Some rc);
-                Some rc
-          in
+          match start_recording w record image policy with
+          | Error msg -> fail "--record: %s" msg
+          | Ok recording ->
           let r =
             Wasp.Runtime.run w image ~policy ~conn:server_end ~fuel:default_fuel ()
           in
-          (match (recorder, record) with
-          | Some rc, Some path ->
-              Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-                ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-                ~return_value:r.Wasp.Runtime.return_value;
-              write_file path (Profiler.Replay.to_string rc);
-              Printf.printf "recording written to %s (%d hypercall events)\n" path
-                (Profiler.Replay.event_count rc)
-          | _ -> ());
+          save_recording recording;
           emit_probes probes probe_out;
           let response = Bytes.to_string (Wasp.Hostenv.recv client_end ~max:8192) in
           (match r.Wasp.Runtime.outcome with
@@ -256,86 +237,36 @@ let run_vhttp ~record ~seed ~probe ~probe_out ?flight_capacity () =
               1))
 
 (* Re-execute a .vxr recording under the recorded seed/policy/fuel and
-   diff the fresh transcript against it, cycle for cycle. *)
-let replay_file ~probe ~probe_out ?flight_capacity path =
+   judge it: any divergence, or a fresh recording that is not
+   byte-identical to the file, fails. *)
+let replay_file ~probe ~probe_out path =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "replay: %s\n" m; 1) fmt in
-  match Profiler.Replay.of_string (read_file path) with
+  match (build_probes probe, read_file path) with
   | exception Sys_error msg -> fail "%s" msg
-  | Error msg -> fail "cannot parse %s: %s" path msg
-  | Ok recorded -> (
-      match
-        ( mode_of_string (Profiler.Replay.mode recorded),
-          policy_of_string (Profiler.Replay.policy recorded) )
-      with
-      | Error msg, _ | _, Error msg -> fail "%s" msg
-      | Ok mode, Ok policy ->
-          match build_probes probe with
-          | Error msg -> fail "bad probe spec: %s" msg
-          | Ok probes ->
-          let image : Wasp.Image.t =
-            {
-              name = Profiler.Replay.image_name recorded;
-              code = Bytes.of_string (Profiler.Replay.code recorded);
-              origin = Profiler.Replay.origin recorded;
-              entry = Profiler.Replay.entry recorded;
-              mode;
-              mem_size = Profiler.Replay.mem_size recorded;
-              symbols = [];
-            }
-          in
-          let w =
-            Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) ?flight_capacity ()
-          in
-          Wasp.Runtime.set_probes w probes;
-          (* Chaos recordings carry their fault plan; re-arm an identical
-             one so injected turbulence reproduces cycle-for-cycle. *)
-          let plan_err = ref None in
-          (match Profiler.Replay.fault_plan recorded with
-          | Some text -> (
-              match Cycles.Fault_plan.of_string text with
-              | Ok plan -> Wasp.Runtime.set_fault_plan w (Some plan)
-              | Error msg -> plan_err := Some msg)
-          | None -> ());
-          if !plan_err <> None then fail "bad recorded fault plan: %s" (Option.get !plan_err)
-          else begin
-          let fresh = Profiler.Replay.create () in
-          Profiler.Replay.set_image fresh ~name:image.name
-            ~mode:(Vm.Modes.to_string image.mode) ~origin:image.origin ~entry:image.entry
-            ~mem_size:image.mem_size
-            ~code:(Bytes.to_string image.code);
-          Profiler.Replay.set_env fresh
-            ?fault_plan:(Profiler.Replay.fault_plan recorded)
-            ~seed:(Profiler.Replay.seed recorded)
-            ~policy:(Profiler.Replay.policy recorded)
-            ~fuel:(Profiler.Replay.fuel recorded) ();
-          Wasp.Runtime.set_recorder w (Some fresh);
-          (* Fileserver recordings (--vhttp) need the host environment the
-             recording ran against: rebuild the corpus + pending request. *)
-          let conn =
-            if is_fileserver_image image.name then Some (snd (setup_vhttp_env w))
-            else None
-          in
-          let r =
-            Wasp.Runtime.run w image ~policy ?conn
-              ~fuel:(Profiler.Replay.fuel recorded) ()
-          in
-          Profiler.Replay.finish fresh ~cycles:r.Wasp.Runtime.cycles
-            ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-            ~return_value:r.Wasp.Runtime.return_value;
+  | Error msg, _ -> fail "bad probe spec: %s" msg
+  | Ok probes, text -> (
+      let attach w (image : Wasp.Image.t) =
+        Wasp.Runtime.set_probes w probes;
+        (* Fileserver recordings (--vhttp) need the host environment the
+           recording ran against: rebuild the corpus + pending request. *)
+        if is_fileserver_image image.name then Some (snd (setup_vhttp_env w)) else None
+      in
+      match Wasp.Runtime.replay ~attach text with
+      | Error msg -> fail "%s: %s" path msg
+      | Ok (fresh, verdict) -> (
           emit_probes probes probe_out;
-          (match Profiler.Replay.diff recorded fresh with
+          match verdict with
           | [] ->
               Printf.printf
                 "replay ok: zero divergence (%d hypercall events, %Ld cycles, outcome %s)\n"
-                (Profiler.Replay.event_count recorded)
-                (Profiler.Replay.total_cycles recorded)
-                (Profiler.Replay.outcome recorded);
+                (Profiler.Replay.event_count fresh)
+                (Profiler.Replay.total_cycles fresh)
+                (Profiler.Replay.outcome fresh);
               0
           | divergences ->
               Printf.eprintf "replay DIVERGED (%d differences):\n" (List.length divergences);
               List.iter (fun d -> Printf.eprintf "  %s\n" d) divergences;
-              1)
-          end)
+              1))
 
 (* --mem-stats: page-sharing figures for the run, read back from the
    gauges the runtime maintains plus the process-wide page cache. *)
@@ -375,7 +306,7 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
       prerr_endline "error: --flight-capacity must be >= 1";
       1
   | Some path, _ -> check_trace path
-  | None, Some path -> replay_file ~probe ~probe_out ?flight_capacity path
+  | None, Some path -> replay_file ~probe ~probe_out path
   | None, None when vhttp -> run_vhttp ~record ~seed ~probe ~probe_out ?flight_capacity ()
   | None, None -> (
       let source =
@@ -458,22 +389,15 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
                 end
                 else None
               in
-              let recorder =
-                match record with
-                | None -> None
-                | Some _ ->
-                    let rc = Profiler.Replay.create () in
-                    Profiler.Replay.set_image rc ~name:image.Wasp.Image.name
-                      ~mode:(Vm.Modes.to_string image.Wasp.Image.mode)
-                      ~origin:image.Wasp.Image.origin ~entry:image.Wasp.Image.entry
-                      ~mem_size:image.Wasp.Image.mem_size
-                      ~code:(Bytes.to_string image.Wasp.Image.code);
-                    Profiler.Replay.set_env rc
-                      ?fault_plan:(Option.map Cycles.Fault_plan.to_string plan)
-                      ~seed ~policy:(policy_to_string policy) ~fuel:default_fuel ();
-                    Wasp.Runtime.set_recorder w (Some rc);
-                    Some rc
-              in
+              match
+                start_recording w record
+                  ?fault_plan:(Option.map Cycles.Fault_plan.to_string plan)
+                  image policy
+              with
+              | Error msg ->
+                  Printf.eprintf "error: --record: %s\n" msg;
+                  1
+              | Ok recording ->
               Printf.printf "loaded %d bytes at 0x%x (%s mode), policy %s\n"
                 (Wasp.Image.size image) image.Wasp.Image.origin
                 (Vm.Modes.to_string image.Wasp.Image.mode)
@@ -511,15 +435,7 @@ let run file example example_fault vhttp mode allow all trace_json metrics mem_s
                       Printf.printf "folded stacks written to %s (flamegraph.pl input)\n" path
                   | None -> ())
               | None -> ());
-              (match (recorder, record) with
-              | Some rc, Some path ->
-                  Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-                    ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-                    ~return_value:r.Wasp.Runtime.return_value;
-                  write_file path (Profiler.Replay.to_string rc);
-                  Printf.printf "recording written to %s (%d hypercall events)\n" path
-                    (Profiler.Replay.event_count rc)
-              | _ -> ());
+              save_recording recording;
               (match (probes, hub) with
               | Some e, Some h -> Vtrace.Engine.export e (Telemetry.Hub.metrics h)
               | _ -> ());
@@ -660,8 +576,9 @@ let () =
       & opt (some string) None
       & info [ "replay" ] ~docv:"FILE.vxr"
           ~doc:
-            "Re-execute a recorded invocation under the recorded seed and diff the fresh \
-             transcript cycle-for-cycle against the recording")
+            "Re-execute a recorded invocation under the recorded seed, diff the fresh \
+             transcript cycle-for-cycle against the recording, and require the fresh \
+             recording to be byte-identical to $(docv)")
   in
   let seed =
     Arg.(
@@ -726,7 +643,7 @@ let () =
       value
       & opt (some int) None
       & info [ "flight-capacity" ] ~docv:"N"
-          ~doc:"Size of the VM-exit flight ring (default 128)")
+          ~doc:"Size of the VM-exit flight ring (default 128); $(b,--replay) ignores it")
   in
   let cmd =
     Cmd.v

@@ -42,11 +42,6 @@ let plane_of_name name =
   else if has_prefix "fuzz-plan" then Plan
   else Image_bytes
 
-let policy_string c =
-  match Wasp.Policy.to_string c.policy with
-  | Some s -> s
-  | None -> "deny_all" (* mutators never build Custom policies *)
-
 let digest c =
   Digest.to_hex
     (Digest.string
@@ -56,7 +51,7 @@ let digest c =
             Vm.Modes.to_string c.mode;
             c.code;
             string_of_int c.seed;
-            policy_string c;
+            Option.value (Wasp.Policy.to_string c.policy) ~default:"custom";
             string_of_int c.fuel;
             Option.value c.plan ~default:"";
           ]))
@@ -83,39 +78,28 @@ let image_of c : Wasp.Image.t =
 (* .vxr round trip                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A case's policy is never [Custom] (see [case]), so its header always
+   builds. *)
 let to_replay c =
-  let r = Profiler.Replay.create () in
-  Profiler.Replay.set_image r ~name:(name c) ~mode:(Vm.Modes.to_string c.mode)
-    ~origin:Wasp.Layout.image_base ~entry:Wasp.Layout.image_base
-    ~mem_size:(mem_size_for c.code) ~code:c.code;
-  Profiler.Replay.set_env r ?fault_plan:c.plan ~seed:c.seed ~policy:(policy_string c)
-    ~fuel:c.fuel ();
-  r
+  match
+    Wasp.Runtime.recording ~seed:c.seed ?fault_plan:c.plan (image_of c) c.policy ~fuel:c.fuel
+  with
+  | Ok r -> r
+  | Error e -> invalid_arg ("Corpus.to_replay: " ^ e)
 
 let of_replay r =
-  match
-    ( Vm.Modes.of_string (Profiler.Replay.mode r),
-      Wasp.Policy.of_string (Profiler.Replay.policy r) )
-  with
-  | None, _ -> Error (Printf.sprintf "unknown mode %S" (Profiler.Replay.mode r))
-  | _, Error e -> Error e
-  | Some mode, Ok policy ->
-      (match Profiler.Replay.fault_plan r with
-      | Some text -> (
-          match Cycles.Fault_plan.of_string text with
-          | Ok _ -> Ok ()
-          | Error e -> Error (Printf.sprintf "bad fault plan: %s" e))
-      | None -> Ok ())
-      |> Result.map (fun () ->
-             {
-               plane = plane_of_name (Profiler.Replay.image_name r);
-               mode;
-               code = Profiler.Replay.code r;
-               seed = Profiler.Replay.seed r;
-               policy;
-               fuel = Profiler.Replay.fuel r;
-               plan = Profiler.Replay.fault_plan r;
-             })
+  Result.map
+    (fun ((image : Wasp.Image.t), policy, _plan) ->
+      {
+        plane = plane_of_name image.name;
+        mode = image.mode;
+        code = Profiler.Replay.code r;
+        seed = Profiler.Replay.seed r;
+        policy;
+        fuel = Profiler.Replay.fuel r;
+        plan = Profiler.Replay.fault_plan r;
+      })
+    (Wasp.Runtime.of_recording r)
 
 let to_vxr_string c = Profiler.Replay.to_string (to_replay c)
 
@@ -133,6 +117,9 @@ let save_case ~dir c =
   Profiler.Replay.to_file (to_replay c) path;
   path
 
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all) with Sys_error e -> Error e
+
 (* Malformed files are the expected state of a fuzz corpus directory
    (killed runs, hand truncation, cache corruption): every parse or
    validation failure comes back as a (file, reason) pair, never an
@@ -146,12 +133,9 @@ let load_dir dir =
         (fun (ok, bad) f ->
           if Filename.check_suffix f ".vxr" then
             let path = Filename.concat dir f in
-            match Profiler.Replay.of_file path with
+            match Result.bind (read_file path) of_vxr_string with
             | Error e -> (ok, (path, e) :: bad)
-            | Ok r -> (
-                match of_replay r with
-                | Error e -> (ok, (path, e) :: bad)
-                | Ok c -> (c :: ok, bad))
+            | Ok c -> (c :: ok, bad)
           else (ok, bad))
         ([], []) files
       |> fun (ok, bad) -> (List.rev ok, List.rev bad)

@@ -31,10 +31,6 @@ val plane_tag : plane -> string
 
 val plane_of_name : string -> plane
 
-val policy_string : case -> string
-(** The policy's [.vxr] form (["deny_all"] / ["allow_all"] /
-    ["mask:<hex>"]). *)
-
 val digest : case -> string
 (** Content hash (hex MD5) over every case field. *)
 
@@ -47,14 +43,15 @@ val mem_size_for : string -> int
 (** Guest region size for a code blob: the default 64 KB, page-rounded
     up when the image would not fit. *)
 
-val to_replay : case -> Profiler.Replay.t
-(** The case as an environment-only recording (no transcript yet). *)
-
 val of_replay : Profiler.Replay.t -> (case, string) result
-(** Rebuild a case from a parsed recording; validates mode, policy and
-    fault plan so a corpus sweep never raises downstream. *)
+(** Rebuild a case from a parsed recording with
+    {!Wasp.Runtime.of_recording}, which validates mode, policy and fault
+    plan, so a corpus sweep never raises downstream. *)
 
 val to_vxr_string : case -> string
+(** The case as an environment-only recording (header from
+    {!Wasp.Runtime.recording}, no transcript). *)
+
 val of_vxr_string : string -> (case, string) result
 
 val save_case : dir:string -> case -> string

@@ -64,19 +64,16 @@ let finding_key cls detail =
 let mkdir_p dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let write_fixture config ~cache (shrunk : Corpus.case) =
-  match config.fixtures_out with
+(* Write [case]'s canonical recording to [dir]/<name>.vxr: a fixture
+   carries the canonical transcript so CI can judge replays against it. *)
+let write_recording ?canary ~cache ~dir case =
+  mkdir_p dir;
+  match (Oracle.classify ?canary ~cache case).Oracle.recording with
   | None -> None
-  | Some dir -> (
-      mkdir_p dir;
-      (* the fixture carries the canonical transcript of the shrunk
-         case so CI can diff replays against it *)
-      match (Oracle.classify ?canary:config.canary ~cache shrunk).Oracle.recording with
-      | None -> None
-      | Some rc ->
-          let path = Filename.concat dir (Corpus.name shrunk ^ ".vxr") in
-          Profiler.Replay.to_file rc path;
-          Some path)
+  | Some rc ->
+      let path = Filename.concat dir (Corpus.name case ^ ".vxr") in
+      Profiler.Replay.to_file rc path;
+      Some path
 
 let run config : summary =
   let rng = Cycles.Rng.create ~seed:config.seed in
@@ -109,7 +106,10 @@ let run config : summary =
         | None -> false
       in
       let shrunk = Shrink.shrink ~check ~budget:config.shrink_budget case in
-      let path = write_fixture config ~cache shrunk in
+      let path =
+        Option.bind config.fixtures_out (fun dir ->
+            write_recording ?canary:config.canary ~cache ~dir shrunk)
+      in
       config.log
         (Printf.sprintf "  shrunk %s: %d -> %d bytes%s" (Corpus.name shrunk)
            (Shrink.size case) (Shrink.size shrunk)
@@ -175,38 +175,21 @@ let run config : summary =
 (* Fixture replay (the CI `fixtures` step)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-execute a recorded fixture and rebuild the recording; any
-   Replay.diff divergence or byte-level mismatch against the committed
-   file is a failure. *)
-let replay (case : Corpus.case) (recorded : Profiler.Replay.t) =
-  let recorder = Profiler.Replay.create () in
-  match Oracle.run_arm ~recorder case with
-  | Oracle.Crash d -> Error ("crashed: " ^ d)
-  | Oracle.Obs obs ->
-      let rebuilt = Corpus.to_replay case in
-      List.iter
-        (fun (at, nr, args, ret) -> Profiler.Replay.add_event rebuilt ~at ~nr ~args ~ret)
-        obs.Oracle.o_events;
-      Profiler.Replay.finish rebuilt ~cycles:obs.Oracle.o_cycles
-        ~outcome:(Oracle.coarse_outcome obs.Oracle.o_outcome)
-        ~return_value:obs.Oracle.o_ret;
-      let diffs = Profiler.Replay.diff recorded rebuilt in
-      if diffs <> [] then Error (String.concat "; " diffs)
-      else if
-        Profiler.Replay.to_string rebuilt <> Profiler.Replay.to_string recorded
-      then Error "recording text differs byte-for-byte"
-      else Ok ()
-
+(* Replay a committed fixture through the one replay path (any
+   divergence, or re-serialized text that is not byte-identical, fails
+   it), then run its image through the engine arm. *)
 let check_fixture ~cache path =
-  match Profiler.Replay.of_file path with
-  | Error e -> Error (Printf.sprintf "%s: unparseable: %s" path e)
-  | Ok recorded -> (
-      match Corpus.of_replay recorded with
-      | Error e -> Error (Printf.sprintf "%s: not a fuzz case: %s" path e)
-      | Ok case -> (
-          match replay case recorded with
-          | Error e -> Error (Printf.sprintf "%s [replay]: %s" path e)
-          | Ok () -> (
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+      match Wasp.Runtime.replay text with
+      | Error e -> Error (Printf.sprintf "%s: %s" path e)
+      | Ok (_, (_ :: _ as verdict)) ->
+          Error (Printf.sprintf "%s [replay]: %s" path (String.concat "; " verdict))
+      | Ok (recording, []) -> (
+          match Corpus.of_replay recording with
+          | Error e -> Error (Printf.sprintf "%s: not a fuzz case: %s" path e)
+          | Ok case -> (
               match Oracle.engine_arm ~cache case with
               | Some (_, e) -> Error (Printf.sprintf "%s [engine]: %s" path e)
               | None -> Ok path)))
@@ -239,7 +222,6 @@ let check_fixtures ~dir ~log =
    first) into [dir] — the committed reproducer corpus is bootstrapped
    from these even when a campaign finds no real divergence. *)
 let emit_corpus_fixtures ~dir ~n =
-  mkdir_p dir;
   let all = Corpus.seeds () in
   let by_plane =
     List.sort_uniq (fun a b -> compare a.Corpus.plane b.Corpus.plane) all
@@ -247,12 +229,4 @@ let emit_corpus_fixtures ~dir ~n =
   let rest = List.filter (fun c -> not (List.memq c by_plane)) all in
   let picks = List.filteri (fun i _ -> i < n) (by_plane @ rest) in
   let cache = Vm.Translate.create () in
-  List.filter_map
-    (fun case ->
-      match (Oracle.classify ~cache case).Oracle.recording with
-      | None -> None
-      | Some rc ->
-          let path = Filename.concat dir (Corpus.name case ^ ".vxr") in
-          Profiler.Replay.to_file rc path;
-          Some path)
-    picks
+  List.filter_map (fun case -> write_recording ~cache ~dir case) picks

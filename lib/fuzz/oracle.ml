@@ -29,7 +29,7 @@ type obs = {
   o_hypercalls : int;
   o_denied : int;
   o_state : string;  (* MD5 of final registers + guest memory *)
-  o_events : (int64 * int * int64 array * int64) list;  (* at, nr, args, ret *)
+  o_recording : Profiler.Replay.t;  (* every run's hypercalls, the last run's trailer *)
 }
 
 type fclass =
@@ -67,15 +67,12 @@ let coverage_spec =
    { count() by (reason) }; ept { count() }; inject { count() by (reason) }; \
    ring_enter { count() }; ring_op { count() by (nr) }"
 
-(* Detailed outcome for differential comparison... *)
+(* Detailed outcome for differential comparison (a recording carries
+   only the runtime's coarse outcome word). *)
 let outcome_string = function
   | Wasp.Runtime.Exited _ -> "exited"
   | Wasp.Runtime.Faulted f -> Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f)
   | Wasp.Runtime.Fuel_exhausted -> "fuel"
-
-(* ... and the coarse form .vxr recordings carry. *)
-let coarse_outcome detailed =
-  if detailed = "exited" || detailed = "fuel" then detailed else "faulted"
 
 (* ------------------------------------------------------------------ *)
 (* One runtime-level execution arm                                     *)
@@ -101,90 +98,76 @@ let plan_arms_provision_fail (case : Corpus.case) =
       let rec go i = i + m <= n && (String.sub text i m = re || go (i + 1)) in
       go 0
 
-(* Run [case] once ([runs] times in one runtime for the restore arms)
-   and observe the last invocation. Anything an armed plan can inject —
-   including Injected_failure from provision_fail — is an outcome, not a
-   crash; only exceptions the plan cannot explain are. [post] observes
-   the runtime after the runs (coverage harvest). *)
+(* Run [case] once ([runs] times in one runtime for the restore arms),
+   recorded, and observe the last invocation. Anything an armed plan can
+   inject — including Injected_failure from provision_fail — is an
+   outcome, not a crash; only exceptions the plan cannot explain are.
+   [post] observes the runtime after the runs (coverage harvest). *)
 let run_arm ?(reset = `Memcpy) ?(runs = 1) ?snapshot_key
-    ?probes ?profiler ?(post = fun (_ : Wasp.Runtime.t) -> ()) ?recorder
+    ?probes ?profiler ?(post = fun (_ : Wasp.Runtime.t) -> ())
     (case : Corpus.case) : arm_result =
-  try
-    let w =
-      Wasp.Runtime.create ~seed:case.seed ~reset ~flight_capacity:256 ()
-    in
-    (match case.plan with
-    | Some text -> (
-        match Cycles.Fault_plan.of_string text with
-        | Ok plan -> Wasp.Runtime.set_fault_plan w (Some plan)
-        | Error e -> failwith ("unparseable case plan: " ^ e))
-    | None -> ());
-    Wasp.Runtime.set_probes w probes;
-    Wasp.Runtime.set_profiler w profiler;
-    let image = Corpus.image_of case in
-    (* the runtime cross-checks an attached recorder's image against the
-       loaded one, so the recorder must be seeded before the run *)
-    (match recorder with
-    | Some rc ->
-        Profiler.Replay.set_image rc ~name:image.Wasp.Image.name
-          ~mode:(Vm.Modes.to_string case.mode) ~origin:image.Wasp.Image.origin
-          ~entry:image.Wasp.Image.entry ~mem_size:image.Wasp.Image.mem_size
-          ~code:(Bytes.to_string image.Wasp.Image.code);
-        Profiler.Replay.set_env rc ?fault_plan:case.plan ~seed:case.seed
-          ~policy:(Corpus.policy_string case) ~fuel:case.fuel ()
-    | None -> ());
-    Wasp.Runtime.set_recorder w recorder;
-    let state = ref "" in
-    let inspect mem cpu = state := state_digest mem cpu in
-    let result = ref None in
-    for _ = 1 to runs do
-      result :=
-        Some
-          (Wasp.Runtime.run w image ~policy:case.policy ?snapshot_key
-             ~fuel:case.fuel ~inspect ())
-    done;
-    let r = Option.get !result in
-    let events =
-      match recorder with
-      | None -> []
-      | Some rc ->
-          List.map
-            (fun (e : Profiler.Replay.event) -> (e.at, e.nr, e.args, e.ret))
-            (Profiler.Replay.events rc)
-    in
-    post w;
-    Obs
-      {
-        o_outcome = outcome_string r.Wasp.Runtime.outcome;
-        o_ret = r.Wasp.Runtime.return_value;
-        o_cycles = r.Wasp.Runtime.cycles;
-        o_hypercalls = r.Wasp.Runtime.hypercalls;
-        o_denied = r.Wasp.Runtime.denied;
-        o_state = !state;
-        o_events = events;
-      }
-  with
-  | Kvmsim.Kvm.Injected_failure site when plan_arms_provision_fail case ->
-      Obs
-        {
-          o_outcome = "injected:" ^ site;
-          o_ret = 0L;
-          o_cycles = 0L;
-          o_hypercalls = 0;
-          o_denied = 0;
-          o_state = "";
-          o_events = [];
-        }
-  | e -> Crash (Printexc.to_string e)
+  let w = Wasp.Runtime.create ~seed:case.seed ~reset ~flight_capacity:256 () in
+  let image = Corpus.image_of case in
+  match Wasp.Runtime.record w ?fault_plan:case.plan image case.policy ~fuel:case.fuel with
+  | Error e -> Crash e
+  | Ok recording -> (
+      try
+        (match case.plan with
+        | Some text -> (
+            match Cycles.Fault_plan.of_string text with
+            | Ok plan -> Wasp.Runtime.set_fault_plan w (Some plan)
+            | Error e -> failwith ("unparseable case plan: " ^ e))
+        | None -> ());
+        Wasp.Runtime.set_probes w probes;
+        Wasp.Runtime.set_profiler w profiler;
+        let state = ref "" in
+        let inspect mem cpu = state := state_digest mem cpu in
+        let result = ref None in
+        for _ = 1 to runs do
+          result :=
+            Some
+              (Wasp.Runtime.run w image ~policy:case.policy ?snapshot_key
+                 ~fuel:case.fuel ~inspect ())
+        done;
+        let r = Option.get !result in
+        post w;
+        Obs
+          {
+            o_outcome = outcome_string r.Wasp.Runtime.outcome;
+            o_ret = r.Wasp.Runtime.return_value;
+            o_cycles = r.Wasp.Runtime.cycles;
+            o_hypercalls = r.Wasp.Runtime.hypercalls;
+            o_denied = r.Wasp.Runtime.denied;
+            o_state = !state;
+            o_recording = recording;
+          }
+      with
+      | Kvmsim.Kvm.Injected_failure site when plan_arms_provision_fail case ->
+          (* provision_fail can only fire at the first run's VM creation
+             (later runs reuse the pooled or retained shell), so the
+             recording holds no hypercalls *)
+          Obs
+            {
+              o_outcome = "injected:" ^ site;
+              o_ret = 0L;
+              o_cycles = 0L;
+              o_hypercalls = 0;
+              o_denied = 0;
+              o_state = "";
+              o_recording = recording;
+            }
+      | e -> Crash (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let events o = Profiler.Replay.events o.o_recording
+
 let events_brief evs =
   String.concat ";"
     (List.map
-       (fun (at, nr, _args, ret) -> Printf.sprintf "%Ld:%d:%Ld" at nr ret)
+       (fun (e : Profiler.Replay.event) -> Printf.sprintf "%Ld:%d:%Ld" e.at e.nr e.ret)
        evs)
 
 (* Full comparison: the engine contract (timing included). *)
@@ -197,10 +180,10 @@ let diff_full a b =
     Some (Printf.sprintf "cycles %Ld vs %Ld" a.o_cycles b.o_cycles)
   else if a.o_state <> b.o_state then
     Some (Printf.sprintf "final state %s vs %s" a.o_state b.o_state)
-  else if a.o_events <> b.o_events then
+  else if events a <> events b then
     Some
-      (Printf.sprintf "transcript [%s] vs [%s]" (events_brief a.o_events)
-         (events_brief b.o_events))
+      (Printf.sprintf "transcript [%s] vs [%s]" (events_brief (events a))
+         (events_brief (events b)))
   else if a.o_hypercalls <> b.o_hypercalls || a.o_denied <> b.o_denied then
     Some
       (Printf.sprintf "hc/denied %d/%d vs %d/%d" a.o_hypercalls a.o_denied
@@ -212,14 +195,16 @@ let diff_full a b =
    cycle stamps are excluded; results, final state and the un-stamped
    hypercall sequence must match. *)
 let diff_visible a b =
-  let strip evs = List.map (fun (_, nr, args, ret) -> (nr, args, ret)) evs in
+  let strip o =
+    List.map (fun (e : Profiler.Replay.event) -> (e.nr, e.args, e.ret)) (events o)
+  in
   if a.o_outcome <> b.o_outcome then
     Some (Printf.sprintf "outcome %s vs %s" a.o_outcome b.o_outcome)
   else if a.o_ret <> b.o_ret then
     Some (Printf.sprintf "ret %Ld vs %Ld" a.o_ret b.o_ret)
   else if a.o_state <> b.o_state then
     Some (Printf.sprintf "final state %s vs %s" a.o_state b.o_state)
-  else if strip a.o_events <> strip b.o_events then
+  else if strip a <> strip b then
     Some "hypercall sequence (nr/args/ret) differs"
   else if a.o_denied <> b.o_denied then
     Some (Printf.sprintf "denied %d vs %d" a.o_denied b.o_denied)
@@ -340,10 +325,6 @@ let shift_mask_canary case =
 (* The differential ladder below the canonical arm; first divergence
    wins. *)
 let differential ?canary ?cache canonical (case : Corpus.case) =
-  (* every arm gets its own recorder so transcripts are comparable *)
-  let run_arm ?reset ?runs ?snapshot_key case =
-    run_arm ?reset ?runs ?snapshot_key ~recorder:(Profiler.Replay.create ()) case
-  in
   match engine_arm ?canary ?cache case with
   | Some finding -> Some finding
   | None -> (
@@ -379,7 +360,6 @@ let classify ?canary ?cache (case : Corpus.case) : verdict =
     | Error e -> failwith ("internal: bad coverage spec: " ^ e)
   in
   let profiler = Profiler.Profile.create () in
-  let recorder = Profiler.Replay.create () in
   let harvested = ref [] in
   let post w =
     harvested :=
@@ -389,7 +369,7 @@ let classify ?canary ?cache (case : Corpus.case) : verdict =
   (* The canonical arm: every coverage surface attached (the profiler
      runs the translator's hooked flavour). A crash here is a finding
      with no recording. *)
-  match run_arm ~probes ~profiler ~post ~recorder case with
+  match run_arm ~probes ~profiler ~post case with
   | Crash detail ->
       {
         features = [ "crash" ];
@@ -406,18 +386,5 @@ let classify ?canary ?cache (case : Corpus.case) : verdict =
         @ Coverage.opcode_features profiler
       in
       let finding = differential ?canary ?cache canonical case in
-      (* The .vxr a fixture carries: the case environment plus the
-         canonical transcript — exactly what a recorded [wasprun] run
-         would have produced. *)
-      let recording =
-        let rc = Corpus.to_replay case in
-        List.iter
-          (fun (at, nr, args, ret) ->
-            Profiler.Replay.add_event rc ~at ~nr ~args ~ret)
-          canonical.o_events;
-        Profiler.Replay.finish rc ~cycles:canonical.o_cycles
-          ~outcome:(coarse_outcome canonical.o_outcome)
-          ~return_value:canonical.o_ret;
-        Some rc
-      in
-      { features; recording; finding }
+      (* the canonical recording is the .vxr a fixture carries *)
+      { features; recording = Some canonical.o_recording; finding }

@@ -17,8 +17,9 @@ type obs = {
   o_hypercalls : int;
   o_denied : int;
   o_state : string;  (** MD5 of final registers + guest memory *)
-  o_events : (int64 * int * int64 array * int64) list;
-      (** hypercall transcript: at, nr, args, ret *)
+  o_recording : Profiler.Replay.t;
+      (** the arm's recording ({!Wasp.Runtime.record}): every run's
+          hypercall transcript and the last run's trailer *)
 }
 
 type fclass =
@@ -48,10 +49,6 @@ type verdict = {
 val coverage_spec : string
 (** The vtrace probe spec attached to the canonical arm. *)
 
-val coarse_outcome : string -> string
-(** Collapse a detailed outcome to the ["exited"]/["faulted"]/["fuel"]
-    form [.vxr] recordings carry. *)
-
 val classify : ?canary:canary -> ?cache:Vm.Translate.t -> Corpus.case -> verdict
 (** Run every arm. Deterministic: same case (and canary) → same
     verdict, whatever [cache] holds. *)
@@ -75,7 +72,6 @@ val run_arm :
   ?probes:Vtrace.Engine.t ->
   ?profiler:Profiler.Profile.t ->
   ?post:(Wasp.Runtime.t -> unit) ->
-  ?recorder:Profiler.Replay.t ->
   Corpus.case ->
   arm_result
 

@@ -11,17 +11,17 @@
 type event = { at : int64; nr : int; args : int64 array; ret : int64 }
 
 type t = {
-  mutable image_name : string;
-  mutable mode : string;      (* "real" | "protected" | "long" *)
-  mutable origin : int;
-  mutable entry : int;
-  mutable mem_size : int;
-  mutable code : string;      (* raw image bytes *)
-  mutable seed : int;
-  mutable policy : string;    (* "deny_all" | "allow_all" | "mask:<hex>" *)
-  mutable fuel : int;
-  mutable fault_plan : string option;
-      (* one-line Cycles.Fault_plan.to_string form; None = no chaos *)
+  image_name : string;
+  mode : string;      (* "real" | "protected" | "long" *)
+  origin : int;
+  entry : int;
+  mem_size : int;
+  code : string;      (* raw image bytes *)
+  seed : int;
+  policy : string;    (* "deny_all" | "allow_all" | "mask:<hex>" *)
+  fuel : int;
+  fault_plan : string option;
+      (* one-line Cycles.Fault_plan form, in the caller's spelling; None = no chaos *)
   mutable events_rev : event list;
   mutable n_events : int;
   mutable total_cycles : int64;
@@ -29,38 +29,24 @@ type t = {
   mutable return_value : int64;
 }
 
-let create () =
+let create ~name ~mode ~origin ~entry ~mem_size ~code ~seed ~policy ~fuel ?fault_plan () =
   {
-    image_name = "";
-    mode = "long";
-    origin = 0;
-    entry = 0;
-    mem_size = 0;
-    code = "";
-    seed = 0;
-    policy = "deny_all";
-    fuel = 0;
-    fault_plan = None;
+    image_name = name;
+    mode;
+    origin;
+    entry;
+    mem_size;
+    code;
+    seed;
+    policy;
+    fuel;
+    fault_plan;
     events_rev = [];
     n_events = 0;
     total_cycles = 0L;
     outcome = "";
     return_value = 0L;
   }
-
-let set_image t ~name ~mode ~origin ~entry ~mem_size ~code =
-  t.image_name <- name;
-  t.mode <- mode;
-  t.origin <- origin;
-  t.entry <- entry;
-  t.mem_size <- mem_size;
-  t.code <- code
-
-let set_env t ?fault_plan ~seed ~policy ~fuel () =
-  t.seed <- seed;
-  t.policy <- policy;
-  t.fuel <- fuel;
-  t.fault_plan <- fault_plan
 
 let add_event t ~at ~nr ~args ~ret =
   t.events_rev <- { at; nr; args = Array.copy args; ret } :: t.events_rev;
@@ -145,9 +131,14 @@ let to_string t =
   Buffer.add_string buf (Printf.sprintf "ret %Ld\n" t.return_value);
   Buffer.contents buf
 
+(* Every line but [hc] names one field; each must appear exactly once
+   ([faultplan] at most once), so no field falls back to a default and
+   no later line overrides an earlier one. *)
+let required =
+  [ "image"; "mode"; "origin"; "entry"; "mem_size"; "seed"; "policy"; "fuel"; "md5"; "code";
+    "total"; "outcome"; "ret" ]
+
 let of_string s =
-  let t = create () in
-  let stored_md5 = ref "" in
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
   let lines = String.split_on_char '\n' s in
@@ -174,80 +165,79 @@ let of_string s =
         fail "bad %s: %S" what v;
         0L
   in
+  let fields = Hashtbl.create 16 in
+  let events_rev = ref [] and n_events = ref 0 in
   List.iteri
     (fun i line ->
       if i > 0 && line <> "" then begin
         let key, v = split_kv line in
-        match key with
-        | "image" -> t.image_name <- v
-        | "mode" -> t.mode <- v
-        | "origin" -> t.origin <- int_of v ~what:"origin"
-        | "entry" -> t.entry <- int_of v ~what:"entry"
-        | "mem_size" -> t.mem_size <- int_of v ~what:"mem_size"
-        | "seed" -> t.seed <- int_of v ~what:"seed"
-        | "policy" -> t.policy <- v
-        | "fuel" -> t.fuel <- int_of v ~what:"fuel"
-        | "faultplan" -> t.fault_plan <- Some v
-        | "md5" -> stored_md5 := v
-        | "code" -> (
-            match string_of_hex v with
-            | code -> t.code <- code
-            | exception Invalid_argument _ | exception Failure _ ->
-                fail "bad code hex")
-        | "hc" -> (
-            match String.split_on_char ' ' v with
-            | at :: nr :: ret :: args ->
-                add_event t ~at:(int64_of at ~what:"hc stamp")
-                  ~nr:(int_of nr ~what:"hc nr")
-                  ~args:(Array.of_list (List.map (fun a -> int64_of a ~what:"hc arg") args))
-                  ~ret:(int64_of ret ~what:"hc ret")
-            | _ -> fail "bad hc line: %S" v)
-        | "total" -> t.total_cycles <- int64_of v ~what:"total"
-        | "outcome" -> t.outcome <- v
-        | "ret" -> t.return_value <- int64_of v ~what:"ret"
-        | _ -> fail "unknown field %S" key
+        if key = "hc" then (
+          match String.split_on_char ' ' v with
+          | at :: nr :: ret :: args ->
+              events_rev :=
+                {
+                  at = int64_of at ~what:"hc stamp";
+                  nr = int_of nr ~what:"hc nr";
+                  args = Array.of_list (List.map (fun a -> int64_of a ~what:"hc arg") args);
+                  ret = int64_of ret ~what:"hc ret";
+                }
+                :: !events_rev;
+              incr n_events
+          | _ -> fail "bad hc line: %S" v)
+        else if not (key = "faultplan" || List.mem key required) then
+          fail "unknown field %S" key
+        else if Hashtbl.mem fields key then fail "duplicate %s line" key
+        else Hashtbl.replace fields key v
       end)
     lines;
-  (* Semantic validation: a recording that parses but describes an
-     impossible machine (negative or absurd memory, code that cannot
-     fit, a load outside the region) must be a typed error here, not a
-     [Vm.Memory.Fault] raised later through whatever driver rebuilt the
-     image — fuzz corpora are full of exactly these. *)
-  (match !err with
-  | Some _ -> ()
-  | None ->
-      if t.mem_size <= 0 then fail "bad mem_size %d (must be positive)" t.mem_size
-      else if t.mem_size > max_mem_size then
-        fail "bad mem_size %d (over the %d-byte replay cap)" t.mem_size max_mem_size
-      else if t.origin < 0 then fail "bad origin %d (negative)" t.origin
-      else if t.entry < 0 then fail "bad entry %d (negative)" t.entry
-      else if t.fuel < 0 then fail "bad fuel %d (negative)" t.fuel
-      else if t.origin + String.length t.code > t.mem_size then
-        fail "code does not fit: origin %d + %d bytes > mem_size %d" t.origin
-          (String.length t.code) t.mem_size
-      else if t.entry >= t.mem_size then
-        fail "entry 0x%x outside the %d-byte region" t.entry t.mem_size);
-  (match !err with
-  | None when !stored_md5 <> "" && !stored_md5 <> image_md5 t ->
-      fail "image corrupt: md5 %s does not match recorded %s" (image_md5 t) !stored_md5
-  | _ -> ());
-  match !err with None -> Ok t | Some m -> Error m
+  List.iter (fun key -> if not (Hashtbl.mem fields key) then fail "missing %s line" key) required;
+  match !err with
+  | Some m -> Error m
+  | None -> (
+      let field = Hashtbl.find fields in
+      let int key = int_of (field key) ~what:key and int64 key = int64_of (field key) ~what:key in
+      let code =
+        try string_of_hex (field "code")
+        with Invalid_argument _ | Failure _ ->
+          fail "bad code hex";
+          ""
+      in
+      let t =
+        create ~name:(field "image") ~mode:(field "mode") ~origin:(int "origin")
+          ~entry:(int "entry") ~mem_size:(int "mem_size") ~code ~seed:(int "seed")
+          ~policy:(field "policy") ~fuel:(int "fuel")
+          ?fault_plan:(Hashtbl.find_opt fields "faultplan") ()
+      in
+      t.events_rev <- !events_rev;
+      t.n_events <- !n_events;
+      finish t ~cycles:(int64 "total") ~outcome:(field "outcome") ~return_value:(int64 "ret");
+      (* Semantic validation: a recording that parses but describes an
+         impossible machine (negative or absurd memory, code that cannot
+         fit, a load outside the region) must be a typed error here, not
+         a [Vm.Memory.Fault] raised later through whatever driver rebuilt
+         the image — fuzz corpora are full of exactly these. *)
+      (match !err with
+      | Some _ -> ()
+      | None ->
+          if t.mem_size <= 0 then fail "bad mem_size %d (must be positive)" t.mem_size
+          else if t.mem_size > max_mem_size then
+            fail "bad mem_size %d (over the %d-byte replay cap)" t.mem_size max_mem_size
+          else if t.origin < 0 then fail "bad origin %d (negative)" t.origin
+          else if t.entry < 0 then fail "bad entry %d (negative)" t.entry
+          else if t.fuel < 0 then fail "bad fuel %d (negative)" t.fuel
+          else if t.origin + String.length t.code > t.mem_size then
+            fail "code does not fit: origin %d + %d bytes > mem_size %d" t.origin
+              (String.length t.code) t.mem_size
+          else if t.entry >= t.mem_size then
+            fail "entry 0x%x outside the %d-byte region" t.entry t.mem_size
+          else if field "md5" <> image_md5 t then
+            fail "image corrupt: md5 %s does not match recorded %s" (image_md5 t) (field "md5"));
+      match !err with None -> Ok t | Some m -> Error m)
 
 let to_file t path =
   let oc = open_out_bin path in
   output_string oc (to_string t);
   close_out oc
-
-let of_file path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | s -> of_string s
-  | exception Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Divergence detection                                                *)
@@ -263,39 +253,43 @@ let diff recorded replayed =
       (fun m -> if List.length !divs < max_reported then divs := m :: !divs else incr hidden)
       fmt
   in
-  if image_md5 recorded <> image_md5 replayed then
-    add "image: md5 %s vs %s" (image_md5 recorded) (image_md5 replayed);
-  if recorded.seed <> replayed.seed then add "seed: %d vs %d" recorded.seed replayed.seed;
-  if recorded.policy <> replayed.policy then
-    add "policy: %s vs %s" recorded.policy replayed.policy;
-  if recorded.fault_plan <> replayed.fault_plan then
-    add "fault plan: %s vs %s"
-      (Option.value recorded.fault_plan ~default:"<none>")
-      (Option.value replayed.fault_plan ~default:"<none>");
+  (* the header, in file order, each field under its .vxr key *)
+  let field key a b = if a <> b then add "%s: %s vs %s" key a b in
+  let int_field key a b = if a <> b then add "%s: %d vs %d" key a b in
+  field "image" recorded.image_name replayed.image_name;
+  field "mode" recorded.mode replayed.mode;
+  int_field "origin" recorded.origin replayed.origin;
+  int_field "entry" recorded.entry replayed.entry;
+  int_field "mem_size" recorded.mem_size replayed.mem_size;
+  int_field "seed" recorded.seed replayed.seed;
+  field "policy" recorded.policy replayed.policy;
+  int_field "fuel" recorded.fuel replayed.fuel;
+  field "faultplan"
+    (Option.value recorded.fault_plan ~default:"<none>")
+    (Option.value replayed.fault_plan ~default:"<none>");
+  field "md5" (image_md5 recorded) (image_md5 replayed);
   if recorded.n_events <> replayed.n_events then
     add "hypercall count: %d vs %d" recorded.n_events replayed.n_events;
-  List.iteri
-    (fun i (a, b) ->
-      if a.nr <> b.nr then add "hc[%d]: nr %d vs %d" i a.nr b.nr
-      else if Int64.compare a.at b.at <> 0 then
-        add "hc[%d] (%d): cycle stamp %Ld vs %Ld" i a.nr a.at b.at
-      else if a.args <> b.args then
-        add "hc[%d] (%d): args (%s) vs (%s)" i a.nr
-          (String.concat "," (Array.to_list (Array.map Int64.to_string a.args)))
-          (String.concat "," (Array.to_list (Array.map Int64.to_string b.args)))
-      else if Int64.compare a.ret b.ret <> 0 then
-        add "hc[%d] (%d): return %Ld vs %Ld" i a.nr a.ret b.ret)
-    (List.combine
-       (let ea = events recorded and eb = events replayed in
-        let n = min (List.length ea) (List.length eb) in
-        List.filteri (fun i _ -> i < n) ea)
-       (let ea = events recorded and eb = events replayed in
-        let n = min (List.length ea) (List.length eb) in
-        List.filteri (fun i _ -> i < n) eb));
+  (* one walk over both transcripts, up to the shorter *)
+  let rec walk i ea eb =
+    match (ea, eb) with
+    | a :: ea, b :: eb ->
+        if a.nr <> b.nr then add "hc[%d]: nr %d vs %d" i a.nr b.nr
+        else if Int64.compare a.at b.at <> 0 then
+          add "hc[%d] (%d): cycle stamp %Ld vs %Ld" i a.nr a.at b.at
+        else if a.args <> b.args then
+          add "hc[%d] (%d): args (%s) vs (%s)" i a.nr
+            (String.concat "," (Array.to_list (Array.map Int64.to_string a.args)))
+            (String.concat "," (Array.to_list (Array.map Int64.to_string b.args)))
+        else if Int64.compare a.ret b.ret <> 0 then
+          add "hc[%d] (%d): return %Ld vs %Ld" i a.nr a.ret b.ret;
+        walk (i + 1) ea eb
+    | [], _ | _, [] -> ()
+  in
+  walk 0 (events recorded) (events replayed);
   if Int64.compare recorded.total_cycles replayed.total_cycles <> 0 then
     add "total cycles: %Ld vs %Ld" recorded.total_cycles replayed.total_cycles;
-  if recorded.outcome <> replayed.outcome then
-    add "outcome: %s vs %s" recorded.outcome replayed.outcome;
+  field "outcome" recorded.outcome replayed.outcome;
   if Int64.compare recorded.return_value replayed.return_value <> 0 then
     add "return value: %Ld vs %Ld" recorded.return_value replayed.return_value;
   let out = List.rev !divs in

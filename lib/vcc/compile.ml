@@ -11,7 +11,6 @@ type virtine_info = {
 type compiled = {
   ast : Ast.program;
   unit_name : string;
-  mode : Vm.Modes.t;
   mem_size : int option;
   optimize : bool;
   virtine_list : virtine_info list;
@@ -77,7 +76,6 @@ let compile ?(snapshot = true) ?(mode = Vm.Modes.Long) ?mem_size ?(name = "unit"
       {
         ast = prog;
         unit_name = name;
-        mode;
         mem_size;
         optimize;
         virtine_list;

@@ -28,7 +28,6 @@ let scalar = function Ast.Tvoid -> false | _ -> true
 let decay = function Ast.Tarray (t, _) -> Ast.Tptr t | t -> t
 
 type env = {
-  prog : Ast.program;
   globals : (string, Ast.ty) Hashtbl.t;
   funcs : (string, Ast.func) Hashtbl.t;
 }
@@ -202,6 +201,6 @@ let check (prog : Ast.program) =
       if Hashtbl.mem funcs f.fname then fail f.floc "duplicate function %s" f.fname;
       Hashtbl.replace funcs f.fname f)
     prog.funcs;
-  let env = { prog; globals; funcs } in
+  let env = { globals; funcs } in
   List.iter (check_func env) prog.funcs;
   prog

@@ -17,6 +17,7 @@ type run_stats = {
 }
 
 type t = {
+  seed : int;
   sys : Kvmsim.Kvm.system;
   pool : Pool.t;
   pool_enabled : bool;
@@ -40,6 +41,7 @@ let create ?(seed = 0xACE) ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
   Kvmsim.Kvm.set_hc_port sys (Some Hc.port);
   let clean = match clean with `Sync -> Pool.Sync | `Async -> Pool.Async in
   {
+    seed;
     sys;
     pool = Pool.create ?capacity:pool_capacity sys ~clean;
     pool_enabled = pool;
@@ -85,7 +87,6 @@ let set_telemetry t hub = Kvmsim.Kvm.set_telemetry t.sys hub
 let telemetry t = Kvmsim.Kvm.telemetry t.sys
 
 let set_profiler t p = t.profiler <- p
-let set_recorder t r = t.recorder <- r
 
 let set_probes t e = Kvmsim.Kvm.set_probes t.sys e
 let probes t = Kvmsim.Kvm.probes t.sys
@@ -120,6 +121,15 @@ let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls 
   if from_snapshot then Kvmsim.Kvm.count t.sys "wasp_snapshot_restores_total"
 
 type outcome = Exited of int64 | Faulted of Vm.Cpu.fault | Fuel_exhausted
+
+(* The .vxr outcome word. *)
+let outcome_word = function Exited _ -> "exited" | Faulted _ -> "faulted" | Fuel_exhausted -> "fuel"
+
+(* The attached recording's trailer. *)
+let note_trailer t ~cycles ~outcome ~return_value =
+  match t.recorder with
+  | Some rc -> Profiler.Replay.finish rc ~cycles ~outcome ~return_value
+  | None -> ()
 
 type result = {
   outcome : outcome;
@@ -576,7 +586,14 @@ let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_v
 
 let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key
     ~fuel ~inspect =
-  let prov = provision t claim ~mem_size:image.mem_size ~mode:image.mode in
+  let prov =
+    match provision t claim ~mem_size:image.mem_size ~mode:image.mode with
+    | prov -> prov
+    | exception (Kvmsim.Kvm.Injected_failure _ as e) ->
+        (* a failed KVM_CREATE_VM ends the invocation before it starts *)
+        note_trailer t ~cycles:0L ~outcome:"faulted" ~return_value:0L;
+        raise e
+  in
   let cpu = Kvmsim.Kvm.vcpu_cpu prov.shell.vcpu in
   let mem = prov.shell.mem in
   (match prov.snapshot with
@@ -743,6 +760,7 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
   in
   let result = finish t prov ~snapshot_key ~inv outcome ~return_value in
   Kvmsim.Kvm.sample t.sys "kvm_exits_per_invocation" (Int64.of_int !exits);
+  note_trailer t ~cycles:result.cycles ~outcome:(outcome_word outcome) ~return_value;
   result
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
@@ -865,3 +883,81 @@ let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.L
   Kvmsim.Kvm.span t.sys ~args:[ ("payload", name) ] "invocation" (fun () ->
       run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn
         ~snapshot_key ~body)
+
+(* ------------------------------------------------------------------ *)
+(* Record and replay                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let recording ~seed ?fault_plan (image : Image.t) policy ~fuel =
+  match Policy.to_string policy with
+  | None -> Error "cannot record a Custom policy: it has no .vxr form"
+  | Some policy ->
+      Ok
+        (Profiler.Replay.create ~name:image.name ~mode:(Vm.Modes.to_string image.mode)
+           ~origin:image.origin ~entry:image.entry ~mem_size:image.mem_size
+           ~code:(Bytes.to_string image.code) ~seed ~policy ~fuel ?fault_plan ())
+
+let record t ?fault_plan image policy ~fuel =
+  let r = recording ~seed:t.seed ?fault_plan image policy ~fuel in
+  Result.iter (fun rc -> t.recorder <- Some rc) r;
+  r
+
+let of_recording rc =
+  let ( let* ) = Result.bind in
+  let* mode =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown mode %S" (Profiler.Replay.mode rc))
+      (Vm.Modes.of_string (Profiler.Replay.mode rc))
+  in
+  let* policy = Policy.of_string (Profiler.Replay.policy rc) in
+  let* plan =
+    match Profiler.Replay.fault_plan rc with
+    | None -> Ok None
+    | Some text -> (
+        match Cycles.Fault_plan.of_string text with
+        | Ok plan -> Ok (Some plan)
+        | Error e -> Error ("bad fault plan: " ^ e))
+  in
+  let image : Image.t =
+    {
+      name = Profiler.Replay.image_name rc;
+      code = Bytes.of_string (Profiler.Replay.code rc);
+      origin = Profiler.Replay.origin rc;
+      entry = Profiler.Replay.entry rc;
+      mode;
+      mem_size = Profiler.Replay.mem_size rc;
+      symbols = [];
+    }
+  in
+  Ok (image, policy, plan)
+
+(* The verdict: every [Replay.diff] divergence, or, when there is none,
+   the first line where the fresh recording's text departs from the
+   recorded text (a field spelled other than the recorder writes it). *)
+let verdict ~text recorded fresh =
+  match Profiler.Replay.diff recorded fresh with
+  | _ :: _ as divergences -> divergences
+  | [] ->
+      let line = function x :: _ -> Printf.sprintf "%S" x | [] -> "end of text" in
+      let rec first i = function
+        | [], [] -> []
+        | x :: a, y :: b when String.equal x y -> first (i + 1) (a, b)
+        | a, b ->
+            [ Printf.sprintf "recording text differs byte-for-byte at line %d: %s vs %s" i
+                (line a) (line b) ]
+      in
+      let lines = String.split_on_char '\n' in
+      first 1 (lines text, lines (Profiler.Replay.to_string fresh))
+
+let replay ?(attach = fun _ _ -> None) text =
+  let ( let* ) = Result.bind in
+  let* recorded = Profiler.Replay.of_string text in
+  let* image, policy, plan = of_recording recorded in
+  let t = create ~seed:(Profiler.Replay.seed recorded) () in
+  set_fault_plan t plan;
+  let fuel = Profiler.Replay.fuel recorded in
+  let* fresh = record t ?fault_plan:(Profiler.Replay.fault_plan recorded) image policy ~fuel in
+  match run t image ~policy ?conn:(attach t image) ~fuel () with
+  | (_ : result) -> Ok (fresh, verdict ~text recorded fresh)
+  | exception Kvmsim.Kvm.Injected_failure _ -> Ok (fresh, verdict ~text recorded fresh)
+  | exception e -> Error ("replay crashed: " ^ Printexc.to_string e)

@@ -5,7 +5,10 @@
     provisions a hardware context (from the shell pool when warm), loads
     the image or restores a snapshot, marshals arguments into the guest at
     address 0, runs the guest, interposes on every hypercall under the
-    client's policy, and recycles the shell. *)
+    client's policy, and recycles the shell. Any invocation of an image
+    can be recorded as a [.vxr] file and replayed cycle for cycle; this
+    module is the one place that seeds, finishes and judges those
+    recordings (see {!record} and {!replay}). *)
 
 type t
 
@@ -116,7 +119,7 @@ val set_telemetry : t -> Telemetry.Hub.t option -> unit
 
 val telemetry : t -> Telemetry.Hub.t option
 
-(** {1 Observability: profiler, flight recorder, record/replay} *)
+(** {1 Observability: profiler, probes, flight recorder} *)
 
 val set_profiler : t -> Profiler.Profile.t option -> unit
 (** Attach (or detach) a guest profiler. While attached, every
@@ -125,13 +128,6 @@ val set_profiler : t -> Profiler.Profile.t option -> unit
     table) and opcodes; the residue — VM-exit costs, hypercall dispatch,
     handler work — is booked to the [\[vmm\]] pseudo-function, so the
     per-function totals sum exactly to the execute span's duration. *)
-
-val set_recorder : t -> Profiler.Replay.t option -> unit
-(** Attach a replay recorder: each exit-carried hypercall of {!run} (an
-    [out] exit, each ring op and the ring doorbell) is appended as a
-    cycle-stamped transcript event. The caller seeds the recording
-    ({!Profiler.Replay.set_image}/[set_env]) and finalizes it ([finish])
-    around the invocation. *)
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
 (** Attach (or detach) a vtrace probe engine on the KVM system
@@ -215,6 +211,60 @@ val run :
       and skip boot.
     - [inspect] observes guest memory and registers after exit, before
       the shell is cleaned (used by milestone experiments). *)
+
+(** {1 Record and replay}
+
+    The one place a [.vxr] recording ({!Profiler.Replay}) is seeded,
+    finished and judged. *)
+
+val recording :
+  seed:int ->
+  ?fault_plan:string ->
+  Image.t ->
+  Policy.t ->
+  fuel:int ->
+  (Profiler.Replay.t, string) Stdlib.result
+(** The header of [image] run under [seed], [policy], [fuel] and the
+    armed plan's one-line text (kept in the caller's spelling), with an
+    empty transcript. [Error] for a {!Policy.Custom} predicate, which has
+    no textual form. *)
+
+val record :
+  t ->
+  ?fault_plan:string ->
+  Image.t ->
+  Policy.t ->
+  fuel:int ->
+  (Profiler.Replay.t, string) Stdlib.result
+(** {!recording} under this runtime's own seed, attached to [t]. Every
+    {!run} from then on appends its exit-carried hypercalls (an [out]
+    exit, each ring op, the ring doorbell) as cycle-stamped events and
+    finishes the recording with its cycles, outcome word and return
+    value; a run ended by {!Kvmsim.Kvm.Injected_failure} is finished as
+    ["faulted"], 0 cycles, return value 0. Kept attached over several
+    runs (a supervisor's retries), the recording holds every run's events
+    and the last run's trailer. The caller arms the plan itself and runs
+    with the recorded [policy] and [fuel]. *)
+
+val of_recording :
+  Profiler.Replay.t ->
+  (Image.t * Policy.t * Cycles.Fault_plan.t option, string) Stdlib.result
+(** The image, policy and freshly parsed fault plan a recording
+    describes; [Error] names an unknown mode, policy or plan. *)
+
+val replay :
+  ?attach:(t -> Image.t -> Hostenv.endpoint option) ->
+  string ->
+  (Profiler.Replay.t * string list, string) Stdlib.result
+(** [replay text] parses a [.vxr] text, rebuilds what it describes and
+    runs it once, recording afresh, on a fresh runtime under the
+    recorded seed. [attach] is called on that runtime before the run to
+    attach observers and build the host environment; it returns the
+    connection for {!run}. Returns the fresh recording and the verdict:
+    every {!Profiler.Replay.diff} divergence, or, when there is none and
+    the fresh recording does not serialize to exactly [text], the first
+    line that differs. [[]] means reproduced byte for byte. [Error] for
+    unparseable or unrunnable input and for a host exception. *)
 
 (** {1 Native-payload virtines}
 

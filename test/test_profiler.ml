@@ -274,24 +274,13 @@ let test_flight_wraparound_keeps_stamps () =
 (* Record / replay                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let ok = function Ok x -> x | Error e -> Alcotest.fail e
+
 let record_invocation ?(seed = 0xACE) () =
   let img = fib_image () in
   let w = Wasp.Runtime.create ~seed () in
-  let rc = Profiler.Replay.create () in
-  Profiler.Replay.set_image rc ~name:img.Wasp.Image.name
-    ~mode:(Vm.Modes.to_string img.Wasp.Image.mode) ~origin:img.Wasp.Image.origin
-    ~entry:img.Wasp.Image.entry ~mem_size:img.Wasp.Image.mem_size
-    ~code:(Bytes.to_string img.Wasp.Image.code);
-  Profiler.Replay.set_env rc ~seed ~policy:"deny_all" ~fuel:1_000_000 ();
-  Wasp.Runtime.set_recorder w (Some rc);
-  let r = Wasp.Runtime.run w img ~fuel:1_000_000 () in
-  Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-    ~outcome:
-      (match r.Wasp.Runtime.outcome with
-      | Wasp.Runtime.Exited _ -> "exited"
-      | Wasp.Runtime.Faulted _ -> "faulted"
-      | Wasp.Runtime.Fuel_exhausted -> "fuel")
-    ~return_value:r.Wasp.Runtime.return_value;
+  let rc = ok (Wasp.Runtime.record w img Wasp.Policy.deny_all ~fuel:1_000_000) in
+  ignore (Wasp.Runtime.run w img ~fuel:1_000_000 ());
   rc
 
 let test_replay_zero_divergence () =
@@ -368,46 +357,10 @@ let pre_refactor_vxr =
    ret 144\n"
 
 let test_replay_pre_refactor_fixture () =
-  match Profiler.Replay.of_string pre_refactor_vxr with
-  | Error m -> Alcotest.fail ("fixture failed to parse: " ^ m)
-  | Ok recorded ->
-      let image : Wasp.Image.t =
-        {
-          name = Profiler.Replay.image_name recorded;
-          code = Bytes.of_string (Profiler.Replay.code recorded);
-          origin = Profiler.Replay.origin recorded;
-          entry = Profiler.Replay.entry recorded;
-          mode = Vm.Modes.Long;
-          mem_size = Profiler.Replay.mem_size recorded;
-          symbols = [];
-        }
-      in
-      let w = Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) () in
-      let fresh = Profiler.Replay.create () in
-      Profiler.Replay.set_image fresh ~name:image.name
-        ~mode:(Vm.Modes.to_string image.mode) ~origin:image.origin
-        ~entry:image.entry ~mem_size:image.mem_size
-        ~code:(Bytes.to_string image.code);
-      Profiler.Replay.set_env fresh
-        ~seed:(Profiler.Replay.seed recorded)
-        ~policy:(Profiler.Replay.policy recorded)
-        ~fuel:(Profiler.Replay.fuel recorded) ();
-      Wasp.Runtime.set_recorder w (Some fresh);
-      let r =
-        Wasp.Runtime.run w image ~policy:(Wasp.Policy.Mask 0L)
-          ~fuel:(Profiler.Replay.fuel recorded) ()
-      in
-      Profiler.Replay.finish fresh ~cycles:r.Wasp.Runtime.cycles
-        ~outcome:
-          (match r.Wasp.Runtime.outcome with
-          | Wasp.Runtime.Exited _ -> "exited"
-          | Wasp.Runtime.Faulted _ -> "faulted"
-          | Wasp.Runtime.Fuel_exhausted -> "fuel")
-        ~return_value:r.Wasp.Runtime.return_value;
-      Alcotest.(check (list string)) "pre-refactor recording replays clean" []
-        (Profiler.Replay.diff recorded fresh);
-      Alcotest.(check int64) "cycle total preserved across the refactor" 365944L
-        r.Wasp.Runtime.cycles
+  let fresh, verdict = ok (Wasp.Runtime.replay pre_refactor_vxr) in
+  Alcotest.(check (list string)) "pre-refactor recording replays clean" [] verdict;
+  Alcotest.(check int64) "cycle total preserved across the refactor" 365944L
+    (Profiler.Replay.total_cycles fresh)
 
 let test_image_matches () =
   let rc = record_invocation () in
@@ -425,6 +378,198 @@ let test_image_matches () =
   Bytes.set tampered 0 (Char.chr (Char.code (Bytes.get tampered 0) lxor 1));
   Alcotest.(check bool) "tampered view rejected" false
     (Profiler.Replay.image_matches rc tampered)
+
+(* Text surgery on a serialized recording. *)
+let drop_line key text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> not (String.starts_with ~prefix:(key ^ " ") l))
+  |> String.concat "\n"
+
+let replace_line ~prefix ~by text =
+  String.split_on_char '\n' text
+  |> List.map (fun l -> if String.starts_with ~prefix l then by l else l)
+  |> String.concat "\n"
+
+let rejects what text =
+  match Profiler.Replay.of_string text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
+let test_vxr_md5_line_required () =
+  let text = Profiler.Replay.to_string (record_invocation ()) in
+  (* flip one code nibble and drop the md5 line that would catch it *)
+  let tampered =
+    replace_line ~prefix:"code " text ~by:(fun l ->
+        let b = Bytes.of_string l in
+        Bytes.set b 5 (if Bytes.get b 5 = '0' then '1' else '0');
+        Bytes.to_string b)
+    |> drop_line "md5"
+  in
+  rejects "tampered image with no md5 line" tampered;
+  rejects "untampered image with no md5 line" (drop_line "md5" text)
+
+let test_vxr_header_lines_required () =
+  let text = Profiler.Replay.to_string (record_invocation ()) in
+  List.iter
+    (fun key -> rejects ("no " ^ key ^ " line") (drop_line key text))
+    [ "image"; "mode"; "origin"; "entry"; "mem_size"; "seed"; "policy"; "fuel"; "code";
+      "total"; "outcome"; "ret" ]
+
+let test_vxr_no_line_overrides () =
+  let text = Profiler.Replay.to_string (record_invocation ()) in
+  rejects "a second policy line after ret" (text ^ "policy allow_all\n");
+  rejects "a second seed line" (text ^ "seed 1\n");
+  rejects "two faultplan lines"
+    (replace_line ~prefix:"md5 " text ~by:(fun l ->
+         "faultplan seed=0x1;spurious_exit=@0+2\nfaultplan seed=0x2;spurious_exit=@0+2\n" ^ l))
+
+(* The ringed file server's host environment: the static corpus plus a
+   socket pair already carrying one request; returns the server end. *)
+let vhttp_env w =
+  let path = Vhttp.Fileserver.add_default_files (Wasp.Runtime.env w) in
+  let client, server = Wasp.Hostenv.socket_pair (Wasp.Runtime.env w) in
+  ignore (Wasp.Hostenv.send client (Bytes.of_string (Vhttp.Fileserver.request_for ~path)));
+  server
+
+let chaos_plan_text = "seed=0xC4405;spurious_exit=@0+2;ept_storm=@1+3"
+
+(* A recording made the way [wasprun --example --chaos --record] makes one:
+   the plan armed and recorded in its [to_string] spelling. *)
+let record_chaos () =
+  let img = fib_image () in
+  let w = Wasp.Runtime.create () in
+  let plan = ok (Cycles.Fault_plan.of_string chaos_plan_text) in
+  Wasp.Runtime.set_fault_plan w (Some plan);
+  let rc =
+    ok
+      (Wasp.Runtime.record w ~fault_plan:(Cycles.Fault_plan.to_string plan) img
+         (Wasp.Policy.Mask 0L) ~fuel:50_000_000)
+  in
+  ignore (Wasp.Runtime.run w img ~policy:(Wasp.Policy.Mask 0L) ());
+  Alcotest.(check bool) "the plan injected" true (Cycles.Fault_plan.total_injected plan > 0);
+  rc
+
+let record_vhttp () =
+  let compiled = Vhttp.Fileserver.compile_ring ~snapshot:false in
+  let vi = Option.get (Vcc.Compile.find_virtine compiled "handle") in
+  let img = vi.Vcc.Compile.image and policy = vi.Vcc.Compile.policy in
+  let w = Wasp.Runtime.create () in
+  let server = vhttp_env w in
+  let rc = ok (Wasp.Runtime.record w img policy ~fuel:50_000_000) in
+  ignore (Wasp.Runtime.run w img ~policy ~conn:server ());
+  rc
+
+(* A run that an injected provision_fail ends at VM creation: recorded
+   (and replayed) as faulted at 0 cycles with return value 0. *)
+let record_injected () =
+  let img = fib_image () in
+  let w = Wasp.Runtime.create () in
+  let plan =
+    Cycles.Fault_plan.create
+      [ (Kvmsim.Kvm.site_provision_fail, Cycles.Fault_plan.Every { start = 0; interval = 0 }) ]
+  in
+  Wasp.Runtime.set_fault_plan w (Some plan);
+  let rc =
+    ok
+      (Wasp.Runtime.record w ~fault_plan:(Cycles.Fault_plan.to_string plan) img
+         Wasp.Policy.deny_all ~fuel:1_000_000)
+  in
+  (match Wasp.Runtime.run w img ~fuel:1_000_000 () with
+  | exception Kvmsim.Kvm.Injected_failure _ -> ()
+  | _ -> Alcotest.fail "expected an injected provisioning failure");
+  Alcotest.(check (list string)) "trailer" [ "faulted"; "0"; "0" ]
+    [
+      Profiler.Replay.outcome rc;
+      Int64.to_string (Profiler.Replay.total_cycles rc);
+      Int64.to_string (Profiler.Replay.return_value rc);
+    ];
+  rc
+
+let fixtures =
+  Sys.readdir "fixtures" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".vxr")
+  |> List.sort compare
+  |> List.map (Filename.concat "fixtures")
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let test_replay_one_path () =
+  Alcotest.(check int) "six committed fixtures" 6 (List.length fixtures);
+  let vhttp = record_vhttp () in
+  Alcotest.(check bool) "the vhttp recording holds the ring traffic" true
+    (Profiler.Replay.event_count vhttp > 1);
+  let attach w (img : Wasp.Image.t) =
+    if String.starts_with ~prefix:"fileserver" img.name then Some (vhttp_env w) else None
+  in
+  List.iter
+    (fun (what, text) ->
+      let fresh, verdict = ok (Wasp.Runtime.replay ~attach text) in
+      Alcotest.(check (list string)) (what ^ " replays with an empty verdict") [] verdict;
+      Alcotest.(check string) (what ^ " re-serializes byte for byte") text
+        (Profiler.Replay.to_string fresh))
+    (List.map (fun p -> (p, read p)) fixtures
+    @ [
+        ("plain", Profiler.Replay.to_string (record_invocation ()));
+        ("chaos", Profiler.Replay.to_string (record_chaos ()));
+        ("vhttp", Profiler.Replay.to_string vhttp);
+        ("injected", Profiler.Replay.to_string (record_injected ()));
+      ])
+
+let test_replay_stamp_divergence () =
+  let text = read "fixtures/fuzz-ring-9859b02a33a1.vxr" in
+  let e = List.nth (Profiler.Replay.events (ok (Profiler.Replay.of_string text))) 1 in
+  (* the second hc line's stamp, +1 *)
+  let seen = ref 0 in
+  let bumped =
+    replace_line ~prefix:"hc " text ~by:(fun l ->
+        incr seen;
+        if !seen <> 2 then l
+        else
+          let rest = String.index_from l 3 ' ' in
+          Printf.sprintf "hc %Ld" (Int64.succ e.at) ^ String.sub l rest (String.length l - rest))
+  in
+  let _, verdict = ok (Wasp.Runtime.replay bumped) in
+  Alcotest.(check (list string)) "reported at that event"
+    [ Printf.sprintf "hc[1] (%d): cycle stamp %Ld vs %Ld" e.nr (Int64.succ e.at) e.at ]
+    verdict
+
+let test_record_custom_policy () =
+  let w = Wasp.Runtime.create () in
+  match
+    Wasp.Runtime.record w (fib_image ()) (Wasp.Policy.Custom (fun _ -> true)) ~fuel:1_000
+  with
+  | Error m ->
+      Alcotest.(check bool) "names the policy" true (count_substring m "Custom" > 0)
+  | Ok _ -> Alcotest.fail "a Custom policy was recorded"
+
+(* A chaos recording whose seed line is respelled [0xACE]: the same
+   number, so nothing diverges, but it is not the text a replay writes.
+   Both entry points, [wasprun --replay] (which is [Runtime.replay]) and
+   the fixture check behind [fuzz_cli --check-fixtures], reject it. *)
+let test_replay_respelled_seed () =
+  let text = Profiler.Replay.to_string (record_chaos ()) in
+  Alcotest.(check bool) "recorded under seed 2766" true (count_substring text "\nseed 2766\n" = 1);
+  let respelled = replace_line ~prefix:"seed " text ~by:(fun _ -> "seed 0xACE") in
+  let _, verdict = ok (Wasp.Runtime.replay respelled) in
+  Alcotest.(check (list string)) "Runtime.replay names the line"
+    [ {|recording text differs byte-for-byte at line 7: "seed 0xACE" vs "seed 2766"|} ]
+    verdict;
+  let dir = Filename.temp_dir "vxr" "" in
+  let check_dir contents =
+    let path = Filename.concat dir "chaos.vxr" in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+    let r = Fuzz.Driver.check_fixtures ~dir ~log:ignore in
+    Sys.remove path;
+    r
+  in
+  Alcotest.(check bool) "the fixture check passes the recording as written" true
+    (check_dir text = Ok 1);
+  (match check_dir respelled with
+  | Error [ e ] ->
+      Alcotest.(check bool) "the fixture check rejects the respelled one" true
+        (count_substring e "byte-for-byte" > 0)
+  | _ -> Alcotest.fail "the fixture check accepted the respelled recording");
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Symtab                                                              *)
@@ -478,6 +623,14 @@ let () =
           Alcotest.test_case "pre-refactor fixture replays clean" `Quick
             test_replay_pre_refactor_fixture;
           Alcotest.test_case "image_matches over paged view" `Quick test_image_matches;
+          Alcotest.test_case "md5 line required" `Quick test_vxr_md5_line_required;
+          Alcotest.test_case "header and trailer lines required" `Quick
+            test_vxr_header_lines_required;
+          Alcotest.test_case "no line overrides another" `Quick test_vxr_no_line_overrides;
+          Alcotest.test_case "one replay path" `Quick test_replay_one_path;
+          Alcotest.test_case "stamp divergence located" `Quick test_replay_stamp_divergence;
+          Alcotest.test_case "custom policy is a typed error" `Quick test_record_custom_policy;
+          Alcotest.test_case "respelled seed rejected" `Quick test_replay_respelled_seed;
         ] );
       ("symtab", [ Alcotest.test_case "lookup" `Quick test_symtab_lookup ]);
     ]

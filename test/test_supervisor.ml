@@ -489,27 +489,14 @@ let test_supervisor_retry_schedule_deterministic () =
 (* Chaos recordings replay with zero divergence                        *)
 (* ------------------------------------------------------------------ *)
 
+let ok = function Ok x -> x | Error e -> Alcotest.fail e
+
 let record_chaos plan =
-  let seed = 0xACE in
   let img = fib_image () in
-  let w = R.create ~seed () in
+  let w = R.create ~seed:0xACE () in
   R.set_fault_plan w (Some plan);
-  let rc = Profiler.Replay.create () in
-  Profiler.Replay.set_image rc ~name:img.Wasp.Image.name
-    ~mode:(Vm.Modes.to_string img.Wasp.Image.mode) ~origin:img.Wasp.Image.origin
-    ~entry:img.Wasp.Image.entry ~mem_size:img.Wasp.Image.mem_size
-    ~code:(Bytes.to_string img.Wasp.Image.code);
-  Profiler.Replay.set_env rc ~fault_plan:(FP.to_string plan) ~seed ~policy:"deny_all"
-    ~fuel:1_000_000 ();
-  R.set_recorder w (Some rc);
-  let r = R.run w img ~fuel:1_000_000 () in
-  Profiler.Replay.finish rc ~cycles:r.R.cycles
-    ~outcome:
-      (match r.R.outcome with
-      | R.Exited _ -> "exited"
-      | R.Faulted _ -> "faulted"
-      | R.Fuel_exhausted -> "fuel")
-    ~return_value:r.R.return_value;
+  let rc = ok (R.record w ~fault_plan:(FP.to_string plan) img Wasp.Policy.deny_all ~fuel:1_000_000) in
+  ignore (R.run w img ~fuel:1_000_000 ());
   rc
 
 (* ------------------------------------------------------------------ *)
@@ -634,6 +621,30 @@ let test_chaos_vxr_zero_divergence () =
   Alcotest.(check (list string)) "chaos replay is cycle-for-cycle" []
     (Profiler.Replay.diff a b)
 
+(* The runtime finishes an attached recording at the end of every run, so
+   a supervised invocation leaves it finished by its last attempt: here
+   the first attempt's VM creation fails (a faulted trailer at 0 cycles)
+   and the retry exits. *)
+let test_supervised_recording_finished_by_last_attempt () =
+  let w = R.create () in
+  R.set_fault_plan w
+    (Some
+       (FP.create
+          [ (Kvmsim.Kvm.site_provision_fail, FP.Every { start = 0; interval = 0 }) ]));
+  let img = fib_image () in
+  let rc = ok (R.record w img Wasp.Policy.deny_all ~fuel:1_000_000) in
+  let sup = S.create ~config:{ S.default_config with S.attempt_fuel = Some 1_000_000 } w in
+  let o = S.run sup img () in
+  Alcotest.(check int) "one retry" 2 o.S.attempts;
+  let r = match o.S.result with Ok r -> r | Error (_, e) -> Alcotest.fail e in
+  Alcotest.(check string) "outcome of the last attempt" "exited" (Profiler.Replay.outcome rc);
+  Alcotest.(check int64) "cycles of the last attempt" r.R.cycles (Profiler.Replay.total_cycles rc);
+  Alcotest.(check bool) "not the supervised total, which includes the backoff" true
+    (Int64.compare r.R.cycles o.S.cycles < 0);
+  Alcotest.(check int64) "return value of the last attempt" r.R.return_value
+    (Profiler.Replay.return_value rc);
+  Alcotest.(check int) "its hypercalls" r.R.hypercalls (Profiler.Replay.event_count rc)
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -681,5 +692,7 @@ let () =
       ( "chaos-replay",
         [
           Alcotest.test_case "vxr zero divergence" `Quick test_chaos_vxr_zero_divergence;
+          Alcotest.test_case "supervised recording finished by its last attempt" `Quick
+            test_supervised_recording_finished_by_last_attempt;
         ] );
     ]
