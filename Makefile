@@ -148,7 +148,8 @@ ring-smoke:
 # across two same-seed runs, and the differential oracle must catch both
 # planted harness canaries (a reverted shift-mask guard emulated on the
 # reference stepper, and a one-cycle translator skew) within the same
-# budget
+# budget; then every entry of a short campaign's --corpus directory must
+# replay through wasprun, as the committed fixtures do
 fuzz-smoke:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bin/fuzz_cli.exe -- --iters 25 --seed 0xF022 > $$d/a.txt; \
@@ -163,7 +164,13 @@ fuzz-smoke:
 	dune exec bin/fuzz_cli.exe -- --iters 5 --seed 3 --canary cycle-skew \
 	  --expect-finding canary-divergence > $$d/c2.txt \
 	  || { echo "fuzz-smoke: cycle-skew canary missed:"; cat $$d/c2.txt; exit 1; }; \
-	grep -h 'FUZZ-SMOKE' $$d/c1.txt $$d/c2.txt
+	grep -h 'FUZZ-SMOKE' $$d/c1.txt $$d/c2.txt; \
+	dune exec bin/fuzz_cli.exe -- --iters 3 --seed 7 --corpus $$d/corpus > $$d/corpus.txt; \
+	for f in $$d/corpus/*.vxr; do \
+	  dune exec bin/wasprun.exe -- --replay "$$f" > /dev/null \
+	    || { echo "fuzz-smoke: wasprun --replay rejected corpus entry $$f"; exit 1; }; \
+	done; \
+	echo "FUZZ-SMOKE: corpus entries replayed: $$(ls $$d/corpus | wc -l)"
 
 # replay every committed reproducer and require byte-identical
 # recordings, then run each image through the CPU-level engine arm

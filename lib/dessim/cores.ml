@@ -79,10 +79,10 @@ type t = {
   mutable next_seq : int;
   mutable rr : int;       (* round-robin cursor for unpinned submits *)
   mutable submitted : int;
-  mutable probes : Vtrace.Engine.t option;
+  mutable probe : (core:int -> reason:string -> cycles:int -> nr:int -> string -> unit) option;
 }
 
-let create ?(steal = true) ?switch ?idle clocks =
+let create ?(steal = true) ?switch ?idle ?probe clocks =
   let n = Array.length clocks in
   if n < 1 then invalid_arg "Cores.create: need at least one clock";
   {
@@ -103,20 +103,23 @@ let create ?(steal = true) ?switch ?idle clocks =
     next_seq = 0;
     rr = 0;
     submitted = 0;
-    probes = None;
+    probe;
   }
 
-let set_probes t e = t.probes <- e
+let set_probes t e =
+  t.probe <-
+    Option.map
+      (fun e ~core ~reason ~cycles ~nr site ->
+        if Vtrace.Engine.wants e site then
+          let cycles = Int64.of_int cycles and nr = Int64.of_int nr in
+          let ctx = { Vtrace.Ctx.site; core; trace = None; fn = ""; pc = 0; reason; cycles; fuel = 0; nr } in
+          ignore (Vtrace.Engine.fire e ctx))
+      e
 
 (* vtrace scheduler sites; fired outside the clocks' charged windows so
    they never perturb the schedule. *)
 let fire t site ~core ~reason ~cycles ~nr =
-  match t.probes with
-  | None -> ()
-  | Some e ->
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core ~reason ~cycles ~nr:(Int64.of_int nr) site))
+  match t.probe with None -> () | Some f -> f ~core ~reason ~cycles ~nr site
 
 let cores t = Array.length t.clocks
 let core_stats t = t.per_core
@@ -196,7 +199,7 @@ let step t =
       | None -> assert false);
       if src <> c then begin
         t.per_core.(c).stolen <- t.per_core.(c).stolen + 1;
-        fire t "steal" ~core:c ~reason:"steal" ~cycles:0L ~nr:src
+        fire t "steal" ~core:c ~reason:"steal" ~cycles:0 ~nr:src
       end;
       let clk = t.clocks.(c) in
       let nw = Cycles.Clock.now clk in
@@ -213,7 +216,7 @@ let step t =
         s.idle_cycles <- Int64.add s.idle_cycles window;
         s.reclaim_cycles <- Int64.add s.reclaim_cycles (Int64.of_int spent);
         Cycles.Clock.advance clk window;
-        fire t "idle" ~core:c ~reason:"wait" ~cycles:window ~nr:spent
+        fire t "idle" ~core:c ~reason:"wait" ~cycles:(Int64.to_int window) ~nr:spent
       end;
       (match t.switch with Some f -> f c | None -> ());
       let before = Cycles.Clock.now clk in
@@ -225,7 +228,7 @@ let step t =
       fire t "sched"
         ~core:c
         ~reason:(if src <> c then "stolen" else "local")
-        ~cycles:busy ~nr:task.seq;
+        ~cycles:(Int64.to_int busy) ~nr:task.seq;
       true
 
 let run t = while step t do () done

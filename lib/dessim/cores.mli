@@ -32,6 +32,7 @@ val create :
   ?steal:bool ->
   ?switch:(int -> unit) ->
   ?idle:(core:int -> budget:int -> int) ->
+  ?probe:(core:int -> reason:string -> cycles:int -> nr:int -> string -> unit) ->
   Cycles.Clock.t array ->
   t
 (** One queue per clock. [steal] defaults to true. [switch core] is
@@ -39,7 +40,13 @@ val create :
     {!Wasp.Runtime.on_core}). [idle ~core ~budget] may spend up to
     [budget] cycles of an idle window on background work and returns the
     cycles actually used; the scheduler advances the clock over the whole
-    window either way and accounts the used part as reclaim work. *)
+    window either way and accounts the used part as reclaim work.
+
+    [probe ~core ~reason ~cycles ~nr site] fires the vtrace sites (e.g.
+    through {!Kvmsim.Kvm.fire}): ["sched"] after each task ([nr] = its
+    submission sequence), ["steal"] when a task migrates ([nr] = victim
+    core) and ["idle"] for each accounted wait window ([nr] = the cycles
+    the idle hook used). They fire outside the charged windows. *)
 
 val submit : t -> ?affinity:int -> ?at:int64 -> (core:int -> unit) -> unit
 (** Enqueue a task released at absolute cycle [at] (default 0). With
@@ -64,10 +71,7 @@ val utilization : t -> core:int -> float
 (** [busy / (busy + idle)]; 0 before the core has done anything. *)
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites: ["sched"] after each
-    task runs ([core] = executing core, [reason] = [local]/[stolen],
-    [cycles] = the task's busy window, [nr] = its submission sequence),
-    ["steal"] when a task migrates ([nr] = victim core) and ["idle"] for
-    each accounted wait window ([cycles] = the window, [nr] = the cycles
-    the idle hook consumed). Probes fire outside the charged windows and
-    never perturb the schedule. *)
+(** Replace [probe] by one firing straight into an engine (contexts
+    carry no [fn] or trace id), or by none. Kept for the bench/perf
+    harness; {!Serverless.Loadgen.run_cores} fires through the KVM
+    system, where engines attach. *)

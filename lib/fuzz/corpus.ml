@@ -112,9 +112,9 @@ let of_vxr_string s =
 (* Directory persistence                                               *)
 (* ------------------------------------------------------------------ *)
 
-let save_case ~dir c =
+let save_case ~dir ?recording c =
   let path = Filename.concat dir (name c ^ ".vxr") in
-  Profiler.Replay.to_file (to_replay c) path;
+  Profiler.Replay.to_file (match recording with Some rc -> rc | None -> to_replay c) path;
   path
 
 let read_file path =

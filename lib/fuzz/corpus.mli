@@ -2,8 +2,8 @@
 
     A case is the environment half of a [.vxr] recording — image bytes,
     mode, seed, policy, fuel and fault plan — so corpus entries and
-    shrunk reproducers are stored {e as} [.vxr] files: every corpus
-    entry is directly replayable with [wasprun --replay], and CI
+    shrunk reproducers are stored {e as} [.vxr] files, each the case's
+    canonical recording: both replay with [wasprun --replay], and CI
     fixtures need no second format. *)
 
 (** The three mutated input planes (see [docs/fuzzing.md]). *)
@@ -54,8 +54,12 @@ val to_vxr_string : case -> string
 
 val of_vxr_string : string -> (case, string) result
 
-val save_case : dir:string -> case -> string
-(** Write the case as [<name>.vxr] under [dir]; returns the path. *)
+val save_case : dir:string -> ?recording:Profiler.Replay.t -> case -> string
+(** Write [recording], the case's canonical-arm recording, as
+    [<name>.vxr] under [dir]; returns the path. A case whose canonical
+    arm crashed has none: it is written environment-only
+    ({!to_vxr_string}: no events, [total 0], empty [outcome]), which a
+    later campaign loads as a seed but replay rejects. *)
 
 val load_dir : string -> case list * (string * string) list
 (** Load every [*.vxr] under a directory (sorted, deterministic).

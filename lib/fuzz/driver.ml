@@ -70,10 +70,7 @@ let write_recording ?canary ~cache ~dir case =
   mkdir_p dir;
   match (Oracle.classify ?canary ~cache case).Oracle.recording with
   | None -> None
-  | Some rc ->
-      let path = Filename.concat dir (Corpus.name case ^ ".vxr") in
-      Profiler.Replay.to_file rc path;
-      Some path
+  | Some recording -> Some (Corpus.save_case ~dir ~recording case)
 
 let run config : summary =
   let rng = Cycles.Rng.create ~seed:config.seed in
@@ -85,12 +82,13 @@ let run config : summary =
   let findings = ref [] in
   let finding_keys = Hashtbl.create 8 in
   let started = config.now () in
-  let add_to_corpus c =
+  (* a corpus entry is written as a fixture is: the canonical recording *)
+  let add_to_corpus c (v : Oracle.verdict) =
     corpus := Array.append !corpus [| c |];
     match config.corpus_dir with
     | Some dir ->
         mkdir_p dir;
-        ignore (Corpus.save_case ~dir c)
+        ignore (Corpus.save_case ~dir ?recording:v.Oracle.recording c)
     | None -> ()
   in
   let handle_finding case cls detail =
@@ -128,7 +126,7 @@ let run config : summary =
         Hashtbl.replace seen (Corpus.digest case) ();
         let v = Oracle.classify ?canary:config.canary ~cache case in
         let fresh = Coverage.observe cov v.Oracle.features in
-        if fresh > 0 || always_keep then add_to_corpus case;
+        if fresh > 0 || always_keep then add_to_corpus case v;
         (match v.Oracle.finding with
         | Some (cls, detail) -> handle_finding case cls detail
         | None -> ())

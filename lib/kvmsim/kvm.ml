@@ -25,7 +25,9 @@ type system = {
          stores are stamped with its PC in the flight ring *)
   mutable plan : Cycles.Fault_plan.t option;
   mutable probes : Vtrace.Engine.t option;
-  mutable hc_port : int option;
+  mutable profiler : Profiler.Profile.t option;
+  mutable payload : string;  (* running now, per the runtime: probe contexts' default [fn] *)
+  hc_port : int option;
       (* the hypercall port, when a runtime above us declared one:
          Io_out exits on it fire vtrace "exit" probes as "hypercall" *)
   trans : Vm.Translate.t;
@@ -63,7 +65,7 @@ type run_exit =
   | Fault of Vm.Cpu.fault
   | Out_of_fuel
 
-let open_dev ?(seed = 0x5eed) ?(cores = 1) ?flight_capacity () =
+let open_dev ?(seed = 0x5eed) ?(cores = 1) ?flight_capacity ?hc_port () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
   let flight = Profiler.Flight.create ?capacity:flight_capacity () in
   {
@@ -79,7 +81,9 @@ let open_dev ?(seed = 0x5eed) ?(cores = 1) ?flight_capacity () =
     active_cpu = None;
     plan = None;
     probes = None;
-    hc_port = None;
+    profiler = None;
+    payload = "";
+    hc_port;
     trans = Vm.Translate.create ();
   }
 
@@ -115,6 +119,7 @@ let set_telemetry sys hub =
   Hashtbl.iter (fun _ s -> s.in_hub <- None) sys.series
 
 let telemetry sys = sys.telemetry
+let hub_attached sys = Option.is_some sys.telemetry
 
 (* [Hashtbl.find], not [find_opt]: the lookup allocates no option. *)
 let series sys ?(labels = []) ?(help = "") name =
@@ -209,45 +214,52 @@ let gauge sys ?help ?labels name v =
 let sample sys ?labels name v =
   match sys.telemetry with None -> () | Some h -> Telemetry.Hub.observe h ?labels name v
 
-(* How many probes matched; 0, with no context built, when no engine is
-   attached. *)
-let matches sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
+let probing sys site =
+  match sys.probes with Some e -> Vtrace.Engine.wants e site | None -> false
+
+(* The one place a system builds a probe context (the other is the
+   [Dessim.Cores.set_probes] shim). Callers ask [probing] first, so none
+   is built for a site no probe names. Returns how many probes matched. *)
+let matches sys ~core ~fn ~pc ~reason ~cycles ~fuel ~nr site =
   match sys.probes with
   | None -> 0
   | Some e ->
+      let fn = if String.equal fn "" then sys.payload else fn in
       Vtrace.Engine.fire e
-        (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ?fn ?pc ?reason ?cycles
-           ?fuel ?nr site)
+        { Vtrace.Ctx.site; core; trace = active_trace sys; fn; pc; reason; cycles; fuel; nr }
 
-let fire sys ?fn ?pc ?reason ?cycles ?fuel ?nr site =
-  ignore (matches sys ?fn ?pc ?reason ?cycles ?fuel ?nr site)
-
-let set_hc_port sys port = sys.hc_port <- port
+let fire sys ?(core = sys.cur) ?(fn = "") ?(pc = 0) ~reason ~cycles ~nr site =
+  if probing sys site then
+    let cycles = Int64.of_int cycles and nr = Int64.of_int nr in
+    ignore (matches sys ~core ~fn ~pc ~reason ~cycles ~fuel:0 ~nr site)
 
 let set_probes sys e =
   sys.probes <- e;
   Vm.Translate.set_block_hook sys.trans
-    (match e with
-    | Some eng when Vtrace.Engine.wants eng "block" ->
-        Some (fun ~pc -> fire sys ~pc "block")
-    | _ -> None)
+    (if probing sys "block" then Some (fun ~pc -> fire sys ~pc ~reason:"" ~cycles:0 ~nr:0 "block")
+     else None)
 
 let probes sys = sys.probes
+let set_profiler sys p = sys.profiler <- p
+let set_payload sys name = sys.payload <- name
 
 let active_pc sys = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0
 
+let hypercall_exit sys port = match sys.hc_port with Some p -> p = port | None -> false
+
 (* The vtrace site, reason and [nr] each KVM event fires with. *)
-let classify sys : Profiler.Flight.kind -> string * string * int64 = function
-  | Halt -> ("exit", "hlt", 0L)
-  | Io_out { port; value } -> (
-      match sys.hc_port with
-      | Some p when p = port -> ("exit", "hypercall", value)
-      | _ -> ("exit", "io_out", Int64.of_int port))
-  | Io_in { port } -> ("exit", "io_in", Int64.of_int port)
-  | Fault _ -> ("exit", "fault", 0L)
-  | Fuel -> ("exit", "fuel", 0L)
-  | Ept { page } -> ("ept", "cow_break", Int64.of_int page)
-  | Injected site -> ("inject", site, 0L)
+let site_of : Profiler.Flight.kind -> string = function
+  | Ept _ -> "ept" | Injected _ -> "inject" | Halt | Io_out _ | Io_in _ | Fault _ | Fuel -> "exit"
+
+let reason_of sys : Profiler.Flight.kind -> string = function
+  | Io_out { port; _ } when hypercall_exit sys port -> "hypercall"
+  | Halt -> "hlt" | Io_out _ -> "io_out" | Io_in _ -> "io_in" | Fault _ -> "fault"
+  | Fuel -> "fuel" | Ept _ -> "cow_break" | Injected site -> site
+
+let nr_of sys : Profiler.Flight.kind -> int64 = function
+  | Io_out { port; value } when hypercall_exit sys port -> value
+  | Io_out { port; _ } | Io_in { port } | Ept { page = port } -> Int64.of_int port
+  | Halt | Fault _ | Fuel | Injected _ -> 0L
 
 (* Every KVM-level event — a KVM_RUN return, a CoW break, a fault-plan
    injection — fans out from here to each observer, in a fixed order:
@@ -255,8 +267,8 @@ let classify sys : Profiler.Flight.kind -> string * string * int64 = function
    charges no cycles. For exits, [cycles] is the KVM_RUN's entry-to-exit
    duration; the vtrace fire runs after the flight entry so a matching
    exit probe can stamp it. *)
-let observe sys ~pc ?cycles ?fuel (kind : Profiler.Flight.kind) =
-  let site, reason, nr = classify sys kind in
+let observe sys ~pc ~cycles ~fuel (kind : Profiler.Flight.kind) =
+  let site = site_of kind and reason = reason_of sys kind in
   let is_exit = String.equal site "exit" in
   (match kind with
   | Io_out _ | Io_in _ -> count sys "kvm_io_exits_total"
@@ -271,15 +283,18 @@ let observe sys ~pc ?cycles ?fuel (kind : Profiler.Flight.kind) =
   Profiler.Flight.record sys.flight ?trace:(active_trace sys)
     ~at:(Cycles.Clock.now (clock sys))
     ~core:sys.cur ~pc kind;
-  if matches sys ~pc ~reason ?cycles ?fuel ~nr site > 0 && is_exit then
-    Profiler.Flight.append_note sys.flight "vtrace"
+  if probing sys site then
+    let cycles = Int64.of_int cycles and nr = nr_of sys kind in
+    if matches sys ~core:sys.cur ~fn:"" ~pc ~reason ~cycles ~fuel ~nr site > 0 && is_exit then
+      Profiler.Flight.append_note sys.flight "vtrace"
 
 (* One injection fired: counted, recorded in the black box (stamped
    with the active guest PC when there is one) and fired at the
    ["inject"] site. Bookkeeping charges no cycles — the *consequence* of
    the injection (the spurious round trip, the storm, the raised
    failure) is what the site charges. *)
-let note_injection sys site = observe sys ~pc:(active_pc sys) (Profiler.Flight.Injected site)
+let note_injection sys site =
+  observe sys ~pc:(active_pc sys) ~cycles:0 ~fuel:0 (Profiler.Flight.Injected site)
 
 let plan_fires sys site =
   match sys.plan with
@@ -317,7 +332,7 @@ let on_page_fault sys ~shared ~page =
       Cycles.Costs.ept_violation + Cycles.Costs.memcpy_cost Vm.Memory.page_size
     in
     Cycles.Clock.advance_int (clock sys) cost;
-    observe sys ~pc:(active_pc sys) ~cycles:(Int64.of_int cost) (Profiler.Flight.Ept { page })
+    observe sys ~pc:(active_pc sys) ~cycles:cost ~fuel:0 (Profiler.Flight.Ept { page })
   end
 
 let set_user_memory_region vm ~size =
@@ -397,8 +412,8 @@ let run ?fuel v =
   in
   let observe_exit kind =
     observe sys ~pc:(Vm.Cpu.pc v.cpu)
-      ~cycles:(Int64.sub (Cycles.Clock.now (clock sys)) t0)
-      ?fuel kind
+      ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock sys) t0))
+      ~fuel:(Option.value fuel ~default:0) kind
   in
   match exit with
   | Vm.Cpu.Halt ->
@@ -417,6 +432,31 @@ let run ?fuel v =
   | Vm.Cpu.Out_of_fuel ->
       observe_exit Profiler.Flight.Fuel;
       Out_of_fuel
+
+(* The execute phase, with the vCPU step hook of what is attached (the
+   profiler's attribution, inside its bracket, then the ["instr"] site)
+   and none when neither is there. *)
+let execute v ~symbols f =
+  let sys = v.parent.sys in
+  let clk = clock sys and prof = sys.profiler and instr = probing sys "instr" in
+  if Option.is_none prof && not instr then span sys "execute" f
+  else begin
+    let start = Cycles.Clock.now clk in
+    Option.iter (fun p -> Profiler.Profile.begin_invocation p ~symbols ~clock:clk) prof;
+    Vm.Cpu.set_step_hook v.cpu
+      (Some
+         (fun ~pc ~instr:i ~cost ->
+           (match prof with Some p -> Profiler.Profile.on_step p ~pc ~instr:i ~cost | None -> ());
+           if instr then
+             ignore
+               (matches sys ~core:sys.cur ~fn:"" ~pc ~reason:(Profiler.Profile.opcode_key i)
+                  ~cycles:(Int64.of_int cost) ~fuel:0 ~nr:0L "instr")));
+    let finally () = Vm.Cpu.set_step_hook v.cpu None in
+    let r = Fun.protect ~finally (fun () -> span sys "execute" f) in
+    let execute_cycles = Cycles.Clock.elapsed_since clk start in
+    Option.iter (fun p -> Profiler.Profile.end_invocation p ~execute_cycles) prof;
+    r
+  end
 
 (* Background shell construction for the pool's pipelined prewarm: the
    same VM + memory + vCPU assembly as the charged path, but with no

@@ -94,13 +94,15 @@ val plan_fires : system -> string -> bool
     applies the consequence. Exposed for sites that live above the KVM
     layer (the runtime's {!site_snapshot_corrupt}). *)
 
-val open_dev : ?seed:int -> ?cores:int -> ?flight_capacity:int -> unit -> system
+val open_dev :
+  ?seed:int -> ?cores:int -> ?flight_capacity:int -> ?hc_port:int -> unit -> system
 (** [cores] (default 1) gives the system that many per-core virtual
     clocks, at {!Cycles.Clock.default_freq_ghz}; all charges land on
     the {e current} core's clock (see {!set_core}). Guests execute
     through one {!Vm.Translate} cache per system, shared by all its
     vCPUs. [flight_capacity] sizes the system's {!flight} ring (default
-    128, see {!Profiler.Flight.create}). *)
+    128, see {!Profiler.Flight.create}). [Io_out] exits on [hc_port]
+    (the runtime above passes its [Hc.port]) are hypercall exits. *)
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)
@@ -152,14 +154,15 @@ val exit_reason_counts : system -> (string * int) list
 
 (** {2 Observers}
 
-    The system is where the telemetry hub and the vtrace probe engine
-    attach for every layer above it ({!Wasp.Runtime}, {!Wasp.Pool},
-    [Wasp.Supervisor] and [Serverless]), and it owns the flight ring.
-    [Wasp.Runtime.set_telemetry]/[set_probes] delegate to the setters
-    below. Two observers live elsewhere: the guest profiler and the
-    replay recorder attach to the runtime, and [Dessim.Cores] keeps its
-    own reference to the probe engine, set by
-    [Serverless.Loadgen.run_cores].
+    The system is where the telemetry hub, the vtrace probe engine and
+    the guest profiler attach for every layer above it ({!Wasp.Runtime},
+    {!Wasp.Pool}, [Wasp.Supervisor], [Serverless] and the scheduler
+    [Serverless.Loadgen] builds), and it owns the flight ring. This
+    module alone decides what each observer is handed and installs the
+    engine hooks they need. The [.vxr] recorder lives on the runtime: its
+    events are Wasp hypercalls, ring ops included, which this layer
+    never sees. [Dessim.Cores.set_probes], kept for the bench/perf
+    harness, is the one path that fires straight into an engine.
 
     Every write the layers above make to a hub goes through this
     module: {!count}, {!span}, {!instant}, {!gauge} and {!sample}. Each
@@ -175,6 +178,9 @@ val set_telemetry : system -> Telemetry.Hub.t option -> unit
     retargeted to the current core's clock and id, as {!set_core} does. *)
 
 val telemetry : system -> Telemetry.Hub.t option
+
+val hub_attached : system -> bool
+(** Whether a hub is attached: span args and sample values need building. *)
 
 val span :
   system -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
@@ -202,39 +208,42 @@ val flight : system -> Profiler.Flight.t
 
 val set_probes : system -> Vtrace.Engine.t option -> unit
 (** Attach (or detach) a vtrace probe engine — the one engine every
-    layer above fires through {!fire}. Sites fired by this layer:
-    ["exit"] (every {!run} return — reason [hlt]/[io_out]/[io_in]/
-    [fault]/[fuel], or [hypercall] with [nr] = the hypercall number when
-    the out port matches {!set_hc_port}; [cycles] = the run's
-    entry-to-exit duration), ["ept"] (CoW break; [nr] = page, [cycles] =
-    charged cost), ["inject"] (fault-plan fire; [reason] = site) and
-    ["block"] (superblock entry, installed as a {!Vm.Translate} block
-    hook). When an ["exit"] probe fires, the flight
-    ring's newest entry is annotated ["vtrace"]. Probes charge zero
-    simulated cycles; detached sites cost one [None] check. *)
+    layer above fires through {!fire}. This layer fires ["exit"] (every
+    {!run} return; [hypercall] exits carry the hypercall number),
+    ["ept"], ["inject"], ["block"] (a {!Vm.Translate} block hook,
+    installed when a probe names it) and ["instr"] (inside {!execute});
+    [docs/vtrace.md] catalogs every site's fields. A matching ["exit"]
+    probe stamps ["vtrace"] on the flight ring's newest entry. Probes
+    charge zero simulated cycles. *)
 
 val probes : system -> Vtrace.Engine.t option
 
+val probing : system -> string -> bool
+(** Whether a probe of the attached engine names [site]. *)
+
 val fire :
   system ->
+  ?core:int ->
   ?fn:string ->
   ?pc:int ->
-  ?reason:string ->
-  ?cycles:int64 ->
-  ?fuel:int ->
-  ?nr:int64 ->
+  reason:string ->
+  cycles:int ->
+  nr:int ->
   string ->
   unit
-(** [fire sys site] fires [site] on the attached probe engine with a
-    context stamped with the current core and the trace id of the
-    innermost open span on the attached hub; the other fields default as
-    in {!Vtrace.Ctx.make}. No context is built when no engine is
-    attached. *)
+(** [fire sys ~reason ~cycles ~nr site] fires [site] when {!probing}
+    it, and builds nothing otherwise. The context carries [core]
+    (default: the current core), the trace id of the innermost open
+    span on the attached hub and [fn] (when absent or empty: the
+    {!set_payload} name). *)
 
-val set_hc_port : system -> int option -> unit
-(** Declare the hypercall port (the runtime above passes its [Hc.port]):
-    [Io_out] exits on it fire ["exit"] probes with reason ["hypercall"]
-    and [nr] = the value written (the hypercall number). *)
+val set_profiler : system -> Profiler.Profile.t option -> unit
+(** Attach (or detach) a guest profiler: every {!execute} then runs
+    inside its invocation bracket, stepping through its hook. *)
+
+val set_payload : system -> string -> unit
+(** Name the payload that runs from now on (once per invocation): probe
+    contexts carry it as their default [fn]. *)
 
 val create_vm : system -> vm
 (** [KVM_CREATE_VM]: charges the in-kernel allocation cost. *)
@@ -271,6 +280,12 @@ val run : ?fuel:int -> vcpu -> run_exit
     return to user space. Resumable after I/O exits. Each return also
     bumps the [kvm_exits_total{reason}] counter
     ([hlt]/[hypercall]/[io_out]/[io_in]/[fault]/[fuel]). *)
+
+val execute : vcpu -> symbols:(string * int) list -> (unit -> 'a) -> 'a
+(** [execute vcpu ~symbols f] runs [f], the payload's execute phase, in
+    an ["execute"] span, inside the profiler's bracket (which resolves
+    PCs with [symbols]) and with the step hook of the profiler and
+    ["instr"] probes on [vcpu], when they are attached. *)
 
 val translation_stats : system -> Vm.Translate.stats
 (** A copy of the counters of the system's translation cache, which all

@@ -1,7 +1,8 @@
 (** Guest profiler: cycle attribution inside the virtine.
 
-    Attached to a {!Wasp.Runtime} (via [Runtime.set_profiler]), the
-    profiler hooks the vCPU's fetch/execute loop and attributes the
+    Attached to a KVM system ([Kvmsim.Kvm.set_profiler], which
+    [Wasp.Runtime.set_profiler] delegates to), the profiler hooks the
+    vCPU's fetch/execute loop and attributes the
     execute phase's cycles to guest functions, opcodes, and folded call
     stacks. Two modes:
 
@@ -44,8 +45,8 @@ val reset : t -> unit
 (** {1 Runtime integration} *)
 
 val begin_invocation : t -> symbols:(string * int) list -> clock:Cycles.Clock.t -> unit
-(** Called by the runtime before the execute phase: installs the image's
-    symbol table and clears the shadow stack. *)
+(** Called by [Kvmsim.Kvm.execute] before the execute phase: installs
+    the payload's symbol table and clears the shadow stack. *)
 
 val on_step : t -> pc:int -> instr:Instr.t -> cost:int -> unit
 (** The vCPU step hook target (see [Vm.Cpu.set_step_hook]). *)

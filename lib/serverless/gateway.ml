@@ -121,10 +121,11 @@ let breaker_state t ~name =
   | s -> s
 
 let note_breaker_gauge t name (b : breaker) =
-  Kvmsim.Kvm.gauge (kvm t)
-    ~help:"per-function circuit breaker (0 closed, 0.5 half-open, 1 open)"
-    ~labels:[ ("fn", name) ] "wasp_breaker_state"
-    (match b.state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0)
+  if Kvmsim.Kvm.hub_attached (kvm t) then
+    Kvmsim.Kvm.gauge (kvm t)
+      ~help:"per-function circuit breaker (0 closed, 0.5 half-open, 1 open)"
+      ~labels:[ ("fn", name) ] "wasp_breaker_state"
+      (match b.state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0)
 
 let note_success t name (b : breaker) =
   b.failures <- 0;
@@ -199,7 +200,7 @@ let invoke t name body =
   let sys = kvm t in
   if not (try_take_token t) then begin
     Kvmsim.Kvm.count sys "gateway_shed_total";
-    Kvmsim.Kvm.fire sys ~fn:name ~reason:"shed" ~cycles:0L "gateway";
+    Kvmsim.Kvm.fire sys ~fn:name ~reason:"shed" ~cycles:0 ~nr:0 "gateway";
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
   end
@@ -217,7 +218,7 @@ let invoke t name body =
     match b.state with
     | Open ->
         Kvmsim.Kvm.count sys "gateway_breaker_rejections_total";
-        Kvmsim.Kvm.fire sys ~fn:name ~reason:"breaker" ~cycles:0L "gateway";
+        Kvmsim.Kvm.fire sys ~fn:name ~reason:"breaker" ~cycles:0 ~nr:0 "gateway";
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
     | Closed | Half_open -> (
@@ -226,18 +227,18 @@ let invoke t name body =
         match Vespid.invoke_timed t.platform ~name ~input:(Bytes.of_string body) with
         | Ok out, cycles ->
             note_success t name b;
-            Kvmsim.Kvm.fire sys ~fn:name ~reason:"ok" ~cycles "gateway";
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"ok" ~cycles:(Int64.to_int cycles) ~nr:0 "gateway";
             slo_availability t ~good:true;
             slo_latency t cycles;
             respond ~status:200 out
         | Error e, cycles ->
             note_failure t name b;
-            Kvmsim.Kvm.fire sys ~fn:name ~reason:"error" ~cycles "gateway";
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"error" ~cycles:(Int64.to_int cycles) ~nr:0 "gateway";
             slo_availability t ~good:false;
             respond ~status:500 (Printf.sprintf "function error: %s\n" e)
         | exception Vespid.Unknown_function _ ->
             (* a bad name says nothing about the function's health *)
-            Kvmsim.Kvm.fire sys ~fn:name ~reason:"not_found" ~cycles:0L "gateway";
+            Kvmsim.Kvm.fire sys ~fn:name ~reason:"not_found" ~cycles:0 ~nr:0 "gateway";
             respond ~status:404 (Printf.sprintf "no such function: %s\n" name))
   end
 
@@ -271,7 +272,6 @@ let handle t raw =
       (match (req.Vhttp.Http.meth, segments) with
       | "POST", [ "invoke"; _ ] -> Wasp.Runtime.on_core (Vespid.runtime t.platform) t.next_core
       | _ -> ());
-      Kvmsim.Kvm.span (kvm t)
-        ~args:[ ("method", req.Vhttp.Http.meth); ("path", req.Vhttp.Http.path) ]
-        "route"
-        (fun () -> route t req segments)
+      let hub = Kvmsim.Kvm.hub_attached (kvm t) in
+      let args = if hub then [ ("method", req.Vhttp.Http.meth); ("path", req.Vhttp.Http.path) ] else [] in
+      Kvmsim.Kvm.span (kvm t) ~args "route" (fun () -> route t req segments)

@@ -115,6 +115,7 @@ let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~requ
   let cps = Cycles.Clock.freq_ghz (Wasp.Runtime.clock runtime) *. 1e9 in
   let n = Wasp.Runtime.cores runtime in
   let clocks = Array.init n (Wasp.Runtime.core_clock runtime) in
+  let sys = Wasp.Runtime.kvm runtime in
   (* deferred cleaning becomes real under the scheduler: released shells
      queue per core and are cleaned during idle windows below *)
   Wasp.Runtime.set_reclaim_policy runtime Wasp.Pool.Scheduled;
@@ -129,9 +130,10 @@ let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~requ
         let left = budget - spent in
         if left > 0 then spent + Wasp.Runtime.prewarm_step runtime ~core ~budget:left
         else spent)
+      ~probe:(fun ~core ~reason ~cycles ~nr site ->
+        if Kvmsim.Kvm.probing sys site then Kvmsim.Kvm.fire sys ~core ~reason ~cycles ~nr site)
       clocks
   in
-  Dessim.Cores.set_probes sched (Wasp.Runtime.probes runtime);
   let samples = ref [] in
   let think = cycles_of_s ~cps think_time_s in
   let phase_windows, total_end = phase_windows ~cps profile in

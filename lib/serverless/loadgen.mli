@@ -48,8 +48,9 @@ val run_cores :
     request is real work — [request ()] must perform one invocation on
     the current core, charging its clock. The pool's reclaim policy is
     switched to [Scheduled], so async cleaning consumes idle windows and
-    contended acquires stall. Per-core utilization, steal and reclaim
-    stats are exported to the runtime's telemetry hub (when attached) as
+    contended acquires stall. Its vtrace sites fire through
+    {!Kvmsim.Kvm.fire}. Per-core utilization, steal and reclaim stats
+    are exported to the runtime's telemetry hub (when attached) as
     [sched_*] metrics; the scheduler is returned for direct inspection.
     [on_complete] fires after every finished request with its queueing +
     service latency, on the completing core's clock — the hook for

@@ -16,14 +16,15 @@ let invoke_timed t ~name ~input =
   match Hashtbl.find_opt t.functions name with
   | Some isolate ->
       let sys = Wasp.Runtime.kvm t.wasp in
-      Kvmsim.Kvm.span sys ~args:[ ("function", name) ] "invoke" (fun () ->
+      let hub = Kvmsim.Kvm.hub_attached sys in
+      Kvmsim.Kvm.span sys ~args:(if hub then [ ("function", name) ] else []) "invoke" (fun () ->
           let outcome, cycles = Vjs.Isolate.invoke isolate ~input in
           Kvmsim.Kvm.count sys "vespid_invocations_total";
           (* the per-function series shares the family and carries the
              same exemplar, so a tail bucket names both the function and
              a trace that landed there *)
           Kvmsim.Kvm.sample sys "vespid_invoke_cycles" cycles;
-          Kvmsim.Kvm.sample sys ~labels:[ ("fn", name) ] "vespid_invoke_cycles" cycles;
+          if hub then Kvmsim.Kvm.sample sys ~labels:[ ("fn", name) ] "vespid_invoke_cycles" cycles;
           (match outcome with
           | Error _ -> Kvmsim.Kvm.count sys "vespid_errors_total"
           | Ok _ -> ());

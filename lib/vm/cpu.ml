@@ -66,8 +66,7 @@ let set_sp t sp = set_reg t Instr.sp (Int64.of_int sp)
 
 let instructions_retired t = Int64.of_int t.retired
 
-let set_step_hook t hook = t.step_hook <- Some hook
-let clear_step_hook t = t.step_hook <- None
+let set_step_hook t hook = t.step_hook <- hook
 
 let reset t ~mode =
   t.cpu_mode <- mode;

@@ -46,14 +46,13 @@ val set_sp : t -> int -> unit
 
 val instructions_retired : t -> int64
 
-val set_step_hook : t -> (pc:int -> instr:Instr.t -> cost:int -> unit) -> unit
-(** Install a per-instruction observer, called once per retired
-    instruction after its cost is charged to the clock and before it
-    executes (the guest profiler's attachment point). At most one hook is
-    active; installing replaces the previous one. {!Translate.run} runs
-    its hooked block flavour while a hook is installed. *)
-
-val clear_step_hook : t -> unit
+val set_step_hook : t -> (pc:int -> instr:Instr.t -> cost:int -> unit) option -> unit
+(** Install (or clear) a per-instruction observer, called once per
+    retired instruction after its cost is charged to the clock and before
+    it executes. At most one hook is active; installing replaces the
+    previous one. {!Translate.run} runs its hooked block flavour while a
+    hook is installed. [Kvmsim.Kvm.execute] installs the one its
+    observers need. *)
 
 val reset : t -> mode:Modes.t -> unit
 (** Clear registers/flags/PC and switch mode (shell reuse). Guest memory

@@ -10,10 +10,6 @@ type t = {
   nr : int64;
 }
 
-let make ?(core = 0) ?trace ?(fn = "") ?(pc = 0) ?(reason = "") ?(cycles = 0L)
-    ?(fuel = 0) ?(nr = 0L) site =
-  { site; core; trace; fn; pc; reason; cycles; fuel; nr }
-
 type value = Int of int64 | Str of string
 
 let fields =

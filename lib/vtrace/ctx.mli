@@ -15,19 +15,6 @@ type t = {
   nr : int64;  (** site-specific numeric operand (hc nr, page, port…) *)
 }
 
-val make :
-  ?core:int ->
-  ?trace:int64 ->
-  ?fn:string ->
-  ?pc:int ->
-  ?reason:string ->
-  ?cycles:int64 ->
-  ?fuel:int ->
-  ?nr:int64 ->
-  string ->
-  t
-(** [make site] builds a context; omitted fields default to zero/empty. *)
-
 type value = Int of int64 | Str of string
 
 val fields : string list

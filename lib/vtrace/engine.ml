@@ -13,7 +13,6 @@ type compiled = {
 type t = {
   probes : compiled array;
   by_site : (string, compiled list) Hashtbl.t;
-  mutable cur_fn : string;
   mutable metrics : Telemetry.Metrics.t option;
   mutable total_fires : int;
   mutable budget_drops : int;
@@ -93,7 +92,6 @@ let create ?(budget = 1_000_000) ?key_capacity ?sample_cap spec =
   {
     probes;
     by_site;
-    cur_fn = "";
     metrics = None;
     total_fires = 0;
     budget_drops = 0;
@@ -109,7 +107,6 @@ let of_string ?budget ?key_capacity ?sample_cap src =
 
 let spec t = Array.to_list (Array.map (fun c -> c.cspec) t.probes)
 let wants t site = Hashtbl.mem t.by_site site
-let set_fn t fn = t.cur_fn <- fn
 let set_metrics t m = t.metrics <- m
 
 let drops_help = "probe firings dropped (budget exhausted or key table full)"
@@ -136,10 +133,6 @@ let fire t ctx =
   match Hashtbl.find_opt t.by_site ctx.Ctx.site with
   | None -> 0
   | Some ps ->
-      let ctx =
-        if ctx.Ctx.fn = "" && t.cur_fn <> "" then { ctx with Ctx.fn = t.cur_fn }
-        else ctx
-      in
       List.fold_left
         (fun matched p ->
           if not (p.pred ctx) then matched

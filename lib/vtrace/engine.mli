@@ -2,9 +2,10 @@
 
     Sites call {!fire} with a {!Ctx.t}; the engine runs every attached
     probe for that site — predicate, then keyed aggregation — charging
-    zero simulated cycles. Detached sites pay a single [None] check
-    (the [option] test in the host layer); attached-but-unwanted sites
-    pay one hashtable miss. A per-probe firing budget bounds work and
+    zero simulated cycles. The host layer ([Kvmsim.Kvm], where an engine
+    attaches) builds the context: detached sites pay a single [None]
+    check, and attached-but-unwanted sites one hashtable miss ({!wants})
+    with no context built. A per-probe firing budget bounds work and
     memory: once a probe has fired [budget] times, further matches are
     dropped and counted (exported as [vtrace_drops_total]).
 
@@ -31,17 +32,12 @@ val spec : t -> Lang.spec
 val wants : t -> string -> bool
 (** Whether any probe targets [site] — lets hosts skip building
     contexts (and e.g. avoid opting into instruction stepping) when no
-    probe would fire. *)
+    probe would fire. [Kvmsim.Kvm] asks it before building any. *)
 
 val fire : t -> Ctx.t -> int
 (** Run every probe attached to [ctx.site]; returns how many matched
     (fired or were budget-dropped — callers use [> 0] to learn that the
     event was observed, e.g. to stamp a flight-ring annotation). *)
-
-val set_fn : t -> string -> unit
-(** Name the function/image currently executing; contexts fired with an
-    empty [fn] field inherit it (the KVM layer below Wasp does not know
-    image names). *)
 
 val set_metrics : t -> Telemetry.Metrics.t option -> unit
 (** Attach a registry: drops increment [vtrace_drops_total] (labeled by

@@ -10,6 +10,7 @@ let sites =
     "pool_acquire";
     "pool_release";
     "pool_evict";
+    "pool_prewarm";
     "sup_attempt";
     "sup_backoff";
     "sup_quarantine";

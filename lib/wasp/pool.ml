@@ -95,23 +95,31 @@ let reclaim_pending t =
   Array.fold_left (fun acc s -> acc + Queue.length s.reclaim) 0 t.shards
 
 (* Every pool observation goes through the KVM system. The vtrace pool
-   sites fire with [nr] = the shell footprint; none charges cycles. *)
+   sites fire with [nr] = the shell footprint; none charges cycles.
+   Gauges, their names and instants' args are built only for a hub. *)
+let hub t = Kvmsim.Kvm.hub_attached t.sys
+
 let note_size t =
-  Kvmsim.Kvm.gauge t.sys "wasp_pool_size" (float_of_int (size t));
-  if Array.length t.shards > 1 then
-    Array.iter
-      (fun s ->
-        Kvmsim.Kvm.gauge t.sys
-          (Printf.sprintf "wasp_pool_size_core%d" s.id)
-          (float_of_int s.cached_count))
-      t.shards
+  if hub t then begin
+    Kvmsim.Kvm.gauge t.sys "wasp_pool_size" (float_of_int (size t));
+    if Array.length t.shards > 1 then
+      Array.iter
+        (fun s ->
+          let name = Printf.sprintf "wasp_pool_size_core%d" s.id in
+          Kvmsim.Kvm.gauge t.sys name (float_of_int s.cached_count))
+        t.shards
+  end
 
 let note_reclaim t shard =
-  Kvmsim.Kvm.gauge t.sys "wasp_pool_reclaim_depth" (float_of_int (reclaim_pending t));
-  if Array.length t.shards > 1 then
-    Kvmsim.Kvm.gauge t.sys
-      (Printf.sprintf "wasp_pool_reclaim_depth_core%d" shard.id)
-      (float_of_int (Queue.length shard.reclaim))
+  if hub t then begin
+    Kvmsim.Kvm.gauge t.sys "wasp_pool_reclaim_depth" (float_of_int (reclaim_pending t));
+    if Array.length t.shards > 1 then
+      let name = Printf.sprintf "wasp_pool_reclaim_depth_core%d" shard.id in
+      Kvmsim.Kvm.gauge t.sys name (float_of_int (Queue.length shard.reclaim))
+  end
+
+let note_background t =
+  if hub t then Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background)
 
 let current_shard t = t.shards.(Kvmsim.Kvm.current_core t.sys)
 
@@ -146,8 +154,7 @@ let evict_lru t shard =
           l := List.rev rest_rev;
           shard.cached_count <- shard.cached_count - 1;
           Kvmsim.Kvm.count t.sys "wasp_pool_evictions_total";
-          Kvmsim.Kvm.fire t.sys ~reason:"lru" ~cycles:0L ~nr:(Int64.of_int mem_size)
-            "pool_evict")
+          Kvmsim.Kvm.fire t.sys ~reason:"lru" ~cycles:0 ~nr:mem_size "pool_evict")
 
 (* Return a cleaned shell to its shard's cache, evicting the LRU entry
    when the shard is over capacity. *)
@@ -201,10 +208,11 @@ let set_prewarm t cfg =
   t.prewarm <- cfg
 
 let note_prewarm t =
-  Kvmsim.Kvm.gauge t.sys "wasp_pool_prewarm_depth"
-    (float_of_int
-       (Array.fold_left (fun acc s -> acc + Queue.length s.prewarmed) 0 t.shards));
-  Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background)
+  if hub t then
+    Kvmsim.Kvm.gauge t.sys "wasp_pool_prewarm_depth"
+      (float_of_int
+         (Array.fold_left (fun acc s -> acc + Queue.length s.prewarmed) 0 t.shards));
+  note_background t
 
 (* Book one background shell build against [core]'s shard without
    touching any clock: Kvm.build_shell charges nothing, the construction
@@ -218,8 +226,7 @@ let build_prewarmed t ~core ~mem_size ~mode =
   Queue.push shell t.shards.(core).prewarmed;
   t.background <- Int64.add t.background (Int64.of_int shell_cost);
   Kvmsim.Kvm.count t.sys "wasp_pool_prewarmed_total";
-  Kvmsim.Kvm.fire t.sys ~reason:"build" ~cycles:(Int64.of_int shell_cost)
-    ~nr:(Int64.of_int mem_size) "pool_prewarm"
+  Kvmsim.Kvm.fire t.sys ~reason:"build" ~cycles:shell_cost ~nr:mem_size "pool_prewarm"
 
 let prewarm_step t ~core ~budget =
   match t.prewarm with
@@ -246,8 +253,8 @@ let take_prewarmed t ~mem_size ~mode =
          vCPU reset into the requested mode — never the creation path. *)
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) Cycles.Costs.ioctl_syscall;
       Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
-      Kvmsim.Kvm.fire t.sys ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
-        ~nr:(Int64.of_int mem_size) "pool_prewarm";
+      let cycles = Cycles.Costs.ioctl_syscall in
+      Kvmsim.Kvm.fire t.sys ~reason:"take" ~cycles ~nr:mem_size "pool_prewarm";
       (* Standalone (Eager) mode assumes the background builder keeps
          up, mirroring Async+Eager cleaning: refill immediately as
          background work. Scheduled mode waits for idle-cycle
@@ -271,16 +278,10 @@ let create_shell t ~mem_size ~mode =
   { vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys }
 
 let acquire t ~mem_size ~mode =
-  let shard = current_shard t in
-  let nr = Int64.of_int mem_size in
+  let shard = current_shard t and nr = mem_size in
   (* A nested span (inside the provision phase) so a traced request can
-     attribute its provision cycles to hit/stall/miss specifically. Its
-     arg is built only for a hub to receive. *)
-  let args =
-    match Kvmsim.Kvm.telemetry t.sys with
-    | None -> []
-    | Some _ -> [ ("mem_size", string_of_int mem_size) ]
-  in
+     attribute its provision cycles to hit/stall/miss specifically. *)
+  let args = if hub t then [ ("mem_size", string_of_int mem_size) ] else [] in
   Kvmsim.Kvm.span t.sys ~args "pool_acquire" @@ fun () ->
   let hit shell =
     Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
@@ -291,7 +292,7 @@ let acquire t ~mem_size ~mode =
   let result =
     match pop_cached shard mem_size with
     | Some shell ->
-        Kvmsim.Kvm.fire t.sys ~reason:"hit" ~cycles:0L ~nr "pool_acquire";
+        Kvmsim.Kvm.fire t.sys ~reason:"hit" ~cycles:0 ~nr "pool_acquire";
         hit shell
     | None -> (
         match take_pending shard mem_size with
@@ -304,22 +305,22 @@ let acquire t ~mem_size ~mode =
             t.background <- Int64.add t.background (Int64.of_int p.remaining);
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
             Kvmsim.Kvm.count t.sys "wasp_pool_clean_stalls_total";
-            Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int p.remaining) ] "clean_stall";
+            if hub t then
+              Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int p.remaining) ] "clean_stall";
             note_reclaim t shard;
-            Kvmsim.Kvm.fire t.sys ~reason:"stall" ~cycles:(Int64.of_int p.remaining) ~nr
-              "pool_acquire";
+            Kvmsim.Kvm.fire t.sys ~reason:"stall" ~cycles:p.remaining ~nr "pool_acquire";
             hit p.p_shell
         | None -> (
             match take_prewarmed t ~mem_size ~mode with
             | Some shell ->
                 (* Pipelined pre-boot hit: the shell was built on idle
                    cycles, so the acquire pays only the handoff. *)
-                Kvmsim.Kvm.fire t.sys ~reason:"prewarm" ~cycles:0L ~nr "pool_acquire";
+                Kvmsim.Kvm.fire t.sys ~reason:"prewarm" ~cycles:0 ~nr "pool_acquire";
                 Kvmsim.Kvm.count t.sys "wasp_pool_hits_total";
                 Kvmsim.Kvm.instant t.sys "pool_prewarm_hit";
                 (shell, true)
             | None ->
-                Kvmsim.Kvm.fire t.sys ~reason:"miss" ~cycles:0L ~nr "pool_acquire";
+                Kvmsim.Kvm.fire t.sys ~reason:"miss" ~cycles:0 ~nr "pool_acquire";
                 Kvmsim.Kvm.count t.sys "wasp_pool_misses_total";
                 Kvmsim.Kvm.instant t.sys "pool_miss";
                 (create_shell t ~mem_size ~mode, false)))
@@ -341,7 +342,7 @@ let release t shell =
       | Sync, _ -> "sync"
       | Async, Eager -> "async"
       | Async, Scheduled -> "scheduled")
-    ~cycles:(Int64.of_int cost) ~nr:(Int64.of_int shell.mem_size) "pool_release";
+    ~cycles:cost ~nr:shell.mem_size "pool_release";
   match (t.clean, t.policy) with
   | Sync, _ ->
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) cost;
@@ -350,8 +351,8 @@ let release t shell =
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
       t.background <- Int64.add t.background (Int64.of_int cost);
-      Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int cost) ] "async_clean";
-      Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background);
+      if hub t then Kvmsim.Kvm.instant t.sys ~args:[ ("cycles", string_of_int cost) ] "async_clean";
+      note_background t;
       cache t shell
   | Async, Scheduled ->
       (* scheduler mode: the shell is unavailable until a cleaner core
@@ -378,7 +379,7 @@ let drain t ~core ~budget =
     else continue_ := false
   done;
   if !spent > 0 then begin
-    Kvmsim.Kvm.gauge t.sys "wasp_pool_background_cycles" (Int64.to_float t.background);
+    note_background t;
     note_reclaim t shard
   end;
   !spent

@@ -24,7 +24,6 @@ type t = {
   snapshot_store : Snapshot_store.t;
   hostenv : Hostenv.t;
   boot_rng : Cycles.Rng.t;
-  mutable profiler : Profiler.Profile.t option;
   mutable recorder : Profiler.Replay.t option;
   mutable last_flight : string option;
   reset : reset_mode;
@@ -35,10 +34,8 @@ type t = {
 
 let create ?(seed = 0xACE) ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
     ?(cores = 1) ?pool_capacity ?snapshot_capacity ?flight_capacity () =
-  let sys = Kvmsim.Kvm.open_dev ~seed ~cores ?flight_capacity () in
-  (* Name the hypercall port so exit-level observers (vtrace) can tell
-     hypercall exits from plain I/O. *)
-  Kvmsim.Kvm.set_hc_port sys (Some Hc.port);
+  (* Naming the hypercall port lets KVM tell hypercall exits from I/O. *)
+  let sys = Kvmsim.Kvm.open_dev ~seed ~cores ?flight_capacity ~hc_port:Hc.port () in
   let clean = match clean with `Sync -> Pool.Sync | `Async -> Pool.Async in
   {
     seed;
@@ -48,7 +45,6 @@ let create ?(seed = 0xACE) ?(pool = true) ?(clean = `Sync) ?(reset = `Memcpy)
     snapshot_store = Snapshot_store.create ?capacity:snapshot_capacity ();
     hostenv = Hostenv.create ();
     boot_rng = Cycles.Rng.split (Kvmsim.Kvm.rng sys);
-    profiler = None;
     recorder = None;
     last_flight = None;
     reset;
@@ -85,10 +81,11 @@ let stats t =
    reads too — so attaching here reaches every layer at once. *)
 let set_telemetry t hub = Kvmsim.Kvm.set_telemetry t.sys hub
 let telemetry t = Kvmsim.Kvm.telemetry t.sys
-
-let set_profiler t p = t.profiler <- p
-
+let set_profiler t p = Kvmsim.Kvm.set_profiler t.sys p
 let set_probes t e = Kvmsim.Kvm.set_probes t.sys e
+
+(* Span args, sample names and boxed values are built only for a hub. *)
+let hub t = Kvmsim.Kvm.hub_attached t.sys
 let probes t = Kvmsim.Kvm.probes t.sys
 
 let flight t = Kvmsim.Kvm.flight t.sys
@@ -99,10 +96,12 @@ let set_fault_plan t plan = Kvmsim.Kvm.set_fault_plan t.sys plan
 (* The store holds no observers; its series are published here, after
    every capture and drop. *)
 let note_snapshot_store t =
-  let st = t.snapshot_store in
-  Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_entries" (float_of_int (Snapshot_store.count st));
-  Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_bytes"
-    (float_of_int (Snapshot_store.total_bytes st))
+  if hub t then begin
+    let st = t.snapshot_store in
+    Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_entries" (float_of_int (Snapshot_store.count st));
+    Kvmsim.Kvm.gauge t.sys "wasp_snapshot_store_bytes"
+      (float_of_int (Snapshot_store.total_bytes st))
+  end
 
 let drop_snapshot t ~key =
   Snapshot_store.clear t.snapshot_store ~key;
@@ -152,7 +151,7 @@ let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
    protect the footprint and build the shared EPT — per-page PTE work,
    not a byte copy. *)
 let capture_snapshot t ~key ~mem ~cpu ~native_state =
-  Kvmsim.Kvm.span t.sys ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("key", key) ] else []) "snapshot_capture" (fun () ->
       let store = t.snapshot_store in
       let evicted = Snapshot_store.evictions store in
       let footprint = Snapshot_store.capture store ~key ~mem ~cpu ~native_state in
@@ -169,16 +168,15 @@ let capture_snapshot t ~key ~mem ~cpu ~native_state =
    gauges charge no cycles). With no hub attached nothing would receive
    them, so the page-table scan is skipped. *)
 let note_mem_gauges t mem =
-  match Kvmsim.Kvm.telemetry t.sys with
-  | None -> ()
-  | Some _ ->
-      let gauge name v = Kvmsim.Kvm.gauge t.sys name (float_of_int v) in
-      let st = Vm.Memory.page_stats mem in
-      gauge "wasp_mem_resident_pages" st.Vm.Memory.resident_pages;
-      gauge "wasp_mem_shared_pages" st.Vm.Memory.shared_pages;
-      gauge "wasp_mem_resident_bytes" (st.Vm.Memory.resident_pages * Vm.Memory.page_size);
-      gauge "vm_page_cache_entries" (Vm.Memory.Page_cache.entries ());
-      gauge "vm_page_cache_bytes" (Vm.Memory.Page_cache.bytes ())
+  if hub t then begin
+    let gauge name v = Kvmsim.Kvm.gauge t.sys name (float_of_int v) in
+    let st = Vm.Memory.page_stats mem in
+    gauge "wasp_mem_resident_pages" st.Vm.Memory.resident_pages;
+    gauge "wasp_mem_shared_pages" st.Vm.Memory.shared_pages;
+    gauge "wasp_mem_resident_bytes" (st.Vm.Memory.resident_pages * Vm.Memory.page_size);
+    gauge "vm_page_cache_entries" (Vm.Memory.Page_cache.entries ());
+    gauge "vm_page_cache_bytes" (Vm.Memory.Page_cache.bytes ())
+  end
 
 let acquire_shell t ~mem_size ~mode =
   if t.pool_enabled then Pool.acquire t.pool ~mem_size ~mode
@@ -224,13 +222,13 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
   end
   else
   let allowed = Policy.allows policy nr in
-  Kvmsim.Kvm.span t.sys ~args:[ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ]
-    "hypercall" (fun () ->
+  let span_args = if hub t then [ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ] else [] in
+  Kvmsim.Kvm.span t.sys ~args:span_args "hypercall" (fun () ->
       inv.hypercalls <- inv.hypercalls + 1;
       (* vtrace "hypercall" / "hypercall_ret" bracket the dispatch: the
          return fire carries the handler's charged cycles. *)
-      let reason = Hc.name nr and hc_nr = Int64.of_int nr in
-      Kvmsim.Kvm.fire t.sys ~reason ~cycles:0L ~nr:hc_nr "hypercall";
+      let reason = Hc.name nr in
+      Kvmsim.Kvm.fire t.sys ~reason ~cycles:0 ~nr "hypercall";
       let hc_start = Cycles.Clock.now (clock t) in
       let r0 =
         if not allowed then begin
@@ -261,8 +259,8 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
         end
       in
       Kvmsim.Kvm.fire t.sys ~reason
-        ~cycles:(Cycles.Clock.elapsed_since (clock t) hc_start)
-        ~nr:hc_nr "hypercall_ret";
+        ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock t) hc_start))
+        ~nr "hypercall_ret";
       r0)
 
 let no_overrides (_ : int) : Inv.handler option = None
@@ -309,7 +307,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
     else if pending < 0 || pending > Layout.ring_entries then
       corrupt (Printf.sprintf "ring corrupt: sq_head=%Ld sq_tail=%Ld" head0 tail)
     else begin
-      Kvmsim.Kvm.fire t.sys ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int pending) "ring_enter";
+      Kvmsim.Kvm.fire t.sys ~reason:"enter" ~cycles:0 ~nr:pending "ring_enter";
       (* Replay transcript: the doorbell first (head/tail window, ret =
          pending; no flight note), then one event per SQE in drain order.
          Replays re-run the drain for real, so the per-op events
@@ -427,8 +425,8 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
              ~note:(Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
              ~denied:(inv.denied > denied_before) ();
            Kvmsim.Kvm.fire t.sys ~reason:(Hc.name sqe.Ring.nr)
-             ~cycles:(Cycles.Clock.elapsed_since (clock t) at)
-             ~nr:(Int64.of_int sqe.Ring.nr) "ring_op";
+             ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock t) at))
+             ~nr:sqe.Ring.nr "ring_op";
            if Ring.has sqe.Ring.flags Ring.flag_halt && Int64.compare result 0L < 0 then
              halted := true;
            incr completed;
@@ -440,7 +438,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
          done
        with Fuel_stop -> ());
       Kvmsim.Kvm.count t.sys ~by:!completed "wasp_ring_ops_total";
-      Kvmsim.Kvm.sample t.sys "wasp_ring_batch_size" (Int64.of_int !completed);
+      if hub t then Kvmsim.Kvm.sample t.sys "wasp_ring_batch_size" (Int64.of_int !completed);
       Drain_done (Int64.of_int !completed)
     end
 
@@ -475,9 +473,8 @@ type provisioned = {
    vCPU bills that core's clock), so the switch comes first and the
    whole root span is stamped on that core's clock. *)
 let claim t ~name ~snapshot_key =
-  (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
-     the payload; give the engine the name so their [fn] field resolves. *)
-  (match probes t with Some e -> Vtrace.Engine.set_fn e name | None -> ());
+  (* for probe contexts fired below Wasp (KVM exits, EPT breaks) *)
+  Kvmsim.Kvm.set_payload t.sys name;
   let snapshot =
     match snapshot_key with
     | Some key -> Option.map (fun e -> (key, e)) (Snapshot_store.find t.snapshot_store ~key)
@@ -528,7 +525,8 @@ let restore t (prov : provisioned) (key, entry) k =
   let kind =
     if prov.retained then "cow" else match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy"
   in
-  Kvmsim.Kvm.span t.sys ~args:[ ("key", key); ("kind", kind) ] "snapshot_restore" (fun () ->
+  let args = if hub t then [ ("key", key); ("kind", kind) ] else [] in
+  Kvmsim.Kvm.span t.sys ~args "snapshot_restore" (fun () ->
       (if prov.retained then begin
          (* SEUSS-style reset: only the dirty pages are rewritten *)
          let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
@@ -551,11 +549,12 @@ let restore t (prov : provisioned) (key, entry) k =
 
 let boot t ~mem ~mode =
   let mode_name = Vm.Modes.to_string mode in
-  Kvmsim.Kvm.span t.sys ~args:[ ("mode", mode_name) ] "boot" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("mode", mode_name) ] else []) "boot" (fun () ->
       let boot_start = Cycles.Clock.now (clock t) in
       let _components = Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode in
-      Kvmsim.Kvm.sample t.sys ("wasp_boot_cycles_" ^ mode_name)
-        (Cycles.Clock.elapsed_since (clock t) boot_start))
+      if hub t then
+        Kvmsim.Kvm.sample t.sys ("wasp_boot_cycles_" ^ mode_name)
+          (Cycles.Clock.elapsed_since (clock t) boot_start))
 
 let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_value =
   Kvmsim.Kvm.span t.sys "clean" (fun () ->
@@ -612,7 +611,8 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
             if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
           end)
   | None ->
-      Kvmsim.Kvm.span t.sys ~args:[ ("image", image.name) ] "image_load" (fun () ->
+      Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("image", image.name) ] else []) "image_load"
+        (fun () ->
           Vm.Memory.write_bytes mem ~off:image.origin image.code;
           (* Recording: verify the image through the guest's logical page
              view, so the .vxr MD5 guards what the guest will actually
@@ -705,48 +705,8 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
       | Kvmsim.Kvm.Out_of_fuel -> Fuel_exhausted
     end
   in
-  let exec_start = Cycles.Clock.now (clock t) in
-  (* Instruction-level probes install a step hook, so Translate.run
-     executes its hooked block flavour (cycle-identical, one hook call per
-     retired instruction). Block-level probes do NOT go through here —
-     they ride the translation cache's superblock-entry hook. *)
-  let instr_probe =
-    match probes t with
-    | Some e when Vtrace.Engine.wants e "instr" ->
-        Some
-          (fun ~pc ~instr ~cost ->
-            Kvmsim.Kvm.fire t.sys ~fn:image.name ~pc
-              ~reason:(Profiler.Profile.opcode_key instr)
-              ~cycles:(Int64.of_int cost) "instr")
-    | _ -> None
-  in
-  (match t.profiler with
-  | Some p -> Profiler.Profile.begin_invocation p ~symbols:image.symbols ~clock:(clock t)
-  | None -> ());
-  let step_hook =
-    match (t.profiler, instr_probe) with
-    | None, None -> None
-    | Some p, None ->
-        Some (fun ~pc ~instr ~cost -> Profiler.Profile.on_step p ~pc ~instr ~cost)
-    | None, Some f -> Some f
-    | Some p, Some f ->
-        Some
-          (fun ~pc ~instr ~cost ->
-            Profiler.Profile.on_step p ~pc ~instr ~cost;
-            f ~pc ~instr ~cost)
-  in
-  (match step_hook with Some h -> Vm.Cpu.set_step_hook cpu h | None -> ());
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        if Option.is_some step_hook then Vm.Cpu.clear_step_hook cpu)
-      (fun () -> Kvmsim.Kvm.span t.sys "execute" loop)
-  in
-  (match t.profiler with
-  | Some p ->
-      Profiler.Profile.end_invocation p
-        ~execute_cycles:(Cycles.Clock.elapsed_since (clock t) exec_start)
-  | None -> ());
+  (* KVM installs the step hook the attached observers need, if any *)
+  let outcome = Kvmsim.Kvm.execute prov.shell.vcpu ~symbols:image.symbols loop in
   (match outcome with
   | Faulted _ ->
       t.last_flight <-
@@ -759,14 +719,15 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
     match outcome with Exited v -> v | Faulted _ | Fuel_exhausted -> Vm.Cpu.get_reg cpu 0
   in
   let result = finish t prov ~snapshot_key ~inv outcome ~return_value in
-  Kvmsim.Kvm.sample t.sys "kvm_exits_per_invocation" (Int64.of_int !exits);
+  if hub t then Kvmsim.Kvm.sample t.sys "kvm_exits_per_invocation" (Int64.of_int !exits);
   note_trailer t ~cycles:result.cycles ~outcome:(outcome_word outcome) ~return_value;
   result
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
   let claim = claim t ~name:image.name ~snapshot_key in
-  Kvmsim.Kvm.span t.sys ~args:[ ("image", image.name) ] "invocation" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("image", image.name) ] else []) "invocation"
+    (fun () ->
       run_inner t claim image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
         ~inspect)
 
@@ -880,7 +841,8 @@ let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.L
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
   let claim = claim t ~name ~snapshot_key in
-  Kvmsim.Kvm.span t.sys ~args:[ ("payload", name) ] "invocation" (fun () ->
+  Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("payload", name) ] else []) "invocation"
+    (fun () ->
       run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn
         ~snapshot_key ~body)
 

@@ -119,28 +119,21 @@ val set_telemetry : t -> Telemetry.Hub.t option -> unit
 
 val telemetry : t -> Telemetry.Hub.t option
 
-(** {1 Observability: profiler, probes, flight recorder} *)
+(** {1 Observability: profiler, probes, flight recorder}
+
+    Every observer but the [.vxr] recorder ({!record}) attaches to
+    {!kvm}. *)
 
 val set_profiler : t -> Profiler.Profile.t option -> unit
-(** Attach (or detach) a guest profiler. While attached, every
-    invocation's execute phase runs with a vCPU step hook that attributes
-    instruction cycles to guest functions (using the image's symbol
-    table) and opcodes; the residue — VM-exit costs, hypercall dispatch,
-    handler work — is booked to the [\[vmm\]] pseudo-function, so the
-    per-function totals sum exactly to the execute span's duration. *)
+(** {!Kvmsim.Kvm.set_profiler}: attributes every {!run}'s execute-phase
+    cycles to guest functions (the image's symbols) and opcodes, with
+    the residue booked to [\[vmm\]]. *)
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine on the KVM system
-    ({!Kvmsim.Kvm.set_probes}), where the KVM layer (["exit"], ["ept"],
-    ["inject"], ["block"] sites) and the shell pool (["pool_*"] sites)
-    read it; this layer itself fires
-    ["hypercall"]/["hypercall_ret"] around every dispatch and, when an
-    ["instr"] probe is attached, installs a vCPU step hook — the
-    translator's slower hooked blocks (cycle-identical) for the execute
-    phase, the explicit opt-in the block site exists to avoid. Probes charge zero
-    simulated cycles and never change guest-visible results: attached
-    vs detached runs produce identical outcomes, registers and cycle
-    counts at a fixed seed (see [docs/vtrace.md]). *)
+(** {!Kvmsim.Kvm.set_probes}. This layer fires
+    ["hypercall"]/["hypercall_ret"] around every dispatch and
+    ["ring_enter"]/["ring_op"] for the ring. Probes never change a
+    guest-visible result (see [docs/vtrace.md]). *)
 
 val probes : t -> Vtrace.Engine.t option
 

@@ -118,8 +118,9 @@ let quarantined_count t =
   Hashtbl.fold (fun _ s acc -> if in_quarantine t s then acc + 1 else acc) t.streaks 0
 
 let note_quarantine_gauge t =
-  Kvmsim.Kvm.gauge (Runtime.kvm t.rt) "wasp_quarantined_images"
-    (float_of_int (quarantined_count t))
+  let sys = Runtime.kvm t.rt in
+  if Kvmsim.Kvm.hub_attached sys then
+    Kvmsim.Kvm.gauge sys "wasp_quarantined_images" (float_of_int (quarantined_count t))
 
 let quarantined t ~key =
   match Hashtbl.find_opt t.streaks key with
@@ -147,12 +148,12 @@ let note_failure t key class_ =
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
     s.opened_at <- Some (now t);
-    Kvmsim.Kvm.instant sys
-      ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
-      "supervisor_quarantine";
+    if Kvmsim.Kvm.hub_attached sys then
+      Kvmsim.Kvm.instant sys
+        ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
+        "supervisor_quarantine";
     (* vtrace supervisor sites carry the supervision key as [fn] *)
-    Kvmsim.Kvm.fire sys ~fn:key ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int s.failures)
-      "sup_quarantine"
+    Kvmsim.Kvm.fire sys ~fn:key ~reason:"enter" ~cycles:0 ~nr:s.failures "sup_quarantine"
   end;
   note_quarantine_gauge t
 
@@ -194,11 +195,12 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   (* The whole supervised invocation is one span; each attempt (backoff
      included, so attempts tile the parent exactly) is a sibling child
      span — a retried request reads as a fan of attempts in the trace. *)
-  Kvmsim.Kvm.span sys ~args:[ ("key", key) ] "supervised" @@ fun () ->
+  let hub = Kvmsim.Kvm.hub_attached sys in
+  Kvmsim.Kvm.span sys ~args:(if hub then [ ("key", key) ] else []) "supervised" @@ fun () ->
   let start = now t in
   if quarantined t ~key then begin
     Kvmsim.Kvm.count sys "wasp_quarantine_rejections_total";
-    Kvmsim.Kvm.fire sys ~fn:key ~reason:"reject" ~cycles:0L ~nr:0L "sup_quarantine";
+    Kvmsim.Kvm.fire sys ~fn:key ~reason:"reject" ~cycles:0 ~nr:0 "sup_quarantine";
     slo_record t ~good:false;
     {
       result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
@@ -225,18 +227,19 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
          its sibling, not its child *)
       let attempt_start = now t in
       let verdict =
-        Kvmsim.Kvm.span sys ~args:[ ("attempt", string_of_int k) ] "attempt" @@ fun () ->
+        let span_args = if hub then [ ("attempt", string_of_int k) ] else [] in
+        Kvmsim.Kvm.span sys ~args:span_args "attempt" @@ fun () ->
         if k > 1 then begin
           let d = backoff_for t ~retry:(k - 1) in
           Cycles.Clock.advance_int (Runtime.clock t.rt) d;
           backoff_total := !backoff_total + d;
           t.backoff <- Int64.add t.backoff (Int64.of_int d);
           Kvmsim.Kvm.count sys "wasp_retries_total";
-          Kvmsim.Kvm.instant sys
-            ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
-            "supervisor_retry";
-          Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d)
-            ~nr:(Int64.of_int k) "sup_backoff"
+          if hub then
+            Kvmsim.Kvm.instant sys
+              ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
+              "supervisor_retry";
+          Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:d ~nr:k "sup_backoff"
         end;
         match
           Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
@@ -251,8 +254,8 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
           (match verdict with
           | Succeeded _ -> "ok"
           | Retryable (c, _, _) | Terminal (c, _, _) -> error_class_to_string c)
-        ~cycles:(Int64.sub (now t) attempt_start)
-        ~nr:(Int64.of_int k) "sup_attempt";
+        ~cycles:(Int64.to_int (Int64.sub (now t) attempt_start))
+        ~nr:k "sup_attempt";
       match verdict with
       | Succeeded r ->
           note_success t key;

@@ -140,6 +140,36 @@ let load_dir_tolerates_junk () =
   Alcotest.(check int) "one valid case" 1 (List.length ok);
   Alcotest.(check int) "two rejects" 2 (List.length bad)
 
+let fresh_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+let corpus_entries_replay () =
+  (* every entry a campaign persists is its case's canonical recording,
+     so it replays with an empty verdict, as a fixture does *)
+  let dir = fresh_dir "fuzz_corpus" in
+  let s =
+    Fuzz.Driver.run
+      { Fuzz.Driver.default_config with seed = 7; iters = Some 3; corpus_dir = Some dir }
+  in
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let path f = Filename.concat dir f in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (path f)) files;
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check int) "one file per corpus case" s.Fuzz.Driver.corpus_size (List.length files);
+      List.iter
+        (fun f ->
+          match Wasp.Runtime.replay (In_channel.with_open_bin (path f) In_channel.input_all) with
+          | Error e -> Alcotest.failf "%s: %s" f e
+          | Ok (_, []) -> ()
+          | Ok (_, verdict) -> Alcotest.failf "%s diverged: %s" f (String.concat "; " verdict))
+        files)
+
 (* ------------------------------------------------------------------ *)
 (* Shrink contract                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -302,6 +332,7 @@ let () =
         @ [
             Alcotest.test_case "garbage rejected with typed errors" `Quick garbage_rejected;
             Alcotest.test_case "load_dir tolerates junk" `Quick load_dir_tolerates_junk;
+            Alcotest.test_case "campaign corpus entries replay" `Quick corpus_entries_replay;
           ] );
       ( "shrink",
         List.map QCheck_alcotest.to_alcotest

@@ -43,7 +43,7 @@ let runner ?(hook : hook option) ?block_hook engine cpu =
   match engine with
   | `Reference -> fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
   | `Translate ->
-      Option.iter (Vm.Cpu.set_step_hook cpu) hook;
+      Vm.Cpu.set_step_hook cpu hook;
       let tr = Vm.Translate.create () in
       Vm.Translate.set_block_hook tr block_hook;
       fun fuel -> Vm.Translate.run ~fuel tr cpu
@@ -409,7 +409,7 @@ let exec_turns ~hooked engine ~mode progs =
               let hook = if hooked then Some hook else None in
               fun fuel -> Fuzz.Reference.run ~fuel ?hook cpu
           | `Translate ->
-              if hooked then Vm.Cpu.set_step_hook cpu hook;
+              if hooked then Vm.Cpu.set_step_hook cpu (Some hook);
               fun fuel -> Vm.Translate.run ~fuel tr cpu
         in
         (cpu, mem, step, log, ref 32, ref None))
@@ -726,9 +726,11 @@ let test_hooked_flavour_translates () =
   let prof = Profiler.Profile.create () in
   Profiler.Profile.begin_invocation prof ~symbols:[] ~clock:(Vm.Cpu.clock cpu);
   let hook_calls = ref 0 in
-  Vm.Cpu.set_step_hook cpu (fun ~pc ~instr ~cost ->
-      incr hook_calls;
-      Profiler.Profile.on_step prof ~pc ~instr ~cost);
+  Vm.Cpu.set_step_hook cpu
+    (Some
+       (fun ~pc ~instr ~cost ->
+         incr hook_calls;
+         Profiler.Profile.on_step prof ~pc ~instr ~cost));
   (match Vm.Translate.run tr cpu with
   | Vm.Cpu.Halt -> ()
   | other -> Alcotest.failf "expected halt, got %s" (exit_str other));
@@ -738,7 +740,7 @@ let test_hooked_flavour_translates () =
     ((Vm.Translate.stats tr).blocks_translated > 0);
   (* clearing the hook switches flavour: the unhooked block is compiled
      separately and the hook is no longer called *)
-  Vm.Cpu.clear_step_hook cpu;
+  Vm.Cpu.set_step_hook cpu None;
   Vm.Cpu.set_pc cpu origin;
   let before = (Vm.Translate.stats tr).blocks_translated in
   ignore (Vm.Translate.run tr cpu);

@@ -20,6 +20,10 @@ let engine_ok ?budget ?key_capacity s =
   | Ok e -> e
   | Error e -> Alcotest.failf "engine %S failed: %s" s e
 
+(* A context as a site would build it, with the other fields zero. *)
+let ctx ?(reason = "") ?(nr = 0L) site =
+  { Ctx.site; core = 0; trace = None; fn = ""; pc = 0; reason; cycles = 0L; fuel = 0; nr }
+
 let contains_sub text sub =
   let n = String.length sub and m = String.length text in
   let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
@@ -155,7 +159,7 @@ let test_agg_insertion_order () =
 let test_engine_budget_drops () =
   let e = engine_ok ~budget:3 "exit { count() by (reason) }" in
   for _ = 1 to 10 do
-    ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"))
+    ignore (E.fire e (ctx ~reason:"hlt" "exit"))
   done;
   Alcotest.(check int) "three firings" 3 (E.fires e);
   Alcotest.(check int) "seven budget drops" 7 (E.drops e);
@@ -167,19 +171,24 @@ let test_engine_budget_drops () =
 let test_engine_key_capacity_drops () =
   let e = engine_ok ~key_capacity:2 "exit { count() by (nr) }" in
   for i = 1 to 5 do
-    ignore (E.fire e (Ctx.make ~nr:(Int64.of_int i) "exit"))
+    ignore (E.fire e (ctx ~nr:(Int64.of_int i) "exit"))
   done;
   Alcotest.(check int) "two keys fired" 2 (E.fires e);
   Alcotest.(check int) "three key drops" 3 (E.drops e)
 
 let test_engine_predicate_and_fn_substitution () =
+  (* the KVM system the engine attaches to names the running payload:
+     contexts fired without an fn carry it *)
   let e = engine_ok "exit:fn == \"fib\" { count() }" in
-  E.set_fn e "fib";
-  ignore (E.fire e (Ctx.make "exit"));
-  E.set_fn e "other";
-  ignore (E.fire e (Ctx.make "exit"));
-  (* an explicit fn in the context wins over the engine's current fn *)
-  ignore (E.fire e (Ctx.make ~fn:"fib" "exit"));
+  let sys = Kvmsim.Kvm.open_dev () in
+  Kvmsim.Kvm.set_probes sys (Some e);
+  let fire ?fn () = Kvmsim.Kvm.fire sys ?fn ~reason:"" ~cycles:0 ~nr:0 "exit" in
+  Kvmsim.Kvm.set_payload sys "fib";
+  fire ();
+  Kvmsim.Kvm.set_payload sys "other";
+  fire ();
+  (* an explicit fn in the context wins over the current payload *)
+  fire ~fn:"fib" ();
   Alcotest.(check int) "two matched" 2 (E.fires e)
 
 let test_engine_wants () =
@@ -190,9 +199,9 @@ let test_engine_wants () =
 
 let test_engine_render_and_folded () =
   let e = engine_ok "exit { count() by (reason) }" in
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hypercall" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hypercall" "exit"));
+  ignore (E.fire e (ctx ~reason:"hlt" "exit"));
+  ignore (E.fire e (ctx ~reason:"hypercall" "exit"));
+  ignore (E.fire e (ctx ~reason:"hypercall" "exit"));
   let r = E.render e in
   List.iter
     (fun needle ->
@@ -207,8 +216,8 @@ let test_engine_render_and_folded () =
 
 let test_engine_export_metrics () =
   let e = engine_ok ~budget:1 "exit { count() by (reason) }" in
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
+  ignore (E.fire e (ctx ~reason:"hlt" "exit"));
+  ignore (E.fire e (ctx ~reason:"hlt" "exit"));
   let m = Telemetry.Metrics.create () in
   E.export e m;
   (match Telemetry.Metrics.find m "vtrace_exit_count{probe=0,reason=hlt}" with
@@ -432,24 +441,32 @@ let test_site_gateway () =
     [ ([ "ok"; "ok" ], 1.0); ([ "ghost"; "not_found" ], 1.0) ]
     (values e ~probe:0)
 
+let scheduler_spec = "sched { count() by (reason) }; steal { count() }; idle { sum(cycles) }"
+
 let test_sites_scheduler () =
-  let e =
-    engine_ok
-      "sched { count() by (reason) }; steal { count() }; idle { sum(cycles) }"
-  in
-  let clocks = Array.init 2 (fun _ -> Cycles.Clock.create ()) in
-  let sched = Dessim.Cores.create clocks in
-  Dessim.Cores.set_probes sched (Some e);
   (* all work lands on core 0 at release 0: once core 0's clock runs
      ahead, core 1 steals alternate tasks.  A single far-future task
      then forces an accounted idle window. *)
-  for _ = 0 to 9 do
-    Dessim.Cores.submit sched ~affinity:0 (fun ~core ->
-        Cycles.Clock.advance_int clocks.(core) 100)
-  done;
-  Dessim.Cores.submit sched ~affinity:0 ~at:10_000L (fun ~core ->
-      Cycles.Clock.advance_int clocks.(core) 100);
-  Dessim.Cores.run sched;
+  let scenario sched clocks =
+    for _ = 0 to 9 do
+      Dessim.Cores.submit sched ~affinity:0 (fun ~core ->
+          Cycles.Clock.advance_int clocks.(core) 100)
+    done;
+    Dessim.Cores.submit sched ~affinity:0 ~at:10_000L (fun ~core ->
+        Cycles.Clock.advance_int clocks.(core) 100);
+    Dessim.Cores.run sched
+  in
+  let e = engine_ok scheduler_spec in
+  (* the scheduler fires through the KVM system of its clocks, as
+     Serverless.Loadgen.run_cores wires it *)
+  let sys = Kvmsim.Kvm.open_dev ~cores:2 () in
+  Kvmsim.Kvm.set_probes sys (Some e);
+  let clocks = Array.init 2 (Kvmsim.Kvm.core_clock sys) in
+  let sched =
+    Dessim.Cores.create clocks ~probe:(fun ~core ~reason ~cycles ~nr site ->
+        Kvmsim.Kvm.fire sys ~core ~reason ~cycles ~nr site)
+  in
+  scenario sched clocks;
   Alcotest.(check (float 1e-9))
     "every task observed" 11.0 (total e ~probe:0);
   Alcotest.(check bool)
@@ -460,7 +477,76 @@ let test_sites_scheduler () =
     (float_of_int (Dessim.Cores.steals sched))
     (total e ~probe:1);
   Alcotest.(check bool) "steals happened" true (Dessim.Cores.steals sched > 0);
-  Alcotest.(check bool) "idle cycles observed" true (total e ~probe:2 > 0.0)
+  Alcotest.(check bool) "idle cycles observed" true (total e ~probe:2 > 0.0);
+  (* set_probes fires the same sites straight into an engine *)
+  let direct = engine_ok scheduler_spec in
+  let clocks = Array.init 2 (fun _ -> Cycles.Clock.create ()) in
+  let sched = Dessim.Cores.create clocks in
+  Dessim.Cores.set_probes sched (Some direct);
+  scenario sched clocks;
+  Alcotest.(check string) "set_probes: same tables" (E.render e) (E.render direct);
+  (* run_cores wires the same sites to its runtime's engine *)
+  let e = engine_ok scheduler_spec in
+  let w = R.create ~seed:7 ~cores:2 () in
+  R.set_probes w (Some e);
+  let request () = ignore (R.run w fib_image ()) in
+  let _, sched =
+    Serverless.Loadgen.run_cores ~think_time_s:0.0005 ~runtime:w ~request
+      ~profile:[ { Serverless.Loadgen.duration_s = 0.005; clients = 4 } ]
+      ()
+  in
+  Alcotest.(check bool) "run_cores ran tasks" true (Dessim.Cores.executed sched > 0);
+  Alcotest.(check (float 1e-9))
+    "run_cores: every task observed"
+    (float_of_int (Dessim.Cores.executed sched))
+    (total e ~probe:0)
+
+(* [Pool.build_prewarmed] fires pool_prewarm "build" and a handoff
+   "take"; the acquire it serves fires pool_acquire "prewarm". *)
+let test_sites_pool_prewarm () =
+  let e =
+    engine_ok "pool_prewarm { count() by (reason) }; pool_acquire { count() by (reason) }"
+  in
+  let sys = Kvmsim.Kvm.open_dev () in
+  let pool = Wasp.Pool.create sys ~clean:Wasp.Pool.Sync in
+  Kvmsim.Kvm.set_probes sys (Some e);
+  Wasp.Pool.set_prewarm pool
+    (Some { Wasp.Pool.pw_mem_size = 0x10000; pw_mode = Vm.Modes.Long; pw_target = 2 });
+  Alcotest.(check bool) "idle cycles built shells" true
+    (Wasp.Pool.prewarm_step pool ~core:0 ~budget:max_int > 0);
+  let _shell, pooled = Wasp.Pool.acquire pool ~mem_size:0x10000 ~mode:Vm.Modes.Long in
+  Alcotest.(check bool) "served pre-built" true pooled;
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "prewarm reasons"
+    [ ([ "build" ], 3.0); ([ "take" ], 1.0) ]
+    (values e ~probe:0);
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "acquire reason" [ ([ "prewarm" ], 1.0) ] (values e ~probe:1)
+
+(* Minor words [f] allocates, net of what measuring [ignore] counts. *)
+let minor_words f =
+  let measure f =
+    Gc.full_major ();
+    let s0 = Gc.quick_stat () in
+    f ();
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    s1.minor_words -. s0.minor_words
+  in
+  measure f -. measure ignore
+
+let test_unprobed_fires_allocate_nothing () =
+  (* the KVM layer builds a context only for a site an attached probe
+     names; the arguments here are immediates and constants, so every
+     word counted would be one it built (17 a fire, before) *)
+  let sys = Kvmsim.Kvm.open_dev () in
+  Kvmsim.Kvm.set_probes sys (Some (engine_ok "exit { count() }"));
+  let fires () =
+    for i = 1 to 1_000 do
+      Kvmsim.Kvm.fire sys ~reason:"sync" ~cycles:i ~nr:i "pool_release"
+    done
+  in
+  Alcotest.(check (float 0.0)) "minor words for 1,000 unprobed fires" 0.0 (minor_words fires)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: attach vs detach, both block flavours                   *)
@@ -572,6 +658,9 @@ let () =
           Alcotest.test_case "supervisor" `Quick test_sites_supervisor;
           Alcotest.test_case "gateway" `Quick test_site_gateway;
           Alcotest.test_case "scheduler" `Quick test_sites_scheduler;
+          Alcotest.test_case "pool prewarm" `Quick test_sites_pool_prewarm;
+          Alcotest.test_case "allocation budget: unprobed fires" `Quick
+            test_unprobed_fires_allocate_nothing;
         ] );
       ( "determinism",
         [
