@@ -21,7 +21,7 @@ let show_args args =
 type tree = { span : Telemetry.Span.span; children : tree list }
 
 (* Rebuild the parent-link tree of one trace. Spans close child-first,
-   but [Span.items] re-sorts by seq (= open order), so a parent always
+   but [Span.items] is in seq (= open) order, so a parent always
    precedes its children here. *)
 let build_tree spans root =
   let children_of = Hashtbl.create 16 in

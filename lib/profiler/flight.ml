@@ -14,6 +14,11 @@ type kind =
   | Ept of { page : int }
   | Injected of string
 
+(* A hypervisor annotation, or the function that formats it when the
+   ring is read: most exits are overwritten unread, so most notes are
+   never formatted. *)
+type note = Text of string | Deferred of (unit -> string)
+
 type entry = {
   seq : int;            (** monotonically increasing exit number *)
   at : int64;           (** virtual-clock cycle stamp *)
@@ -21,7 +26,7 @@ type entry = {
   pc : int;             (** guest pc at the exit *)
   kind : kind;
   trace : int64 option; (** active trace id, when request tracing is on *)
-  mutable note : string;  (** hypervisor annotation (hypercall nr/args/ret) *)
+  mutable notes : note list;  (** hypervisor annotations, newest first *)
 }
 
 type t = {
@@ -41,18 +46,27 @@ let total t = t.total
 let count t = min t.total t.capacity
 
 let record t ?trace ~at ~core ~pc kind =
-  let e = { seq = t.total; at; core; pc; kind; trace; note = "" } in
+  let e = { seq = t.total; at; core; pc; kind; trace; notes = [] } in
   t.ring.(t.next) <- Some e;
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1;
   t.last <- Some e
 
-let annotate_last t note = match t.last with Some e -> e.note <- note | None -> ()
+let annotate_last t note = match t.last with Some e -> e.notes <- [ Text note ] | None -> ()
 
-let append_note t note =
-  match t.last with
-  | None -> ()
-  | Some e -> e.note <- (if e.note = "" then note else e.note ^ "; " ^ note)
+let append t note = match t.last with Some e -> e.notes <- note :: e.notes | None -> ()
+let append_note t note = append t (Text note)
+let append_deferred t f = append t (Deferred f)
+
+let note_text = function Text s -> s | Deferred f -> f ()
+
+(* Oldest first, joined by "; " (an empty first note adds nothing). *)
+let note e =
+  List.fold_right
+    (fun n acc ->
+      let s = note_text n in
+      if acc = "" then s else acc ^ "; " ^ s)
+    e.notes ""
 
 (* Oldest-first list of retained entries. *)
 let entries t =
@@ -78,7 +92,7 @@ let pp_entry ppf e =
     (match e.trace with
     | Some id -> Printf.sprintf " trace=%016Lx" id
     | None -> "")
-    (if e.note = "" then "" else "  ; " ^ e.note)
+    (match note e with "" -> "" | n -> "  ; " ^ n)
 
 let dump t ~reason =
   let buf = Buffer.create 1024 in

@@ -24,6 +24,9 @@ type kind =
           leave their injections in the black box so a post-mortem can
           tell injected turbulence from organic failure. *)
 
+type note
+(** A hypervisor annotation, formatted only when the ring is read. *)
+
 type entry = private {
   seq : int;
   at : int64;
@@ -34,8 +37,11 @@ type entry = private {
       (** trace id of the request that took the exit, stamped when the
           telemetry hub has tracing enabled — the hook that makes a slow
           request's exits greppable in the black box *)
-  mutable note : string;
+  mutable notes : note list;  (** newest first; read them with {!note} *)
 }
+
+val note : entry -> string
+(** The entry's annotations, oldest first, joined by ["; "]. *)
 
 type t
 
@@ -60,6 +66,12 @@ val append_note : t -> string -> unit
 (** Like {!annotate_last} but appends (["; "]-separated) instead of
     replacing, so several observers (hypercall dispatch, vtrace probes)
     can stamp the same exit without clobbering each other. *)
+
+val append_deferred : t -> (unit -> string) -> unit
+(** {!append_note} of the text [f ()], with [f] called only when the
+    ring is read ({!note}, {!dump}): most exits are overwritten unread,
+    so a note that formats values costs nothing until then. [f] must
+    read only values that do not change after the call. *)
 
 val entries : t -> entry list
 (** Retained entries, oldest first. *)

@@ -90,15 +90,11 @@ let add_nat w n =
 
 let add_int w n = if n < 0 then add_string w (string_of_int n) else add_nat w n
 
-let add_int64 w v =
-  let n = Int64.to_int v in
-  if Int64.equal (Int64.of_int n) v then add_int w n else add_string w (Int64.to_string v)
-
 (* [y] is [1000x] rounded once, so it is within 2^-52 y of the exact
    product; outside 2^-50 y of a half it rounds to the same integer as
    the exact product, which is what [%.3f] prints. Nearer a tie, and for
    negative, huge or non-finite values, Printf decides. *)
-let add_fixed3 w x =
+let[@inline] add_fixed3 w x =
   let y = x *. 1000.0 in
   if Float.sign_bit y || not (y < 0x1p49) then add_string w (Printf.sprintf "%.3f" x)
   else begin
@@ -133,54 +129,69 @@ let rec add_args w ~comma = function
       add_char w '"';
       add_args w ~comma:true rest
 
+(* 16 lowercase hex digits of [ids.{i}], as [Tracectx.id_to_string]
+   writes them *)
+let add_id w (ids : Span.ids) i =
+  if w.fill then begin
+    let v = ids.{i} in
+    let hi = Int64.to_int (Int64.shift_right_logical v 32)
+    and lo = Int64.to_int v land 0xFFFF_FFFF in
+    for i = 0 to 7 do
+      let shift = 28 - (4 * i) in
+      Bytes.set w.out (w.pos + i) (hex_digit ((hi lsr shift) land 15));
+      Bytes.set w.out (w.pos + i + 8) (hex_digit ((lo lsr shift) land 15))
+    done
+  end;
+  w.pos <- w.pos + 16
+
+let add_id_arg w ~comma key ids i =
+  if comma then add_char w ',';
+  add_string w key;
+  add_id w ids i;
+  add_char w '"'
+
 (* Each simulated core becomes its own thread track: tid = core + 1
    (Chrome treats tid 0 oddly, so core 0 maps to tid 1). *)
 let tid_of_core core = core + 1
 
+let rec mem_int x = function [] -> false | y :: l -> x = y || mem_int x l
+
 (* When tracing is on, a child span that opened on a different core than
    its parent gets a flow start/finish pair so Perfetto draws the causal
-   arrow across thread tracks. Flows are keyed by the child's span id,
-   which the tracer guarantees unique. *)
-let flows items =
-  let spans =
-    List.filter_map (function Span.Complete s -> Some s | Span.Instant _ -> None) items
-  in
+   arrow across thread tracks. Flows join the tracer's ids: each closed
+   span with a parent, in slot order, paired with the last closed span
+   holding that span id. *)
+let flows (c : Span.columns) =
+  let closed i = c.states.(i) = Span.Closed in
   let by_id = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      match List.assoc_opt "span_id" s.Span.args with
-      | Some id -> Hashtbl.replace by_id id s
-      | None -> ())
-    spans;
-  List.filter_map
-    (fun s ->
-      match
-        (List.assoc_opt "parent_id" s.Span.args, List.assoc_opt "span_id" s.Span.args)
-      with
-      | Some pid, Some sid -> (
-          match Hashtbl.find_opt by_id pid with
-          | Some p when p.Span.core <> s.Span.core -> Some (p, s, sid)
-          | _ -> None)
-      | _ -> None)
-    spans
+  for i = 0 to c.used - 1 do
+    if closed i && not (Int64.equal c.trace_ids.{i} 0L) then Hashtbl.replace by_id c.span_ids.{i} i
+  done;
+  let acc = ref [] in
+  for i = c.used - 1 downto 0 do
+    let parent = c.parent_ids.{i} in
+    if closed i && not (Int64.equal parent 0L) then
+      match Hashtbl.find_opt by_id parent with
+      | Some p when c.cores.(p) <> c.cores.(i) -> acc := (p, i) :: !acc
+      | _ -> ()
+  done;
+  !acc
 
 let to_json ?(process = "wasp") hub =
-  let clk = Hub.clock hub in
-  let items = Span.items (Hub.spans hub) in
-  let cores =
-    List.fold_left
-      (fun acc item ->
-        let c = match item with Span.Complete s -> s.Span.core | Span.Instant i -> i.i_core in
-        if List.mem c acc then acc else c :: acc)
-      [] items
-    |> List.sort compare
-  in
-  let cores = if cores = [] then [ 0 ] else cores in
+  let freq = Cycles.Clock.freq_ghz (Hub.clock hub) in
+  let c = Span.columns (Hub.spans hub) in
+  let cores = ref [] in
+  for i = 0 to c.used - 1 do
+    if c.states.(i) <> Span.Open && not (mem_int c.cores.(i) !cores) then
+      cores := c.cores.(i) :: !cores
+  done;
+  let cores = match List.sort compare !cores with [] -> [ 0 ] | l -> l in
   (* flows only ever join spans on different cores *)
-  let flows = match cores with [ _ ] -> [] | _ -> flows items in
+  let flows = match cores with [ _ ] -> [] | _ -> flows c in
   render @@ fun w ->
   let add s = add_string w s in
-  let add_us c = add_fixed3 w (Cycles.Clock.to_us clk c) in
+  (* microseconds of [cyc] cycles, as [Cycles.Clock.to_us] gives them *)
+  let add_us cyc = add_fixed3 w (Float.of_int cyc /. freq /. 1e3) in
   let add_tid core = add_int w (tid_of_core core) in
   add "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"";
@@ -194,47 +205,56 @@ let to_json ?(process = "wasp") hub =
       add_int w core;
       add "\"}}")
     cores;
+  for i = 0 to c.used - 1 do
+    let traced = not (Int64.equal c.trace_ids.{i} 0L) in
+    match c.states.(i) with
+    | Span.Open -> ()
+    | Span.Closed ->
+        add ",{\"name\":\"";
+        add_escaped w c.names.(i);
+        add "\",\"cat\":\"wasp\",\"ph\":\"X\",\"ts\":";
+        add_us c.starts.(i);
+        add ",\"dur\":";
+        add_us c.durations.(i);
+        add ",\"pid\":1,\"tid\":";
+        add_tid c.cores.(i);
+        add ",\"args\":{\"cycles\":\"";
+        add_int w c.durations.(i);
+        add_char w '"';
+        if traced then begin
+          add_id_arg w ~comma:true "\"trace_id\":\"" c.trace_ids i;
+          add_id_arg w ~comma:true "\"span_id\":\"" c.span_ids i;
+          if not (Int64.equal c.parent_ids.{i} 0L) then
+            add_id_arg w ~comma:true "\"parent_id\":\"" c.parent_ids i
+        end;
+        add_args w ~comma:true c.caller_args.(i);
+        add "}}"
+    | Span.Point ->
+        add ",{\"name\":\"";
+        add_escaped w c.names.(i);
+        add "\",\"cat\":\"wasp\",\"ph\":\"i\",\"ts\":";
+        add_us c.starts.(i);
+        add ",\"s\":\"t\",\"pid\":1,\"tid\":";
+        add_tid c.cores.(i);
+        add ",\"args\":{";
+        if traced then add_id_arg w ~comma:false "\"trace_id\":\"" c.trace_ids i;
+        add_args w ~comma:traced c.caller_args.(i);
+        add "}}"
+  done;
   List.iter
-    (function
-      | Span.Complete s ->
-          add ",{\"name\":\"";
-          add_escaped w s.Span.name;
-          add "\",\"cat\":\"wasp\",\"ph\":\"X\",\"ts\":";
-          add_us s.Span.start_cycles;
-          add ",\"dur\":";
-          add_us s.Span.duration;
-          add ",\"pid\":1,\"tid\":";
-          add_tid s.Span.core;
-          add ",\"args\":{\"cycles\":\"";
-          add_int64 w s.Span.duration;
-          add_char w '"';
-          add_args w ~comma:true s.Span.args;
-          add "}}"
-      | Span.Instant i ->
-          add ",{\"name\":\"";
-          add_escaped w i.i_name;
-          add "\",\"cat\":\"wasp\",\"ph\":\"i\",\"ts\":";
-          add_us i.i_at;
-          add ",\"s\":\"t\",\"pid\":1,\"tid\":";
-          add_tid i.i_core;
-          add ",\"args\":{";
-          add_args w ~comma:false i.i_args;
-          add "}}")
-    items;
-  List.iter
-    (fun (p, s, sid) ->
+    (fun (p, i) ->
       add ",{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"s\",\"id\":\"0x";
-      add_escaped w sid;
+      add_id w c.span_ids i;
       add "\",\"ts\":";
-      add_us p.Span.start_cycles;
+      add_us c.starts.(p);
       add ",\"pid\":1,\"tid\":";
-      add_tid p.Span.core;
+      add_tid c.cores.(p);
       add "},{\"name\":\"trace\",\"cat\":\"wasp.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"0x";
-      add_escaped w sid;
+      add_id w c.span_ids i;
       add "\",\"ts\":";
-      add_us s.Span.start_cycles;
+      add_us c.starts.(i);
       add ",\"pid\":1,\"tid\":";
-      add_tid s.Span.core;
+      add_tid c.cores.(i);
       add "}")
     flows;
   add "]}"

@@ -11,11 +11,16 @@ val to_json : ?process:string -> Hub.t -> string
 (** [process] (default ["wasp"]) names the trace's process row.
 
     The output is written once at its exact length: one writer runs over
-    the items twice, first counting bytes, then filling a buffer of that
-    length, which is returned without a copy. The only allocation that
-    grows with the trace is that one block (~200 bytes per item), so an
-    export adds no oversized or copied transient to the major heap. It
-    costs about 1 µs per item. *)
+    the sink's columns ({!Span.columns}) twice, first counting bytes,
+    then filling a buffer of that length, which is returned without a
+    copy. No item list is built and nothing is sorted: slots are already
+    in [seq] order, and ids are written from their [int64]s. The only
+    allocation that grows with the trace is that one block (~200 bytes
+    per item), so an export adds no oversized or copied transient to
+    the major heap. It costs 0.25–0.4 µs per item on a 2-vCPU VM: a
+    median 2.4 ms for a 10K-item traced hub (3.5 ms for the exporter
+    over the list sink it replaced), and 3.5 ms for a 10K-item
+    tiny_chaos export (7.6 ms before). *)
 
 val fixed3 : float -> string
 (** [fixed3 x] is exactly [Printf.sprintf "%.3f" x], the form of every

@@ -31,12 +31,25 @@ type item =
     }  (** a point-in-time event, e.g. a pool hit or an SLO alert *)
 
 type sink
-(** Collects finished spans and instants, stamping them from one clock. *)
+(** Collects finished spans and instants, stamping them from one clock.
+
+    The sink is a column store: each item takes the next slot when it
+    opens (a span at {!enter}, an instant at once), so slots are in
+    creation ([seq]) order and reading them needs no sort. The columns
+    (name, stamp, duration, depth, seq, core, kind, the caller's args,
+    and the trace, span and parent ids as [int64]s with 0 for none)
+    grow by doubling up to [capacity] and are reused after {!clear}.
+    Recording a span allocates nothing that outlives it but the caller's
+    args list; id strings are only made by {!items}. *)
 
 val create : ?capacity:int -> clock:Cycles.Clock.t -> unit -> sink
-(** A fresh sink. At most [capacity] (default 65536) items are retained;
-    further items are counted in {!dropped} but not stored (nesting
-    bookkeeping still happens, so depths stay correct). *)
+(** A fresh sink holding at most [capacity] (default 65536) items: the
+    first [capacity] items {e opened} since the last {!clear}. An item
+    opened while every slot is taken is not stored; it is counted in
+    {!dropped} when it finishes. A span that keeps its slot keeps it
+    even if items opened after it fill the sink first. Nesting
+    bookkeeping and trace ids go on for dropped spans, so depths and
+    parent links stay correct. *)
 
 val clock : sink -> Cycles.Clock.t
 
@@ -61,9 +74,6 @@ val set_tracer : sink -> Tracectx.t option -> unit
 
 val tracer : sink -> Tracectx.t option
 
-val current_ids : sink -> Tracectx.ids option
-(** Ids of the innermost open span, when tracing is on. *)
-
 val current_trace : sink -> int64 option
 (** Trace id of the innermost open span, when tracing is on — what
     exemplars and flight-ring entries are stamped with. *)
@@ -83,7 +93,7 @@ val instant : sink -> ?args:(string * string) list -> string -> unit
 (** Record a point event at [Clock.now] and the current depth. *)
 
 val items : sink -> item list
-(** Retained items in creation ([seq]) order. *)
+(** Retained items in creation ([seq]) order, built on each call. *)
 
 val spans : sink -> span list
 (** Just the completed spans, in creation order. *)
@@ -92,6 +102,48 @@ val depth : sink -> int
 (** Number of currently open spans. *)
 
 val count : sink -> int
+(** Finished items retained. *)
+
 val dropped : sink -> int
+(** Finished items not retained for want of a slot. [count + dropped]
+    is the number of items finished since the last {!clear}. *)
+
 val clear : sink -> unit
-(** Drop retained items (open spans stay open). *)
+(** Drop retained items and reset {!count} and {!dropped}. Spans still
+    open stay open: those that hold a slot move to the front,
+    outermost first, and are retained when they close; one dropped at
+    its opening stays dropped. *)
+
+(** {1 Columns}
+
+    The store itself, for exporters that write straight from it (see
+    {!Chrome.to_json}). Read it between sink operations only: the sink
+    replaces a column's array when it grows. *)
+
+type state =
+  | Open  (** a span not yet closed *)
+  | Closed  (** a finished span *)
+  | Point  (** an instant *)
+
+type ids = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type columns = private {
+  mutable used : int;  (** slots in use: retained items and open spans *)
+  mutable states : state array;
+  mutable names : string array;
+  mutable starts : int array;  (** cycles at opening; an instant's stamp *)
+  mutable durations : int array;  (** cycles, for a [Closed] span *)
+  mutable depths : int array;
+  mutable seqs : int array;
+  mutable cores : int array;
+  mutable caller_args : (string * string) list array;
+      (** the caller's args, those given at {!leave} after those given
+          at {!enter}; the id args of {!items} are not in it *)
+  mutable trace_ids : ids;  (** 0 when untraced *)
+  mutable span_ids : ids;  (** 0 for an instant or when untraced *)
+  mutable parent_ids : ids;  (** 0 for a trace root, an instant or when untraced *)
+}
+
+val columns : sink -> columns
+(** Slots [0 .. used - 1] in [seq] order; {!items} is these slots with
+    the [Open] ones skipped. *)

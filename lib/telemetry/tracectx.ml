@@ -1,9 +1,3 @@
-type ids = {
-  trace_id : int64;
-  span_id : int64;
-  parent_id : int64 option;
-}
-
 type t = { rng : Cycles.Rng.t }
 
 let create ~seed = { rng = Cycles.Rng.create ~seed }
@@ -16,17 +10,8 @@ let rec fresh_id t =
   let v = Cycles.Rng.int64 t.rng in
   if Int64.equal v 0L then fresh_id t else v
 
-let enter t ~parent =
-  match parent with
-  | None ->
-      let trace_id = fresh_id t in
-      let span_id = fresh_id t in
-      { trace_id; span_id; parent_id = None }
-  | Some p ->
-      { trace_id = p.trace_id; span_id = fresh_id t; parent_id = Some p.span_id }
-
-(* Retained spans render two or three ids each, so the 16 digits are
-   written straight into the result instead of through Printf. *)
+(* The 16 digits are written straight into the result instead of
+   through Printf. *)
 let hex_digits = "0123456789abcdef"
 
 let id_to_string id =
@@ -47,11 +32,3 @@ let is_hex_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> 
 let id_of_string s =
   if String.length s = 16 && String.for_all is_hex_digit s then Int64.of_string_opt ("0x" ^ s)
   else None
-
-let args_of_ids ids =
-  let base =
-    [ ("trace_id", id_to_string ids.trace_id); ("span_id", id_to_string ids.span_id) ]
-  in
-  match ids.parent_id with
-  | None -> base
-  | Some p -> base @ [ ("parent_id", id_to_string p) ]

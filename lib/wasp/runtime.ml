@@ -192,14 +192,15 @@ let release_shell t shell = if t.pool_enabled then Pool.release t.pool shell
 
 (* The one transcript emitter for exit-carried hypercalls (an [out] exit,
    each ring op, the ring doorbell): the replay event, then the flight
-   note, appended so probe-engine stamps on the exit survive, then the
-   black-box dump if policy denied the call. *)
+   note (formatted only if the ring is read), appended so probe-engine
+   stamps on the exit survive, then the black-box dump if policy denied
+   the call. *)
 let note_hypercall t ~at ~nr ~args ~ret ?note ~denied () =
   (match t.recorder with
   | Some rec_ -> Profiler.Replay.add_event rec_ ~at ~nr ~args ~ret
   | None -> ());
   let fr = flight t in
-  Option.iter (Profiler.Flight.append_note fr) note;
+  Option.iter (Profiler.Flight.append_deferred fr) note;
   if denied then
     t.last_flight <-
       Some
@@ -421,8 +422,9 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
              end
            in
            Ring.write_cqe mem ~index:!i ~nr:sqe.Ring.nr ~result;
-           note_hypercall t ~at ~nr:sqe.Ring.nr ~args:!dispatch_args ~ret:result
-             ~note:(Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
+           let index = !i and nr = sqe.Ring.nr in
+           note_hypercall t ~at ~nr ~args:!dispatch_args ~ret:result
+             ~note:(fun () -> Printf.sprintf "ring[%Ld] %s -> %Ld" index (Hc.name nr) result)
              ~denied:(inv.denied > denied_before) ();
            Kvmsim.Kvm.fire t.sys ~reason:(Hc.name sqe.Ring.nr)
              ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock t) at))
@@ -685,11 +687,16 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
             let denied_before = inv.denied in
             let r0 = dispatch t ~policy ~handlers ~inv ~take_snapshot nr args in
             Vm.Cpu.set_reg cpu 0 r0;
+            (* the note keeps the numbers unboxed: it lives until the
+               flight ring wraps *)
+            let nums = Bytes.create 48 in
+            Array.iteri (fun i a -> Bytes.set_int64_le nums (8 * i) a) args;
+            Bytes.set_int64_le nums 40 r0;
             note_hypercall t ~at ~nr ~args ~ret:r0
-              ~note:
-                (Printf.sprintf "%s(%s) -> %Ld" (Hc.name nr)
-                   (String.concat ", " (List.map Int64.to_string (Array.to_list args)))
-                   r0)
+              ~note:(fun () ->
+                let num i = Int64.to_string (Bytes.get_int64_le nums (8 * i)) in
+                Printf.sprintf "%s(%s) -> %s" (Hc.name nr)
+                  (String.concat ", " (List.init 5 num)) (num 5))
               ~denied:(inv.denied > denied_before) ();
             match inv.exit_code with Some code -> Exited code | None -> loop ()
           end

@@ -1,9 +1,10 @@
 (* Reference model of the Chrome trace exporter: the Buffer-based
    [Telemetry.Chrome.to_json] as it was before the exporter wrote its
-   output at the exact length. It grows one buffer sized at 256 bytes
-   per item and copies it out with [Buffer.contents]. test_telemetry
-   checks that the library's exporter writes the same bytes on random
-   hubs. *)
+   output at the exact length and straight from the sink's columns. It
+   reads the items from [Span.items], grows one buffer sized at 256
+   bytes per item and copies it out with [Buffer.contents].
+   test_telemetry checks that the library's exporter writes the same
+   bytes on random hubs. *)
 
 open Telemetry
 
@@ -86,7 +87,19 @@ let tid_of_core core = core + 1
 (* When tracing is on, a child span that opened on a different core than
    its parent gets a flow start/finish pair so Perfetto draws the causal
    arrow across thread tracks. Flows are keyed by the child's span id,
-   which the tracer guarantees unique. *)
+   which the tracer guarantees unique, and join the tracer's ids only:
+   a caller's arg that is merely named span_id or parent_id draws none.
+   The tracer's ids lead a span's args (trace_id, span_id, then
+   parent_id for a child), which is how they are told apart here. That
+   is exact for hubs whose callers never put an arg named trace_id
+   first nor give a parent_id arg 16 hex digits as its value, as in the
+   scripts test_telemetry generates. *)
+let tracer_ids args =
+  match args with
+  | ("trace_id", _) :: ("span_id", sid) :: rest ->
+      Some (sid, match rest with ("parent_id", pid) :: _ -> Some pid | _ -> None)
+  | _ -> None
+
 let flows items =
   let spans =
     List.filter_map (function Span.Complete s -> Some s | Span.Instant _ -> None) items
@@ -94,16 +107,14 @@ let flows items =
   let by_id = Hashtbl.create 64 in
   List.iter
     (fun s ->
-      match List.assoc_opt "span_id" s.Span.args with
-      | Some id -> Hashtbl.replace by_id id s
+      match tracer_ids s.Span.args with
+      | Some (sid, _) -> Hashtbl.replace by_id sid s
       | None -> ())
     spans;
   List.filter_map
     (fun s ->
-      match
-        (List.assoc_opt "parent_id" s.Span.args, List.assoc_opt "span_id" s.Span.args)
-      with
-      | Some pid, Some sid -> (
+      match tracer_ids s.Span.args with
+      | Some (sid, Some pid) -> (
           match Hashtbl.find_opt by_id pid with
           | Some p when p.Span.core <> s.Span.core -> Some (p, s, sid)
           | _ -> None)

@@ -267,7 +267,7 @@ let test_flight_wraparound_keeps_stamps () =
         e.Profiler.Flight.trace;
       Alcotest.(check string) "annotation and vtrace stamp both survive"
         (Printf.sprintf "hc(%d); vtrace" e.Profiler.Flight.seq)
-        e.Profiler.Flight.note)
+        (Profiler.Flight.note e))
     entries
 
 (* ------------------------------------------------------------------ *)

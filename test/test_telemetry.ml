@@ -171,6 +171,30 @@ let test_sink_capacity_drops () =
   Alcotest.(check int) "retained = capacity" 4 (Telemetry.Span.count sink);
   Alcotest.(check int) "dropped the rest" 6 (Telemetry.Span.dropped sink)
 
+(* The sink keeps the first [capacity] items opened: a span that took a
+   slot keeps it, though items opened after it fill the sink first. *)
+let test_sink_keeps_first_opened () =
+  let module S = Telemetry.Span in
+  let clk = Cycles.Clock.create () in
+  let sink = S.create ~capacity:2 ~clock:clk () in
+  S.enter sink "parent";
+  S.instant sink "full";
+  S.enter sink "child";
+  Cycles.Clock.advance clk 5L;
+  S.leave sink ();
+  Alcotest.(check int) "child counted as dropped" 1 (S.dropped sink);
+  Alcotest.(check int) "not yet counted: the parent is open" 1 (S.count sink);
+  S.leave sink ();
+  Alcotest.(check int) "retained" 2 (S.count sink);
+  Alcotest.(check int) "dropped" 1 (S.dropped sink);
+  Alcotest.(check (list string)) "parent kept, in open order" [ "parent"; "full" ]
+    (List.map
+       (function S.Complete sp -> sp.S.name | S.Instant i -> i.i_name)
+       (S.items sink));
+  match S.spans sink with
+  | [ parent ] -> Alcotest.(check int64) "parent's duration" 5L parent.S.duration
+  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
+
 (* --- histogram math --------------------------------------------------- *)
 
 let test_histogram_percentiles () =
@@ -1019,6 +1043,24 @@ let test_chrome_flow_events () =
   Alcotest.(check bool) "flow finish event" true (contains json "\"ph\":\"f\"");
   Alcotest.(check bool) "flow category" true (contains json "\"cat\":\"wasp.flow\"")
 
+(* Flows join the tracer's ids: args a caller merely names span_id and
+   parent_id draw no arrow, traced or not. *)
+let test_chrome_flows_need_tracer_ids () =
+  let clk = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:clk () in
+  let json () =
+    Telemetry.Hub.enter hub ~args:[ ("span_id", "a") ] "dispatch";
+    Telemetry.Hub.set_core hub 1;
+    Telemetry.Hub.with_span hub ~args:[ ("parent_id", "a"); ("span_id", "b") ] "work" ignore;
+    Telemetry.Hub.set_core hub 0;
+    Telemetry.Hub.leave hub ();
+    Telemetry.Chrome.to_json hub
+  in
+  Alcotest.(check bool) "untraced: no flow" false (contains (json ()) "\"ph\":\"s\"");
+  Telemetry.Hub.clear_spans hub;
+  Telemetry.Hub.enable_tracing hub ~seed:42;
+  Alcotest.(check bool) "traced: the tracer's flow" true (contains (json ()) "\"ph\":\"s\"")
+
 let test_id_of_string_strict () =
   List.iter
     (fun s ->
@@ -1250,20 +1292,24 @@ let test_exporter_bytes_pinned () =
 (* A random hub as a script: spans opened and closed on 1-4 cores, each
    with its own clock, so cross-core children draw flows and a span
    closed on another core's clock can get a negative duration; instants;
-   names and args with quotes, backslashes, control and non-ASCII bytes;
-   clock steps that land [ts] and [dur] near a [%.3f] tie (odd cycle
-   counts at 0.5-4 GHz) or past the fast path's range (>= 2^49 ns). *)
+   names and args with quotes, backslashes, control and non-ASCII bytes,
+   given at [enter] and at [leave]; clock steps that land [ts] and [dur]
+   near a [%.3f] tie (odd cycle counts at 0.5-4 GHz) or past the fast
+   path's range (>= 2^49 ns); clears with spans open; a sink of 1-8
+   items now and then, so some scripts overflow it. *)
 type hub_op =
   | Enter of string * (string * string) list
-  | Leave
+  | Leave of (string * string) list
   | Mark of string * (string * string) list
   | Tick of int
   | On of int
+  | Clear
 
 type hub_script = {
   freq : float;
   cores : int;
   traced : bool;
+  capacity : int option;
   process : string option;
   ops : hub_op list;
 }
@@ -1292,48 +1338,55 @@ let gen_hub_script =
       frequency
         [
           (4, map2 (fun n a -> Enter (n, a)) gen_text args);
-          (4, return Leave);
+          (3, return (Leave []));
+          (1, map (fun a -> Leave a) args);
           (2, map2 (fun n a -> Mark (n, a)) gen_text args);
           (4, map (fun c -> Tick c) (oneof [ int_bound 20; int_bound 1_000_000 ]));
           (1, map (fun c -> Tick c) (int_range (1 lsl 50) (1 lsl 52)));
           (3, map (fun c -> On c) (int_bound (cores - 1)));
+          (1, return Clear);
         ]
     in
     let* freq = oneofl [ 2.69; 2.0; 1.0; 0.5; 4.0; 3.0 ] in
     let* traced = frequency [ (4, return true); (1, return false) ] in
+    let* capacity = frequency [ (4, return None); (1, map Option.some (int_range 1 8)) ] in
     let* process = option gen_text in
     let* ops = list_size (int_bound 60) op in
-    return { freq; cores; traced; process; ops })
+    return { freq; cores; traced; capacity; process; ops })
 
 let print_hub_script s =
   let args a = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) a) in
-  Printf.sprintf "%g GHz, %d cores, traced %b, process %s: %s" s.freq s.cores s.traced
+  Printf.sprintf "%g GHz, %d cores, traced %b, capacity %s, process %s: %s" s.freq s.cores
+    s.traced
+    (Option.fold ~none:"-" ~some:string_of_int s.capacity)
     (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") s.process)
     (String.concat "; "
        (List.map
           (function
             | Enter (n, a) -> Printf.sprintf "enter %S [%s]" n (args a)
-            | Leave -> "leave"
+            | Leave a -> Printf.sprintf "leave [%s]" (args a)
             | Mark (n, a) -> Printf.sprintf "instant %S [%s]" n (args a)
             | Tick c -> Printf.sprintf "tick %d" c
-            | On c -> Printf.sprintf "core %d" c)
+            | On c -> Printf.sprintf "core %d" c
+            | Clear -> "clear")
           s.ops))
 
 let hub_of_script s =
   let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ~freq_ghz:s.freq ()) in
-  let hub = Telemetry.Hub.create ~clock:clocks.(0) () in
+  let hub = Telemetry.Hub.create ?capacity:s.capacity ~clock:clocks.(0) () in
   if s.traced then Telemetry.Hub.enable_tracing hub ~seed:7;
   let core = ref 0 in
   List.iter
     (function
       | Enter (n, args) -> Telemetry.Hub.enter hub ~args n
-      | Leave -> Telemetry.Hub.leave hub ()
+      | Leave args -> Telemetry.Hub.leave hub ~args ()
       | Mark (n, args) -> Telemetry.Hub.instant hub ~args n
       | Tick c -> Cycles.Clock.advance_int clocks.(!core) c
       | On c ->
           core := c;
           Telemetry.Hub.set_clock hub clocks.(c);
-          Telemetry.Hub.set_core hub c)
+          Telemetry.Hub.set_core hub c
+      | Clear -> Telemetry.Hub.clear_spans hub)
     s.ops;
   hub
 
@@ -1344,6 +1397,98 @@ let prop_chrome_matches_reference =
       String.equal
         (Telemetry.Chrome.to_json ?process:s.process hub)
         (Chromeref.to_json ?process:s.process hub))
+
+(* The script run on the column store and on the reference list sink
+   side by side. [lost] is what either sink dropped, summed over the
+   clears (the column store drops first: its open spans hold slots);
+   [agree] whether, after every op, the two agree on [depth] and on
+   [count + dropped] (items finished since the last clear), which hold
+   under either overflow rule. *)
+type sink_run = {
+  lib : Telemetry.Span.sink;
+  model : Spanref.sink;
+  lost : int;
+  agree : bool;
+  open_at_clear : bool;
+}
+
+let run_sinks s =
+  let module S = Telemetry.Span in
+  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ~freq_ghz:s.freq ()) in
+  let lib = S.create ?capacity:s.capacity ~clock:clocks.(0) () in
+  let model = Spanref.create ?capacity:s.capacity ~clock:clocks.(0) () in
+  if s.traced then begin
+    S.set_tracer lib (Some (Telemetry.Tracectx.create ~seed:7));
+    Spanref.set_tracer model (Some (Telemetry.Tracectx.create ~seed:7))
+  end;
+  let core = ref 0 and lost = ref 0 and agree = ref true and open_at_clear = ref false in
+  List.iter
+    (fun op ->
+      (match op with
+      | Enter (n, args) ->
+          S.enter lib ~args n;
+          Spanref.enter model ~args n
+      | Leave args ->
+          S.leave lib ~args ();
+          Spanref.leave model ~args ()
+      | Mark (n, args) ->
+          S.instant lib ~args n;
+          Spanref.instant model ~args n
+      | Tick c -> Cycles.Clock.advance_int clocks.(!core) c
+      | On c ->
+          core := c;
+          S.set_clock lib clocks.(c);
+          S.set_core lib c;
+          Spanref.set_clock model clocks.(c);
+          Spanref.set_core model c
+      | Clear ->
+          lost := !lost + S.dropped lib + Spanref.dropped model;
+          if Spanref.depth model > 0 then open_at_clear := true;
+          S.clear lib;
+          Spanref.clear model);
+      agree :=
+        !agree
+        && S.depth lib = Spanref.depth model
+        && S.count lib + S.dropped lib = Spanref.count model + Spanref.dropped model)
+    s.ops;
+  { lib; model; lost = !lost + S.dropped lib + Spanref.dropped model; agree = !agree;
+    open_at_clear = !open_at_clear }
+
+let prop_sink_matches_reference =
+  QCheck.Test.make ~name:"span sink equals the reference list sink" ~count:1000
+    (QCheck.make ~print:print_hub_script gen_hub_script) (fun s ->
+      let module S = Telemetry.Span in
+      let r = run_sinks s in
+      r.agree
+      && (r.lost > 0
+         || S.items r.lib = Spanref.items r.model
+            && S.count r.lib = Spanref.count r.model
+            && S.dropped r.lib = Spanref.dropped r.model
+            && S.depth r.lib = Spanref.depth r.model))
+
+(* The sink property sees scripts that drop nothing at the small
+   capacities too, and scripts with the paths the columns add. *)
+let test_sink_scripts_cover () =
+  let rand = Random.State.make [| 12 |] in
+  let runs =
+    List.init 300 (fun _ ->
+        let s = QCheck.Gen.generate1 ~rand gen_hub_script in
+        (s, run_sinks s))
+  in
+  List.iter
+    (fun (what, ok) -> Alcotest.(check bool) what true (List.exists ok runs))
+    [
+      ("a small sink that dropped nothing", fun (s, r) -> s.capacity <> None && r.lost = 0);
+      ("a clear with a span open", fun (_, r) -> r.lost = 0 && r.open_at_clear);
+      ( "args given at leave",
+        fun (s, r) ->
+          r.lost = 0 && List.exists (function Leave (_ :: _) -> true | _ -> false) s.ops );
+      ( "a traced instant",
+        fun (_, r) ->
+          List.exists
+            (function Spanref.Instant i -> List.mem_assoc "trace_id" i.i_args | _ -> false)
+            (Spanref.items r.model) );
+    ]
 
 (* The scripts reach the paths the property is for. *)
 let test_reference_scripts_cover () =
@@ -1375,19 +1520,29 @@ let test_reference_scripts_cover () =
       ("a timestamp past 2^49 ns", huge_ts);
     ]
 
-(* Counted after a minor collection: OCaml 5 adds a direct major
-   allocation to [major_words] only at the next one. *)
-let direct_major_words f =
+type gc_use = { minor : float; promoted : float; direct_major : float }
+
+(* Words [f] allocates. Counted after a minor collection: OCaml 5 adds a
+   direct major allocation to [major_words] only at the next one, and
+   what [f] leaves alive is promoted by then. *)
+let gc_use f =
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let v = f () in
   Gc.minor ();
   let s1 = Gc.quick_stat () in
-  (v, s1.major_words -. s0.major_words -. (s1.promoted_words -. s0.promoted_words))
+  let promoted = s1.promoted_words -. s0.promoted_words in
+  ( v,
+    {
+      minor = s1.minor_words -. s0.minor_words;
+      promoted;
+      direct_major = s1.major_words -. s0.major_words -. promoted;
+    } )
 
 let test_chrome_allocation_budget () =
-  (* the export is written once at its exact length: the only direct
-     major-heap block is the output itself *)
+  (* the export is written once at its exact length, straight from the
+     sink's columns: the only direct major-heap block is the output
+     itself, and no item is copied out to write it *)
   let clk = Cycles.Clock.create () in
   let hub = Telemetry.Hub.create ~clock:clk () in
   Telemetry.Hub.enable_tracing hub ~seed:3;
@@ -1397,12 +1552,38 @@ let test_chrome_allocation_budget () =
         Cycles.Clock.advance_int clk (1_000 + (i * 37 mod 5_000));
         Telemetry.Hub.instant hub "pool_hit")
   done;
-  let json, words = direct_major_words (fun () -> Telemetry.Chrome.to_json hub) in
+  let json, use = gc_use (fun () -> Telemetry.Chrome.to_json hub) in
   Alcotest.(check int) "10K items" 10_000 (Telemetry.Span.count (Telemetry.Hub.spans hub));
   let out_words = float_of_int ((String.length json / 8) + 1) in
-  if words > out_words +. 64.0 then
-    Alcotest.failf "%.0f direct major words for a %d-byte export (budget %.0f + 64)" words
-      (String.length json) out_words
+  if use.direct_major > out_words +. 64.0 then
+    Alcotest.failf "%.0f direct major words for a %d-byte export (budget %.0f + 64)"
+      use.direct_major (String.length json) out_words;
+  let minor_per_item = use.minor /. 10_000.0 in
+  if minor_per_item > 30.0 then
+    Alcotest.failf "%.1f minor words per exported item (budget 30)" minor_per_item
+
+let test_span_allocation_budget () =
+  (* a warm traced hub: the columns have grown, so each span reuses a
+     slot and nothing it allocates outlives it *)
+  let clk = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:clk () in
+  Telemetry.Hub.enable_tracing hub ~seed:3;
+  let record () =
+    for _ = 1 to 10_000 do
+      Telemetry.Hub.enter hub "invocation";
+      Cycles.Clock.advance_int clk 1_000;
+      Telemetry.Hub.leave hub ()
+    done
+  in
+  record ();
+  Telemetry.Hub.clear_spans hub;
+  let (), use = gc_use record in
+  Alcotest.(check int) "10K spans" 10_000 (Telemetry.Span.count (Telemetry.Hub.spans hub));
+  let per_span w = w /. 10_000.0 in
+  if per_span use.promoted >= 0.1 then
+    Alcotest.failf "%.2f words promoted per span (budget 0)" (per_span use.promoted);
+  if per_span use.minor > 70.0 then
+    Alcotest.failf "%.1f minor words per span (budget 70)" (per_span use.minor)
 
 (* A reference model of [Slo] as a plain list: every event is kept until
    it leaves the longest window, and each burn rate rescans the list.
@@ -1637,6 +1818,8 @@ let () =
           Alcotest.test_case "with_span is exception-safe" `Quick
             test_with_span_exception_safe;
           Alcotest.test_case "sink capacity drops excess" `Quick test_sink_capacity_drops;
+          Alcotest.test_case "sink keeps the first items opened" `Quick
+            test_sink_keeps_first_opened;
         ] );
       ( "metrics",
         [
@@ -1670,6 +1853,10 @@ let () =
             test_reference_scripts_cover;
           Alcotest.test_case "allocation budget: chrome export" `Quick
             test_chrome_allocation_budget;
+          QCheck_alcotest.to_alcotest prop_sink_matches_reference;
+          Alcotest.test_case "sink scripts reach every path" `Quick test_sink_scripts_cover;
+          Alcotest.test_case "allocation budget: span recording" `Quick
+            test_span_allocation_budget;
         ] );
       ( "integration",
         [
@@ -1702,6 +1889,8 @@ let () =
           Alcotest.test_case "id_of_string takes exactly 16 hex digits" `Quick
             test_id_of_string_strict;
           QCheck_alcotest.to_alcotest prop_id_round_trip;
+          Alcotest.test_case "chrome flows join the tracer's ids only" `Quick
+            test_chrome_flows_need_tracer_ids;
         ] );
       ( "slo",
         [

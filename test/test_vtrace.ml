@@ -609,7 +609,7 @@ let test_exit_probe_stamps_flight_ring () =
   ignore (R.run w fib_image ());
   let stamped =
     List.filter
-      (fun en -> contains_sub en.Profiler.Flight.note "vtrace")
+      (fun en -> contains_sub (Profiler.Flight.note en) "vtrace")
       (Profiler.Flight.entries (R.flight w))
   in
   Alcotest.(check bool) "matched exits annotated" true (stamped <> [])
