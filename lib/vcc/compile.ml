@@ -8,13 +8,22 @@ type virtine_info = {
   snapshot : bool;
 }
 
+(* A function built for native calls, with the memory and translation
+   cache every call of it reuses *)
+type native = {
+  n_asm : Asm.program;
+  n_image : Wasp.Image.t;
+  n_mem : Vm.Memory.t;
+  n_trans : Vm.Translate.t;
+}
+
 type compiled = {
   ast : Ast.program;
   unit_name : string;
   mem_size : int option;
   optimize : bool;
   virtine_list : virtine_info list;
-  native_cache : (string, Asm.program * Wasp.Image.t) Hashtbl.t;
+  native_cache : (string, native) Hashtbl.t;
 }
 
 let wrap f =
@@ -105,17 +114,30 @@ let native_program c fname =
         | Some f -> f
         | None -> raise (Compile_error (Printf.sprintf "no function %s" fname))
       in
-      let built =
+      let asm, image =
         wrap (fun () ->
             build_image c.ast ~unit_name:c.unit_name ~mode:Vm.Modes.Long
               ~mem_size:c.mem_size ~snapshot:false ~optimize:c.optimize f)
+      in
+      let built =
+        {
+          n_asm = asm;
+          n_image = image;
+          n_mem = Vm.Memory.create ~size:image.Wasp.Image.mem_size;
+          n_trans = Vm.Translate.create ();
+        }
       in
       Hashtbl.replace c.native_cache fname built;
       built
 
 let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
-  let asm, image = native_program c fname in
-  let mem = Vm.Memory.create ~size:image.Wasp.Image.mem_size in
+  let { n_asm = asm; n_image = image; n_mem = mem; n_trans = tr } =
+    native_program c fname
+  in
+  (* the last call's memory, zero again with its page buffers kept; its
+     new tag makes each block revalidate against the code loaded here,
+     as a pooled shell's blocks do *)
+  Vm.Memory.reset_zero mem;
   Vm.Memory.write_bytes mem ~off:image.Wasp.Image.origin image.Wasp.Image.code;
   (* a native process is already initialized: point the allocator at the
      heap without running the crt0 path *)
@@ -127,7 +149,6 @@ let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
   Vm.Cpu.set_pc cpu (Asm.lookup asm Vlibc.post_init_label);
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
   Cycles.Clock.advance_int clock Cycles.Costs.function_call;
-  let tr = Vm.Translate.create () in
   let rec loop () =
     (* [fuel] budgets the whole invocation, across every resume *)
     let fuel_left = fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu) in

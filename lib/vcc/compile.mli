@@ -65,4 +65,12 @@ val invoke_native :
     function of the program (annotated or not) can be called; cycles are
     charged to [clock]. [fuel] (default 500M) bounds the instructions
     the whole call may retire. Raises [Compile_error] if the guest faults
-    or runs out of fuel. *)
+    or runs out of fuel.
+
+    A [compiled] owns each native function's guest memory and
+    translation cache, made at its first call. Every call starts by
+    resetting that memory to zero (its page buffers and translated
+    blocks are kept), so no state carries from one call to the next: a
+    call returns the value and charges the cycles it would on a fresh
+    compile, after a fault or a fuel-out too. Two domains must not call
+    one [compiled] at once. *)

@@ -337,7 +337,36 @@ let[@inline] write64 t addr v =
 
 let write_u64 t addr v = write64 t addr v
 
-let store64_from t addr (src : words) i = write64 t addr (Bigarray.Array1.get src i)
+let store_from t addr n (src : words) i =
+  let w = Bigarray.Array1.get src i in
+  match n with
+  | 8 -> write64 t addr w
+  | 4 -> write_u32 t addr (Int64.to_int w land 0xFFFFFFFF)
+  | 2 -> write_u16 t addr (Int64.to_int w land 0xFFFF)
+  | _ -> write_u8 t addr (Int64.to_int w land 0xFF)
+
+(* A store no observer can see: all [n] bytes in one Owned page of the
+   memory, clear of that page's code extent. It cannot fault, the fault
+   hook runs only for Zero and Shared pages, and [mark] would move no
+   version (an empty extent (max_int, 0) passes the first test), so the
+   store is the write and the dirty stamp alone. Anything else touches
+   nothing. *)
+let try_store t addr n (src : words) i =
+  let p = addr lsr page_shift and off = addr land page_mask in
+  addr >= 0 && addr <= t.size - n && off <= page_size - n
+  && (Array.unsafe_get t.code_hi p <= addr || addr + n <= Array.unsafe_get t.code_lo p)
+  &&
+  match Array.unsafe_get t.pages p with
+  | Owned b ->
+      Array.unsafe_set t.stamps p t.gen;
+      let w = Bigarray.Array1.unsafe_get src i in
+      (match n with
+      | 8 -> Bytes.set_int64_le b off w
+      | 4 -> Bytes.set_int32_le b off (Int64.to_int32 w)
+      | 2 -> Bytes.set_uint16_le b off (Int64.to_int w)
+      | _ -> Bytes.unsafe_set b off (Char.unsafe_chr (Int64.to_int w land 0xFF)));
+      true
+  | Zero | Shared _ -> false
 
 let read_bytes t ~off ~len =
   check t off len;

@@ -54,10 +54,10 @@ val write_u64 : t -> int -> int64 -> unit
 
     An [int64] passed to or returned from {!read_u64} / {!write_u64} is
     boxed: with [-opaque] (dune's dev profile) no cross-module call is
-    inlined, so every such value is a fresh heap block. These two move a
-    64-bit word between guest RAM and a slot of an unboxed word array —
-    the CPU's register file ({!Cpu.regfile}) — with only [int]s crossing
-    the call. Bounds, dirty marking, content versions, CoW breaks and the
+    inlined, so every such value is a fresh heap block. These move a
+    word between guest RAM and a slot of an unboxed word array — the
+    CPU's register file ({!Cpu.regfile}) — with only [int]s crossing the
+    call. Bounds, dirty marking, content versions, CoW breaks and the
     fault hook behave exactly as for {!read_u64} / {!write_u64}. *)
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -66,10 +66,20 @@ val load64_into : t -> int -> words -> int -> unit
 (** [load64_into t addr dst i] reads the little-endian word at [addr]
     into [dst.{i}]. [dst] is untouched when the read faults. *)
 
-val store64_from : t -> int -> words -> int -> unit
-(** [store64_from t addr src i] writes [src.{i}] little-endian at [addr].
-    The word is read before the store, so a fault hook that runs during
-    it cannot change what is written. *)
+val store_from : t -> int -> int -> words -> int -> unit
+(** [store_from t addr n src i] writes the low [n] bytes ([n] is 1, 2, 4
+    or 8) of [src.{i}] little-endian at [addr], as {!write_u8} to
+    {!write_u64} do. The word is read before the store, so a fault hook
+    that runs during it cannot change what is written. *)
+
+val try_store : t -> int -> int -> words -> int -> bool
+(** [try_store t addr n src i] makes the same store as {!store_from}
+    when it is one no observer can see: the bytes lie in one owned page,
+    inside the memory and clear of that page's code extent. Such a
+    store cannot fault, reach the fault hook or move a content version,
+    so writing the bytes and stamping the page dirty is all of it.
+    Otherwise it touches nothing and returns [false], and the caller
+    makes the store with {!store_from}. *)
 
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit

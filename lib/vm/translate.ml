@@ -22,22 +22,31 @@
    committed to the Clock/CPU at every point a host observer could look:
 
      - VM exits (hlt/out/in) and Rdtsc;
-     - before every guest memory *write* — a store can break a CoW page,
-       and the EPT fault hook reads Clock.now and Cpu.pc mid-write, so
-       the clock and pc must be architecturally exact there;
+     - before every guest memory write an observer can see — a store
+       can break a CoW page, and the EPT fault hook reads Clock.now and
+       Cpu.pc mid-write, so the clock and pc must be architecturally
+       exact there;
      - in the dispatcher's fault handler (reads/pops fault lazily);
      - before every step-hook call (the hooked flavour, below).
+
+   A store whose bytes lie (1) in one Owned page, (2) inside the mode
+   limit and the memory and (3) clear of that page's code extent is
+   seen by no one: it cannot fault, the fault hook runs only for Zero
+   and Shared pages, and no content version moves, so no block can go
+   stale under it. Memory.try_store makes such a store and the block
+   goes on without a commit, a pc write or a version recheck; any other
+   store takes the observed path below.
 
    The hot path allocates nothing. Every library module is compiled
    -opaque in dune's dev profile, so no call from here into Cpu, Memory
    or Clock is inlined and any int64 crossing one is a fresh box.
    Registers therefore live in Cpu's unboxed register file, read and
    written here through compiler primitives; the batch, the clock and
-   the retired count are ints; 64-bit guest words move between RAM and
-   the register file through Memory.load64_into/store64_from; and each
-   instruction's closure is specialised at translate time by opcode,
-   operand kind, width and condition, with the mode's mask and
-   sign-extension shift as captured constants.
+   the retired count are ints; guest words move between RAM and the
+   register file through Memory.load64_into, try_store and
+   store_from; and each instruction's closure is specialised at
+   translate time by opcode, operand kind, width and condition, with
+   the mode's mask and sign-extension shift as captured constants.
 
    While a Cpu step hook is installed (the profiler, vtrace instr
    probes) the dispatcher runs *hooked* blocks, which commit and call
@@ -87,7 +96,8 @@ type t = {
   mutable clock : Cycles.Clock.t;
   mutable regs : Cpu.regfile;
   mutable flags : Cpu.flags;
-  scratch : Cpu.regfile;  (* one word: a popped return address *)
+  scratch : Cpu.regfile;  (* one word: a return address popped or pushed,
+                             or an immediate being stored *)
   table : (int, block) Hashtbl.t;
   mutable cyc : int;      (* cycles charged but not yet committed *)
   mutable steps : int;    (* instructions retired but not yet committed *)
@@ -367,17 +377,29 @@ and translate tr ~hooked pc0 =
   let limit = Modes.address_limit mode in
   let imm i = Int64.logand i m in
   let set_sp sp = set tr.regs Instr.sp (Int64.of_int (sp land mi)) in
-  (* The address a write of [size] bytes at [base] + [d] by the
-     instruction at [start] targets, checked against the limit (a push
-     writes 8 bytes at sp - 8). Commits first: the write may CoW-fault,
-     and the fault hook observes the clock and the pc, already [next]. *)
-  let write_addr start next base d size =
+  (* Every store writes the low [size] bytes of word [i] of [src] (the
+     register file, or [scratch] holding an immediate) at [base] + [d];
+     a push writes 8 bytes at sp - 8. [unseen] makes a store no observer
+     can see (see the header). Any other takes [observed], for the
+     instruction at [start]: it commits first, as the write may
+     CoW-fault and the fault hook observes the clock and the pc, already
+     [next], and rechecks the block's versions after, as the store may
+     have rewritten this very block ([false]: the block must abort).
+     Each site calls [observed] only when [unseen] refuses, so the fast
+     path loads no operand that only the observed path uses: one loaded
+     before the call into Memory is spilled around it (6% of native
+     fib's host time, with one helper binding them all up front). *)
+  let[@inline] unseen addr size (src : Cpu.regfile) i =
+    addr <= limit - size && Memory.try_store tr.mem addr size src i
+  in
+  let observed start next base d size src i =
     tr.cur_pc <- start;
     commit tr;
     Cpu.set_pc tr.cpu next;
     let addr = Int64.to_int (get tr.regs base) + d in
     check_limit mode limit addr size;
-    addr
+    Memory.store_from tr.mem addr size src i;
+    smc_ok ()
   in
   (* Block terminator continuation. *)
   let tail_k : unit -> Cpu.exit_reason option =
@@ -415,9 +437,11 @@ and translate tr ~hooked pc0 =
         in
         let retv = Int64.of_int next in
         let push_return () =
-          let sp = write_addr start next Instr.sp (-8) 8 in
-          Memory.write_u64 tr.mem sp retv;
-          set_sp sp
+          set tr.scratch 0 retv;
+          let sp = Int64.to_int (get tr.regs Instr.sp) - 8 in
+          let ok = unseen sp 8 tr.scratch 0 || observed start next Instr.sp (-8) 8 tr.scratch 0 in
+          set_sp sp;
+          ok
         in
         with_hook start instr
         @@
@@ -435,8 +459,7 @@ and translate tr ~hooked pc0 =
             let g = goto a in
             fun () ->
               if charge tr cost then begin
-                push_return ();
-                if smc_ok () then g ()
+                if push_return () then g ()
                 else begin
                   Cpu.set_pc tr.cpu a;
                   smc_abort ()
@@ -446,7 +469,7 @@ and translate tr ~hooked pc0 =
         | Callr r ->
             fun () ->
               if charge tr cost then begin
-                push_return ();
+                ignore (push_return ());
                 (* register read after the push (callr through sp) *)
                 Cpu.set_pc tr.cpu (branch_target mode limit tr.regs r);
                 None
@@ -693,20 +716,21 @@ and translate tr ~hooked pc0 =
         (* [push sp] stores sp's value from before the push *)
         fun () ->
           if charge tr cost then begin
-            let sp = write_addr start next Instr.sp (-8) 8 in
-            Memory.store64_from tr.mem sp tr.regs rs;
+            let sp = Int64.to_int (get tr.regs Instr.sp) - 8 in
+            let ok = unseen sp 8 tr.regs rs || observed start next Instr.sp (-8) 8 tr.regs rs in
             set_sp sp;
-            if smc_ok () then next_k () else smc_abort ()
+            if ok then next_k () else smc_abort ()
           end
           else out_of_fuel start
     | Push (Imm i) ->
         let v = imm i in
         fun () ->
           if charge tr cost then begin
-            let sp = write_addr start next Instr.sp (-8) 8 in
-            Memory.write_u64 tr.mem sp v;
+            set tr.scratch 0 v;
+            let sp = Int64.to_int (get tr.regs Instr.sp) - 8 in
+            let ok = unseen sp 8 tr.scratch 0 || observed start next Instr.sp (-8) 8 tr.scratch 0 in
             set_sp sp;
-            if smc_ok () then next_k () else smc_abort ()
+            if ok then next_k () else smc_abort ()
           end
           else out_of_fuel start
     | Pop rd ->
@@ -753,43 +777,24 @@ and translate tr ~hooked pc0 =
           else out_of_fuel start
     | Store (w, rb, d, src) -> (
         let size = Instr.bytes_of_width w in
-        let write, wmask =
-          match w with
-          | W8 -> (Memory.write_u8, 0xFF)
-          | W16 -> (Memory.write_u16, 0xFFFF)
-          | W32 | W64 -> (Memory.write_u32, 0xFFFFFFFF)
-        in
-        (* the store may have rewritten this very block *)
-        match (w, src) with
-        | W64, Reg rs ->
+        match src with
+        | Reg rs ->
             fun () ->
-              if charge tr cost then begin
-                Memory.store64_from tr.mem (write_addr start next rb d 8) tr.regs rs;
-                if smc_ok () then next_k () else smc_abort ()
-              end
+              if charge tr cost then
+                if unseen (Int64.to_int (get tr.regs rb) + d) size tr.regs rs
+                   || observed start next rb d size tr.regs rs
+                then next_k ()
+                else smc_abort ()
               else out_of_fuel start
-        | W64, Imm i ->
+        | Imm i ->
             let v = imm i in
             fun () ->
               if charge tr cost then begin
-                Memory.write_u64 tr.mem (write_addr start next rb d 8) v;
-                if smc_ok () then next_k () else smc_abort ()
-              end
-              else out_of_fuel start
-        | _, Reg rs ->
-            fun () ->
-              if charge tr cost then begin
-                let addr = write_addr start next rb d size in
-                write tr.mem addr (Int64.to_int (get tr.regs rs) land wmask);
-                if smc_ok () then next_k () else smc_abort ()
-              end
-              else out_of_fuel start
-        | _, Imm i ->
-            let v = Int64.to_int (imm i) land wmask in
-            fun () ->
-              if charge tr cost then begin
-                write tr.mem (write_addr start next rb d size) v;
-                if smc_ok () then next_k () else smc_abort ()
+                set tr.scratch 0 v;
+                if unseen (Int64.to_int (get tr.regs rb) + d) size tr.scratch 0
+                   || observed start next rb d size tr.scratch 0
+                then next_k ()
+                else smc_abort ()
               end
               else out_of_fuel start)
     | Lea (rd, rb, d) ->

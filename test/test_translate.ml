@@ -241,18 +241,22 @@ let prop_code_page =
   QCheck.Test.make ~name:"stores aimed at the code page agree in both flavours" ~count:300
     arb_code_page_program (fun p -> agrees p && agrees_hooked p)
 
-(* The translator's specialised paths: the stack, 64-bit accesses that
-   straddle a page, and returns. Every program points r12 at
-   [data_base], places its stack, then runs its main items [passes]
-   times; the items call two stack-neutral subroutines from several
-   sites, so each ret alternates between two or more return sites
-   (more than the return cache holds, sometimes). Items write only
-   r0-r5 and sp; [push sp] and [pop sp] come both alone and paired. The
-   stack either ends just past the code, so pushes land on the code's
-   own tail, in the block doing the push; or starts half a word into a
-   page, so every push straddles it; or sits in a data page. The
-   memory is captured before the run, so the first push or store to
-   any page with data or code breaks it copy-on-write. *)
+(* The translator's specialised paths: the stack, stores of every
+   width and 64-bit loads that straddle a page, and returns. A store
+   that stays on one page already broken private, off its code, takes
+   the store fast path; a first touch, a straddle or a store onto code
+   takes the observed one, so every store kind meets both. Every
+   program points r12 at [data_base], places its stack, then runs its
+   main items [passes] times; the items call two stack-neutral
+   subroutines from several sites, so each ret alternates between two
+   or more return sites (more than the return cache holds, sometimes).
+   Items write only r0-r5 and sp; [push sp] and [pop sp] come both
+   alone and paired. The stack either ends just past the code, so
+   pushes land on the code's own tail, in the block doing the push; or
+   starts half a word into a page, so every push straddles it; or sits
+   in a data page. The memory is captured before the run, so the first
+   push or store to any page with data or code breaks it
+   copy-on-write. *)
 let data_base = 0xB000
 
 let gen_stack_program =
@@ -270,6 +274,7 @@ let gen_stack_program =
         (2, return [ Insn (SPush (OReg Instr.sp)); Insn (SPop Instr.sp) ]);
         (1, map2 (fun o b -> [ Insn (SPush o); Insn (SPop b) ]) src small);
         (3, map2 (fun d o -> one (SStore (Instr.W64, 12, d, o))) straddle src);
+        (3, map3 (fun w d o -> one (SStore (w, 12, d, o))) (oneofl Instr.[ W8; W16; W32 ]) straddle src);
         (3, map2 (fun r d -> one (SLoad (Instr.W64, r, 12, d))) small straddle);
         (1, map2 (fun d o -> one (SStore (Instr.W64, Instr.sp, d, o))) (int_range (-16) (-8)) src);
         (2, map3 (fun op r o -> one (SBin (op, r, o))) (oneofl Instr.[ Add; Sub; Xor ]) small src);
@@ -716,7 +721,27 @@ let test_allocation_budget () =
   Alcotest.(check int64) "fib(20)" 6765L v;
   if words /. cycles > 0.5 then
     Alcotest.failf "%.0f minor words over %.0f cycles: %.3f per cycle (budget 0.5)" words cycles
-      (words /. cycles)
+      (words /. cycles);
+  (* warm calls of a short function: each reuses the function's memory,
+     page buffers and blocks, so it allocates a little set-up and no 4 KB
+     page buffer (512 words, a direct major-heap allocation). Counted as
+     test_telemetry's [gc_use] counts: a direct major allocation shows in
+     [major_words] only after the next minor collection. *)
+  let calls = 200 in
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to calls do
+    ignore (Vcc.Compile.invoke_native ~clock c "fib" [ 4L ] ())
+  done;
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let per_call x = x /. float_of_int calls in
+  let minor = per_call (s1.minor_words -. s0.minor_words) in
+  let promoted = s1.promoted_words -. s0.promoted_words in
+  let direct_major = per_call (s1.major_words -. s0.major_words -. promoted) in
+  if minor > 200.0 then Alcotest.failf "fib(4): %.0f minor words per call (budget 200)" minor;
+  if direct_major > 64.0 then
+    Alcotest.failf "fib(4): %.0f direct major words per call (budget 64)" direct_major
 
 let test_hooked_flavour_translates () =
   let open Instr in

@@ -632,6 +632,44 @@ let test_exec_fuel_spans_resumes () =
         (String.ends_with ~suffix:"ran out of fuel" msg)
   | v -> Alcotest.failf "spin returned %Ld" v
 
+let test_exec_native_calls_leave_nothing () =
+  (* a [compiled] keeps each native function's memory and blocks between
+     calls: every call must still start from a fresh process, after a
+     fault or a fuel-out too *)
+  let src =
+    {|int g;
+      int f(int x) { g = g + x; return g; }
+      int m() { return (int) malloc(16); }
+      int d(int x) { return 10 / x; }
+      int spin() { while (1) { g = g + 1; } return 0; }|}
+  in
+  let call c fname args =
+    let clock = Cycles.Clock.create () in
+    let v = Vcc.Compile.invoke_native ~clock c fname args () in
+    (v, Cycles.Clock.now clock)
+  in
+  let same = Alcotest.(check (pair int64 int64)) in
+  let c = compile src in
+  let f1 = call c "f" [ 5L ] and m1 = call c "m" [] in
+  check_i64 "f adds to a zero global" 5L (fst f1);
+  for i = 2 to 4 do
+    same (Printf.sprintf "f, call %d" i) f1 (call c "f" [ 5L ]);
+    same (Printf.sprintf "m, call %d" i) m1 (call c "m" [])
+  done;
+  let fails what run =
+    match run () with
+    | exception Vcc.Compile.Compile_error _ -> ()
+    | v -> Alcotest.failf "%s returned %Ld" what v
+  in
+  let clock = Cycles.Clock.create () in
+  fails "d(0)" (fun () -> Vcc.Compile.invoke_native ~clock c "d" [ 0L ] ());
+  fails "spin" (fun () -> Vcc.Compile.invoke_native ~clock c "spin" [] ~fuel:10_000 ());
+  let fresh = compile src in
+  let d = call fresh "d" [ 2L ] in
+  check_i64 "d(2)" 5L (fst d);
+  same "d after a fault and a fuel-out" d (call c "d" [ 2L ]);
+  same "f after them" (call fresh "f" [ 5L ]) (call c "f" [ 5L ])
+
 let () =
   Alcotest.run "vcc"
     [
@@ -708,6 +746,8 @@ let () =
           Alcotest.test_case "sizeof" `Quick test_exec_sizeof;
           Alcotest.test_case "itoa" `Quick test_exec_itoa;
           Alcotest.test_case "fuel spans resumes" `Quick test_exec_fuel_spans_resumes;
+          Alcotest.test_case "native calls leave nothing behind" `Quick
+            test_exec_native_calls_leave_nothing;
         ] );
       ( "minimal-images",
         [
