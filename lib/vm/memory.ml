@@ -401,7 +401,12 @@ let write_bytes t ~off b =
     done
   end
 
-(* Compares in place, page by page: no buffer is allocated. *)
+(* Native-endian and unchecked: the loops below keep every word inside
+   both buffers, and equality does not depend on byte order. *)
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Compares in place, page by page, eight bytes at a time and then the
+   tail byte by byte: no buffer is allocated. *)
 let equal_bytes t ~off b =
   let len = Bytes.length b in
   check t off len;
@@ -412,6 +417,9 @@ let equal_bytes t ~off b =
     (* byte [j] of [b] sits at [shift + j] of this page *)
     let shift = (addr land page_mask) - !i in
     let stop = min len (!i + page_size - (addr land page_mask)) in
+    while !same && !i <= stop - 8 do
+      if get64 pg (shift + !i) = get64 b !i then i := !i + 8 else same := false
+    done;
     while !same && !i < stop do
       if Bytes.unsafe_get pg (shift + !i) = Bytes.unsafe_get b !i then incr i else same := false
     done

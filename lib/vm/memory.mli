@@ -89,8 +89,8 @@ val write_bytes : t -> off:int -> bytes -> unit
 
 val equal_bytes : t -> off:int -> bytes -> bool
 (** [equal_bytes t ~off b]: the [Bytes.length b] bytes at [off] equal
-    [b]. Compares in place and allocates nothing. Raises {!Fault}
-    outside the memory. *)
+    [b]. Compares in place, eight bytes at a time, and allocates
+    nothing. Raises {!Fault} outside the memory. *)
 
 val read_cstring : t -> off:int -> max:int -> string
 (** Read a NUL-terminated string of at most [max] bytes; raises {!Fault}
@@ -174,7 +174,7 @@ val clear_dirty : t -> unit
     extents. The translation cache ({!module:Translate}) records the
     versions of the pages a superblock was decoded from and re-validates
     them before reuse, so a write into any translated byte of a page
-    drops every block on that page. {!clear_dirty} changes neither —
+    stales every block on that page. {!clear_dirty} changes neither —
     cleaning the dirty set does not alter contents. *)
 
 val note_code : t -> off:int -> len:int -> unit

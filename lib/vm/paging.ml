@@ -8,20 +8,25 @@ let flag_large_page = 0x80L
 
 let entry ~phys ~flags = Int64.logor (Int64.of_int phys) flags
 
-let build_identity_map mem =
-  let stores = ref 0 in
-  let put addr v =
-    Memory.write_u64 mem addr v;
-    incr stores
-  in
-  let table_flags = Int64.logor flag_present flag_writable in
-  put pml4_addr (entry ~phys:pdpt_addr ~flags:table_flags);
-  put pdpt_addr (entry ~phys:pd_addr ~flags:table_flags);
-  let page_flags = Int64.logor table_flags flag_large_page in
-  for i = 0 to 511 do
-    put (pd_addr + (8 * i)) (entry ~phys:(i * (2 lsl 20)) ~flags:page_flags)
+let table_flags = Int64.logor flag_present flag_writable
+
+(* The page directory, 512 entries mapping 2 MB each, is the same on
+   every boot: built once here, written in one copy, never mutated. *)
+let pd_entries = 512
+
+let page_directory =
+  let b = Bytes.create (8 * pd_entries) in
+  let flags = Int64.logor table_flags flag_large_page in
+  for i = 0 to pd_entries - 1 do
+    Bytes.set_int64_le b (8 * i) (entry ~phys:(i * (2 lsl 20)) ~flags)
   done;
-  !stores
+  b
+
+let build_identity_map mem =
+  Memory.write_u64 mem pml4_addr (entry ~phys:pdpt_addr ~flags:table_flags);
+  Memory.write_u64 mem pdpt_addr (entry ~phys:pd_addr ~flags:table_flags);
+  Memory.write_bytes mem ~off:pd_addr page_directory;
+  2 + pd_entries
 
 let translate mem vaddr =
   if vaddr < 0 then None

@@ -19,7 +19,11 @@ val entry : phys:int -> flags:int64 -> int64
 
 val build_identity_map : Memory.t -> int
 (** Write the three table levels into guest memory; returns the number of
-    64-bit stores performed (the caller charges cycles per store). *)
+    64-bit entries written, 514, which the caller charges as uncached
+    stores. The page directory goes in as one 4 KB copy: the bytes, dirty
+    pages and page faults are those of 514 single stores. On a memory too
+    small for the directory it raises {!Memory.Fault} before writing any
+    of it. *)
 
 val translate : Memory.t -> int -> int option
 (** Walk the tables the way hardware would: returns the physical address

@@ -14,8 +14,19 @@
    extent: a self-modifying store, a pool reset or a CoW restore stales
    every block on the pages it rewrites, while data stored beside code
    (a heap sharing the code's page) keeps them. A stale block is
-   compared byte for byte with the memory — the slow path — and reused
-   when they match, so only changed bytes are translated again.
+   compared with the memory, a word at a time — the slow path — and
+   reused when they match, so only changed bytes are translated again.
+
+   Each key keeps up to [ways] blocks, newest first, as a ret keeps its
+   return targets: the classic and ringed file servers load at one
+   origin and differ in a few blocks, and a system serving both keeps
+   each one's. A lookup takes the key's valid way, else the first way
+   whose bytes match, else translates into the front way; the block
+   pushed out of the last way is dead (b_live), and no chain slot or
+   return cache enters it again. A stale way that does not match stays
+   for the memory it does match, so [invalidations] counts the lookups
+   that found blocks under the key but none to reuse, not blocks
+   dropped, plus blocks aborted mid-block.
 
    Every instruction charges its exact Instr.cost, bumps retired, and
    honors fuel. Cycle and retired charges are batched in plain ints and
@@ -81,8 +92,8 @@ and block = {
          (indirect call, invalidation, undecodable pc): re-dispatch at
          the CPU's pc. *)
   mutable b_live : bool;
-      (* the table's entry for its key: a return cache may reuse a
-         block only while the dispatcher would have found it *)
+      (* one of its key's ways: a chain slot or a return cache may
+         reuse a block only while the dispatcher would have found it *)
 }
 
 (* The machine a run binds: every closure reads these fields, so blocks
@@ -98,7 +109,7 @@ type t = {
   mutable flags : Cpu.flags;
   scratch : Cpu.regfile;  (* one word: a return address popped or pushed,
                              or an immediate being stored *)
-  table : (int, block) Hashtbl.t;
+  table : (int, block array) Hashtbl.t;  (* a key's ways, newest first *)
   mutable cyc : int;      (* cycles charged but not yet committed *)
   mutable steps : int;    (* instructions retired but not yet committed *)
   mutable fuel : int;
@@ -228,7 +239,11 @@ let max_block = 128
 (* Return targets one [ret] remembers: fib's alternates between two. *)
 let ret_ways = 4
 
-(* An empty return-cache way: never live, under a tag no memory has. *)
+(* Blocks one key keeps (see the header). *)
+let ways = 4
+
+(* An empty way, of a key or a return cache: never live, under a tag no
+   memory has, with no bytes to revalidate. *)
 let no_block =
   {
     b_pc = -1;
@@ -270,21 +285,51 @@ let revalidate tr b =
        true
      end
 
+(* A new block takes the front way. The oldest, pushed out of the last,
+   is dead: no chain slot or return cache enters it again. *)
+let install w b =
+  (Array.unsafe_get w (ways - 1)).b_live <- false;
+  Array.blit w 0 w 1 (ways - 1);
+  Array.unsafe_set w 0 b;
+  b
+
+(* Take [b] out of its key's ways, closing the gap; the others stay. *)
+let drop tr key b =
+  b.b_live <- false;
+  match Hashtbl.find tr.table key with
+  | exception Not_found -> ()
+  | w ->
+      let i = ref 0 in
+      while !i < ways && Array.unsafe_get w !i != b do incr i done;
+      if !i < ways then begin
+        Array.blit w (!i + 1) w !i (ways - 1 - !i);
+        Array.unsafe_set w (ways - 1) no_block
+      end
+
+(* The key's valid way, else the first whose bytes still match, else a
+   fresh translation. Loops, not local recursive functions: a hit
+   allocates nothing. *)
 let rec lookup tr ~hooked pc =
   let key = key_of pc (Cpu.mode tr.cpu) ~hooked in
-  match Hashtbl.find_opt tr.table key with
-  | Some b when block_valid tr b || revalidate tr b -> b
-  | Some b ->
-      tr.stats.invalidations <- tr.stats.invalidations + 1;
-      b.b_live <- false;
-      Hashtbl.remove tr.table key;
-      let b = translate tr ~hooked pc in
-      Hashtbl.replace tr.table key b;
-      b
-  | None ->
-      let b = translate tr ~hooked pc in
-      Hashtbl.replace tr.table key b;
-      b
+  match Hashtbl.find tr.table key with
+  | exception Not_found ->
+      let w = Array.make ways no_block in
+      Hashtbl.add tr.table key w;
+      install w (translate tr ~hooked pc)
+  | w ->
+      let i = ref 0 in
+      while !i < ways && not (block_valid tr (Array.unsafe_get w !i)) do incr i done;
+      if !i < ways then Array.unsafe_get w !i
+      else begin
+        i := 0;
+        while !i < ways && not (revalidate tr (Array.unsafe_get w !i)) do incr i done;
+        if !i < ways then Array.unsafe_get w !i
+        else begin
+          if Array.unsafe_get w 0 != no_block then
+            tr.stats.invalidations <- tr.stats.invalidations + 1;
+          install w (translate tr ~hooked pc)
+        end
+      end
 
 and translate tr ~hooked pc0 =
   let mode = Cpu.mode tr.cpu in
@@ -314,7 +359,7 @@ and translate tr ~hooked pc0 =
   (* The pages the decoded bytes span; rechecked after every in-block
      write (self-modifying code) and on every block entry. Filled in
      after compilation — the closures capture the refs. *)
-  let pages_r = ref [||] and vers_r = ref [||] in
+  let pages_r = ref [||] and vers_r = ref [||] and self = ref no_block in
   let smc_ok () = pages_current tr.mem !pages_r !vers_r 0 in
   let smc_abort () =
     tr.stats.invalidations <- tr.stats.invalidations + 1;
@@ -354,7 +399,7 @@ and translate tr ~hooked pc0 =
          observers must also fire here *)
       (match tr.block_hook with None -> () | Some f -> f ~pc:target);
       match slot.s_blk with
-      | Some b when block_valid tr b -> b.b_exec ()
+      | Some b when b.b_live && block_valid tr b -> b.b_exec ()
       | cached ->
           let b = lookup tr ~hooked target in
           (match cached with Some c when c == b -> () | _ -> slot.s_blk <- Some b);
@@ -410,15 +455,15 @@ and translate tr ~hooked pc0 =
            raises that fetch's own fault, at the pc where it belongs;
            nothing is charged or retired. The bytes lie outside the
            block's validated range, so if a write has since made them
-           decodable, drop this block and re-dispatch to translate them. *)
+           decodable, drop this block from its key and re-dispatch to
+           translate them. *)
         let key0 = key_of pc0 mode ~hooked in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel pc
           else begin
             tr.cur_pc <- pc;
             ignore (Cpu.fetch tr.cpu pc);
-            Option.iter (fun b -> b.b_live <- false) (Hashtbl.find_opt tr.table key0);
-            Hashtbl.remove tr.table key0;
+            drop tr key0 !self;
             Cpu.set_pc tr.cpu pc;
             smc_abort ()
           end
@@ -835,15 +880,17 @@ and translate tr ~hooked pc0 =
      vers_r := Array.init n (fun i -> Memory.page_version tr.mem (first + i))
    end);
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
-  {
-    b_pc = pc0;
-    b_code = code;
-    b_pages = !pages_r;
-    b_vers = !vers_r;
-    b_tag = tr.tag;
-    b_exec = exec;
-    b_live = true;
-  }
+  self :=
+    {
+      b_pc = pc0;
+      b_code = code;
+      b_pages = !pages_r;
+      b_vers = !vers_r;
+      b_tag = tr.tag;
+      b_exec = exec;
+      b_live = true;
+    };
+  !self
 
 let run ?(fuel = 200_000_000) tr cpu =
   bind tr cpu;

@@ -10,13 +10,16 @@
     restore — moves the page's {!Memory.page_version}, while data stored
     beside code does not.
 
-    A block is reused as is while the bound memory is the one it was
-    last validated against ({!Memory.tag}) and its pages' versions have
-    not moved. Otherwise its bytes are compared with the memory's
-    ({!Memory.equal_bytes}): on a match it takes the memory's extents and
-    versions and is reused, and only a block whose bytes changed is
-    translated again. A block is a function of its bytes and the mode, so
-    reuse changes no simulated cycle, exit or hook call.
+    Each key keeps up to {!ways} blocks, newest first, so two images
+    loaded at one origin keep each one's blocks. A block is reused as is
+    while the bound memory is the one it was last validated against
+    ({!Memory.tag}) and its pages' versions have not moved. Failing that,
+    the first of its key's blocks whose bytes still match the memory's
+    ({!Memory.equal_bytes}) takes the memory's extents and versions and
+    is reused, and only when none matches is the pc translated again,
+    into the front way, the oldest dropping out of the last. A block is a
+    function of its bytes and the mode, so reuse changes no simulated
+    cycle, exit or hook call.
 
     Timing is exact per instruction: each charges its {!Instr.cost} and
     retires once, batched and committed at every host observation point,
@@ -33,6 +36,9 @@ type t
 val create : unit -> t
 (** An empty translation cache. Blocks persist across {!run} calls and
     across the CPUs it runs. *)
+
+val ways : int
+(** Blocks one [(pc, cpu_mode, flavour)] key keeps: 4. *)
 
 val run : ?fuel:int -> t -> Cpu.t -> Cpu.exit_reason
 (** [run tr cpu] executes [cpu] until a VM exit. [fuel] (default 200M
@@ -53,7 +59,11 @@ val set_block_hook : t -> (pc:int -> unit) option -> unit
 
 type stats = {
   mutable blocks_translated : int;  (** superblocks compiled (incl. retranslations) *)
-  mutable invalidations : int;      (** stale blocks dropped or aborted mid-block *)
+  mutable invalidations : int;
+      (** lookups that found blocks under the key but none valid or
+          matching the memory's bytes, so translated it again (a key's
+          stale ways stay, unless the new block pushes the oldest out),
+          plus blocks aborted mid-block *)
   mutable revalidations : int;      (** stale blocks reused after a byte compare *)
 }
 

@@ -121,9 +121,9 @@ let file_servers () =
   (Wasp.Runtime.kvm w, serve, classic, ring)
 
 let test_recycled_shell_keeps_blocks () =
-  (* the two handlers differ in a few blocks at the same pcs, so
-     alternating them translates those again; a recycled shell that
-     runs the same image again translates nothing *)
+  (* a recycled shell that runs the same image again translates
+     nothing: every block it enters is revalidated against the bytes
+     loaded after pool cleaning *)
   let sys, serve, classic, ring = file_servers () in
   List.iter (fun (core, c) -> serve core c) [ (0, classic); (1, ring); (0, ring); (1, classic) ];
   List.iter
@@ -139,6 +139,20 @@ let test_recycled_shell_keeps_blocks () =
       Alcotest.(check bool) "its blocks revalidated" true
         (after.Vm.Translate.revalidations > before.Vm.Translate.revalidations))
     [ (0, classic); (1, ring); (1, classic); (0, ring) ]
+
+let test_alternating_images_keep_blocks () =
+  (* the two handlers load at one origin and differ in a few blocks at
+     the same pcs. Each key keeps a way per image, so once each image
+     has run, serving them alternately on both cores translates nothing *)
+  let sys, serve, classic, ring = file_servers () in
+  let translated () = (Kvmsim.Kvm.translation_stats sys).Vm.Translate.blocks_translated in
+  serve 0 classic;
+  serve 1 ring;
+  let before = translated () in
+  for i = 0 to 11 do
+    serve (i / 2 mod 2) (if i mod 2 = 0 then classic else ring)
+  done;
+  Alcotest.(check int) "no block translated" before (translated ())
 
 (* A budget for what the shared cache retains: the heap reachable from
    the file servers' blocks between runs, when no vCPU or memory is
@@ -172,6 +186,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
           Alcotest.test_case "a recycled shell keeps its blocks" `Quick
             test_recycled_shell_keeps_blocks;
+          Alcotest.test_case "alternating images keep their blocks" `Quick
+            test_alternating_images_keep_blocks;
           Alcotest.test_case "retention budget of the translation cache" `Quick
             test_translation_retention;
         ] );

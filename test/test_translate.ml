@@ -613,6 +613,19 @@ let test_crt0_keeps_blocks () =
   let n = (Vm.Translate.stats tr).blocks_translated in
   if n > 8 then Alcotest.failf "crt0 translated %d blocks before the first exit (at most 8)" n
 
+let run_to_exit tr cpu =
+  Vm.Cpu.set_pc cpu origin;
+  exit_str (Vm.Translate.run tr cpu)
+
+(* A fresh vCPU over a fresh memory holding [code] at [pc], started there. *)
+let at_pc pc code =
+  let mem = Vm.Memory.create ~size:(64 * 1024) in
+  Vm.Memory.write_bytes mem ~off:pc code;
+  let cpu = Vm.Cpu.create ~mem ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
+  Vm.Cpu.set_pc cpu pc;
+  Vm.Cpu.set_sp cpu 0x8000;
+  cpu
+
 let test_ret_into_rewritten_block () =
   (* the ret in [f] (on its own page) fills its return cache with the
      block at [ra]; a store then rewrites that block's first immediate
@@ -701,7 +714,37 @@ let test_ret_cache_drops_removed_block () =
   ignore (Vm.Translate.run tr cpu);
   let s = Vm.Translate.stats tr in
   Alcotest.(check (pair int int)) "blocks translated, invalidations" (8, 1)
-    (s.blocks_translated, s.invalidations)
+    (s.blocks_translated, s.invalidations);
+  (* a block pushed out of its key's ways is dead too, though it is
+     still valid on its memory. One memory enters the block at [t]
+     through a static jump, or returns into it; then [ways] other
+     memories run other bytes at [t] and fill its key. The first
+     memory's next run reaches [t] through the same chain slot or
+     return cache, and must translate it afresh, as the dispatcher
+     would: one block, where entering the dead one translates none *)
+  let tail = [ Label "t"; Insn (SMov (0, OImm 7L)); Insn SHlt ] in
+  List.iter
+    (fun (how, items) ->
+      let p = Asm.assemble ~origin items in
+      let t = Asm.lookup p "t" in
+      let cpu, _ = machine p.Asm.code in
+      let tr = Vm.Translate.create () in
+      let s = Vm.Translate.stats tr in
+      Alcotest.(check string) (how ^ ": halts") "halt" (run_to_exit tr cpu);
+      for k = 1 to Vm.Translate.ways do
+        let other = Encoding.encode_program [ Instr.Mov (0, Imm (Int64.of_int k)); Instr.Hlt ] in
+        Alcotest.(check string) (how ^ ": another memory halts") "halt"
+          (exit_str (Vm.Translate.run tr (at_pc t other)))
+      done;
+      let before = s.blocks_translated in
+      Alcotest.(check string) (how ^ ": halts again") "halt" (run_to_exit tr cpu);
+      Alcotest.(check int64) (how ^ ": its own bytes ran") 7L (Vm.Cpu.get_reg cpu 0);
+      Alcotest.(check int) (how ^ ": the evicted block is translated afresh") 1
+        (s.blocks_translated - before))
+    [
+      ("a chain slot", Insn (SJmp (Lbl "t")) :: tail);
+      ("a return cache", (Insn (SCall (Lbl "f")) :: tail) @ [ Label "f"; Insn SRet ]);
+    ]
 
 let test_allocation_budget () =
   (* the engine's hot path allocates nothing: registers, the clock and
@@ -818,14 +861,12 @@ let test_block_reuse_and_revalidation () =
   Alcotest.(check bool) "invalidation counted" true (s.invalidations > 0);
   Alcotest.(check int64) "the new bytes ran" 2L (Vm.Cpu.get_reg cpu 0)
 
-let run_to_exit tr cpu =
-  Vm.Cpu.set_pc cpu origin;
-  exit_str (Vm.Translate.run tr cpu)
-
 let test_tag_before_versions () =
   (* two fresh memories: every page at version 0 in both, but different
      bytes at the same pc. Version counters are per memory, so only the
-     tag tells the first memory's block from the second's code *)
+     tag tells the first memory's block from the second's code. The
+     key keeps both blocks, so the third run finds the first memory's
+     block still valid in its way *)
   let open Instr in
   let prog v = Encoding.encode_program [ Mov (0, Imm v); Hlt ] in
   let cpu_a, _ = machine (prog 1L) and cpu_b, _ = machine (prog 2L) in
@@ -836,8 +877,75 @@ let test_tag_before_versions () =
       Alcotest.(check int64) "each memory runs its own code" want (Vm.Cpu.get_reg cpu 0))
     [ (cpu_a, 1L); (cpu_b, 2L); (cpu_a, 1L) ];
   let s = Vm.Translate.stats tr in
-  Alcotest.(check (pair int int)) "blocks translated, revalidated" (3, 0)
+  Alcotest.(check (pair int int)) "blocks translated, revalidated" (2, 0)
     (s.blocks_translated, s.revalidations)
+
+let test_key_ways () =
+  (* ways + 1 programs at one origin, each returning its own value. A
+     key keeps [ways] blocks, newest first: a round over the newest
+     [ways] programs reuses every block, and a round over all of them in
+     turn pushes each block out before its program comes back, so it
+     translates every one again. On fresh memories a kept block is found
+     valid under its memory's tag; on one memory across [reset_zero] it
+     is found by its bytes *)
+  let open Instr in
+  let n = Vm.Translate.ways + 1 in
+  let value k = Int64.of_int (100 + k) in
+  let prog k = Encoding.encode_program [ Mov (0, Imm (value k)); Hlt ] in
+  let fresh = Array.init n (fun k -> fst (machine (prog k))) in
+  let one_cpu, one_mem = machine (prog 0) in
+  let reloaded k =
+    Vm.Memory.reset_zero one_mem;
+    Vm.Memory.write_bytes one_mem ~off:origin (prog k);
+    one_cpu
+  in
+  List.iter
+    (fun (name, load, reused_by_bytes) ->
+      let tr = Vm.Translate.create () in
+      let s = Vm.Translate.stats tr in
+      let round ks =
+        let blocks = s.blocks_translated and revalidated = s.revalidations in
+        List.iter
+          (fun k ->
+            let cpu = load k in
+            Alcotest.(check string) (name ^ ": halts") "halt" (run_to_exit tr cpu);
+            Alcotest.(check int64)
+              (Printf.sprintf "%s: program %d returns its own value" name k)
+              (value k) (Vm.Cpu.get_reg cpu 0))
+          ks;
+        (s.blocks_translated - blocks, s.revalidations - revalidated)
+      in
+      let all = List.init n Fun.id and newest = List.init (n - 1) (fun k -> k + 1) in
+      let outcome = Alcotest.(pair int int) in
+      Alcotest.(check outcome) (name ^ ": the first round translates each") (n, 0) (round all);
+      Alcotest.(check outcome) (name ^ ": the newest ways are kept")
+        (0, if reused_by_bytes then n - 1 else 0)
+        (round newest);
+      Alcotest.(check outcome) (name ^ ": no more than [ways] are kept") (n, 0) (round all))
+    [ ("fresh memories", (fun k -> fresh.(k)), false); ("one memory reset", reloaded, true) ]
+
+let test_undecodable_drop_keeps_ways () =
+  (* one memory runs a block at [origin]; a second runs a nop there
+     followed by an undecodable byte, which a store then makes a hlt.
+     The second memory's block, entered again, reaches the now
+     decodable byte and drops itself from the key, but only itself: the
+     first memory's block is still in its way and runs untranslated *)
+  let open Instr in
+  let tr = Vm.Translate.create () in
+  let s = Vm.Translate.stats tr in
+  let cpu_a, _ = machine (Encoding.encode_program [ Mov (0, Imm 1L); Hlt ]) in
+  let nop = Encoding.encode_program [ Nop ] and hlt = Encoding.encode_program [ Hlt ] in
+  let cpu_b, mem_b = machine (Bytes.cat nop (Bytes.of_string "\xFF")) in
+  Alcotest.(check string) "first memory halts" "halt" (run_to_exit tr cpu_a);
+  Alcotest.(check bool) "the bad byte faults" true
+    (String.starts_with ~prefix:"fault" (run_to_exit tr cpu_b));
+  Vm.Memory.write_bytes mem_b ~off:(origin + Bytes.length nop) hlt;
+  Alcotest.(check string) "the patched byte halts" "halt" (run_to_exit tr cpu_b);
+  let blocks = s.blocks_translated in
+  Vm.Cpu.set_reg cpu_a 0 0L;
+  Alcotest.(check string) "first memory halts again" "halt" (run_to_exit tr cpu_a);
+  Alcotest.(check int64) "its own block ran" 1L (Vm.Cpu.get_reg cpu_a 0);
+  Alcotest.(check int) "no block translated" blocks s.blocks_translated
 
 let test_cow_restores_keep_blocks () =
   (* a loop storing into a data word on its own code page, as
@@ -1115,6 +1223,9 @@ let () =
             test_block_reuse_and_revalidation;
           Alcotest.test_case "the memory's tag is checked before its versions" `Quick
             test_tag_before_versions;
+          Alcotest.test_case "a key keeps its ways, and no more" `Quick test_key_ways;
+          Alcotest.test_case "an undecodable tail's drop keeps the key's other ways" `Quick
+            test_undecodable_drop_keeps_ways;
           Alcotest.test_case "CoW restores of a shared code page keep its blocks" `Quick
             test_cow_restores_keep_blocks;
           Alcotest.test_case "a block past a smaller memory's end" `Quick

@@ -326,6 +326,62 @@ let test_mem_recycled_pages_are_fresh () =
       ((Vm.Memory.page_stats recycled).spare_pages > 0)
   done
 
+(* [equal_bytes] against the copy it saves: [read_bytes], then
+   [Bytes.equal]. Three pages, each Zero, Shared (written, then
+   captured) or Owned (written after the capture); offsets at or near a
+   page's end, so a compare straddles it, or anywhere; lengths 0-300.
+   Each case compares the bytes as read, then with a byte differing at
+   each position in turn, so every position of a word and of the tail *)
+let prop_equal_bytes =
+  let page = Vm.Memory.page_size in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (array_size (return 3) (oneofl [ `Zero; `Shared; `Owned ]))
+        (oneof [ map (fun back -> (2 * page) - back) (int_range (-8) 300); int_range 0 (3 * page) ])
+        (int_range 0 300) int)
+  in
+  let print (kinds, off, len, seed) =
+    Printf.sprintf "pages [%s], off %d, len %d, seed %d"
+      (String.concat "; "
+         (Array.to_list
+            (Array.map (function `Zero -> "Zero" | `Shared -> "Shared" | `Owned -> "Owned") kinds)))
+      off len seed
+  in
+  QCheck.Test.make ~name:"equal_bytes = Bytes.equal of read_bytes" ~count:300
+    (QCheck.make ~print gen)
+    (fun (kinds, off, len, seed) ->
+      let st = Random.State.make [| seed |] in
+      let m = Vm.Memory.create ~size:(3 * page) in
+      let fill kind =
+        Array.iteri
+          (fun p k ->
+            if k = kind then
+              Vm.Memory.write_bytes m ~off:(p * page)
+                (Bytes.init page (fun _ -> Char.chr (1 + Random.State.int st 255))))
+          kinds
+      in
+      fill `Shared;
+      ignore (Vm.Memory.capture m);
+      fill `Owned;
+      let count k = Array.fold_left (fun n k' -> if k' = k then n + 1 else n) 0 kinds in
+      let stats = Vm.Memory.page_stats m in
+      assert (stats.shared_pages = count `Shared && stats.resident_pages = count `Owned);
+      let off = min off ((3 * page) - len) in
+      let model b = Bytes.equal (Vm.Memory.read_bytes m ~off ~len) b in
+      let b = Vm.Memory.read_bytes m ~off ~len in
+      let agree () = Vm.Memory.equal_bytes m ~off b = model b in
+      agree ()
+      && Vm.Memory.equal_bytes m ~off b
+      && List.for_all
+           (fun i ->
+             let c = Bytes.get b i in
+             Bytes.set b i (Char.chr (Char.code c lxor (1 + Random.State.int st 255)));
+             let ok = agree () && not (Vm.Memory.equal_bytes m ~off b) in
+             Bytes.set b i c;
+             ok)
+           (List.init len Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Modes                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -380,6 +436,90 @@ let test_paging_identity () =
       | None -> Alcotest.failf "unmapped at 0x%x" addr)
     [ 0; 0x8000; 0x1F_FFFF; 0x20_0000; 0x3FFF_FFFF ]
 
+(* The identity map as 514 single stores, the way it was written before
+   the page directory went in as one copy: the reference for that copy. *)
+let identity_map_by_stores m =
+  let table = Int64.logor Vm.Paging.flag_present Vm.Paging.flag_writable in
+  let large = Int64.logor table Vm.Paging.flag_large_page in
+  Vm.Memory.write_u64 m 0x1000 (Vm.Paging.entry ~phys:0x2000 ~flags:table);
+  Vm.Memory.write_u64 m 0x2000 (Vm.Paging.entry ~phys:0x3000 ~flags:table);
+  for i = 0 to 511 do
+    Vm.Memory.write_u64 m (0x3000 + (8 * i)) (Vm.Paging.entry ~phys:(i * (2 lsl 20)) ~flags:large)
+  done;
+  514
+
+let test_paging_one_copy () =
+  (* from memories in several states, the one-copy map and the 514
+     stores leave the same bytes, page counts, dirty pages, content
+     versions and fault-hook calls, and count the same entries *)
+  let page = Vm.Memory.page_size in
+  let scribble m off len = Vm.Memory.write_bytes m ~off (Bytes.make len '\x5a') in
+  let states =
+    [
+      ("fresh", fun _ -> ());
+      ("private table pages", fun m -> scribble m 0x1000 0x3000);
+      ( "shared table pages",
+        fun m ->
+          scribble m 0 0x5000;
+          ignore (Vm.Memory.capture m);
+          Vm.Memory.clear_dirty m );
+      ( "a shared directory beside private tables",
+        fun m ->
+          scribble m 0x3000 page;
+          ignore (Vm.Memory.capture m);
+          scribble m 0x1000 0x2000;
+          Vm.Memory.clear_dirty m );
+      ( "after a pool reset",
+        fun m ->
+          scribble m 0 0x5000;
+          Vm.Memory.note_code m ~off:0x3100 ~len:16;
+          Vm.Memory.reset_zero m );
+      ("code on another page", fun m -> Vm.Memory.note_code m ~off:0x8000 ~len:16);
+    ]
+  in
+  List.iter
+    (fun (name, prepare) ->
+      let built map =
+        (* both sides capture into an empty page cache, so their dedup
+           hits, and with them the kept buffers, are the same *)
+        Vm.Memory.Page_cache.reset ();
+        let m = Vm.Memory.create ~size:(64 * 1024) in
+        prepare m;
+        let hook = ref [] in
+        Vm.Memory.set_fault_hook m (Some (fun ~shared ~page -> hook := (shared, page) :: !hook));
+        let entries = map m in
+        let s = Vm.Memory.page_stats m in
+        ( entries,
+          Vm.Memory.snapshot m,
+          [ s.total_pages; s.resident_pages; s.shared_pages; s.zero_pages; s.spare_pages;
+            s.cow_faults; s.zero_fills ],
+          Vm.Memory.dirty_pages m,
+          List.init 16 (Vm.Memory.page_version m),
+          List.rev !hook )
+      in
+      let n, bytes, stats, dirty, vers, hook = built Vm.Paging.build_identity_map in
+      let n', bytes', stats', dirty', vers', hook' = built identity_map_by_stores in
+      let what = Printf.sprintf "%s: %s" name in
+      Alcotest.(check int) (what "entries") n' n;
+      Alcotest.(check bool) (what "bytes") true (Bytes.equal bytes' bytes);
+      Alcotest.(check (list int)) (what "page stats") stats' stats;
+      Alcotest.(check (list int)) (what "dirty pages") dirty' dirty;
+      Alcotest.(check (list int)) (what "content versions") vers' vers;
+      Alcotest.(check (list (pair bool int))) (what "fault hook calls") hook' hook)
+    states;
+  (* over translated code the stores bump the directory page's version
+     once per entry and the copy once; either way a block decoded from
+     it goes stale *)
+  let moved map =
+    let m = Vm.Memory.create ~size:(64 * 1024) in
+    Vm.Memory.note_code m ~off:0x3100 ~len:16;
+    let v = Vm.Memory.page_version m 3 in
+    ignore (map m);
+    Vm.Memory.page_version m 3 > v
+  in
+  Alcotest.(check (pair bool bool)) "code on the directory's page goes stale" (true, true)
+    (moved Vm.Paging.build_identity_map, moved identity_map_by_stores)
+
 let test_paging_unmapped_beyond_1gb () =
   let m = Vm.Memory.create ~size:(64 * 1024) in
   ignore (Vm.Paging.build_identity_map m);
@@ -422,6 +562,25 @@ let test_boot_cost_ordering () =
   let t c = Vm.Boot.total_cost c in
   Alcotest.(check bool) "real < protected" true (t real < t prot);
   Alcotest.(check bool) "protected < long" true (t prot < t long)
+
+let test_boot_charges_pinned () =
+  (* the components each mode charges at seed 1, as they were when the
+     identity map was written as 514 single stores *)
+  let charged target =
+    let comps, _, _ = boot target in
+    List.map (fun c -> (c.Vm.Boot.name, c.Vm.Boot.cycles)) comps
+  in
+  let pinned = Alcotest.(list (pair string int)) in
+  Alcotest.(check pinned) "real" [ ("first instruction", 76) ] (charged Vm.Modes.Real);
+  Alcotest.(check pinned) "protected"
+    [ ("load 32-bit gdt", 4255); ("protected transition", 3322); ("jump to 32-bit", 178);
+      ("first instruction", 78) ]
+    (charged Vm.Modes.Protected);
+  Alcotest.(check pinned) "long"
+    [ ("load 32-bit gdt", 4255); ("protected transition", 3322); ("jump to 32-bit", 178);
+      ("paging ident. map", 29677); ("long transition", 694); ("jump to 64-bit", 192);
+      ("first instruction", 74) ]
+    (charged Vm.Modes.Long)
 
 let test_boot_long_total_near_paper () =
   (* Table 1 sums to ~36.5K cycles; allow jitter. *)
@@ -788,6 +947,7 @@ let () =
           Alcotest.test_case "cstring unterminated" `Quick test_mem_cstring_unterminated;
           Alcotest.test_case "fill zero" `Quick test_mem_fill_zero;
           Alcotest.test_case "snapshot/restore" `Quick test_mem_snapshot_restore;
+          QCheck_alcotest.to_alcotest prop_equal_bytes;
         ] );
       ( "paged-store",
         [
@@ -817,6 +977,8 @@ let () =
           Alcotest.test_case "known encoding" `Quick test_gdt_known_encoding;
           Alcotest.test_case "gdt write" `Quick test_gdt_write;
           Alcotest.test_case "identity map" `Quick test_paging_identity;
+          Alcotest.test_case "the directory in one copy, as 514 stores" `Quick
+            test_paging_one_copy;
           Alcotest.test_case "unmapped beyond 1GB" `Quick test_paging_unmapped_beyond_1gb;
         ] );
       ( "boot",
@@ -826,6 +988,7 @@ let () =
           Alcotest.test_case "long components" `Quick test_boot_long_components;
           Alcotest.test_case "cost ordering" `Quick test_boot_cost_ordering;
           Alcotest.test_case "long total near paper" `Quick test_boot_long_total_near_paper;
+          Alcotest.test_case "charges pinned in every mode" `Quick test_boot_charges_pinned;
         ] );
       ( "cpu",
         [
