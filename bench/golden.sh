@@ -47,6 +47,11 @@ run() {
     > chaos.txt
   "$w" --replay chaos.vxr --probe "$probe" --probe-out replay-probe.txt > replay.txt
   "$w" --vhttp --record ring.vxr > vhttp.txt
+  # the guest faults on purpose (exit 1): its flight dump ends in a
+  # FAULT entry, recorded with the exit status
+  fault_status=0
+  "$w" --example-fault > fault.txt 2>&1 || fault_status=$?
+  echo "exit status $fault_status" >> fault.txt
   "$b" fig12 --cores 4 --telemetry --trace-json sched.json > fig12.txt
   # host wall-clock notes (translate's speedups) go to stderr
   # shellcheck disable=SC2086

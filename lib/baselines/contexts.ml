@@ -24,7 +24,7 @@ let kvm_cold sys =
       let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode:Vm.Modes.Real in
       Vm.Memory.write_bytes mem ~off:0 hlt_image;
       match Kvmsim.Kvm.run vcpu with
-      | Kvmsim.Kvm.Hlt -> ()
+      | Vm.Cpu.Halt -> ()
       | _ -> failwith "kvm_cold: expected hlt")
 
 module Vmrun_floor = struct
@@ -41,7 +41,7 @@ module Vmrun_floor = struct
     elapsed t.sys (fun () ->
         Vm.Cpu.set_pc (Kvmsim.Kvm.vcpu_cpu t.vcpu) 0;
         match Kvmsim.Kvm.run t.vcpu with
-        | Kvmsim.Kvm.Hlt -> ()
+        | Vm.Cpu.Halt -> ()
         | _ -> failwith "vmrun: expected hlt")
 end
 

@@ -1,66 +1,3 @@
-type task = { at : int64; seq : int; fn : core:int -> unit }
-
-(* binary heap keyed by (at, seq), same discipline as Sim's event heap *)
-module Heap = struct
-  type t = { mutable arr : task array; mutable size : int }
-
-  let dummy = { at = 0L; seq = 0; fn = (fun ~core:_ -> ()) }
-
-  let create () = { arr = Array.make 16 dummy; size = 0 }
-
-  let size h = h.size
-
-  let earlier a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
-
-  let swap h i j =
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- tmp
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if earlier h.arr.(i) h.arr.(parent) then begin
-        swap h i parent;
-        sift_up h parent
-      end
-    end
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.size && earlier h.arr.(l) h.arr.(!smallest) then smallest := l;
-    if r < h.size && earlier h.arr.(r) h.arr.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      sift_down h !smallest
-    end
-
-  let push h task =
-    if h.size = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.size) dummy in
-      Array.blit h.arr 0 bigger 0 h.size;
-      h.arr <- bigger
-    end;
-    h.arr.(h.size) <- task;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1)
-
-  let peek h = if h.size = 0 then None else Some h.arr.(0)
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.arr.(0) <- h.arr.(h.size);
-        sift_down h 0
-      end;
-      Some top
-    end
-end
-
 type core_stats = {
   mutable executed : int;
   mutable stolen : int;
@@ -71,7 +8,7 @@ type core_stats = {
 
 type t = {
   clocks : Cycles.Clock.t array;
-  queues : Heap.t array;
+  queues : (core:int -> unit) Heap.t array;  (* tasks by (release time, submission) *)
   per_core : core_stats array;
   steal : bool;
   switch : (int -> unit) option;
@@ -145,10 +82,9 @@ let submit t ?affinity ?(at = 0L) fn =
         t.rr <- (t.rr + 1) mod cores t;
         c
   in
-  let task = { at; seq = t.next_seq; fn } in
+  Heap.push t.queues.(core) { at; seq = t.next_seq; value = fn };
   t.next_seq <- t.next_seq + 1;
-  t.submitted <- t.submitted + 1;
-  Heap.push t.queues.(core) task
+  t.submitted <- t.submitted + 1
 
 (* The task core [c] would run next: its own queue head, or — only when
    the local queue is empty — the head of the longest other queue. *)
@@ -220,7 +156,7 @@ let step t =
       end;
       (match t.switch with Some f -> f c | None -> ());
       let before = Cycles.Clock.now clk in
-      task.fn ~core:c;
+      task.value ~core:c;
       let s = t.per_core.(c) in
       let busy = Cycles.Clock.elapsed_since clk before in
       s.busy_cycles <- Int64.add s.busy_cycles busy;

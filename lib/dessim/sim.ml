@@ -1,105 +1,42 @@
-(* binary heap keyed by (time, sequence) *)
-
-type event = { time : int64; seq : int; action : unit -> unit }
-
 type t = {
-  mutable heap : event array;
-  mutable size : int;
+  events : (unit -> unit) Heap.t;
   mutable clock : int64;
   mutable next_seq : int;
 }
 
-let create () =
-  {
-    heap = Array.make 64 { time = 0L; seq = 0; action = (fun () -> ()) };
-    size = 0;
-    clock = 0L;
-    next_seq = 0;
-  }
+let create () = { events = Heap.create (); clock = 0L; next_seq = 0 }
 
 let now t = t.clock
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t ev =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) ev in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- ev;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
-let peek t = if t.size = 0 then None else Some t.heap.(0)
+(* Events at equal times fire in scheduling order: [seq] numbers them. *)
+let push t ~at action =
+  Heap.push t.events { at; seq = t.next_seq; value = action };
+  t.next_seq <- t.next_seq + 1
 
 let schedule t ~delay action =
   if Int64.compare delay 0L < 0 then invalid_arg "Sim.schedule: negative delay";
-  let ev = { time = Int64.add t.clock delay; seq = t.next_seq; action } in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
+  push t ~at:(Int64.add t.clock delay) action
 
-let at t ~time action =
-  let time = if Int64.compare time t.clock < 0 then t.clock else time in
-  let ev = { time; seq = t.next_seq; action } in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
+let at t ~time action = push t ~at:(if Int64.compare time t.clock < 0 then t.clock else time) action
 
 let run ?until t =
   let continue = ref true in
   while !continue do
-    match peek t with
+    match Heap.peek t.events with
     | None -> continue := false
     | Some ev -> (
         match until with
-        | Some limit when Int64.compare ev.time limit > 0 -> continue := false
+        | Some limit when Int64.compare ev.at limit > 0 -> continue := false
         | Some _ | None ->
-            ignore (pop t);
-            t.clock <- ev.time;
-            ev.action ())
+            ignore (Heap.pop t.events);
+            t.clock <- ev.at;
+            ev.value ())
   done;
   match until with
-  | Some limit when Int64.compare t.clock limit < 0 && t.size = 0 -> t.clock <- limit
-  | Some limit when t.size > 0 && Int64.compare t.clock limit < 0 -> t.clock <- limit
+  | Some limit when Int64.compare t.clock limit < 0 -> t.clock <- limit
   | _ -> ()
 
-let pending t = t.size
+let pending t = Heap.size t.events
 
 module Server = struct
   type request = { enqueued : int64; on_done : wait:int64 -> service:int64 -> unit }

@@ -58,13 +58,12 @@ let observe t features =
 (* Feature extraction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let flight_kind_name (k : Profiler.Flight.kind) =
-  match k with
-  | Profiler.Flight.Halt -> "hlt"
-  | Io_out { port; _ } -> Printf.sprintf "out%d" port
-  | Io_in { port } -> Printf.sprintf "in%d" port
-  | Fault f -> "fault:" ^ f
-  | Fuel -> "fuel"
+let flight_kind_name : Profiler.Flight.kind -> string = function
+  | Exit Halt -> "hlt"
+  | Exit (Io_out { port; _ }) -> Printf.sprintf "out%d" port
+  | Exit (Io_in { port; _ }) -> Printf.sprintf "in%d" port
+  | Exit (Fault _ as e) -> "fault:" ^ Format.asprintf "%a" Vm.Cpu.pp_exit e
+  | Exit Out_of_fuel -> "fuel"
   | Ept _ -> "ept"
   | Injected site -> "inj:" ^ site
 

@@ -58,13 +58,6 @@ type vm = { sys : system; mutable memory : Vm.Memory.t option }
 
 type vcpu = { parent : vm; cpu : Vm.Cpu.t }
 
-type run_exit =
-  | Hlt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int; reg : Instr.reg }
-  | Fault of Vm.Cpu.fault
-  | Out_of_fuel
-
 let open_dev ?(seed = 0x5eed) ?(cores = 1) ?flight_capacity ?hc_port () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
   let flight = Profiler.Flight.create ?capacity:flight_capacity () in
@@ -249,17 +242,18 @@ let hypercall_exit sys port = match sys.hc_port with Some p -> p = port | None -
 
 (* The vtrace site, reason and [nr] each KVM event fires with. *)
 let site_of : Profiler.Flight.kind -> string = function
-  | Ept _ -> "ept" | Injected _ -> "inject" | Halt | Io_out _ | Io_in _ | Fault _ | Fuel -> "exit"
+  | Exit _ -> "exit" | Ept _ -> "ept" | Injected _ -> "inject"
 
 let reason_of sys : Profiler.Flight.kind -> string = function
-  | Io_out { port; _ } when hypercall_exit sys port -> "hypercall"
-  | Halt -> "hlt" | Io_out _ -> "io_out" | Io_in _ -> "io_in" | Fault _ -> "fault"
-  | Fuel -> "fuel" | Ept _ -> "cow_break" | Injected site -> site
+  | Exit (Io_out { port; _ }) when hypercall_exit sys port -> "hypercall"
+  | Exit Halt -> "hlt" | Exit (Io_out _) -> "io_out" | Exit (Io_in _) -> "io_in"
+  | Exit (Fault _) -> "fault" | Exit Out_of_fuel -> "fuel" | Ept _ -> "cow_break"
+  | Injected site -> site
 
 let nr_of sys : Profiler.Flight.kind -> int64 = function
-  | Io_out { port; value } when hypercall_exit sys port -> value
-  | Io_out { port; _ } | Io_in { port } | Ept { page = port } -> Int64.of_int port
-  | Halt | Fault _ | Fuel | Injected _ -> 0L
+  | Exit (Io_out { port; value }) when hypercall_exit sys port -> value
+  | Exit (Io_out { port; _ } | Io_in { port; _ }) | Ept { page = port } -> Int64.of_int port
+  | Exit (Halt | Fault _ | Out_of_fuel) | Injected _ -> 0L
 
 (* Every KVM-level event — a KVM_RUN return, a CoW break, a fault-plan
    injection — fans out from here to each observer, in a fixed order:
@@ -271,14 +265,14 @@ let observe sys ~pc ~cycles ~fuel (kind : Profiler.Flight.kind) =
   let site = site_of kind and reason = reason_of sys kind in
   let is_exit = String.equal site "exit" in
   (match kind with
-  | Io_out _ | Io_in _ -> count sys "kvm_io_exits_total"
-  | Fault _ -> count sys "kvm_fault_exits_total"
+  | Exit (Io_out _ | Io_in _) -> count sys "kvm_io_exits_total"
+  | Exit (Fault _) -> count sys "kvm_fault_exits_total"
   | Ept _ -> count sys "kvm_ept_violations_total"
   | Injected site ->
       let help = "fault-plan injections fired" in
       count sys ~help "wasp_faults_injected_total";
       count sys ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"
-  | Halt | Fuel -> ());
+  | Exit (Halt | Out_of_fuel) -> ());
   if is_exit then bump sys (exit_series sys reason);
   Profiler.Flight.record sys.flight ?trace:(active_trace sys)
     ~at:(Cycles.Clock.now (clock sys))
@@ -410,28 +404,10 @@ let run ?fuel v =
         charge sys Cycles.Costs.vmexit;
         exit)
   in
-  let observe_exit kind =
-    observe sys ~pc:(Vm.Cpu.pc v.cpu)
-      ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock sys) t0))
-      ~fuel:(Option.value fuel ~default:0) kind
-  in
-  match exit with
-  | Vm.Cpu.Halt ->
-      observe_exit Profiler.Flight.Halt;
-      Hlt
-  | Vm.Cpu.Io_out { port; value } ->
-      observe_exit (Profiler.Flight.Io_out { port; value });
-      Io_out { port; value }
-  | Vm.Cpu.Io_in { port; reg } ->
-      observe_exit (Profiler.Flight.Io_in { port });
-      Io_in { port; reg }
-  | Vm.Cpu.Fault f ->
-      observe_exit
-        (Profiler.Flight.Fault (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f)));
-      Fault f
-  | Vm.Cpu.Out_of_fuel ->
-      observe_exit Profiler.Flight.Fuel;
-      Out_of_fuel
+  observe sys ~pc:(Vm.Cpu.pc v.cpu)
+    ~cycles:(Int64.to_int (Cycles.Clock.elapsed_since (clock sys) t0))
+    ~fuel:(Option.value fuel ~default:0) (Profiler.Flight.Exit exit);
+  exit
 
 (* The execute phase, with the vCPU step hook of what is attached (the
    profiler's attribution, inside its bracket, then the ["instr"] site)

@@ -14,13 +14,6 @@ type system
 type vm
 type vcpu
 
-type run_exit =
-  | Hlt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int; reg : Instr.reg }
-  | Fault of Vm.Cpu.fault
-  | Out_of_fuel
-
 type stats = {
   vm_creations : int;
       (** VMs built, by {!create_vm} (not one failed by
@@ -56,7 +49,7 @@ exception Injected_failure of string
     - {!site_ept_storm}: one opportunity per {!run}; a fire charges a
       burst of 8 no-progress EPT violations.
     - {!site_guest_hang}: one opportunity per {!run}; a fire burns the
-      caller's entire fuel budget and returns {!Out_of_fuel} without
+      caller's entire fuel budget and returns [Vm.Cpu.Out_of_fuel] without
       executing the guest.
     - {!site_provision_fail}: one opportunity per {!create_vm}; a fire
       raises {!Injected_failure} after charging the failed ioctl's
@@ -274,10 +267,11 @@ val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
     system's translated blocks stay: a block is revalidated against the
     memory it next runs on (see {!Vm.Translate}). *)
 
-val run : ?fuel:int -> vcpu -> run_exit
+val run : ?fuel:int -> vcpu -> Vm.Cpu.exit_reason
 (** The [KVM_RUN] ioctl: charges syscall entry, in-kernel checks and VM
     entry; executes the guest until it exits; charges VM exit and the
-    return to user space. Resumable after I/O exits. Each return also
+    return to user space, and returns the exit as the vCPU reported it.
+    Resumable after I/O exits. Each return also
     bumps the [kvm_exits_total{reason}] counter
     ([hlt]/[hypercall]/[io_out]/[io_in]/[fault]/[fuel]). *)
 

@@ -5,14 +5,7 @@
    stay on permanently; on a guest fault or policy violation the last-N
    events are rendered as a "black box" report. *)
 
-type kind =
-  | Halt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int }
-  | Fault of string
-  | Fuel
-  | Ept of { page : int }
-  | Injected of string
+type kind = Exit of Vm.Cpu.exit_reason | Ept of { page : int } | Injected of string
 
 (* A hypervisor annotation, or the function that formats it when the
    ring is read: most exits are overwritten unread, so most notes are
@@ -34,12 +27,11 @@ type t = {
   ring : entry option array;
   mutable next : int;   (** ring slot for the next record *)
   mutable total : int;  (** exits ever recorded *)
-  mutable last : entry option;
 }
 
 let create ?(capacity = 128) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  { capacity; ring = Array.make capacity None; next = 0; total = 0; last = None }
+  { capacity; ring = Array.make capacity None; next = 0; total = 0 }
 
 let capacity t = t.capacity
 let total t = t.total
@@ -49,12 +41,13 @@ let record t ?trace ~at ~core ~pc kind =
   let e = { seq = t.total; at; core; pc; kind; trace; notes = [] } in
   t.ring.(t.next) <- Some e;
   t.next <- (t.next + 1) mod t.capacity;
-  t.total <- t.total + 1;
-  t.last <- Some e
+  t.total <- t.total + 1
 
-let annotate_last t note = match t.last with Some e -> e.notes <- [ Text note ] | None -> ()
+let append t note =
+  match t.ring.((t.next + t.capacity - 1) mod t.capacity) with
+  | Some e -> e.notes <- note :: e.notes
+  | None -> ()
 
-let append t note = match t.last with Some e -> e.notes <- note :: e.notes | None -> ()
 let append_note t note = append t (Text note)
 let append_deferred t f = append t (Deferred f)
 
@@ -77,12 +70,13 @@ let entries t =
       | Some e -> e
       | None -> assert false)
 
+(* An exit is kept as the vCPU reported it and rendered only here. *)
 let kind_to_string = function
-  | Halt -> "hlt"
-  | Io_out { port; value } -> Printf.sprintf "io_out port=0x%x value=%Ld" port value
-  | Io_in { port } -> Printf.sprintf "io_in port=0x%x" port
-  | Fault msg -> Printf.sprintf "FAULT %s" msg
-  | Fuel -> "out_of_fuel"
+  | Exit Halt -> "hlt"
+  | Exit (Io_out { port; value }) -> Printf.sprintf "io_out port=0x%x value=%Ld" port value
+  | Exit (Io_in { port; _ }) -> Printf.sprintf "io_in port=0x%x" port
+  | Exit (Fault _ as e) -> "FAULT " ^ Format.asprintf "%a" Vm.Cpu.pp_exit e
+  | Exit Out_of_fuel -> "out_of_fuel"
   | Ept { page } -> Printf.sprintf "ept_violation page=%d" page
   | Injected site -> Printf.sprintf "INJECTED %s" site
 

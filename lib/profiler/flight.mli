@@ -8,11 +8,9 @@
     annotated "black box" {!dump}. *)
 
 type kind =
-  | Halt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int }
-  | Fault of string
-  | Fuel
+  | Exit of Vm.Cpu.exit_reason
+      (** A [KVM_RUN] return, as the vCPU reported it; rendered only
+          when the ring is read. *)
   | Ept of { page : int }
       (** Simulated EPT write-protection violation: a CoW break of a
           shared guest page. Unlike the other kinds this is not a
@@ -58,14 +56,11 @@ val count : t -> int
 
 val record : t -> ?trace:int64 -> at:int64 -> core:int -> pc:int -> kind -> unit
 
-val annotate_last : t -> string -> unit
-(** Attach hypervisor context (e.g. "write(1, 0x80, 5) -> 5") to the most
-    recently recorded exit. *)
-
 val append_note : t -> string -> unit
-(** Like {!annotate_last} but appends (["; "]-separated) instead of
-    replacing, so several observers (hypercall dispatch, vtrace probes)
-    can stamp the same exit without clobbering each other. *)
+(** Attach hypervisor context (e.g. "write(1, 0x80, 5) -> 5") to the
+    most recently recorded exit, after any note already there
+    (["; "]-separated), so several observers (hypercall dispatch, vtrace
+    probes) can stamp the same exit without clobbering each other. *)
 
 val append_deferred : t -> (unit -> string) -> unit
 (** {!append_note} of the text [f ()], with [f] called only when the

@@ -1,16 +1,10 @@
-type breaker_state = Closed | Open | Half_open
+type breaker_state = Wasp.Breaker.state = Closed | Open | Half_open
 
 type breaker_config = { failure_threshold : int; cooldown : int64 }
 
 let default_breaker_config = { failure_threshold = 5; cooldown = 100_000_000L }
 
 type shed_config = { burst : int; refill_per_s : float }
-
-type breaker = {
-  mutable state : breaker_state;
-  mutable failures : int;  (* consecutive, while Closed *)
-  mutable opened_at : int64;
-}
 
 type bucket = { mutable tokens : float; mutable last_refill : int64 }
 
@@ -33,7 +27,7 @@ type t = {
   platform : Vespid.t;
   mutable next_core : int;
   breaker_config : breaker_config;
-  breakers : (string, breaker) Hashtbl.t;
+  breakers : (string, Wasp.Breaker.t) Hashtbl.t;
   shed : shed_config option;
   bucket : bucket;
   mutable slos : (Telemetry.Slo.t * Telemetry.Slo.t) option;
@@ -105,47 +99,19 @@ let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with
   | Some b -> b
   | None ->
-      let b = { state = Closed; failures = 0; opened_at = 0L } in
+      let { failure_threshold; cooldown } = t.breaker_config in
+      let b = Wasp.Breaker.create ~threshold:failure_threshold ~cooldown in
       Hashtbl.replace t.breakers name b;
       b
 
-let breaker_state t ~name =
-  let b = breaker_for t name in
-  (* An Open breaker past its cooldown will admit the next invoke as a
-     half-open probe; report it as such. *)
-  match b.state with
-  | Open
-    when Int64.compare (Int64.sub (now t) b.opened_at) t.breaker_config.cooldown >= 0
-    ->
-      Half_open
-  | s -> s
+let breaker_state t ~name = Wasp.Breaker.state (breaker_for t name) ~now:(now t)
 
-let note_breaker_gauge t name (b : breaker) =
+let note_breaker_gauge t name state =
   if Kvmsim.Kvm.hub_attached (kvm t) then
     Kvmsim.Kvm.gauge (kvm t)
       ~help:"per-function circuit breaker (0 closed, 0.5 half-open, 1 open)"
       ~labels:[ ("fn", name) ] "wasp_breaker_state"
-      (match b.state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0)
-
-let note_success t name (b : breaker) =
-  b.failures <- 0;
-  if b.state <> Closed then b.state <- Closed;
-  note_breaker_gauge t name b
-
-let note_failure t name (b : breaker) =
-  (match b.state with
-  | Half_open ->
-      (* the probe failed: straight back to Open, cooldown restarts *)
-      b.state <- Open;
-      b.opened_at <- now t
-  | Closed ->
-      b.failures <- b.failures + 1;
-      if b.failures >= t.breaker_config.failure_threshold then begin
-        b.state <- Open;
-        b.opened_at <- now t
-      end
-  | Open -> ());
-  note_breaker_gauge t name b
+      (match state with Closed -> 0.0 | Half_open -> 0.5 | Open -> 1.0)
 
 (* Token-bucket load shedding on the virtual clock: [burst] tokens,
    refilled at [refill_per_s] per virtual second. No tokens left means
@@ -206,33 +172,27 @@ let invoke t name body =
   end
   else begin
     let b = breaker_for t name in
-    (* Open -> Half_open once the cooldown has elapsed; the admitted
-       request is the probe. *)
-    (match b.state with
-    | Open
-      when Int64.compare (Int64.sub (now t) b.opened_at) t.breaker_config.cooldown
-           >= 0 ->
-        b.state <- Half_open;
-        note_breaker_gauge t name b
-    | Open | Half_open | Closed -> ());
-    match b.state with
-    | Open ->
+    match Wasp.Breaker.admit b ~now:(now t) with
+    | Rejected ->
         Kvmsim.Kvm.count sys "gateway_breaker_rejections_total";
         Kvmsim.Kvm.fire sys ~fn:name ~reason:"breaker" ~cycles:0 ~nr:0 "gateway";
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
-    | Closed | Half_open -> (
+    | (Admitted | Probe) as admission -> (
+        (* a probe is the request the cooldown's end admits *)
+        if admission = Probe then note_breaker_gauge t name Half_open;
         (* admitted: the next request goes to the next core *)
         t.next_core <- (t.next_core + 1) mod Wasp.Runtime.cores (Vespid.runtime t.platform);
         match Vespid.invoke_timed t.platform ~name ~input:(Bytes.of_string body) with
         | Ok out, cycles ->
-            note_success t name b;
+            Wasp.Breaker.succeed b;
+            note_breaker_gauge t name Closed;
             Kvmsim.Kvm.fire sys ~fn:name ~reason:"ok" ~cycles:(Int64.to_int cycles) ~nr:0 "gateway";
             slo_availability t ~good:true;
             slo_latency t cycles;
             respond ~status:200 out
         | Error e, cycles ->
-            note_failure t name b;
+            note_breaker_gauge t name (if Wasp.Breaker.fail b ~now:(now t) then Open else Closed);
             Kvmsim.Kvm.fire sys ~fn:name ~reason:"error" ~cycles:(Int64.to_int cycles) ~nr:0 "gateway";
             slo_availability t ~good:false;
             respond ~status:500 (Printf.sprintf "function error: %s\n" e)

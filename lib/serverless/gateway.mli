@@ -16,7 +16,7 @@
 
 type t
 
-type breaker_state =
+type breaker_state = Wasp.Breaker.state =
   | Closed  (** healthy: requests flow *)
   | Open  (** failing: invokes are refused with 503 until the cooldown *)
   | Half_open  (** cooldown elapsed: one probe request is admitted *)

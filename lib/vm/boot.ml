@@ -38,4 +38,9 @@ let perform ~mem ~clock ~rng ~target =
   charge "first instruction" Cycles.Costs.first_instruction;
   List.rev !charged
 
+let min_mem_size = function
+  | Modes.Real -> 0
+  | Modes.Protected -> Gdt.end_addr
+  | Modes.Long -> max Gdt.end_addr Paging.end_addr
+
 let total_cost components = List.fold_left (fun acc c -> acc + c.cycles) 0 components

@@ -21,4 +21,8 @@ val perform :
     breakdown actually charged. Real mode performs only the first
     instruction fetch — the basis of Figure 3's real-mode savings. *)
 
+val min_mem_size : Modes.t -> int
+(** The smallest memory {!perform} can boot into the mode (0x518 for
+    protected, 16 KB for long); it raises {!Memory.Fault} below it. *)
+
 val total_cost : component list -> int

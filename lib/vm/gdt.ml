@@ -76,8 +76,10 @@ let flat_data =
     granularity_4k = true;
   }
 
+let end_addr = base_addr + 24
+
 let write mem ~long =
   Memory.write_u64 mem base_addr 0L;
   Memory.write_u64 mem (base_addr + 8) (encode_descriptor (flat_code ~long));
   Memory.write_u64 mem (base_addr + 16) (encode_descriptor flat_data);
-  24
+  end_addr - base_addr

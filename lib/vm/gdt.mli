@@ -9,6 +9,9 @@
 val base_addr : int
 (** Where the boot sequence places the GDT (0x500, below the image). *)
 
+val end_addr : int
+(** The first byte past the table {!write} builds (0x518). *)
+
 type descriptor = {
   base : int;
   limit : int;

@@ -22,6 +22,8 @@ let page_directory =
   done;
   b
 
+let end_addr = pd_addr + (8 * pd_entries)
+
 let build_identity_map mem =
   Memory.write_u64 mem pml4_addr (entry ~phys:pdpt_addr ~flags:table_flags);
   Memory.write_u64 mem pdpt_addr (entry ~phys:pd_addr ~flags:table_flags);

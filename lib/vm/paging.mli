@@ -11,6 +11,9 @@ val pml4_addr : int
 (** Physical address of the PML4 (0x1000); PDPT and PD follow at 0x2000
     and 0x3000. *)
 
+val end_addr : int
+(** The first byte past the page directory (0x4000). *)
+
 val flag_present : int64
 val flag_writable : int64
 val flag_large_page : int64   (** PS bit (bit 7) in a PD entry. *)

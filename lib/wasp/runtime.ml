@@ -470,13 +470,27 @@ type provisioned = {
   start : int64;
 }
 
+(* A retained shell pins its key's invocations to its home core (its
+   vCPU bills that core's clock) while the key's snapshot exists, which
+   is when [claim] reuses it. Reads no LRU stamp of the store. *)
+let on_home_core t ~snapshot_key =
+  match (t.reset, snapshot_key) with
+  | `Cow, Some key -> (
+      match Hashtbl.find_opt t.retained key with
+      | Some s
+        when s.Pool.home <> Kvmsim.Kvm.current_core t.sys
+             && Snapshot_store.mem t.snapshot_store ~key ->
+          Kvmsim.Kvm.set_core t.sys s.Pool.home
+      | Some _ | None -> ())
+  | (`Cow | `Memcpy), _ -> ()
+
 (* What an invocation starts from, decided before its [invocation] span
-   opens: a retained shell pins the invocation to its home core (its
-   vCPU bills that core's clock), so the switch comes first and the
-   whole root span is stamped on that core's clock. *)
+   opens: the home-core switch comes first, so the whole root span is
+   stamped on that core's clock. *)
 let claim t ~name ~snapshot_key =
   (* for probe contexts fired below Wasp (KVM exits, EPT breaks) *)
   Kvmsim.Kvm.set_payload t.sys name;
+  on_home_core t ~snapshot_key;
   let snapshot =
     match snapshot_key with
     | Some key -> Option.map (fun e -> (key, e)) (Snapshot_store.find t.snapshot_store ~key)
@@ -496,10 +510,6 @@ let claim t ~name ~snapshot_key =
         if Option.is_none snapshot then (None, found) else (found, None)
     | (`Cow | `Memcpy), _ -> (None, None)
   in
-  (match retained with
-  | Some s when s.Pool.home <> Kvmsim.Kvm.current_core t.sys ->
-      Kvmsim.Kvm.set_core t.sys s.Pool.home
-  | Some _ | None -> ());
   { snapshot; retained_shell = retained; stale }
 
 let provision t (c : claim) ~mem_size ~mode =
@@ -670,8 +680,8 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
     else begin
       incr exits;
       match Kvmsim.Kvm.run ~fuel:(fuel_left ()) prov.shell.vcpu with
-      | Kvmsim.Kvm.Hlt -> Exited (Vm.Cpu.get_reg cpu 0)
-      | Kvmsim.Kvm.Io_out { port; value } when
+      | Vm.Cpu.Halt -> Exited (Vm.Cpu.get_reg cpu 0)
+      | Vm.Cpu.Io_out { port; value } when
           port = Hc.port && Int64.to_int value = Hc.ring_enter -> (
           (* The batching doorbell: one exit drains the whole ring. *)
           match drain_ring t ~policy ~handlers ~inv ~take_snapshot ~cpu ~mem ~fuel_left with
@@ -679,7 +689,7 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
           | Drain_done r0 -> (
               Vm.Cpu.set_reg cpu 0 r0;
               match inv.exit_code with Some code -> Exited code | None -> loop ()))
-      | Kvmsim.Kvm.Io_out { port; value } ->
+      | Vm.Cpu.Io_out { port; value } ->
           if port = Hc.port then begin
             let nr = Int64.to_int value in
             let args = Array.init 5 (fun i -> Vm.Cpu.get_reg cpu (i + 1)) in
@@ -705,11 +715,11 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
             Vm.Cpu.set_reg cpu 0 Hc.err_denied;
             loop ()
           end
-      | Kvmsim.Kvm.Io_in { port = _; reg } ->
+      | Vm.Cpu.Io_in { port = _; reg } ->
           Vm.Cpu.set_reg cpu reg 0L;
           loop ()
-      | Kvmsim.Kvm.Fault f -> Faulted f
-      | Kvmsim.Kvm.Out_of_fuel -> Fuel_exhausted
+      | Vm.Cpu.Fault f -> Faulted f
+      | Vm.Cpu.Out_of_fuel -> Fuel_exhausted
     end
   in
   (* KVM installs the step hook the attached observers need, if any *)
@@ -730,8 +740,18 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
   note_trailer t ~cycles:result.cycles ~outcome:(outcome_word outcome) ~return_value;
   result
 
+let undersized ~mem_size mode =
+  let need = Vm.Boot.min_mem_size mode and mode = Vm.Modes.to_string mode in
+  if mem_size >= need then None
+  else Some (Printf.sprintf "mem_size %d is under the %d bytes a %s-mode boot writes" mem_size need mode)
+
+(* An argument error, raised before anything is provisioned. *)
+let check_memory fn ~mem_size mode =
+  Option.iter (fun m -> invalid_arg (fn ^ ": " ^ m)) (undersized ~mem_size mode)
+
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
+  check_memory "Runtime.run" ~mem_size:image.mem_size image.mode;
   let claim = claim t ~name:image.name ~snapshot_key in
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("image", image.name) ] else []) "invocation"
     (fun () ->
@@ -847,6 +867,7 @@ let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
 let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
+  check_memory "Runtime.run_native" ~mem_size mode;
   let claim = claim t ~name ~snapshot_key in
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("payload", name) ] else []) "invocation"
     (fun () ->
@@ -877,6 +898,11 @@ let of_recording rc =
     Option.to_result
       ~none:(Printf.sprintf "unknown mode %S" (Profiler.Replay.mode rc))
       (Vm.Modes.of_string (Profiler.Replay.mode rc))
+  in
+  let* () =
+    match undersized ~mem_size:(Profiler.Replay.mem_size rc) mode with
+    | Some m -> Error m
+    | None -> Ok ()
   in
   let* policy = Policy.of_string (Profiler.Replay.policy rc) in
   let* plan =

@@ -59,6 +59,11 @@ val on_core : t -> int -> unit
     its pool shard. The multi-core scheduler ({!Dessim.Cores}) calls this
     before each task; single-core users never need it. *)
 
+val on_home_core : t -> snapshot_key:string option -> unit
+(** Make current the core {!run} under [snapshot_key] will run on (a
+    retained [`Cow] shell's home core), as {!run} itself does first: a
+    caller that opens spans around {!run} calls it before them. *)
+
 val set_reclaim_policy : t -> Pool.reclaim_policy -> unit
 (** Select how [`Async] cleaning is realized (see {!Pool.reclaim_policy}).
     The scheduler switches the pool to [Scheduled] so cleans consume idle
@@ -203,7 +208,10 @@ val run :
       [snapshot] hypercall path and captures state; later runs restore it
       and skip boot.
     - [inspect] observes guest memory and registers after exit, before
-      the shell is cleaned (used by milestone experiments). *)
+      the shell is cleaned (used by milestone experiments).
+
+    @raise Invalid_argument before anything is provisioned when the
+    image's memory is under {!Vm.Boot.min_mem_size} of its mode. *)
 
 (** {1 Record and replay}
 
@@ -243,7 +251,8 @@ val of_recording :
   Profiler.Replay.t ->
   (Image.t * Policy.t * Cycles.Fault_plan.t option, string) Stdlib.result
 (** The image, policy and freshly parsed fault plan a recording
-    describes; [Error] names an unknown mode, policy or plan. *)
+    describes; [Error] names an unknown mode, policy or plan, or a
+    memory under {!Vm.Boot.min_mem_size} of the mode. *)
 
 val replay :
   ?attach:(t -> Image.t -> Hostenv.endpoint option) ->
@@ -317,4 +326,5 @@ val run_native :
     attached the phase spans tile the invocation exactly as for {!run}.
     [body]'s hypercalls go through policy and handlers but are not
     written to a replay recorder, and a restore never takes the
-    [snapshot_corrupt] fault-plan stomp. *)
+    [snapshot_corrupt] fault-plan stomp. Raises [Invalid_argument] as
+    {!run} does for a memory under {!Vm.Boot.min_mem_size}. *)

@@ -73,6 +73,8 @@ let capture t ~key ~mem ~cpu ~native_state =
   if count t > t.capacity then evict_lru t;
   footprint
 
+let mem t ~key = Hashtbl.mem t.entries key
+
 let find t ~key =
   match Hashtbl.find_opt t.entries key with
   | None -> None

@@ -45,6 +45,9 @@ val capture :
     nonzero byte). Returns the footprint in bytes so the caller can
     charge the page-table build. May evict the LRU entry. *)
 
+val mem : t -> key:string -> bool
+(** Whether [key] holds a snapshot; leaves its LRU stamp alone. *)
+
 val find : t -> key:string -> entry option
 (** Refreshes [key]'s LRU stamp on a hit. *)
 

@@ -49,17 +49,12 @@ type outcome = {
   cycles : int64;
 }
 
-(* [opened_at] stamps the quarantine's start; it ends once the cooldown
-   has elapsed since then. Stamping the end instead would overflow for a
-   cooldown near [Int64.max_int]. *)
-type streak = { mutable failures : int; mutable opened_at : int64 option }
-
 type t = {
   rt : Runtime.t;
   config : config;
   mutable successes : int;
   mutable backoff : int64;
-  streaks : (string, streak) Hashtbl.t;
+  breakers : (string, Breaker.t) Hashtbl.t;  (* per key: quarantine is an open breaker *)
   mutable slo : Telemetry.Slo.t option;
 }
 
@@ -75,7 +70,7 @@ let create ?(config = default_config) rt =
     config;
     successes = 0;
     backoff = 0L;
-    streaks = Hashtbl.create 8;
+    breakers = Hashtbl.create 8;
     slo = None;
   }
 
@@ -101,21 +96,21 @@ let slo_record t ~good =
 
 let now t = Cycles.Clock.now (Runtime.clock t.rt)
 
-let streak_for t key =
-  match Hashtbl.find_opt t.streaks key with
-  | Some s -> s
+let breaker_for t key =
+  match Hashtbl.find_opt t.breakers key with
+  | Some b -> b
   | None ->
-      let s = { failures = 0; opened_at = None } in
-      Hashtbl.replace t.streaks key s;
-      s
+      let b =
+        Breaker.create ~threshold:t.config.quarantine_threshold
+          ~cooldown:t.config.quarantine_cooldown
+      in
+      Hashtbl.replace t.breakers key b;
+      b
 
-let in_quarantine t s =
-  match s.opened_at with
-  | Some at -> Int64.compare (Int64.sub (now t) at) t.config.quarantine_cooldown < 0
-  | None -> false
+let in_quarantine t b = Breaker.state b ~now:(now t) = Breaker.Open
 
 let quarantined_count t =
-  Hashtbl.fold (fun _ s acc -> if in_quarantine t s then acc + 1 else acc) t.streaks 0
+  Hashtbl.fold (fun _ b acc -> if in_quarantine t b then acc + 1 else acc) t.breakers 0
 
 let note_quarantine_gauge t =
   let sys = Runtime.kvm t.rt in
@@ -123,45 +118,38 @@ let note_quarantine_gauge t =
     Kvmsim.Kvm.gauge sys "wasp_quarantined_images" (float_of_int (quarantined_count t))
 
 let quarantined t ~key =
-  match Hashtbl.find_opt t.streaks key with
+  match Hashtbl.find_opt t.breakers key with
   | None -> false
-  | Some s -> in_quarantine t s
+  | Some b -> in_quarantine t b
 
 let release_quarantine t ~key =
-  (match Hashtbl.find_opt t.streaks key with
-  | Some s ->
-      s.failures <- 0;
-      s.opened_at <- None
-  | None -> ());
+  Option.iter Breaker.succeed (Hashtbl.find_opt t.breakers key);
   note_quarantine_gauge t
 
 (* One invocation failed outright (attempts exhausted, or a terminal
-   class). Grow the image's failure streak; past the threshold the image
-   is quarantined until the cooldown elapses on the virtual clock. *)
+   class). Past the threshold the image is quarantined until the
+   cooldown elapses on the virtual clock. *)
 let note_failure t key class_ =
   let sys = Runtime.kvm t.rt and help = "supervised invocations failed" in
   Kvmsim.Kvm.count sys ~help "wasp_supervised_failures_total";
   Kvmsim.Kvm.count sys ~help
     ~labels:[ ("class", error_class_to_string class_) ]
     "wasp_supervised_failures_total";
-  let s = streak_for t key in
-  s.failures <- s.failures + 1;
-  if s.failures >= t.config.quarantine_threshold then begin
-    s.opened_at <- Some (now t);
+  let b = breaker_for t key in
+  if Breaker.fail b ~now:(now t) then begin
+    let failures = Breaker.failures b in
     if Kvmsim.Kvm.hub_attached sys then
       Kvmsim.Kvm.instant sys
-        ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
+        ~args:[ ("key", key); ("failures", string_of_int failures) ]
         "supervisor_quarantine";
     (* vtrace supervisor sites carry the supervision key as [fn] *)
-    Kvmsim.Kvm.fire sys ~fn:key ~reason:"enter" ~cycles:0 ~nr:s.failures "sup_quarantine"
+    Kvmsim.Kvm.fire sys ~fn:key ~reason:"enter" ~cycles:0 ~nr:failures "sup_quarantine"
   end;
   note_quarantine_gauge t
 
 let note_success t key =
   t.successes <- t.successes + 1;
-  let s = streak_for t key in
-  s.failures <- 0;
-  s.opened_at <- None;
+  Breaker.succeed (breaker_for t key);
   note_quarantine_gauge t
 
 (* What went wrong with one attempt, if anything. *)
@@ -196,90 +184,85 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
      included, so attempts tile the parent exactly) is a sibling child
      span — a retried request reads as a fan of attempts in the trace. *)
   let hub = Kvmsim.Kvm.hub_attached sys in
+  (* the span and [cycles] are read on the core the invocation runs on *)
+  Runtime.on_home_core t.rt ~snapshot_key;
   Kvmsim.Kvm.span sys ~args:(if hub then [ ("key", key) ] else []) "supervised" @@ fun () ->
   let start = now t in
-  if quarantined t ~key then begin
-    Kvmsim.Kvm.count sys "wasp_quarantine_rejections_total";
-    Kvmsim.Kvm.fire sys ~fn:key ~reason:"reject" ~cycles:0 ~nr:0 "sup_quarantine";
-    slo_record t ~good:false;
-    {
-      result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
-      attempts = 0;
-      retries = 0;
-      backoff_cycles = 0;
-      cycles = 0L;
-    }
-  end
-  else begin
-    (* An expired quarantine admits a probe, half-open: the streak stays
-       one short of the threshold, so the first failure re-quarantines
-       while a success clears it. *)
-    let s = streak_for t key in
-    if Option.is_some s.opened_at then begin
-      s.opened_at <- None;
-      s.failures <- max 0 (t.config.quarantine_threshold - 1);
-      note_quarantine_gauge t
-    end;
-    let max_attempts = t.config.max_retries + 1 in
-    let backoff_total = ref 0 in
-    let rec attempt k =
-      (* the attempt span closes before any recursion, so attempt k+1 is
-         its sibling, not its child *)
-      let attempt_start = now t in
-      let verdict =
-        let span_args = if hub then [ ("attempt", string_of_int k) ] else [] in
-        Kvmsim.Kvm.span sys ~args:span_args "attempt" @@ fun () ->
-        if k > 1 then begin
-          let d = backoff_for t ~retry:(k - 1) in
-          Cycles.Clock.advance_int (Runtime.clock t.rt) d;
-          backoff_total := !backoff_total + d;
-          t.backoff <- Int64.add t.backoff (Int64.of_int d);
-          Kvmsim.Kvm.count sys "wasp_retries_total";
-          if hub then
-            Kvmsim.Kvm.instant sys
-              ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
-              "supervisor_retry";
-          Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:d ~nr:k "sup_backoff"
-        end;
-        match
-          Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
-            ?fuel:t.config.attempt_fuel ()
-        with
-        | r -> classify t r
-        | exception Kvmsim.Kvm.Injected_failure site ->
-            Retryable (Fault, Printf.sprintf "injected failure at %s" site, None)
-      in
-      Kvmsim.Kvm.fire sys ~fn:key
-        ~reason:
-          (match verdict with
-          | Succeeded _ -> "ok"
-          | Retryable (c, _, _) | Terminal (c, _, _) -> error_class_to_string c)
-        ~cycles:(Int64.to_int (Int64.sub (now t) attempt_start))
-        ~nr:k "sup_attempt";
-      match verdict with
-      | Succeeded r ->
-          note_success t key;
-          (Ok r, k)
-      | Terminal (class_, detail, _) ->
-          note_failure t key class_;
-          (Error (class_, detail), k)
-      | Retryable (class_, detail, _) ->
-          if k < max_attempts then attempt (k + 1)
-          else begin
+  match Breaker.admit (breaker_for t key) ~now:start with
+  | Rejected ->
+      Kvmsim.Kvm.count sys "wasp_quarantine_rejections_total";
+      Kvmsim.Kvm.fire sys ~fn:key ~reason:"reject" ~cycles:0 ~nr:0 "sup_quarantine";
+      slo_record t ~good:false;
+      {
+        result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
+        attempts = 0;
+        retries = 0;
+        backoff_cycles = 0;
+        cycles = 0L;
+      }
+  | (Admitted | Probe) as admission ->
+      (* An expired quarantine admits this invocation as a probe: its
+         failure re-quarantines the image, its success clears the streak. *)
+      if admission = Probe then note_quarantine_gauge t;
+      let max_attempts = t.config.max_retries + 1 in
+      let backoff_total = ref 0 in
+      let rec attempt k =
+        (* the attempt span closes before any recursion, so attempt k+1 is
+           its sibling, not its child *)
+        let attempt_start = now t in
+        let verdict =
+          let span_args = if hub then [ ("attempt", string_of_int k) ] else [] in
+          Kvmsim.Kvm.span sys ~args:span_args "attempt" @@ fun () ->
+          if k > 1 then begin
+            let d = backoff_for t ~retry:(k - 1) in
+            Cycles.Clock.advance_int (Runtime.clock t.rt) d;
+            backoff_total := !backoff_total + d;
+            t.backoff <- Int64.add t.backoff (Int64.of_int d);
+            Kvmsim.Kvm.count sys "wasp_retries_total";
+            if hub then
+              Kvmsim.Kvm.instant sys
+                ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
+                "supervisor_retry";
+            Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:d ~nr:k "sup_backoff"
+          end;
+          match
+            Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
+              ?fuel:t.config.attempt_fuel ()
+          with
+          | r -> classify t r
+          | exception Kvmsim.Kvm.Injected_failure site ->
+              Retryable (Fault, Printf.sprintf "injected failure at %s" site, None)
+        in
+        Kvmsim.Kvm.fire sys ~fn:key
+          ~reason:
+            (match verdict with
+            | Succeeded _ -> "ok"
+            | Retryable (c, _, _) | Terminal (c, _, _) -> error_class_to_string c)
+          ~cycles:(Int64.to_int (Int64.sub (now t) attempt_start))
+          ~nr:k "sup_attempt";
+        match verdict with
+        | Succeeded r ->
+            note_success t key;
+            (Ok r, k)
+        | Terminal (class_, detail, _) ->
             note_failure t key class_;
-            ( Error
-                ( class_,
-                  Printf.sprintf "%s (after %d attempts)" detail max_attempts ),
-              k )
-          end
-    in
-    let result, attempts = attempt 1 in
-    slo_record t ~good:(match result with Ok _ -> true | Error _ -> false);
-    {
-      result;
-      attempts;
-      retries = attempts - 1;
-      backoff_cycles = !backoff_total;
-      cycles = Cycles.Clock.elapsed_since (Runtime.clock t.rt) start;
-    }
-  end
+            (Error (class_, detail), k)
+        | Retryable (class_, detail, _) ->
+            if k < max_attempts then attempt (k + 1)
+            else begin
+              note_failure t key class_;
+              ( Error
+                  ( class_,
+                    Printf.sprintf "%s (after %d attempts)" detail max_attempts ),
+                k )
+            end
+      in
+      let result, attempts = attempt 1 in
+      slo_record t ~good:(match result with Ok _ -> true | Error _ -> false);
+      {
+        result;
+        attempts;
+        retries = attempts - 1;
+        backoff_cycles = !backoff_total;
+        cycles = Cycles.Clock.elapsed_since (Runtime.clock t.rt) start;
+      }

@@ -93,6 +93,36 @@ let test_server_idle_then_busy () =
   Dessim.Sim.run sim;
   Alcotest.(check (list int64)) "completion times" [ 50L; 250L ] (List.rev !done_times)
 
+(* Any interleaving of pushes and pops pops in (at, seq) order, which
+   both the event queue and every multi-core run queue rely on: each pop
+   (and peek) is the least pending entry of a sorted-list model. Pushes
+   are numbered in order, as both callers number them, and [at] is drawn
+   from a small range so that equal times are common. *)
+let prop_heap_order =
+  QCheck.Test.make ~name:"heap pops in (at, seq) order" ~count:500
+    QCheck.(list_of_size Gen.(int_bound 300) (option (int_bound 12)))
+    (fun ops ->
+      let h = Dessim.Heap.create () and model = ref [] and seq = ref 0 in
+      let key (e : int Dessim.Heap.entry) = (e.at, e.seq, e.value) in
+      let head () = match !model with x :: _ -> Some x | [] -> None in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Some at ->
+                let e = { Dessim.Heap.at = Int64.of_int at; seq = !seq; value = !seq } in
+                Dessim.Heap.push h e;
+                model := List.merge compare [ key e ] !model;
+                incr seq;
+                Option.map key (Dessim.Heap.peek h) = head ()
+            | None ->
+                let least = head () in
+                model := (match !model with _ :: rest -> rest | [] -> []);
+                Option.map key (Dessim.Heap.pop h) = least
+          in
+          ok && Dessim.Heap.size h = List.length !model)
+        ops)
+
 let () =
   Alcotest.run "dessim"
     [
@@ -107,6 +137,7 @@ let () =
           Alcotest.test_case "past events" `Quick test_at_in_past_fires;
           Alcotest.test_case "heap growth" `Quick test_many_events_heap_growth;
         ] );
+      ("heap", [ QCheck_alcotest.to_alcotest prop_heap_order ]);
       ( "server",
         [
           Alcotest.test_case "fifo queueing" `Quick test_server_fifo_queueing;

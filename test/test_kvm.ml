@@ -25,7 +25,7 @@ let test_run_hlt () =
   let _, _, mem, vcpu = setup () in
   Vm.Memory.write_bytes mem ~off:0 hlt;
   match Kvmsim.Kvm.run vcpu with
-  | Kvmsim.Kvm.Hlt -> ()
+  | Vm.Cpu.Halt -> ()
   | _ -> Alcotest.fail "expected hlt"
 
 let test_run_charges_round_trip () =
@@ -43,10 +43,10 @@ let test_io_exit_and_resume () =
   Vm.Memory.write_bytes mem ~off:0
     (Encoding.encode_program [ Instr.Mov (0, Instr.Imm 5L); Instr.Out (1, Instr.Reg 0); Instr.Hlt ]);
   (match Kvmsim.Kvm.run vcpu with
-  | Kvmsim.Kvm.Io_out { port = 1; value = 5L } -> ()
+  | Vm.Cpu.Io_out { port = 1; value = 5L } -> ()
   | _ -> Alcotest.fail "expected io exit");
   match Kvmsim.Kvm.run vcpu with
-  | Kvmsim.Kvm.Hlt -> ()
+  | Vm.Cpu.Halt -> ()
   | _ -> Alcotest.fail "expected hlt after resume"
 
 let test_fault_exit () =
@@ -55,7 +55,7 @@ let test_fault_exit () =
     (Encoding.encode_program
        [ Instr.Mov (1, Instr.Imm 0x100000L); Instr.Load (Instr.W64, 0, 1, 0); Instr.Hlt ]);
   match Kvmsim.Kvm.run vcpu with
-  | Kvmsim.Kvm.Fault _ -> ()
+  | Vm.Cpu.Fault _ -> ()
   | _ -> Alcotest.fail "expected fault exit"
 
 let test_stats_counters () =
@@ -93,7 +93,7 @@ let test_out_of_fuel_exit () =
   let _, _, mem, vcpu = setup () in
   Vm.Memory.write_bytes mem ~off:0 (Encoding.encode_program [ Instr.Jmp 0 ]);
   match Kvmsim.Kvm.run ~fuel:50 vcpu with
-  | Kvmsim.Kvm.Out_of_fuel -> ()
+  | Vm.Cpu.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected out of fuel"
 
 let test_deterministic_given_seed () =

@@ -228,7 +228,7 @@ let test_flight_ring_bounds () =
   let fr = Profiler.Flight.create ~capacity:4 () in
   for i = 0 to 9 do
     Profiler.Flight.record fr ~at:(Int64.of_int (100 * i)) ~core:0 ~pc:i
-      Profiler.Flight.Halt
+      (Profiler.Flight.Exit Vm.Cpu.Halt)
   done;
   Alcotest.(check int) "total counts all" 10 (Profiler.Flight.total fr);
   Alcotest.(check int) "ring retains capacity" 4 (Profiler.Flight.count fr);
@@ -246,8 +246,8 @@ let test_flight_wraparound_keeps_stamps () =
       ~trace:(Int64.of_int (1000 + i))
       ~at:(Int64.of_int (10 * i))
       ~core:(i mod 2) ~pc:i
-      (Profiler.Flight.Io_out { port = 1; value = Int64.of_int i });
-    Profiler.Flight.annotate_last fr (Printf.sprintf "hc(%d)" i);
+      (Profiler.Flight.Exit (Vm.Cpu.Io_out { port = 1; value = Int64.of_int i }));
+    Profiler.Flight.append_note fr (Printf.sprintf "hc(%d)" i);
     Profiler.Flight.append_note fr "vtrace"
   done;
   Alcotest.(check int) "total counts every record" 12

@@ -486,6 +486,105 @@ let test_supervisor_retry_schedule_deterministic () =
   Alcotest.(check int64) "same final cycle count" clock_a clock_b
 
 (* ------------------------------------------------------------------ *)
+(* One breaker: Wasp.Breaker against both policies it replaced           *)
+(* ------------------------------------------------------------------ *)
+
+(* A script of clock moves and requests. [Jump] sets the clock to any
+   value, as reading another core's clock can; a request is admitted or
+   not, and an admitted one succeeds, fails or ([`Silent], the gateway's
+   404) reports nothing. *)
+type bop = Advance of int64 | Jump of int64 | Request of [ `Ok | `Fail | `Silent ] | Release
+
+let bop_to_string = function
+  | Advance d -> Printf.sprintf "+%Ld" d
+  | Jump v -> Printf.sprintf "=%Ld" v
+  | Request `Ok -> "ok"
+  | Request `Fail -> "fail"
+  | Request `Silent -> "silent"
+  | Release -> "release"
+
+(* thresholds 1-4; cooldowns 0, small and [Int64.max_int] *)
+let breaker_script ~outcomes ~release =
+  let open QCheck.Gen in
+  let cooldown = oneof [ return 0L; map Int64.of_int (int_range 1 50); return Int64.max_int ] in
+  let delta =
+    frequency
+      [ (8, map Int64.of_int (int_bound 60)); (1, map Int64.of_int (int_bound max_int));
+        (1, return Int64.max_int) ]
+  in
+  let op =
+    frequency
+      ([ (3, map (fun d -> Advance d) delta); (1, map (fun v -> Jump v) delta);
+         (8, map (fun o -> Request o) (oneofl outcomes)) ]
+      @ if release then [ (1, return Release) ] else [])
+  in
+  QCheck.make
+    ~print:(fun (th, cd, ops) ->
+      Printf.sprintf "threshold %d, cooldown %Ld: %s" th cd
+        (String.concat " " (List.map bop_to_string ops)))
+    (triple (int_range 1 4) cooldown (list_size (int_bound 80) op))
+
+(* Run [ops] on the breaker and a model; [agree ~now] compares their
+   state readings after every step. Admissions and the failure count at
+   each opening are compared as they happen. *)
+let breaker_agrees (threshold, cooldown, ops) ~admit ~succeed ~fail ~agree =
+  let b = Wasp.Breaker.create ~threshold ~cooldown in
+  let now = ref 0L in
+  let step = function
+    | Advance d ->
+        now := if Int64.compare d (Int64.sub Int64.max_int !now) > 0 then Int64.max_int
+               else Int64.add !now d;
+        true
+    | Jump v ->
+        now := v;
+        true
+    | Release ->
+        Wasp.Breaker.succeed b;
+        succeed ();
+        true
+    | Request outcome -> (
+        let now = !now in
+        let a = Wasp.Breaker.admit b ~now in
+        a = admit ~now
+        &&
+        match (a, outcome) with
+        | Rejected, _ | (Admitted | Probe), `Silent -> true
+        | (Admitted | Probe), `Ok ->
+            Wasp.Breaker.succeed b;
+            succeed ();
+            true
+        | (Admitted | Probe), `Fail ->
+            let opened =
+              if Wasp.Breaker.fail b ~now then Some (Wasp.Breaker.failures b) else None
+            in
+            opened = fail ~now)
+  in
+  List.for_all (fun op -> step op && agree b ~now:!now) ops
+
+let prop_breaker_is_gateway_breaker =
+  QCheck.Test.make ~name:"breaker = the gateway's breaker" ~count:500
+    (breaker_script ~outcomes:[ `Ok; `Fail; `Silent ] ~release:false)
+    (fun ((threshold, cooldown, _) as script) ->
+      let m = Breakerref.Gateway.create ~threshold ~cooldown in
+      breaker_agrees script
+        ~admit:(fun ~now -> Breakerref.Gateway.admit m ~now)
+        ~succeed:(fun () -> Breakerref.Gateway.succeed m)
+        ~fail:(fun ~now -> Breakerref.Gateway.fail m ~now)
+        ~agree:(fun b ~now -> Wasp.Breaker.state b ~now = Breakerref.Gateway.state m ~now))
+
+let prop_breaker_is_quarantine =
+  QCheck.Test.make ~name:"breaker = the supervisor's quarantine" ~count:500
+    (breaker_script ~outcomes:[ `Ok; `Fail ] ~release:true)
+    (fun ((threshold, cooldown, _) as script) ->
+      let m = Breakerref.Quarantine.create ~threshold ~cooldown in
+      breaker_agrees script
+        ~admit:(fun ~now -> Breakerref.Quarantine.admit m ~now)
+        ~succeed:(fun () -> Breakerref.Quarantine.succeed m)
+        ~fail:(fun ~now -> Breakerref.Quarantine.fail m ~now)
+        ~agree:(fun b ~now ->
+          (Wasp.Breaker.state b ~now = Open) = Breakerref.Quarantine.in_quarantine m ~now))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos recordings replay with zero divergence                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -595,6 +694,42 @@ let test_supervisor_slo_wiring () =
   Alcotest.(check int) "quarantine rejection recorded bad" 3
     (Telemetry.Slo.bad_count slo)
 
+(* A key whose retained CoW shell lives on core 0, supervised from core
+   1 after core 0's clock ran 5M cycles ahead: the invocation runs on
+   core 0, and so do the spans around it and the reported cycles. *)
+let test_supervised_on_home_core () =
+  let w = R.create ~seed:0xACE ~cores:2 ~reset:`Cow () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  let sup = S.create w in
+  let img =
+    Wasp.Image.of_asm_string ~name:"home"
+      "mov r0, 6\nout 1, r0\nmov r1, 0x1000\nmov r2, 7\nst64 [r1], r2\nmov r0, 0\nout 1, r0"
+  in
+  let run () =
+    S.run sup img ~policy:(Wasp.Policy.of_list [ Wasp.Hc.snapshot ]) ~snapshot_key:"home" ()
+  in
+  R.on_core w 0;
+  ignore (run ());
+  Cycles.Clock.advance_int (R.core_clock w 0) 5_000_000;
+  R.on_core w 1;
+  Telemetry.Hub.clear_spans hub;
+  let o = run () in
+  let r = ok (Result.map_error snd o.S.result) in
+  Alcotest.(check bool) "restored on the retained shell" true r.R.from_snapshot;
+  let span name =
+    List.find
+      (fun (s : Telemetry.Span.span) -> s.name = name)
+      (Telemetry.Span.spans (Telemetry.Hub.spans hub))
+  in
+  List.iter
+    (fun name ->
+      let s = span name in
+      Alcotest.(check int) (name ^ " on the shell's home core") 0 s.Telemetry.Span.core;
+      Alcotest.(check int64) (name ^ " = invocation cycles") r.R.cycles s.Telemetry.Span.duration)
+    [ "supervised"; "attempt"; "invocation" ];
+  Alcotest.(check int64) "outcome.cycles = invocation cycles" r.R.cycles o.S.cycles
+
 let test_chaos_vxr_zero_divergence () =
   let plan () =
     FP.create ~seed:0xC4A05
@@ -688,7 +823,12 @@ let () =
           Alcotest.test_case "attempts are sibling spans" `Quick
             test_supervisor_attempts_are_siblings;
           Alcotest.test_case "slo wiring" `Quick test_supervisor_slo_wiring;
+          Alcotest.test_case "spans and cycles on the shell's home core" `Quick
+            test_supervised_on_home_core;
         ] );
+      ( "breaker",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_breaker_is_gateway_breaker; prop_breaker_is_quarantine ] );
       ( "chaos-replay",
         [
           Alcotest.test_case "vxr zero divergence" `Quick test_chaos_vxr_zero_divergence;

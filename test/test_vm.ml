@@ -555,6 +555,24 @@ let test_boot_long_components () =
   (* the page tables must really be there *)
   Alcotest.(check bool) "identity map built" true (Vm.Paging.translate mem 0x8000 = Some 0x8000)
 
+(* [min_mem_size] is the bound [perform] needs: it boots a memory of
+   exactly that size and faults on one a word smaller. *)
+let test_boot_min_mem_size () =
+  List.iter
+    (fun (mode, bound) ->
+      let name = Vm.Modes.to_string mode in
+      Alcotest.(check int) (name ^ " bound") bound (Vm.Boot.min_mem_size mode);
+      let perform size =
+        Vm.Boot.perform ~mem:(Vm.Memory.create ~size) ~clock:(Cycles.Clock.create ())
+          ~rng:(Cycles.Rng.create ~seed:1) ~target:mode
+      in
+      ignore (perform bound);
+      match perform (bound - 8) with
+      | _ -> Alcotest.failf "%s: booted below the bound" name
+      | exception Vm.Memory.Fault _ -> ())
+    [ (Vm.Modes.Protected, 0x518); (Vm.Modes.Long, 0x4000) ];
+  Alcotest.(check int) "real mode writes nothing" 0 (Vm.Boot.min_mem_size Vm.Modes.Real)
+
 let test_boot_cost_ordering () =
   let real, _, _ = boot Vm.Modes.Real in
   let prot, _, _ = boot Vm.Modes.Protected in
@@ -989,6 +1007,7 @@ let () =
           Alcotest.test_case "cost ordering" `Quick test_boot_cost_ordering;
           Alcotest.test_case "long total near paper" `Quick test_boot_long_total_near_paper;
           Alcotest.test_case "charges pinned in every mode" `Quick test_boot_charges_pinned;
+          Alcotest.test_case "min_mem_size is what perform writes" `Quick test_boot_min_mem_size;
         ] );
       ( "cpu",
         [

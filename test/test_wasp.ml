@@ -91,6 +91,49 @@ let test_run_rejects_input_and_args () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* A long-mode boot writes up to the page directory's end at 16 KB: a
+   smaller memory is an argument error before anything is provisioned,
+   and a typed error from a recording of it, however it is read. *)
+let test_undersized_memory_rejected () =
+  let image kb =
+    Wasp.Image.of_program ~name:"tiny" ~mem_size:(kb * 1024) (Asm.assemble_string ~origin:0 "hlt")
+  in
+  let expect_error what = function
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+        let bound = "a long-mode boot writes" in
+        let n = String.length bound in
+        let rec has i = i + n <= String.length e && (String.sub e i n = bound || has (i + 1)) in
+        Alcotest.(check bool) (what ^ " names the bound: " ^ e) true (has 0)
+  in
+  List.iter
+    (fun kb ->
+      let img = image kb and w = R.create () in
+      Alcotest.check_raises (Printf.sprintf "%d KB run" kb)
+        (Invalid_argument
+           (Printf.sprintf "Runtime.run: mem_size %d is under the 16384 bytes a long-mode boot writes"
+              (kb * 1024)))
+        (fun () -> ignore (R.run w img ()));
+      Alcotest.check_raises (Printf.sprintf "%d KB native run" kb)
+        (Invalid_argument
+           (Printf.sprintf
+              "Runtime.run_native: mem_size %d is under the 16384 bytes a long-mode boot writes"
+              (kb * 1024)))
+        (fun () ->
+          ignore (R.run_native w ~name:"tiny" ~mem_size:(kb * 1024) ~body:(fun _ ~restored:_ -> 0L) ()));
+      Alcotest.(check int) "nothing provisioned" 0 (Kvmsim.Kvm.stats (R.kvm w)).vm_creations;
+      let rc = Result.get_ok (R.recording ~seed:1 img Wasp.Policy.deny_all ~fuel:1000) in
+      Profiler.Replay.finish rc ~cycles:0L ~outcome:"exited" ~return_value:0L;
+      let text = Profiler.Replay.to_string rc in
+      expect_error "of_recording" (R.of_recording rc);
+      expect_error "corpus entry" (Fuzz.Corpus.of_vxr_string text);
+      expect_error "replay" (R.replay text))
+    [ 8; 12; 14 ];
+  let r = R.run (R.create ()) (image 16) () in
+  match r.outcome with
+  | R.Exited _ -> ()
+  | _ -> Alcotest.fail "a 16 KB long-mode image boots and halts"
+
 let test_faulting_virtine_is_contained () =
   let img =
     Wasp.Image.of_asm_string ~name:"wild" "mov r1, 0x3000000\nld64 r0, [r1]\nhlt"
@@ -951,6 +994,8 @@ let () =
           Alcotest.test_case "argument marshalling" `Quick test_run_args_marshalling;
           Alcotest.test_case "input bytes via get/return_data" `Quick test_run_input_bytes;
           Alcotest.test_case "input xor args" `Quick test_run_rejects_input_and_args;
+          Alcotest.test_case "undersized memory is a typed error" `Quick
+            test_undersized_memory_rejected;
           Alcotest.test_case "fault contained" `Quick test_faulting_virtine_is_contained;
           Alcotest.test_case "runaway killed" `Quick test_runaway_virtine_killed;
           Alcotest.test_case "aggregate stats" `Quick test_runtime_stats_aggregate;
