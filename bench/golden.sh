@@ -17,7 +17,7 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 mkdir -p "$tmp/src" "$tmp/out/base" "$tmp/out/work"
 git archive "$base" | tar -x -C "$tmp/src"
 
-exes="./bin/wasprun.exe ./bin/fuzz_cli.exe ./bench/main.exe"
+exes="./bin/wasprun.exe ./bin/fuzz_cli.exe ./bin/vespid_cli.exe ./bench/main.exe"
 echo "golden: building $base and the working tree"
 for tree in "$tmp/src" "$root"; do
   # shellcheck disable=SC2086
@@ -36,6 +36,7 @@ test -n "$figures"
 run() {
   w="$1/_build/default/bin/wasprun.exe"
   f="$1/_build/default/bin/fuzz_cli.exe"
+  v="$1/_build/default/bin/vespid_cli.exe"
   b="$1/_build/default/bench/main.exe"
   cd "$2"
   "$w" --example --chaos --repeat 5 --trace-json trace.json --metrics --probe "$probe" \
@@ -57,6 +58,8 @@ run() {
   # shellcheck disable=SC2086
   "$b" $figures --json-out json > figures.txt
   "$f" --iters 25 --seed 0xF022 > fuzz.txt
+  # Vespid's JavaScript functions, cold and warm, in simulated latency
+  "$v" demo > vespid.txt
   cd "$root"
 }
 

@@ -104,7 +104,11 @@ let breaker_for t name =
       Hashtbl.replace t.breakers name b;
       b
 
-let breaker_state t ~name = Wasp.Breaker.state (breaker_for t name) ~now:(now t)
+(* a name never admitted has no breaker, and reads closed *)
+let breaker_state t ~name =
+  match Hashtbl.find_opt t.breakers name with
+  | Some b -> Wasp.Breaker.state b ~now:(now t)
+  | None -> Closed
 
 let note_breaker_gauge t name state =
   if Kvmsim.Kvm.hub_attached (kvm t) then
@@ -160,8 +164,10 @@ let parse_register_target seg =
       in
       (name, Option.value ~default:"main" entry)
 
-(* [handle] has already made [t.next_core] current; the vtrace
-   "gateway" site fires once per admission decision. *)
+(* [handle] has already made the serving core current; the vtrace
+   "gateway" site fires once per admission decision. A name [Vespid]
+   does not know gets its 404 before any breaker is looked up, so it
+   stores nothing. *)
 let invoke t name body =
   let sys = kvm t in
   if not (try_take_token t) then begin
@@ -169,6 +175,11 @@ let invoke t name body =
     Kvmsim.Kvm.fire sys ~fn:name ~reason:"shed" ~cycles:0 ~nr:0 "gateway";
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
+  end
+  else if not (Vespid.mem t.platform ~name) then begin
+    (* a bad name says nothing about the function's health *)
+    Kvmsim.Kvm.fire sys ~fn:name ~reason:"not_found" ~cycles:0 ~nr:0 "gateway";
+    respond ~status:404 (Printf.sprintf "no such function: %s\n" name)
   end
   else begin
     let b = breaker_for t name in
@@ -195,11 +206,7 @@ let invoke t name body =
             note_breaker_gauge t name (if Wasp.Breaker.fail b ~now:(now t) then Open else Closed);
             Kvmsim.Kvm.fire sys ~fn:name ~reason:"error" ~cycles:(Int64.to_int cycles) ~nr:0 "gateway";
             slo_availability t ~good:false;
-            respond ~status:500 (Printf.sprintf "function error: %s\n" e)
-        | exception Vespid.Unknown_function _ ->
-            (* a bad name says nothing about the function's health *)
-            Kvmsim.Kvm.fire sys ~fn:name ~reason:"not_found" ~cycles:0 ~nr:0 "gateway";
-            respond ~status:404 (Printf.sprintf "no such function: %s\n" name))
+            respond ~status:500 (Printf.sprintf "function error: %s\n" e))
   end
 
 let route t (req : Vhttp.Http.request) segments =
@@ -226,11 +233,15 @@ let handle t raw =
       respond ~status:400 (Printf.sprintf "bad request: %s\n" e)
   | Ok req ->
       let segments = split_path req.Vhttp.Http.path in
-      (* Requests are spread round-robin over the simulated cores. An
-         invocation's core is made current before [route] opens, so the
-         span opens and closes on the clock of the core that serves it. *)
+      (* Requests are spread round-robin over the simulated cores, but a
+         function with a retained shell runs on that shell's home core.
+         An invocation's core is made current before [route] opens, so
+         the span opens and closes on the clock of the core that serves
+         it. *)
       (match (req.Vhttp.Http.meth, segments) with
-      | "POST", [ "invoke"; _ ] -> Wasp.Runtime.on_core (Vespid.runtime t.platform) t.next_core
+      | "POST", [ "invoke"; name ] ->
+          Wasp.Runtime.on_core (Vespid.runtime t.platform) t.next_core;
+          Vespid.on_home_core t.platform ~name
       | _ -> ());
       let hub = Kvmsim.Kvm.hub_attached (kvm t) in
       let args = if hub then [ ("method", req.Vhttp.Http.meth); ("path", req.Vhttp.Http.path) ] else [] in

@@ -83,17 +83,20 @@ val handle : t -> string -> string
 (** [handle t raw_request] routes one HTTP request and returns the raw
     HTTP response. Never raises on malformed input (400). A
     [POST /invoke/NAME] is served on the next core in round-robin order,
+    or on the home core of NAME's retained [`Cow] shell if it has one,
     made current before the request's [route] span opens, so its
     admission decisions (shedding, breaker cooldown) read that core's
-    clock; the order advances only when a request is admitted. Counters
+    clock; the order advances only when a request is admitted. A NAME
+    the platform does not know is answered 404 after the shedding check
+    and before any breaker, so it stores nothing. Counters
     on the runtime's hub: [gateway_requests_total], [gateway_shed_total],
     [gateway_breaker_rejections_total], and the [fn]-labeled
     [wasp_breaker_state] gauge (0 closed, 0.5 half-open, 1 open). *)
 
 val breaker_state : t -> name:string -> breaker_state
 (** [name]'s breaker as of the virtual clock (an [Open] breaker whose
-    cooldown has elapsed reports [Half_open]). Functions never invoked
-    report [Closed]. *)
+    cooldown has elapsed reports [Half_open]). A name never admitted,
+    registered or not, reports [Closed] and stores nothing. *)
 
 val shed_count : t -> int
 (** Requests refused with 429 by load shedding: a view of the lifetime

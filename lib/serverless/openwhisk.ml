@@ -31,6 +31,13 @@ let keepalive_cycles = 161_400_000_000L
 
 let v8_speedup = 5.0
 
+(* per node, 22 / 5 truncated: what V8 pays for each node vjs evaluates *)
+let v8_cycles_per_node = int_of_float (float_of_int Vjs.Jsinterp.cost_per_node /. v8_speedup)
+
+let v8_cycles : Vjs.Engine.charge -> int = function
+  | Nodes n -> n * v8_cycles_per_node
+  | Cycles c -> int_of_float (float_of_int c /. v8_speedup)
+
 let create ~clock ?(seed = 0x515) ?(max_containers = 32) () =
   {
     clock;
@@ -72,9 +79,7 @@ let invoke t ~now ~name ~input =
     | None -> raise (Unknown_function name)
   in
   let start = Cycles.Clock.now t.clock in
-  let exec_charge c =
-    Cycles.Clock.advance_int t.clock (int_of_float (float_of_int c /. v8_speedup))
-  in
+  let exec_charge c = Cycles.Clock.advance_int t.clock (v8_cycles c) in
   let container =
     match take_warm t name ~now with
     | Some c ->

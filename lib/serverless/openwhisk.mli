@@ -17,6 +17,13 @@ val warm_overhead_cycles : int (** invoker/proxy/activation path (~9 ms) *)
 val keepalive_cycles : int64   (** idle container grace period (~60 s) *)
 val v8_speedup : float         (** V8 vs. our interpreter on the same UDF *)
 
+val v8_cycles : Vjs.Engine.charge -> int
+(** What a container charges for one delivery of the engine's hook: 4
+    cycles a node ({!Vjs.Jsinterp.cost_per_node} / [v8_speedup],
+    truncated) and an explicit charge divided by [v8_speedup],
+    truncated. Per node this is exactly what dividing each node's
+    charge separately gave. *)
+
 val create : clock:Cycles.Clock.t -> ?seed:int -> ?max_containers:int -> unit -> t
 
 val register : t -> name:string -> source:string -> entry:string -> unit

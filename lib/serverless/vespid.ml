@@ -11,10 +11,18 @@ let register t ~name ~source ~entry =
     (Vjs.Isolate.create t.wasp ~key:("vespid:" ^ name) ~source ~entry)
 
 let registered t = Hashtbl.fold (fun k _ acc -> k :: acc) t.functions [] |> List.sort compare
+let mem t ~name = Hashtbl.mem t.functions name
+
+let on_home_core t ~name =
+  match Hashtbl.find_opt t.functions name with
+  | Some isolate -> Vjs.Isolate.on_home_core isolate
+  | None -> ()
 
 let invoke_timed t ~name ~input =
   match Hashtbl.find_opt t.functions name with
   | Some isolate ->
+      (* the span opens on the core the invocation runs on *)
+      Vjs.Isolate.on_home_core isolate;
       let sys = Wasp.Runtime.kvm t.wasp in
       let hub = Kvmsim.Kvm.hub_attached sys in
       Kvmsim.Kvm.span sys ~args:(if hub then [ ("function", name) ] else []) "invoke" (fun () ->

@@ -25,6 +25,14 @@ val register : t -> name:string -> source:string -> entry:string -> unit
 
 val registered : t -> string list
 
+val mem : t -> name:string -> bool
+(** Whether a function is registered under [name]. *)
+
+val on_home_core : t -> name:string -> unit
+(** Make current the core an invocation of [name] runs on (its retained
+    [`Cow] shell's home core, see {!Wasp.Runtime.on_home_core}), as
+    {!invoke} does before its span opens; nothing for an unknown name. *)
+
 val invoke : t -> name:string -> input:bytes -> (string, string) result
 (** Run one invocation in a distinct virtine; charges the Wasp clock.
     Returns the function's string result or a JS error.

@@ -1,5 +1,9 @@
 open Jsvalue
 
+type charge = Jsinterp.charge = Nodes of int | Cycles of int
+
+let cycles = function Nodes n -> n * Jsinterp.cost_per_node | Cycles c -> c
+
 type t = { interp : Jsinterp.interp; console : Buffer.t }
 
 let define t name v = Jsinterp.define t.interp name v
@@ -78,11 +82,11 @@ let install_builtins t =
   define t "print" print_fn;
   define t "console_log" print_fn
 
-let create ?(charge = fun _ -> ()) ?(max_steps = 5_000_000) () =
-  let t = { interp = Jsinterp.create ~charge ~max_steps (); console = Buffer.create 64 } in
-  charge context_alloc_cycles;
+let create ?charge ?(max_steps = 5_000_000) () =
+  let t = { interp = Jsinterp.create ?charge ~max_steps (); console = Buffer.create 64 } in
+  Jsinterp.charge t.interp context_alloc_cycles;
   install_builtins t;
-  charge binding_cycles;
+  Jsinterp.charge t.interp binding_cycles;
   t
 
 let register t name f = define t name (Native (name, f))
@@ -106,6 +110,22 @@ let compile src =
       in
       Parsed { tokens = List.length toks; code }
 
+(* An entry's guest code, its result or error, and its nodes delivered
+   to the hook however it ends. *)
+let settle t f =
+  let result =
+    match f () with
+    | v -> Ok v
+    | exception Js_error msg -> Error msg
+    | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v)
+    | exception Jsinterp.Return_exc _ -> Error "return outside function"
+    | exception e ->
+        Jsinterp.flush t.interp;
+        raise e
+  in
+  Jsinterp.flush t.interp;
+  result
+
 let run t program =
   Jsinterp.reset_steps t.interp;
   match program with
@@ -114,12 +134,7 @@ let run t program =
       Jsinterp.charge t.interp (tokens * parse_cycles_per_token);
       match code with
       | Error msg -> Error msg
-      | Ok code -> (
-          match Jsinterp.run t.interp code with
-          | v -> Ok v
-          | exception Js_error msg -> Error msg
-          | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v)
-          | exception Jsinterp.Return_exc _ -> Error "return outside function"))
+      | Ok code -> settle t (fun () -> Jsinterp.run t.interp code))
 
 let eval t src = run t (compile src)
 
@@ -127,11 +142,7 @@ let call t name args =
   Jsinterp.reset_steps t.interp;
   match Jsinterp.lookup t.interp name with
   | None -> Error (Printf.sprintf "ReferenceError: %s is not defined" name)
-  | Some fv -> (
-      match Jsinterp.call fv args with
-      | v -> Ok v
-      | exception Js_error msg -> Error msg
-      | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v))
+  | Some fv -> settle t (fun () -> Jsinterp.call t.interp fv args)
 
 let destroy t = Jsinterp.charge t.interp teardown_cycles
 

@@ -15,9 +15,23 @@
     run; each run charges the parse cost again, because that is what a
     fresh context would pay. A snapshot restore does not: it loads the
     compiled program into an uncharged engine, and the restore memcpy
-    carries the cost. *)
+    carries the cost.
+
+    The hook is called at host boundaries, not per node. Each stage's
+    cost arrives as [Cycles c]. Nodes arrive as [Nodes n], the count
+    evaluated since the last delivery, before any native runs, before
+    an explicit charge, and when {!run}, {!eval} or {!call} returns or
+    raises. Between two entries nothing is pending, so a hook swapped by
+    {!set_charge} never receives another entry's nodes. *)
 
 type t
+
+type charge = Jsinterp.charge = Nodes of int | Cycles of int
+
+val cycles : charge -> int
+(** What a delivery costs at the engine's own rates: [Nodes n] is [n]
+    times {!Jsinterp.cost_per_node}, [Cycles c] is [c]. A hook that
+    advances a clock by [cycles c] charges what a per-node hook would. *)
 
 val context_alloc_cycles : int
 (** Allocating the context: heap arena, built-in objects, string interning
@@ -31,7 +45,7 @@ val teardown_cycles : int
 
 val parse_cycles_per_token : int
 
-val create : ?charge:(int -> unit) -> ?max_steps:int -> unit -> t
+val create : ?charge:(charge -> unit) -> ?max_steps:int -> unit -> t
 (** Allocate a context and populate default bindings (Math, String,
     parseInt, ...); charges [context_alloc_cycles + binding_cycles].
     [max_steps] (default 5M) bounds the nodes one {!run}, {!eval} or
@@ -63,7 +77,7 @@ val destroy : t -> unit
 (** Charge the teardown cost. The no-teardown optimization simply does
     not call this. *)
 
-val set_charge : t -> (int -> unit) -> unit
+val set_charge : t -> (charge -> unit) -> unit
 (** Swap the charge hook: a snapshot-restored engine was rebuilt without
     charging (the restore memcpy carries that cost), but its subsequent
     execution must charge the current invocation. *)

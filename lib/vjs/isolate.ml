@@ -19,6 +19,9 @@ let policy =
 let create ?(snapshot = true) ?(teardown = false) wasp ~key ~source ~entry =
   { wasp; key; entry; snapshot; teardown; program = lazy (Engine.compile source) }
 
+let snapshot_key t = if t.snapshot then Some t.key else None
+let on_home_core t = Wasp.Runtime.on_home_core t.wasp ~snapshot_key:(snapshot_key t)
+
 (* A context with the isolate's program loaded. *)
 let build t ~charge =
   let e = Engine.create ~charge () in
@@ -42,9 +45,10 @@ let run t ~input ~decode ~encode =
   let result =
     Wasp.Runtime.run_native t.wasp ~name:("isolate:" ^ t.key) ~mem_size:(128 * 1024) ~policy
       ~input
-      ?snapshot_key:(if t.snapshot then Some t.key else None)
+      ?snapshot_key:(snapshot_key t)
       ~body:(fun ctx ~restored ->
         let charge c = N.charge ctx c in
+        let hook c = charge (Engine.cycles c) in
         (* On the cold path the snapshot capture and the input fetch ride
            one crossing (the native analogue of the guest hypercall ring);
            warm invocations only ever need the [get_data]. *)
@@ -52,7 +56,7 @@ let run t ~input ~decode ~encode =
         let engine =
           match restored with
           | Some (Isolate_engine e) ->
-              Engine.set_charge e charge;
+              Engine.set_charge e hook;
               Ok e
           | Some _ | None -> (
               (* boot path: the engine context lives in guest memory;
@@ -62,7 +66,7 @@ let run t ~input ~decode ~encode =
               for i = 0 to (arena_bytes / 256) - 1 do
                 Vm.Memory.write_u8 mem (arena + (i * 256)) 0x15
               done;
-              match build t ~charge with
+              match build t ~charge:hook with
               | Error msg -> Error msg
               | Ok e ->
                   if t.snapshot then begin

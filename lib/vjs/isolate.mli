@@ -32,6 +32,11 @@ val create :
     skip it. Invocations carry [isolate:KEY] as their [payload] span
     arg. *)
 
+val on_home_core : t -> unit
+(** Make current the core the isolate's next invocation runs on (see
+    {!Wasp.Runtime.on_home_core}): a caller that opens spans around an
+    invocation calls it before them. *)
+
 val run :
   t ->
   input:bytes ->

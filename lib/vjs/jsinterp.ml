@@ -5,8 +5,10 @@
    frame slots, and operators, property names and method names to
    specialised closures; the compiled code holds no engine, so engines
    share it. The cost model is the one the tree-walking evaluator
-   defined: one [cost_per_node] charge at the start of every node it
-   evaluated, in its order.
+   defined: one [cost_per_node] for every node it evaluated, in its
+   order. A node only bumps [steps]; the hook receives the nodes not yet
+   delivered at each host boundary, where host code could read the
+   clock (see the interface).
 
    Scoping keeps that evaluator's rules exactly. Every block, [if]
    branch, loop iteration, [try], [catch] and [finally] body, the head
@@ -29,9 +31,14 @@ exception Throw_exc of t
 exception Break_exc
 exception Continue_exc
 
+type charge = Nodes of int | Cycles of int
+
+(* Nodes are counted in [steps] and reach the hook in one [Nodes] at the
+   next host boundary; [charged] is how many of [steps] it has had. *)
 type interp = {
-  mutable charge : int -> unit;
+  mutable charge : charge -> unit;
   mutable steps : int;
+  mutable charged : int;
   max_steps : int;
   globals : (string, t) Hashtbl.t;
 }
@@ -39,13 +46,27 @@ type interp = {
 let cost_per_node = 22
 
 let create ?(charge = fun _ -> ()) ?(max_steps = 50_000_000) () =
-  { charge; steps = 0; max_steps; globals = Hashtbl.create 32 }
+  { charge; steps = 0; charged = 0; max_steps; globals = Hashtbl.create 32 }
 
-let charge it c = it.charge c
+(* a node past the budget raised before it was charged, so it never is *)
+let flush it =
+  let n = min it.steps it.max_steps - it.charged in
+  if n > 0 then begin
+    it.charged <- it.charged + n;
+    it.charge (Nodes n)
+  end
+
+let charge it c =
+  flush it;
+  it.charge (Cycles c)
+
 let set_charge it c = it.charge <- c
 
 (* the budget bounds a single top-level entry, not the engine lifetime *)
-let reset_steps it = it.steps <- 0
+let reset_steps it =
+  it.steps <- 0;
+  it.charged <- 0
+
 let steps it = it.steps
 let define it name v = Hashtbl.replace it.globals name v
 let lookup it name = Hashtbl.find_opt it.globals name
@@ -55,8 +76,7 @@ let budget_exceeded () = raise (Js_error "script step budget exceeded")
 let[@inline] tick it =
   let s = it.steps + 1 in
   it.steps <- s;
-  if s > it.max_steps then budget_exceeded ();
-  it.charge cost_per_node
+  if s > it.max_steps then budget_exceeded ()
 
 let js_fail fmt = Printf.ksprintf (fun s -> raise (Js_error s)) fmt
 
@@ -88,10 +108,15 @@ type stmt_code = interp -> frame -> unit
 (* Calls and builtin methods                                            *)
 (* ------------------------------------------------------------------ *)
 
-let call fv argv =
+(* Every call from guest code, and every native, goes through here: a
+   native is host code, which may read the clock, so the nodes counted
+   so far reach the hook first. *)
+let call it fv argv =
   match fv with
   | Fun f -> f.call argv
-  | Native (_, f) -> f argv
+  | Native (_, f) ->
+      flush it;
+      f argv
   | other -> js_fail "%s is not a function" (type_name other)
 
 (* builtin methods, selected by name at compile time and dispatched on
@@ -162,25 +187,25 @@ let string_method name : string -> t list -> t =
         end
   | _ -> fun _ _ -> js_fail "string has no method %s" name
 
-let array_method name : vec -> t list -> t =
+let array_method name : interp -> vec -> t list -> t =
   match name with
   | "map" -> (
-      fun recv -> function
-        | f :: _ -> Arr (vec_of_list (List.map (fun x -> call f [ x ]) (vec_to_list recv)))
+      fun it recv -> function
+        | f :: _ -> Arr (vec_of_list (List.map (fun x -> call it f [ x ]) (vec_to_list recv)))
         | [] -> js_fail "map expects a function")
   | "filter" -> (
-      fun recv -> function
+      fun it recv -> function
         | f :: _ ->
-            Arr (vec_of_list (List.filter (fun x -> truthy (call f [ x ])) (vec_to_list recv)))
+            Arr (vec_of_list (List.filter (fun x -> truthy (call it f [ x ])) (vec_to_list recv)))
         | [] -> js_fail "filter expects a function")
   | "forEach" -> (
-      fun recv -> function
+      fun it recv -> function
         | f :: _ ->
-            List.iter (fun x -> ignore (call f [ x ])) (vec_to_list recv);
+            List.iter (fun x -> ignore (call it f [ x ])) (vec_to_list recv);
             Undefined
         | [] -> js_fail "forEach expects a function")
   | "reduce" -> (
-      fun recv -> function
+      fun it recv -> function
         | f :: rest ->
             let items = vec_to_list recv in
             let init, items =
@@ -189,29 +214,29 @@ let array_method name : vec -> t list -> t =
               | [], x :: xs -> (x, xs)
               | [], [] -> js_fail "reduce of empty array with no initial value"
             in
-            List.fold_left (fun acc x -> call f [ acc; x ]) init items
+            List.fold_left (fun acc x -> call it f [ acc; x ]) init items
         | [] -> js_fail "reduce expects a function")
   | "concat" -> (
-      fun recv -> function
+      fun _ recv -> function
         | Arr other :: _ -> Arr (vec_of_list (vec_to_list recv @ vec_to_list other))
         | v :: _ -> Arr (vec_of_list (vec_to_list recv @ [ v ]))
         | [] -> Arr (vec_of_list (vec_to_list recv)))
   | "reverse" ->
-      fun recv _ ->
+      fun _ recv _ ->
         let items = List.rev (vec_to_list recv) in
         List.iteri (fun i x -> vec_set recv i x) items;
         Arr recv
   | "push" ->
-      fun recv args ->
+      fun _ recv args ->
         List.iter (vec_push recv) args;
         Num (float_of_int recv.len)
-  | "pop" -> fun recv _ -> vec_pop recv
+  | "pop" -> fun _ recv _ -> vec_pop recv
   | "join" ->
-      fun recv args ->
+      fun _ recv args ->
         let sep = match args with v :: _ -> to_string v | [] -> "," in
         Str (String.concat sep (List.map to_string (vec_to_list recv)))
   | "indexOf" ->
-      fun recv args ->
+      fun _ recv args ->
         let target = match args with v :: _ -> v | [] -> Undefined in
         let rec go i =
           if i >= recv.len then -1
@@ -220,7 +245,7 @@ let array_method name : vec -> t list -> t =
         in
         Num (float_of_int (go 0))
   | "slice" ->
-      fun recv args ->
+      fun _ recv args ->
         let n = recv.len in
         let norm v =
           let i = int_of_float (to_number v) in
@@ -229,7 +254,7 @@ let array_method name : vec -> t list -> t =
         let a = match args with v :: _ -> norm v | [] -> 0 in
         let b = match args with _ :: v :: _ -> norm v | _ -> n in
         Arr (vec_of_list (List.filteri (fun i _ -> i >= a && i < b) (vec_to_list recv)))
-  | _ -> fun _ _ -> js_fail "array has no method %s" name
+  | _ -> fun _ _ _ -> js_fail "array has no method %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Operators                                                            *)
@@ -238,10 +263,18 @@ let array_method name : vec -> t list -> t =
 let int32_op f a b = Num (Int32.to_float (f (to_int32 a) (to_int32 b)))
 let shift f a b = Num (Int32.to_float (f (to_int32 a) (Int32.to_int (to_int32 b) land 31)))
 
+(* string [+]: a string grows no longer than {!Jsvalue.max_length} *)
+let concat x y =
+  if String.length x + String.length y > max_length then js_fail "RangeError: invalid string length";
+  x ^ y
+
+(* one shared block per boolean: a comparison allocates nothing *)
+let[@inline] bool b = if b then Bool true else Bool false
+
 let compare_op numcmp strcmp a b =
   match (a, b) with
-  | Str x, Str y -> Bool (strcmp x y)
-  | _ -> Bool (numcmp (to_number a) (to_number b))
+  | Str x, Str y -> bool (strcmp x y)
+  | _ -> bool (numcmp (to_number a) (to_number b))
 
 (* a binary operator other than && and ||, applied to both operands *)
 let binop = function
@@ -249,7 +282,7 @@ let binop = function
       fun a b ->
         match (a, b) with
         | Num x, Num y -> Num (x +. y)
-        | Str _, _ | _, Str _ -> Str (to_string a ^ to_string b)
+        | Str _, _ | _, Str _ -> Str (concat (to_string a) (to_string b))
         | _ -> Num (to_number a +. to_number b))
   | "-" -> fun a b -> Num (to_number a -. to_number b)
   | "*" -> fun a b -> Num (to_number a *. to_number b)
@@ -259,10 +292,10 @@ let binop = function
   | "<=" -> compare_op (fun x y -> x <= y) (fun x y -> String.compare x y <= 0)
   | ">" -> compare_op (fun x y -> x > y) (fun x y -> String.compare x y > 0)
   | ">=" -> compare_op (fun x y -> x >= y) (fun x y -> String.compare x y >= 0)
-  | "==" -> fun a b -> Bool (loose_equal a b)
-  | "!=" -> fun a b -> Bool (not (loose_equal a b))
-  | "===" -> fun a b -> Bool (strict_equal a b)
-  | "!==" -> fun a b -> Bool (not (strict_equal a b))
+  | "==" -> fun a b -> bool (loose_equal a b)
+  | "!=" -> fun a b -> bool (not (loose_equal a b))
+  | "===" -> fun a b -> bool (strict_equal a b)
+  | "!==" -> fun a b -> bool (not (strict_equal a b))
   | "&" -> int32_op Int32.logand
   | "|" -> int32_op Int32.logor
   | "^" -> int32_op Int32.logxor
@@ -273,7 +306,7 @@ let binop = function
 let unop = function
   | "-" -> fun v -> Num (-.to_number v)
   | "+" -> fun v -> Num (to_number v)
-  | "!" -> fun v -> Bool (not (truthy v))
+  | "!" -> fun v -> bool (not (truthy v))
   | "~" -> fun v -> Num (Int32.to_float (Int32.lognot (to_int32 v)))
   | op -> fun _ -> js_fail "unknown unary %s" op
 
@@ -478,7 +511,7 @@ let rec compile_expr c (e : Jsast.expr) : expr_code =
         tick it;
         let fv = f it fr in
         let argv = args it fr in
-        call fv argv
+        call it fv argv
   | Jsast.Emethod (recv, name, args) ->
       let recv = compile_expr c recv and args = args_code (List.map (compile_expr c) args) in
       let on_string = string_method name and on_array = array_method name in
@@ -488,10 +521,10 @@ let rec compile_expr c (e : Jsast.expr) : expr_code =
         let argv = args it fr in
         (match rv with
         | Str s -> on_string s argv
-        | Arr v -> on_array v argv
+        | Arr v -> on_array it v argv
         | Obj tbl -> (
             match Hashtbl.find_opt tbl name with
-            | Some fv -> call fv argv
+            | Some fv -> call it fv argv
             | None -> js_fail "object has no method %s" name)
         | other -> js_fail "%s has no method %s" (type_name other) name)
   | Jsast.Eprop (recv, name) -> (

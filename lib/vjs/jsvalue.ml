@@ -27,9 +27,12 @@ let vec_of_list vs =
 
 let vec_get v i = if i < 0 || i >= v.len then Undefined else v.items.(i)
 
+let max_length = 1 lsl 22
+
 let vec_grow v cap =
   if cap > Array.length v.items then begin
-    let items = Array.make (max cap (2 * Array.length v.items)) Undefined in
+    if cap > max_length then raise (Js_error "RangeError: invalid array length");
+    let items = Array.make (min max_length (max cap (2 * Array.length v.items))) Undefined in
     Array.blit v.items 0 items 0 v.len;
     v.items <- items
   end

@@ -20,15 +20,25 @@ and vec = { mutable items : t array; mutable len : int }
 
 and fn = { fname : string; call : t list -> t }
 (** [call] runs the function on its arguments, charging the engine that
-    created it; a missing argument is [Undefined]. Every evaluation of a
-    function expression or declaration makes a new [fn], and [===]
-    compares them physically. *)
+    created it (its nodes reach that engine's hook at the engine's next
+    host boundary, see {!Jsinterp}); a missing argument is [Undefined].
+    Every evaluation of a function expression or declaration makes a new
+    [fn], and [===] compares them physically. *)
 
 exception Js_error of string
 (** Runtime errors (reference errors, type errors, step-budget
     exhaustion). Catchable by guest [try]. *)
 
 (** {1 Vectors} *)
+
+val max_length : int
+(** The longest array or string a script can grow: 2{^22} elements or
+    bytes, a thousand times the largest value any workload builds (a few
+    KB). Storing past it (through {!vec_set} or {!vec_push}) raises
+    [Js_error "RangeError: invalid array length"]; the engine's string
+    [+] raises ["RangeError: invalid string length"]. Both are catchable
+    by guest [try]. Arrays built whole from host data ({!vec_of_list},
+    {!of_bytes}) are not checked. *)
 
 val vec_create : unit -> vec
 val vec_of_list : t list -> vec
@@ -37,7 +47,8 @@ val vec_get : vec -> int -> t
 
 val vec_set : vec -> int -> t -> unit
 (** Grows the vector (holes become [Undefined]).
-    @raise Js_error on a negative index. *)
+    @raise Js_error on a negative index or one of {!max_length} or
+    more. *)
 
 val vec_push : vec -> t -> unit
 val vec_pop : vec -> t

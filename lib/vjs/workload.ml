@@ -51,7 +51,7 @@ let base64_program = lazy (Engine.compile base64_js_source)
 
 let run_baseline ~clock ~input =
   let start = Cycles.Clock.now clock in
-  let charge c = Cycles.Clock.advance_int clock c in
+  let charge c = Cycles.Clock.advance_int clock (Engine.cycles c) in
   let engine = Engine.create ~charge () in
   (match Engine.run engine (Lazy.force base64_program) with
   | Ok _ -> ()

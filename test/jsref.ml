@@ -2,8 +2,11 @@
    as the reference model of the differential tests in test_vjs: its
    lexer, its evaluator (a hash-table scope per block, loop iteration and
    call; every identifier looked up by name) and its engine entry points,
-   with the same builtins and the same charges. Only the parser is
-   shared. A guest function here is a [Fun] whose [call] walks its body. *)
+   with the same builtins and the same charges. Its hook is called once
+   per node and once per explicit charge, the per-node reference for the
+   compiled engine, which delivers nodes in batches at host boundaries.
+   Only the parser is shared. A guest function here is a [Fun] whose
+   [call] walks its body. *)
 
 open Vjs
 open Jsvalue
@@ -408,7 +411,11 @@ and eval_binop it env op a b =
       match op with
       | "+" -> (
           match (va, vb) with
-          | Str _, _ | _, Str _ -> Str (to_string va ^ to_string vb)
+          | Str _, _ | _, Str _ ->
+              let x = to_string va and y = to_string vb in
+              if String.length x + String.length y > max_length then
+                js_fail "RangeError: invalid string length";
+              Str (x ^ y)
           | _ -> Num (to_number va +. to_number vb))
       | "-" -> Num (to_number va -. to_number vb)
       | "*" -> Num (to_number va *. to_number vb)
@@ -607,6 +614,7 @@ let create ?(charge = fun _ -> ()) ?(max_steps = 5_000_000) () =
   charge Engine.binding_cycles;
   t
 
+let register t name f = env_define t.globals name (Native (name, f))
 let steps t = t.interp.steps
 let console_output t = Buffer.contents t.console
 

@@ -344,6 +344,46 @@ let test_heap_exhaustion_is_a_failed_invoke () =
   Alcotest.(check int) "no shell leaked" 1
     (Kvmsim.Kvm.stats (Wasp.Runtime.kvm w)).Kvmsim.Kvm.vm_creations
 
+(* JavaScript that would grow one array or string without bound: each
+   program is its function's 500, and the gateway keeps serving *)
+let test_hostile_js_is_a_failed_invoke () =
+  let _, g = hardened_gateway () in
+  ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
+  let status path body = status_of (Serverless.Gateway.handle g (post path body)) in
+  List.iteri
+    (fun i body ->
+      let name = Printf.sprintf "grow%d" i in
+      ignore (status (Printf.sprintf "/register/%s?entry=f" name) ("function f(d) { " ^ body ^ " }"));
+      Alcotest.(check int) body 500 (status ("/invoke/" ^ name) "x");
+      Alcotest.(check int) "still serving" 200 (status "/invoke/ok" "hi"))
+    [
+      "var a = []; a[67108864] = 1;";
+      "var a = []; a[1099511627776] = 1;";
+      "var c = [3]; c[(1 << -2)] = 1;";
+      "var s = \"x\"; while (true) { s = s + s; }";
+    ]
+
+(* Names the platform does not know are answered 404 and leave nothing
+   behind: neither invoking one nor reading its breaker stores a
+   breaker. *)
+let test_unknown_names_store_nothing () =
+  let _, g = hardened_gateway () in
+  ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
+  let status path = status_of (Serverless.Gateway.handle g (post path "x")) in
+  Alcotest.(check int) "warm-up" 200 (status "/invoke/ok");
+  Alcotest.(check int) "warm-up 404" 404 (status "/invoke/nope");
+  Gc.full_major ();
+  let before = Obj.reachable_words (Obj.repr g) in
+  for i = 0 to 9_999 do
+    let name = Printf.sprintf "nope%d" i in
+    if status ("/invoke/" ^ name) <> 404 then Alcotest.failf "/invoke/%s did not 404" name;
+    if Serverless.Gateway.breaker_state g ~name <> Closed then Alcotest.failf "%s not closed" name
+  done;
+  Gc.full_major ();
+  let grown = Obj.reachable_words (Obj.repr g) - before in
+  Alcotest.(check bool) (Printf.sprintf "%d words kept for 10,000 names" grown) true (grown < 512);
+  Alcotest.(check int) "a registered function keeps serving" 200 (status "/invoke/ok")
+
 let test_shed_accounting () =
   let shed = { Serverless.Gateway.burst = 3; refill_per_s = 2.0 } in
   let w, g = hardened_gateway ~shed () in
@@ -458,6 +498,35 @@ let test_gateway_slo_recording () =
   Alcotest.(check bool) "compliance reflects the mix" true
     (Telemetry.Slo.compliance avail < 1.0)
 
+(* A function whose retained CoW shell lives on core 0, invoked when
+   the round robin picks core 1 after core 0's clock ran 5M cycles
+   ahead: the request runs on core 0, and so do the gateway's route span
+   and Vespid's invoke span, which last exactly the invocation. *)
+let test_gateway_spans_on_home_core () =
+  let w = Wasp.Runtime.create ~seed:0xACE ~cores:2 ~reset:`Cow ~clean:`Async () in
+  let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
+  Wasp.Runtime.set_telemetry w (Some hub);
+  let g = Serverless.Gateway.create (Serverless.Vespid.create w) in
+  let status path body = status_of (Serverless.Gateway.handle g (post path body)) in
+  ignore (status "/register/ok?entry=shout" shout_src);
+  Alcotest.(check int) "cold invoke, served on core 0" 200 (status "/invoke/ok" "hi");
+  Cycles.Clock.advance_int (Wasp.Runtime.core_clock w 0) 5_000_000;
+  Telemetry.Hub.clear_spans hub;
+  Alcotest.(check int) "warm invoke, round robin at core 1" 200 (status "/invoke/ok" "hi");
+  let span name =
+    List.find
+      (fun (s : Telemetry.Span.span) -> s.name = name)
+      (Telemetry.Span.spans (Telemetry.Hub.spans hub))
+  in
+  let invocation = span "invocation" in
+  List.iter
+    (fun name ->
+      let s = span name in
+      Alcotest.(check int) (name ^ " on the shell's home core") 0 s.Telemetry.Span.core;
+      Alcotest.(check int64) (name ^ " = invocation cycles") invocation.Telemetry.Span.duration
+        s.Telemetry.Span.duration)
+    [ "route"; "invoke"; "invocation" ]
+
 let test_gateway_slo_requires_hub () =
   let w = Wasp.Runtime.create ~clean:`Async () in
   let g = Serverless.Gateway.create (Serverless.Vespid.create w) in
@@ -507,6 +576,10 @@ let () =
             test_stray_break_is_a_failed_invoke;
           Alcotest.test_case "heap exhaustion fails the invoke" `Quick
             test_heap_exhaustion_is_a_failed_invoke;
+          Alcotest.test_case "hostile JS fails the invoke" `Quick
+            test_hostile_js_is_a_failed_invoke;
+          Alcotest.test_case "unknown names store nothing" `Quick
+            test_unknown_names_store_nothing;
           Alcotest.test_case "shed accounting" `Quick test_shed_accounting;
           Alcotest.test_case "shed off by default" `Quick test_shed_off_by_default;
         ] );
@@ -518,5 +591,7 @@ let () =
             test_gateway_trace_ids_deterministic;
           Alcotest.test_case "slo recording" `Quick test_gateway_slo_recording;
           Alcotest.test_case "slo requires hub" `Quick test_gateway_slo_requires_hub;
+          Alcotest.test_case "spans on the shell's home core" `Quick
+            test_gateway_spans_on_home_core;
         ] );
     ]

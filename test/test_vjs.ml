@@ -7,61 +7,72 @@ module V = Vjs.Jsvalue
 (* ------------------------------------------------------------------ *)
 
 (* What one engine observed running a script and then calling its
-   functions: per entry the result or error and the step count, then
-   the console, the number of charge calls and their total. *)
-type observed = {
-  entries : (string * int) list;
-  console : string;
-  charges : int;
-  charged : int;
-}
+   functions: per entry the result or error, the step count and the
+   total charged once it returned, then the console. Each engine has a
+   [clock()] native that reads the running total, so a program that
+   prints it also checks that every node evaluated before a native had
+   reached the hook when the native ran. How often the hook was called
+   is not compared: the tree walker calls it per node, the compiled
+   engine per host boundary. *)
+type observed = { entries : (string * int * int) list; console : string }
 
 let show = function
   | Ok v -> Printf.sprintf "ok %s %s %s" (V.type_name v) (V.to_string v) (Vjs.Json.stringify v)
   | Error msg -> "error " ^ msg
 
-let observe ~create ~eval ~call ~steps ~console src calls =
-  let charges = ref 0 and charged = ref 0 in
-  let e =
-    create (fun c ->
-        incr charges;
-        charged := !charged + c)
-  in
-  let entry r = (show r, steps e) in
+let observe ~create ~register ~eval ~call ~steps ~console src calls =
+  let charged = ref 0 in
+  let e = create (fun c -> charged := !charged + c) in
+  register e "clock" (fun _ -> V.Num (float_of_int !charged));
+  let entry r = (show r, steps e, !charged) in
   let first = entry (eval e src) in
   let rest = List.map (fun (name, args) -> entry (call e name (args ()))) calls in
-  { entries = first :: rest; console = console e; charges = !charges; charged = !charged }
+  { entries = first :: rest; console = console e }
 
-let compiled ?max_steps =
+(* each engine's hook prices what it receives with its [cost] *)
+let compiled ~cost ?max_steps =
   observe
-    ~create:(fun charge -> Vjs.Engine.create ~charge ?max_steps ())
-    ~eval:Vjs.Engine.eval ~call:Vjs.Engine.call ~steps:Vjs.Engine.steps
-    ~console:Vjs.Engine.console_output
+    ~create:(fun add -> Vjs.Engine.create ~charge:(fun c -> add (cost c)) ?max_steps ())
+    ~register:Vjs.Engine.register ~eval:Vjs.Engine.eval ~call:Vjs.Engine.call
+    ~steps:Vjs.Engine.steps ~console:Vjs.Engine.console_output
 
-let reference ?max_steps =
+let reference ~cost ?max_steps =
   observe
-    ~create:(fun charge -> Jsref.create ~charge ?max_steps ())
-    ~eval:Jsref.eval ~call:Jsref.call ~steps:Jsref.steps ~console:Jsref.console_output
+    ~create:(fun add -> Jsref.create ~charge:(fun c -> add (cost c)) ?max_steps ())
+    ~register:Jsref.register ~eval:Jsref.eval ~call:Jsref.call ~steps:Jsref.steps
+    ~console:Jsref.console_output
+
+(* the (compiled, reference) prices: the engine's own rates, and
+   OpenWhisk's V8 model against a tree walker whose hook truncates each
+   of its calls separately, as OpenWhisk's did per node *)
+let own_rates = (Vjs.Engine.cycles, Fun.id)
+
+let v8_rates =
+  ( Serverless.Openwhisk.v8_cycles,
+    fun c -> int_of_float (float_of_int c /. Serverless.Openwhisk.v8_speedup) )
 
 (* [calls] are (global function, arguments); each engine gets its own
    arguments, since a call may mutate them *)
-let mismatch ?max_steps ?(calls = []) src =
-  let c = compiled ?max_steps src calls and r = reference ?max_steps src calls in
+let mismatch ?max_steps ?(calls = []) ?(rates = own_rates) src =
+  let c = compiled ~cost:(fst rates) ?max_steps src calls
+  and r = reference ~cost:(snd rates) ?max_steps src calls in
   if c = r then None
   else
     let side o =
-      Printf.sprintf "entries [%s]; console %S; %d charges, %d cycles"
+      Printf.sprintf "entries [%s]; console %S"
         (String.concat "; "
-           (List.map (fun (res, st) -> Printf.sprintf "%s (%d steps)" res st) o.entries))
-        o.console o.charges o.charged
+           (List.map
+              (fun (res, st, ch) -> Printf.sprintf "%s (%d steps, %d cycles)" res st ch)
+              o.entries))
+        o.console
     in
     Some
       (Printf.sprintf "%s\n(max_steps %s)\n compiled:  %s\n reference: %s" src
          (match max_steps with Some n -> string_of_int n | None -> "default")
          (side c) (side r))
 
-let check_equivalent ?max_steps ?calls src =
-  match mismatch ?max_steps ?calls src with
+let check_equivalent ?max_steps ?calls ?rates src =
+  match mismatch ?max_steps ?calls ?rates src with
   | None -> ()
   | Some report -> Alcotest.failf "compiled engine differs from the tree walker on\n%s" report
 
@@ -282,7 +293,7 @@ let test_print_console () =
 
 let test_engine_charges () =
   let total = ref 0 in
-  let e = Vjs.Engine.create ~charge:(fun c -> total := !total + c) () in
+  let e = Vjs.Engine.create ~charge:(fun c -> total := !total + Vjs.Engine.cycles c) () in
   Alcotest.(check bool) "alloc charged" true (!total >= Vjs.Engine.context_alloc_cycles);
   let before = !total in
   (match Vjs.Engine.eval e "1 + 1" with Ok _ -> () | Error m -> Alcotest.fail m);
@@ -320,7 +331,7 @@ let test_program_shared_by_engines () =
   let p = Vjs.Engine.compile "var n = 0; function bump() { n = n + 1; return n; }" in
   let engine () =
     let cycles = ref 0 in
-    let e = Vjs.Engine.create ~charge:(fun c -> cycles := !cycles + c) () in
+    let e = Vjs.Engine.create ~charge:(fun c -> cycles := !cycles + Vjs.Engine.cycles c) () in
     (match Vjs.Engine.run e p with Ok _ -> () | Error m -> Alcotest.fail m);
     (e, cycles)
   in
@@ -454,6 +465,75 @@ try { print(s, o.b, !w, null, undefined); } catch (e) { print("caught " + e); }
 log[0] = s;
 log|}
 
+(* OpenWhisk prices a delivery of n nodes at 4n: the same total, and
+   the same running total at every native, as truncating 22 / 5 at each
+   node separately *)
+let test_v8_rates () =
+  List.iter (fun src -> check_equivalent ~rates:v8_rates src) engine_snippets;
+  List.iter
+    (fun (src, entry) ->
+      List.iter
+        (fun size -> check_equivalent ~rates:v8_rates ~calls:[ (entry, byte_array size) ] src)
+        payloads)
+    [
+      (Vjs.Workload.base64_js_source, "encode");
+      (Js_sources.checksum, "checksum");
+      (Js_sources.range, "range");
+    ];
+  check_equivalent ~rates:v8_rates kitchen_sink
+
+(* the hook is called per host boundary, not per node: a warm checksum
+   of 1 KB evaluates ~21k nodes and crosses no native *)
+let test_hook_calls_per_boundary () =
+  let calls = ref 0 and total = ref 0 in
+  let e =
+    Vjs.Engine.create
+      ~charge:(fun c ->
+        incr calls;
+        total := !total + Vjs.Engine.cycles c)
+      ()
+  in
+  (match Vjs.Engine.eval e Js_sources.checksum with Ok _ -> () | Error m -> Alcotest.fail m);
+  let checksum () =
+    match Vjs.Engine.call e "checksum" (byte_array 1024 ()) with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  in
+  checksum ();
+  calls := 0;
+  total := 0;
+  checksum ();
+  Alcotest.(check bool)
+    (Printf.sprintf "%d hook calls for %d nodes" !calls (Vjs.Engine.steps e))
+    true
+    (!calls >= 1 && !calls <= 4 && Vjs.Engine.steps e > 20_000);
+  Alcotest.(check int) "every node charged" (Vjs.Engine.steps e * Vjs.Jsinterp.cost_per_node) !total
+
+(* no array or string grows past Jsvalue.max_length: each of these
+   once grew the host heap until it raised Out_of_memory *)
+let length_bound_programs =
+  [
+    "var a = []; a[67108864] = 1;";
+    "var a = []; a[1099511627776] = 1;";
+    "var c = [3]; c[(1 << -2)] = 1;";
+    "var s = \"x\"; while (true) { s = s + s; }";
+  ]
+
+let test_length_bound () =
+  List.iter
+    (fun src ->
+      check_equivalent src;
+      match Vjs.Engine.eval (Vjs.Engine.create ()) src with
+      | Error msg ->
+          Alcotest.(check bool) (src ^ ": " ^ msg) true (String.starts_with ~prefix:"RangeError" msg)
+      | Ok v -> Alcotest.failf "%s: evaluated to %s" src (V.to_string v))
+    length_bound_programs;
+  (* the error is catchable, and an array may reach the bound *)
+  fnum "caught" 1.0 (eval_num "var r = 0; try { var a = []; a[4194304] = 1; } catch (e) { r = 1; } r");
+  let v = V.vec_create () in
+  V.vec_set v (V.max_length - 1) V.Undefined;
+  Alcotest.(check int) "longest array" V.max_length v.V.len
+
 let test_step_budget_sweep () =
   for max_steps = 1 to 300 do
     check_equivalent ~max_steps kitchen_sink;
@@ -521,6 +601,7 @@ module Gen_js = struct
         (1, map (Printf.sprintf "var %s;") ident);
         (3, map (Printf.sprintf "%s;") e);
         (1, map (Printf.sprintf "print(%s);") e);
+        (1, return "print(clock());");
         (1, map (Printf.sprintf "throw %s;") e);
       ]
       @ (if fn then [ (2, map (Printf.sprintf "return %s;") e) ] else [])
@@ -594,11 +675,11 @@ let prop_random_programs =
     (QCheck.make ~print:Fun.id Gen_js.program) (fun src ->
       let calls = [ ("f", fun () -> [ V.Num 2.0; V.Num 3.0 ]); ("g", fun () -> [ V.Num 1.0 ]) ] in
       List.for_all
-        (fun max_steps ->
-          match mismatch ~max_steps ~calls src with
+        (fun (max_steps, rates) ->
+          match mismatch ~max_steps ~calls ~rates src with
           | None -> true
           | Some report -> QCheck.Test.fail_report report)
-        [ 5_000; 37; 150 ])
+        [ (5_000, own_rates); (37, own_rates); (150, own_rates); (5_000, v8_rates) ])
 
 (* ------------------------------------------------------------------ *)
 (* The base64 workload (§6.5)                                           *)
@@ -754,6 +835,9 @@ let () =
           Alcotest.test_case "engine snippets" `Quick test_engine_snippets;
           Alcotest.test_case "workload sources" `Quick test_workload_sources;
           Alcotest.test_case "step budget sweep" `Quick test_step_budget_sweep;
+          Alcotest.test_case "V8 rates" `Quick test_v8_rates;
+          Alcotest.test_case "hook calls per boundary" `Quick test_hook_calls_per_boundary;
+          Alcotest.test_case "length bound" `Quick test_length_bound;
           QCheck_alcotest.to_alcotest prop_lexer;
           QCheck_alcotest.to_alcotest prop_random_programs;
         ] );
