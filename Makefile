@@ -8,7 +8,8 @@ BENCH_GATE_FIGS ?= table1 fig2 fig3 fig4 fig8 table2 fig11 fig12 fig13 fig14 fig
 .PHONY: all check test bench bench-baselines bench-gate \
 	trace-smoke sched-smoke profiler-smoke chaos-smoke slo-smoke \
 	explain-smoke translate-smoke vtrace-smoke ring-smoke \
-	fuzz-smoke fuzz-fixtures fuzz-nightly lib-delta golden fmt clean
+	fuzz-smoke fuzz-fixtures fuzz-nightly examples-smoke lib-delta surface \
+	golden fmt clean
 
 all:
 	dune build
@@ -28,6 +29,7 @@ check:
 	$(MAKE) ring-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) fuzz-fixtures
+	$(MAKE) examples-smoke
 
 test: check
 
@@ -194,6 +196,18 @@ fuzz-nightly:
 	  > fuzz-out/nightly.log 2>&1; status=$$?; \
 	cat fuzz-out/nightly.log; exit $$status
 
+# examples smoke: every program under examples/ (the library's
+# documented entry points, as a client drives them) must run to exit 0
+EXAMPLES = $(basename $(notdir $(wildcard examples/*.ml)))
+examples-smoke:
+	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
+	dune build $(addprefix ./examples/,$(addsuffix .exe,$(EXAMPLES))); \
+	for e in $(EXAMPLES); do \
+	  ./_build/default/examples/$$e.exe > $$d/$$e.txt 2>&1 \
+	    || { echo "examples-smoke: $$e exited non-zero:"; cat $$d/$$e.txt; exit 1; }; \
+	done; \
+	echo "EXAMPLES-SMOKE: $(words $(EXAMPLES)) examples exited 0"
+
 # lines added, removed and net under lib/ between BASE (default HEAD)
 # and the working tree, untracked files included: the figure each
 # CHANGES.md entry records
@@ -205,10 +219,24 @@ lib-delta:
 	| awk '$$1 != "-" { a += $$1; r += $$2 } \
 	  END { printf "lib/ delta vs $(BASE): +%d -%d net %+d\n", a, r, a - r }'
 
+# the size of the library's interfaces at BASE (default HEAD) and in the
+# working tree: `val` declarations and `?label:` optional arguments
+# in lib/**/*.mli (informational, like lib-delta; never a gate)
+SURFACE_COUNT = awk '/^[ \t]*val /{v++} {o += gsub(/\?[a-z_][A-Za-z0-9_]*:/, "")} \
+	END { printf "%d vals, %d optional labels", v, o }'
+surface:
+	@printf 'surface at $(BASE): %s in %s interfaces\n' \
+	  "$$(git grep -h -e '' $(BASE) -- 'lib/*.mli' | $(SURFACE_COUNT))" \
+	  "$$(git ls-tree -r --name-only $(BASE) -- lib | grep -c '\.mli$$')"
+	@printf 'surface in the working tree: %s in %s interfaces\n' \
+	  "$$(find lib -name '*.mli' -exec cat {} + | $(SURFACE_COUNT))" \
+	  "$$(find lib -name '*.mli' | grep -c .)"
+
 # byte identity against BASE (default HEAD), for refactors: BASE is
 # extracted with git archive and built beside the working tree, and the
 # trace/explain/profile/chaos/ring smoke runs, the fig12 trace, all 19
-# figures' BENCH_*.json and a 25-iteration fuzz campaign must match
+# figures' BENCH_*.json, a 25-iteration fuzz campaign and the examples'
+# stdout must match
 golden:
 	sh bench/golden.sh $(BASE)
 

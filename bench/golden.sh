@@ -18,6 +18,9 @@ mkdir -p "$tmp/src" "$tmp/out/base" "$tmp/out/work"
 git archive "$base" | tar -x -C "$tmp/src"
 
 exes="./bin/wasprun.exe ./bin/fuzz_cli.exe ./bin/vespid_cli.exe ./bench/main.exe"
+# the programs under examples/, as clients of the library drive it
+examples="quickstart echo_server http_server js_udf aes_library db_udf"
+for e in $examples; do exes="$exes ./examples/$e.exe"; done
 echo "golden: building $base and the working tree"
 for tree in "$tmp/src" "$root"; do
   # shellcheck disable=SC2086
@@ -60,6 +63,7 @@ run() {
   "$f" --iters 25 --seed 0xF022 > fuzz.txt
   # Vespid's JavaScript functions, cold and warm, in simulated latency
   "$v" demo > vespid.txt
+  for e in $examples; do "$1/_build/default/examples/$e.exe" > "example-$e.txt"; done
   cd "$root"
 }
 

@@ -35,7 +35,10 @@ let sgx_eadd_page = 7_500
 let sgx_einit = 1_600_000
 let sgx_ecall = 13_500
 
+(* 6.7 GB/s on tinker => 2.69e9 / 6.7e9 ~= 0.40 cycles/byte *)
 let memcpy_cycles_per_byte = 2.69 /. 6.7
+
+(* streaming stores are faster than copies *)
 let memset_cycles_per_byte = 2.69 /. 11.0
 
 let memcpy_cost bytes = int_of_float (float_of_int bytes *. memcpy_cycles_per_byte)

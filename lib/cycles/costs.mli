@@ -74,12 +74,6 @@ val sgx_ecall : int      (** enclave entry: ~5 us. *)
 
 (** {1 Memory bandwidth — Figure 12} *)
 
-val memcpy_cycles_per_byte : float
-(** 6.7 GB/s on tinker => 2.69e9 / 6.7e9 ~= 0.40 cycles/byte. *)
-
-val memset_cycles_per_byte : float
-(** Streaming stores are faster than copies. *)
-
 val memcpy_cost : int -> int
 (** [memcpy_cost bytes] in cycles. *)
 

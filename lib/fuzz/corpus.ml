@@ -29,6 +29,7 @@ type case = {
   plan : string option;  (* Cycles.Fault_plan.to_string form *)
 }
 
+(* the image-name prefix that round-trips the plane through a .vxr *)
 let plane_tag = function
   | Image_bytes -> "fuzz-img"
   | Ring_batch -> "fuzz-ring"

@@ -25,12 +25,6 @@ type case = {
   plan : string option;  (** {!Cycles.Fault_plan.to_string} form *)
 }
 
-val plane_tag : plane -> string
-(** ["fuzz-img"] / ["fuzz-ring"] / ["fuzz-plan"] — the image-name prefix
-    that round-trips the plane through a [.vxr] file. *)
-
-val plane_of_name : string -> plane
-
 val digest : case -> string
 (** Content hash (hex MD5) over every case field. *)
 

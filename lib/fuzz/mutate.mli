@@ -15,6 +15,3 @@ val mutate : rng:Cycles.Rng.t -> Corpus.case -> Corpus.case
 
 val rounds : rng:Cycles.Rng.t -> int -> Corpus.case -> Corpus.case
 (** [rounds ~rng n c]: [n] stacked mutations (at least one). *)
-
-val havoc_bytes : Cycles.Rng.t -> string -> from:int -> string
-(** Raw byte havoc on the region at or past [from] (exposed for tests). *)

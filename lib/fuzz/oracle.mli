@@ -10,18 +10,6 @@
     harness-side arms used by the fuzz smoke test to prove a planted bug
     is detected. *)
 
-type obs = {
-  o_outcome : string;
-  o_ret : int64;
-  o_cycles : int64;
-  o_hypercalls : int;
-  o_denied : int;
-  o_state : string;  (** MD5 of final registers + guest memory *)
-  o_recording : Profiler.Replay.t;
-      (** the arm's recording ({!Wasp.Runtime.record}): every run's
-          hypercall transcript and the last run's trailer *)
-}
-
 type fclass =
   | Host_exception  (** an exception escaped the runtime *)
   | Engine_divergence  (** translator vs reference stepper *)
@@ -46,9 +34,6 @@ type verdict = {
   finding : (fclass * string) option;
 }
 
-val coverage_spec : string
-(** The vtrace probe spec attached to the canonical arm. *)
-
 val classify : ?canary:canary -> ?cache:Vm.Translate.t -> Corpus.case -> verdict
 (** Run every arm. Deterministic: same case (and canary) → same
     verdict, whatever [cache] holds. *)
@@ -60,20 +45,3 @@ val engine_arm :
     on exit, retired count, cycles, registers and memory. The translator
     runs on [cache] (default: a fresh one); a campaign passes one cache
     to every case, so each runs over the blocks of the cases before it. *)
-
-(** {1 Exposed for tests} *)
-
-type arm_result = Obs of obs | Crash of string
-
-val run_arm :
-  ?reset:Wasp.Runtime.reset_mode ->
-  ?runs:int ->
-  ?snapshot_key:string ->
-  ?probes:Vtrace.Engine.t ->
-  ?profiler:Profiler.Profile.t ->
-  ?post:(Wasp.Runtime.t -> unit) ->
-  Corpus.case ->
-  arm_result
-
-val diff_full : obs -> obs -> string option
-val diff_visible : obs -> obs -> string option

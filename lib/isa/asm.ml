@@ -43,13 +43,6 @@ type program = {
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Asm_error s)) fmt
 
-(* Sizes are computed on a worst-case placeholder resolution: label operands
-   become 64-bit immediates, so size does not depend on the final address. *)
-let placeholder_operand : sym_operand -> Instr.operand = function
-  | OReg r -> Reg r
-  | OImm i -> Imm i
-  | OLbl _ -> Imm 0L
-
 let resolve_insn lookup_label : sym_insn -> Instr.t =
   let operand : sym_operand -> Instr.operand = function
     | OReg r -> Reg r
@@ -377,4 +370,4 @@ let parse text =
   let lines = String.split_on_char '\n' text in
   List.concat (List.mapi (fun i line -> parse_line (i + 1) line) lines)
 
-let assemble_string ?origin ?entry text = assemble ?origin ?entry (parse text)
+let assemble_string ?origin text = assemble ?origin (parse text)

@@ -75,8 +75,8 @@ val parse : string -> item list
     v}
     Raises {!Asm_error} with a line number on syntax errors. *)
 
-val assemble_string : ?origin:int -> ?entry:string -> string -> program
-(** [parse] + [assemble]. *)
+val assemble_string : ?origin:int -> string -> program
+(** [parse] + [assemble], entered at the first item. *)
 
 val lookup : program -> string -> int
 (** Address of a label. Raises [Not_found]. *)

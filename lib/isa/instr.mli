@@ -17,9 +17,6 @@ val num_regs : int
 val sp : reg
 val fp : reg
 
-val reg_name : reg -> string
-(** "r0" ... "r15". *)
-
 val reg_of_name : string -> reg option
 
 type operand = Reg of reg | Imm of int64
@@ -31,9 +28,6 @@ val binop_name : binop -> string
 
 type cond = Eq | Ne | Lt | Le | Gt | Ge | Ult | Ule | Ugt | Uge
 (** Signed and unsigned comparisons against the flags set by [Cmp]. *)
-
-val cond_name : cond -> string
-(** Condition suffix, e.g. "eq" (as in "jeq"). *)
 
 type width = W8 | W16 | W32 | W64
 

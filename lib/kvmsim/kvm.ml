@@ -146,8 +146,8 @@ let bump sys ?(by = 1) s =
 
 let count sys ?by ?labels ?help name = bump sys ?by (series sys ?labels ?help name)
 
-let tally sys ?(labels = []) name =
-  match Hashtbl.find_opt sys.series (Telemetry.Metrics.series_key name labels) with
+let tally sys name =
+  match Hashtbl.find_opt sys.series (Telemetry.Metrics.series_key name []) with
   | Some s -> s.total
   | None -> 0
 

@@ -134,8 +134,9 @@ val count :
     first {!count}. Counters are monotone: a negative [by] leaves the
     total alone and is a bad sample on the hub. *)
 
-val tally : system -> ?labels:(string * string) list -> string -> int
-(** Lifetime total of a series; 0 if it was never counted. *)
+val tally : system -> string -> int
+(** Lifetime total of the unlabeled series [name]; 0 if it was never
+    counted. *)
 
 val stats : system -> stats
 

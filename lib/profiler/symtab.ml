@@ -2,12 +2,11 @@ type sym = { s_name : string; s_addr : int }
 
 type t = { syms : sym array }
 
+(* compiler-local labels: vcc's [.L*] branch targets and string pool *)
 let is_local name = String.length name > 0 && name.[0] = '.'
 
-let of_symbols ?(keep_local = false) symbols =
-  let kept =
-    List.filter (fun (name, _) -> keep_local || not (is_local name)) symbols
-  in
+let of_symbols symbols =
+  let kept = List.filter (fun (name, _) -> not (is_local name)) symbols in
   let arr = Array.of_list (List.map (fun (n, a) -> { s_name = n; s_addr = a }) kept) in
   (* stable on equal addresses: first-listed symbol wins the lookup *)
   Array.stable_sort (fun a b -> compare a.s_addr b.s_addr) arr;

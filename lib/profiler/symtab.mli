@@ -2,12 +2,12 @@
     that contains them, using the assembler's label/address pairs.
 
     Labels starting with ['.'] are compiler-local (vcc emits [.L*] branch
-    targets and string-pool labels) and are dropped by default so
-    attribution lands on real function symbols. *)
+    targets and string-pool labels) and are dropped, so attribution
+    lands on real function symbols. *)
 
 type t
 
-val of_symbols : ?keep_local:bool -> (string * int) list -> t
+val of_symbols : (string * int) list -> t
 (** Build from [Asm.program.symbols]-style pairs. Sorted internally;
     duplicate addresses keep the first-listed name. *)
 
@@ -24,6 +24,3 @@ val lookup : t -> int -> string option
 
 val name_at : t -> int -> string
 (** Like {!lookup} but renders unmapped PCs as a hex address. *)
-
-val is_local : string -> bool
-(** Whether a label is compiler-local (starts with ['.']). *)

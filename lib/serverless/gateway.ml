@@ -8,20 +8,11 @@ type shed_config = { burst : int; refill_per_s : float }
 
 type bucket = { mutable tokens : float; mutable last_refill : int64 }
 
-type slo_config = {
-  availability_target : float;
-  latency_target : float;
-  latency_threshold : int64;
-  slo_period : int64;
-}
-
-let default_slo_config =
-  {
-    availability_target = 0.99;
-    latency_target = 0.99;
-    latency_threshold = 50_000_000L;
-    slo_period = 10_000_000_000L;
-  }
+(* the objectives [enable_slos] declares, documented in gateway.mli *)
+let availability_target = 0.99
+let latency_target = 0.99
+let latency_threshold = 50_000_000L
+let slo_period = 10_000_000_000L
 
 type t = {
   platform : Vespid.t;
@@ -62,24 +53,23 @@ let now t = Cycles.Clock.now (clock t)
 let shed_count t = Kvmsim.Kvm.tally (kvm t) "gateway_shed_total"
 let breaker_rejections t = Kvmsim.Kvm.tally (kvm t) "gateway_breaker_rejections_total"
 
-let enable_slos t ?(config = default_slo_config) () =
+let enable_slos t () =
   match Wasp.Runtime.telemetry (Vespid.runtime t.platform) with
   | None -> invalid_arg "Gateway.enable_slos: platform runtime has no telemetry hub"
   | Some h ->
       let avail =
         Telemetry.Slo.create ~hub:h ~name:"gateway_availability"
-          ~target:config.availability_target ~period:config.slo_period ()
+          ~target:availability_target ~period:slo_period ()
       in
       let lat =
         Telemetry.Slo.create ~hub:h ~name:"gateway_latency"
-          ~objective:(Telemetry.Slo.Latency_under config.latency_threshold)
-          ~target:config.latency_target ~period:config.slo_period ()
+          ~objective:(Telemetry.Slo.Latency_under latency_threshold)
+          ~target:latency_target ~period:slo_period ()
       in
       t.slos <- Some (avail, lat)
 
 let availability_slo t = Option.map fst t.slos
 let latency_slo t = Option.map snd t.slos
-let slos t = match t.slos with None -> [] | Some (a, l) -> [ a; l ]
 
 (* Shed and breaker-rejected requests are bad availability — from the
    caller's side they failed, however deliberate the refusal. Latency
@@ -119,7 +109,10 @@ let note_breaker_gauge t name state =
 
 (* Token-bucket load shedding on the virtual clock: [burst] tokens,
    refilled at [refill_per_s] per virtual second. No tokens left means
-   the platform is saturated; shed with a 429 rather than queue. *)
+   the platform is saturated; shed with a 429 rather than queue. The
+   serving core's clock can read behind the stamp another core left, so
+   the bucket refills only forward: a gap below zero adds nothing, and
+   the stamp keeps the latest reading. *)
 let try_take_token t =
   match t.shed with
   | None -> true
@@ -127,9 +120,9 @@ let try_take_token t =
       let b = t.bucket in
       let n = now t in
       let elapsed_us =
-        Cycles.Clock.to_us (clock t) (Int64.sub n b.last_refill)
+        Cycles.Clock.to_us (clock t) (Int64.max 0L (Int64.sub n b.last_refill))
       in
-      b.last_refill <- n;
+      b.last_refill <- Int64.max n b.last_refill;
       b.tokens <-
         Float.min (float_of_int s.burst)
           (b.tokens +. (s.refill_per_s *. elapsed_us /. 1_000_000.0));

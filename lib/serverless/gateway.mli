@@ -29,8 +29,6 @@ type breaker_config = {
           admitting a probe (default 100_000_000) *)
 }
 
-val default_breaker_config : breaker_config
-
 type shed_config = {
   burst : int;  (** token-bucket capacity *)
   refill_per_s : float;  (** sustained admitted requests per virtual second *)
@@ -44,35 +42,25 @@ val create : ?breaker:breaker_config -> ?shed:shed_config -> Vespid.t -> t
 
 (** {1 Service-level objectives} *)
 
-type slo_config = {
-  availability_target : float;
-      (** required good fraction of invoke requests (default 0.99) *)
-  latency_target : float;
-      (** required fraction of successful invokes under the threshold
-          (default 0.99) *)
-  latency_threshold : int64;
-      (** latency budget per invoke, virtual cycles (default 50M,
-          ~18.6ms at 2.69 GHz) *)
-  slo_period : int64;
-      (** rolling SLO period in virtual cycles; burn-rate windows are
-          derived from it (default 10G, ~3.7 virtual seconds) *)
-}
+val enable_slos : t -> unit -> unit
+(** Declare the gateway's objectives on the platform hub:
+    - [gateway_availability]: 99% of invoke requests are good. Shed and
+      breaker-rejected requests count bad; 404s for unknown names do
+      not count.
+    - [gateway_latency]: 99% of successful invokes take under 50M
+      virtual cycles (~18.6 ms at 2.69 GHz).
 
-val default_slo_config : slo_config
-
-val enable_slos : t -> ?config:slo_config -> unit -> unit
-(** Declare the gateway's objectives on the platform hub: an
-    availability SLO (shed and breaker-rejected requests count bad;
-    404s for unknown names do not) and a latency SLO over successful
-    invokes. Every invoke then feeds both and re-evaluates the
-    burn-rate alerts. @raise Invalid_argument when the platform
-    runtime has no telemetry hub. *)
-
-val slos : t -> Telemetry.Slo.t list
-(** The declared objectives, [[]] until {!enable_slos}. *)
+    Both have a rolling period of 10G virtual cycles (~3.7 virtual
+    seconds), from which the burn-rate windows are derived. Every
+    invoke then feeds both and re-evaluates the burn-rate alerts.
+    @raise Invalid_argument when the platform runtime has no telemetry
+    hub. *)
 
 val availability_slo : t -> Telemetry.Slo.t option
+(** [gateway_availability], [None] until {!enable_slos}. *)
+
 val latency_slo : t -> Telemetry.Slo.t option
+(** [gateway_latency], [None] until {!enable_slos}. *)
 
 val parse_register_target : string -> string * string
 (** [parse_register_target "name?entry=fn"] is [("name", "fn")]; the

@@ -110,8 +110,7 @@ let export_core_stats runtime sched =
 (* Multi-core closed loop: clients fire against the scheduler instead of
    a FIFO server, so requests run as real work on per-core clocks (with
    work stealing, and idle cycles feeding the pool's reclaim drain). *)
-let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~request ~profile
-    () =
+let run_cores ?(think_time_s = 0.05) ~runtime ~request ~profile () =
   let cps = Cycles.Clock.freq_ghz (Wasp.Runtime.clock runtime) *. 1e9 in
   let n = Wasp.Runtime.cores runtime in
   let clocks = Array.init n (Wasp.Runtime.core_clock runtime) in
@@ -120,7 +119,7 @@ let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~requ
      queue per core and are cleaned during idle windows below *)
   Wasp.Runtime.set_reclaim_policy runtime Wasp.Pool.Scheduled;
   let sched =
-    Dessim.Cores.create ~steal
+    Dessim.Cores.create
       ~switch:(Wasp.Runtime.on_core runtime)
       ~idle:(fun ~core ~budget ->
         (* idle windows first retire deferred cleans, then pre-boot
@@ -146,8 +145,6 @@ let run_cores ?(think_time_s = 0.05) ?(steal = true) ?on_complete ~runtime ~requ
               let done_at = Cycles.Clock.now clocks.(core) in
               let latency = Int64.sub done_at at in
               samples := { at = done_at; latency } :: !samples;
-              (* e.g. feed a latency SLO on the completing core's clock *)
-              (match on_complete with Some f -> f ~latency | None -> ());
               let next = Int64.add done_at think in
               if Int64.compare next phase_end < 0 then fire next)
         in

@@ -35,29 +35,18 @@ val run :
 
 val run_cores :
   ?think_time_s:float ->
-  ?steal:bool ->
-  ?on_complete:(latency:int64 -> unit) ->
   runtime:Wasp.Runtime.t ->
   request:(unit -> unit) ->
   profile:phase list ->
   unit ->
   bucket list * Dessim.Cores.t
-(** Multi-core variant: closed-loop clients submit to a
+(** Multi-core variant: closed-loop clients submit to a work-stealing
     {!Dessim.Cores} scheduler over [runtime]'s per-core clocks, whose
-    frequency sets the buckets' seconds. Each
-    request is real work — [request ()] must perform one invocation on
-    the current core, charging its clock. The pool's reclaim policy is
+    frequency sets the buckets' seconds. Each request is real work —
+    [request ()] must perform one invocation on the current core,
+    charging its clock. The pool's reclaim policy is
     switched to [Scheduled], so async cleaning consumes idle windows and
     contended acquires stall. Its vtrace sites fire through
     {!Kvmsim.Kvm.fire}. Per-core utilization, steal and reclaim stats
     are exported to the runtime's telemetry hub (when attached) as
-    [sched_*] metrics; the scheduler is returned for direct inspection.
-    [on_complete] fires after every finished request with its queueing +
-    service latency, on the completing core's clock — the hook for
-    feeding a {!Telemetry.Slo} from a load run. *)
-
-val export_core_stats : Wasp.Runtime.t -> Dessim.Cores.t -> unit
-(** Publish a scheduler's per-core gauges ([sched_core<i>_utilization],
-    [_busy_cycles], [_reclaim_cycles]) to the runtime's hub, when one is
-    attached, and count its steals and tasks as [sched_steals_total] /
-    [sched_tasks_total] (see {!Kvmsim.Kvm.count}). *)
+    [sched_*] metrics; the scheduler is returned for direct inspection. *)

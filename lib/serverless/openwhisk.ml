@@ -38,10 +38,10 @@ let v8_cycles : Vjs.Engine.charge -> int = function
   | Nodes n -> n * v8_cycles_per_node
   | Cycles c -> int_of_float (float_of_int c /. v8_speedup)
 
-let create ~clock ?(seed = 0x515) ?(max_containers = 32) () =
+let create ~clock ?(max_containers = 32) () =
   {
     clock;
-    rng = Cycles.Rng.create ~seed;
+    rng = Cycles.Rng.create ~seed:0x515;
     functions = Hashtbl.create 8;
     warm = Hashtbl.create 8;
     max_containers;

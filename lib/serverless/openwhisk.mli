@@ -12,8 +12,6 @@ type t
 
 exception Unknown_function of string
 
-val cold_start_cycles : int    (** container create + runtime boot (~480 ms) *)
-val warm_overhead_cycles : int (** invoker/proxy/activation path (~9 ms) *)
 val keepalive_cycles : int64   (** idle container grace period (~60 s) *)
 val v8_speedup : float         (** V8 vs. our interpreter on the same UDF *)
 
@@ -24,7 +22,10 @@ val v8_cycles : Vjs.Engine.charge -> int
     truncated. Per node this is exactly what dividing each node's
     charge separately gave. *)
 
-val create : clock:Cycles.Clock.t -> ?seed:int -> ?max_containers:int -> unit -> t
+val create : clock:Cycles.Clock.t -> ?max_containers:int -> unit -> t
+(** A platform that charges [clock]. Its cold-start (~480 ms) and warm
+    invoker overhead (~9 ms) are jittered from a fixed seed, so a run is
+    deterministic. *)
 
 val register : t -> name:string -> source:string -> entry:string -> unit
 

@@ -6,9 +6,12 @@ let create wasp = { wasp; functions = Hashtbl.create 8 }
 
 let runtime t = t.wasp
 
+(* A native payload's snapshot cannot tell one source from another, so a
+   registration that replaces another drops the old one's snapshot. *)
 let register t ~name ~source ~entry =
-  Hashtbl.replace t.functions name
-    (Vjs.Isolate.create t.wasp ~key:("vespid:" ^ name) ~source ~entry)
+  let key = "vespid:" ^ name in
+  if Hashtbl.mem t.functions name then Wasp.Runtime.drop_snapshot t.wasp ~key;
+  Hashtbl.replace t.functions name (Vjs.Isolate.create t.wasp ~key ~source ~entry)
 
 let registered t = Hashtbl.fold (fun k _ acc -> k :: acc) t.functions [] |> List.sort compare
 let mem t ~name = Hashtbl.mem t.functions name

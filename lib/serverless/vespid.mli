@@ -21,7 +21,8 @@ val runtime : t -> Wasp.Runtime.t
 
 val register : t -> name:string -> source:string -> entry:string -> unit
 (** Register a JS function. [entry] names the function the platform calls
-    with the request payload (an array of byte values). *)
+    with the request payload (an array of byte values). Registering a
+    name again replaces its function and drops the old one's snapshot. *)
 
 val registered : t -> string list
 

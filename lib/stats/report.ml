@@ -1,5 +1,8 @@
 type align = Left | Right
 
+(* the length of the longest bar, in characters *)
+let bar_width = 50
+
 let pad align width s =
   let n = String.length s in
   if n >= width then s
@@ -8,20 +11,13 @@ let pad align width s =
     match align with Left -> s ^ fill | Right -> fill ^ s
   end
 
-let table ?title ~header ?align rows =
+let table ?title ~header rows =
   List.iter
     (fun row ->
       if List.length row <> List.length header then
         invalid_arg "Report.table: row width mismatch")
     rows;
-  let ncols = List.length header in
-  let aligns =
-    match align with
-    | Some a ->
-        if List.length a <> ncols then invalid_arg "Report.table: align width mismatch";
-        a
-    | None -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
+  let aligns = List.mapi (fun i _ -> if i = 0 then Left else Right) header in
   let widths =
     List.mapi
       (fun i h ->
@@ -53,7 +49,7 @@ let table ?title ~header ?align rows =
     rows;
   Buffer.contents buf
 
-let bar_chart ?title ?(width = 50) ?(log = false) entries =
+let bar_chart ?title ?(log = false) entries =
   let value (_, v) =
     if log then begin
       if v <= 0.0 then invalid_arg "Report.bar_chart: log of nonpositive value";
@@ -73,7 +69,7 @@ let bar_chart ?title ?(width = 50) ?(log = false) entries =
     (fun ((label, raw) as e) ->
       let v = value e in
       let n =
-        if vmax <= 0.0 then 0 else max 1 (int_of_float (v /. vmax *. float_of_int width))
+        if vmax <= 0.0 then 0 else max 1 (int_of_float (v /. vmax *. float_of_int bar_width))
       in
       Buffer.add_string buf
         (Printf.sprintf "%s %s %.1f\n" (pad Left label_w label) (String.make n '#') raw))
@@ -129,7 +125,7 @@ let percentile_table ?title ?(unit_label = "") ?slo rows =
   in
   table ?title ~header body
 
-let histogram ?title ?(width = 50) entries =
+let histogram ?title entries =
   let cmax = List.fold_left (fun acc (_, c) -> max acc c) 0 entries in
   let label_w = List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries in
   let count_w =
@@ -145,7 +141,7 @@ let histogram ?title ?(width = 50) entries =
     (fun (label, count) ->
       let n =
         if cmax <= 0 || count <= 0 then 0
-        else max 1 (count * width / cmax)
+        else max 1 (count * bar_width / cmax)
       in
       Buffer.add_string buf
         (Printf.sprintf "%s %s %s\n" (pad Left label_w label)

@@ -4,19 +4,15 @@
     module renders aligned tables and simple horizontal bar charts so the
     "shape" of each figure is visible in a terminal. *)
 
-type align = Left | Right
+val table : ?title:string -> header:string list -> string list list -> string
+(** [table ~header rows] renders an aligned table: the first column
+    left-aligned, the rest right-aligned. Row widths must match the
+    header. *)
 
-val table :
-  ?title:string -> header:string list -> ?align:align list -> string list list -> string
-(** [table ~header rows] renders an aligned table. [align] defaults to
-    left for the first column and right for the rest. Row widths must
-    match the header. *)
-
-val bar_chart :
-  ?title:string -> ?width:int -> ?log:bool -> (string * float) list -> string
+val bar_chart : ?title:string -> ?log:bool -> (string * float) list -> string
 (** [bar_chart entries] renders labeled horizontal bars scaled to the
-    maximum value. [log] plots log10 of the values (all must be > 0),
-    mirroring the paper's log-scale axes. *)
+    maximum value, the longest 50 characters. [log] plots log10 of the
+    values (all must be > 0), mirroring the paper's log-scale axes. *)
 
 val series :
   ?title:string -> header:string list -> (float * float list) list -> string
@@ -37,10 +33,10 @@ val percentile_table :
     when given, two extra columns show each row's target and a
     met/MISSED verdict (dashes for rows without a target). *)
 
-val histogram : ?title:string -> ?width:int -> (string * int) list -> string
+val histogram : ?title:string -> (string * int) list -> string
 (** [histogram entries] renders labeled integer counts as horizontal bars
-    scaled to the largest count — used for bucketed latency
-    distributions. *)
+    scaled to the largest count, the longest 50 characters — used for
+    bucketed latency distributions. *)
 
 val section : string -> string
 (** A visually distinct section banner. *)

@@ -77,7 +77,6 @@ val evaluate : t -> unit
 val name : t -> string
 val target : t -> float
 val objective : t -> objective
-val error_budget : t -> float
 
 val alerting : t -> bool
 (** Is any rule currently firing? *)

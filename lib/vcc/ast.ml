@@ -11,13 +11,6 @@ let rec sizeof = function
   | Tptr _ -> 8
   | Tarray (t, n) -> sizeof t * n
 
-let rec ty_equal a b =
-  match (a, b) with
-  | Tvoid, Tvoid | Tint, Tint | Tchar, Tchar -> true
-  | Tptr a, Tptr b -> ty_equal a b
-  | Tarray (a, n), Tarray (b, m) -> n = m && ty_equal a b
-  | (Tvoid | Tint | Tchar | Tptr _ | Tarray _), _ -> false
-
 let rec pp_ty ppf = function
   | Tvoid -> Format.pp_print_string ppf "void"
   | Tint -> Format.pp_print_string ppf "int"

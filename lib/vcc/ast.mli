@@ -17,7 +17,6 @@ type ty =
   | Tarray of ty * int
 
 val sizeof : ty -> int
-val ty_equal : ty -> ty -> bool
 val pp_ty : Format.formatter -> ty -> unit
 
 type unop = Neg | Lognot | Bitnot | Deref | Addrof

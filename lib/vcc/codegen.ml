@@ -70,7 +70,6 @@ type emitter = { mutable items : Asm.item list }
 
 let emit em i = em.items <- Asm.Insn i :: em.items
 let emit_label em l = em.items <- Asm.Label l :: em.items
-let emit_item em it = em.items <- it :: em.items
 
 open Asm
 

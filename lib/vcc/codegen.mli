@@ -14,9 +14,3 @@ val gen_image_items :
     snapshot point), the argument-unmarshalling stub, all reachable
     functions, the libc library, reachable globals, and the heap-start
     marker. Entry label: {!Vlibc.entry_label}. *)
-
-val global_label : string -> string
-(** Label carrying a global variable's storage ([g_<name>]). *)
-
-val function_label : string -> string
-(** [fn_<name>]. *)

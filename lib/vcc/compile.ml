@@ -20,8 +20,6 @@ type native = {
 type compiled = {
   ast : Ast.program;
   unit_name : string;
-  mem_size : int option;
-  optimize : bool;
   virtine_list : virtine_info list;
   native_cache : (string, native) Hashtbl.t;
 }
@@ -47,31 +45,27 @@ let policy_of_annotation ~snapshot (a : Ast.annotation) : Wasp.Policy.t =
       Wasp.Policy.Mask
         (Int64.logor mask (Wasp.Policy.mask_of_list snapshot_bits))
 
-let build_image prog ~unit_name ~mode ~mem_size ~snapshot ~optimize (f : Ast.func) =
+let build_image prog ~unit_name ~mode ~snapshot (f : Ast.func) =
   let reach = Callgraph.from prog ~root:f.Ast.fname in
   let items = Codegen.gen_image_items prog ~root:f ~snapshot reach in
-  let items = if optimize then Optim.peephole items else items in
   let asm =
     Asm.assemble ~origin:Wasp.Layout.image_base ~entry:Vlibc.entry_label items
   in
   let image =
     Wasp.Image.of_program
       ~name:(Printf.sprintf "%s:%s" unit_name f.Ast.fname)
-      ~mode ?mem_size asm
+      ~mode asm
   in
   (asm, image)
 
-let compile ?(snapshot = true) ?(mode = Vm.Modes.Long) ?mem_size ?(name = "unit")
-    ?(optimize = false) src =
+let compile ?(snapshot = true) ?(mode = Vm.Modes.Long) ?(name = "unit") src =
   wrap (fun () ->
-      let parsed = Parser.parse src in
-      let parsed = if optimize then Optim.fold_program parsed else parsed in
-      let prog = Sema.check parsed in
+      let prog = Sema.check (Parser.parse src) in
       let virtine_list =
         List.map
           (fun (f : Ast.func) ->
             let asm, image =
-              build_image prog ~unit_name:name ~mode ~mem_size ~snapshot ~optimize f
+              build_image prog ~unit_name:name ~mode ~snapshot f
             in
             {
               func = f;
@@ -82,28 +76,19 @@ let compile ?(snapshot = true) ?(mode = Vm.Modes.Long) ?mem_size ?(name = "unit"
             })
           (Callgraph.virtine_roots prog)
       in
-      {
-        ast = prog;
-        unit_name = name;
-        mem_size;
-        optimize;
-        virtine_list;
-        native_cache = Hashtbl.create 4;
-      })
+      { ast = prog; unit_name = name; virtine_list; native_cache = Hashtbl.create 4 })
 
-let ast c = c.ast
 let virtines c = c.virtine_list
 
 let find_virtine c name =
   List.find_opt (fun vi -> vi.func.Ast.fname = name) c.virtine_list
 
-let invoke w c fname args ?handlers ?conn ?fuel () =
+let invoke w c fname args ?fuel () =
   match find_virtine c fname with
   | None -> raise Not_found
   | Some vi ->
       let snapshot_key = if vi.snapshot then Some vi.image.Wasp.Image.name else None in
-      Wasp.Runtime.run w vi.image ~policy:vi.policy ?handlers ~args ?conn ?snapshot_key
-        ?fuel ()
+      Wasp.Runtime.run w vi.image ~policy:vi.policy ~args ?snapshot_key ?fuel ()
 
 let native_program c fname =
   match Hashtbl.find_opt c.native_cache fname with
@@ -116,8 +101,7 @@ let native_program c fname =
       in
       let asm, image =
         wrap (fun () ->
-            build_image c.ast ~unit_name:c.unit_name ~mode:Vm.Modes.Long
-              ~mem_size:c.mem_size ~snapshot:false ~optimize:c.optimize f)
+            build_image c.ast ~unit_name:c.unit_name ~mode:Vm.Modes.Long ~snapshot:false f)
       in
       let built =
         {

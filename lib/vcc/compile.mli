@@ -30,19 +30,16 @@ type compiled
 val compile :
   ?snapshot:bool ->
   ?mode:Vm.Modes.t ->
-  ?mem_size:int ->
   ?name:string ->
-  ?optimize:bool ->
   string ->
   compiled
 (** Compile source text. [snapshot] (default true) controls the
     environment-variable opt-out the paper mentions. [mode] (default
     [Long]) selects the processor mode images boot to (Figure 3).
-    [optimize] (default false) enables the {!Optim} passes (constant
-    folding + peephole).
+    [name] (default ["unit"]) prefixes each image's name, and so its
+    snapshot key: [name:function].
     @raise Compile_error (wrapping lexer/parser/sema/codegen errors). *)
 
-val ast : compiled -> Ast.program
 val virtines : compiled -> virtine_info list
 val find_virtine : compiled -> string -> virtine_info option
 
@@ -51,8 +48,6 @@ val invoke :
   compiled ->
   string ->
   int64 list ->
-  ?handlers:(int -> Wasp.Inv.handler option) ->
-  ?conn:Wasp.Hostenv.endpoint ->
   ?fuel:int ->
   unit ->
   Wasp.Runtime.result

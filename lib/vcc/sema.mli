@@ -12,5 +12,3 @@ exception Sema_error of { loc : Ast.loc; msg : string }
 val check : Ast.program -> Ast.program
 (** Returns the same program with expression types filled in.
     @raise Sema_error on the first violation. *)
-
-val is_lvalue : Ast.expr -> bool

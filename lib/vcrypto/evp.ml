@@ -7,6 +7,8 @@ type t = {
   snapshot_key : string;
 }
 
+(* native (host, AES-NI-class) cost both backends charge for the
+   cipher arithmetic itself *)
 let aes_ni_cycles_per_byte = 1.3
 
 let image_size = 21 * 1024

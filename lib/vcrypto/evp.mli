@@ -24,10 +24,6 @@ val encrypt : t -> iv:bytes -> bytes -> bytes
 (** CBC-encrypt one chunk (padded internally to a block multiple).
     Deterministic: both backends produce identical ciphertext. *)
 
-val aes_ni_cycles_per_byte : float
-(** Native (host, AES-NI-class) cost used by both backends for the
-    cipher arithmetic itself. *)
-
 val image_size : int
 (** The virtine cipher image footprint (the paper's was ~21 KB). *)
 

@@ -24,19 +24,31 @@ function __vdb_batch(rows) {
 |}
     entry
 
+let js_keys name = (Printf.sprintf "udf:%s:row" name, Printf.sprintf "udf:%s:batch" name)
+
+(* A native payload's snapshot cannot tell one source from another, so a
+   registration that replaces a JS UDF, of whatever kind, drops the old
+   isolates' snapshots. *)
+let replace t name registration =
+  (match Hashtbl.find_opt t.udfs name with
+  | Some (Js_udf _) ->
+      let row_key, batch_key = js_keys name in
+      Wasp.Runtime.drop_snapshot t.wasp ~key:row_key;
+      Wasp.Runtime.drop_snapshot t.wasp ~key:batch_key
+  | Some (Native_udf _ | C_udf _) | None -> ());
+  Hashtbl.replace t.udfs name registration
+
 let register_js t ~name ~source ~entry =
-  let row =
-    Vjs.Isolate.create t.wasp ~key:(Printf.sprintf "udf:%s:row" name) ~source ~entry
-  in
+  let row_key, batch_key = js_keys name in
+  let row = Vjs.Isolate.create t.wasp ~key:row_key ~source ~entry in
   let batch =
-    Vjs.Isolate.create t.wasp
-      ~key:(Printf.sprintf "udf:%s:batch" name)
+    Vjs.Isolate.create t.wasp ~key:batch_key
       ~source:(source ^ batch_driver ~entry)
       ~entry:"__vdb_batch"
   in
-  Hashtbl.replace t.udfs name (Js_udf { row; batch })
+  replace t name (Js_udf { row; batch })
 
-let register_native t ~name f = Hashtbl.replace t.udfs name (Native_udf f)
+let register_native t ~name f = replace t name (Native_udf f)
 
 let register_c t ~name ~source ~fn =
   let compiled = Vcc.Compile.compile ~name:("udf_" ^ name) source in
@@ -45,7 +57,7 @@ let register_c t ~name ~source ~fn =
   | None ->
       raise
         (Vcc.Compile.Compile_error (Printf.sprintf "UDF %s: %s is not virtine-annotated" name fn)));
-  Hashtbl.replace t.udfs name (C_udf { compiled; fn })
+  replace t name (C_udf { compiled; fn })
 
 let registered t = Hashtbl.fold (fun k _ acc -> k :: acc) t.udfs [] |> List.sort compare
 

@@ -17,7 +17,9 @@ exception Unknown_udf of string
 val create : Wasp.Runtime.t -> t
 
 val register_js : t -> name:string -> source:string -> entry:string -> unit
-(** The entry receives one row as an object ({i column -> value}). *)
+(** The entry receives one row as an object ({i column -> value}).
+    Registering a name again, with any [register_*], replaces its UDF;
+    replacing a JS UDF drops its isolates' snapshots. *)
 
 val register_native : t -> name:string -> (Vjs.Jsvalue.t -> (Vjs.Jsvalue.t, string) result) -> unit
 

@@ -43,9 +43,3 @@ and stmt =
       (** try body, optional catch (binding, body), finally body *)
 
 type program = stmt list
-
-val expr_nodes : expr -> int
-(** Rough node count — the interpreter's per-node cost model unit. *)
-
-val stmt_nodes : stmt -> int
-val stmts_nodes : stmt list -> int

@@ -18,10 +18,6 @@ let expect_punct st p =
 let is_punct st p = match peek st with Jslex.PUNCT q -> q = p | _ -> false
 let is_kw st k = match peek st with Jslex.KW q -> q = k | _ -> false
 
-let eat_kw st k =
-  if is_kw st k then advance st
-  else fail st (Printf.sprintf "expected '%s', found %s" k (Jslex.token_name (peek st)))
-
 let ident st =
   match peek st with
   | Jslex.IDENT name ->

@@ -29,7 +29,6 @@ val decode_descriptor : int64 -> descriptor
     fields). *)
 
 val flat_code : long:bool -> descriptor
-val flat_data : descriptor
 
 val write : Memory.t -> long:bool -> int
 (** Build a 3-entry GDT (null, code, data) at {!base_addr}; returns the

@@ -7,10 +7,6 @@
     build the actual tables in guest memory with real x86 PTE bit layouts
     so the cost falls out of counted uncached stores. *)
 
-val pml4_addr : int
-(** Physical address of the PML4 (0x1000); PDPT and PD follow at 0x2000
-    and 0x3000. *)
-
 val end_addr : int
 (** The first byte past the page directory (0x4000). *)
 

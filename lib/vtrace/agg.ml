@@ -80,4 +80,3 @@ let cells t =
 
 let find t key = Hashtbl.find_opt t.tbl key
 let key_drops t = t.key_drops
-let sample_drops t = List.fold_left (fun a (_, c) -> a + c.sample_drops) 0 (cells t)

@@ -35,5 +35,3 @@ val cells : t -> (string list * cell) list
 
 val find : t -> string list -> cell option
 val key_drops : t -> int
-val sample_drops : t -> int
-(** Total samples discarded across cells once [sample_cap] was reached. *)

@@ -6,12 +6,6 @@
     {!Hostenv}. Each charges the calibrated host-kernel service cost.
     Custom client handlers can override any of these per invocation. *)
 
-val guest_read_buf : Inv.t -> ptr:int64 -> len:int -> bytes
-(** Validated copy out of guest memory.
-    @raise Validation_failed if the range is not fully inside the guest. *)
-
-val guest_write_buf : Inv.t -> ptr:int64 -> bytes -> unit
-
 exception Validation_failed
 
 val canned : int -> Inv.handler option

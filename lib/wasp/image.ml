@@ -20,8 +20,8 @@ let of_program ?(name = "image") ?(mode = Vm.Modes.Long) ?mem_size (p : Asm.prog
   in
   { name; code = p.code; origin = p.origin; entry = p.entry; mode; mem_size; symbols = p.symbols }
 
-let of_asm_string ?name ?mode ?mem_size ?entry src =
-  of_program ?name ?mode ?mem_size (Asm.assemble_string ~origin:Layout.image_base ?entry src)
+let of_asm_string ?name ?mode ?mem_size src =
+  of_program ?name ?mode ?mem_size (Asm.assemble_string ~origin:Layout.image_base src)
 
 let size t = Bytes.length t.code
 

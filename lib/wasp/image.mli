@@ -25,9 +25,9 @@ val of_program : ?name:string -> ?mode:Vm.Modes.t -> ?mem_size:int -> Asm.progra
     defaults to {!Layout.default_mem_size}, grown if the code would not
     fit. *)
 
-val of_asm_string :
-  ?name:string -> ?mode:Vm.Modes.t -> ?mem_size:int -> ?entry:string -> string -> t
-(** Assemble source text at {!Layout.image_base} and wrap it. *)
+val of_asm_string : ?name:string -> ?mode:Vm.Modes.t -> ?mem_size:int -> string -> t
+(** Assemble source text at {!Layout.image_base} and wrap it; it starts
+    at its first instruction. *)
 
 val size : t -> int
 (** Image size in bytes (what gets copied on load — Figure 12's x-axis). *)

@@ -35,7 +35,6 @@ val default_mem_size : int (** 64 KB default guest region *)
 
 val ring_base : int        (** 0x4800 *)
 val ring_entries : int     (** 32 (power of two: slot = index & 31) *)
-val ring_hdr_size : int    (** 0x40 *)
 val ring_sqe_size : int    (** 64 bytes: nr, flags, args0..4, link *)
 val ring_cqe_size : int    (** 16 bytes: result, nr *)
 val ring_sq_head : int     (** u64: host consumer cursor *)

@@ -42,9 +42,6 @@ val has : int64 -> int64 -> bool
 val slot : int64 -> int
 (** Index → storage slot (mod {!Layout.ring_entries}). *)
 
-val sqe_addr : int64 -> int
-val cqe_addr : int64 -> int
-
 (** {1 Header cursors} *)
 
 val sq_head : Vm.Memory.t -> int64
@@ -73,7 +70,6 @@ val link_pos : int64 -> int
 
 type iov = { iov_ptr : int64; iov_len : int64 }
 
-val iov_size : int   (** 16 bytes: ptr u64, len u64 *)
 val max_iov : int    (** 8 segments per vectored op *)
 
 val read_iov : Vm.Memory.t -> ptr:int64 -> i:int -> iov

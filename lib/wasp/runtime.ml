@@ -150,11 +150,11 @@ let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
    evicted, so an eviction-free run never registers it), then write-
    protect the footprint and build the shared EPT — per-page PTE work,
    not a byte copy. *)
-let capture_snapshot t ~key ~mem ~cpu ~native_state =
+let capture_snapshot t ~key ~code ~mem ~cpu ~native_state =
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("key", key) ] else []) "snapshot_capture" (fun () ->
       let store = t.snapshot_store in
       let evicted = Snapshot_store.evictions store in
-      let footprint = Snapshot_store.capture store ~key ~mem ~cpu ~native_state in
+      let footprint = Snapshot_store.capture store ~key ~code ~mem ~cpu ~native_state in
       let evicted = Snapshot_store.evictions store - evicted in
       if evicted > 0 then
         Kvmsim.Kvm.count t.sys ~by:evicted "wasp_snapshot_store_evictions_total";
@@ -486,15 +486,24 @@ let on_home_core t ~snapshot_key =
 
 (* What an invocation starts from, decided before its [invocation] span
    opens: the home-core switch comes first, so the whole root span is
-   stamped on that core's clock. *)
-let claim t ~name ~snapshot_key =
+   stamped on that core's clock. A snapshot restores only the [code] it
+   was taken from (a native payload's is empty): another image's entry
+   under the key is stale, and is dropped so the invocation boots. A
+   warm run of the same image finds its own bytes, one comparison. *)
+let claim t ~name ~code ~snapshot_key =
   (* for probe contexts fired below Wasp (KVM exits, EPT breaks) *)
   Kvmsim.Kvm.set_payload t.sys name;
   on_home_core t ~snapshot_key;
   let snapshot =
     match snapshot_key with
-    | Some key -> Option.map (fun e -> (key, e)) (Snapshot_store.find t.snapshot_store ~key)
     | None -> None
+    | Some key -> (
+        match Snapshot_store.find t.snapshot_store ~key with
+        | Some e when e.code == code || Bytes.equal e.code code -> Some (key, e)
+        | Some _ ->
+            drop_snapshot t ~key;
+            None
+        | None -> None)
   in
   (* CoW mode keeps one idle shell per snapshot key between invocations.
      The invocation takes it out of [retained] ([finish] puts it back),
@@ -667,7 +676,7 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
   let take_snapshot () =
     match snapshot_key with
     | None -> Hc.err_inval
-    | Some key -> capture_snapshot t ~key ~mem ~cpu ~native_state:None
+    | Some key -> capture_snapshot t ~key ~code:image.code ~mem ~cpu ~native_state:None
   in
   (* The VM loop: KVM_RUN until the virtine exits, servicing hypercalls. *)
   let retired_at_start = Vm.Cpu.instructions_retired cpu in
@@ -752,7 +761,7 @@ let check_memory fn ~mem_size mode =
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
   check_memory "Runtime.run" ~mem_size:image.mem_size image.mode;
-  let claim = claim t ~name:image.name ~snapshot_key in
+  let claim = claim t ~name:image.name ~code:image.code ~snapshot_key in
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("image", image.name) ] else []) "invocation"
     (fun () ->
       run_inner t claim image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
@@ -767,7 +776,6 @@ module Native_ctx = struct
     runtime : t;
     inv : Inv.t;
     policy : Policy.t;
-    handlers : int -> Inv.handler option;
     snapshot_key : string option;
     shell : Pool.shell;
     mutable snapshot_factory : (unit -> Univ.t) option;
@@ -791,13 +799,13 @@ module Native_ctx = struct
     match c.snapshot_key with
     | None -> Hc.err_inval
     | Some key ->
-        capture_snapshot c.runtime ~key ~mem:c.inv.Inv.mem
+        capture_snapshot c.runtime ~key ~code:Bytes.empty ~mem:c.inv.Inv.mem
           ~cpu:(Kvmsim.Kvm.vcpu_cpu c.shell.vcpu) ~native_state:c.snapshot_factory
 
   let dispatch_one c nr args =
     let full_args = Array.make 5 0L in
     Array.blit args 0 full_args 0 (min (Array.length args) 5);
-    dispatch c.runtime ~policy:c.policy ~handlers:c.handlers ~inv:c.inv
+    dispatch c.runtime ~policy:c.policy ~handlers:no_overrides ~inv:c.inv
       ~take_snapshot:(take_snapshot_of c) nr full_args
 
   let hypercall c nr args =
@@ -823,9 +831,8 @@ module Native_ctx = struct
              rest
 end
 
-let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-    ~body =
-  let prov = provision t claim ~mem_size ~mode in
+let run_native_inner t claim ~mem_size ~policy ~input ~snapshot_key ~body =
+  let prov = provision t claim ~mem_size ~mode:Vm.Modes.Long in
   let mem = prov.shell.mem in
   let restored, heap_brk =
     match prov.snapshot with
@@ -836,18 +843,17 @@ let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
              clobber restored state *)
           max Layout.image_base entry.Snapshot_store.footprint )
     | None ->
-        boot t ~mem ~mode;
+        boot t ~mem ~mode:Vm.Modes.Long;
         (None, Layout.image_base)
   in
   let inv =
-    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(Kvmsim.Kvm.rng t.sys) ?conn ~input ~heap_brk ()
+    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(Kvmsim.Kvm.rng t.sys) ~input ~heap_brk ()
   in
   let ctx =
     {
       Native_ctx.runtime = t;
       inv;
       policy;
-      handlers;
       snapshot_key;
       shell = prov.shell;
       snapshot_factory = None;
@@ -864,15 +870,13 @@ let run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
   let return_value = match outcome with Exited v -> v | _ -> 0L in
   finish t prov ~snapshot_key ~inv outcome ~return_value
 
-let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
-    ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
-    ?snapshot_key ~body () =
-  check_memory "Runtime.run_native" ~mem_size mode;
-  let claim = claim t ~name ~snapshot_key in
+let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(policy = Policy.deny_all)
+    ?(input = Bytes.empty) ?snapshot_key ~body () =
+  check_memory "Runtime.run_native" ~mem_size Vm.Modes.Long;
+  let claim = claim t ~name ~code:Bytes.empty ~snapshot_key in
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("payload", name) ] else []) "invocation"
     (fun () ->
-      run_native_inner t claim ~mem_size ~mode ~policy ~handlers ~input ~conn
-        ~snapshot_key ~body)
+      run_native_inner t claim ~mem_size ~policy ~input ~snapshot_key ~body)
 
 (* ------------------------------------------------------------------ *)
 (* Record and replay                                                   *)

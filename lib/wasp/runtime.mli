@@ -92,7 +92,8 @@ val pool_stats : t -> Pool.stats
 val snapshots : t -> Snapshot_store.t
 
 val drop_snapshot : t -> key:string -> unit
-(** Forget a captured snapshot (e.g. the image changed). *)
+(** Forget a captured snapshot (e.g. another native [body] will run
+    under the key; an image's code is checked on restore). *)
 
 type run_stats = {
   invocations : int;        (** [wasp_invocations_total] *)
@@ -206,7 +207,10 @@ val run :
       after [input] would be (use one or the other).
     - [snapshot_key] enables snapshotting: the first run executes the
       [snapshot] hypercall path and captures state; later runs restore it
-      and skip boot.
+      and skip boot. A key's snapshot restores only the code it was
+      taken from: a run of an image whose code differs from the
+      capturing image's drops the entry (its retained [`Cow] shell goes
+      back to the pool) and boots.
     - [inspect] observes guest memory and registers after exit, before
       the shell is cleaned (used by milestone experiments).
 
@@ -292,7 +296,8 @@ module Native_ctx : sig
 
   val hypercall : ctx -> int -> int64 array -> int64
   (** Cross into the client: charges the full exit/entry round trip, then
-      applies policy and handlers exactly as an [out] instruction would. *)
+      applies policy and the canned handlers exactly as an [out]
+      instruction would. *)
 
   val hypercall_batch : ctx -> (int * int64 array) list -> int64 list
   (** The native analogue of the guest hypercall ring: dispatch the ops
@@ -310,21 +315,21 @@ val run_native :
   t ->
   name:string ->
   ?mem_size:int ->
-  ?mode:Vm.Modes.t ->
   ?policy:Policy.t ->
-  ?handlers:(int -> Inv.handler option) ->
   ?input:bytes ->
-  ?conn:Hostenv.endpoint ->
   ?snapshot_key:string ->
   body:(Native_ctx.ctx -> restored:Univ.t option -> int64) ->
   unit ->
   result
 (** Run [body] through the same invocation lifecycle as {!run}:
-    provision a shell, boot (or restore the snapshot under the runtime's
-    {!reset_mode}, in which case [restored] carries the materialized
-    state), run [body], then clean or retain the shell. With a hub
-    attached the phase spans tile the invocation exactly as for {!run}.
-    [body]'s hypercalls go through policy and handlers but are not
-    written to a replay recorder, and a restore never takes the
-    [snapshot_corrupt] fault-plan stomp. Raises [Invalid_argument] as
-    {!run} does for a memory under {!Vm.Boot.min_mem_size}. *)
+    provision a shell, boot to long mode (or restore the snapshot under
+    the runtime's {!reset_mode}, in which case [restored] carries the
+    materialized state), run [body], then clean or retain the shell.
+    With a hub attached the phase spans tile the invocation exactly as
+    for {!run}. [body]'s hypercalls go through policy and the canned
+    handlers but are not written to a replay recorder, and a restore
+    never takes the [snapshot_corrupt] fault-plan stomp. A native
+    payload has no code for its snapshot to be checked against: a
+    caller that puts another [body] behind a [snapshot_key] drops the
+    key first ({!drop_snapshot}). Raises [Invalid_argument] as {!run}
+    does for a memory under {!Vm.Boot.min_mem_size}. *)

@@ -1,4 +1,5 @@
 type entry = {
+  code : bytes;
   image : Vm.Memory.image;
   footprint : int;
   regs : int64 array;
@@ -58,12 +59,12 @@ let evict_lru t =
       clear t ~key;
       t.evictions <- t.evictions + 1
 
-let capture t ~key ~mem ~cpu ~native_state =
+let capture t ~key ~code ~mem ~cpu ~native_state =
   let image = Vm.Memory.capture mem in
   let footprint = Vm.Memory.image_footprint image in
   let regs = Array.init Instr.num_regs (fun r -> Vm.Cpu.get_reg cpu r) in
   let entry =
-    { image; footprint; regs; pc = Vm.Cpu.pc cpu; mode = Vm.Cpu.mode cpu; native_state }
+    { code; image; footprint; regs; pc = Vm.Cpu.pc cpu; mode = Vm.Cpu.mode cpu; native_state }
   in
   clear t ~key;
   let slot = { entry; last_used = 0 } in

@@ -18,6 +18,9 @@
     [wasp_snapshot_store_*] series after each capture and drop. *)
 
 type entry = {
+  code : bytes;
+      (** the code of the image that captured it, empty for a native
+          payload: {!Runtime.run} restores only the same code *)
   image : Vm.Memory.image;       (** page references, trimmed to footprint *)
   footprint : int;
   regs : int64 array;
@@ -36,14 +39,16 @@ val create : ?capacity:int -> unit -> t
 val capture :
   t ->
   key:string ->
+  code:bytes ->
   mem:Vm.Memory.t ->
   cpu:Vm.Cpu.t ->
   native_state:(unit -> Univ.t) option ->
   int
-(** Capture guest state under [key]: publish the memory's pages (deduped
-    via the page cache) and trim to the footprint (index of the last
-    nonzero byte). Returns the footprint in bytes so the caller can
-    charge the page-table build. May evict the LRU entry. *)
+(** Capture guest state under [key], taken from [code]: publish the
+    memory's pages (deduped via the page cache) and trim to the
+    footprint (index of the last nonzero byte). Returns the footprint
+    in bytes so the caller can charge the page-table build. May evict
+    the LRU entry. *)
 
 val mem : t -> key:string -> bool
 (** Whether [key] holds a snapshot; leaves its LRU stamp alone. *)

@@ -176,8 +176,8 @@ let backoff_for t ~retry =
   let rec go acc k = if k <= 1 then acc else go (acc * t.config.backoff_factor) (k - 1) in
   go t.config.backoff_base retry
 
-let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
-  let key = match key with Some k -> k | None -> image.Image.name in
+let run t (image : Image.t) ?policy ?args ?snapshot_key () =
+  let key = image.Image.name in
   let sys = Runtime.kvm t.rt in
   Kvmsim.Kvm.count sys "wasp_supervised_total";
   (* The whole supervised invocation is one span; each attempt (backoff
@@ -226,7 +226,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
             Kvmsim.Kvm.fire sys ~fn:key ~reason:"retry" ~cycles:d ~nr:k "sup_backoff"
           end;
           match
-            Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
+            Runtime.run t.rt image ?policy ?args ?snapshot_key
               ?fuel:t.config.attempt_fuel ()
           with
           | r -> classify t r

@@ -95,14 +95,12 @@ val run :
   t ->
   Image.t ->
   ?policy:Policy.t ->
-  ?input:bytes ->
   ?args:int64 list ->
   ?snapshot_key:string ->
-  ?key:string ->
   unit ->
   outcome
-(** Run [image] under supervision. [key] identifies the image for
-    quarantine accounting (default [image.name]). Metrics (when the
+(** Run [image] under supervision. The image's name is its key for
+    quarantine accounting. Metrics (when the
     runtime has a telemetry hub): [wasp_supervised_total],
     [wasp_supervised_failures_total] (plain and [class]-labeled),
     [wasp_retries_total], [wasp_quarantine_rejections_total], and the

@@ -127,16 +127,6 @@ let prop_native_matches_reference =
       in
       got = expected)
 
-let prop_optimizer_preserves_semantics =
-  QCheck.Test.make ~name:"optimizer preserves semantics" ~count:150 arb_case
-    (fun (e, args) ->
-      let src = Printf.sprintf "int f(int a, int b, int c) { return %s; }" (to_c e) in
-      let plain = Vcc.Compile.compile ~snapshot:false ~optimize:false src in
-      let opt = Vcc.Compile.compile ~snapshot:false ~optimize:true src in
-      let clock = Cycles.Clock.create () in
-      Vcc.Compile.invoke_native ~clock plain "f" (Array.to_list args) ()
-      = Vcc.Compile.invoke_native ~clock opt "f" (Array.to_list args) ())
-
 let prop_virtine_matches_native =
   QCheck.Test.make ~name:"virtine result equals native result" ~count:40 arb_case
     (fun (e, args) ->
@@ -223,7 +213,6 @@ let () =
       qsuite "compiler"
         [
           prop_native_matches_reference;
-          prop_optimizer_preserves_semantics;
           prop_virtine_matches_native;
           prop_loop_sum_matches;
         ];

@@ -405,6 +405,49 @@ let test_shed_accounting () =
     (status_of (Serverless.Gateway.handle g (post "/invoke/ok" "hi")));
   Alcotest.(check int) "no further sheds" 2 (Serverless.Gateway.shed_count g)
 
+(* Per-core clocks differ: a request served on a core behind the stamp
+   another core left must not drain the bucket by the gap. *)
+let test_shed_refills_only_forward () =
+  let w = Wasp.Runtime.create ~cores:2 ~clean:`Async () in
+  let shed = { Serverless.Gateway.burst = 10; refill_per_s = 1000.0 } in
+  let g = Serverless.Gateway.create ~shed (Serverless.Vespid.create w) in
+  ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
+  (* core 0 one virtual second ahead of core 1 *)
+  Cycles.Clock.advance_int (Wasp.Runtime.core_clock w 0) 2_690_000_000;
+  for i = 1 to 10 do
+    Alcotest.(check int)
+      (Printf.sprintf "request %d admitted" i)
+      200
+      (status_of (Serverless.Gateway.handle g (post "/invoke/ok" "hi")))
+  done;
+  Alcotest.(check int) "nothing shed" 0 (Serverless.Gateway.shed_count g)
+
+(* Registering a name again replaces the function, under either reset:
+   no answer comes from the old registration's snapshot. *)
+let test_reregister_replaces () =
+  List.iter
+    (fun reset ->
+      let w = Wasp.Runtime.create ~reset ~clean:`Async () in
+      let g = Serverless.Gateway.create (Serverless.Vespid.create w) in
+      let register word =
+        Alcotest.(check int) "registered" 201
+          (status_of
+             (Serverless.Gateway.handle g
+                (post "/register/f" (Printf.sprintf "function main(d) { return %S; }" word))))
+      in
+      let answer () =
+        match Vhttp.Http.parse_response (Serverless.Gateway.handle g (post "/invoke/f" "x")) with
+        | Ok r -> r.Vhttp.Http.resp_body
+        | Error e -> Alcotest.failf "bad response: %s" e
+      in
+      register "one";
+      Alcotest.(check string) "first" "one" (answer ());
+      Alcotest.(check string) "first, warm" "one" (answer ());
+      register "two";
+      Alcotest.(check string) "replaced" "two" (answer ());
+      Alcotest.(check string) "replaced, warm" "two" (answer ()))
+    [ `Memcpy; `Cow ]
+
 let test_shed_off_by_default () =
   let _, g = hardened_gateway () in
   ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
@@ -582,6 +625,8 @@ let () =
             test_unknown_names_store_nothing;
           Alcotest.test_case "shed accounting" `Quick test_shed_accounting;
           Alcotest.test_case "shed off by default" `Quick test_shed_off_by_default;
+          Alcotest.test_case "shed refills only forward" `Quick test_shed_refills_only_forward;
+          Alcotest.test_case "re-registration replaces" `Quick test_reregister_replaces;
         ] );
       ( "tracing-slo",
         [

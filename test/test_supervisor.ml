@@ -135,11 +135,11 @@ fib_base:
   ret
 |}
 
-let fib_image () = Wasp.Image.of_asm_string ~name:"fib" fib_src
+let fib_image ?(name = "fib") () = Wasp.Image.of_asm_string ~name fib_src
 
 (* dies immediately: wild load far outside guest memory *)
-let crash_image () =
-  Wasp.Image.of_asm_string ~name:"crash" {|
+let crash_image ?(name = "crash") () =
+  Wasp.Image.of_asm_string ~name {|
 start:
   mov r1, 0x7ffffff0
   ld64 r0, [r1]
@@ -451,9 +451,10 @@ let test_supervisor_success_resets_streak () =
     { S.default_config with S.max_retries = 0; quarantine_threshold = 2 }
   in
   let sup = S.create ~config w in
-  ignore (S.run sup (crash_image ()) ~key:"k" ());
-  ignore (S.run sup (fib_image ()) ~key:"k" ());
-  ignore (S.run sup (crash_image ()) ~key:"k" ());
+  (* one name, so one key: the image changed between runs *)
+  ignore (S.run sup (crash_image ~name:"k" ()) ());
+  ignore (S.run sup (fib_image ~name:"k" ()) ());
+  ignore (S.run sup (crash_image ~name:"k" ()) ());
   Alcotest.(check bool) "success in between resets the streak" false
     (S.quarantined sup ~key:"k")
 

@@ -498,7 +498,7 @@ let counter_scenario ?(midway = fun _ _ -> ()) w =
   let asm ?mem_size name src = Wasp.Image.of_asm_string ?mem_size ~name src in
   let hlt ?mem_size () = asm ?mem_size "hlt" "hlt" in
   (* the failed provision is retried *)
-  ignore (S.run sup (hlt ()) ~key:"ok" ());
+  ignore (S.run sup (hlt ()) ());
   (* one allowed and one denied hypercall *)
   ignore
     (R.run w
@@ -506,13 +506,13 @@ let counter_scenario ?(midway = fun _ _ -> ()) w =
        ~policy:(Wasp.Policy.of_list [ Wasp.Hc.exit_ ])
        ());
   (* a fault on every attempt fails the key, which is then quarantined *)
-  let wild = asm "wild" "mov r1, 0x7ffffff0\nld64 r0, [r1]\nhlt" in
-  ignore (S.run sup wild ~key:"bad" ());
-  ignore (S.run sup wild ~key:"bad" ());
+  let wild name = asm name "mov r1, 0x7ffffff0\nld64 r0, [r1]\nhlt" in
+  ignore (S.run sup (wild "bad") ());
+  ignore (S.run sup (wild "bad") ());
   ignore (R.run w (asm "spin" "spin:\n  jmp spin") ~fuel:1_000 ());
   midway sup g;
   (* the supervisor writes on this side too: a retry, then a quarantine *)
-  ignore (S.run sup wild ~key:"late" ());
+  ignore (S.run sup (wild "late") ());
   let snap =
     asm "snap"
       "mov r0, 6\nout 1, r0\nmov r1, 0x1000\nmov r2, 7\nst64 [r1], r2\nmov r0, 0\nout 1, r0"

@@ -516,6 +516,30 @@ let test_virtine_global_copies_are_distinct () =
   check_i64 "first sees 101" 101L r1.R.return_value;
   check_i64 "second also sees 101" 101L r2.R.return_value
 
+(* Two programs under vcc's default unit name share the snapshot key
+   [unit:f]: on one runtime each must run its own code, not restore the
+   other's snapshot. *)
+let test_virtine_snapshot_follows_code () =
+  List.iter
+    (fun reset ->
+      let w = R.create ~reset () in
+      let plus = compile "virtine int f(int x) { return x + 1; }" in
+      let times = compile "virtine int f(int x) { return x * 100; }" in
+      let run c = Vcc.Compile.invoke w c "f" [ 5L ] () in
+      check_i64 "x + 1" 6L (run plus).R.return_value;
+      let r = run times in
+      check_i64 "x * 100 after x + 1" 500L r.R.return_value;
+      Alcotest.(check bool) "booted" false r.R.from_snapshot;
+      let r = run times in
+      check_i64 "x * 100, warm" 500L r.R.return_value;
+      Alcotest.(check bool) "restored its own snapshot" true r.R.from_snapshot;
+      check_i64 "x + 1 again" 6L (run plus).R.return_value;
+      (* a second compile of the same source has equal code *)
+      let r = run (compile "virtine int f(int x) { return x + 1; }") in
+      check_i64 "x + 1, recompiled" 6L r.R.return_value;
+      Alcotest.(check bool) "restores the equal code's snapshot" true r.R.from_snapshot)
+    [ `Memcpy; `Cow ]
+
 let test_virtine_default_deny_io () =
   (* a virtine-annotated function trying to open a host file is refused *)
   let src =
@@ -762,6 +786,7 @@ let () =
           Alcotest.test_case "snapshot speedup" `Quick test_virtine_snapshot_speedup;
           Alcotest.test_case "snapshot opt-out" `Quick test_virtine_no_snapshot_compile;
           Alcotest.test_case "global copy semantics" `Quick test_virtine_global_copies_are_distinct;
+          Alcotest.test_case "snapshot follows code" `Quick test_virtine_snapshot_follows_code;
           Alcotest.test_case "default deny io" `Quick test_virtine_default_deny_io;
           Alcotest.test_case "permissive io" `Quick test_virtine_permissive_io;
           Alcotest.test_case "config mask" `Quick test_virtine_config_mask;

@@ -176,6 +176,33 @@ let test_native_udf_baseline () =
   | Ok rows -> Alcotest.(check int) "native matches" 3 (List.length rows)
   | Error e -> Alcotest.fail e
 
+(* Registering a name again replaces the UDF on the same runtime, under
+   either reset: no answer comes from the old registration's snapshot. *)
+let on_both_resets f =
+  List.iter
+    (fun reset ->
+      let w = Wasp.Runtime.create ~reset ~clean:`Async () in
+      f w (Vdb.Udf.create w))
+    [ `Memcpy; `Cow ]
+
+let test_js_reregister_replaces () =
+  on_both_resets (fun w udfs ->
+      let js n =
+        Vdb.Udf.register_js udfs ~name:"j"
+          ~source:(Printf.sprintf "function j(r) { return %d; }" n)
+          ~entry:"j";
+        match Vdb.Udf.apply_row udfs ~name:"j" (V.Obj (Hashtbl.create 1)) with
+        | Ok (V.Num v) -> int_of_float v
+        | Ok _ -> Alcotest.fail "not a number"
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check int) "JS UDF" 1 (js 1);
+      Alcotest.(check int) "JS UDF replaced" 2 (js 2);
+      let row_snapshot () = Wasp.Snapshot_store.mem (Wasp.Runtime.snapshots w) ~key:"udf:j:row" in
+      Alcotest.(check bool) "its row isolate snapshotted" true (row_snapshot ());
+      Vdb.Udf.register_native udfs ~name:"j" (fun _ -> Ok V.Null);
+      Alcotest.(check bool) "a native UDF in its place drops it" false (row_snapshot ()))
+
 (* ------------------------------------------------------------------ *)
 (* C UDFs                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -204,6 +231,19 @@ let test_c_udf_crash_contained () =
   match Vdb.Query.select_c udfs t ~where_:"ok" () with
   | Ok rows -> Alcotest.(check int) "all rows" 4 (List.length rows)
   | Error e -> Alcotest.fail e
+
+let test_c_reregister_replaces () =
+  on_both_resets (fun _ udfs ->
+      let c body =
+        Vdb.Udf.register_c udfs ~name:"c"
+          ~source:(Printf.sprintf "virtine int f(int x) { return %s; }" body)
+          ~fn:"f";
+        match Vdb.Udf.apply_c udfs ~name:"c" [ 5L ] with
+        | Ok v -> v
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check int64) "C UDF" 6L (c "x + 1");
+      Alcotest.(check int64) "C UDF replaced" 500L (c "x * 100"))
 
 let test_kind_and_registry () =
   let udfs, _ = setup () in
@@ -249,11 +289,13 @@ let () =
             test_batch_mode_shares_state_within_query;
           Alcotest.test_case "unknown UDF" `Quick test_unknown_udf;
           Alcotest.test_case "native baseline" `Quick test_native_udf_baseline;
+          Alcotest.test_case "re-registration replaces" `Quick test_js_reregister_replaces;
         ] );
       ( "c-udfs",
         [
           Alcotest.test_case "integer predicate" `Quick test_c_udf;
           Alcotest.test_case "crash contained" `Quick test_c_udf_crash_contained;
+          Alcotest.test_case "re-registration replaces" `Quick test_c_reregister_replaces;
         ] );
       ( "conversions",
         [

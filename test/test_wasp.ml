@@ -434,7 +434,7 @@ let test_cow_restore_after_pool_reuse () =
   let cpu = Kvmsim.Kvm.vcpu_cpu s2.Wasp.Pool.vcpu in
   let store = Wasp.Snapshot_store.create () in
   ignore
-    (Wasp.Snapshot_store.capture store ~key:"k" ~mem:s2.Wasp.Pool.mem ~cpu
+    (Wasp.Snapshot_store.capture store ~key:"k" ~code:Bytes.empty ~mem:s2.Wasp.Pool.mem ~cpu
        ~native_state:None);
   let entry = Option.get (Wasp.Snapshot_store.find store ~key:"k") in
   let pages, bytes =
@@ -770,7 +770,9 @@ let mem_with_cpu ?(size = 64 * 1024) () =
 let test_footprint_all_zero () =
   let mem, cpu = mem_with_cpu () in
   let store = Wasp.Snapshot_store.create () in
-  let fp = Wasp.Snapshot_store.capture store ~key:"z" ~mem ~cpu ~native_state:None in
+  let fp =
+    Wasp.Snapshot_store.capture store ~key:"z" ~code:Bytes.empty ~mem ~cpu ~native_state:None
+  in
   Alcotest.(check int) "all-zero image has footprint 0" 0 fp;
   let entry = Option.get (Wasp.Snapshot_store.find store ~key:"z") in
   Alcotest.(check int) "entry agrees" 0 entry.Wasp.Snapshot_store.footprint;
@@ -783,14 +785,17 @@ let test_footprint_mid_page () =
   let mem, cpu = mem_with_cpu () in
   Vm.Memory.write_u8 mem 100 0xAA;
   let store = Wasp.Snapshot_store.create () in
-  let fp = Wasp.Snapshot_store.capture store ~key:"m" ~mem ~cpu ~native_state:None in
+  let fp =
+    Wasp.Snapshot_store.capture store ~key:"m" ~code:Bytes.empty ~mem ~cpu ~native_state:None
+  in
   Alcotest.(check int) "footprint ends mid-page after last nonzero byte" 101 fp
 
 let test_dirty_page_past_footprint_restores_to_zeros () =
   let mem, cpu = mem_with_cpu () in
   Vm.Memory.write_u64 mem 0 0x1234L;
   let store = Wasp.Snapshot_store.create () in
-  ignore (Wasp.Snapshot_store.capture store ~key:"p" ~mem ~cpu ~native_state:None);
+  ignore
+    (Wasp.Snapshot_store.capture store ~key:"p" ~code:Bytes.empty ~mem ~cpu ~native_state:None);
   let entry = Option.get (Wasp.Snapshot_store.find store ~key:"p") in
   Vm.Memory.clear_dirty mem;
   (* dirty a page entirely beyond the snapshot's footprint *)

@@ -101,7 +101,8 @@ let prop_cow_restore_equals_full_restore =
       let cpu_a = Vm.Cpu.create ~mem:mem_a ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
       List.iter (apply_write mem_a) init_writes;
       ignore
-        (Wasp.Snapshot_store.capture store ~key:"p" ~mem:mem_a ~cpu:cpu_a ~native_state:None);
+        (Wasp.Snapshot_store.capture store ~key:"p" ~code:Bytes.empty ~mem:mem_a ~cpu:cpu_a
+           ~native_state:None);
       let entry = Option.get (Wasp.Snapshot_store.find store ~key:"p") in
       (* arm 1: CoW — memory holds the snapshot, gets dirtied, CoW-restored *)
       let mem_cow = Vm.Memory.create ~size:mem_size in
