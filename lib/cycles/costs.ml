@@ -20,8 +20,6 @@ let kvm_run_checks = 1100
 let vmentry = 3200
 let vmexit = 3800
 
-let vmrun_total = ioctl_syscall + kvm_run_checks + vmentry + vmexit
-
 let kvm_create_vm = 210_000
 let kvm_create_vcpu = 60_000
 let kvm_memory_region = 18_000
@@ -74,6 +72,3 @@ let jitter_pos rng ~pct c =
   if c = 0 then 0
   else c + int_of_float (float_of_int c *. pct *. abs_float (Rng.gaussian rng))
 
-let scheduler_outlier rng =
-  (* ~0.5% of trials hit a host scheduling event of 50-500 us. *)
-  if Rng.float rng < 0.005 then Some (135_000 + Rng.int rng 1_200_000) else None

@@ -51,10 +51,6 @@ val kvm_run_checks : int
 val vmentry : int
 val vmexit : int
 
-val vmrun_total : int
-(** The full "vmrun" lower bound of Figure 2: ioctl + checks + entry + exit.
-    Roughly 10K cycles (~3.7 us). *)
-
 val kvm_create_vm : int
 (** KVM_CREATE_VM: VMCB/VMCS and in-kernel state allocation (~200K). *)
 
@@ -135,6 +131,3 @@ val jitter_pos : Rng.t -> pct:float -> int -> int
     reports minimum observed latencies (Table 1), so the minimum of many
     trials converges to the calibrated value. *)
 
-val scheduler_outlier : Rng.t -> int option
-(** With small probability, returns a large host-scheduling delay; the
-    paper removed such outliers with Tukey's method, and so do our benches. *)

@@ -3,9 +3,8 @@ type trigger =
   | Every of { start : int; interval : int }
 
 type site_state = {
-  name : string;
   trigger : trigger;
-  mutable rng : Rng.t;  (* Prob sites only; re-derived on reset *)
+  rng : Rng.t;  (* Prob sites only *)
   mutable opportunities : int;
   mutable injected : int;
 }
@@ -52,7 +51,6 @@ let create ?(seed = 0xFA17) sites =
       check_trigger name trigger;
       Hashtbl.replace by_name name
         {
-          name;
           trigger;
           rng = Rng.create ~seed:(site_seed ~seed name);
           opportunities = 0;
@@ -60,8 +58,6 @@ let create ?(seed = 0xFA17) sites =
         })
     sites;
   { seed; order = List.map fst sites; by_name }
-
-let seed t = t.seed
 
 let sites t =
   List.map (fun name -> (name, (Hashtbl.find t.by_name name).trigger)) t.order
@@ -82,24 +78,8 @@ let fires t ~site =
       if fire then s.injected <- s.injected + 1;
       fire
 
-let opportunities t ~site =
-  match Hashtbl.find_opt t.by_name site with None -> 0 | Some s -> s.opportunities
-
-let injected t ~site =
-  match Hashtbl.find_opt t.by_name site with None -> 0 | Some s -> s.injected
-
 let total_injected t =
   Hashtbl.fold (fun _ s acc -> acc + s.injected) t.by_name 0
-
-let reset t =
-  Hashtbl.iter
-    (fun _ s ->
-      s.opportunities <- 0;
-      s.injected <- 0;
-      s.rng <- Rng.create ~seed:(site_seed ~seed:t.seed s.name))
-    t.by_name
-
-let copy t = create ~seed:t.seed (sites t)
 
 let trigger_to_string = function
   | Prob p -> Printf.sprintf "p%g" p

@@ -15,8 +15,8 @@
 
     Because every decision is a pure function of (seed, site, opportunity
     index), a chaos run is replayable: re-arm an identical plan (same
-    seed, same sites — see {!copy} or {!of_string}) and the same faults
-    fire at the same points, cycle for cycle. *)
+    seed, same sites — see {!of_string}) and the same faults fire at the
+    same points, cycle for cycle. *)
 
 type trigger =
   | Prob of float
@@ -36,34 +36,17 @@ val create : ?seed:int -> (string * trigger) list -> t
     containing [';'], ['='] or whitespace (they would break the textual
     form). *)
 
-val seed : t -> int
-val sites : t -> (string * trigger) list
-(** In creation order. *)
-
 val fires : t -> site:string -> bool
 (** Consume one opportunity at [site]; true if the plan injects a fault
     here. Unknown sites never fire (and are not counted). *)
 
-val opportunities : t -> site:string -> int
-(** Opportunities consumed at [site] so far. *)
-
-val injected : t -> site:string -> int
-(** Faults fired at [site] so far. *)
-
 val total_injected : t -> int
-
-val reset : t -> unit
-(** Re-arm: opportunity counters back to zero, [Prob] streams back to
-    their seed-derived start. After [reset] the plan answers exactly the
-    same sequence again. *)
-
-val copy : t -> t
-(** A fresh armed plan with the same seed and sites ({!reset} without
-    disturbing the original). *)
+(** Faults fired so far, over every site. *)
 
 val to_string : t -> string
 (** One-line textual form, e.g.
-    ["seed=0xfa17;spurious_exit=p0.05;guest_hang=@50+100"]. Round-trips
+    ["seed=0xfa17;spurious_exit=p0.05;guest_hang=@50+100"], sites in
+    creation order. Round-trips
     through {!of_string}; embedded in [.vxr] recordings so chaos runs
     replay faithfully. *)
 

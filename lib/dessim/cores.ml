@@ -10,16 +10,15 @@ type t = {
   clocks : Cycles.Clock.t array;
   queues : (core:int -> unit) Heap.t array;  (* tasks by (release time, submission) *)
   per_core : core_stats array;
-  steal : bool;
   switch : (int -> unit) option;
   idle : (core:int -> budget:int -> int) option;
   mutable next_seq : int;
-  mutable rr : int;       (* round-robin cursor for unpinned submits *)
+  mutable rr : int;       (* round-robin cursor for submits *)
   mutable submitted : int;
   mutable probe : (core:int -> reason:string -> cycles:int -> nr:int -> string -> unit) option;
 }
 
-let create ?(steal = true) ?switch ?idle ?probe clocks =
+let create ?switch ?idle ?probe clocks =
   let n = Array.length clocks in
   if n < 1 then invalid_arg "Cores.create: need at least one clock";
   {
@@ -34,7 +33,6 @@ let create ?(steal = true) ?switch ?idle ?probe clocks =
             idle_cycles = 0L;
             reclaim_cycles = 0L;
           });
-    steal;
     switch;
     idle;
     next_seq = 0;
@@ -70,18 +68,10 @@ let utilization t ~core =
   let busy = Int64.to_float s.busy_cycles and idle = Int64.to_float s.idle_cycles in
   if busy +. idle <= 0.0 then 0.0 else busy /. (busy +. idle)
 
-let submit t ?affinity ?(at = 0L) fn =
+let submit t ?(at = 0L) fn =
   if Int64.compare at 0L < 0 then invalid_arg "Cores.submit: negative time";
-  let core =
-    match affinity with
-    | Some c ->
-        if c < 0 || c >= cores t then invalid_arg "Cores.submit: no such core";
-        c
-    | None ->
-        let c = t.rr in
-        t.rr <- (t.rr + 1) mod cores t;
-        c
-  in
+  let core = t.rr in
+  t.rr <- (t.rr + 1) mod cores t;
   Heap.push t.queues.(core) { at; seq = t.next_seq; value = fn };
   t.next_seq <- t.next_seq + 1;
   t.submitted <- t.submitted + 1
@@ -91,22 +81,20 @@ let submit t ?affinity ?(at = 0L) fn =
 let candidate t c =
   match Heap.peek t.queues.(c) with
   | Some task -> Some (task, c)
-  | None ->
-      if not t.steal then None
-      else begin
-        let victim = ref (-1) and best = ref 0 in
-        Array.iteri
-          (fun d q ->
-            if d <> c && Heap.size q > !best then begin
-              best := Heap.size q;
-              victim := d
-            end)
-          t.queues;
-        if !victim < 0 then None
-        else match Heap.peek t.queues.(!victim) with
-          | Some task -> Some (task, !victim)
-          | None -> None
-      end
+  | None -> (
+      let victim = ref (-1) and best = ref 0 in
+      Array.iteri
+        (fun d q ->
+          if d <> c && Heap.size q > !best then begin
+            best := Heap.size q;
+            victim := d
+          end)
+        t.queues;
+      if !victim < 0 then None
+      else
+        match Heap.peek t.queues.(!victim) with
+        | Some task -> Some (task, !victim)
+        | None -> None)
 
 (* One scheduling decision: the core that can start work earliest (its
    clock, or the task release time if later; ties to the lower core id)

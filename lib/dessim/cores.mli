@@ -8,9 +8,9 @@
     runs its next task — so same-seed runs are byte-identical regardless
     of how work interleaves across cores.
 
-    A core with an empty queue steals the head of the longest other
-    queue (work stealing; disable with [~steal:false] to pin tasks).
-    Tasks migrate; the resources they use (e.g. pooled virtine shells)
+    Tasks are queued round-robin over the cores, and a core with an
+    empty queue steals the head of the longest other queue (work
+    stealing). Tasks migrate; the resources they use (e.g. pooled virtine shells)
     need not — the [switch] hook tells the execution substrate which core
     is about to run so it can retarget charging.
 
@@ -29,13 +29,12 @@ type core_stats = {
 }
 
 val create :
-  ?steal:bool ->
   ?switch:(int -> unit) ->
   ?idle:(core:int -> budget:int -> int) ->
   ?probe:(core:int -> reason:string -> cycles:int -> nr:int -> string -> unit) ->
   Cycles.Clock.t array ->
   t
-(** One queue per clock. [steal] defaults to true. [switch core] is
+(** One queue per clock. [switch core] is
     called just before a task runs on [core] (e.g.
     {!Wasp.Runtime.on_core}). [idle ~core ~budget] may spend up to
     [budget] cycles of an idle window on background work and returns the
@@ -48,11 +47,11 @@ val create :
     core) and ["idle"] for each accounted wait window ([nr] = the cycles
     the idle hook used). They fire outside the charged windows. *)
 
-val submit : t -> ?affinity:int -> ?at:int64 -> (core:int -> unit) -> unit
-(** Enqueue a task released at absolute cycle [at] (default 0). With
-    [affinity] it lands on that core's queue (stealing may still migrate
-    it); otherwise queues are filled round-robin. Tasks may submit
-    further tasks while running (closed-loop clients). *)
+val submit : t -> ?at:int64 -> (core:int -> unit) -> unit
+(** Enqueue a task released at absolute cycle [at] (default 0), on the
+    next core's queue in round-robin order (stealing may still migrate
+    it). Tasks may submit further tasks while running (closed-loop
+    clients). *)
 
 val run : t -> unit
 (** Execute until every queue is empty. *)
@@ -60,7 +59,6 @@ val run : t -> unit
 val step : t -> bool
 (** One scheduling decision; [false] when no work remains. *)
 
-val cores : t -> int
 val pending : t -> int
 val submitted : t -> int
 val executed : t -> int

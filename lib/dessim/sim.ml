@@ -19,24 +19,13 @@ let schedule t ~delay action =
 
 let at t ~time action = push t ~at:(if Int64.compare time t.clock < 0 then t.clock else time) action
 
-let run ?until t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.events with
-    | None -> continue := false
-    | Some ev -> (
-        match until with
-        | Some limit when Int64.compare ev.at limit > 0 -> continue := false
-        | Some _ | None ->
-            ignore (Heap.pop t.events);
-            t.clock <- ev.at;
-            ev.value ())
-  done;
-  match until with
-  | Some limit when Int64.compare t.clock limit < 0 -> t.clock <- limit
-  | _ -> ()
-
-let pending t = Heap.size t.events
+let rec run t =
+  match Heap.pop t.events with
+  | None -> ()
+  | Some ev ->
+      t.clock <- ev.at;
+      ev.value ();
+      run t
 
 module Server = struct
   type request = { enqueued : int64; on_done : wait:int64 -> service:int64 -> unit }
@@ -47,8 +36,6 @@ module Server = struct
     queue : request Queue.t;
     workers : int;
     mutable busy_count : int;
-    mutable done_count : int;
-    mutable busy_total : int64;
   }
 
   let create ?(workers = 1) sim ~service =
@@ -59,8 +46,6 @@ module Server = struct
       queue = Queue.create ();
       workers;
       busy_count = 0;
-      done_count = 0;
-      busy_total = 0L;
     }
 
   let rec start_next s =
@@ -71,9 +56,7 @@ module Server = struct
           s.busy_count <- s.busy_count + 1;
           let wait = Int64.sub (now s.sim) req.enqueued in
           let duration = s.service ~now:(now s.sim) in
-          s.busy_total <- Int64.add s.busy_total duration;
           schedule s.sim ~delay:duration (fun () ->
-              s.done_count <- s.done_count + 1;
               s.busy_count <- s.busy_count - 1;
               req.on_done ~wait ~service:duration;
               start_next s);
@@ -83,7 +66,4 @@ module Server = struct
   let submit s ~on_done =
     Queue.add { enqueued = now s.sim; on_done } s.queue;
     start_next s
-
-  let completed s = s.done_count
-  let busy_cycles s = s.busy_total
 end

@@ -23,11 +23,8 @@ val schedule : t -> delay:int64 -> (unit -> unit) -> unit
 val at : t -> time:int64 -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past fire immediately (at now). *)
 
-val run : ?until:int64 -> t -> unit
-(** Process events in time order until the queue is empty or the clock
-    would pass [until]. *)
-
-val pending : t -> int
+val run : t -> unit
+(** Process events in time order until the queue is empty. *)
 
 (** {1 Single-server FIFO queue}
 
@@ -47,7 +44,4 @@ module Server : sig
   val submit : server -> on_done:(wait:int64 -> service:int64 -> unit) -> unit
   (** Enqueue a request at the current sim time; [on_done] receives the
       queueing delay and service duration when it completes. *)
-
-  val completed : server -> int
-  val busy_cycles : server -> int64
 end

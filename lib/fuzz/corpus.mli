@@ -74,9 +74,6 @@ val ring_data_offset : int lazy_t
 (** Byte offset of the mutable blob inside a ring-plane image (the
     encoded size of the fixed trampoline prefix). *)
 
-val seed_ring_blob : unit -> string
-(** A well-formed one-op batch (sq_tail = 1, one [write] SQE). *)
-
 val default_fuel : int
 (** Per-candidate instruction budget (small: fuzz candidates must be
     cheap, and tiny budgets are themselves an interesting plane). *)

@@ -3,8 +3,8 @@
     All features are read from existing observability surfaces — the
     always-on KVM exit-reason tally, exit-kind edges from the flight
     ring, the profiler's per-opcode table and vtrace per-site firing
-    maps — bucketized (log2 of the count) and FNV-hashed into a 64K-bit
-    map. An input is "interesting" when it sets a bit no earlier input
+    maps — bucketized (a count [n] becomes ["name#b"], [b] the bit
+    length of [n], 0 for [n <= 0]) and FNV-hashed into a 64K-bit map. An input is "interesting" when it sets a bit no earlier input
     set. *)
 
 type t
@@ -16,12 +16,6 @@ val bit_count : t -> int
 
 val observe : t -> string list -> int
 (** Mark each feature's bit; returns how many bits were newly set. *)
-
-val feature : string -> int -> string
-(** [feature name count]: the bucketized feature string
-    (["name#log2bucket"]). *)
-
-val log2_bucket : int -> int
 
 val flight_features : Profiler.Flight.t -> string list
 (** Exit-kind edge pairs from the flight ring, deduplicated (presence,

@@ -232,8 +232,13 @@ let mutate_ring_blob rng blob =
 
 (* ------------------------------------------------------------------ *)
 
+(* the fault-plan sites, in the order the RNG indexes them *)
 let known_sites =
-  [| "spurious_exit"; "ept_storm"; "guest_hang"; "provision_fail"; "snapshot_corrupt"; "ring_corrupt" |]
+  Kvmsim.Kvm.
+    [|
+      site_spurious_exit; site_ept_storm; site_guest_hang; site_provision_fail;
+      site_snapshot_corrupt; site_ring_corrupt;
+    |]
 
 (* Plan plane: grow/shrink/perturb the textual plan, keeping it valid. *)
 let mutate_plan rng plan =

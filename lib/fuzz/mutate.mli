@@ -11,7 +11,5 @@
     parses. One in four mutations perturbs the environment (seed, fuel,
     policy) regardless of plane. *)
 
-val mutate : rng:Cycles.Rng.t -> Corpus.case -> Corpus.case
-
 val rounds : rng:Cycles.Rng.t -> int -> Corpus.case -> Corpus.case
 (** [rounds ~rng n c]: [n] stacked mutations (at least one). *)

@@ -53,8 +53,6 @@ let canary_of_string = function
   | "cycle-skew" -> Some Cycle_skew
   | _ -> None
 
-let canary_name = function Shift_mask -> "shift-mask" | Cycle_skew -> "cycle-skew"
-
 type verdict = {
   features : string list;  (* coverage features of the canonical run *)
   recording : Profiler.Replay.t option;  (* canonical transcript *)

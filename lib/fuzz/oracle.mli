@@ -24,8 +24,6 @@ type canary = Shift_mask | Cycle_skew
 val canary_of_string : string -> canary option
 (** ["shift-mask"] / ["cycle-skew"]. *)
 
-val canary_name : canary -> string
-
 type verdict = {
   features : string list;  (** coverage features of the canonical run *)
   recording : Profiler.Replay.t option;

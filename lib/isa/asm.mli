@@ -55,8 +55,9 @@ val assemble : ?origin:int -> ?entry:string -> item list -> program
     images, §5.1); [entry] defaults to the first item's address. Raises
     {!Asm_error} on duplicate or undefined labels. *)
 
-val parse : string -> item list
-(** Parse assembly text. Syntax, one statement per line:
+val assemble_string : ?origin:int -> string -> program
+(** Parse assembly text and {!assemble} it, entered at the first item.
+    Syntax, one statement per line:
     {v
       ; comment
       label:
@@ -74,9 +75,6 @@ val parse : string -> item list
         .string "hello"
     v}
     Raises {!Asm_error} with a line number on syntax errors. *)
-
-val assemble_string : ?origin:int -> string -> program
-(** [parse] + [assemble], entered at the first item. *)
 
 val lookup : program -> string -> int
 (** Address of a label. Raises [Not_found]. *)

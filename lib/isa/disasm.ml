@@ -1,10 +1,10 @@
-type line = { addr : int; size : int; instr : Instr.t option; bytes : string }
+type line = { addr : int; instr : Instr.t option; bytes : string }
 
 let hex_bytes blob off len =
   String.concat " "
     (List.init len (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get blob (off + i)))))
 
-let disassemble ?(origin = 0x8000) blob =
+let disassemble ~origin blob =
   let len = Bytes.length blob in
   let read_byte a =
     let off = a - origin in
@@ -17,16 +17,16 @@ let disassemble ?(origin = 0x8000) blob =
       match Encoding.decode read_byte addr with
       | instr, size ->
           go (addr + size)
-            ({ addr; size; instr = Some instr; bytes = hex_bytes blob (addr - origin) size }
+            ({ addr; instr = Some instr; bytes = hex_bytes blob (addr - origin) size }
             :: acc)
       | exception Encoding.Decode_error _ ->
           go (addr + 1)
-            ({ addr; size = 1; instr = None; bytes = hex_bytes blob (addr - origin) 1 } :: acc)
+            ({ addr; instr = None; bytes = hex_bytes blob (addr - origin) 1 } :: acc)
     end
   in
   go origin []
 
-let render ?(symbols = []) lines =
+let render ~symbols lines =
   let by_addr = List.map (fun (name, addr) -> (addr, name)) symbols in
   let label_at addr = List.assoc_opt addr by_addr in
   let target_of : Instr.t -> int option = function

@@ -4,20 +4,9 @@
     resolving branch targets to labels where a symbol table is available
     (the objdump of this toolchain). *)
 
-type line = {
-  addr : int;
-  size : int;
-  instr : Instr.t option;  (** [None] for undecodable bytes *)
-  bytes : string;          (** raw bytes, hex *)
-}
-
-val disassemble : ?origin:int -> bytes -> line list
-(** Linear sweep from [origin] (default 0x8000). On an undecodable byte,
-    emits a one-byte data line and resynchronizes at the next byte. *)
-
-val render : ?symbols:(string * int) list -> line list -> string
-(** Pretty text: addresses, bytes, mnemonics; label definitions
-    interleaved and branch targets annotated from [symbols]. *)
-
 val of_program : Asm.program -> string
-(** Disassemble an assembled program with its own symbol table. *)
+(** Disassemble a program's code by linear sweep from its origin, one
+    line per instruction: address, hex bytes, mnemonic. An undecodable
+    byte becomes a one-byte [.byte] data line and the sweep
+    resynchronizes at the next byte. Label definitions are interleaved
+    and branch targets annotated from the program's symbol table. *)

@@ -2,8 +2,6 @@ type reg = int
 
 let num_regs = 16
 let sp = 15
-let fp = 13
-
 let reg_name r = Printf.sprintf "r%d" r
 
 let reg_of_name s =
@@ -103,8 +101,6 @@ let pp ppf = function
   | Rdtsc r -> Format.fprintf ppf "rdtsc %s" (reg_name r)
 
 let to_string i = Format.asprintf "%a" pp i
-
-let equal (a : t) (b : t) = a = b
 
 let cost = function
   | Hlt -> 1

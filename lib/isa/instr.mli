@@ -11,11 +11,11 @@
 
 type reg = int
 (** Register index in [0, 15]. By convention: r0 = return value and first
-    argument, r0-r5 = arguments, r13 = frame pointer, r15 = stack pointer. *)
+    argument, r0-r5 = arguments, r15 = stack pointer; vcc keeps its
+    frame pointer in r13. *)
 
 val num_regs : int
 val sp : reg
-val fp : reg
 
 val reg_of_name : string -> reg option
 
@@ -55,9 +55,8 @@ type t =
   | In of reg * int
   | Rdtsc of reg                         (** read the virtual cycle counter. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool
+(** Assembly text, e.g. ["mov r0, 20"]. *)
 
 val cost : t -> int
 (** Cycle cost charged on retire (hypercall exits are charged separately by

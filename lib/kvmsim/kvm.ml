@@ -344,8 +344,6 @@ let vm_memory vm =
   | Some m -> m
   | None -> invalid_arg "Kvm.vm_memory: no user memory region registered"
 
-let vm_system vm = vm.sys
-
 let create_vcpu vm ~mode =
   count vm.sys "kvm_vcpu_creations_total";
   span vm.sys "kvm_create_vcpu" (fun () ->

@@ -251,8 +251,6 @@ val set_user_memory_region : vm -> size:int -> Vm.Memory.t
 val vm_memory : vm -> Vm.Memory.t
 (** Raises [Invalid_argument] if no region was registered. *)
 
-val vm_system : vm -> system
-
 val create_vcpu : vm -> mode:Vm.Modes.t -> vcpu
 (** Charges vCPU allocation. The vCPU starts in [mode] (the guest boot
     code's mode transitions are charged separately by {!Vm.Boot}). *)

@@ -33,8 +33,6 @@ let create ?(capacity = 128) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
   { capacity; ring = Array.make capacity None; next = 0; total = 0 }
 
-let capacity t = t.capacity
-let total t = t.total
 let count t = min t.total t.capacity
 
 let record t ?trace ~at ~core ~pc kind =

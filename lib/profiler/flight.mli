@@ -35,24 +35,15 @@ type entry = private {
       (** trace id of the request that took the exit, stamped when the
           telemetry hub has tracing enabled — the hook that makes a slow
           request's exits greppable in the black box *)
-  mutable notes : note list;  (** newest first; read them with {!note} *)
+  mutable notes : note list;
+      (** newest first; {!pp_entry} prints them oldest first, joined by
+          ["; "] *)
 }
-
-val note : entry -> string
-(** The entry's annotations, oldest first, joined by ["; "]. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** Ring of the last [capacity] (default 128) exits. *)
-
-val capacity : t -> int
-
-val total : t -> int
-(** Exits ever recorded (including overwritten ones). *)
-
-val count : t -> int
-(** Exits currently retained ([min total capacity]). *)
 
 val record : t -> ?trace:int64 -> at:int64 -> core:int -> pc:int -> kind -> unit
 
@@ -64,7 +55,7 @@ val append_note : t -> string -> unit
 
 val append_deferred : t -> (unit -> string) -> unit
 (** {!append_note} of the text [f ()], with [f] called only when the
-    ring is read ({!note}, {!dump}): most exits are overwritten unread,
+    ring is read ({!pp_entry}, {!dump}): most exits are overwritten unread,
     so a note that formats values costs nothing until then. [f] must
     read only values that do not change after the call. *)
 
@@ -72,7 +63,10 @@ val entries : t -> entry list
 (** Retained entries, oldest first. *)
 
 val pp_entry : Format.formatter -> entry -> unit
+(** One line: sequence number, cycle, core, pc, the exit, the trace id
+    when stamped and, after ["  ; "], the notes. *)
 
 val dump : t -> reason:string -> string
 (** The annotated black-box report: a header with [reason] and the
-    retained entries, oldest first. *)
+    number of exits ever recorded and retained, then the retained
+    entries, oldest first. *)

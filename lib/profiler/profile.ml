@@ -12,8 +12,8 @@
      sample count of a function estimates its cycles as
      [samples * interval] without per-instruction bookkeeping.
 
-   The profiler is aggregate: it accumulates across invocations until
-   [reset]. *)
+   The profiler is aggregate: it accumulates across every invocation it
+   sees. *)
 
 type mode = Exact | Sampled of int
 
@@ -67,23 +67,9 @@ let create ?(mode = Exact) () =
     in_invocation = false;
   }
 
-let mode t = t.mode
-let invocations t = t.invocations
 let guest_cycles t = t.guest_cycles
 let host_cycles t = t.host_cycles
 let total_cycles t = Int64.add t.guest_cycles t.host_cycles
-
-let reset t =
-  Hashtbl.reset t.fns;
-  Hashtbl.reset t.ops;
-  Hashtbl.reset t.folded_tbl;
-  t.stack <- [];
-  t.pending_callr <- false;
-  t.guest_cycles <- 0L;
-  t.host_cycles <- 0L;
-  t.inv_guest <- 0L;
-  t.invocations <- 0;
-  t.in_invocation <- false
 
 let fn_stat t name =
   match Hashtbl.find_opt t.fns name with

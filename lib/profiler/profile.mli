@@ -12,7 +12,7 @@
     - [Sampled interval]: cycle-budgeted PC sampling; a sample fires each
       time the virtual clock crosses the next [interval]-cycle boundary.
 
-    The profiler aggregates across invocations until {!reset}. *)
+    The profiler aggregates across every invocation it sees. *)
 
 type mode = Exact | Sampled of int  (** sample every [n] cycles *)
 
@@ -26,9 +26,6 @@ val create : ?mode:mode -> unit -> t
 (** Default mode is {!Exact}. @raise Invalid_argument on a non-positive
     sampling interval. *)
 
-val mode : t -> mode
-val invocations : t -> int
-
 val guest_cycles : t -> int64
 (** Exact mode: total cycles attributed to guest instructions. *)
 
@@ -39,8 +36,6 @@ val host_cycles : t -> int64
 val total_cycles : t -> int64
 (** [guest_cycles + host_cycles] = the summed execute-span durations of
     all profiled invocations (exact mode). *)
-
-val reset : t -> unit
 
 (** {1 Runtime integration} *)
 
@@ -83,13 +78,10 @@ val functions : t -> fn_row list
 val opcodes : t -> op_stat list
 (** Per-opcode cycle table, heaviest first. *)
 
-val folded : t -> (string * int64) list
-(** Folded call stacks ("a;b;c", weight) — flamegraph collapse format.
-    Weights are cycles in exact mode, samples in sampled mode. *)
-
 val folded_lines : t -> string
-(** {!folded} rendered one "stack weight" line each, ready for
-    [flamegraph.pl]. *)
+(** Folded call stacks, one ["a;b;c weight"] line each — the flamegraph
+    collapse format, ready for [flamegraph.pl]. Weights are cycles in
+    exact mode, samples in sampled mode. *)
 
 val render : t -> string
 (** Human-readable per-function and per-opcode tables. *)

@@ -72,7 +72,6 @@ let fuel t = t.fuel
 let fault_plan t = t.fault_plan
 let total_cycles t = t.total_cycles
 let outcome t = t.outcome
-let return_value t = t.return_value
 
 let image_md5 t = Digest.to_hex (Digest.string t.code)
 

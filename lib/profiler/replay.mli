@@ -56,10 +56,6 @@ val fault_plan : t -> string option
 (** The textual fault plan recorded with this invocation, if any. *)
 val total_cycles : t -> int64
 val outcome : t -> string
-val return_value : t -> int64
-
-val image_md5 : t -> string
-
 val image_matches : t -> bytes -> bool
 (** [image_matches t view] checks [view] (the image bytes as read back
     through the guest's logical page view) against the recorded MD5 —

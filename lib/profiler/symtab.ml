@@ -14,10 +14,6 @@ let of_symbols symbols =
 
 let empty = { syms = [||] }
 
-let size t = Array.length t.syms
-
-let symbols t = Array.to_list (Array.map (fun s -> (s.s_name, s.s_addr)) t.syms)
-
 (* Greatest symbol address <= pc: the enclosing function under the
    convention that a function's code extends to the next symbol. *)
 let lookup t pc =

@@ -13,14 +13,7 @@ val of_symbols : (string * int) list -> t
 
 val empty : t
 
-val size : t -> int
-
-val symbols : t -> (string * int) list
-(** Retained symbols in address order. *)
-
-val lookup : t -> int -> string option
-(** The symbol with the greatest address [<= pc] — the enclosing function
-    under flat code layout. [None] below the first symbol. *)
-
 val name_at : t -> int -> string
-(** Like {!lookup} but renders unmapped PCs as a hex address. *)
+(** The symbol with the greatest address [<= pc] — the enclosing function
+    under flat code layout — or, below the first symbol, the PC as a hex
+    address. *)

@@ -68,8 +68,6 @@ let enable_slos t () =
       in
       t.slos <- Some (avail, lat)
 
-let availability_slo t = Option.map fst t.slos
-let latency_slo t = Option.map snd t.slos
 
 (* Shed and breaker-rejected requests are bad availability — from the
    caller's side they failed, however deliberate the refusal. Latency

@@ -7,7 +7,9 @@
     [docs/robustness.md]).
 
     Routes:
-    - [POST /register/NAME?entry=FN] with the JS source as body -> 201
+    - [POST /register/NAME?entry=FN] with the JS source as body -> 201;
+      the entry defaults to [main], and a query pair splits on its first
+      ['='] only, so [FN] may itself contain ['=']
     - [POST /invoke/NAME] with the payload as body -> 200 + result
     - [GET /functions] -> 200 + newline-separated names
     Anything else -> 404/405; JS failures -> 500. Invokes may also be
@@ -55,17 +57,6 @@ val enable_slos : t -> unit -> unit
     invoke then feeds both and re-evaluates the burn-rate alerts.
     @raise Invalid_argument when the platform runtime has no telemetry
     hub. *)
-
-val availability_slo : t -> Telemetry.Slo.t option
-(** [gateway_availability], [None] until {!enable_slos}. *)
-
-val latency_slo : t -> Telemetry.Slo.t option
-(** [gateway_latency], [None] until {!enable_slos}. *)
-
-val parse_register_target : string -> string * string
-(** [parse_register_target "name?entry=fn"] is [("name", "fn")]; the
-    entry defaults to ["main"]. Pairs split on the first ['='] only, so
-    the entry value may itself contain ['=']. *)
 
 val handle : t -> string -> string
 (** [handle t raw_request] routes one HTTP request and returns the raw

@@ -26,7 +26,7 @@ let cold_start_cycles = 1_290_000_000
 (* ~9 ms: controller -> invoker -> activation proxy round trip *)
 let warm_overhead_cycles = 24_000_000
 
-(* 60 s at 2.69 GHz *)
+(* idle container grace period: 60 s at 2.69 GHz *)
 let keepalive_cycles = 161_400_000_000L
 
 let v8_speedup = 5.0

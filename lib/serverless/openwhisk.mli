@@ -12,7 +12,6 @@ type t
 
 exception Unknown_function of string
 
-val keepalive_cycles : int64   (** idle container grace period (~60 s) *)
 val v8_speedup : float         (** V8 vs. our interpreter on the same UDF *)
 
 val v8_cycles : Vjs.Engine.charge -> int
@@ -31,8 +30,10 @@ val register : t -> name:string -> source:string -> entry:string -> unit
 
 val invoke : t -> now:int64 -> name:string -> input:bytes -> (string, string) result * int64
 (** [invoke t ~now ...]: [now] is the platform's wall-clock (sim time)
-    used for keep-alive expiry decisions. Returns the result and the
-    invocation latency in cycles (cold starts included).
+    used for keep-alive expiry decisions: a container idle for more than
+    161.4G cycles (60 s at 2.69 GHz) is reaped, and its next request
+    starts cold. Returns the result and the invocation latency in cycles
+    (cold starts included).
     @raise Unknown_function *)
 
 val cold_starts : t -> int

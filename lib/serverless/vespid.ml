@@ -42,4 +42,3 @@ let invoke_timed t ~name ~input =
           (outcome, cycles))
   | None -> raise (Unknown_function name)
 
-let invoke t ~name ~input = fst (invoke_timed t ~name ~input)

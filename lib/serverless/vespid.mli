@@ -32,15 +32,13 @@ val mem : t -> name:string -> bool
 val on_home_core : t -> name:string -> unit
 (** Make current the core an invocation of [name] runs on (its retained
     [`Cow] shell's home core, see {!Wasp.Runtime.on_home_core}), as
-    {!invoke} does before its span opens; nothing for an unknown name. *)
-
-val invoke : t -> name:string -> input:bytes -> (string, string) result
-(** Run one invocation in a distinct virtine; charges the Wasp clock.
-    Returns the function's string result or a JS error.
-    @raise Unknown_function *)
+    {!invoke_timed} does before its span opens; nothing for an unknown
+    name. *)
 
 val invoke_timed : t -> name:string -> input:bytes -> (string, string) result * int64
-(** Like {!invoke} but also returns the invocation latency in cycles.
-    With a hub attached, the latency lands in [vespid_invoke_cycles]
+(** Run one invocation in a distinct virtine; charges the Wasp clock.
+    Returns the function's string result or a JS error, and the
+    invocation latency in cycles. With a hub attached, the latency lands in [vespid_invoke_cycles]
     twice — the plain family and an [fn]-labeled series — both stamped
-    with the active trace id as an exemplar when tracing is on. *)
+    with the active trace id as an exemplar when tracing is on.
+    @raise Unknown_function *)

@@ -39,8 +39,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-let iqr xs = percentile xs 75.0 -. percentile xs 25.0
-
 let tukey_filter xs =
   check_nonempty "Descriptive.tukey_filter" xs;
   let q25 = percentile xs 25.0 and q75 = percentile xs 75.0 in

@@ -8,20 +8,12 @@
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on empty input. *)
 
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); 0 for singletons. *)
-
 val minimum : float array -> float
 val maximum : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between
     order statistics. Does not require sorted input. *)
-
-val median : float array -> float
-
-val iqr : float array -> float
-(** Interquartile range (q75 - q25). *)
 
 val tukey_filter : float array -> float array
 (** Remove outliers outside [q25 - 1.5 IQR, q75 + 1.5 IQR], as in the
@@ -34,10 +26,10 @@ val harmonic_mean : float array -> float
 type summary = {
   n : int;
   mean : float;
-  stddev : float;
+  stddev : float;  (** sample standard deviation (n-1 denominator); 0 for singletons *)
   min : float;
   max : float;
-  p50 : float;
+  p50 : float;  (** the median *)
   p99 : float;
 }
 

@@ -76,14 +76,6 @@ let bar_chart ?title ?(log = false) entries =
     entries;
   Buffer.contents buf
 
-let series ?title ~header points =
-  let rows =
-    List.map
-      (fun (x, ys) -> Printf.sprintf "%.2f" x :: List.map (Printf.sprintf "%.2f") ys)
-      points
-  in
-  table ?title ~header rows
-
 let percentile_table ?title ?(unit_label = "") ?slo rows =
   let u = if unit_label = "" then "" else Printf.sprintf " (%s)" unit_label in
   let slo_header = match slo with None -> [] | Some _ -> [ "slo p99" ^ u; "slo" ] in

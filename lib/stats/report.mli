@@ -14,11 +14,6 @@ val bar_chart : ?title:string -> ?log:bool -> (string * float) list -> string
     maximum value, the longest 50 characters. [log] plots log10 of the
     values (all must be > 0), mirroring the paper's log-scale axes. *)
 
-val series :
-  ?title:string -> header:string list -> (float * float list) list -> string
-(** [series ~header points] renders an x column plus one column per series
-    value, for figure-style line data. *)
-
 val percentile_table :
   ?title:string ->
   ?unit_label:string ->

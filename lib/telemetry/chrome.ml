@@ -115,8 +115,6 @@ let[@inline] add_fixed3 w x =
     end
   end
 
-let fixed3 x = render (fun w -> add_fixed3 w x)
-
 (* ["k":"v"] pairs, each after a comma when [comma] or when not first *)
 let rec add_args w ~comma = function
   | [] -> ()
@@ -177,7 +175,7 @@ let flows (c : Span.columns) =
   done;
   !acc
 
-let to_json ?(process = "wasp") hub =
+let to_json hub =
   let freq = Cycles.Clock.freq_ghz (Hub.clock hub) in
   let c = Span.columns (Hub.spans hub) in
   let cores = ref [] in
@@ -194,9 +192,7 @@ let to_json ?(process = "wasp") hub =
   let add_us cyc = add_fixed3 w (Float.of_int cyc /. freq /. 1e3) in
   let add_tid core = add_int w (tid_of_core core) in
   add "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"";
-  add_escaped w process;
-  add "\"}}";
+  add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"wasp\"}}";
   List.iter
     (fun core ->
       add ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";

@@ -7,8 +7,8 @@
     deterministic: two runs with the same seed produce byte-identical
     JSON. *)
 
-val to_json : ?process:string -> Hub.t -> string
-(** [process] (default ["wasp"]) names the trace's process row.
+val to_json : Hub.t -> string
+(** The trace's process row is named ["wasp"].
 
     The output is written once at its exact length: one writer runs over
     the sink's columns ({!Span.columns}) twice, first counting bytes,
@@ -20,10 +20,9 @@ val to_json : ?process:string -> Hub.t -> string
     the major heap. It costs 0.25–0.4 µs per item on a 2-vCPU VM: a
     median 2.4 ms for a 10K-item traced hub (3.5 ms for the exporter
     over the list sink it replaced), and 3.5 ms for a 10K-item
-    tiny_chaos export (7.6 ms before). *)
+    tiny_chaos export (7.6 ms before).
 
-val fixed3 : float -> string
-(** [fixed3 x] is exactly [Printf.sprintf "%.3f" x], the form of every
-    [ts] and [dur], written by the exporter's own number writer, which
-    calls Printf only when [x] is within a few ulps of a rounding tie or
-    is negative, huge or not finite. *)
+    Every [ts] and [dur] is exactly [Printf.sprintf "%.3f"] of the
+    microseconds {!Cycles.Clock.to_us} gives, written by the exporter's
+    own number writer, which calls Printf only when the value is within
+    a few ulps of a rounding tie or is negative, huge or not finite. *)

@@ -9,7 +9,6 @@ let set_clock t clk =
   t.clk <- clk;
   Span.set_clock t.sink clk
 
-let core t = Span.core t.sink
 let set_core t core = Span.set_core t.sink core
 let spans t = t.sink
 let metrics t = t.registry

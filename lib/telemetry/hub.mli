@@ -19,8 +19,6 @@ val set_clock : t -> Cycles.Clock.t -> unit
 (** Retarget the hub (and its span sink) to another clock. Multi-core
     runs switch the hub to the active core's clock on every core switch
     so spans are stamped on the timeline of the core doing the work. *)
-val core : t -> int
-
 val set_core : t -> int -> unit
 (** Stamp subsequent spans/instants with this core id (see
     {!Span.set_core}); [Kvmsim.Kvm.set_core] calls this together with

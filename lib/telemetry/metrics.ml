@@ -151,30 +151,6 @@ let observe ?exemplar h v =
   if Int64.compare v h.h_min < 0 then h.h_min <- v;
   if Int64.compare v h.h_max > 0 then h.h_max <- v
 
-let percentile h p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Metrics.percentile: p outside [0,100]";
-  if h.h_count = 0 then 0.0
-  else begin
-    let target = p /. 100.0 *. float_of_int h.h_count in
-    let clamp v =
-      let lo = Int64.to_float h.h_min and hi = Int64.to_float h.h_max in
-      Float.min hi (Float.max lo v)
-    in
-    let rec go i cum =
-      if i >= num_buckets then clamp (Int64.to_float h.h_max)
-      else begin
-        let c = h.h_buckets.(i) in
-        if c > 0 && float_of_int (cum + c) >= target then begin
-          let lo, hi = bucket_bounds i in
-          let frac = Float.max 0.0 ((target -. float_of_int cum) /. float_of_int c) in
-          clamp (Int64.to_float lo +. ((Int64.to_float hi -. Int64.to_float lo) *. frac))
-        end
-        else go (i + 1) (cum + c)
-      end
-    in
-    go 0 0
-  end
-
 let nonempty_buckets h =
   let acc = ref [] in
   for i = num_buckets - 1 downto 0 do
@@ -206,8 +182,6 @@ let bucket_exemplars h =
       | None -> ()
   done;
   !acc
-
-let bad_samples t = !(t.bad)
 
 (* [telemetry_bad_samples_total] materializes lazily, on the first read
    after a rejection: registering it eagerly in [create] would put it at

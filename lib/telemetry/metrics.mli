@@ -5,9 +5,8 @@
     returns the existing one — so instrumentation sites can look metrics
     up by name without threading handles around. Histograms bucket values
     by powers of two (bucket 0 holds zeros, bucket [i >= 1] holds
-    [[2^(i-1), 2^i)]) and answer percentile queries by linear
-    interpolation within the crossing bucket, clamped to the observed
-    min/max — exact for constant inputs and deterministic always. *)
+    [[2^(i-1), 2^i)]) and keep the count, sum, min and max; the
+    exporters render the buckets. *)
 
 type counter = private {
   c_name : string;
@@ -81,18 +80,13 @@ val observe : ?exemplar:string -> histogram -> int64 -> unit
 (** Record one sample. A negative value clamps to 0 and is counted as a
     bad sample. [exemplar] is the active trace id; when given, it
     replaces the landing bucket's exemplar so every bucket remembers its
-    most recent traced sample. *)
+    most recent traced sample.
 
-val bad_samples : t -> int
-(** Samples rejected so far (negative counter increments, NaN gauge
-    values, negative observations). Once nonzero, the registry exports a
-    [telemetry_bad_samples_total] counter carrying this tally; it is
-    materialized on the first {!find}/{!to_list} after a rejection so a
-    clean run's exposition is unchanged. *)
-
-val percentile : histogram -> float -> float
-(** [percentile h p] with [p] in [0,100]; 0.0 on an empty histogram.
-    @raise Invalid_argument if [p] is outside [0,100]. *)
+    The registry tallies every rejected sample (negative counter
+    increment, NaN gauge value, negative observation). Once the tally is
+    nonzero it exports a [telemetry_bad_samples_total] counter carrying
+    it, materialized on the first {!find}/{!to_list} after a rejection so
+    a clean run's exposition is unchanged. *)
 
 val bucket_index : int64 -> int
 (** The bucket a value lands in. *)

@@ -58,8 +58,6 @@ type t = {
   mutable goods : Bytes.t;
   mutable tail : int;
   mutable newest : int;
-  mutable good_n : int;
-  mutable bad_n : int;
   mutable fired_n : int;
   mutable cleared_n : int;
   events_total : Metrics.counter Lazy.t;
@@ -79,17 +77,11 @@ let default_rules ~period =
     { rule_name = "slow"; long_window = div 20; short_window = div 240; burn_threshold = 2.0 };
   ]
 
-let create ~hub ~name ?(objective = Availability) ~target ?rules ~period () =
+let create ~hub ~name ?(objective = Availability) ~target ~period () =
   if not (target > 0.0 && target < 1.0) then
     invalid_arg "Slo.create: target must be inside (0, 1)";
   if Int64.compare period 1L < 0 then invalid_arg "Slo.create: period must be >= 1";
-  let rules = match rules with Some r -> r | None -> default_rules ~period in
-  if rules = [] then invalid_arg "Slo.create: no rules";
-  List.iter
-    (fun r ->
-      if Int64.compare r.long_window r.short_window < 0 then
-        invalid_arg ("Slo.create: short window exceeds long window in rule " ^ r.rule_name))
-    rules;
+  let rules = default_rules ~period in
   let m = Hub.metrics hub in
   let span w =
     if Int64.compare w (Int64.of_int max_int) > 0 then max_int
@@ -132,8 +124,6 @@ let create ~hub ~name ?(objective = Availability) ~target ?rules ~period () =
       goods = Bytes.make 64 '\000';
       tail = 0;
       newest = 0;
-      good_n = 0;
-      bad_n = 0;
       fired_n = 0;
       cleared_n = 0;
       events_total = counter [ ("slo", name) ] "slo_events_total";
@@ -145,9 +135,6 @@ let create ~hub ~name ?(objective = Availability) ~target ?rules ~period () =
     target;
   t
 
-let name t = t.name
-let target t = t.target
-let objective t = t.objective
 let error_budget t = 1.0 -. t.target
 
 let burn t w =
@@ -251,7 +238,6 @@ let record t ~good =
     slide t
   end;
   insert t stamp good;
-  if good then t.good_n <- t.good_n + 1 else t.bad_n <- t.bad_n + 1;
   Metrics.incr (Lazy.force t.events_total);
   if not good then Metrics.incr (Lazy.force t.bad_total);
   evaluate t
@@ -264,9 +250,6 @@ let record_latency t cycles =
 
 let alerting t = List.exists (fun rs -> rs.active) t.rules
 
-let rule_alerting t ~rule =
-  List.exists (fun rs -> rs.rule.rule_name = rule && rs.active) t.rules
-
 let burn_rate t ~rule =
   match List.find_opt (fun rs -> rs.rule.rule_name = rule) t.rules with
   | None -> invalid_arg ("Slo.burn_rate: unknown rule " ^ rule)
@@ -277,11 +260,3 @@ let peak_burn t =
 
 let alerts_fired t = t.fired_n
 let alerts_cleared t = t.cleared_n
-let good_count t = t.good_n
-let bad_count t = t.bad_n
-
-let compliance t =
-  let total = t.good_n + t.bad_n in
-  if total = 0 then 1.0 else float_of_int t.good_n /. float_of_int total
-
-let met t = compliance t >= t.target

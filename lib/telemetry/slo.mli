@@ -27,76 +27,54 @@
     order, at a cost proportional to the events stamped after it, and
     the counts stay exactly those of the events inside each window. *)
 
-type rule = {
-  rule_name : string;
-  long_window : int64;    (** cycles *)
-  short_window : int64;   (** cycles; must be <= [long_window] *)
-  burn_threshold : float; (** fire when both windows burn at >= this rate *)
-}
-
 type objective =
   | Availability            (** caller classifies each event good/bad *)
   | Latency_under of int64  (** good iff latency (cycles) <= threshold *)
 
 type t
 
-val default_rules : period:int64 -> rule list
-(** The classic pair: [fast] pages when ~5% of the budget burns in
-    [period/100] (burn 5x, short window 1/12 of that), [slow] when ~10%
-    burns in [period/20] (burn 2x). *)
-
 val create :
   hub:Hub.t ->
   name:string ->
   ?objective:objective ->
   target:float ->
-  ?rules:rule list ->
   period:int64 ->
   unit ->
   t
 (** Declare an objective. [target] is the required good fraction, inside
-    (0, 1), e.g. [0.99]. [rules] defaults to {!default_rules}. The
-    declared target is exported as [slo_objective{slo="name"}].
-    @raise Invalid_argument on a target outside (0, 1), an empty rule
-    list, or a rule whose short window exceeds its long window. *)
+    (0, 1), e.g. [0.99]. Two alerting rules watch it, the classic pair:
+    [fast] pages when ~5% of the budget burns in [period/100] (burn 5x,
+    short window 1/12 of that), [slow] when ~10% burns in [period/20]
+    (burn 2x). The declared target is exported as
+    [slo_objective{slo="name"}].
+    @raise Invalid_argument on a target outside (0, 1) or a [period]
+    below 1. *)
 
 val record : t -> good:bool -> unit
 (** Feed one event stamped at the hub clock's current cycle, then
     re-evaluate every rule. A stamp later than any before it slides
     every window forward; events that leave the longest window are
-    dropped. *)
+    dropped.
+
+    The series, labelled [slo="name"] (and [rule] where per rule):
+    [slo_events_total] and [slo_bad_events_total] count the events fed
+    so far; [slo_burn_rate] is each rule's long-window burn and
+    [slo_alert_active] 1 while it fires; [slo_alerts_fired_total] and
+    [slo_alerts_cleared_total] count its transitions. *)
 
 val record_latency : t -> int64 -> unit
 (** Feed one latency observation against a {!Latency_under} objective.
     @raise Invalid_argument if the objective is {!Availability}. *)
 
-val evaluate : t -> unit
-(** Re-evaluate rules without feeding an event (e.g. after advancing the
-    clock past a quiet stretch). *)
-
-val name : t -> string
-val target : t -> float
-val objective : t -> objective
-
 val alerting : t -> bool
 (** Is any rule currently firing? *)
 
-val rule_alerting : t -> rule:string -> bool
-
 val burn_rate : t -> rule:string -> float * float
 (** Current [(long, short)] window burn rates of the named rule.
-    @raise Invalid_argument on an unknown rule. *)
+    @raise Invalid_argument on a rule other than [fast] or [slow]. *)
 
 val peak_burn : t -> float
 (** Highest long-window burn rate seen by any rule so far. *)
 
 val alerts_fired : t -> int
 val alerts_cleared : t -> int
-val good_count : t -> int
-val bad_count : t -> int
-
-val compliance : t -> float
-(** Lifetime good fraction (1.0 when no events recorded). *)
-
-val met : t -> bool
-(** [compliance t >= target t] — the verdict column of SLO tables. *)

@@ -94,14 +94,11 @@ let create ?(capacity = 65536) ~clock () =
     next_seq = 0;
   }
 
-let clock s = s.clk
 let set_clock s clk = s.clk <- clk
 
-let core s = s.cur_core
 let set_core s core = s.cur_core <- core
 
 let set_tracer s tr = s.tracer <- tr
-let tracer s = s.tracer
 
 let columns s = s.cols
 let now s = Int64.to_int (Cycles.Clock.now s.clk)

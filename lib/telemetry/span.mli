@@ -51,14 +51,10 @@ val create : ?capacity:int -> clock:Cycles.Clock.t -> unit -> sink
     bookkeeping and trace ids go on for dropped spans, so depths and
     parent links stay correct. *)
 
-val clock : sink -> Cycles.Clock.t
-
 val set_clock : sink -> Cycles.Clock.t -> unit
 (** Retarget the stamping clock (multi-core runs switch the sink to the
     active core's clock). Only switch between spans: a span that is open
     across a switch gets its duration measured on the leave-time clock. *)
-
-val core : sink -> int
 
 val set_core : sink -> int -> unit
 (** Stamp subsequently opened spans/instants with this core id (the
@@ -71,8 +67,6 @@ val set_tracer : sink -> Tracectx.t option -> unit
     inherit the enclosing trace and link to their parent. Retained spans
     carry [trace_id]/[span_id]/[parent_id] args; instants carry the
     active [trace_id]. *)
-
-val tracer : sink -> Tracectx.t option
 
 val current_trace : sink -> int64 option
 (** Trace id of the innermost open span, when tracing is on — what

@@ -532,9 +532,3 @@ let parse src =
   let toks = Array.of_list (Lexer.tokenize src) in
   parse_program { toks; cur = 0 }
 
-let parse_expr_string src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; cur = 0 } in
-  let e = parse_expr st in
-  if peek st <> Lexer.EOF then fail st "trailing tokens after expression";
-  e

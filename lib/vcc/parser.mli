@@ -5,6 +5,3 @@ exception Parse_error of { loc : Ast.loc; msg : string }
 val parse : string -> Ast.program
 (** Lex and parse a translation unit.
     @raise Parse_error (or {!Lexer.Lex_error}) on malformed input. *)
-
-val parse_expr_string : string -> Ast.expr
-(** Parse a single expression (for tests). *)

@@ -148,22 +148,6 @@ let check_blocks name b =
   if Bytes.length b mod 16 <> 0 then
     invalid_arg (Printf.sprintf "Aes.%s: length must be a multiple of 16" name)
 
-let encrypt_ecb ks src =
-  check_blocks "encrypt_ecb" src;
-  let out = Bytes.create (Bytes.length src) in
-  for blk = 0 to (Bytes.length src / 16) - 1 do
-    Bytes.blit (encrypt_block ks src ~pos:(16 * blk)) 0 out (16 * blk) 16
-  done;
-  out
-
-let decrypt_ecb ks src =
-  check_blocks "decrypt_ecb" src;
-  let out = Bytes.create (Bytes.length src) in
-  for blk = 0 to (Bytes.length src / 16) - 1 do
-    Bytes.blit (decrypt_block ks src ~pos:(16 * blk)) 0 out (16 * blk) 16
-  done;
-  out
-
 let xor16 dst src = for i = 0 to 15 do
     Bytes.set dst i (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
   done

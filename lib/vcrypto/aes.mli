@@ -2,8 +2,8 @@
 
     Stands in for OpenSSL's 128-bit AES block cipher in the §6.4 library
     integration study: the same deeply buried, hot function the paper
-    moved into virtine context. ECB is provided for the raw block path
-    and CBC because the paper benchmarks [aes-128-cbc].
+    moved into virtine context. The raw block cipher and CBC are
+    provided, because the paper benchmarks [aes-128-cbc].
 
     The implementation is the straightforward byte-oriented cipher
     (S-box, ShiftRows, MixColumns over GF(2^8)). *)
@@ -16,13 +16,6 @@ val expand_key : string -> key_schedule
 
 val encrypt_block : key_schedule -> bytes -> pos:int -> bytes
 (** Encrypt the 16-byte block at [pos]; returns a fresh 16-byte block. *)
-
-val decrypt_block : key_schedule -> bytes -> pos:int -> bytes
-
-val encrypt_ecb : key_schedule -> bytes -> bytes
-(** Input length must be a multiple of 16. *)
-
-val decrypt_ecb : key_schedule -> bytes -> bytes
 
 val encrypt_cbc : key_schedule -> iv:bytes -> bytes -> bytes
 (** CBC mode; [iv] must be 16 bytes, input a multiple of 16. *)

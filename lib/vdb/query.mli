@@ -9,13 +9,6 @@
 
 type isolation = Per_row | Per_query
 
-val row_to_js : Table.t -> Table.value list -> Vjs.Jsvalue.t
-(** A row as an object: column name -> value. *)
-
-val js_to_value : Vjs.Jsvalue.t -> Table.value
-(** Numbers round to Int; strings to Text; booleans to Int 0/1;
-    structures serialize to JSON Text. *)
-
 val select :
   Udf.t ->
   Table.t ->
@@ -26,7 +19,10 @@ val select :
   (Table.value list list, string) result
 (** Scan the table; keep rows where the [where_] UDF is truthy; map each
     kept row through [project] (result rows are single-column) or return
-    the full row. [isolation] defaults to [Per_query]. *)
+    the full row. [isolation] defaults to [Per_query]. A UDF sees each
+    row as an object, column name -> value; a projected value comes back
+    as a number rounded to [Int], a string as [Text], a boolean as
+    [Int 0]/[Int 1] and a structure as its JSON [Text]. *)
 
 val select_c :
   Udf.t -> Table.t -> where_:string -> unit -> (Table.value list list, string) result

@@ -40,16 +40,6 @@ let rows t = List.rev t.trows
 
 let length t = List.length t.trows
 
-let column_index t cname =
-  let rec go i = function
-    | [] -> None
-    | (n, _) :: rest -> if n = cname then Some i else go (i + 1) rest
-  in
-  go 0 t.tschema
-
-let value_equal a b =
-  match (a, b) with Int x, Int y -> x = y | Text x, Text y -> x = y | _ -> false
-
 let pp_value ppf = function
   | Int v -> Format.fprintf ppf "%Ld" v
   | Text s -> Format.fprintf ppf "%S" s

@@ -32,7 +32,4 @@ val rows : t -> value list list
 
 val length : t -> int
 
-val column_index : t -> string -> int option
-
-val value_equal : value -> value -> bool
 val pp_value : Format.formatter -> value -> unit

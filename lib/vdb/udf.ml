@@ -7,8 +7,6 @@ type t = { wasp : Wasp.Runtime.t; udfs : (string, registration) Hashtbl.t }
 
 exception Unknown_udf of string
 
-type kind = Js | Native | C
-
 let create wasp = { wasp; udfs = Hashtbl.create 8 }
 
 let batch_driver ~entry =
@@ -59,15 +57,10 @@ let register_c t ~name ~source ~fn =
         (Vcc.Compile.Compile_error (Printf.sprintf "UDF %s: %s is not virtine-annotated" name fn)));
   replace t name (C_udf { compiled; fn })
 
-let registered t = Hashtbl.fold (fun k _ acc -> k :: acc) t.udfs [] |> List.sort compare
-
 let lookup t name =
   match Hashtbl.find_opt t.udfs name with
   | Some r -> r
   | None -> raise (Unknown_udf name)
-
-let kind_of t name =
-  match lookup t name with Js_udf _ -> Js | Native_udf _ -> Native | C_udf _ -> C
 
 let apply_row t ~name row =
   match lookup t name with

@@ -28,13 +28,6 @@ val register_c : t -> name:string -> source:string -> fn:string -> unit
     row's integer columns (schema order) as arguments.
     @raise Vcc.Compile.Compile_error *)
 
-val registered : t -> string list
-
-type kind = Js | Native | C
-
-val kind_of : t -> string -> kind
-(** @raise Unknown_udf *)
-
 val apply_row : t -> name:string -> Vjs.Jsvalue.t -> (Vjs.Jsvalue.t, string) result
 (** Evaluate the UDF on one row object — for JS UDFs, one fresh virtine
     per call. @raise Unknown_udf *)

@@ -6,12 +6,10 @@
     send complete — and deposits them in the argument page where the
     client can read them after the exit. *)
 
-val source : string
-(** The handler, in the virtine C dialect (compiled for protected mode —
-    "this example does not actually require 64-bit mode, so we omit
-    paging"). *)
-
 val compile : unit -> Vcc.Compile.compiled
+(** The handler, written in the virtine C dialect and compiled for
+    protected mode ("this example does not actually require 64-bit mode,
+    so we omit paging"). *)
 
 type milestones = {
   entry : int64;      (** cycles from KVM_RUN to the C entry point *)

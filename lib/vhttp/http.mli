@@ -31,6 +31,5 @@ val parse_response : string -> (response, string) result
 val response_to_string : response -> string
 
 val make_response : ?headers:(string * string) list -> status:int -> string -> response
-(** Reason phrase derived from the status code; Content-Length added. *)
-
-val reason_of_status : int -> string
+(** Reason phrase derived from the status code (["OK"], ["Not Found"],
+    ...); Content-Length added. *)

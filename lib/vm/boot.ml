@@ -1,16 +1,5 @@
 type component = { name : string; cycles : int }
 
-let component_names =
-  [
-    "paging ident. map";
-    "protected transition";
-    "long transition";
-    "jump to 32-bit";
-    "jump to 64-bit";
-    "load 32-bit gdt";
-    "first instruction";
-  ]
-
 let perform ~mem ~clock ~rng ~target =
   let charged = ref [] in
   let charge name cycles =
@@ -43,4 +32,3 @@ let min_mem_size = function
   | Modes.Protected -> Gdt.end_addr
   | Modes.Long -> max Gdt.end_addr Paging.end_addr
 
-let total_cost components = List.fold_left (fun acc c -> acc + c.cycles) 0 components

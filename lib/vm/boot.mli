@@ -7,11 +7,9 @@
     and is reported by name so the Table 1 bench can print the breakdown. *)
 
 type component = { name : string; cycles : int }
-
-val component_names : string list
-(** Stable names, in Table 1's order: ["paging ident. map";
-    "protected transition"; "long transition"; "jump to 32-bit";
-    "jump to 64-bit"; "load 32-bit gdt"; "first instruction"]. *)
+(** One boot step. The names are stable: ["load 32-bit gdt"],
+    ["protected transition"], ["jump to 32-bit"], ["paging ident. map"],
+    ["long transition"], ["jump to 64-bit"] and ["first instruction"]. *)
 
 val perform :
   mem:Memory.t -> clock:Cycles.Clock.t -> rng:Cycles.Rng.t -> target:Modes.t -> component list
@@ -24,5 +22,3 @@ val perform :
 val min_mem_size : Modes.t -> int
 (** The smallest memory {!perform} can boot into the mode (0x518 for
     protected, 16 KB for long); it raises {!Memory.Fault} below it. *)
-
-val total_cost : component list -> int

@@ -6,11 +6,9 @@
     tests can check the descriptor encoding against the architectural
     layout. *)
 
-val base_addr : int
-(** Where the boot sequence places the GDT (0x500, below the image). *)
-
 val end_addr : int
-(** The first byte past the table {!write} builds (0x518). *)
+(** The first byte past the table {!write} builds (0x518): the table
+    starts at 0x500, below the image. *)
 
 type descriptor = {
   base : int;
@@ -21,15 +19,12 @@ type descriptor = {
   granularity_4k : bool;
 }
 
-val encode_descriptor : descriptor -> int64
-(** Pack into the split-field x86 segment descriptor format. *)
-
 val decode_descriptor : int64 -> descriptor
-(** Inverse of {!encode_descriptor} (limit/base reassembled from the split
-    fields). *)
-
-val flat_code : long:bool -> descriptor
+(** Unpack a split-field x86 segment descriptor (limit/base reassembled
+    from the split fields). *)
 
 val write : Memory.t -> long:bool -> int
-(** Build a 3-entry GDT (null, code, data) at {!base_addr}; returns the
-    number of bytes written. *)
+(** Build a 3-entry GDT at 0x500: null, a flat code segment (base 0,
+    limit 0xFFFFF in 4 KB pages; 64-bit when [long]) and a flat data
+    segment, in x86 descriptor format. Returns the number of bytes
+    written. *)

@@ -49,21 +49,18 @@ module Page_cache = struct
   let n_entries = ref 0
   let n_hits = ref 0
   let n_misses = ref 0
-  let n_evictions = ref 0
 
   let entries () = !n_entries
   let bytes () = !n_entries * page_size
   let hits () = !n_hits
   let misses () = !n_misses
-  let evictions () = !n_evictions
 
   let reset () =
     Hashtbl.reset table;
     Queue.clear order;
     n_entries := 0;
     n_hits := 0;
-    n_misses := 0;
-    n_evictions := 0
+    n_misses := 0
 
   (* Intern takes ownership of [b]: the caller's slot becomes a Shared
      reference, so the buffer is never mutated afterwards. *)
@@ -83,8 +80,7 @@ module Page_cache = struct
           match Queue.take_opt order with
           | Some victim when Hashtbl.mem table victim ->
               Hashtbl.remove table victim;
-              decr n_entries;
-              incr n_evictions
+              decr n_entries
           | Some _ | None -> ()
         end;
         Hashtbl.replace table key sh;
@@ -481,7 +477,7 @@ let snapshot t =
 (* Page images (snapshot capture/restore)                              *)
 (* ------------------------------------------------------------------ *)
 
-type image = { i_pages : page array; i_size : int; i_footprint : int }
+type image = { i_pages : page array; i_footprint : int }
 
 let page_is_zero_ref = function Zero -> true | Shared _ | Owned _ -> false
 
@@ -507,9 +503,8 @@ let capture t =
     end
   in
   let keep = (footprint + page_mask) lsr page_shift in
-  { i_pages = Array.sub shared 0 keep; i_size = t.size; i_footprint = footprint }
+  { i_pages = Array.sub shared 0 keep; i_footprint = footprint }
 
-let image_size img = img.i_size
 let image_footprint img = img.i_footprint
 
 let image_resident_pages img =

@@ -121,9 +121,6 @@ val capture : t -> image
     memory keeps running: its pages become shared and the next write to
     any of them CoW-faults. *)
 
-val image_size : image -> int
-(** Size of the memory the image was captured from. *)
-
 val image_footprint : image -> int
 (** Index of the last nonzero byte + 1 (0 for an all-zero capture). *)
 
@@ -229,7 +226,6 @@ module Page_cache : sig
   (** Interns that found an identical resident page. *)
 
   val misses : unit -> int
-  val evictions : unit -> int
 
   val reset : unit -> unit
   (** Drop the table and zero the stats (tests). Outstanding references

@@ -27,8 +27,6 @@ let of_string = function
   | "long" -> Some Long
   | _ -> None
 
-let pp ppf m = Format.pp_print_string ppf (to_string m)
-
 let equal (a : t) (b : t) = a = b
 
 let all = [ Real; Protected; Long ]

@@ -28,6 +28,5 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string} (["real"] / ["protected"] / ["long"]). *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val all : t list

@@ -10,27 +10,26 @@ type cell = {
 type t = {
   agg : Lang.aggfun;
   keep_samples : bool;
-  sample_cap : int;
   key_capacity : int;
   tbl : (string list, cell) Hashtbl.t;
   mutable order : string list list; (* newest first *)
   mutable nkeys : int;
-  mutable key_drops : int;
 }
 
-let create ?(key_capacity = 512) ?(sample_cap = 8192) agg =
+(* samples kept per key by [hist] and [p] *)
+let sample_cap = 8192
+
+let create ?(key_capacity = 512) agg =
   let keep_samples =
     match agg with Lang.Hist | Lang.Quantile _ -> true | _ -> false
   in
   {
     agg;
     keep_samples;
-    sample_cap;
     key_capacity;
     tbl = Hashtbl.create 16;
     order = [];
     nkeys = 0;
-    key_drops = 0;
   }
 
 let update t c v =
@@ -39,7 +38,7 @@ let update t c v =
   if Int64.compare v c.mn < 0 then c.mn <- v;
   if Int64.compare v c.mx > 0 then c.mx <- v;
   if t.keep_samples then
-    if c.n - c.sample_drops <= t.sample_cap then
+    if c.n - c.sample_drops <= sample_cap then
       c.samples <- Int64.to_float v :: c.samples
     else c.sample_drops <- c.sample_drops + 1
 
@@ -49,10 +48,7 @@ let observe t ~key v =
       update t c v;
       true
   | None ->
-      if t.nkeys >= t.key_capacity then begin
-        t.key_drops <- t.key_drops + 1;
-        false
-      end
+      if t.nkeys >= t.key_capacity then false
       else begin
         let c =
           { n = 0; sum = 0L; mn = v; mx = v; samples = []; sample_drops = 0 }
@@ -77,6 +73,3 @@ let value t c =
 
 let cells t =
   List.rev_map (fun key -> (key, Hashtbl.find t.tbl key)) t.order
-
-let find t key = Hashtbl.find_opt t.tbl key
-let key_drops t = t.key_drops

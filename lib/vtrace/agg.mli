@@ -18,8 +18,9 @@ type cell = {
   mutable sample_drops : int;
 }
 
-val create : ?key_capacity:int -> ?sample_cap:int -> Lang.aggfun -> t
-(** Defaults: 512 keys, 8192 samples per key. *)
+val create : ?key_capacity:int -> Lang.aggfun -> t
+(** [key_capacity] defaults to 512 keys. Each key keeps at most 8192
+    samples. *)
 
 val observe : t -> key:string list -> int64 -> bool
 (** Record one observation under [key]. [false] when the key table is
@@ -32,6 +33,3 @@ val value : t -> cell -> float
 
 val cells : t -> (string list * cell) list
 (** All cells, first-insertion order. *)
-
-val find : t -> string list -> cell option
-val key_drops : t -> int

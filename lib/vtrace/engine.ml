@@ -62,7 +62,7 @@ let rec compile_pred = function
       let fl = compile_term l and fr = compile_term r in
       fun ctx -> cmp_values op (fl ctx) (fr ctx)
 
-let create ?(budget = 1_000_000) ?key_capacity ?sample_cap spec =
+let create ?(budget = 1_000_000) ?key_capacity spec =
   let probes =
     Array.of_list
       (List.mapi
@@ -73,7 +73,7 @@ let create ?(budget = 1_000_000) ?key_capacity ?sample_cap spec =
              pred = compile_pred p.pred;
              by = p.action.by;
              operand = p.action.operand;
-             agg = Agg.create ?key_capacity ?sample_cap p.action.agg;
+             agg = Agg.create ?key_capacity p.action.agg;
              budget;
              fired = 0;
              dropped = 0;
@@ -100,12 +100,11 @@ let create ?(budget = 1_000_000) ?key_capacity ?sample_cap spec =
     pushed_key_drops = 0;
   }
 
-let of_string ?budget ?key_capacity ?sample_cap src =
+let of_string ?budget ?key_capacity src =
   match Lang.parse src with
   | Error _ as e -> e
-  | Ok spec -> Ok (create ?budget ?key_capacity ?sample_cap spec)
+  | Ok spec -> Ok (create ?budget ?key_capacity spec)
 
-let spec t = Array.to_list (Array.map (fun c -> c.cspec) t.probes)
 let wants t site = Hashtbl.mem t.by_site site
 let set_metrics t m = t.metrics <- m
 
@@ -157,7 +156,6 @@ let fire t ctx =
         0 ps
 
 let fires t = t.total_fires
-let drops t = t.budget_drops + t.key_drops
 
 let values t ~probe =
   let p = t.probes.(probe) in
@@ -244,23 +242,6 @@ let render t =
             (Agg.cells p.agg)
       | _ -> ());
       Buffer.add_char buf '\n')
-    t.probes;
-  Buffer.contents buf
-
-let folded t =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun p ->
-      let aggfun = p.cspec.Lang.action.Lang.agg in
-      List.iter
-        (fun (key, cell) ->
-          let stack =
-            String.concat ";" (p.cspec.Lang.site :: key)
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s\n" stack
-               (format_value aggfun (Agg.value p.agg cell))))
-        (Agg.cells p.agg))
     t.probes;
   Buffer.contents buf
 

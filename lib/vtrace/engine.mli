@@ -17,17 +17,10 @@
 
 type t
 
-val create : ?budget:int -> ?key_capacity:int -> ?sample_cap:int -> Lang.spec -> t
-(** Compile a parsed spec. [budget] (default 1_000_000) bounds firings
-    per probe; [key_capacity]/[sample_cap] bound each probe's
-    aggregation (see {!Agg.create}). *)
-
-val of_string :
-  ?budget:int -> ?key_capacity:int -> ?sample_cap:int -> string ->
-  (t, string) result
-(** [create] composed with {!Lang.parse}. *)
-
-val spec : t -> Lang.spec
+val of_string : ?budget:int -> ?key_capacity:int -> string -> (t, string) result
+(** Parse a spec ({!Lang.parse}) and compile it. [budget] (default
+    1_000_000) bounds firings per probe; [key_capacity] bounds each
+    probe's aggregation (see {!Agg.create}). *)
 
 val wants : t -> string -> bool
 (** Whether any probe targets [site] — lets hosts skip building
@@ -46,9 +39,6 @@ val set_metrics : t -> Telemetry.Metrics.t option -> unit
 val fires : t -> int
 (** Total successful firings across probes. *)
 
-val drops : t -> int
-(** Total drops (budget + key-capacity). *)
-
 val values : t -> probe:int -> (string list * float) list
 (** Probe [probe]'s aggregate per key, insertion order — for tests. *)
 
@@ -62,9 +52,6 @@ val coverage : t -> (string * float) list
 val render : t -> string
 (** All probes as {!Stats.Report} tables (plus per-key histograms for
     [hist] probes), deterministic byte-for-byte at a fixed seed. *)
-
-val folded : t -> string
-(** Folded-stack lines: [site;key;... value] — flamegraph-ready. *)
 
 val export : t -> Telemetry.Metrics.t -> unit
 (** Publish aggregates as labeled gauges

@@ -17,11 +17,8 @@
     [p] takes the quantile first: [p(99.9, cycles)]. [count] takes no
     operand; every other aggregation requires a numeric field. Field
     names are validated against {!Ctx.fields} (aliases allowed, see
-    {!Ctx.canonical}); sites against {!sites}. String fields compare
+    {!Ctx.canonical}); sites against the catalog in [docs/vtrace.md]. String fields compare
     only with [==] / [!=] against string literals. *)
-
-val sites : string list
-(** The probe-site catalog (see [docs/vtrace.md] for where each fires). *)
 
 type cmp_op = Eq | Ne | Lt | Le | Gt | Ge
 type lit = Int of int64 | Str of string

@@ -62,4 +62,3 @@ let recv ep ~max =
   Buffer.add_string ep.incoming rest;
   out
 
-let pending ep = Buffer.length ep.incoming

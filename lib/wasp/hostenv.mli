@@ -40,6 +40,3 @@ val send : endpoint -> bytes -> int
 val recv : endpoint -> max:int -> bytes
 (** Dequeue up to [max] bytes sent by the peer; empty if none pending. *)
 
-val pending : endpoint -> int
-(** Bytes available to [recv]. *)
-

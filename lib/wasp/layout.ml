@@ -14,7 +14,7 @@ let ring_sqe_size = 64
 let ring_cqe_size = 16
 let ring_sq_head = ring_base
 let ring_sq_tail = ring_base + 8
-let ring_cq_head = ring_base + 16
+(* ring_base + 16: the guest's completion cursor *)
 let ring_cq_tail = ring_base + 24
 let ring_sqes = ring_base + ring_hdr_size
 let ring_cqes = ring_sqes + (ring_entries * ring_sqe_size)

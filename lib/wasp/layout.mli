@@ -31,7 +31,9 @@ val default_mem_size : int (** 64 KB default guest region *)
     Header: four u64 cursors (monotonically increasing indices; the slot
     is the index modulo {!ring_entries}), then the SQE array, then the
     CQE array. The guest produces at [sq_tail], the host consumes at
-    [sq_head] and completes at [cq_tail]. *)
+    [sq_head] and completes at [cq_tail]; the third cursor, at
+    [ring_base + 16], is the guest's own completion cursor, which the
+    host never reads. *)
 
 val ring_base : int        (** 0x4800 *)
 val ring_entries : int     (** 32 (power of two: slot = index & 31) *)
@@ -39,7 +41,6 @@ val ring_sqe_size : int    (** 64 bytes: nr, flags, args0..4, link *)
 val ring_cqe_size : int    (** 16 bytes: result, nr *)
 val ring_sq_head : int     (** u64: host consumer cursor *)
 val ring_sq_tail : int     (** u64: guest producer cursor *)
-val ring_cq_head : int     (** u64: guest completion cursor (unused by the host) *)
 val ring_cq_tail : int     (** u64: host completion cursor *)
 val ring_sqes : int        (** SQE array base (0x4840) *)
 val ring_cqes : int        (** CQE array base (0x5040) *)

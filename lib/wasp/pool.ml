@@ -86,11 +86,8 @@ let stats t =
 
 let set_reclaim_policy t policy = t.policy <- policy
 
-let shard_size s = s.cached_count
 let size t = Array.fold_left (fun acc s -> acc + s.cached_count) 0 t.shards
-let shard_sizes t = Array.map shard_size t.shards
 
-let reclaim_depth t ~core = Queue.length t.shards.(core).reclaim
 let reclaim_pending t =
   Array.fold_left (fun acc s -> acc + Queue.length s.reclaim) 0 t.shards
 

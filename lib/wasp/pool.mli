@@ -153,11 +153,3 @@ val take_prewarmed : t -> mem_size:int -> mode:Vm.Modes.t -> shell option
     {!prewarm_step} calls. Used by {!acquire} on what would otherwise
     be a miss; exposed for pool-disabled runtimes. *)
 
-val size : t -> int
-(** Shells currently cached (all shards; excludes the reclaim queues). *)
-
-val shard_sizes : t -> int array
-(** Cached-shell count per core. *)
-
-val reclaim_depth : t -> core:int -> int
-(** Shells awaiting cleaning on [core]'s reclaim queue. *)

@@ -18,8 +18,6 @@ let cqe_addr index = Layout.ring_cqes + (slot index * Layout.ring_cqe_size)
 
 let sq_head mem = Vm.Memory.read_u64 mem Layout.ring_sq_head
 let sq_tail mem = Vm.Memory.read_u64 mem Layout.ring_sq_tail
-let cq_head mem = Vm.Memory.read_u64 mem Layout.ring_cq_head
-let cq_tail mem = Vm.Memory.read_u64 mem Layout.ring_cq_tail
 let set_sq_head mem v = Vm.Memory.write_u64 mem Layout.ring_sq_head v
 let set_cq_tail mem v = Vm.Memory.write_u64 mem Layout.ring_cq_tail v
 

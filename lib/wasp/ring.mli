@@ -39,15 +39,10 @@ type sqe = {
 val has : int64 -> int64 -> bool
 (** [has flags bit] *)
 
-val slot : int64 -> int
-(** Index → storage slot (mod {!Layout.ring_entries}). *)
-
 (** {1 Header cursors} *)
 
 val sq_head : Vm.Memory.t -> int64
 val sq_tail : Vm.Memory.t -> int64
-val cq_head : Vm.Memory.t -> int64
-val cq_tail : Vm.Memory.t -> int64
 val set_sq_head : Vm.Memory.t -> int64 -> unit
 val set_cq_tail : Vm.Memory.t -> int64 -> unit
 

@@ -57,7 +57,6 @@ let cores t = Kvmsim.Kvm.cores t.sys
 let on_core t core = Kvmsim.Kvm.set_core t.sys core
 let set_reclaim_policy t policy = Pool.set_reclaim_policy t.pool policy
 let drain_reclaim t ~core ~budget = Pool.drain t.pool ~core ~budget
-let reclaim_depth t ~core = Pool.reclaim_depth t.pool ~core
 let set_prewarm t cfg = Pool.set_prewarm t.pool cfg
 let prewarm_step t ~core ~budget = Pool.prewarm_step t.pool ~core ~budget
 let env t = t.hostenv
@@ -604,7 +603,7 @@ let finish t (prov : provisioned) ~snapshot_key ~(inv : Inv.t) outcome ~return_v
     from_pool = prov.from_pool;
   }
 
-let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key
+let run_inner t claim (image : Image.t) ~policy ~handlers ~input_bytes ~conn ~snapshot_key
     ~fuel ~inspect =
   let prov =
     match provision t claim ~mem_size:image.mem_size ~mode:image.mode with
@@ -652,21 +651,9 @@ let run_inner t claim (image : Image.t) ~policy ~handlers ~input ~args ~conn ~sn
       Vm.Cpu.set_sp cpu Layout.stack_top);
   (* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
      loaded into the virtine's address space at address 0x0"). *)
-  let input_bytes =
-    match (input, args) with
-    | Some b, [] -> b
-    | None, [] -> Bytes.empty
-    | None, args ->
-        let b = Bytes.create (8 * List.length args) in
-        List.iteri (fun i v -> Bytes.set_int64_le b (8 * i) v) args;
-        b
-    | Some _, _ :: _ -> invalid_arg "Runtime.run: pass either ~input or ~args, not both"
-  in
   let inv =
     Kvmsim.Kvm.span t.sys "marshal" (fun () ->
         if Bytes.length input_bytes > 0 then begin
-          if Bytes.length input_bytes > Layout.arg_area_size then
-            invalid_arg "Runtime.run: input exceeds the argument area";
           Vm.Memory.write_bytes mem ~off:Layout.arg_area input_bytes;
           charge t (Cycles.Costs.memcpy_cost (Bytes.length input_bytes))
         end;
@@ -754,17 +741,35 @@ let undersized ~mem_size mode =
   if mem_size >= need then None
   else Some (Printf.sprintf "mem_size %d is under the %d bytes a %s-mode boot writes" mem_size need mode)
 
-(* An argument error, raised before anything is provisioned. *)
+(* Argument errors, raised before anything is provisioned. *)
 let check_memory fn ~mem_size mode =
   Option.iter (fun m -> invalid_arg (fn ^ ": " ^ m)) (undersized ~mem_size mode)
+
+(* The bytes [run] marshals into the argument area: [input] as given,
+   or [args] as little-endian int64s. *)
+let marshal_input ~input ~args =
+  let b =
+    match (input, args) with
+    | Some b, [] -> b
+    | None, [] -> Bytes.empty
+    | None, args ->
+        let b = Bytes.create (8 * List.length args) in
+        List.iteri (fun i v -> Bytes.set_int64_le b (8 * i) v) args;
+        b
+    | Some _, _ :: _ -> invalid_arg "Runtime.run: pass either ~input or ~args, not both"
+  in
+  if Bytes.length b > Layout.arg_area_size then
+    invalid_arg "Runtime.run: input exceeds the argument area";
+  b
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
   check_memory "Runtime.run" ~mem_size:image.mem_size image.mode;
+  let input_bytes = marshal_input ~input ~args in
   let claim = claim t ~name:image.name ~code:image.code ~snapshot_key in
   Kvmsim.Kvm.span t.sys ~args:(if hub t then [ ("image", image.name) ] else []) "invocation"
     (fun () ->
-      run_inner t claim image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
+      run_inner t claim image ~policy ~handlers ~input_bytes ~conn ~snapshot_key ~fuel
         ~inspect)
 
 (* ------------------------------------------------------------------ *)

@@ -73,8 +73,6 @@ val drain_reclaim : t -> core:int -> budget:int -> int
 (** Spend up to [budget] idle cycles cleaning [core]'s reclaim queue;
     returns cycles spent. See {!Pool.drain}. *)
 
-val reclaim_depth : t -> core:int -> int
-
 val set_prewarm : t -> Pool.prewarm option -> unit
 (** Arm (or disarm) pipelined pre-boot of replacement shells (see
     {!Pool.set_prewarm}): idle cycles pre-build complete shells so a
@@ -214,8 +212,10 @@ val run :
     - [inspect] observes guest memory and registers after exit, before
       the shell is cleaned (used by milestone experiments).
 
-    @raise Invalid_argument before anything is provisioned when the
-    image's memory is under {!Vm.Boot.min_mem_size} of its mode. *)
+    @raise Invalid_argument before anything is provisioned or claimed
+    when the image's memory is under {!Vm.Boot.min_mem_size} of its
+    mode, when [input] (or [args]) exceeds {!Layout.arg_area_size}, or
+    when both [input] and [args] are given. *)
 
 (** {1 Record and replay}
 

@@ -122,10 +122,6 @@ let quarantined t ~key =
   | None -> false
   | Some b -> in_quarantine t b
 
-let release_quarantine t ~key =
-  Option.iter Breaker.succeed (Hashtbl.find_opt t.breakers key);
-  note_quarantine_gauge t
-
 (* One invocation failed outright (attempts exhausted, or a terminal
    class). Past the threshold the image is quarantined until the
    cooldown elapses on the virtual clock. *)

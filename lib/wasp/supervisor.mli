@@ -112,6 +112,3 @@ val run :
 
 val quarantined : t -> key:string -> bool
 (** Is [key] quarantined as of the runtime's current virtual clock? *)
-
-val release_quarantine : t -> key:string -> unit
-(** Manually lift [key]'s quarantine and forget its failure streak. *)

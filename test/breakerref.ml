@@ -85,7 +85,7 @@ module Quarantine = struct
     end
     else Admitted
 
-  (* [note_success] and [release_quarantine] *)
+  (* [note_success] *)
   let succeed t =
     t.failures <- 0;
     t.opened_at <- None

@@ -121,7 +121,7 @@ let flows items =
       | _ -> None)
     spans
 
-let to_json ?(process = "wasp") hub =
+let to_json hub =
   let clk = Hub.clock hub in
   let items = Span.items (Hub.spans hub) in
   let cores =
@@ -138,9 +138,7 @@ let to_json ?(process = "wasp") hub =
   let add_us c = add_fixed3 buf (Cycles.Clock.to_us clk c) in
   let add_tid core = add_int buf (tid_of_core core) in
   add "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"";
-  add_escaped buf process;
-  add "\"}}";
+  add "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"wasp\"}}";
   List.iter
     (fun core ->
       add ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";

@@ -25,27 +25,23 @@ let test_disasm_instructions_roundtrip () =
   let instrs =
     [ Instr.Mov (0, Instr.Imm 42L); Instr.Bin (Instr.Add, 1, Instr.Reg 0); Instr.Hlt ]
   in
-  let blob = Encoding.encode_program instrs in
-  let lines = Disasm.disassemble ~origin:0 blob in
-  let decoded = List.filter_map (fun l -> l.Disasm.instr) lines in
+  let decoded = Encoding.decode_program (Encoding.encode_program instrs) in
   Alcotest.(check int) "all decoded" 3 (List.length decoded);
-  Alcotest.(check bool) "equal" true (List.for_all2 Instr.equal instrs decoded)
+  Alcotest.(check bool) "equal" true (instrs = decoded)
 
 let test_disasm_handles_garbage () =
-  let blob = Bytes.of_string "\xFF\xEE\x00" in
-  let lines = Disasm.disassemble ~origin:0 blob in
+  let lines = Listing.of_blob ~origin:0 (Bytes.of_string "\xFF\xEE\x00") in
   (* two data bytes + one hlt *)
-  let data = List.filter (fun l -> l.Disasm.instr = None) lines in
-  Alcotest.(check int) "two data bytes" 2 (List.length data);
+  Alcotest.(check int) "two data bytes" 2 (List.length (List.filter Listing.is_data lines));
   Alcotest.(check bool) "hlt recovered" true
-    (List.exists (fun l -> l.Disasm.instr = Some Instr.Hlt) lines)
+    (List.exists (fun (_, _, text) -> text = "hlt") lines)
 
 let test_disasm_addresses_consecutive () =
   let blob = Encoding.encode_program [ Instr.Nop; Instr.Mov (0, Instr.Imm 1L); Instr.Ret ] in
-  let lines = Disasm.disassemble ~origin:0x8000 blob in
+  let lines = Listing.of_blob blob in
   let rec check = function
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check int) "consecutive" (a.Disasm.addr + a.Disasm.size) b.Disasm.addr;
+    | (a, size, _) :: ((b, _, _) :: _ as rest) ->
+        Alcotest.(check int) "consecutive" (a + size) b;
         check rest
     | _ -> ()
   in
@@ -202,17 +198,16 @@ let test_gateway_js_error_is_500 () =
   Alcotest.(check int) "500" 500 (status_of r)
 
 let test_gateway_register_target_parsing () =
-  Alcotest.(check (pair string string))
-    "entry given" ("f", "go")
-    (Serverless.Gateway.parse_register_target "f?entry=go");
-  Alcotest.(check (pair string string))
-    "entry defaults" ("f", "main")
-    (Serverless.Gateway.parse_register_target "f");
+  let g = gateway () in
+  let register target =
+    body_of (Serverless.Gateway.handle g (post ("/register/" ^ target) shout_src))
+  in
+  Alcotest.(check string) "entry given" "registered f (entry go)\n" (register "f?entry=go");
+  Alcotest.(check string) "entry defaults" "registered f (entry main)\n" (register "f");
   (* regression: pairs split on the first '=' only, so a value may
      itself contain '=' *)
-  Alcotest.(check (pair string string))
-    "equals in value" ("f", "ns=main")
-    (Serverless.Gateway.parse_register_target "f?entry=ns=main")
+  Alcotest.(check string) "equals in value" "registered f (entry ns=main)\n"
+    (register "f?entry=ns=main")
 
 let test_gateway_bad_requests () =
   let g = gateway () in

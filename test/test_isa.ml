@@ -1,8 +1,6 @@
 (* Tests for the vx ISA: encoding roundtrips, the assembler, and the
    textual parser. *)
 
-let instr = Alcotest.testable Instr.pp Instr.equal
-
 (* ------------------------------------------------------------------ *)
 (* QCheck generators                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -69,7 +67,7 @@ let arb_instr = QCheck.make ~print:Instr.to_string gen_instr
 let prop_roundtrip =
   QCheck.Test.make ~name:"encode/decode roundtrip" ~count:2000 arb_instr (fun i ->
       let b = Encoding.encode_program [ i ] in
-      match Encoding.decode_program b with [ j ] -> Instr.equal i j | _ -> false)
+      match Encoding.decode_program b with [ j ] -> i = j | _ -> false)
 
 let prop_size_matches =
   QCheck.Test.make ~name:"encoded_size agrees with encoder" ~count:2000 arb_instr (fun i ->
@@ -81,7 +79,7 @@ let prop_program_roundtrip =
     (fun is ->
       let b = Encoding.encode_program is in
       List.length (Encoding.decode_program b) = List.length is
-      && List.for_all2 Instr.equal is (Encoding.decode_program b))
+      && List.for_all2 ( = ) is (Encoding.decode_program b))
 
 let prop_cost_positive =
   QCheck.Test.make ~name:"every instruction has positive cost" ~count:500 arb_instr
@@ -143,17 +141,16 @@ let full_opcode_table =
    same instruction, contiguous addresses, sizes matching the encoder. *)
 let test_disasm_full_table () =
   let blob = Encoding.encode_program full_opcode_table in
-  let lines = Disasm.disassemble ~origin:0x8000 blob in
+  let lines = Listing.of_blob blob in
   Alcotest.(check int) "one line per instruction" (List.length full_opcode_table)
     (List.length lines);
   let addr = ref 0x8000 in
   List.iter2
-    (fun i (l : Disasm.line) ->
-      Alcotest.check (Alcotest.option instr) ("decodes " ^ Instr.to_string i) (Some i)
-        l.Disasm.instr;
-      Alcotest.(check int) "contiguous" !addr l.Disasm.addr;
-      Alcotest.(check int) "size matches encoder" (Encoding.encoded_size i) l.Disasm.size;
-      addr := !addr + l.Disasm.size)
+    (fun i (a, size, text) ->
+      Alcotest.(check string) ("decodes " ^ Instr.to_string i) (Instr.to_string i) text;
+      Alcotest.(check int) "contiguous" !addr a;
+      Alcotest.(check int) "size matches encoder" (Encoding.encoded_size i) size;
+      addr := !addr + size)
     full_opcode_table lines;
   Alcotest.(check int) "sweep covers the blob" (0x8000 + Bytes.length blob) !addr
 
@@ -161,13 +158,9 @@ let prop_disasm_roundtrip =
   QCheck.Test.make ~name:"disassemble roundtrips random programs" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_instr))
     (fun is ->
-      let blob = Encoding.encode_program is in
-      let lines = Disasm.disassemble ~origin:0x8000 blob in
+      let lines = Listing.of_blob (Encoding.encode_program is) in
       List.length lines = List.length is
-      && List.for_all2
-           (fun i (l : Disasm.line) ->
-             match l.Disasm.instr with Some j -> Instr.equal i j | None -> false)
-           is lines)
+      && List.for_all2 (fun i (_, _, text) -> text = Instr.to_string i) is lines)
 
 (* Truncating any multi-byte encoding by its final byte must not decode:
    decode_program raises, and the disassembler's linear sweep marks the
@@ -182,12 +175,12 @@ let test_truncated_instructions () =
         (match Encoding.decode_program cut with
         | exception Encoding.Decode_error _ -> ()
         | _ -> Alcotest.fail ("truncated " ^ Instr.to_string i ^ " decoded"));
-        match Disasm.disassemble ~origin:0x8000 cut with
+        match Listing.of_blob cut with
         | [] -> Alcotest.fail "no lines for truncated blob"
         | first :: _ ->
-            Alcotest.check (Alcotest.option instr)
+            Alcotest.(check bool)
               ("truncated " ^ Instr.to_string i ^ " resyncs as data")
-              None first.Disasm.instr
+              true (Listing.is_data first)
       end)
     full_opcode_table
 
@@ -329,7 +322,7 @@ let test_parse_comments_and_blank_lines () =
   Alcotest.(check int) "one instruction" 1 (Bytes.length p.code)
 
 let test_parse_error_reports_line () =
-  match Asm.parse "nop\nbogus r0\n" with
+  match Asm.assemble_string "nop\nbogus r0\n" with
   | exception Asm.Asm_error msg ->
       Alcotest.(check bool) "mentions line 2" true
         (String.length msg >= 6 && String.sub msg 0 6 = "line 2")

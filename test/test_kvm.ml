@@ -98,10 +98,10 @@ let test_out_of_fuel_exit () =
 
 let test_deterministic_given_seed () =
   let run_once () =
-    let _, _, mem, vcpu = setup () in
+    let sys, _, mem, vcpu = setup () in
     Vm.Memory.write_bytes mem ~off:0 hlt;
     ignore (Kvmsim.Kvm.run vcpu);
-    Cycles.Clock.now (Kvmsim.Kvm.clock (Kvmsim.Kvm.vm_system (Kvmsim.Kvm.vcpu_vm vcpu)))
+    Cycles.Clock.now (Kvmsim.Kvm.clock sys)
   in
   Alcotest.(check int64) "bit identical across runs" (run_once ()) (run_once ())
 

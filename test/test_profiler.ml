@@ -117,11 +117,12 @@ let test_symbolization_and_folded () =
   | None -> Alcotest.fail "no 'fib' row");
   Alcotest.(check bool) "start attributed" true (find "start" <> None);
   Alcotest.(check bool) "[vmm] attributed" true (find Profiler.Profile.vmm_name <> None);
-  let folded = Profiler.Profile.folded p in
-  Alcotest.(check bool) "recursive stack present" true
-    (List.exists (fun (stack, _) -> stack = "start;fib;fib") folded);
-  let lines = Profiler.Profile.folded_lines p in
-  Alcotest.(check bool) "folded_lines renders" true (String.length lines > 0)
+  let stacks =
+    List.map
+      (fun line -> match String.rindex_opt line ' ' with Some i -> String.sub line 0 i | None -> line)
+      (String.split_on_char '\n' (Profiler.Profile.folded_lines p))
+  in
+  Alcotest.(check bool) "recursive stack present" true (List.mem "start;fib;fib" stacks)
 
 let test_sampled_mode () =
   let w = Wasp.Runtime.create () in
@@ -230,8 +231,9 @@ let test_flight_ring_bounds () =
     Profiler.Flight.record fr ~at:(Int64.of_int (100 * i)) ~core:0 ~pc:i
       (Profiler.Flight.Exit Vm.Cpu.Halt)
   done;
-  Alcotest.(check int) "total counts all" 10 (Profiler.Flight.total fr);
-  Alcotest.(check int) "ring retains capacity" 4 (Profiler.Flight.count fr);
+  Alcotest.(check bool) "total counts all, ring retains capacity" true
+    (count_substring (Profiler.Flight.dump fr ~reason:"t") "10 VM exits recorded, last 4 retained"
+    = 1);
   let entries = Profiler.Flight.entries fr in
   Alcotest.(check (list int)) "oldest-first, newest retained" [ 6; 7; 8; 9 ]
     (List.map (fun (e : Profiler.Flight.entry) -> e.Profiler.Flight.pc) entries)
@@ -250,9 +252,9 @@ let test_flight_wraparound_keeps_stamps () =
     Profiler.Flight.append_note fr (Printf.sprintf "hc(%d)" i);
     Profiler.Flight.append_note fr "vtrace"
   done;
-  Alcotest.(check int) "total counts every record" 12
-    (Profiler.Flight.total fr);
-  Alcotest.(check int) "ring holds capacity" 8 (Profiler.Flight.count fr);
+  Alcotest.(check bool) "total counts every record, ring holds capacity" true
+    (count_substring (Profiler.Flight.dump fr ~reason:"t") "12 VM exits recorded, last 8 retained"
+    = 1);
   let entries = Profiler.Flight.entries fr in
   Alcotest.(check (list int)) "oldest survivor is seq 4" [ 4; 5; 6; 7; 8; 9; 10; 11 ]
     (List.map (fun (e : Profiler.Flight.entry) -> e.Profiler.Flight.seq) entries);
@@ -265,9 +267,10 @@ let test_flight_wraparound_keeps_stamps () =
         "trace id survives the wrap"
         (Some (Int64.of_int (1000 + e.Profiler.Flight.seq)))
         e.Profiler.Flight.trace;
-      Alcotest.(check string) "annotation and vtrace stamp both survive"
-        (Printf.sprintf "hc(%d); vtrace" e.Profiler.Flight.seq)
-        (Profiler.Flight.note e))
+      Alcotest.(check bool) "annotation and vtrace stamp both survive" true
+        (String.ends_with
+           ~suffix:(Printf.sprintf "  ; hc(%d); vtrace" e.Profiler.Flight.seq)
+           (Format.asprintf "%a" Profiler.Flight.pp_entry e)))
     entries
 
 (* ------------------------------------------------------------------ *)
@@ -275,6 +278,13 @@ let test_flight_wraparound_keeps_stamps () =
 (* ------------------------------------------------------------------ *)
 
 let ok = function Ok x -> x | Error e -> Alcotest.fail e
+
+(* The return value a recording's [.vxr] trailer carries *)
+let recorded_ret rc =
+  List.find_map
+    (fun l -> Scanf.sscanf_opt l "ret %s%!" Fun.id)
+    (String.split_on_char '\n' (Profiler.Replay.to_string rc))
+  |> Option.get
 
 let record_invocation ?(seed = 0xACE) () =
   let img = fib_image () in
@@ -308,8 +318,7 @@ let test_vxr_round_trip () =
         (Profiler.Replay.to_string parsed);
       Alcotest.(check (list string)) "parsed recording diffs clean" []
         (Profiler.Replay.diff rc parsed);
-      Alcotest.(check string) "md5 preserved" (Profiler.Replay.image_md5 rc)
-        (Profiler.Replay.image_md5 parsed)
+      Alcotest.(check bool) "md5 preserved" true (count_substring text "\nmd5 " = 1)
 
 let test_vxr_tamper_detected () =
   let rc = record_invocation () in
@@ -481,7 +490,7 @@ let record_injected () =
     [
       Profiler.Replay.outcome rc;
       Int64.to_string (Profiler.Replay.total_cycles rc);
-      Int64.to_string (Profiler.Replay.return_value rc);
+      recorded_ret rc;
     ];
   rc
 
@@ -580,19 +589,13 @@ let test_symtab_lookup () =
     Profiler.Symtab.of_symbols
       [ ("start", 0x8000); (".L1", 0x8005); ("fib", 0x8010); ("g_x", 0x9000) ]
   in
-  Alcotest.(check (option string)) "exact hit" (Some "start")
-    (Profiler.Symtab.lookup t 0x8000);
-  Alcotest.(check (option string)) "interior address" (Some "start")
-    (Profiler.Symtab.lookup t 0x8008);
-  Alcotest.(check (option string)) "next symbol" (Some "fib")
-    (Profiler.Symtab.lookup t 0x8010);
-  Alcotest.(check (option string)) "below first symbol" None
-    (Profiler.Symtab.lookup t 0x7fff);
-  Alcotest.(check string) "fallback renders address" "0x7fff"
+  Alcotest.(check string) "exact hit" "start" (Profiler.Symtab.name_at t 0x8000);
+  Alcotest.(check string) "interior address" "start" (Profiler.Symtab.name_at t 0x8008);
+  Alcotest.(check string) "next symbol" "fib" (Profiler.Symtab.name_at t 0x8010);
+  Alcotest.(check string) "below first symbol renders the address" "0x7fff"
     (Profiler.Symtab.name_at t 0x7fff);
   (* compiler-local labels are filtered by default *)
-  Alcotest.(check (option string)) "locals filtered" (Some "start")
-    (Profiler.Symtab.lookup t 0x8006)
+  Alcotest.(check string) "locals filtered" "start" (Profiler.Symtab.name_at t 0x8006)
 
 let () =
   Alcotest.run "profiler"

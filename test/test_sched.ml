@@ -15,9 +15,9 @@ let mk_clocks n = Array.init n (fun _ -> Cycles.Clock.create ())
    of cycles and respawns itself a few times, exercising arrivals in the
    future, cross-core interleaving and submit-during-run. Returns the
    observable end state. *)
-let run_workload ?(steal = true) n_cores =
+let run_workload n_cores =
   let clocks = mk_clocks n_cores in
-  let sched = C.create ~steal clocks in
+  let sched = C.create clocks in
   let rec job gen ~core =
     Cycles.Clock.advance_int clocks.(core) (100 + (37 * gen));
     if gen < 4 then
@@ -25,8 +25,9 @@ let run_workload ?(steal = true) n_cores =
         ~at:(Int64.add (Cycles.Clock.now clocks.(core)) 25L)
         (job (gen + 1))
   in
+  (* round-robin placement: root [i] lands on core [i mod n_cores] *)
   for i = 0 to 19 do
-    C.submit sched ~affinity:(i mod n_cores) ~at:(Int64.of_int (i * 10)) (job 0)
+    C.submit sched ~at:(Int64.of_int (i * 10)) (job 0)
   done;
   C.run sched;
   let finals = Array.map Cycles.Clock.now clocks in
@@ -53,9 +54,12 @@ let test_all_tasks_execute () =
 let test_steal_conservation () =
   let clocks = mk_clocks 4 in
   let sched = C.create clocks in
-  (* all work lands on core 0; idle cores must steal it, losing none *)
-  for _ = 1 to 200 do
-    C.submit sched ~affinity:0 (fun ~core -> Cycles.Clock.advance_int clocks.(core) 500)
+  (* round-robin placement gives core 0 every fourth task, and those are
+     the heavy ones: the other cores drain their light queues and must
+     steal core 0's work, losing none *)
+  for i = 0 to 199 do
+    let cost = if i mod 4 = 0 then 5_000 else 10 in
+    C.submit sched (fun ~core -> Cycles.Clock.advance_int clocks.(core) cost)
   done;
   C.run sched;
   Alcotest.(check int) "submitted" 200 (C.submitted sched);
@@ -66,20 +70,6 @@ let test_steal_conservation () =
     (fun i s ->
       Alcotest.(check bool) (Printf.sprintf "core %d did work" i) true (s.C.executed > 0))
     per_core
-
-let test_no_steal_pins_tasks () =
-  let clocks = mk_clocks 4 in
-  let sched = C.create ~steal:false clocks in
-  for _ = 1 to 50 do
-    C.submit sched ~affinity:0 (fun ~core -> Cycles.Clock.advance_int clocks.(core) 500)
-  done;
-  C.run sched;
-  let per_core = C.core_stats sched in
-  Alcotest.(check int) "all on core 0" 50 per_core.(0).C.executed;
-  Alcotest.(check int) "no steals" 0 (C.steals sched);
-  for i = 1 to 3 do
-    Alcotest.(check int) (Printf.sprintf "core %d idle" i) 0 per_core.(i).C.executed
-  done
 
 let test_idle_accounting () =
   let clocks = mk_clocks 1 in
@@ -103,7 +93,9 @@ let test_idle_accounting () =
 let test_utilization_bounds () =
   let clocks = mk_clocks 2 in
   let sched = C.create clocks in
-  C.submit sched ~affinity:0 ~at:100L (fun ~core ->
+  (* the first task lands on core 0; core 1 could steal it but starts
+     no earlier, and ties go to the lower core *)
+  C.submit sched ~at:100L (fun ~core ->
       Cycles.Clock.advance_int clocks.(core) 900);
   C.run sched;
   Alcotest.(check (float 1e-9)) "busy/(busy+idle)" 0.9 (C.utilization sched ~core:0);
@@ -115,9 +107,6 @@ let test_submit_validation () =
   Alcotest.check_raises "negative release time"
     (Invalid_argument "Cores.submit: negative time") (fun () ->
       C.submit sched ~at:(-1L) (fun ~core:_ -> ()));
-  Alcotest.check_raises "affinity out of range"
-    (Invalid_argument "Cores.submit: no such core") (fun () ->
-      C.submit sched ~affinity:2 (fun ~core:_ -> ()));
   Alcotest.check_raises "no clocks"
     (Invalid_argument "Cores.create: need at least one clock") (fun () ->
       ignore (C.create [||]))
@@ -128,59 +117,77 @@ let test_submit_validation () =
 
 let hlt_image = Wasp.Image.of_asm_string ~name:"hlt" ~mode:Vm.Modes.Real "hlt"
 
-let test_scheduled_stall_and_drain () =
+(* A one-core runtime with a hub attached, so its pool publishes the
+   [wasp_pool_reclaim_depth] gauge: shells awaiting a deferred clean. *)
+let reclaim_runtime () =
   let w = R.create ~clean:`Async ~cores:1 () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  let depth () =
+    int_of_float (Series.gauge (Telemetry.Hub.metrics hub) "wasp_pool_reclaim_depth")
+  in
+  (w, depth)
+
+let test_scheduled_stall_and_drain () =
+  let w, depth = reclaim_runtime () in
   R.set_reclaim_policy w Wasp.Pool.Scheduled;
   ignore (R.run w hlt_image ());
-  Alcotest.(check int) "released shell queued, not cached" 1
-    (R.reclaim_depth w ~core:0);
+  Alcotest.(check int) "released shell queued, not cached" 1 (depth ());
   let r2 = R.run w hlt_image () in
   let ps = R.pool_stats w in
   Alcotest.(check bool) "stalled acquire still a pool hit" true r2.R.from_pool;
   Alcotest.(check int) "one clean stall" 1 ps.Wasp.Pool.clean_stalls;
   Alcotest.(check bool) "stall cost charged" true (ps.Wasp.Pool.stall_cycles > 0L);
   (* the second run's release queued the shell again; idle cycles finish it *)
-  Alcotest.(check int) "queued again" 1 (R.reclaim_depth w ~core:0);
+  Alcotest.(check int) "queued again" 1 (depth ());
   let spent = R.drain_reclaim w ~core:0 ~budget:max_int in
   Alcotest.(check bool) "drain did work" true (spent > 0);
-  Alcotest.(check int) "queue empty" 0 (R.reclaim_depth w ~core:0);
+  Alcotest.(check int) "queue empty" 0 (depth ());
   let r3 = R.run w hlt_image () in
   Alcotest.(check bool) "drained shell served from cache" true r3.R.from_pool;
   Alcotest.(check int) "no further stall" 1 (R.pool_stats w).Wasp.Pool.clean_stalls
 
 let test_eager_async_never_stalls () =
-  let w = R.create ~clean:`Async ~cores:1 () in
+  let w, depth = reclaim_runtime () in
   ignore (R.run w hlt_image ());
   let r2 = R.run w hlt_image () in
   Alcotest.(check bool) "pool hit" true r2.R.from_pool;
   Alcotest.(check int) "eager policy keeps up" 0 (R.pool_stats w).Wasp.Pool.clean_stalls;
-  Alcotest.(check int) "nothing queued" 0 (R.reclaim_depth w ~core:0)
+  Alcotest.(check int) "nothing queued" 0 (depth ())
 
 let test_drain_partial_progress () =
   (* a tiny budget makes no full clean, but the spent cycles carry over *)
-  let w = R.create ~clean:`Async ~cores:1 () in
+  let w, depth = reclaim_runtime () in
   R.set_reclaim_policy w Wasp.Pool.Scheduled;
   ignore (R.run w hlt_image ());
   let spent1 = R.drain_reclaim w ~core:0 ~budget:10 in
   Alcotest.(check int) "spends the whole small budget" 10 spent1;
-  Alcotest.(check int) "shell still queued" 1 (R.reclaim_depth w ~core:0);
+  Alcotest.(check int) "shell still queued" 1 (depth ());
   let spent2 = R.drain_reclaim w ~core:0 ~budget:max_int in
   Alcotest.(check bool) "remainder smaller than a full clean" true (spent2 > 0);
-  Alcotest.(check int) "finished" 0 (R.reclaim_depth w ~core:0)
+  Alcotest.(check int) "finished" 0 (depth ())
 
 (* ------------------------------------------------------------------ *)
 (* Sharded pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A KVM system with a hub attached, so a pool over it publishes its
+   [wasp_pool_size*] gauges; [size name] reads one. *)
+let hubbed_system ?cores ?seed () =
+  let sys = Kvmsim.Kvm.open_dev ?cores ?seed () in
+  let hub = Telemetry.Hub.create ~clock:(Kvmsim.Kvm.clock sys) () in
+  Kvmsim.Kvm.set_telemetry sys (Some hub);
+  (sys, fun name -> int_of_float (Series.gauge (Telemetry.Hub.metrics hub) name))
+
 let test_pool_lru_eviction () =
-  let sys = Kvmsim.Kvm.open_dev ~seed:7 () in
+  let sys, size = hubbed_system ~seed:7 () in
   let pool = Wasp.Pool.create ~capacity:2 sys ~clean:Wasp.Pool.Sync in
   let acquire () = fst (Wasp.Pool.acquire pool ~mem_size:65536 ~mode:Vm.Modes.Real) in
   let s1 = acquire () and s2 = acquire () and s3 = acquire () in
   Wasp.Pool.release pool s1;
   Wasp.Pool.release pool s2;
   Wasp.Pool.release pool s3;
-  Alcotest.(check int) "bounded by capacity" 2 (Wasp.Pool.size pool);
+  Alcotest.(check int) "bounded by capacity" 2 (size "wasp_pool_size");
   Alcotest.(check int) "oldest evicted" 1 (Wasp.Pool.stats pool).Wasp.Pool.evicted
 
 let test_pool_capacity_validated () =
@@ -190,7 +197,7 @@ let test_pool_capacity_validated () =
       ignore (Wasp.Pool.create ~capacity:0 sys ~clean:Wasp.Pool.Sync))
 
 let test_pool_shards_per_core () =
-  let sys = Kvmsim.Kvm.open_dev ~cores:3 () in
+  let sys, size = hubbed_system ~cores:3 () in
   let pool = Wasp.Pool.create sys ~clean:Wasp.Pool.Sync in
   for core = 0 to 2 do
     Kvmsim.Kvm.set_core sys core;
@@ -199,8 +206,8 @@ let test_pool_shards_per_core () =
       s.Wasp.Pool.home;
     Wasp.Pool.release pool s
   done;
-  Alcotest.(check (array int)) "one shell per shard" [| 1; 1; 1 |]
-    (Wasp.Pool.shard_sizes pool)
+  Alcotest.(check (list int)) "one shell per shard" [ 1; 1; 1 ]
+    (List.init 3 (fun core -> size (Printf.sprintf "wasp_pool_size_core%d" core)))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-core load generation                                           *)
@@ -271,7 +278,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "all tasks execute" `Quick test_all_tasks_execute;
           Alcotest.test_case "steal conservation" `Quick test_steal_conservation;
-          Alcotest.test_case "no-steal pins" `Quick test_no_steal_pins_tasks;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
           Alcotest.test_case "utilization bounds" `Quick test_utilization_bounds;
           Alcotest.test_case "submit validation" `Quick test_submit_validation;

@@ -8,7 +8,7 @@ let test_vespid_invoke_correct () =
   let v = Serverless.Vespid.create w in
   Serverless.Vespid.register v ~name:"b64" ~source:js_b64 ~entry:"encode";
   let input = Vjs.Workload.make_input ~size:120 in
-  match Serverless.Vespid.invoke v ~name:"b64" ~input with
+  match fst (Serverless.Vespid.invoke_timed v ~name:"b64" ~input) with
   | Ok out ->
       Alcotest.(check string) "matches reference" (Vjs.Workload.reference_encode input) out
   | Error e -> Alcotest.fail e
@@ -16,7 +16,7 @@ let test_vespid_invoke_correct () =
 let test_vespid_unknown_function () =
   let w = Wasp.Runtime.create () in
   let v = Serverless.Vespid.create w in
-  match Serverless.Vespid.invoke v ~name:"nope" ~input:Bytes.empty with
+  match fst (Serverless.Vespid.invoke_timed v ~name:"nope" ~input:Bytes.empty) with
   | exception Serverless.Vespid.Unknown_function "nope" -> ()
   | _ -> Alcotest.fail "expected Unknown_function"
 
@@ -36,11 +36,11 @@ let test_vespid_isolates_functions () =
   Serverless.Vespid.register v ~name:"bad" ~source:"function boom(d) { return nonexistent(); }"
     ~entry:"boom";
   Serverless.Vespid.register v ~name:"b64" ~source:js_b64 ~entry:"encode";
-  (match Serverless.Vespid.invoke v ~name:"bad" ~input:Bytes.empty with
+  (match fst (Serverless.Vespid.invoke_timed v ~name:"bad" ~input:Bytes.empty) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected JS error");
   let input = Vjs.Workload.make_input ~size:33 in
-  match Serverless.Vespid.invoke v ~name:"b64" ~input with
+  match fst (Serverless.Vespid.invoke_timed v ~name:"b64" ~input) with
   | Ok out -> Alcotest.(check string) "healthy" (Vjs.Workload.reference_encode input) out
   | Error e -> Alcotest.fail e
 
@@ -129,7 +129,7 @@ let test_openwhisk_cold_then_warm () =
   let _, warm = Serverless.Openwhisk.invoke t ~now:(Int64.add cold 1000L) ~name:"b64" ~input in
   Alcotest.(check int) "one cold start" 1 (Serverless.Openwhisk.cold_starts t);
   Alcotest.(check int) "one warm hit" 1 (Serverless.Openwhisk.warm_hits t);
-  let ms = Cycles.Clock.to_ms clock in
+  let ms c = Cycles.Clock.to_us clock c /. 1e3 in
   Alcotest.(check bool)
     (Printf.sprintf "cold %.0fms >> warm %.1fms" (ms cold) (ms warm))
     true
@@ -141,8 +141,8 @@ let test_openwhisk_keepalive_expiry () =
   let t, _ = ow () in
   let input = Vjs.Workload.make_input ~size:10 in
   let _, first = Serverless.Openwhisk.invoke t ~now:0L ~name:"b64" ~input in
-  (* past the keep-alive window: container reaped, cold again *)
-  let long_after = Int64.add first (Int64.add Serverless.Openwhisk.keepalive_cycles 10_000_000L) in
+  (* past the 60 s keep-alive window: container reaped, cold again *)
+  let long_after = Int64.add first 161_410_000_000L in
   ignore (Serverless.Openwhisk.invoke t ~now:long_after ~name:"b64" ~input);
   Alcotest.(check int) "two cold starts" 2 (Serverless.Openwhisk.cold_starts t)
 
@@ -512,34 +512,29 @@ let test_gateway_slo_recording () =
   let _, hub, g =
     traced_gateway ~shed:{ Serverless.Gateway.burst = 4; refill_per_s = 0.0001 } ()
   in
-  ignore hub;
   Serverless.Gateway.enable_slos g ();
-  let avail = Option.get (Serverless.Gateway.availability_slo g) in
-  let lat = Option.get (Serverless.Gateway.latency_slo g) in
+  let good = Series.slo_good hub and bad = Series.slo_bad hub in
+  let avail = "gateway_availability" and lat = "gateway_latency" in
   ignore (Serverless.Gateway.handle g (post "/register/ok?entry=shout" shout_src));
   ignore (Serverless.Gateway.handle g (post "/register/bad?entry=boom" boom_src));
   (* 404 is the caller's mistake: no SLO event at all *)
   ignore (Serverless.Gateway.handle g (post "/invoke/nope" "x"));
-  Alcotest.(check int) "404 not counted" 0
-    (Telemetry.Slo.good_count avail + Telemetry.Slo.bad_count avail);
+  Alcotest.(check int) "404 not counted" 0 (good ~slo:avail + bad ~slo:avail);
   (* success: good availability + a latency sample *)
   ignore (Serverless.Gateway.handle g (post "/invoke/ok" "hi"));
-  Alcotest.(check int) "success is good" 1 (Telemetry.Slo.good_count avail);
-  Alcotest.(check int) "success has a latency event" 1
-    (Telemetry.Slo.good_count lat + Telemetry.Slo.bad_count lat);
+  Alcotest.(check int) "success is good" 1 (good ~slo:avail);
+  Alcotest.(check int) "success has a latency event" 1 (good ~slo:lat + bad ~slo:lat);
   (* failure: bad availability, no latency sample *)
   ignore (Serverless.Gateway.handle g (post "/invoke/bad" "x"));
-  Alcotest.(check int) "500 is bad" 1 (Telemetry.Slo.bad_count avail);
-  Alcotest.(check int) "no latency for failures" 1
-    (Telemetry.Slo.good_count lat + Telemetry.Slo.bad_count lat);
+  Alcotest.(check int) "500 is bad" 1 (bad ~slo:avail);
+  Alcotest.(check int) "no latency for failures" 1 (good ~slo:lat + bad ~slo:lat);
   (* exhaust the token bucket (the 404 probe burned a token too):
      sheds are bad availability *)
   ignore (Serverless.Gateway.handle g (post "/invoke/ok" "hi"));
   Alcotest.(check int) "shed" 429
     (status_of (Serverless.Gateway.handle g (post "/invoke/ok" "hi")));
-  Alcotest.(check int) "shed is bad" 2 (Telemetry.Slo.bad_count avail);
-  Alcotest.(check bool) "compliance reflects the mix" true
-    (Telemetry.Slo.compliance avail < 1.0)
+  Alcotest.(check int) "shed is bad" 2 (bad ~slo:avail);
+  Alcotest.(check int) "the second success is good too" 2 (good ~slo:avail)
 
 (* A function whose retained CoW shell lives on core 0, invoked when
    the round robin picks core 1 after core 0's clock ran 5M cycles

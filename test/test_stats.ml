@@ -14,9 +14,9 @@ let test_mean_empty () =
 
 let test_stddev () =
   (* sample sd of 2,4,4,4,5,5,7,9 = sqrt(32/7) *)
-  feq "stddev" (sqrt (32.0 /. 7.0)) (Descriptive.stddev [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |])
+  feq "stddev" (sqrt (32.0 /. 7.0)) (Descriptive.summarize ~tukey:false [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]).stddev
 
-let test_stddev_singleton () = feq "singleton sd" 0.0 (Descriptive.stddev [| 3.0 |])
+let test_stddev_singleton () = feq "singleton sd" 0.0 (Descriptive.summarize [| 3.0 |]).stddev
 
 let test_minmax () =
   let xs = [| 3.0; 1.0; 4.0; 1.5; 9.0 |] in
@@ -24,10 +24,10 @@ let test_minmax () =
   feq "max" 9.0 (Descriptive.maximum xs)
 
 let test_percentile_median_odd () =
-  feq "median odd" 3.0 (Descriptive.median [| 5.0; 3.0; 1.0 |])
+  feq "median odd" 3.0 (Descriptive.summarize ~tukey:false [| 5.0; 3.0; 1.0 |]).p50
 
 let test_percentile_median_even () =
-  feq "median even" 2.5 (Descriptive.median [| 4.0; 1.0; 3.0; 2.0 |])
+  feq "median even" 2.5 (Descriptive.summarize ~tukey:false [| 4.0; 1.0; 3.0; 2.0 |]).p50
 
 let test_percentile_extremes () =
   let xs = [| 10.0; 20.0; 30.0 |] in
@@ -45,7 +45,6 @@ let test_percentile_out_of_range () =
     (Invalid_argument "Descriptive.percentile: p outside [0,100]") (fun () ->
       ignore (Descriptive.percentile [| 1.0 |] 101.0))
 
-let test_iqr () = feq "iqr of 1..5" 2.0 (Descriptive.iqr [| 1.; 2.; 3.; 4.; 5. |])
 
 let test_tukey_removes_outlier () =
   let xs = Array.append (Array.init 50 (fun i -> float_of_int (i mod 10))) [| 1000.0 |] in
@@ -114,11 +113,6 @@ let test_bar_chart_log_rejects_nonpositive () =
     (Invalid_argument "Report.bar_chart: log of nonpositive value") (fun () ->
       ignore (Report.bar_chart ~log:true [ ("bad", 0.0) ]))
 
-let test_series () =
-  let out = Report.series ~header:[ "x"; "y" ] [ (1.0, [ 2.0 ]); (2.0, [ 4.0 ]) ] in
-  Alcotest.(check bool) "x column" true (contains out "1.00");
-  Alcotest.(check bool) "y column" true (contains out "4.00")
-
 let () =
   Alcotest.run "stats"
     [
@@ -136,7 +130,6 @@ let () =
           Alcotest.test_case "percentile interpolation" `Quick test_percentile_interpolates;
           Alcotest.test_case "percentile unsorted" `Quick test_percentile_unsorted_input;
           Alcotest.test_case "percentile range check" `Quick test_percentile_out_of_range;
-          Alcotest.test_case "iqr" `Quick test_iqr;
           Alcotest.test_case "tukey removes outlier" `Quick test_tukey_removes_outlier;
           Alcotest.test_case "tukey keeps clean data" `Quick test_tukey_keeps_clean_data;
           Alcotest.test_case "harmonic mean" `Quick test_harmonic_mean;
@@ -152,6 +145,5 @@ let () =
           Alcotest.test_case "table alignment" `Quick test_table_alignment_width;
           Alcotest.test_case "bar chart" `Quick test_bar_chart;
           Alcotest.test_case "bar chart log check" `Quick test_bar_chart_log_rejects_nonpositive;
-          Alcotest.test_case "series" `Quick test_series;
         ] );
     ]

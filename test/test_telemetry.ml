@@ -1,5 +1,5 @@
 (* Telemetry subsystem tests: span/cycle attribution invariants,
-   histogram percentile math, exporter well-formedness, determinism.
+   histogram buckets, exporter well-formedness, determinism.
 
    The load-bearing invariant is phase tiling: the virtual clock only
    advances on explicit charges, and every charge in Runtime.run happens
@@ -197,32 +197,6 @@ let test_sink_keeps_first_opened () =
 
 (* --- histogram math --------------------------------------------------- *)
 
-let test_histogram_percentiles () =
-  let reg = Telemetry.Metrics.create () in
-  let h = Telemetry.Metrics.histogram reg "t" in
-  List.iter (fun v -> Telemetry.Metrics.observe h v) [ 1L; 4L; 16L ];
-  Alcotest.(check (float 1e-9)) "p0 clamps to min" 1.0 (Telemetry.Metrics.percentile h 0.0);
-  Alcotest.(check (float 1e-9)) "p100 clamps to max" 16.0
-    (Telemetry.Metrics.percentile h 100.0);
-  (* p50 target is sample 1.5 of 3: halfway through the second sample's
-     bucket [4,8) -> interpolated 6.0 *)
-  Alcotest.(check (float 1e-9)) "p50 interpolates in crossing bucket" 6.0
-    (Telemetry.Metrics.percentile h 50.0)
-
-let test_histogram_constant_exact () =
-  let reg = Telemetry.Metrics.create () in
-  let h = Telemetry.Metrics.histogram reg "t" in
-  for _ = 1 to 100 do
-    Telemetry.Metrics.observe h 10L
-  done;
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%g of constant input" p)
-        10.0
-        (Telemetry.Metrics.percentile h p))
-    [ 1.0; 50.0; 90.0; 99.0 ]
-
 let test_bucket_index () =
   let idx = Telemetry.Metrics.bucket_index in
   Alcotest.(check int) "0 -> bucket 0" 0 (idx 0L);
@@ -269,7 +243,7 @@ let test_bad_samples_rejected () =
   Alcotest.(check int64) "negative observation clamps to zero" 0L
     h.Telemetry.Metrics.h_sum;
   Alcotest.(check int) "every rejection tallied" 3
-    (Telemetry.Metrics.bad_samples reg)
+    (Series.counter reg "telemetry_bad_samples_total")
 
 let test_bad_samples_counter_lazy () =
   let reg = Telemetry.Metrics.create () in
@@ -1101,36 +1075,67 @@ let prop_id_round_trip =
       String.equal s (Printf.sprintf "%016Lx" x)
       && Telemetry.Tracectx.id_of_string s = Some x)
 
-let fixed3 = Telemetry.Chrome.fixed3
+(* One span opened at cycle [at] and closed [dur] cycles later, as the
+   Chrome exporter writes it: its [ts] and [dur] must be [%.3f] of the
+   microseconds [Clock.to_us] gives. A negative [dur] closes the span on
+   a second clock that runs behind, as a span closed on another core. *)
+let span_times_exported ~at ~dur =
+  let c0 = Cycles.Clock.create () and c1 = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:c0 () in
+  Cycles.Clock.advance_int c0 at;
+  Telemetry.Hub.enter hub "s";
+  if dur >= 0 then Cycles.Clock.advance_int c0 dur
+  else begin
+    Cycles.Clock.advance_int c1 (at + dur);
+    Telemetry.Hub.set_clock hub c1
+  end;
+  Telemetry.Hub.leave hub ();
+  let us c = Printf.sprintf "%.3f" (Cycles.Clock.to_us c0 (Int64.of_int c)) in
+  let json = Telemetry.Chrome.to_json hub in
+  let want = Printf.sprintf "\"ts\":%s,\"dur\":%s," (us at) (us dur) in
+  let n = String.length want in
+  let rec found i = i + n <= String.length json && (String.sub json i n = want || found (i + 1)) in
+  if found 0 then None else Some (want, json)
+
+let gen_cycles =
+  QCheck.Gen.(oneof [ int_bound 10_000; int_bound 100_000_000; int_bound (max_int / 2) ])
 
 let prop_fixed3_cycles =
   QCheck.Test.make ~name:"ts/dur of random cycle counts print as %.3f" ~count:3000
     (QCheck.make
-       ~print:(fun (f, c) -> Printf.sprintf "%g GHz, %d cycles" f c)
+       ~print:(fun (at, dur) -> Printf.sprintf "at %d, dur %d cycles" at dur)
        QCheck.Gen.(
-         pair
-           (oneof [ oneofl [ 2.69; 1.0; 3.0; 2.4; 0.8 ]; float_range 0.1 6.0 ])
-           (oneof [ int_bound 10_000; int_bound 100_000_000; int_bound max_int ])))
-    (fun (freq_ghz, c) ->
-      let x = Cycles.Clock.to_us (Cycles.Clock.create ~freq_ghz ()) (Int64.of_int c) in
-      String.equal (fixed3 x) (Printf.sprintf "%.3f" x))
+         let* at = gen_cycles in
+         let* dur = gen_cycles in
+         let* behind = frequency [ (4, return false); (1, return true) ] in
+         return (at, if behind then -(dur mod (at + 1)) else dur)))
+    (fun (at, dur) ->
+      match span_times_exported ~at ~dur with
+      | None -> true
+      | Some (want, json) -> QCheck.Test.fail_reportf "no %s in %s" want json)
 
 let test_fixed3_edges () =
-  let check x =
-    Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%.3f" x) (fixed3 x)
+  let check ~at ~dur =
+    match span_times_exported ~at ~dur with
+    | None -> ()
+    | Some (want, json) -> Alcotest.failf "no %s in %s" want json
   in
-  (* within one ulp of (k+0.5)/1000, and exact binary ties m/16 with m odd *)
+  (* At 2.69 GHz a cycle count is 100/269 ns, so the nearest a time gets
+     to a [%.3f] tie is half of 1/269 ns: the counts below land there.
+     Near 0 and 2^42 cycles the fast path prints them; near 2^48 cycles
+     (~10^14 ns) the writer's tie margin, 2^-50 of the value, is wide
+     enough to hand them to Printf. *)
+  let near_tie base =
+    List.filter (fun c -> (100 * c) mod 269 = 134 || (100 * c) mod 269 = 135)
+      (List.init 538 (fun i -> base + i))
+  in
+  List.iter (fun c -> check ~at:c ~dur:c) (near_tie 0 @ near_tie (1 lsl 42) @ near_tie (1 lsl 48));
+  (* past the fast path's range (2^49 ns), zero, and negative durations *)
   List.iter
-    (fun k ->
-      let t = (float_of_int k +. 0.5) /. 1000.0 in
-      List.iter check [ Float.pred t; t; Float.succ t ])
-    [ 0; 1; 62; 187; 999; 1_000; 123_456; 2_147_483_647; 1 lsl 40; (1 lsl 49) - 1 ];
-  List.iter (fun m -> check (float_of_int m /. 16.0)) [ 1; 3; 5; 12_345; (1 lsl 40) + 1 ];
-  (* past the fast path's range, and values it hands to Printf *)
-  List.iter check
+    (fun (at, dur) -> check ~at ~dur)
     [
-      0.0; -0.0; 1e-300; Float.min_float; 0.0005; 5.6e11; 5.7e11; 1e12; 1e15; 1e20;
-      Float.max_float; Float.infinity; Float.neg_infinity; Float.nan; -1.5; -1234.0625;
+      (0, 0); (1, 1); (2, 2689); (2690, 2691); (1_514_000_000_000_000, 1);
+      (1_515_000_000_000_000, 1 lsl 51); (max_int / 2, max_int / 2); (1000, -1); (1 lsl 50, -(1 lsl 49));
     ]
 
 (* --- SLO burn-rate engine --------------------------------------------- *)
@@ -1138,57 +1143,51 @@ let test_fixed3_edges () =
 let test_slo_fire_and_clear () =
   let clk = Cycles.Clock.create () in
   let hub = Telemetry.Hub.create ~clock:clk () in
-  let slo =
-    Telemetry.Slo.create ~hub ~name:"t" ~target:0.9
-      ~rules:
-        [
-          {
-            Telemetry.Slo.rule_name = "only";
-            long_window = 1_000L;
-            short_window = 100L;
-            burn_threshold = 2.0;
-          };
-        ]
-      ~period:10_000L ()
-  in
+  (* period 12,000: [fast] watches 120 cycles (short 10) at burn 5,
+     [slow] 600 cycles (short 50) at burn 2 *)
+  let slo = Telemetry.Slo.create ~hub ~name:"t" ~target:0.9 ~period:12_000L () in
   (* all-good traffic: no alert *)
   for _ = 1 to 10 do
     Cycles.Clock.advance clk 10L;
     Telemetry.Slo.record slo ~good:true
   done;
   Alcotest.(check bool) "quiet under good traffic" false (Telemetry.Slo.alerting slo);
-  (* a bad burst: burn = 1.0 / 0.1 = 10x in both windows *)
+  (* a bad burst: burn reaches 1.0 / 0.1 = 10x, past both thresholds *)
   for _ = 1 to 10 do
     Cycles.Clock.advance clk 10L;
     Telemetry.Slo.record slo ~good:false
   done;
   Alcotest.(check bool) "alert fires during the burst" true (Telemetry.Slo.alerting slo);
-  Alcotest.(check int) "one firing transition" 1 (Telemetry.Slo.alerts_fired slo);
-  Alcotest.(check bool) "peak burn recorded" true (Telemetry.Slo.peak_burn slo >= 2.0);
-  (* clean traffic refills the short window; the alert clears *)
+  Alcotest.(check int) "one firing transition per rule" 2 (Telemetry.Slo.alerts_fired slo);
+  Alcotest.(check bool) "peak burn recorded" true (Telemetry.Slo.peak_burn slo >= 5.0);
+  (* clean traffic refills the short windows; the alerts clear *)
   for _ = 1 to 30 do
     Cycles.Clock.advance clk 10L;
     Telemetry.Slo.record slo ~good:true
   done;
   Alcotest.(check bool) "alert clears after recovery" false (Telemetry.Slo.alerting slo);
-  Alcotest.(check int) "one cleared transition" 1 (Telemetry.Slo.alerts_cleared slo);
-  (* transitions left instants in the span stream *)
+  Alcotest.(check int) "one cleared transition per rule" 2 (Telemetry.Slo.alerts_cleared slo);
+  (* transitions left instants in the span stream: the slow rule fires
+     first and clears last *)
   let states =
     List.filter_map
       (function
         | Telemetry.Span.Instant { i_name = "slo_alert"; i_args; _ } ->
-            List.assoc_opt "state" i_args
+            Some (List.assoc "rule" i_args ^ " " ^ List.assoc "state" i_args)
         | _ -> None)
       (Telemetry.Span.items (Telemetry.Hub.spans hub))
   in
-  Alcotest.(check (list string)) "firing then cleared" [ "firing"; "cleared" ] states;
+  Alcotest.(check (list string)) "firing then cleared"
+    [ "slow firing"; "fast firing"; "fast cleared"; "slow cleared" ]
+    states;
   (* gauges exported under (slo, rule) labels *)
-  let g =
-    Telemetry.Metrics.gauge (Telemetry.Hub.metrics hub)
-      ~labels:[ ("slo", "t"); ("rule", "only") ]
-      "slo_alert_active"
-  in
-  Alcotest.(check (float 1e-9)) "alert gauge cleared" 0.0 g.Telemetry.Metrics.g_value
+  List.iter
+    (fun rule ->
+      Alcotest.(check (float 1e-9)) ("alert gauge cleared: " ^ rule) 0.0
+        (Series.gauge (Telemetry.Hub.metrics hub)
+           ~labels:[ ("slo", "t"); ("rule", rule) ]
+           "slo_alert_active"))
+    [ "fast"; "slow" ]
 
 let test_slo_latency_objective () =
   let clk = Cycles.Clock.create () in
@@ -1200,8 +1199,8 @@ let test_slo_latency_objective () =
   Cycles.Clock.advance clk 10L;
   Telemetry.Slo.record_latency slo 50L;
   Telemetry.Slo.record_latency slo 200L;
-  Alcotest.(check int) "under threshold is good" 1 (Telemetry.Slo.good_count slo);
-  Alcotest.(check int) "over threshold is bad" 1 (Telemetry.Slo.bad_count slo);
+  Alcotest.(check int) "under threshold is good" 1 (Series.slo_good hub ~slo:"lat");
+  Alcotest.(check int) "over threshold is bad" 1 (Series.slo_bad hub ~slo:"lat");
   Alcotest.(check bool) "availability objective rejects record_latency" true
     (match
        Telemetry.Slo.record_latency
@@ -1283,7 +1282,7 @@ let test_exporter_bytes_pinned () =
   Alcotest.(check bool) "the storm fired an alert" true (Telemetry.Slo.alerts_fired slo > 0);
   Alcotest.(check bool) "and it cleared" false (Telemetry.Slo.alerting slo);
   check_fixture "telemetry-export.json"
-    (Telemetry.Chrome.to_json ~process:"wasp \"fixture\"" hub);
+    (Telemetry.Chrome.to_json hub);
   check_fixture "telemetry-export.prom"
     (Telemetry.Prometheus.to_text (Telemetry.Hub.metrics hub))
 
@@ -1293,9 +1292,8 @@ let test_exporter_bytes_pinned () =
    with its own clock, so cross-core children draw flows and a span
    closed on another core's clock can get a negative duration; instants;
    names and args with quotes, backslashes, control and non-ASCII bytes,
-   given at [enter] and at [leave]; clock steps that land [ts] and [dur]
-   near a [%.3f] tie (odd cycle counts at 0.5-4 GHz) or past the fast
-   path's range (>= 2^49 ns); clears with spans open; a sink of 1-8
+   given at [enter] and at [leave]; clock steps small and large, some
+   past the fast path's range (>= 2^49 ns); clears with spans open; a sink of 1-8
    items now and then, so some scripts overflow it. *)
 type hub_op =
   | Enter of string * (string * string) list
@@ -1306,11 +1304,9 @@ type hub_op =
   | Clear
 
 type hub_script = {
-  freq : float;
   cores : int;
   traced : bool;
   capacity : int option;
-  process : string option;
   ops : hub_op list;
 }
 
@@ -1347,19 +1343,15 @@ let gen_hub_script =
           (1, return Clear);
         ]
     in
-    let* freq = oneofl [ 2.69; 2.0; 1.0; 0.5; 4.0; 3.0 ] in
     let* traced = frequency [ (4, return true); (1, return false) ] in
     let* capacity = frequency [ (4, return None); (1, map Option.some (int_range 1 8)) ] in
-    let* process = option gen_text in
     let* ops = list_size (int_bound 60) op in
-    return { freq; cores; traced; capacity; process; ops })
+    return { cores; traced; capacity; ops })
 
 let print_hub_script s =
   let args a = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) a) in
-  Printf.sprintf "%g GHz, %d cores, traced %b, capacity %s, process %s: %s" s.freq s.cores
-    s.traced
+  Printf.sprintf "%d cores, traced %b, capacity %s: %s" s.cores s.traced
     (Option.fold ~none:"-" ~some:string_of_int s.capacity)
-    (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") s.process)
     (String.concat "; "
        (List.map
           (function
@@ -1372,7 +1364,7 @@ let print_hub_script s =
           s.ops))
 
 let hub_of_script s =
-  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ~freq_ghz:s.freq ()) in
+  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ()) in
   let hub = Telemetry.Hub.create ?capacity:s.capacity ~clock:clocks.(0) () in
   if s.traced then Telemetry.Hub.enable_tracing hub ~seed:7;
   let core = ref 0 in
@@ -1395,8 +1387,8 @@ let prop_chrome_matches_reference =
     (QCheck.make ~print:print_hub_script gen_hub_script) (fun s ->
       let hub = hub_of_script s in
       String.equal
-        (Telemetry.Chrome.to_json ?process:s.process hub)
-        (Chromeref.to_json ?process:s.process hub))
+        (Telemetry.Chrome.to_json hub)
+        (Chromeref.to_json hub))
 
 (* The script run on the column store and on the reference list sink
    side by side. [lost] is what either sink dropped, summed over the
@@ -1414,7 +1406,7 @@ type sink_run = {
 
 let run_sinks s =
   let module S = Telemetry.Span in
-  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ~freq_ghz:s.freq ()) in
+  let clocks = Array.init s.cores (fun _ -> Cycles.Clock.create ()) in
   let lib = S.create ?capacity:s.capacity ~clock:clocks.(0) () in
   let model = Spanref.create ?capacity:s.capacity ~clock:clocks.(0) () in
   if s.traced then begin
@@ -1587,10 +1579,25 @@ let test_span_allocation_budget () =
 
 (* A reference model of [Slo] as a plain list: every event is kept until
    it leaves the longest window, and each burn rate rescans the list.
-   Simple enough to trust, so it is the oracle for the sliding windows. *)
+   Simple enough to trust, so it is the oracle for the sliding windows.
+   Its rules are the SRE-book pair [Slo.create] documents. *)
 module Slo_model = struct
+  type rule = {
+    rule_name : string;
+    long_window : int64;
+    short_window : int64;
+    burn_threshold : float;
+  }
+
+  let default_rules ~period =
+    let div d = Int64.max 1L (Int64.div period (Int64.of_int d)) in
+    [
+      { rule_name = "fast"; long_window = div 100; short_window = div 1200; burn_threshold = 5.0 };
+      { rule_name = "slow"; long_window = div 20; short_window = div 240; burn_threshold = 2.0 };
+    ]
+
   type rule_state = {
-    rule : Telemetry.Slo.rule;
+    rule : rule;
     mutable active : bool;
     mutable peak : float;
   }
@@ -1613,7 +1620,7 @@ module Slo_model = struct
       rules = List.map (fun rule -> { rule; active = false; peak = 0.0 }) rules;
       horizon =
         List.fold_left
-          (fun acc (r : Telemetry.Slo.rule) ->
+          (fun acc (r : rule) ->
             if Int64.compare r.long_window acc > 0 then r.long_window else acc)
           1L rules;
       events = [];
@@ -1660,34 +1667,13 @@ module Slo_model = struct
     evaluate t
 end
 
-type slo_op = Advance of int * int | Record of int * bool | Evaluate
+type slo_op = Advance of int * int | Record of int * bool
 
 let gen_slo_case =
   QCheck.Gen.(
-    let window small =
-      oneof [ return 1L; map Int64.of_int (int_range 1 small); return Int64.max_int ]
-    in
-    let rule i =
-      let* long = window 5_000 in
-      let* short =
-        oneof [ return long; return 1L; map (fun s -> Int64.min s long) (window 500) ]
-      in
-      let* burn_threshold = oneofl [ 0.5; 1.0; 2.0; 5.0; 10.0 ] in
-      return
-        {
-          Telemetry.Slo.rule_name = "r" ^ string_of_int i;
-          long_window = long;
-          short_window = short;
-          burn_threshold;
-        }
-    in
     let* clocks = int_range 1 3 in
     let* target = oneofl [ 0.5; 0.9; 0.99; 0.999 ] in
     let* period = int_range 1 200_000 in
-    let* rules =
-      oneof
-        [ return None; (let* n = int_range 1 3 in map Option.some (flatten_l (List.init n rule))) ]
-    in
     let* bad_weight = int_range 0 4 in
     let core = int_range 0 (clocks - 1) in
     let op =
@@ -1703,49 +1689,46 @@ let gen_slo_case =
               (fun c good -> Record (c, good))
               core
               (frequency [ (4, return true); (bad_weight, return false) ]) );
-          (1, return Evaluate);
         ]
     in
     let* ops = list_size (int_range 0 300) op in
-    return (clocks, target, period, rules, ops))
+    return (clocks, target, period, ops))
 
-let print_slo_case (clocks, target, period, rules, ops) =
-  let rule (r : Telemetry.Slo.rule) =
-    Printf.sprintf "%s(%Ld,%Ld,%g)" r.rule_name r.long_window r.short_window r.burn_threshold
-  in
+let print_slo_case (clocks, target, period, ops) =
   let op = function
     | Advance (c, d) -> Printf.sprintf "+%d@%d" d c
     | Record (c, g) -> Printf.sprintf "%s@%d" (if g then "ok" else "BAD") c
-    | Evaluate -> "eval"
   in
-  Printf.sprintf "clocks=%d target=%g period=%d rules=%s ops=[%s]" clocks target period
-    (match rules with None -> "default" | Some l -> String.concat ";" (List.map rule l))
+  Printf.sprintf "clocks=%d target=%g period=%d ops=[%s]" clocks target period
     (String.concat " " (List.map op ops))
 
-(* Sliding windows are exact: after every event or bare [evaluate], on
-   up to three per-core clocks whose stamps interleave out of order,
-   every observable agrees with the list model. *)
-let slo_agrees (clocks, target, period, rules, ops) =
+(* Sliding windows are exact: after every event, on up to three
+   per-core clocks whose stamps interleave out of order, every
+   observable agrees with the list model: the burn rates, the counts,
+   and the alert state the SLO publishes as [slo_alert_active]. *)
+let slo_agrees (clocks, target, period, ops) =
   let clks = Array.init clocks (fun _ -> Cycles.Clock.create ()) in
   let hub = Telemetry.Hub.create ~clock:clks.(0) () in
   let period = Int64.of_int period in
-  let slo = Telemetry.Slo.create ~hub ~name:"diff" ~target ?rules ~period () in
-  let rules = match rules with Some r -> r | None -> Telemetry.Slo.default_rules ~period in
-  let m = Slo_model.create ~target rules in
+  let slo = Telemetry.Slo.create ~hub ~name:"diff" ~target ~period () in
+  let m = Slo_model.create ~target (Slo_model.default_rules ~period) in
   let same () =
     List.for_all
       (fun (rs : Slo_model.rule_state) ->
         let rule = rs.rule.rule_name in
         Telemetry.Slo.burn_rate slo ~rule
         = (Slo_model.burn_over m rs.rule.long_window, Slo_model.burn_over m rs.rule.short_window)
-        && Telemetry.Slo.rule_alerting slo ~rule = rs.active)
+        && Series.gauge (Telemetry.Hub.metrics hub)
+             ~labels:[ ("slo", "diff"); ("rule", rule) ]
+             "slo_alert_active"
+           = if rs.active then 1.0 else 0.0)
       m.rules
     && Telemetry.Slo.alerts_fired slo = m.fired
     && Telemetry.Slo.alerts_cleared slo = m.cleared
     && Telemetry.Slo.peak_burn slo
        = List.fold_left (fun acc (rs : Slo_model.rule_state) -> Float.max acc rs.peak) 0.0 m.rules
-    && Telemetry.Slo.good_count slo = m.good_n
-    && Telemetry.Slo.bad_count slo = m.bad_n
+    && Series.slo_good hub ~slo:"diff" = m.good_n
+    && Series.slo_bad hub ~slo:"diff" = m.bad_n
   in
   List.for_all
     (fun op ->
@@ -1754,10 +1737,7 @@ let slo_agrees (clocks, target, period, rules, ops) =
       | Record (c, good) ->
           Telemetry.Hub.set_clock hub clks.(c);
           Telemetry.Slo.record slo ~good;
-          Slo_model.record m (Cycles.Clock.now clks.(c)) ~good
-      | Evaluate ->
-          Telemetry.Slo.evaluate slo;
-          Slo_model.evaluate m);
+          Slo_model.record m (Cycles.Clock.now clks.(c)) ~good);
       same ())
     ops
 
@@ -1823,8 +1803,6 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "percentile interpolation" `Quick test_histogram_percentiles;
-          Alcotest.test_case "constant input is exact" `Quick test_histogram_constant_exact;
           Alcotest.test_case "log2 bucket index" `Quick test_bucket_index;
           Alcotest.test_case "kind mismatch rejected" `Quick test_registry_kind_mismatch;
           Alcotest.test_case "bad samples rejected" `Quick

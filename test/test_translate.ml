@@ -319,7 +319,7 @@ let gen_stack_program =
 let arb_stack_program =
   QCheck.make
     ~print:(fun (mode, code) ->
-      Printf.sprintf "%s:\n%s" (Vm.Modes.to_string mode) (Disasm.render (Disasm.disassemble ~origin code)))
+      Printf.sprintf "%s:\n%s" (Vm.Modes.to_string mode) (Disasm.of_program { Asm.code; origin; entry = origin; symbols = [] }))
     gen_stack_program
 
 (* Data on every page the programs write, then a capture, so first

@@ -91,10 +91,12 @@ let test_parse_globals () =
 
 let test_parse_precedence () =
   (* 1 + 2 * 3 == 7 must parse multiplication tighter *)
-  let e = Parser.parse_expr_string "1 + 2 * 3 == 7" in
-  match e.Ast.desc with
-  | Ast.Binary (Ast.Eq, { desc = Ast.Binary (Ast.Add, _, _); _ }, _) -> ()
-  | _ -> Alcotest.fail "precedence wrong"
+  match (Parser.parse "int f() { return 1 + 2 * 3 == 7; }").Ast.funcs with
+  | [ { Ast.body = [ Ast.Return (Some e, _) ]; _ } ] -> (
+      match e.Ast.desc with
+      | Ast.Binary (Ast.Eq, { desc = Ast.Binary (Ast.Add, _, _); _ }, _) -> ()
+      | _ -> Alcotest.fail "precedence wrong")
+  | _ -> Alcotest.fail "expected one function returning the expression"
 
 let test_parse_error_message () =
   match Parser.parse "int f( { }" with

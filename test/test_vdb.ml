@@ -25,11 +25,27 @@ let setup () =
 (* Tables                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [field f row] is column [f] of the row object a UDF receives, or
+   [Null] for a column the table does not have *)
+let field f = function
+  | V.Obj tbl -> Ok (Option.value (Hashtbl.find_opt tbl f) ~default:V.Null)
+  | _ -> Error "expected a row object"
+
+(* One column of every row, as a projecting UDF sees it *)
+let project udfs t f =
+  Vdb.Udf.register_native udfs ~name:f (field f);
+  match Vdb.Query.select udfs t ~project:f () with
+  | Ok rows -> List.map List.hd rows
+  | Error e -> Alcotest.fail e
+
 let test_table_basics () =
-  let t = people () in
+  let udfs, t = setup () in
   Alcotest.(check int) "4 rows" 4 (T.length t);
-  Alcotest.(check (option int)) "column index" (Some 2) (T.column_index t "age");
-  Alcotest.(check (option int)) "missing column" None (T.column_index t "salary")
+  Alcotest.(check bool) "column by name" true
+    (project udfs t "age" = [ T.Int 36L; T.Int 85L; T.Int 41L; T.Int 72L ]);
+  (* a missing column reads as null, which projects to 0 *)
+  Alcotest.(check bool) "missing column" true
+    (project udfs t "salary" = [ T.Int 0L; T.Int 0L; T.Int 0L; T.Int 0L ])
 
 let test_table_schema_validation () =
   let t = people () in
@@ -46,13 +62,9 @@ let test_table_schema_validation () =
   | _ -> Alcotest.fail "empty schema accepted"
 
 let test_row_to_js_roundtrip () =
-  let t = people () in
-  let row = List.hd (T.rows t) in
-  match Vdb.Query.row_to_js t row with
-  | V.Obj tbl ->
-      Alcotest.(check bool) "name field" true (Hashtbl.find tbl "name" = V.Str "ada");
-      Alcotest.(check bool) "age field" true (Hashtbl.find tbl "age" = V.Num 36.0)
-  | _ -> Alcotest.fail "expected object"
+  let udfs, t = setup () in
+  Alcotest.(check bool) "name field" true (List.hd (project udfs t "name") = T.Text "ada");
+  Alcotest.(check bool) "age field" true (List.hd (project udfs t "age") = T.Int 36L)
 
 (* ------------------------------------------------------------------ *)
 (* JS UDFs                                                              *)
@@ -69,7 +81,7 @@ let test_select_where_per_query () =
       Alcotest.(check int) "three adults" 3 (List.length rows);
       Alcotest.(check bool) "ada filtered out" true
         (List.for_all
-           (fun row -> not (T.value_equal (List.nth row 1) (T.Text "ada")))
+           (fun row -> List.nth row 1 <> T.Text "ada")
            rows)
   | Error e -> Alcotest.fail e
 
@@ -251,18 +263,35 @@ let test_kind_and_registry () =
   Vdb.Udf.register_native udfs ~name:"b" (fun _ -> Ok V.Null);
   Vdb.Udf.register_c udfs ~name:"c"
     ~source:"virtine int f(int x) { return x; }" ~fn:"f";
-  Alcotest.(check (list string)) "registry" [ "a"; "b"; "c" ] (Vdb.Udf.registered udfs);
-  Alcotest.(check bool) "kinds" true
-    (Vdb.Udf.kind_of udfs "a" = Vdb.Udf.Js
-    && Vdb.Udf.kind_of udfs "b" = Vdb.Udf.Native
-    && Vdb.Udf.kind_of udfs "c" = Vdb.Udf.C)
+  let row = V.Obj (Hashtbl.create 1) in
+  let answers = function Ok _ -> true | Error _ -> false in
+  (* each kind answers through its own path and refuses the other *)
+  Alcotest.(check bool) "js answers a row" true (answers (Vdb.Udf.apply_row udfs ~name:"a" row));
+  Alcotest.(check bool) "native answers a row" true
+    (answers (Vdb.Udf.apply_row udfs ~name:"b" row));
+  Alcotest.(check bool) "C refuses a row" false (answers (Vdb.Udf.apply_row udfs ~name:"c" row));
+  Alcotest.(check bool) "C answers integers" true
+    (answers (Vdb.Udf.apply_c udfs ~name:"c" [ 1L ]));
+  Alcotest.(check bool) "js refuses integers" false
+    (answers (Vdb.Udf.apply_c udfs ~name:"a" [ 1L ]));
+  Alcotest.check_raises "unregistered name" (Vdb.Udf.Unknown_udf "d") (fun () ->
+      ignore (Vdb.Udf.apply_row udfs ~name:"d" row))
 
 let test_js_to_value_conversions () =
-  Alcotest.(check bool) "num" true (Vdb.Query.js_to_value (V.Num 41.9) = T.Int 41L);
-  Alcotest.(check bool) "str" true (Vdb.Query.js_to_value (V.Str "x") = T.Text "x");
-  Alcotest.(check bool) "bool" true (Vdb.Query.js_to_value (V.Bool true) = T.Int 1L);
-  Alcotest.(check bool) "null" true (Vdb.Query.js_to_value V.Null = T.Int 0L);
-  match Vdb.Query.js_to_value (V.Arr (V.vec_of_list [ V.Num 1.0 ])) with
+  let udfs, t = setup () in
+  (* what a projection returning [v] puts in the first result row *)
+  let projected v =
+    Vdb.Udf.register_native udfs ~name:"conv" (fun _ -> Ok v);
+    match Vdb.Query.select udfs t ~project:"conv" () with
+    | Ok (row :: _) -> List.hd row
+    | Ok [] -> Alcotest.fail "no rows"
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "num" true (projected (V.Num 41.9) = T.Int 41L);
+  Alcotest.(check bool) "str" true (projected (V.Str "x") = T.Text "x");
+  Alcotest.(check bool) "bool" true (projected (V.Bool true) = T.Int 1L);
+  Alcotest.(check bool) "null" true (projected V.Null = T.Int 0L);
+  match projected (V.Arr (V.vec_of_list [ V.Num 1.0 ])) with
   | T.Text json -> Alcotest.(check string) "array as json" "[1]" json
   | _ -> Alcotest.fail "expected text"
 

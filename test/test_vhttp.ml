@@ -56,8 +56,11 @@ let test_response_roundtrip () =
   | Error e -> Alcotest.fail e
 
 let test_reason_phrases () =
-  Alcotest.(check string) "200" "OK" (H.reason_of_status 200);
-  Alcotest.(check string) "404" "Not Found" (H.reason_of_status 404)
+  let status_line status =
+    List.hd (String.split_on_char '\r' (H.response_to_string (H.make_response ~status "")))
+  in
+  Alcotest.(check string) "200" "HTTP/1.0 200 OK" (status_line 200);
+  Alcotest.(check string) "404" "HTTP/1.0 404 Not Found" (status_line 404)
 
 (* ------------------------------------------------------------------ *)
 (* Echo server (Figure 4)                                               *)

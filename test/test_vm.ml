@@ -406,24 +406,38 @@ let test_mode_limits () =
 (* GDT + paging                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The table is three descriptors ending at [end_addr]: null, code, data. *)
+let gdt_entry m i = Vm.Memory.read_u64 m (Vm.Gdt.end_addr - 24 + (8 * i))
+
+(* The code descriptor boot writes for a long-mode guest decodes to a
+   flat 64-bit code segment. *)
 let test_gdt_descriptor_roundtrip () =
-  let d = Vm.Gdt.flat_code ~long:true in
-  let d' = Vm.Gdt.decode_descriptor (Vm.Gdt.encode_descriptor d) in
-  Alcotest.(check bool) "executable" d.executable d'.executable;
-  Alcotest.(check bool) "long bit" d.long_mode d'.long_mode;
-  Alcotest.(check int) "limit" d.limit d'.limit;
-  Alcotest.(check int) "base" d.base d'.base
+  let m = Vm.Memory.create ~size:(64 * 1024) in
+  ignore
+    (Vm.Boot.perform ~mem:m ~clock:(Cycles.Clock.create ()) ~rng:(Cycles.Rng.create ~seed:1)
+       ~target:Vm.Modes.Long);
+  let d = Vm.Gdt.decode_descriptor (gdt_entry m 1) in
+  Alcotest.(check bool) "executable" true d.executable;
+  Alcotest.(check bool) "long bit" true d.long_mode;
+  Alcotest.(check bool) "4K granularity" true d.granularity_4k;
+  Alcotest.(check int) "limit" 0xFFFFF d.limit;
+  Alcotest.(check int) "base" 0 d.base;
+  let data = Vm.Gdt.decode_descriptor (gdt_entry m 2) in
+  Alcotest.(check bool) "data not executable" false data.executable
 
 let test_gdt_known_encoding () =
   (* Flat 32-bit code segment is the classic 0x00CF9A000000FFFF. *)
-  let q = Vm.Gdt.encode_descriptor (Vm.Gdt.flat_code ~long:false) in
-  Alcotest.(check int64) "classic descriptor" 0x00CF9A000000FFFFL q
+  let m = Vm.Memory.create ~size:4096 in
+  ignore
+    (Vm.Boot.perform ~mem:m ~clock:(Cycles.Clock.create ()) ~rng:(Cycles.Rng.create ~seed:1)
+       ~target:Vm.Modes.Protected);
+  Alcotest.(check int64) "classic descriptor" 0x00CF9A000000FFFFL (gdt_entry m 1)
 
 let test_gdt_write () =
   let m = Vm.Memory.create ~size:4096 in
   let n = Vm.Gdt.write m ~long:true in
   Alcotest.(check int) "24 bytes" 24 n;
-  Alcotest.(check int64) "null descriptor" 0L (Vm.Memory.read_u64 m Vm.Gdt.base_addr)
+  Alcotest.(check int64) "null descriptor" 0L (gdt_entry m 0)
 
 let test_paging_identity () =
   let m = Vm.Memory.create ~size:(64 * 1024) in
@@ -551,7 +565,10 @@ let test_boot_long_components () =
   let names = List.map (fun c -> c.Vm.Boot.name) comps in
   List.iter
     (fun n -> Alcotest.(check bool) n true (List.mem n names))
-    Vm.Boot.component_names;
+    [
+      "paging ident. map"; "protected transition"; "long transition"; "jump to 32-bit";
+      "jump to 64-bit"; "load 32-bit gdt"; "first instruction";
+    ];
   (* the page tables must really be there *)
   Alcotest.(check bool) "identity map built" true (Vm.Paging.translate mem 0x8000 = Some 0x8000)
 
@@ -577,7 +594,7 @@ let test_boot_cost_ordering () =
   let real, _, _ = boot Vm.Modes.Real in
   let prot, _, _ = boot Vm.Modes.Protected in
   let long, _, _ = boot Vm.Modes.Long in
-  let t c = Vm.Boot.total_cost c in
+  let t c = List.fold_left (fun acc c -> acc + c.Vm.Boot.cycles) 0 c in
   Alcotest.(check bool) "real < protected" true (t real < t prot);
   Alcotest.(check bool) "protected < long" true (t prot < t long)
 
@@ -603,7 +620,7 @@ let test_boot_charges_pinned () =
 let test_boot_long_total_near_paper () =
   (* Table 1 sums to ~36.5K cycles; allow jitter. *)
   let comps, clock, _ = boot Vm.Modes.Long in
-  let total = Vm.Boot.total_cost comps in
+  let total = List.fold_left (fun acc c -> acc + c.Vm.Boot.cycles) 0 comps in
   Alcotest.(check bool)
     (Printf.sprintf "long boot %d cycles in [30K, 45K]" total)
     true

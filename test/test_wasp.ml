@@ -468,6 +468,34 @@ init:
 
 let snap_policy = Wasp.Policy.of_list [ Wasp.Hc.snapshot ]
 
+(* Bad arguments are rejected before a shell is claimed: an oversized
+   input, or [~input] together with [~args], takes nothing from the pool
+   or, under [`Cow], from the retained table, so the next good run
+   still gets the one shell back. *)
+let test_bad_arguments_claim_no_shell () =
+  List.iter
+    (fun reset ->
+      let w = R.create ~reset () in
+      let run ?input ?(args = [ 1L ]) () =
+        R.run w snap_image ~policy:snap_policy ~snapshot_key:"k" ?input ~args ()
+      in
+      ignore (run ());
+      ignore (run ());
+      let rejected what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s accepted" what
+      in
+      rejected "oversized input" (fun () ->
+          run ~input:(Bytes.create (Wasp.Layout.arg_area_size + 1)) ~args:[] ());
+      rejected "input with args" (fun () -> run ~input:(Bytes.of_string "x") ());
+      let r = run () in
+      let stats = R.pool_stats w in
+      Alcotest.(check bool) "next run restores on the pooled shell" true r.R.from_pool;
+      Alcotest.(check int) "one shell ever created" 1 stats.Wasp.Pool.created;
+      Alcotest.(check int64) "and it answers" 5001L r.R.return_value)
+    [ `Memcpy; `Cow ]
+
 let test_snapshot_correctness () =
   let w = R.create () in
   let r1 = R.run w snap_image ~policy:snap_policy ~snapshot_key:"snap" ~args:[ 1L ] () in
@@ -1061,6 +1089,8 @@ let () =
           Alcotest.test_case "cow native payload" `Quick test_cow_native_payload;
           Alcotest.test_case "allocation budget: 16 CoW breaks per run" `Quick
             test_cow_reset_allocation_budget;
+          Alcotest.test_case "bad arguments claim no shell" `Quick
+            test_bad_arguments_claim_no_shell;
         ] );
       ( "paged-snapshots",
         [

@@ -129,6 +129,9 @@ let prop_pool_counters_consistent =
     (QCheck.make QCheck.Gen.(list_size (int_range 1 30) (oneofl [ 16 * 1024; 64 * 1024 ])))
     (fun sizes ->
       let sys = Kvmsim.Kvm.open_dev ~seed:3 () in
+      (* with a hub attached the pool publishes its size as a gauge *)
+      let hub = Telemetry.Hub.create ~clock:(Kvmsim.Kvm.clock sys) () in
+      Kvmsim.Kvm.set_telemetry sys (Some hub);
       let pool = Wasp.Pool.create sys ~clean:Wasp.Pool.Sync in
       List.iter
         (fun mem_size ->
@@ -138,7 +141,8 @@ let prop_pool_counters_consistent =
       let stats = Wasp.Pool.stats pool in
       stats.Wasp.Pool.created + stats.Wasp.Pool.reused = List.length sizes
       && stats.Wasp.Pool.cleans = List.length sizes
-      && Wasp.Pool.size pool = stats.Wasp.Pool.created)
+      && int_of_float (Series.gauge (Telemetry.Hub.metrics hub) "wasp_pool_size")
+         = stats.Wasp.Pool.created)
 
 let prop_pooled_shells_always_clean =
   QCheck.Test.make ~name:"a reacquired shell is always zeroed" ~count:100 (arb_writes 10)
